@@ -26,6 +26,9 @@ macro-gates      ``bench_transient --quick --check`` twice: the     yes
                  sequence workload (>= 3x over the no-reuse
                  oracle, ledger-verified, every step converged),
                  plus byte-identical JSON across the two runs
+e2e-selftest     ``benchmarks/e2e/run.py --selftest`` — the          yes
+                 end-to-end benchmark checks itself (~5 s): its
+                 contract file, answer checks, tracer neutrality
 trace-gate       ``repro.trace.gate.run_gate()`` — reduction shapes   yes
                  from exported spans, both exec modes
 determinism      byte-identical chrome traces across repeated         yes
@@ -48,8 +51,9 @@ written next to the repo root after every run, pass or fail
 ``--changed-since <ref>`` maps the paths touched since a git ref to the
 minimal stage set via :func:`stages_for_paths`: a pure-docs diff runs
 lint only, a tests-only diff runs lint + tier1, a bench-only diff adds
-the bench-gate stages, and anything under ``src/`` (or any path the map
-does not recognize) runs the full ``--fast`` set.
+the bench-gate stages (``benchmarks/e2e/`` and ``BENCHMARK.json``: the
+e2e self-check), and anything under ``src/`` (or any path the map does
+not recognize) runs the full ``--fast`` set.
 
     PYTHONPATH=src python scripts/ci.py            # everything
     PYTHONPATH=src python scripts/ci.py --fast     # skip slow + coverage
@@ -70,10 +74,11 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUMMARY = os.path.join(ROOT, "ci_summary.json")
 FAST_STAGES = ("lint", "tier1", "plan-equivalence", "perf-gates",
-               "traffic", "macro-gates", "trace-gate", "determinism")
+               "traffic", "macro-gates", "e2e-selftest", "trace-gate",
+               "determinism")
 ALL_STAGES = ("lint", "tier1", "slow", "coverage", "plan-equivalence",
-              "perf-gates", "traffic", "macro-gates", "trace-gate",
-              "determinism")
+              "perf-gates", "traffic", "macro-gates", "e2e-selftest",
+              "trace-gate", "determinism")
 #: stages retried once on failure (shell out to bench subprocesses)
 BENCH_GATE_STAGES = ("perf-gates", "macro-gates")
 
@@ -93,6 +98,8 @@ def stages_for_paths(paths: list[str]) -> set[str]:
             needed.add("lint")
         elif p.startswith("tests/"):
             needed |= {"lint", "tier1"}
+        elif p.startswith("benchmarks/e2e/") or p == "BENCHMARK.json":
+            needed |= {"lint", "e2e-selftest"}
         elif p.startswith("benchmarks/") or p == "scripts/bench_compare.py":
             needed |= {"lint", "tier1", "perf-gates", "traffic",
                        "macro-gates"}
@@ -303,6 +310,12 @@ def stage_macro_gates() -> dict:
         return {"ok": True}
 
 
+def stage_e2e_selftest() -> dict:
+    """The end-to-end benchmark's self-check (it does not measure)."""
+    return _run([sys.executable, os.path.join(ROOT, "benchmarks", "e2e",
+                                              "run.py"), "--selftest"])
+
+
 def _modeled_seconds(led) -> float:
     from repro.perfmodel import modeled_time
     return modeled_time(led, 64).total
@@ -405,6 +418,7 @@ STAGES = {
     "perf-gates": stage_perf_gates,
     "traffic": stage_traffic,
     "macro-gates": stage_macro_gates,
+    "e2e-selftest": stage_e2e_selftest,
     "trace-gate": stage_trace_gate,
     "determinism": stage_determinism,
 }

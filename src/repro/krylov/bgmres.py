@@ -28,6 +28,7 @@ from ..util.options import Options
 from ..verify import checker_for
 from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
                    as_operator, initial_state, residual_targets)
+from .basis import BasisArena
 from .cycle import block_arnoldi_cycle, complete_block
 from .gmres import setup_preconditioning
 
@@ -64,6 +65,7 @@ def bgmres(a, b, m=None, *, options: Options | None = None,
     converged = rn <= targets
 
     restart = min(options.gmres_restart, max(n // p, 1))
+    arena = BasisArena(n, p, 0, restart, dtype, identity_m=identity_m)
     led = ledger.current()
     tr = trace.current()
     chk = checker_for(options, context="bgmres")
@@ -94,7 +96,7 @@ def bgmres(a, b, m=None, *, options: Options | None = None,
                 qr_scheme=options.qr, deflation_tol=options.deflation_tol,
                 targets=targets, history=history, identity_m=identity_m,
                 iteration_budget=options.max_it - total_it,
-                plan=options.plan)
+                plan=options.plan, arena=arena)
         total_it += state.steps
         breakdown_seen |= state.breakdown
         if state.steps == 0:

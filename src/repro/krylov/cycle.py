@@ -15,12 +15,12 @@ import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
 from ..la.orthogonalization import (LOW_SYNC_SCHEMES, make_arnoldi_engine,
-                                    project_out, qr_factorization,
-                                    sketch_size)
+                                    project_out, qr_factorization)
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.misc import column_norms, default_rng
 from .base import ConvergenceHistory
+from .basis import BasisArena
 
 __all__ = ["CycleState", "block_arnoldi_cycle", "complete_block"]
 
@@ -66,10 +66,15 @@ def complete_block(q: np.ndarray, rank: int, *, against: list[np.ndarray] | None
 
 @dataclass
 class CycleState:
-    """Everything a caller needs after one block-Arnoldi cycle."""
+    """Everything a caller needs after one block-Arnoldi cycle.
 
-    v_blocks: list[np.ndarray]            # j+1 orthonormal blocks (n x p)
-    z_blocks: list[np.ndarray]            # j preconditioned blocks (n x p)
+    The basis lives in ``arena``; the ``*_stack`` accessors are zero-copy
+    views, valid until the solve's next cycle re-binds it.  After a block
+    breakdown the last block is the zero-padded rank-revealing factor, so
+    ``V`` always has the ``(steps+1)p`` columns ``hqr`` assumes.
+    """
+
+    arena: BasisArena
     hqr: BlockHessenbergQR
     e_cols: list[np.ndarray] = field(default_factory=list)  # C^H A Z columns
     steps: int = 0
@@ -80,12 +85,16 @@ class CycleState:
     sketch: object | None = None          # SketchState (sketched scheme only)
 
     def v_stack(self, count: int | None = None) -> np.ndarray:
-        blocks = self.v_blocks if count is None else self.v_blocks[:count]
-        return np.concatenate(blocks, axis=1)
+        """``[V_0..V_{count-1}]`` (default: all ``steps+1`` blocks)."""
+        return self.arena.v(count)
 
     def z_stack(self, count: int | None = None) -> np.ndarray:
-        blocks = self.z_blocks if count is None else self.z_blocks[:count]
-        return np.concatenate(blocks, axis=1)
+        """``[Z_0..]``; aliases ``v_stack`` when ``M`` is the identity."""
+        return self.arena.z(self.steps if count is None else count)
+
+    def cv_stack(self) -> np.ndarray:
+        """The augmented basis ``[C_k | V_0..V_steps]``."""
+        return self.arena.basis()
 
     def ek_matrix(self) -> np.ndarray:
         """E_k = C_k^H A Z (k x jp)."""
@@ -106,6 +115,7 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
                         iteration_budget: int | None = None,
                         plan: str = "interpret",
                         sck: np.ndarray | None = None,
+                        arena: BasisArena | None = None,
                         ) -> CycleState:
     """Run up to ``max_steps`` block-Arnoldi iterations.
 
@@ -130,115 +140,109 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
         remaining global iteration allowance (max_it enforcement).
     plan:
         ``"interpret"`` runs this loop; ``"compiled"`` lowers it to an
-        execution plan (``repro.plan``) for the low-synchronization
-        schemes — bit-identical counts and iterates, interpreter as
-        oracle.  Legacy schemes (cgs/imgs/mgs) always interpret.
+        execution plan (``repro.plan``, low-synchronization schemes only)
+        with bit-identical counts and iterates.
     sck:
         pre-sketched recycled space ``S C_k`` maintained by the sketched
         recycler (``recycle_space="sketched"`` only).  When supplied, the
         seed projection ``C_k^H v1`` and the sketch of ``v1`` assemble in
         ONE fused prologue reduction instead of two, and the seed
         coefficients are exposed as ``state.e0``.
+    arena:
+        the solve's :class:`BasisArena`, re-bound here (allocated per call
+        when omitted); the returned state's basis views live in it.
     """
+    dtype = v1.dtype
+    n, p = v1.shape
+    k = ck.shape[1] if ck is not None else 0
+    if arena is None:
+        arena = BasisArena(n, p, k, max_steps, dtype, identity_m=identity_m)
     if plan == "compiled" and ortho in LOW_SYNC_SCHEMES:
         from ..plan.block_cycle import compiled_block_arnoldi_cycle
         return compiled_block_arnoldi_cycle(
             op_apply, inner_m, v1, s1, max_steps=max_steps, ck=ck,
             ortho=ortho, qr_scheme=qr_scheme, deflation_tol=deflation_tol,
             targets=targets, history=history, identity_m=identity_m,
-            iteration_budget=iteration_budget, sck=sck)
-    dtype = v1.dtype
-    p = v1.shape[1]
+            iteration_budget=iteration_budget, sck=sck, arena=arena)
     led = ledger.current()
     tr = trace.current()
 
     # Low-synchronization schemes run through the fused Arnoldi engine: the
-    # C_k projection, all basis projections, and the normalizer Gram travel
-    # in at most two stacked reductions per step (one for ``sketched``)
-    # instead of the legacy path's separate project_out + QR round trips.
-    engine = None
-    e0 = None
+    # C_k projection, all basis projections and the normalizer Gram travel
+    # in at most two stacked reductions per step (one for ``sketched``).
+    engine = e0 = None
     if ortho in LOW_SYNC_SCHEMES:
-        k = ck.shape[1] if ck is not None else 0
-        max_cols = (max_steps + 1) * p + k
-        if sck is not None and k and ortho == "sketched":
-            # Sketched recycling: ``S C_k`` is maintained across cycles by
-            # the recycler, so the seed projection C_k^H v1 and the sketch
-            # of v1 are the only global row sums left in the prologue —
-            # they assemble in ONE fused reduction instead of two.
-            s_dim = int(sck.shape[0])
+        engine = make_arnoldi_engine(ortho, tol=deflation_tol,
+                                     max_cols=(max_steps + 1) * p + k)
+        # sketched recycling keeps ``S C_k`` across cycles: the seed
+        # projection and the sketch of v1 share ONE prologue reduction
+        s_dim = int(sck.shape[0]) if sck is not None and k \
+            and ortho == "sketched" else 0
+        if k:
+            # The stacked projector treats [C_k | V] as one orthonormal
+            # basis, so v1 must be C_k-orthogonal when the engine starts.
+            # The caller's residual only satisfies C^H r = 0 up to the
+            # previous cycle's least-squares roundoff, and that cross term
+            # compounds across cycles and same-system solves; one fused
+            # projection per cycle caps the seed at rounding level.  The
+            # removed component is O(drift), so no renormalization is
+            # needed (and v1 @ s1 = r is preserved to the same order).
             e0 = np.asarray(ck).conj().T @ v1
             v1 = v1 - ck @ e0
-            led.flop(ledger.Kernel.BLAS3, 4.0 * v1.shape[0] * k * p)
+            led.flop(ledger.Kernel.BLAS3, 4.0 * n * k * p)
             led.reduction(nbytes=(s_dim + k) * p * v1.itemsize)
-            engine = make_arnoldi_engine(ortho, tol=deflation_tol,
-                                         max_cols=max_cols)
+        if s_dim:
             engine.begin_recycled(v1, ck, sck)
         else:
-            if k:
-                # The stacked projector treats [C_k | V] as one orthonormal
-                # basis, so v1 must be C_k-orthogonal when the engine starts.
-                # The caller's residual only satisfies C^H r = 0 up to the
-                # previous cycle's least-squares roundoff, and that cross term
-                # compounds across cycles and same-system solves; one fused
-                # projection per cycle caps the seed at rounding level.  The
-                # removed component is O(drift), so no renormalization is
-                # needed (and v1 @ s1 = r is preserved to the same order).
-                e0 = np.asarray(ck).conj().T @ v1
-                v1 = v1 - ck @ e0
-                led.flop(ledger.Kernel.BLAS3, 4.0 * v1.shape[0] * k * p)
-                led.reduction(nbytes=k * p * v1.itemsize)
-            engine = make_arnoldi_engine(ortho, tol=deflation_tol,
-                                         max_cols=max_cols)
             engine.begin(v1, ck)
-
-    hqr = BlockHessenbergQR(max_steps, p, np.asarray(s1, dtype=dtype), dtype=dtype)
-    state = CycleState(v_blocks=[v1], z_blocks=[], hqr=hqr, e0=e0)
 
     steps = max_steps
     if iteration_budget is not None:
         steps = min(steps, max(iteration_budget, 0))
 
+    arena.bind(v1, ck, max_steps=steps)
+    hqr = BlockHessenbergQR(max_steps, p, np.asarray(s1, dtype=dtype), dtype=dtype)
+    state = CycleState(arena=arena, hqr=hqr, e0=e0)
+
+    vj = v1
     for j in range(steps):
         with tr.span("arnoldi_step", j=j):
-            vj = state.v_blocks[j]
             zj = vj if identity_m else \
                 np.asarray(inner_m(vj)).astype(dtype, copy=False)
-            state.z_blocks.append(zj)
+            if arena.zslab is not None:
+                arena.zslab[:, j * p:(j + 1) * p] = zj
             w = op_apply(zj)
             with tr.span("ortho", scheme=ortho):
                 if engine is not None:
-                    q, h, s, rank, e_col = engine.step(state.v_blocks, w,
-                                                       ck=ck)
-                    if ck is not None and ck.shape[1]:
+                    arena.slot()[:] = w
+                    q, h, s, rank, e_col = engine.step(arena.stacked(), p, k=k)
+                    if k:
                         state.e_cols.append(e_col)
                 else:
-                    if ck is not None and ck.shape[1]:
+                    if k:
                         w, e_col = project_out(ck, w, scheme="cgs")
                         state.e_cols.append(e_col)
                     scale = float(np.max(column_norms(w), initial=0.0))
-                    basis = np.concatenate(state.v_blocks, axis=1)
-                    w2, h = project_out(basis, w, scheme=ortho)
-                    if qr_scheme in ("cholqr", "cholqr_rr"):
-                        q, s, rank = qr_factorization(w2, qr_scheme,
-                                                      tol=deflation_tol,
-                                                      scale=scale)
-                    else:
-                        q, s, rank = qr_factorization(w2, qr_scheme,
-                                                      tol=deflation_tol)
+                    w2, h = project_out(arena.v(), w, scheme=ortho)
+                    q, s, rank = qr_factorization(
+                        w2, qr_scheme, tol=deflation_tol, scale=scale
+                        if qr_scheme in ("cholqr", "cholqr_rr") else None)
             h_col = np.concatenate([h, s], axis=0)
             res = hqr.add_column(h_col)
             state.steps = j + 1
         if history is not None:
             history.append(res)
         led.event("arnoldi_step")
+        # commit V_{j+1} (zero-padded on a breakdown: V keeps H̄'s shape)
+        vj = q
+        arena.slot()[:] = q
+        arena.advance()
         if rank < p:
             # block breakdown: terminate the cycle; the caller restarts from
             # the freshly computed residual (rank-revealing QR at restart
             # deflates for real, cf. paper section V-C).
             state.breakdown = True
             break
-        state.v_blocks.append(q)
         if targets is not None and np.all(res <= targets):
             state.converged_early = True
             break

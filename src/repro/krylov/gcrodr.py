@@ -39,6 +39,7 @@ from ..util.options import Options
 from ..verify import checker_for
 from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
                    as_operator, initial_state, residual_targets)
+from .basis import BasisArena
 from .cycle import block_arnoldi_cycle, complete_block
 from .deflation import (generalized_ritz_vectors, harmonic_ritz_vectors,
                         sketched_harmonic_ritz_vectors)
@@ -193,6 +194,10 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
 
     m_restart = options.gmres_restart
     inner_steps = max(m_restart - k, 1)
+    # one basis slab for the whole solve, re-bound by every cycle; a
+    # supplied space is adopted untrimmed, so it may be wider than k
+    k_arena = max(k, recycle.k) if recycle is not None else k
+    arena = BasisArena(n, p, k_arena, m_restart, dtype, identity_m=identity_m)
     total_it = 0
     cycles = 0
     breakdown_seen = False
@@ -326,7 +331,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     deflation_tol=options.deflation_tol, targets=targets,
                     history=history, identity_m=identity_m,
                     iteration_budget=options.max_it - total_it,
-                    plan=options.plan)
+                    plan=options.plan, arena=arena)
             total_it += state.steps
             cycles += 1
             breakdown_seen |= state.breakdown
@@ -421,7 +426,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     deflation_tol=options.deflation_tol, targets=targets,
                     history=history, identity_m=identity_m,
                     iteration_budget=options.max_it - total_it,
-                    plan=options.plan)
+                    plan=options.plan, arena=arena)
             total_it += state.steps
             cycles += 1
             if state.steps == 0:
@@ -451,7 +456,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     deflation_tol=options.deflation_tol, targets=targets,
                     history=history, identity_m=identity_m,
                     iteration_budget=options.max_it - total_it,
-                    plan=options.plan,
+                    plan=options.plan, arena=arena,
                     sck=skr.sc if sketched_mode else None)
             total_it += state.steps
             cycles += 1
@@ -479,7 +484,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 vst = state.v_stack()
                 # V must be orthonormal AND orthogonal to C_k (the cycle ran
                 # on the projected operator (I - C C^H) A)
-                chk.check_orthonormality(np.concatenate([c_k, vst], axis=1),
+                chk.check_orthonormality(state.cv_stack(),
                                          what="[C_k V] augmented basis")
                 chk.check_arnoldi(op_apply, z, vst, state.hqr.hessenberg(),
                                   ck=c_k, ek=ek,
@@ -518,8 +523,9 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     # reduction — the cross-Gram [C_k V]^H U_tilde has no
                     # sketch-side substitute because U's candidates mix in
                     # the (never sketched) preconditioned directions Z
-                    w = _strategy_w(options.recycle_strategy, gm, c_k,
-                                    state.v_stack(), u_tilde, k_cur, jp)
+                    cv = state.cv_stack()            # [C_k | V], zero-copy
+                    w = _strategy_w(options.recycle_strategy, gm, cv,
+                                    u_tilde, k_cur, jp)
                     scv = None
                     if use_sketch:
                         # S [C_k | V] reconstructed locally from the
@@ -540,7 +546,6 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                             target=options.recycle_target)
                     if pk.shape[1]:
                         qf, s = _harvest(gm, pk)     # line 35 (pivoted)
-                        cv = np.concatenate([c_k, state.v_stack()], axis=1)
                         uz = np.concatenate([u_tilde, z], axis=1)
                         c_k = cv @ qf                # line 36
                         u_k = uz @ s                 # line 37
@@ -642,15 +647,14 @@ def check_recycle_invariants(a_apply, u: np.ndarray, c: np.ndarray, *,
     legacy.check_recycle(u, c, op_apply=a_apply, what="recycled pair")
 
 
-def _strategy_w(strategy: str, gm: np.ndarray, c_k: np.ndarray,
-                v_stack: np.ndarray, u_tilde: np.ndarray,
-                k: int, jp: int) -> np.ndarray:
+def _strategy_w(strategy: str, gm: np.ndarray, cv: np.ndarray,
+                u_tilde: np.ndarray, k: int, jp: int) -> np.ndarray:
     """Right-hand side ``W`` of the generalized eigenproblem (line 33).
 
-    Strategy ``A`` is eq. (3a): requires ``[C_k V]^H U_tilde`` — two
-    matrix-matrix products fused into **one** global reduction.  Strategy
-    ``B`` is eq. (3b): ``W = G_m^H [I; 0]`` — no communication at all
-    (section III-C / artifact description note G).
+    Strategy ``A`` is eq. (3a): requires ``[C_k V]^H U_tilde`` (``cv`` is
+    the augmented basis) — two matrix-matrix products fused into **one**
+    global reduction.  Strategy ``B`` is eq. (3b): ``W = G_m^H [I; 0]`` —
+    no communication at all (section III-C / artifact description note G).
     """
     rows = gm.shape[0]          # k + (j+1)p
     cols = k + jp
@@ -658,8 +662,7 @@ def _strategy_w(strategy: str, gm: np.ndarray, c_k: np.ndarray,
         # W = G_m^H [I; 0]: the adjoint of the leading square part of G_m
         return np.ascontiguousarray(gm[:cols, :].conj().T)
     # strategy A
-    basis = np.concatenate([c_k, v_stack], axis=1)      # n x rows
-    coeff = _gram_reduce(basis, u_tilde)                # rows x k, ONE reduction
+    coeff = _gram_reduce(cv, u_tilde)                   # rows x k, ONE reduction
     wrhs = np.zeros((rows, cols), dtype=gm.dtype)
     wrhs[:, :k] = coeff
     wrhs[k:, k:] = np.eye(rows - k, jp, dtype=gm.dtype)

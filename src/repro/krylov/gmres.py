@@ -119,13 +119,17 @@ def gmres(a, b, m=None, *, options: Options | None = None,
     total_it = 0
     cycles = 0
     converged = column_norms(r) <= targets
+    # one basis tensor per solve; a restart re-zeroes only the blocks the
+    # previous cycle wrote (frozen columns must read as zero)
+    v = np.zeros((restart + 1, n, p), dtype=dtype)
+    z = v if identity_m else np.zeros((restart, n, p), dtype=dtype)
+    j = 0
 
     while not np.all(converged) and total_it < options.max_it:
         cycles += 1
         with tr.span("cycle", index=cycles - 1):
             # ---- start of a restart cycle -------------------------------
-            v = np.zeros((restart + 1, n, p), dtype=dtype)
-            z = v if identity_m else np.zeros((restart, n, p), dtype=dtype)
+            v[1: j + 1] = 0.0
             beta = column_norms(r)
             led.reduction(nbytes=p * 8)
             active = ~converged & (beta > 0)

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..la.dense import hessenberg_harmonic_lhs, sorted_eig
 from ..la.orthogonalization import SCHEMES
-from ..plan.arena import TransposedBasisArena
 from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
 from ..trace import tracer as trace
 from ..util import ledger
@@ -33,6 +32,7 @@ from ..util.options import Options
 from ..verify import checker_for
 from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
                    as_operator, initial_state, residual_targets)
+from .basis import TransposedBasisArena
 from .deflation import select_real_subspace
 from .gmres import setup_preconditioning
 
@@ -119,17 +119,11 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
         orth = make_pseudo_block_orthogonalizer(
             scheme, plan=options.plan, n=n, p=1, dtype=dtype,
             max_cols=m_dim + 1)
-        varena = None
-        if options.plan == "compiled":
-            # transposed-basis arena: each committed column is written once
-            # and the per-step (j+1, n, 1) basis is a contiguous prefix
-            # view instead of the interpreter's per-step re-transpose copy
-            varena = TransposedBasisArena(m_dim + 1, n, dtype)
-            varena.seed(v, start + 1)
-            orth.begin(varena.prefix(start))
-        else:
-            orth.begin(np.ascontiguousarray(
-                v[:, : start + 1].T)[:, :, np.newaxis])
+        # transposed-basis arena: each committed column is written once and
+        # the per-step (j+1, n, 1) basis is a contiguous prefix view
+        varena = TransposedBasisArena(m_dim + 1, n, dtype)
+        varena.seed(v, start + 1)
+        orth.begin(varena.prefix(start))
         j = start
         lucky = False
         with tr.span("cycle", index=cycles - 1, kind="gmresdr"):
@@ -138,11 +132,8 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
                     zj = v[:, j] if identity_m else np.asarray(
                         inner_m(v[:, j].reshape(-1, 1)))[:, 0].astype(dtype)
                     w = op_apply(zj.reshape(-1, 1))
-                    basis = varena.prefix(j) if varena is not None else \
-                        np.ascontiguousarray(
-                            v[:, : j + 1].T)[:, :, np.newaxis]
                     with tr.span("ortho", scheme=scheme):
-                        w2, dots, nrms = orth.step(basis, w, j)
+                        w2, dots, nrms = orth.step(varena.prefix(j), w, j)
                     w = w2[:, 0]
                     coeffs = dots[:, 0]
                     nrm = float(nrms[0])
@@ -154,8 +145,7 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
                         lucky = True
                         break
                     v[:, j] = w / nrm
-                    if varena is not None:
-                        varena.append(v[:, j])
+                    varena.append(v[:, j])
                     orth.commit(np.ones(1, dtype=bool))
                 # residual estimate via a small LS solve (redundant work)
                 y_est, *_ = np.linalg.lstsq(hbar[: j + 1, :j], c_rhs[: j + 1],

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
 from ..la.orthogonalization import SCHEMES
-from ..plan.arena import AugmentedTensorArena
 from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
 from ..trace import tracer as trace
 from ..util import ledger
@@ -31,6 +30,7 @@ from ..util.options import Options
 from ..verify import checker_for
 from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
                    as_operator, initial_state, residual_targets)
+from .basis import AugmentedTensorArena
 from .deflation import harmonic_ritz_vectors, generalized_ritz_vectors
 from .gcrodr import (_exact_pair, _harvest, _project_solve, _strategy_w,
                      _tidy_pair)
@@ -232,16 +232,10 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                    and any(col.c is not None for col in cols))
         kmax = max((col.k for col in cols if col.c is not None), default=0) \
             if fold_ck else 0
-        arena = None
-        if fold_ck and options.plan == "compiled":
-            # one tensor [C | V]: the per-step augmented projector becomes a
-            # contiguous prefix view instead of a concatenate copy
-            arena = AugmentedTensorArena(kmax, steps, n, p, dtype)
-            v, ck_blocks = arena.v, arena.ck
-        else:
-            v = np.zeros((steps + 1, n, p), dtype=dtype)
-            ck_blocks = np.zeros((kmax, n, p), dtype=dtype) if fold_ck \
-                else None
+        # one tensor [C | V]: the folded per-step projector is a contiguous
+        # prefix view, never a concatenate copy (kmax = 0 without folding)
+        arena = AugmentedTensorArena(kmax, steps, n, p, dtype)
+        v, ck_blocks = arena.v, arena.ck
         z = v if identity_m else np.zeros((steps, n, p), dtype=dtype)
         for l, col in enumerate(cols):
             col.active = (not converged[l]) and beta[l] > 0
@@ -291,10 +285,8 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                     w = op_apply(zj)
                     with tr.span("ortho", scheme=options.orthogonalization):
                         if fold_ck:
-                            aug = arena.stacked(j) if arena is not None \
-                                else np.concatenate([ck_blocks, v[: j + 1]],
-                                                    axis=0)
-                            w, adots, nrm = orth.step(aug, w, kmax + j)
+                            w, adots, nrm = orth.step(arena.stacked(j), w,
+                                                      kmax + j)
                             dots = adots[kmax:]
                             for l, col in enumerate(cols):
                                 if col.active and col.c is not None:
@@ -462,15 +454,15 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                         [v[i, :, l] for i in range(jc + 1)])
                     zstack = vstack[:, :jc] if identity_m else \
                         np.column_stack([z[i, :, l] for i in range(jc)])
-                    w_mat = _strategy_w(options.recycle_strategy, gm, col.c,
-                                        vstack, u_tilde, kc, jc)
+                    cv = np.concatenate([col.c, vstack], axis=1)
+                    w_mat = _strategy_w(options.recycle_strategy, gm, cv,
+                                        u_tilde, kc, jc)
                     with tr.span("eig", kind="generalized_ritz"):
                         pk = generalized_ritz_vectors(
                             gm, w_mat, k, dtype=dtype,
                             target=options.recycle_target)
                     if pk.shape[1]:
                         qf, s = _harvest(gm, pk)
-                        cv = np.concatenate([col.c, vstack], axis=1)
                         uz = np.concatenate([u_tilde, zstack], axis=1)
                         col.c = cv @ qf
                         col.u = uz @ s

@@ -60,6 +60,7 @@ from ..util.misc import as_block, column_norms
 from ..util.options import OptionError, Options
 from .base import (ConvergenceHistory, SolveResult, as_operator,
                    residual_targets)
+from .basis import BasisArena
 from .cycle import block_arnoldi_cycle, complete_block
 from .deflation import harmonic_ritz_vectors
 from .gcrodr import _exact_pair, _harvest
@@ -558,6 +559,7 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
     cycles = 0
     breakdown_seen = False
     safe = np.where(rhs_norms > 0, rhs_norms, 1.0)
+    arena = BasisArena(n, k, 0, restart, dtype)
 
     while not np.all(converged) and total_it < options.max_it:
         have_space = u_k is not None and u_k.shape[1] > 0
@@ -577,7 +579,7 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
                 deflation_tol=options.deflation_tol, targets=None,
                 history=None, identity_m=True,
                 iteration_budget=options.max_it - total_it,
-                plan=options.plan)
+                plan=options.plan, arena=arena)
             total_it += state.steps
             cycles += 1
             breakdown_seen |= state.breakdown

@@ -53,6 +53,7 @@ __all__ = [
     "apply_sketch",
     "sketch_size",
     "make_arnoldi_engine",
+    "SketchArena",
     "SketchState",
     "PseudoBlockOrthogonalizer",
     "OrthoScheme",
@@ -504,54 +505,72 @@ def qr_factorization(x: np.ndarray, scheme: str = "cholqr", *,
     return _QR_DISPATCH[scheme](x, tol)
 
 
-def _stacked_gram(basis: np.ndarray, w: np.ndarray
+def _thin_contig(x: np.ndarray, p: int) -> np.ndarray:
+    """``x``, or a contiguous copy of it when ``x^H b`` (``b`` of width
+    ``p``) is too thin for a stride-independent BLAS kernel.
+
+    Products with fewer than four output entries dispatch to dot / GEMV
+    kernels whose accumulation order depends on the operand stride, so a
+    strided slab view would differ in the last ulp from a fresh contiguous
+    block.  Anything wider packs its operands and is bit-identical on
+    strided views (validated): the zero-copy view is kept.
+    """
+    return np.ascontiguousarray(x) if x.shape[1] * p < 4 else x
+
+
+def _stacked_gram(stacked: np.ndarray, p: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``[basis | w]^H w`` as ONE stacked GEMM / ONE fused reduction.
 
-    Returns ``(coeffs, wgram)``: the projection coefficients ``basis^H w``
-    *and* the small Gram ``w^H w``, whose payloads travel together in a
-    single reduction.  This is the projector layout shared by the
-    low-synchronization Arnoldi engines: the remainder Gram comes for free
-    with the reorthogonalization coefficients, so the intra-block
-    normalizer needs no further communication.
+    ``stacked`` is the ``[basis | w]`` slab view whose trailing ``p``
+    columns are the candidate.  Returns ``(coeffs, wgram)``: the projection
+    coefficients ``basis^H w`` *and* the small Gram ``w^H w``, whose
+    payloads travel together in a single reduction — the remainder Gram
+    comes for free with the reorthogonalization coefficients, so the
+    intra-block normalizer needs no further communication.
     """
-    n, k = basis.shape
-    p = w.shape[1]
+    n, cols = stacked.shape
+    k = cols - p
     led = ledger.current()
-    led.flop(Kernel.BLAS3, 2.0 * n * (k + p) * p)
-    led.reduction(nbytes=(k + p) * p * w.itemsize)
-    g = np.concatenate([basis, w], axis=1).conj().T @ w
+    led.flop(Kernel.BLAS3, 2.0 * n * cols * p)
+    led.reduction(nbytes=cols * p * stacked.itemsize)
+    g = _thin_contig(stacked, p).conj().T @ _thin_contig(stacked[:, k:], 1)
     return g[:k], g[k:]
 
 
-def project_out_fused(basis: np.ndarray, w: np.ndarray
+def project_out_fused(stacked: np.ndarray, p: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """CGS2-1r projection: two passes, two fused reductions, free Gram.
 
-    Pass 1 stacks the projection coefficients with ``w^H w`` (which yields
-    the pre-projection scale for breakdown detection); pass 2 — the delayed
+    Works in place on the slab view ``stacked = [basis | w]``: its trailing
+    ``p`` columns hold ``w`` on entry and the twice-projected remainder on
+    return — no ``n x cols`` temporary is formed at any basis depth.  Pass 1
+    stacks the projection coefficients with ``w^H w`` (which yields the
+    pre-projection scale for breakdown detection); pass 2 — the delayed
     reorthogonalization — stacks the correction coefficients with
     ``w1^H w1``, from which the remainder Gram ``w2^H w2`` follows by the
     Pythagorean downdate ``wgram = w1^H w1 - c2^H c2`` without touching the
-    network again.  Returns ``(w2, coeffs, wgram, scale)``.
+    network again.  Returns ``(w2, coeffs, wgram, scale)``, ``w2`` being the
+    trailing-columns view.
 
     Compared to the legacy ``imgs`` + separate QR-Gram sequence (3
     reductions, 5 full-length GEMM sweeps) this is 2 reductions and 4
     sweeps — the hoisted double-Gram of the refine path.
     """
-    w = as_block(w)
-    p = w.shape[1]
-    if basis.size == 0:
-        g = _gram(w, w)
+    k = stacked.shape[1] - p
+    basis, w = stacked[:, :k], stacked[:, k:]
+    if k == 0:
+        wc = np.ascontiguousarray(w)
+        g = _gram(wc, wc)
         scale = float(np.sqrt(max(np.max(np.diag(g).real, initial=0.0), 0.0)))
-        return w.copy(), np.zeros((0, p), dtype=w.dtype), g, scale
-    c1, wg0 = _stacked_gram(basis, w)
+        return w, np.zeros((0, p), dtype=w.dtype), g, scale
     led = ledger.current()
-    w1 = w - basis @ c1
-    led.flop(Kernel.BLAS3, 2.0 * basis.shape[0] * basis.shape[1] * p)
-    c2, wg1 = _stacked_gram(basis, w1)
-    w2 = w1 - basis @ c2
-    led.flop(Kernel.BLAS3, 2.0 * basis.shape[0] * basis.shape[1] * p)
+    c1, wg0 = _stacked_gram(stacked, p)
+    np.subtract(w, basis @ c1, out=w)
+    led.flop(Kernel.BLAS3, 2.0 * basis.shape[0] * k * p)
+    c2, wg1 = _stacked_gram(stacked, p)
+    np.subtract(w, basis @ c2, out=w)
+    led.flop(Kernel.BLAS3, 2.0 * basis.shape[0] * k * p)
     wgram = wg1 - c2.conj().T @ c2
     wgram = 0.5 * (wgram + wgram.conj().T)
     # guard the downdate: after a first projection pass the second-pass
@@ -559,9 +578,10 @@ def project_out_fused(basis: np.ndarray, w: np.ndarray
     # means w was (numerically) inside the basis — recompute honestly.
     d, d1 = np.diag(wgram).real, np.diag(wg1).real
     if np.any(d < 0.25 * d1) or np.any(d < 0.0):
-        wgram = _gram(w2, w2)
+        w2c = np.ascontiguousarray(w)
+        wgram = _gram(w2c, w2c)
     scale = float(np.sqrt(max(np.max(np.diag(wg0).real, initial=0.0), 0.0)))
-    return w2, c1 + c2, wgram, scale
+    return w, c1 + c2, wgram, scale
 
 
 def project_out(basis: np.ndarray, w: np.ndarray, *,
@@ -576,9 +596,11 @@ def project_out(basis: np.ndarray, w: np.ndarray, *,
     w = as_block(w)
     if basis.size == 0:
         return w.copy(), np.zeros((0, w.shape[1]), dtype=w.dtype)
+    basis = _thin_contig(basis, w.shape[1])
     if scheme == "cgs2_1r":
-        w2, coeffs, _, _ = project_out_fused(basis, w)
-        return w2, coeffs
+        w2, coeffs, _, _ = project_out_fused(
+            np.concatenate([basis, w], axis=1), w.shape[1])
+        return np.ascontiguousarray(w2), coeffs
     if scheme in ("cgs", "imgs"):
         coeffs = _gram(basis, w)
         w2 = w - basis @ coeffs
@@ -629,16 +651,15 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
     if scheme in LOW_SYNC_SCHEMES:
         engine = make_arnoldi_engine(scheme, tol=tol,
                                      max_cols=basis_blocks.shape[1] + w.shape[1])
-        engine.begin_stacked(basis_blocks, dtype=w.dtype)
-        q, h, s, rank, _ = engine.step([basis_blocks] if basis_blocks.size
-                                       else [], w)
+        engine.begin(basis_blocks.astype(w.dtype, copy=False))
+        q, h, s, rank, _ = engine.step(
+            np.concatenate([basis_blocks, w], axis=1), w.shape[1])
         return q, h, s, rank
     scale = float(np.max(column_norms(w), initial=0.0))
     w2, h = project_out(basis_blocks, w, scheme=scheme)
-    if qr_scheme in SCALE_AWARE_QR:
-        q, s, rank = qr_factorization(w2, qr_scheme, tol=tol, scale=scale)
-    else:
-        q, s, rank = qr_factorization(w2, qr_scheme, tol=tol)
+    q, s, rank = qr_factorization(
+        w2, qr_scheme, tol=tol,
+        scale=scale if qr_scheme in SCALE_AWARE_QR else None)
     return q, h, s, rank
 
 
@@ -683,7 +704,12 @@ def _chol_normalize(w2: np.ndarray, gram: np.ndarray, *, shift: bool
 
 
 class _EngineBase:
-    """Shared plumbing: stacked projector [C_k | V] and the fallback path."""
+    """Shared plumbing.  ``step(stacked, p, k=...)`` takes the slab view
+    ``[C_k | V_0..V_j | W]`` (``BasisArena.stacked()``): ``k`` recycled
+    columns lead, the ``p`` candidate columns trail and are scratch (a step
+    may project them in place); the normalized block returns as a fresh
+    array for the caller to commit.
+    """
 
     def __init__(self, *, tol: float, max_cols: int, seed: int = 0):
         self.tol = tol
@@ -692,23 +718,6 @@ class _EngineBase:
 
     def begin(self, v1: np.ndarray, ck: np.ndarray | None = None) -> None:
         """Start a cycle from the first basis block (stateful schemes)."""
-
-    def begin_stacked(self, basis: np.ndarray, *, dtype) -> None:
-        """One-shot entry for ``arnoldi_orthogonalize``."""
-
-    @staticmethod
-    def _projector(v_blocks: list[np.ndarray], ck: np.ndarray | None,
-                   w: np.ndarray) -> tuple[np.ndarray, int]:
-        k = ck.shape[1] if ck is not None and ck.size else 0
-        parts = ([ck] if k else []) + [b for b in v_blocks if b.shape[1]]
-        if not parts:
-            return np.zeros((w.shape[0], 0), dtype=w.dtype), 0
-        return np.concatenate(parts, axis=1), k
-
-    @staticmethod
-    def _split(coeffs: np.ndarray, k: int
-               ) -> tuple[np.ndarray | None, np.ndarray]:
-        return (coeffs[:k] if k else None), coeffs[k:]
 
 
 class _Cgs21rEngine(_EngineBase):
@@ -722,19 +731,19 @@ class _Cgs21rEngine(_EngineBase):
     cancellation / breakdown fallback).
     """
 
-    def step(self, v_blocks, w, *, ck=None):
-        proj, k = self._projector(v_blocks, ck, w)
-        w2, coeffs, wgram, scale = project_out_fused(proj, w)
-        e_col, h = self._split(coeffs, k)
+    def step(self, stacked, p, *, k=0):
+        w2, coeffs, wgram, scale = project_out_fused(stacked, p)
+        e_col, h = (coeffs[:k] if k else None), coeffs[k:]
         d = np.diag(wgram).real
         floor = max(self.tol * scale, np.finfo(float).tiny) ** 2
         try:
             if np.any(d <= floor):
                 raise np.linalg.LinAlgError
             q, r = _chol_normalize(w2, wgram, shift=False)
-            rank = w.shape[1]
+            rank = p
         except np.linalg.LinAlgError:
-            q, r, rank = cholqr_rr(w2, tol=self.tol, scale=scale)
+            q, r, rank = cholqr_rr(np.ascontiguousarray(w2), tol=self.tol,
+                                   scale=scale)
         return q, h, r, rank, e_col
 
 
@@ -749,16 +758,17 @@ class _Cholqr2Engine(_EngineBase):
     scales its drift tolerance accordingly (see the registry).
     """
 
-    def step(self, v_blocks, w, *, ck=None):
-        proj, k = self._projector(v_blocks, ck, w)
-        if proj.shape[1] == 0:
-            q, r, rank = cholqr_rr(w, tol=self.tol)
-            return q, np.zeros((0, w.shape[1]), dtype=w.dtype), r, rank, None
-        c1, wg0 = _stacked_gram(proj, w)
+    def step(self, stacked, p, *, k=0):
+        cols = stacked.shape[1] - p
+        proj, w = stacked[:, :cols], stacked[:, cols:]
+        if cols == 0:
+            q, r, rank = cholqr_rr(np.ascontiguousarray(w), tol=self.tol)
+            return q, np.zeros((0, p), dtype=w.dtype), r, rank, None
+        c1, wg0 = _stacked_gram(stacked, p)
         led = ledger.current()
-        w1 = w - proj @ c1
-        led.flop(Kernel.BLAS3, 2.0 * proj.shape[0] * proj.shape[1] * w.shape[1])
-        e_col, h = self._split(c1, k)
+        np.subtract(w, proj @ c1, out=w)
+        led.flop(Kernel.BLAS3, 2.0 * proj.shape[0] * cols * p)
+        e_col, h = (c1[:k] if k else None), c1[k:]
         g1 = wg0 - c1.conj().T @ c1
         g1 = 0.5 * (g1 + g1.conj().T)
         d, d0 = np.diag(g1).real, np.diag(wg0).real
@@ -771,12 +781,32 @@ class _Cholqr2Engine(_EngineBase):
         try:
             if np.any(d <= floor) or np.any(d < 1e-10 * np.maximum(d0, floor)):
                 raise np.linalg.LinAlgError
-            q1, r1 = _chol_normalize(w1, g1, shift=True)
+            q1, r1 = _chol_normalize(w, g1, shift=True)
             q, r2 = cholqr(q1)                     # reduction 2: the "2"
-            q, r, rank = q, r2 @ r1, w.shape[1]
+            q, r, rank = q, r2 @ r1, p
         except np.linalg.LinAlgError:
-            q, r, rank = cholqr_rr(w1, tol=self.tol, scale=scale)
+            q, r, rank = cholqr_rr(np.ascontiguousarray(w), tol=self.tol,
+                                   scale=scale)
         return q, h, r, rank, e_col
+
+
+class SketchArena:
+    """Preallocated ``s x max_cols`` slab for the sketched basis Q_s."""
+
+    def __init__(self, s: int, max_cols: int, dtype: np.dtype) -> None:
+        self.slab = np.zeros((s, max_cols), dtype=dtype, order="C")
+        self.cols = 0
+
+    def seed(self, qs: np.ndarray) -> None:
+        self.slab[:, :qs.shape[1]] = qs
+        self.cols = qs.shape[1]
+
+    def view(self) -> np.ndarray:
+        return self.slab[:, :self.cols]
+
+    def append(self, qn: np.ndarray) -> None:
+        self.slab[:, self.cols:self.cols + qn.shape[1]] = qn
+        self.cols += qn.shape[1]
 
 
 @dataclass
@@ -798,12 +828,10 @@ class SketchState:
 
     def sketched_basis(self, cols: int | None = None) -> np.ndarray:
         """``S V`` (s x cols), reconstructed locally from ``qs`` and ``t0``."""
-        qs = np.ascontiguousarray(self.qs if cols is None
-                                  else self.qs[:, :cols])
+        sv = np.array(self.qs if cols is None else self.qs[:, :cols])
         w0 = self.t0.shape[0]
-        sv = np.array(qs)
         if w0:
-            sv[:, :w0] = qs[:, :w0] @ self.t0
+            sv[:, :w0] = sv[:, :w0] @ self.t0
         return sv
 
 
@@ -820,30 +848,30 @@ class _SketchedEngine(_EngineBase):
 
     def __init__(self, *, tol, max_cols, seed=0):
         super().__init__(tol=tol, max_cols=max_cols, seed=seed)
-        self._qs: np.ndarray | None = None   # s x cols, orthonormal
+        self._qs: SketchArena | None = None  # s x cols, orthonormal
         self._t0: np.ndarray | None = None   # leading-block whitener
         self._sck: np.ndarray | None = None  # sketched C_k
         self.s = 0
 
-    def _setup(self, blocks: list[np.ndarray], ck, *, dtype, n: int) -> None:
-        self.s = sketch_size(n, self.max_cols)
-        k = ck.shape[1] if ck is not None and ck.size else 0
-        cols = sum(b.shape[1] for b in blocks)
-        led = ledger.current()
-        led.reduction(nbytes=self.s * (cols + k) * np.dtype(dtype).itemsize)
-        if k:
-            self._sck = apply_sketch(ck, self.s, seed=self.seed)
-        if cols:
-            sv = apply_sketch(np.concatenate(blocks, axis=1), self.s,
-                              seed=self.seed)
-            self._qs, self._t0 = np.linalg.qr(sv)
-            led.flop(Kernel.QR, 4.0 * self.s * cols**2)
-        else:
-            self._qs = np.zeros((self.s, 0), dtype=dtype)
-            self._t0 = np.zeros((0, 0), dtype=dtype)
+    def _whiten(self, sv: np.ndarray) -> None:
+        """Seed the sketch arena from the sketched starting basis."""
+        qs, self._t0 = np.linalg.qr(sv)
+        self._qs = SketchArena(self.s, max(self.max_cols, qs.shape[1]),
+                               qs.dtype)
+        self._qs.seed(qs)
+        if sv.shape[1]:
+            ledger.current().flop(Kernel.QR, 4.0 * self.s * sv.shape[1]**2)
 
     def begin(self, v1, ck=None):
-        self._setup([v1], ck, dtype=v1.dtype, n=v1.shape[0])
+        n, cols = v1.shape
+        self.s = sketch_size(n, self.max_cols)
+        k = ck.shape[1] if ck is not None and ck.size else 0
+        ledger.current().reduction(
+            nbytes=self.s * (cols + k) * v1.dtype.itemsize)
+        if k:
+            self._sck = apply_sketch(ck, self.s, seed=self.seed)
+        self._whiten(apply_sketch(v1, self.s, seed=self.seed) if cols
+                     else np.zeros((self.s, 0), dtype=v1.dtype))
 
     def begin_recycled(self, v1, ck, sck: np.ndarray) -> None:
         """Start a cycle against a *pre-sketched* recycled space.
@@ -856,26 +884,21 @@ class _SketchedEngine(_EngineBase):
         it for the *option* ``k``; a rank-trimmed harvest may leave the
         actual ``C_k`` narrower, which only makes the sketch roomier).
         """
-        n, cols = v1.shape
         self.s = int(sck.shape[0])
         self._sck = sck
-        sv = apply_sketch(v1, self.s, seed=self.seed)
-        self._qs, self._t0 = np.linalg.qr(sv)
-        ledger.current().flop(Kernel.QR, 4.0 * self.s * cols**2)
+        self._whiten(apply_sketch(v1, self.s, seed=self.seed))
 
     def export_state(self) -> SketchState:
         """Expose the sketch state for the sketched recycling machinery."""
-        return SketchState(s=self.s, seed=self.seed, qs=self._qs,
+        return SketchState(s=self.s, seed=self.seed, qs=self._qs.view(),
                            t0=self._t0, sck=self._sck)
 
-    def begin_stacked(self, basis, *, dtype):
-        self._setup([basis] if basis.size else [], None, dtype=dtype,
-                    n=basis.shape[0])
-
-    def step(self, v_blocks, w, *, ck=None):
+    def step(self, stacked, p, *, k=0):
         led = ledger.current()
-        n, p = w.shape
-        k = ck.shape[1] if ck is not None and ck.size else 0
+        n, cols = stacked.shape
+        ck = _thin_contig(stacked[:, :k], p)
+        basis = stacked[:, k:cols - p]
+        w = np.ascontiguousarray(stacked[:, cols - p:])
         # ONE fused reduction: the sketched candidate stacked with the
         # exact recycled-space Gram C_k^H w (both are global row sums).
         led.reduction(nbytes=(self.s + k) * p * w.itemsize)
@@ -887,22 +910,20 @@ class _SketchedEngine(_EngineBase):
             led.flop(Kernel.BLAS3, 4.0 * n * k * p)
             w = w - ck @ e_col
             sw = sw - self._sck @ e_col
+        qs = self._qs.view()
         w0 = self._t0.shape[0]
-        c = self._qs.conj().T @ sw                       # local, cols x p
+        c = _thin_contig(qs, p).conj().T @ sw            # local, cols x p
         y = c.copy()
         if w0:
             y[:w0] = sla.solve_triangular(self._t0, c[:w0])
-        blocks = [b for b in v_blocks if b.shape[1]]
-        basis = np.concatenate(blocks, axis=1) if blocks else \
-            np.zeros((n, 0), dtype=w.dtype)
-        if basis.shape[1] != self._qs.shape[1]:
+        if basis.shape[1] != qs.shape[1]:
             raise ValueError(
-                f"sketched engine state holds {self._qs.shape[1]} basis "
+                f"sketched engine state holds {qs.shape[1]} basis "
                 f"columns but step received {basis.shape[1]}; the engine "
                 "must see every appended block (begin + successive steps)")
         w2 = w - basis @ y
         led.flop(Kernel.BLAS3, 2.0 * n * basis.shape[1] * p)
-        rs = sw - self._qs @ c                           # sketch residual
+        rs = sw - qs @ c                                 # sketch residual
         qn, rfac = np.linalg.qr(rs)
         led.flop(Kernel.QR, 4.0 * self.s * p**2)
         d = np.abs(np.diag(rfac))
@@ -915,10 +936,12 @@ class _SketchedEngine(_EngineBase):
             led.reduction(nbytes=p * 8)
             scale = float(np.max(column_norms(w), initial=0.0))
             q, r, rank = cholqr_rr(w2, tol=self.tol, scale=scale)
-            return q, y, r, rank, e_col
+            # the sketch-space verdict stands even if the exact factor
+            # keeps all p columns: nothing was appended to the sketch basis
+            return q, y, r, min(rank, p - 1), e_col
         q = sla.solve_triangular(rfac.T, w2.T, lower=True).T
         led.flop(Kernel.BLAS3, 1.0 * n * p**2)
-        self._qs = np.concatenate([self._qs, qn], axis=1)
+        self._qs.append(qn)
         return q, y, rfac, rank, e_col
 
 

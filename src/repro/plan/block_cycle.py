@@ -30,14 +30,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ..la.orthogonalization import (_apply_sketch_core, _chol_from_gram,
+from ..krylov.basis import BasisArena
+from ..la.orthogonalization import (SketchArena, SketchState,
+                                    _apply_sketch_core, _chol_from_gram,
                                     _chol_normalize_core, _cholqr_rr_core,
-                                    sketch_size)
+                                    _thin_contig, sketch_size)
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
 from ..util.misc import column_norms
-from .arena import BasisArena, SketchArena
 from .ir import (Plan, PlanNode, ZERO_COST, event_cost, flop_cost,
                  reduction_cost, run_nodes)
 from .optimize import optimize
@@ -71,9 +72,9 @@ class _Ctx:
         self.max_steps = max_steps
         self.steps = steps
         self.arena: BasisArena | None = None
+        self.bound = False  # arena re-bound for this cycle (scaffold node)
         self.qs_arena: SketchArena | None = None
         self.hqr = None
-        self.z_blocks: list[np.ndarray] = []
         self.e_cols: list[np.ndarray] = []
         self.s = 0          # sketch dimension
         self.sck = None     # sketched C_k
@@ -107,15 +108,17 @@ def _run_scaffold(ctx):
         ctx.hqr = BlockHessenbergQR(ctx.max_steps, ctx.p,
                                     np.asarray(ctx.s1, dtype=ctx.dtype),
                                     dtype=ctx.dtype)
-    if ctx.arena.cols == 0:
-        ctx.arena.bind(ctx.v1, ctx.ck if ctx.arena.k else None)
+    if not ctx.bound:
+        ctx.arena.bind(ctx.v1, ctx.ck, max_steps=ctx.steps)
+        ctx.bound = True
 
 
 def _run_precond(ctx):
     vj = np.ascontiguousarray(ctx.arena.block(ctx.j))
     zj = vj if ctx.identity_m else \
         np.asarray(ctx.inner_m(vj)).astype(ctx.dtype, copy=False)
-    ctx.z_blocks.append(zj)
+    if ctx.arena.zslab is not None:
+        ctx.arena.zslab[:, ctx.j * ctx.p:(ctx.j + 1) * ctx.p] = zj
     ctx.zj = zj
 
 
@@ -127,23 +130,9 @@ def _run_spmm_fresh(ctx):
     ctx.w = ctx.op_apply(ctx.zj)
 
 
-def _p1_contig(x, p):
-    """Bit-identity guard for the ``p == 1`` GEMV regime.
-
-    At ``p == 1`` the stacked products are matrix-*vector* calls, and
-    BLAS's trans-GEMV (the interpreter's F-contiguous transpose of a fresh
-    ``np.concatenate``) and notrans-GEMV (NumPy's C-order copy of the
-    arena's strided view) accumulate in different orders.  Materializing
-    the contiguous layout reproduces the interpreter's kernel dispatch
-    exactly.  At ``p > 1`` GEMM packing makes the strided view
-    bit-identical (validated), so the zero-copy view is kept.
-    """
-    return np.ascontiguousarray(x) if p == 1 else x
-
-
 def _run_gram1(ctx):
-    g = _p1_contig(ctx.arena.stacked(), ctx.p).conj().T \
-        @ _p1_contig(ctx.arena.slot(), ctx.p)
+    g = _thin_contig(ctx.arena.stacked(), ctx.p).conj().T \
+        @ _thin_contig(ctx.arena.slot(), 1)
     c = ctx.arena.cols
     ctx.c1, ctx.wg0 = g[:c], g[c:]
 
@@ -154,8 +143,8 @@ def _run_project1(ctx):
 
 
 def _run_gram2(ctx):
-    g = _p1_contig(ctx.arena.stacked(), ctx.p).conj().T \
-        @ _p1_contig(ctx.arena.slot(), ctx.p)
+    g = _thin_contig(ctx.arena.stacked(), ctx.p).conj().T \
+        @ _thin_contig(ctx.arena.slot(), 1)
     c = ctx.arena.cols
     ctx.c2, ctx.wg1 = g[:c], g[c:]
 
@@ -271,7 +260,7 @@ def _run_sketch_ck_project(ctx):
 
 
 def _run_sketch_coeffs(ctx):
-    qs = _p1_contig(ctx.qs_arena.view(), ctx.p)
+    qs = _thin_contig(ctx.qs_arena.view(), ctx.p)
     c = qs.conj().T @ ctx.sw
     y = c.copy()
     w0 = ctx.t0.shape[0]
@@ -281,7 +270,7 @@ def _run_sketch_coeffs(ctx):
 
 
 def _run_sketch_project(ctx):
-    basis = ctx.arena.basis()
+    basis = ctx.arena.v()
     if basis.shape[1] != ctx.qs_arena.cols:
         raise ValueError(
             f"sketched engine state holds {ctx.qs_arena.cols} basis "
@@ -307,7 +296,8 @@ def _run_sketch_finish(ctx):
         scale = float(np.max(column_norms(ctx.w), initial=0.0))
         q, r, rank = _cholqr_rr_core(ctx.w2, tol=ctx.tol, scale=scale)
         slot[:] = q
-        ctx.s_fac, ctx.rank = r, rank
+        # the sketch-space verdict stands (nothing joins the sketch basis)
+        ctx.s_fac, ctx.rank = r, min(rank, ctx.p - 1)
         return "bd_rr" if rank else "bd_rr0"
     q = sla.solve_triangular(ctx.rfac.T, ctx.w2.T, lower=True).T
     slot[:] = q
@@ -561,6 +551,7 @@ def _split_phases(nodes: list[PlanNode]) -> dict[str, list[PlanNode]]:
 
 
 def compiled_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *,
+                                 arena: BasisArena,
                                  max_steps: int,
                                  ck: np.ndarray | None = None,
                                  ortho: str = "cgs2_1r",
@@ -573,7 +564,8 @@ def compiled_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *,
                                  sck: np.ndarray | None = None):
     """Plan-compiled twin of ``block_arnoldi_cycle`` (low-sync schemes).
 
-    Same signature and contract; ``qr_scheme`` is accepted for symmetry but
+    Same signature and contract (``arena`` is required: the interpreter
+    entry point allocates one when the caller has none); ``qr_scheme`` is accepted for symmetry but
     unused (the low-sync engines carry their own normalizers, exactly as in
     the interpreter).  ``sck`` is the pre-sketched recycled space of
     ``recycle_space="sketched"`` (see the interpreter's docstring).  The
@@ -596,8 +588,7 @@ def compiled_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *,
                s1=s1, ck=ck, k=k, n=n, p=p, dtype=dtype,
                tol=deflation_tol, seed=0, identity_m=identity_m,
                max_steps=max_steps, steps=steps)
-    arena_k = k if ortho != "sketched" else 0
-    ctx.arena = BasisArena(n, p, arena_k, steps, dtype)
+    ctx.arena = arena
     if ortho == "sketched":
         ctx.s = int(sck.shape[0]) if recycled_sketch \
             else sketch_size(n, (max_steps + 1) * p + k)
@@ -634,16 +625,17 @@ def compiled_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *,
             converged_early = True
             break
 
-    nblocks = steps_taken + (0 if breakdown else 1)
+    # V_0..V_steps are committed whatever the optimizer did with the last
+    # ``advance`` node — on a breakdown the slot holds the zero-padded
+    # rank-revealing block, exactly as the interpreter commits it
+    ctx.arena.cols = ctx.arena.k + (steps_taken + 1) * p
     state = _cycle_state(
-        v_blocks=[ctx.arena.block(i) for i in range(nblocks)],
-        z_blocks=ctx.z_blocks, hqr=ctx.hqr, e_cols=ctx.e_cols,
+        arena=ctx.arena, hqr=ctx.hqr, e_cols=ctx.e_cols,
         steps=steps_taken, breakdown=breakdown,
         converged_early=converged_early, e0=ctx.e0)
     if ortho == "sketched":
         # same state surface the interpreter's engine exports, so the
         # sketched recycling machinery works identically under both plans
-        from ..la.orthogonalization import SketchState
         state.sketch = SketchState(s=ctx.s, seed=ctx.seed,
                                    qs=ctx.qs_arena.view(), t0=ctx.t0,
                                    sck=ctx.sck)

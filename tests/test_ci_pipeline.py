@@ -80,6 +80,13 @@ def test_bench_diff_maps_to_bench_gates(ci):
     assert ci.stages_for_paths(["scripts/bench_compare.py"]) == stages
 
 
+def test_e2e_benchmark_diff_maps_to_its_selftest(ci):
+    assert "e2e-selftest" in ci.FAST_STAGES
+    assert ci.stages_for_paths(["benchmarks/e2e/workloads.py"]) \
+        == {"lint", "e2e-selftest"}
+    assert ci.stages_for_paths(["BENCHMARK.json"]) == {"lint", "e2e-selftest"}
+
+
 def test_src_or_unknown_diff_maps_to_full_fast_set(ci):
     full = set(ci.FAST_STAGES)
     assert ci.stages_for_paths(["src/repro/service/sequence.py"]) == full

@@ -122,6 +122,23 @@ class TestSequencesSameSystem:
         assert res2.converged.all()
         assert res2.iterations == 0
 
+    @pytest.mark.parametrize("k,restart", [(2, 30), (2, 10), (1, 8)])
+    @pytest.mark.parametrize("same_system", [True, False])
+    def test_supplied_space_wider_than_option(self, rng, k, restart,
+                                              same_system):
+        """A supplied space is adopted untrimmed, however small ``recycle``
+        is: the per-solve basis slab must be sized from the real width."""
+        n, p = 400, 2
+        a = laplacian_1d(n)
+        rec = gcrodr(a, rng.standard_normal((n, p)),
+                     options=_opts(recycle=20)).info["recycle"]
+        assert rec.k > k * (p + 1)
+        b = rng.standard_normal((n, p))
+        res = gcrodr(a, b, options=_opts(recycle=k, gmres_restart=restart),
+                     recycle=rec, same_system=same_system)
+        assert res.converged.all()
+        assert np.all(relative_residuals(a, res.x, b) < 1e-7)
+
 
 class TestSequencesVaryingSystem:
     def _sequence(self, rng, n=400, count=4):
@@ -228,6 +245,39 @@ class TestBlockGcrodr:
         b = np.column_stack([v, 3 * v])
         res = gcrodr(a, b, options=_opts(krylov_method="bgcrodr", recycle=4))
         assert res.converged.all()
+
+    @pytest.mark.parametrize("plan", ["interpret", "compiled"])
+    @pytest.mark.parametrize("scheme", ["cgs2_1r", "cholqr2", "sketched"])
+    def test_harvest_after_in_cycle_breakdown(self, scheme, plan):
+        """n = 5p: the harvest cycle exhausts the space at step 5 and breaks
+        down (rank 0).  The committed zero-padded block keeps ``V`` the shape
+        ``hbar`` assumes, so harvesting from that cycle must not raise."""
+        n, p = 20, 4
+        a = laplacian_1d(n)
+        b = np.random.default_rng(0).standard_normal((n, p))
+        res = gcrodr(a, b, options=_opts(
+            krylov_method="bgcrodr", gmres_restart=10, recycle=2, tol=1e-10,
+            orthogonalization=scheme, plan=plan))
+        assert res.converged.all()
+        assert res.breakdown is True
+        assert relative_residuals(a, res.x, b).max() < 1e-9
+
+    @pytest.mark.parametrize("scheme", ["cgs2_1r", "cholqr2", "sketched"])
+    def test_recycle_update_after_in_cycle_breakdown(self, scheme):
+        """Same mismatch at the update site: a recycled cycle on a changed
+        operator breaks down (k + 4p + 2 = n) and ``[C_k | V] @ qf`` runs."""
+        n, p = 20, 4
+        a = laplacian_1d(n)
+        s = Solver(options=_opts(
+            krylov_method="bgcrodr", gmres_restart=10, recycle=2, tol=1e-10,
+            orthogonalization=scheme))
+        s.solve(a, np.random.default_rng(0).standard_normal((n, p)))
+        a2 = laplacian_1d(n, shift=0.1)
+        b2 = np.random.default_rng(1).standard_normal((n, p))
+        res = s.solve(a2, b2)
+        assert res.converged.all() and res.breakdown is True
+        assert relative_residuals(a2, res.x, b2).max() < 1e-9
+        assert res.info["recycle"].k == 2
 
 
 class TestFlexibleGcrodr:

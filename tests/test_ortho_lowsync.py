@@ -18,6 +18,7 @@ import repro.krylov.cycle as cycle_mod
 from repro import Options, solve
 from repro.distla.distqr import distributed_cholqr2
 from repro.distla.distvec import DistributedBlockVector
+from repro.krylov.basis import BasisArena
 from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, ORTHO_SCHEME_NAMES,
                                         QR_SCHEME_NAMES, SCHEMES,
                                         PseudoBlockOrthogonalizer,
@@ -55,7 +56,8 @@ def _run_engine(scheme, *, n, p, steps, k=0, seed=0, ill=False):
 
     led = CostLedger()
     counts = []
-    blocks = [v1]
+    arena = BasisArena(n, p, k, steps, v1.dtype)
+    arena.bind(v1, ck, max_steps=steps)
     with ledger.install(led):
         eng = make_arnoldi_engine(scheme, tol=1e-12,
                                   max_cols=(steps + 1) * p + k, seed=seed)
@@ -66,13 +68,14 @@ def _run_engine(scheme, *, n, p, steps, k=0, seed=0, ill=False):
                 # graded column scales: kappa(w) ~ 1e8, well inside the
                 # two-pass stability region but far past single-pass CGS
                 w = w * np.logspace(0, -8, p)
+            arena.slot()[:] = w
             before = led.counts()[0]
-            q, h, r, rank, e_col = eng.step(blocks, w, ck=ck)
+            q, h, r, rank, e_col = eng.step(arena.stacked(), p, k=k)
             counts.append(led.counts()[0] - before)
             assert rank == p, f"unexpected deflation at step {j}"
-            blocks.append(q)
-    cols = ([ck] if ck is not None else []) + blocks
-    return np.concatenate(cols, axis=1), counts
+            arena.slot()[:] = q
+            arena.advance()
+    return arena.basis().copy(), counts
 
 
 class TestEngineReductionCounts:
@@ -267,10 +270,11 @@ class TestMutationSmokePerScheme:
             eng = real_make(*args, **kw)
             orig = eng.step
 
-            def leaky(v_blocks, w, *, ck=None):
-                q, h, r, rank, e_col = orig(v_blocks, w, ck=ck)
-                if len(v_blocks) >= 2:
-                    q = q + 1e-2 * v_blocks[0]
+            def leaky(stacked, p, *, k=0):
+                v0 = stacked[:, k:k + p].copy()
+                q, h, r, rank, e_col = orig(stacked, p, k=k)
+                if stacked.shape[1] - k >= 3 * p:     # two committed blocks
+                    q = q + 1e-2 * v0
                 return q, h, r, rank, e_col
 
             eng.step = leaky

@@ -20,10 +20,12 @@ import numpy as np
 import pytest
 
 from repro import Options, solve
+from repro.krylov.basis import (AugmentedTensorArena, BasisArena,
+                                TransposedBasisArena)
 from repro.krylov.cycle import block_arnoldi_cycle, complete_block
-from repro.plan import (AugmentedTensorArena, BasisArena, SketchArena,
-                        TransposedBasisArena, lower_cycle,
-                        make_pseudo_block_orthogonalizer, optimize)
+from repro.la.orthogonalization import SketchArena
+from repro.plan import (lower_cycle, make_pseudo_block_orthogonalizer,
+                        optimize)
 from repro.plan.ir import ZERO_COST, flop_cost, reduction_cost, run_nodes
 from repro.util import ledger
 from repro.util.ledger import Kernel
@@ -266,7 +268,7 @@ def test_basis_arena_layout():
     rng = np.random.default_rng(0)
     ck = rng.standard_normal((10, 3))
     v1 = rng.standard_normal((10, 2))
-    arena.bind(v1, ck)
+    arena.bind(v1, ck, max_steps=4)
     assert arena.cols == 5
     assert np.array_equal(arena.basis()[:, :3], ck)
     assert np.array_equal(arena.block(0), v1)
