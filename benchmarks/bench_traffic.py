@@ -61,6 +61,11 @@ GATE_SPEEDUP = 1.5        #: async over sync modeled throughput
 GATE_P99_MAX = 5e-3       #: modeled seconds, async open-loop p99
 GATE_REJECTION_MAX = 0.5  #: bounded-burst scenario must reject <= this
 
+#: the one wall-clock line of the report: never gated, never written to the
+#: JSON (which must stay byte-deterministic); ``scripts/ci.py`` parses it
+WALL_LINE = ("  wall: {seconds:.2f} s for the four replays = {us:.1f} us per "
+             "request (informational)")
+
 #: open-loop rate just under async capacity (~5.5e5/s at this config):
 #: the async queues stay stable so tail latency is bounded, while the
 #: sync lane (~2e5/s) saturates — the throughput gap the gate measures
@@ -91,6 +96,7 @@ def run(cfg: TrafficConfig, out_path: Path | None) -> dict:
     burst = run_traffic(_burst_config(cfg), "async")
     family = run_traffic(_family_config(cfg), "async")
     wall = time.perf_counter() - wall0
+    replayed = sum(r["n_requests"] for r in (sync, async_, burst, family))
 
     speedup = async_["throughput"] / sync["throughput"]
     equal_correctness = (sync["all_converged"] and async_["all_converged"]
@@ -123,6 +129,7 @@ def run(cfg: TrafficConfig, out_path: Path | None) -> dict:
                        "latencies/throughputs are modeled seconds from "
                        "ledger counts (nranks=64)",
         "wall_seconds_informational": wall,
+        "wall_us_per_request_informational": 1e6 * wall / replayed,
         "sync": sync,
         "async": async_,
         "burst_bounded_queue": burst,
@@ -133,7 +140,9 @@ def run(cfg: TrafficConfig, out_path: Path | None) -> dict:
     if out_path is not None:
         out_path.parent.mkdir(exist_ok=True)
         payload = dict(report)
-        payload.pop("wall_seconds_informational")  # keep the file diffable
+        for key in ("wall_seconds_informational",   # keep the file diffable
+                    "wall_us_per_request_informational"):
+            payload.pop(key)
         out_path.write_text(json.dumps(payload, indent=2, sort_keys=True)
                             + "\n")
     return report
@@ -171,6 +180,10 @@ def print_report(report: dict) -> None:
           f"(0 < r <= {g['rejection_max']}) | "
           f"families {g['family_requests']}->{g['family_batches']} batches | "
           f"{'PASS' if g['passed'] else 'FAIL'}")
+    # scripts/ci.py reads this line (``WALL_LINE``) off the traffic stage
+    print(WALL_LINE.format(
+        seconds=report["wall_seconds_informational"],
+        us=report["wall_us_per_request_informational"]))
 
 
 def test_traffic_gates():

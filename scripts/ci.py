@@ -20,7 +20,9 @@ perf-gates       quick microkernel + service + traffic benches     yes
 traffic          ``bench_traffic --quick --check`` twice: the       yes
                  bench's own p99 / rejection-rate / speedup gates,
                  plus byte-identical JSON across the two runs (the
-                 seeded-traffic determinism contract)
+                 seeded-traffic determinism contract); the wall
+                 us per request of the replay joins the bench
+                 trajectory as an ungated ``info`` metric
 macro-gates      ``bench_transient --quick --check`` twice: the     yes
                  end-to-end reuse-multiple gate of the transient
                  sequence workload (>= 3x over the no-reuse
@@ -66,6 +68,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -73,6 +76,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUMMARY = os.path.join(ROOT, "ci_summary.json")
+TRAJECTORY = os.path.join(ROOT, "benchmarks", "results",
+                          "BENCH_trajectory.json")
 FAST_STAGES = ("lint", "tier1", "plan-equivalence", "perf-gates",
                "traffic", "macro-gates", "e2e-selftest", "trace-gate",
                "determinism")
@@ -127,12 +132,20 @@ def _env() -> dict[str, str]:
     return env
 
 
-def _run(cmd: list[str]) -> dict:
-    """Run a subprocess stage; stream output through."""
-    proc = subprocess.run(cmd, env=_env(), cwd=ROOT)
+def _run(cmd: list[str], *, capture: bool = False) -> dict:
+    """Run a subprocess stage; stream output through.
+
+    With ``capture`` the output is echoed once the command ends and also
+    returned under ``"stdout"`` (for the caller to pop and read).
+    """
+    proc = subprocess.run(cmd, env=_env(), cwd=ROOT, text=True,
+                          stdout=subprocess.PIPE if capture else None)
     out = {"ok": proc.returncode == 0, "exit": proc.returncode,
            "command": " ".join(os.path.relpath(c, ROOT)
                                if os.path.isabs(c) else c for c in cmd)}
+    if capture:
+        sys.stdout.write(proc.stdout)
+        out["stdout"] = proc.stdout
     if not out["ok"]:
         out["reason"] = "subprocess-failed"
     return out
@@ -246,6 +259,42 @@ def stage_perf_gates() -> dict:
         return res
 
 
+#: ``bench_traffic.WALL_LINE`` as the traffic stage reads it back
+_WALL_US_RE = re.compile(r"= ([0-9.]+) us per request")
+
+
+def wall_us_per_request(stdout: str) -> float | None:
+    """The wall us/request a ``bench_traffic`` run printed, if it did."""
+    match = _WALL_US_RE.search(stdout)
+    return float(match.group(1)) if match else None
+
+
+def append_wall_entry(metrics: dict[str, float], *, config: str,
+                      path: str = TRAJECTORY) -> None:
+    """Append wall-clock data to the bench trajectory, ungated.
+
+    The entry carries its own ``config`` (never ``"quick"``), so
+    ``bench_compare`` — which gates against the latest *same-config*
+    entry — neither compares these values nor loses its baseline to an
+    entry without the gated metrics; the ``info`` kind says the same to
+    anyone reading the file.
+    """
+    trajectory = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            trajectory = json.load(fh)
+    trajectory.append({
+        "date": time.strftime("%Y-%m-%d"),
+        "config": config,
+        "metrics": {name: {"value": value, "kind": "info"}
+                    for name, value in sorted(metrics.items())},
+        "compared_against": "nothing (wall clock, informational)",
+    })
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(trajectory, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def stage_traffic() -> dict:
     """Seeded-traffic gates + byte-determinism of the replay harness.
 
@@ -254,14 +303,18 @@ def stage_traffic() -> dict:
     tail-latency ceiling, bounded burst rejection rate) and the two JSON
     payloads must be byte-identical — two invocations of one seeded
     config may not differ anywhere, reports and metric snapshots
-    included.
+    included.  The wall us per replayed request (the faster of the two
+    runs; the bench prints it, the JSON never carries it) is reported and
+    appended to the bench trajectory as an ungated ``info`` metric.
     """
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"traffic_{i}.json") for i in (1, 2)]
+        walls = []
         for path in paths:
             res = _run([sys.executable,
                         os.path.join(ROOT, "benchmarks", "bench_traffic.py"),
-                        "--quick", "--check", "--out", path])
+                        "--quick", "--check", "--out", path], capture=True)
+            walls.append(wall_us_per_request(res.pop("stdout")))
             if not res["ok"]:
                 return res
         with open(paths[0], "rb") as fh:
@@ -274,7 +327,15 @@ def stage_traffic() -> dict:
                              "payloads (determinism contract broken)"}
         print("traffic: gates passed twice, payloads byte-identical "
               f"({len(first)} bytes)")
-        return {"ok": True}
+        if None in walls:
+            return {"ok": False, "reason": "stage-failed",
+                    "error": "bench_traffic printed no wall us per request"}
+        wall_us = min(walls)
+        append_wall_entry({"traffic_wall_us_per_request": wall_us},
+                          config="quick-wall")
+        print(f"traffic: {wall_us:.1f} us wall per replayed request "
+              "(ungated; appended to BENCH_trajectory.json)")
+        return {"ok": True, "wall_us_per_request": wall_us}
 
 
 def stage_macro_gates() -> dict:

@@ -87,29 +87,10 @@ def solve(a, b, m=None, *, options: Options | None = None,
         # counts() and info stay byte-identical to the untraced behavior
         return _solve_checked(a, b, m, options=options, x0=x0,
                               recycle=recycle, same_system=same_system)
-    with ExitStack() as stack:
-        if ledger.current().is_null:
-            # spans diff the ambient ledger; give them a real one so the
-            # trace carries counts even when the caller installed none
-            stack.enter_context(ledger.install())
-        stack.enter_context(trace.install(tracer))
-        with tracer.span("solve", method=options.krylov_method,
-                         variant=options.variant) as root:
-            res = _solve_checked(a, b, m, options=options, x0=x0,
-                                 recycle=recycle, same_system=same_system)
-    tracer.metrics.counter("solve_total").inc(method=options.krylov_method)
-    tracer.metrics.histogram("solve_iterations").observe(
-        res.iterations, method=options.krylov_method)
-    for cyc in root.find("cycle"):
-        if cyc.cost is not None:
-            tracer.metrics.histogram("reductions_per_cycle").observe(
-                cyc.cost.reductions, method=options.krylov_method)
-    res.info["trace"] = {
-        "level": tracer.level,
-        "span": root.to_dict(),
-        "summary": tracer.summary(),
-    }
-    return res
+    return _solve_traced(
+        tracer, options,
+        lambda: _solve_checked(a, b, m, options=options, x0=x0,
+                               recycle=recycle, same_system=same_system))
 
 
 def _solve_family(a, b, *, options: Options, shifts, mass, x0,
@@ -119,23 +100,39 @@ def _solve_family(a, b, *, options: Options, shifts, mass, x0,
     if not tracer.enabled:
         return _solve_family_checked(a, b, options=options, shifts=shifts,
                                      mass=mass, x0=x0, recycle=recycle)
+    return _solve_traced(
+        tracer, options,
+        lambda: _solve_family_checked(a, b, options=options, shifts=shifts,
+                                      mass=mass, x0=x0, recycle=recycle),
+        shifts=len(list(shifts)))
+
+
+def _solve_traced(tracer, options: Options, run, **span_attrs):
+    """Run ``run()`` under a root ``solve`` span and attach ``info["trace"]``.
+
+    The one trace prologue/epilogue of plain and family solves.  What an
+    ambient tracer adds per call is O(spans of *this* solve): the span
+    bookkeeping, one ``to_dict`` of the root and an O(names) summary.
+    """
     with ExitStack() as stack:
         if ledger.current().is_null:
+            # spans diff the ambient ledger; give them a real one so the
+            # trace carries counts even when the caller installed none
             stack.enter_context(ledger.install())
         stack.enter_context(trace.install(tracer))
         with tracer.span("solve", method=options.krylov_method,
-                         variant=options.variant,
-                         shifts=len(list(shifts))) as root:
-            res = _solve_family_checked(a, b, options=options,
-                                        shifts=shifts, mass=mass, x0=x0,
-                                        recycle=recycle)
-    tracer.metrics.counter("solve_total").inc(method=res.method)
+                         variant=options.variant, **span_attrs) as root:
+            res = run()
+    # a family reports the engine that ran; a plain solve the method asked for
+    method = res.method if isinstance(res, ShiftedFamilyResult) \
+        else options.krylov_method
+    tracer.metrics.counter("solve_total").inc(method=method)
     tracer.metrics.histogram("solve_iterations").observe(
-        res.iterations, method=res.method)
+        res.iterations, method=method)
     for cyc in root.find("cycle"):
         if cyc.cost is not None:
             tracer.metrics.histogram("reductions_per_cycle").observe(
-                cyc.cost.reductions, method=res.method)
+                cyc.cost.reductions, method=method)
     res.info["trace"] = {
         "level": tracer.level,
         "span": root.to_dict(),

@@ -49,7 +49,7 @@ from ..krylov.base import SolveResult
 from ..perfmodel.estimate import modeled_time
 from ..trace import tracer as trace
 from ..util.options import Options
-from .service import SolveRequest, SolveService
+from .service import SolveRequest, SolveService, _RequestGroup
 from .shard import ShardedSetupCache
 
 __all__ = ["AsyncRequest", "AsyncSolveService", "make_service"]
@@ -85,6 +85,40 @@ class AsyncRequest(SolveRequest):
         return self.completion_time - self.arrival
 
 
+class _ShardGroup(_RequestGroup):
+    """A group queued on one shard that knows its earliest deadline.
+
+    Urgency order is priority first, so the heap head need not hold the
+    earliest deadline; ``due`` is a second heap on ``(deadline, index)``
+    with lazy deletion (``taken`` = dispatched entries not yet popped).
+    """
+
+    __slots__ = ("shard", "due", "taken")
+
+    def __init__(self, shard: int) -> None:
+        super().__init__()
+        self.shard = shard
+        self.due: list[tuple[float, int]] = []
+        self.taken: set[int] = set()
+
+    def push(self, req: AsyncRequest) -> None:
+        super().push(req)
+        if req.deadline != math.inf:
+            heapq.heappush(self.due, (req.deadline, req.index))
+
+    def pop_chunk(self, p_max: int) -> list[AsyncRequest]:
+        chunk = super().pop_chunk(p_max)
+        self.taken.update(r.index for r in chunk if r.deadline != math.inf)
+        return chunk
+
+    def next_deadline(self) -> float:
+        """Earliest deadline still queued (``inf`` if none)."""
+        due, taken = self.due, self.taken
+        while due and due[0][1] in taken:
+            taken.remove(heapq.heappop(due)[1])
+        return due[0][0] if due else math.inf
+
+
 class AsyncSolveService(SolveService):
     """Deadline-scheduled, sharded, pipelined solve service.
 
@@ -99,6 +133,12 @@ class AsyncSolveService(SolveService):
     Parameters are those of :class:`SolveService` plus ``nranks``, the
     rank count at which the perfmodel converts batch ledgers to modeled
     durations.
+
+    Scheduling cost, with ``q`` requests queued and ``G`` non-empty
+    groups: a submit is O(log q) to queue plus one pump; a pump is
+    O(G on that shard) to pick the group and O(log q) per request it
+    dispatches; a clock step is O(G) to find the next deadline timer.
+    Nothing scans or re-sorts the queued requests themselves.
     """
 
     def __init__(self, *, options: Options | None = None,
@@ -118,7 +158,10 @@ class AsyncSolveService(SolveService):
         self._busy_until = [0.0] * self.n_shards
         self._events: list[tuple[float, int, int]] = []  # (time, seq, shard)
         self._event_seq = 0
-        self._key_shard: dict[tuple, int] = {}
+        # indexes over the base class's ``_queue``, kept by _push/_pop_chunk
+        self._shard_groups: list[dict[tuple, _ShardGroup]] = [
+            {} for _ in range(self.n_shards)]
+        self._depth = [0] * self.n_shards
         self.completed: list[AsyncRequest] = []
         self.rejections: list[AsyncRequest] = []
         self.queue_high_water = [0] * self.n_shards
@@ -127,8 +170,7 @@ class AsyncSolveService(SolveService):
     # -- admission -------------------------------------------------------
     def shard_depth(self, shard: int) -> int:
         """Queued (admitted, undispatched) requests on one shard."""
-        return sum(len(reqs) for key, reqs in self._queue.items()
-                   if self._key_shard[key] == shard)
+        return self._depth[shard]
 
     def _admit(self, req: AsyncRequest, shard: int) -> str | None:
         """Admission decision: ``None`` admits, else a rejection reason."""
@@ -162,9 +204,7 @@ class AsyncSolveService(SolveService):
             self.rejections.append(req)
             tr.metrics.counter("service_rejected_total").inc(reason=reason)
             return req
-        key = self._request_key(req)
-        self._queue.setdefault(key, []).append(req)
-        self._key_shard[key] = shard
+        self._push(self._request_key(req), req)
         depth = self.shard_depth(shard)
         self.queue_high_water[shard] = max(self.queue_high_water[shard],
                                            depth)
@@ -210,53 +250,55 @@ class AsyncSolveService(SolveService):
             priority=priority, tenant=tenant, shifts=sig, mass=mass))
 
     # -- scheduling core -------------------------------------------------
-    def _shard_keys(self, shard: int) -> list[tuple]:
-        return [key for key, reqs in self._queue.items()
-                if reqs and self._key_shard[key] == shard]
+    def _push(self, key: tuple, req: AsyncRequest) -> None:
+        group = self._queue.get(key)
+        if group is None:
+            group = self._queue[key] = _ShardGroup(req.shard)
+            self._shard_groups[req.shard][key] = group
+        group.push(req)
+        self._depth[req.shard] += 1
+
+    def _pop_chunk(self, key: tuple) -> list[AsyncRequest]:
+        group = self._queue[key]
+        chunk = super()._pop_chunk(key)
+        self._depth[group.shard] -= len(chunk)
+        if not group:
+            del self._shard_groups[group.shard][key]
+        return chunk
 
     def _best_key(self, shard: int) -> tuple | None:
         """The coalescing group holding the most urgent queued request."""
-        keys = self._shard_keys(shard)
-        if not keys:
+        groups = self._shard_groups[shard]
+        if not groups:
             return None
-        return min(keys,
-                   key=lambda k: min(r.urgency() for r in self._queue[k]))
-
-    def _group_width(self, key: tuple) -> int:
-        return sum(r.width for r in self._queue[key])
+        return min(groups, key=lambda k: groups[k].heap[0][0])
 
     def _pump(self, shard: int, *, allow_partial: bool) -> bool:
         """Dispatch at most one batch on an idle shard; True if it did.
 
         With ``allow_partial=False`` (eager path at submit) a batch goes
         out only when a group is full (``service_pmax`` columns), its
-        earliest deadline has arrived, or the shard's queue hit its
-        admission bound — dispatching on a full queue is what makes the
-        bound *backpressure* rather than deadlock, so rejections only
-        happen while the shard is genuinely busy.  ``allow_partial=True``
-        (completion events, deadline timers, drain) dispatches whatever
-        accumulated: that is the pipelining step.
+        most urgent request's deadline has arrived, or the shard's queue
+        hit its admission bound — dispatching on a full queue is what
+        makes the bound *backpressure* rather than deadlock, so rejections
+        only happen while the shard is genuinely busy.
+        ``allow_partial=True`` (completion events, deadline timers, drain)
+        dispatches whatever accumulated: that is the pipelining step.
         """
         if self._busy_until[shard] > self.now:
             return False
         key = self._best_key(shard)
         if key is None:
             return False
-        group = sorted(self._queue[key], key=AsyncRequest.urgency)
         if not allow_partial:
-            head_due = group[0].deadline <= self.now
+            group = self._queue[key]
+            head_due = group.head.deadline <= self.now
             bound = self.options.service_queue_depth
             queue_full = bool(bound) and self.shard_depth(shard) >= bound
-            if self._group_width(key) < self.p_max \
+            if group.width < self.p_max \
                     and not head_due and not queue_full:
                 return False
-        chunk, rest = self._take_chunk(group)
-        if rest:
-            self._queue[key] = rest
-        else:
-            del self._queue[key]
-            del self._key_shard[key]
-        self._dispatch(shard, key, chunk)
+        self._dispatch(shard, key, self._pop_chunk(key))
         return True
 
     def _dispatch(self, shard: int, key: tuple,
@@ -308,13 +350,12 @@ class AsyncSolveService(SolveService):
         the heap and pumps them the moment they free up.
         """
         best_t, best_s = math.inf, -1
-        for key, reqs in self._queue.items():
-            shard = self._key_shard[key]
-            if self._busy_until[shard] > self.now:
+        for group in self._queue.values():
+            if self._busy_until[group.shard] > self.now:
                 continue
-            for r in reqs:
-                if r.deadline < best_t:
-                    best_t, best_s = r.deadline, shard
+            t = group.next_deadline()
+            if t < best_t:
+                best_t, best_s = t, group.shard
         return best_t, best_s
 
     # -- the clock -------------------------------------------------------

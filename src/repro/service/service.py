@@ -27,7 +27,9 @@ independent solve requests ``(A, b, options)``; the service
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import heapq
+import math
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -76,10 +78,62 @@ class SolveRequest:
     def done(self) -> bool:
         return self.result is not None
 
+    def urgency(self) -> tuple[int, float, int]:
+        """Queue order inside a coalescing group: submission order."""
+        return (0, math.inf, self.index)
+
+
+class _RequestGroup:
+    """The queued requests of one coalescing key, most urgent first.
+
+    A heap on :meth:`SolveRequest.urgency` — a total order, it ends in
+    the request index — so queueing and dispatching a request cost
+    O(log q) and nothing ever re-sorts or re-scans the group.
+    """
+
+    __slots__ = ("heap", "width")
+
+    def __init__(self) -> None:
+        self.heap: list[tuple[tuple, SolveRequest]] = []
+        self.width = 0  #: columns queued
+
+    def __len__(self) -> int:
+        return len(self.heap)
+
+    @property
+    def head(self) -> SolveRequest:
+        """The most urgent queued request."""
+        return self.heap[0][1]
+
+    def push(self, req: SolveRequest) -> None:
+        heapq.heappush(self.heap, (req.urgency(), req))
+        self.width += req.width
+
+    def pop_chunk(self, p_max: int) -> list[SolveRequest]:
+        """Greedy most-urgent prefix of total width <= p_max (>= 1 request).
+
+        A family group is never split: its members share one right-hand
+        side and one Arnoldi basis, so the whole group is one dispatch
+        regardless of ``p_max`` (the union of shifts is the block width).
+        """
+        heap = self.heap
+        chunk = [heapq.heappop(heap)[1]]
+        whole = bool(chunk[0].shifts)
+        width = chunk[0].width
+        while heap and (whole or width + heap[0][1].width <= p_max):
+            chunk.append(heapq.heappop(heap)[1])
+            width += chunk[-1].width
+        self.width -= width
+        return chunk
+
+
+#: the dataclass fields of :class:`Options`, sorted by name once
+_OPTION_FIELDS = tuple(sorted(f.name for f in fields(Options)))
+
 
 def options_key(options: Options) -> tuple:
     """Hashable compatibility key: requests coalesce iff keys are equal."""
-    return tuple(sorted((k, repr(v)) for k, v in options.as_dict().items()))
+    return tuple((k, repr(getattr(options, k))) for k in _OPTION_FIELDS)
 
 
 def options_digest(okey: tuple) -> str:
@@ -176,7 +230,7 @@ class SolveService:
             self.options.service_cache_entries)
         self.p_max = self.options.service_pmax
         self.flush_policy = self.options.service_flush
-        self._queue: dict[tuple, list[SolveRequest]] = {}
+        self._queue: dict[tuple, _RequestGroup] = {}  # non-empty groups only
         self._next_index = 0
         self._next_batch = 0
         self.batches: list[dict[str, Any]] = []
@@ -212,9 +266,23 @@ class SolveService:
                     _options_key(req.options))
         return (req.fingerprint, _options_key(req.options))
 
+    def _push(self, key: tuple, req: SolveRequest) -> None:
+        group = self._queue.get(key)
+        if group is None:
+            group = self._queue[key] = _RequestGroup()
+        group.push(req)
+
+    def _pop_chunk(self, key: tuple) -> list[SolveRequest]:
+        """Take the next batch off a group; an emptied group leaves the queue."""
+        group = self._queue[key]
+        chunk = group.pop_chunk(self.p_max)
+        if not group:
+            del self._queue[key]
+        return chunk
+
     def _enqueue(self, req: SolveRequest) -> SolveRequest:
         key = self._request_key(req)
-        self._queue.setdefault(key, []).append(req)
+        self._push(key, req)
         if self.flush_policy == "batch_full":
             self._dispatch_full_chunks(key)
         return req
@@ -283,47 +351,18 @@ class SolveService:
     @property
     def pending(self) -> int:
         """Number of queued, not-yet-solved requests."""
-        return sum(len(reqs) for reqs in self._queue.values())
+        return sum(len(group) for group in self._queue.values())
 
     # -- dispatch --------------------------------------------------------
     def _dispatch_full_chunks(self, key: tuple) -> None:
         """batch_full policy: peel off p_max-wide chunks as they fill."""
-        reqs = self._queue.get(key)
-        while reqs:
-            chunk, rest = self._take_chunk(reqs)
-            if not rest and sum(r.width for r in chunk) < self.p_max:
-                break  # group not full yet — keep queueing
-            self._solve_batch(key, chunk)
-            reqs = rest
-        if reqs:
-            self._queue[key] = reqs
-        else:
-            self._queue.pop(key, None)
-
-    def _take_chunk(self, reqs: list[SolveRequest]
-                    ) -> tuple[list[SolveRequest], list[SolveRequest]]:
-        """Greedy prefix with total width <= p_max (at least one request).
-
-        A family group is never split: its members share one right-hand
-        side and one Arnoldi basis, so the whole group is one dispatch
-        regardless of ``p_max`` (the union of shifts is the block width).
-        """
-        if reqs[0].shifts:
-            return list(reqs), []
-        chunk: list[SolveRequest] = [reqs[0]]
-        width = reqs[0].width
-        i = 1
-        while i < len(reqs) and width + reqs[i].width <= self.p_max:
-            chunk.append(reqs[i])
-            width += reqs[i].width
-            i += 1
-        return chunk, reqs[i:]
+        while key in self._queue and self._queue[key].width >= self.p_max:
+            self._solve_batch(key, self._pop_chunk(key))
 
     def _dispatch_group(self, key: tuple) -> list[SolveRequest]:
-        reqs = self._queue.pop(key, [])
         done = []
-        while reqs:
-            chunk, reqs = self._take_chunk(reqs)
+        while key in self._queue:
+            chunk = self._pop_chunk(key)
             self._solve_batch(key, chunk)
             done.extend(chunk)
         return done

@@ -18,6 +18,12 @@ The attribution is pure observation: spans snapshot and diff the ambient
 ledger but never charge it, so installing a tracer cannot change
 ``counts()`` — the invariant ``tests/test_trace.py`` locks down.
 
+Accounting is *streaming*: a span folds its exclusive cost into the
+tracer's per-name row the moment it closes (O(1) per span), so
+:meth:`Tracer.summary` is O(names) however many spans were recorded —
+a service calls it once per batch.  The tree walk it replaced lives on as
+the oracle ``tests/fixtures/reference_summary.py``.
+
 Ambient-install pattern (mirrors :mod:`repro.util.ledger`): a process-wide
 null tracer swallows spans when none is installed, so the default fast
 path pays one singleton attribute lookup per instrumentation site.  Wall
@@ -53,7 +59,7 @@ class Span:
     """
 
     __slots__ = ("name", "index", "attrs", "parent", "children", "cost",
-                 "_before", "_ledger")
+                 "_before", "_ledger", "_closed_children")
 
     def __init__(self, name: str, index: int, attrs: dict[str, Any],
                  parent: "Span | None"):
@@ -65,6 +71,9 @@ class Span:
         self.cost: CostLedger | None = None
         self._ledger: CostLedger | None = None
         self._before: CostLedger | None = None
+        #: [reductions, reduction_bytes, flops] of the same-ledger children
+        #: that closed while this span was still open
+        self._closed_children = [0, 0, 0.0]
 
     # -- tree queries ------------------------------------------------------
     def exclusive(self) -> CostLedger:
@@ -77,7 +86,7 @@ class Span:
         """
         if self.cost is None:
             raise RuntimeError(f"span {self.name!r} is still open")
-        out = self.cost.snapshot()
+        out = self.cost.counts_snapshot()
         for child in self.children:
             if child.cost is None or child._ledger is not self._ledger:
                 continue
@@ -87,7 +96,6 @@ class Span:
             out.p2p_bytes -= child.cost.p2p_bytes
             out.flops.subtract(child.cost.flops)
             out.calls.subtract(child.cost.calls)
-        out.timers = {}
         return out
 
     def walk(self) -> Iterator["Span"]:
@@ -134,20 +142,21 @@ class _OpenSpan:
     def __enter__(self) -> Span:
         span = self._span
         span._ledger = ledger.current()
-        span._before = span._ledger.snapshot()
+        span._before = span._ledger.counts_snapshot()
         self._tracer._stack.append(span)
         return span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         span = self._span
-        span.cost = span._ledger.diff(span._before)
+        span.cost = span._ledger.counts_diff(span._before)
         span._before = None
+        self._tracer._fold(span)
         stack = self._tracer._stack
-        # tolerate exceptions unwinding through several open spans
-        while stack and stack[-1] is not span:
-            stack.pop()
-        if stack:
-            stack.pop()
+        # tolerate exceptions unwinding through several open spans; a span
+        # that outlived its parent is no longer on the stack at all
+        if span in stack:
+            while stack.pop() is not span:
+                pass
         return False
 
 
@@ -189,6 +198,8 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self._stack: list[Span] = []
         self._count = 0
+        #: per-name exclusive totals, kept current by :meth:`_fold`
+        self._by_name: dict[str, dict[str, float]] = {}
 
     @property
     def detail(self) -> bool:
@@ -216,23 +227,51 @@ class Tracer:
         return self.span(name, **attrs)
 
     # -- reporting ---------------------------------------------------------
+    def _row(self, name: str) -> dict[str, float]:
+        row = self._by_name.get(name)
+        if row is None:
+            row = self._by_name[name] = {"count": 0, "reductions": 0,
+                                         "reduction_bytes": 0, "flops": 0.0}
+        return row
+
+    def _fold(self, span: Span) -> None:
+        """Account a span that just closed: O(1), no tree walk.
+
+        Its exclusive cost — the window minus the same-ledger children
+        that closed before it — joins its name's row.  The window is then
+        handed to the parent: an open parent will subtract it when it
+        closes; a parent that closed first already reported it as its own,
+        so it comes off the parent's row now.  Either way the rows equal
+        what walking the tree with :meth:`Span.exclusive` would give
+        (integer-valued adds below 2^53, so order does not matter).
+        """
+        cost = span.cost
+        flops = cost.total_flops()
+        kids = span._closed_children
+        row = self._row(span.name)
+        row["count"] += 1
+        row["reductions"] += cost.reductions - kids[0]
+        row["reduction_bytes"] += cost.reduction_bytes - kids[1]
+        row["flops"] += flops - kids[2]
+        parent = span.parent
+        if parent is None or parent._ledger is not span._ledger:
+            return
+        if parent.cost is None:
+            owed = parent._closed_children
+            owed[0] += cost.reductions
+            owed[1] += cost.reduction_bytes
+            owed[2] += flops
+        else:
+            row = self._row(parent.name)
+            row["reductions"] -= cost.reductions
+            row["reduction_bytes"] -= cost.reduction_bytes
+            row["flops"] -= flops
+
     def summary(self) -> dict[str, Any]:
-        """Aggregate per-name exclusive costs over every recorded root."""
-        by_name: dict[str, dict[str, float]] = {}
-        for root in self.roots:
-            for span in root.walk():
-                if span.cost is None:
-                    continue
-                excl = span.exclusive()
-                row = by_name.setdefault(
-                    span.name, {"count": 0, "reductions": 0,
-                                "reduction_bytes": 0, "flops": 0.0})
-                row["count"] += 1
-                row["reductions"] += excl.reductions
-                row["reduction_bytes"] += excl.reduction_bytes
-                row["flops"] += excl.total_flops()
+        """Per-name exclusive costs of every span closed so far: O(names)."""
         return {"level": self.level, "spans": self._count,
-                "by_name": {k: by_name[k] for k in sorted(by_name)}}
+                "by_name": {k: dict(self._by_name[k])
+                            for k in sorted(self._by_name)}}
 
 
 class NullTracer:

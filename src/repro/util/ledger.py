@@ -73,7 +73,7 @@ class CostLedger:
     it never appears in :meth:`counts` (the tuple every conservation and
     fused-vs-per-rank equivalence check is stated over), it is never split
     by :meth:`split` (shares would not be reproducible), and the trace
-    layer zeroes it out of span costs.  ``merge`` does carry timers across
+    layer never copies it into span costs (:meth:`counts_snapshot`).  ``merge`` does carry timers across
     (summing wall-clock is still meaningful for profiling) but nothing
     downstream may treat the result as a conserved quantity.
     ``scripts/lint_repro.py`` enforces the containment: this module is the
@@ -192,8 +192,12 @@ class CostLedger:
             shares.append(led)
         return shares
 
-    def snapshot(self) -> "CostLedger":
-        """Deep-ish copy for before/after diffing."""
+    def counts_snapshot(self) -> "CostLedger":
+        """Copy of every deterministic field; ``timers`` stay behind.
+
+        The window start of a trace span: spans never report wall clock,
+        so they neither copy the timers nor diff them.
+        """
         out = CostLedger(
             reductions=self.reductions,
             reduction_bytes=self.reduction_bytes,
@@ -202,11 +206,16 @@ class CostLedger:
         )
         out.flops = Counter(self.flops)
         out.calls = Counter(self.calls)
+        return out
+
+    def snapshot(self) -> "CostLedger":
+        """Deep-ish copy for before/after diffing."""
+        out = self.counts_snapshot()
         out.timers = dict(self.timers)
         return out
 
-    def diff(self, before: "CostLedger") -> "CostLedger":
-        """Return the events accumulated since ``before`` (a snapshot)."""
+    def counts_diff(self, before: "CostLedger") -> "CostLedger":
+        """:meth:`diff` of the deterministic fields only (no ``timers``)."""
         out = CostLedger(
             reductions=self.reductions - before.reductions,
             reduction_bytes=self.reduction_bytes - before.reduction_bytes,
@@ -217,6 +226,11 @@ class CostLedger:
         out.flops.subtract(before.flops)
         out.calls = Counter(self.calls)
         out.calls.subtract(before.calls)
+        return out
+
+    def diff(self, before: "CostLedger") -> "CostLedger":
+        """Return the events accumulated since ``before`` (a snapshot)."""
+        out = self.counts_diff(before)
         out.timers = {
             k: self.timers.get(k, 0.0) - before.timers.get(k, 0.0)
             for k in set(self.timers) | set(before.timers)

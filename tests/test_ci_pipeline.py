@@ -19,13 +19,16 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 
-@pytest.fixture(scope="module")
-def ci():
-    spec = importlib.util.spec_from_file_location(
-        "repro_ci_script", ROOT / "scripts" / "ci.py")
+def _load_script(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture(scope="module")
+def ci():
+    return _load_script(ROOT / "scripts" / "ci.py", "repro_ci_script")
 
 
 # -- stage registry ----------------------------------------------------
@@ -161,3 +164,38 @@ def test_successful_stage_has_no_reason(ci, monkeypatch):
     monkeypatch.setitem(ci.STAGES, "lint", lambda: {"ok": True})
     entry = ci.run_stage("lint")
     assert entry["ok"] is True and "reason" not in entry
+
+
+# -- wall clock of the traffic stage: reported, recorded, never gated ----
+def test_traffic_stage_reads_the_wall_line_the_bench_prints(ci):
+    bench = _load_script(ROOT / "benchmarks" / "bench_traffic.py",
+                         "repro_bench_traffic")
+    line = bench.WALL_LINE.format(seconds=2.375, us=593.8)
+    assert ci.wall_us_per_request(f"family: ...\n{line}\nperf gate passed\n") \
+        == 593.8
+    assert ci.wall_us_per_request("no such line") is None
+
+
+def test_wall_entry_is_ungated_and_invisible_to_the_gate(ci, tmp_path):
+    import json
+
+    compare = _load_script(ROOT / "scripts" / "bench_compare.py",
+                           "repro_bench_compare")
+    path = tmp_path / "trajectory.json"
+    gated = {"date": "2026-01-01", "config": "quick",
+             "metrics": {"service_amortized_speedup":
+                         {"value": 2.5, "kind": "modeled"}}}
+    path.write_text(json.dumps([gated]))
+    ci.append_wall_entry({"traffic_wall_us_per_request": 402.9},
+                         config="quick-wall", path=str(path))
+    trajectory = json.loads(path.read_text())
+    assert trajectory[0] == gated and len(trajectory) == 2
+    entry = trajectory[1]
+    assert entry["metrics"] == {"traffic_wall_us_per_request":
+                                {"value": 402.9, "kind": "info"}}
+    # bench_compare baselines on the latest *quick* entry: still the gated one
+    assert [e for e in trajectory if e.get("config") == "quick"] == [gated]
+    # and an info metric never fails a comparison, whatever it reads
+    assert compare.compare(
+        {"traffic_wall_us_per_request": {"value": 1e9, "kind": "info"}},
+        entry["metrics"], label="wall") == []

@@ -12,6 +12,12 @@ load-bearing invariants (ISSUE 7):
 * summed per-request cost shares equal the batch ledgers **bit-for-bit**
   under any interleaving, sharded and pipelined or not — plus a mutation
   test proving the conservation check fails when a share is dropped.
+
+The indexed queue (urgency heaps, per-shard group sets and depth
+counters) is pinned twice: record-for-record parity with the
+list-and-sort queue it replaced (``tests/fixtures/reference_scheduler.py``)
+and a call-count test that the per-request cost of a traced replay does
+not grow with the number of requests.
 """
 
 from __future__ import annotations
@@ -28,9 +34,12 @@ from repro import AsyncSolveService, Options, make_service
 from repro.service import (ConsistentHashRouter, SetupCache,
                            ShardedSetupCache, SolveService,
                            operator_fingerprint)
+from repro.service.scheduler import AsyncRequest
+from repro.trace import Span, Tracer, install as install_tracer
 from repro.util.ledger import CostLedger
 
 from conftest import laplacian_1d, make_rng
+from fixtures.reference_scheduler import ListSortAsyncSolveService
 
 N = 25  #: tiny operators — the properties are about scheduling, not solving
 
@@ -188,6 +197,171 @@ def test_dropped_share_breaks_conservation(seed):
         total_batches.merge(rec["ledger"])
     assert total_shares.counts() != total_batches.counts(), \
         "conservation check failed to detect a dropped share"
+
+
+# -- the indexed queue against the list-and-sort reference ------------------
+
+def _schedule_record(svc: AsyncSolveService) -> dict:
+    """Everything the scheduler decided, in the order it decided it."""
+    return {
+        "batches": [(rec["batch"], rec["shard"], rec["request_indices"],
+                     rec["width"], rec["dispatch_time"],
+                     rec["completion_time"]) for rec in svc.batches],
+        "completed": [r.index for r in svc.completed],
+        "rejections": [(r.index, r.rejected) for r in svc.rejections],
+        "queue_high_water": svc.queue_high_water,
+        "deadline_misses": svc.deadline_misses,
+        "makespan": svc.makespan,
+    }
+
+
+def _replay(cls, seed: int, *, n: int, rate: float, deadlines, priorities: int,
+            burst: int = 1, **opts) -> AsyncSolveService:
+    """Seeded open-loop replay: exponential gaps, `burst` arrivals per
+    instant, operator / deadline / priority drawn per request."""
+    svc = cls(options=Options(krylov_method="gmres", service_mode="async",
+                              **opts), preconditioner="lu")
+    ops = _operators(6)
+    rng = make_rng(seed)
+    t = 0.0
+    for i in range(n):
+        if i % burst == 0:
+            t += rng.exponential(burst / rate)
+        svc.advance_to(t)
+        rel = float(rng.choice(deadlines))
+        svc.submit(ops[int(rng.integers(len(ops)))], rng.standard_normal(N),
+                   deadline=rel if rel > 0 else None,
+                   priority=int(rng.integers(priorities)))
+    svc.drain()
+    return svc
+
+
+#: one shard serves ~5.5e4 requests/s at pmax=4 (a batch is ~7.2e-5 s)
+_SCENARIOS = {
+    # 4x capacity: every group is full, queues grow for the whole replay
+    "overload": dict(n=240, rate=4e5, deadlines=[0.0], priorities=1,
+                     service_shards=2, service_pmax=4),
+    # 0.2x capacity: groups rarely fill, deadline timers do the dispatching
+    "deadline_timer": dict(n=160, rate=2e4, deadlines=[1e-4, 3e-4, 0.0],
+                           priorities=1, service_shards=2, service_pmax=4),
+    # priorities outrank deadlines: urgency order != deadline order
+    "priority": dict(n=240, rate=2e5, deadlines=[2e-4, 1e-3, 0.0],
+                     priorities=3, service_shards=3, service_pmax=4),
+    # bursts against a bounded queue: queue_full rejections
+    "bounded_queue": dict(n=240, rate=3e5, deadlines=[2e-3], priorities=2,
+                          burst=12, service_shards=2, service_pmax=4,
+                          service_queue_depth=6),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_heap_queue_matches_list_and_sort_reference(scenario, seed):
+    kw = _SCENARIOS[scenario]
+    new = _replay(AsyncSolveService, seed, **kw)
+    ref = _replay(ListSortAsyncSolveService, seed, **kw)
+    assert _schedule_record(new) == _schedule_record(ref)
+    assert not new.pending and not ref._lists
+    # each scenario exercises what its name says
+    widths = [rec["width"] for rec in new.batches]
+    if scenario == "overload":
+        assert max(new.queue_high_water) > 40
+        assert sum(widths) / len(widths) > 3.5
+    elif scenario == "deadline_timer":
+        assert sum(w < 4 for w in widths) > 20
+    elif scenario == "priority":
+        assert {r.priority for r in new.completed} == {0, 1, 2}
+    else:
+        assert {r.rejected for r in new.rejections} == {"queue_full"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=_steps)
+def test_heap_queue_matches_reference_under_random_interleavings(steps):
+    """Discrete times and deadlines make equal deadlines on different
+    shards common: the tie-breaking order is part of the contract."""
+    ops = _operators()
+    record = {}
+    for cls in (AsyncSolveService, ListSortAsyncSolveService):
+        svc = cls(options=Options(krylov_method="gmres", service_mode="async",
+                                  service_shards=2, service_pmax=4,
+                                  service_queue_depth=5),
+                  preconditioner="lu")
+        rng = make_rng(len(steps))
+        for step in steps:
+            if step[0] == "submit":
+                _, op, rel, priority = step
+                svc.submit(ops[op], rng.standard_normal(N),
+                           deadline=rel if rel > 0 else None,
+                           priority=priority)
+            else:
+                svc.advance_to(svc.now + step[1])
+        svc.drain()
+        record[cls] = _schedule_record(svc)
+    assert record[AsyncSolveService] == record[ListSortAsyncSolveService]
+
+
+def test_failed_batch_leaves_no_stale_deadline_timer(monkeypatch):
+    """A batch that raises takes its requests out of the queue for good:
+    the deadline index must not keep waking the clock for them."""
+    svc = _service(service_shards=1, service_pmax=8)
+    a = _operators(1)[0]
+    svc.submit(a, make_rng(10).standard_normal(N), deadline=1e-4)
+
+    def boom(key, chunk):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(svc, "_solve_batch", boom)
+    with pytest.raises(RuntimeError, match="blew up"):
+        svc.advance_to(1e-4)
+    monkeypatch.undo()
+    assert svc.shard_depth(0) == 0 and not svc.pending
+    svc.advance_to(1.0)  # returns: no timer left to fire
+    assert svc.now == 1.0
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_traced_replay_cost_is_linear_in_requests(monkeypatch):
+    """Deterministic linearity gate (call counts, not timers): doubling
+    the requests of an overloaded, traced replay may at most double the
+    bookkeeping.  With a summary that walked every span per batch and a
+    queue that was scanned per pump these grew 4x."""
+    counters = {
+        "Span.exclusive": _count_calls(monkeypatch, Span, "exclusive"),
+        "CostLedger.snapshot": _count_calls(monkeypatch, CostLedger,
+                                            "snapshot"),
+        "CostLedger.counts_snapshot": _count_calls(monkeypatch, CostLedger,
+                                                   "counts_snapshot"),
+        "AsyncRequest.urgency": _count_calls(monkeypatch, AsyncRequest,
+                                             "urgency"),
+    }
+    counts = {}
+    for n in (300, 600):
+        for c in counters.values():
+            c[0] = 0
+        with install_tracer(Tracer("summary")) as tr:
+            svc = _replay(AsyncSolveService, 3, n=n, rate=4e5,
+                          deadlines=[0.0, 1e-3], priorities=2,
+                          service_shards=2, service_pmax=4)
+        assert len(svc.completed) == n
+        counts[n] = {name: c[0] for name, c in counters.items()}
+        counts[n]["spans"] = tr.summary()["spans"]
+    for name, small in counts[300].items():
+        assert counts[600][name] <= 2.2 * small, (name, counts)
+    # one urgency key per request, and a window per span — not per summary
+    assert counts[600]["AsyncRequest.urgency"] == 600
+    assert counts[600]["CostLedger.counts_snapshot"] == counts[600]["spans"]
 
 
 # -- unit tests: router and sharded cache ----------------------------------

@@ -18,12 +18,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Options, Solver, solve
-from repro.service import SetupCache, SolveService, operator_fingerprint
+from repro.service import (SetupCache, SolveService, operator_fingerprint,
+                           options_key)
 from repro.service.fingerprint import Fingerprint
 from repro.util import ledger
 from repro.util.ledger import CostLedger
+from repro.util.options import OptionError
 
 from conftest import laplacian_2d, make_rng, relative_residuals
 
@@ -135,6 +139,64 @@ class TestSetupCache:
         assert cache.get(fp, "precond") == 1
         cache.invalidate()
         assert len(cache) == 0
+
+
+# ---------------------------------------------------------------------------
+# the options key
+# ---------------------------------------------------------------------------
+_extra_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+              st.floats(allow_nan=False), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+_option_fields = st.fixed_dictionaries({}, optional={
+    "krylov_method": st.sampled_from(["gmres", "bgmres", "gcrodr", "bgcrodr",
+                                      "gmresdr", "cg", "lgmres"]),
+    "gmres_restart": st.integers(2, 60),
+    "recycle": st.integers(0, 12),
+    "recycle_strategy": st.sampled_from(["A", "B"]),
+    "recycle_same_system": st.booleans(),
+    "variant": st.sampled_from(["left", "right", "flexible"]),
+    "tol": st.floats(1e-14, 1e-2),
+    "max_it": st.integers(1, 5000),
+    "orthogonalization": st.sampled_from(["cgs", "mgs", "cgs2_1r",
+                                          "cholqr2", "sketched"]),
+    "deflation_tol": st.floats(1e-16, 1e-6),
+    "recycle_space": st.sampled_from(["full", "sketched"]),
+    "exec_mode": st.sampled_from([None, "fused", "per_rank"]),
+    "verify": st.sampled_from(["off", "cheap", "full"]),
+    "trace": st.sampled_from(["off", "summary", "full"]),
+    "plan": st.sampled_from(["interpret", "compiled"]),
+    "service_pmax": st.integers(1, 64),
+    "service_flush": st.sampled_from(["batch_full", "queue_drained",
+                                      "explicit"]),
+    "service_mode": st.sampled_from(["sync", "async"]),
+    "service_shards": st.integers(1, 8),
+    "service_deadline": st.floats(0.0, 1.0),
+    "service_queue_depth": st.integers(0, 64),
+    "sequence_adopt": st.booleans(),
+    "extra": st.dictionaries(st.text(max_size=4), _extra_values, max_size=3),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=_option_fields)
+def test_options_key_equals_the_asdict_key(fields):
+    """``options_key`` reads the fields directly; it must stay the tuple
+    ``dataclasses.asdict`` produced, so digests, cache kinds and
+    coalescing groups are the ones every earlier run recorded."""
+    try:
+        opts = Options(**fields)
+    except OptionError:
+        return  # an invalid combination never reaches the service
+    asdict_key = tuple(sorted((k, repr(v))
+                              for k, v in opts.as_dict().items()))
+    assert options_key(opts) == asdict_key
+    assert hash(options_key(opts)) == hash(asdict_key)
 
 
 # ---------------------------------------------------------------------------

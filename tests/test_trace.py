@@ -8,7 +8,10 @@ Locks down the tentpole invariants:
 * the default null tracer changes nothing — ledger ``counts()`` and
   solver ``info`` are identical with tracing off;
 * the trace gate re-derives the paper's reduction shapes (GMRES ``m``,
-  GCRO-DR ``2(m-k)``, cgs2_1r <= 2/step) from exported spans.
+  GCRO-DR ``2(m-k)``, cgs2_1r <= 2/step) from exported spans;
+* the streaming ``Tracer.summary()`` (exclusive costs folded in as spans
+  close) equals the tree walk it replaced, kept as the oracle
+  ``tests/fixtures/reference_summary.py``, at every instant.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import laplacian_1d, laplacian_2d
+from fixtures.reference_summary import reference_summary
 from repro import api
 from repro.service import SolveService
 from repro.trace import (GateError, MetricsRegistry, NullTracer, Tracer,
@@ -125,6 +131,239 @@ class TestSpanMechanics:
                 pass
         assert [r.name for r in tr.roots] == ["solve", "after"]
         assert tr.roots[0].cost is not None  # closed despite the exception
+
+
+# ---------------------------------------------------------------------------
+def _assert_summary_matches_walk(tr):
+    got = tr.summary()
+    assert got == reference_summary(tr)
+    return got
+
+
+#: a random tracing program — spans opened and closed in any order (a
+#: parent may close before its child, a span may never close), private
+#: ledgers installed and merged back as the service does around a batch;
+#: every step first charges the current ledger so no window is empty
+_trace_ops = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("open"), st.sampled_from("abcd")),
+            st.tuples(st.just("close"), st.integers(0, 3)),  # k-th innermost
+            st.tuples(st.just("push_ledger")),
+            st.tuples(st.just("pop_ledger"))),
+        st.integers(0, 5),                                   # reductions
+        st.sampled_from(["spmv", "blas3", "qr"]),
+        st.integers(0, 10 ** 6)),                            # flops
+    min_size=1, max_size=40)
+
+
+def _charge(led, count, kernel, flops):
+    led.reduction(nbytes=8 * count, count=count)
+    led.flop(kernel, float(flops))
+
+
+class TestStreamingSummary:
+    """summary() is O(names) bookkeeping; it must equal the O(spans) walk."""
+
+    def test_summary_while_root_is_open(self, rng):
+        """The service case: api.solve reports a summary per batch while
+        the caller's own span is still open around all of them."""
+        a = laplacian_1d(120, shift=0.5)
+        tr = Tracer()
+        with install(tr), ledger.install():
+            with tr.span("replay") as outer:
+                for _ in range(3):
+                    res = api.solve(a, rng.standard_normal(120),
+                                    options=Options(krylov_method="gmres",
+                                                    gmres_restart=10))
+                    summary = res.info["trace"]["summary"]
+                    assert summary == reference_summary(tr)
+                    assert "replay" not in summary["by_name"]
+            final = _assert_summary_matches_walk(tr)
+        assert final["by_name"]["replay"]["count"] == 1
+        assert final["by_name"]["solve"]["count"] == 3
+        # and the rows still add up to the root window (conservation)
+        rows = final["by_name"].values()
+        assert sum(r["reductions"] for r in rows) == outer.cost.reductions
+        assert sum(r["flops"] for r in rows) == outer.cost.total_flops()
+
+    def test_nested_private_ledgers(self, rng):
+        """service.batch and setup.lu wrap spans recorded against their
+        own private ledgers: windows that must not be subtracted twice."""
+        a = laplacian_1d(150)
+        svc = SolveService(options=Options(krylov_method="gmres", tol=1e-8,
+                                           service_pmax=2),
+                           preconditioner="lu")
+        tr = Tracer()
+        with install(tr), ledger.install() as led:
+            for _ in range(5):
+                svc.submit(a, rng.standard_normal(150))
+                _assert_summary_matches_walk(tr)
+            svc.flush()
+        got = _assert_summary_matches_walk(tr)
+        assert got["by_name"]["service.batch"]["count"] == 3
+        assert got["by_name"]["setup.lu"]["count"] == 1
+        # the batch rows carry the merged private totals exactly once
+        assert got["by_name"]["service.batch"]["reductions"] \
+            == led.reductions
+
+    def test_exception_unwinding_through_open_spans(self):
+        tr = Tracer()
+        led = CostLedger()
+        with ledger.install(led), install(tr):
+            with pytest.raises(ValueError):
+                with tr.span("solve"):
+                    led.reduction(count=1)
+                    with tr.span("cycle"):
+                        led.reduction(count=2)
+                        with tr.span("ortho"):
+                            led.reduction(count=4)
+                            raise ValueError("boom")
+            got = _assert_summary_matches_walk(tr)
+        assert {k: v["reductions"] for k, v in got["by_name"].items()} \
+            == {"solve": 1, "cycle": 2, "ortho": 4}
+
+    def test_unwinding_past_spans_that_never_close(self):
+        """__exit__ skipped on the inner spans (an abandoned generator):
+        they stay open, and nothing of theirs is subtracted or reported."""
+        tr = Tracer()
+        led = CostLedger()
+        with ledger.install(led), install(tr):
+            outer = tr.span("solve")
+            outer.__enter__()
+            tr.span("cycle").__enter__()
+            tr.span("ortho").__enter__()
+            led.reduction(count=3)
+            outer.__exit__(None, None, None)
+            with tr.span("after"):
+                led.reduction(count=1)
+            got = _assert_summary_matches_walk(tr)
+        assert sorted(got["by_name"]) == ["after", "solve"]
+        assert got["by_name"]["solve"]["reductions"] == 3
+        assert [r.name for r in tr.roots] == ["solve", "after"]
+
+    def test_child_closed_after_its_parent(self):
+        tr = Tracer()
+        led = CostLedger()
+        with ledger.install(led), install(tr):
+            parent = tr.span("parent")
+            parent.__enter__()
+            led.reduction(count=1, nbytes=8)
+            child = tr.span("child")
+            child.__enter__()
+            led.reduction(count=2, nbytes=16)
+            led.flop("blas3", 100.0)
+            parent.__exit__(None, None, None)
+            # the child is still open: the parent owns everything so far
+            got = _assert_summary_matches_walk(tr)
+            assert got["by_name"] == {"parent": {
+                "count": 1, "reductions": 3, "reduction_bytes": 40,
+                "flops": 100.0}}
+            led.reduction(count=4, nbytes=8)   # after the parent's window
+            child.__exit__(None, None, None)
+            got = _assert_summary_matches_walk(tr)
+        assert got["by_name"]["child"] == {
+            "count": 1, "reductions": 6, "reduction_bytes": 64,
+            "flops": 100.0}
+        # the child's whole window comes off the parent's row, exactly as
+        # Span.exclusive() computes it
+        assert got["by_name"]["parent"] == {
+            "count": 1, "reductions": -3, "reduction_bytes": -24,
+            "flops": 0.0}
+
+    def test_late_close_leaves_open_ancestors_on_the_stack(self):
+        tr = Tracer()
+        with install(tr), ledger.install():
+            with tr.span("root") as root:
+                parent = tr.span("parent")
+                parent.__enter__()
+                child = tr.span("child")
+                child.__enter__()
+                parent.__exit__(None, None, None)
+                child.__exit__(None, None, None)   # no longer on the stack
+                with tr.span("next"):
+                    pass
+        assert [c.name for c in root.children] == ["parent", "next"]
+        assert [r.name for r in tr.roots] == ["root"]
+
+    @pytest.mark.parametrize("level", ["summary", "full"])
+    def test_both_levels_on_real_solves(self, rng, level):
+        from repro.util.execmode import use_exec_mode
+        a = laplacian_1d(160, shift=0.5)
+        tr = Tracer(level)
+        with install(tr), ledger.install(), use_exec_mode("per_rank"):
+            for method, kw in (("gmres", {}), ("gcrodr", {"recycle": 4}),
+                               ("bgmres", {})):
+                api.solve(a, rng.standard_normal((160, 2)),
+                          options=Options(krylov_method=method, tol=1e-9,
+                                          gmres_restart=12, **kw))
+                got = _assert_summary_matches_walk(tr)
+        assert got["level"] == level
+        assert got["spans"] == sum(1 for r in tr.roots for _ in r.walk())
+
+    def test_span_windows_carry_no_timers(self):
+        tr = Tracer()
+        led = CostLedger()
+        with ledger.install(led), install(tr):
+            with led.timer("before"):
+                pass
+            with tr.span("outer") as outer:
+                with led.timer("wall"):
+                    led.reduction()
+        assert outer.cost.timers == {}
+        assert outer.cost.counts() == led.counts()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_trace_ops, level=st.sampled_from(["summary", "full"]))
+    def test_random_span_programs(self, ops, level):
+        tr = Tracer(level)
+        open_cms, ledgers = [], [CostLedger()]
+        ledger._STACK.append(ledgers[0])
+        try:
+            with install(tr):
+                for op, *charge in ops:
+                    _charge(ledger.current(), *charge)
+                    if op[0] == "open":
+                        cm = tr.span(op[1])
+                        cm.__enter__()
+                        open_cms.append(cm)
+                    elif op[0] == "close" and len(open_cms) > op[1]:
+                        open_cms.pop(-1 - op[1]).__exit__(None, None, None)
+                    elif op[0] == "push_ledger":
+                        ledgers.append(CostLedger())
+                        ledger._STACK.append(ledgers[-1])
+                    elif op[0] == "pop_ledger" and len(ledgers) > 1:
+                        ledger._STACK.pop()
+                        ledger.current().merge(ledgers.pop())
+                    _assert_summary_matches_walk(tr)
+        finally:
+            del ledger._STACK[-len(ledgers):]
+
+    @settings(max_examples=50, deadline=None)
+    @given(ops=_trace_ops)
+    def test_rows_conserve_the_root_window(self, ops):
+        """Well-nested spans on one ledger: the rows sum to the root."""
+        tr = Tracer()
+        led = CostLedger()
+        with ledger.install(led), install(tr):
+            with tr.span("root") as root:
+                cms = []
+                for op, *charge in ops:
+                    _charge(led, *charge)
+                    if op[0] == "open":
+                        cms.append(tr.span(op[1]))
+                        cms[-1].__enter__()
+                    elif op[0] == "close" and cms:
+                        cms.pop().__exit__(None, None, None)
+                while cms:
+                    cms.pop().__exit__(None, None, None)
+        rows = _assert_summary_matches_walk(tr)["by_name"].values()
+        assert (sum(r["reductions"] for r in rows),
+                sum(r["reduction_bytes"] for r in rows),
+                sum(r["flops"] for r in rows)) == (
+            root.cost.reductions, root.cost.reduction_bytes,
+            root.cost.total_flops())
+        assert root.cost.counts() == led.counts()
 
 
 class TestNullTracer:
