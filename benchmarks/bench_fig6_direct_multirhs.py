@@ -8,9 +8,11 @@ recovers past p = 64.
 
 Reproduction in two halves:
 
-* **measured** (this host has one core = the P = 1 row): our own
-  level-scheduled blocked triangular solves on a complex Maxwell
-  factorization — per-RHS time must drop superlinearly with p;
+* **measured** (this host has one core = the P = 1 row): our own blocked
+  level-scheduled triangular solves on a complex Maxwell factorization —
+  the sweep takes a few dozen steps whatever p is, so what grows with p
+  is the rate at which the factor's entries are multiplied (the ``GF/s``
+  column), and E(1, p) is read against the paper's 1.0 -> 2.43;
 * **modeled** (the P > 1 rows): the calibrated mechanistic model of
   :mod:`repro.perfmodel.directmodel`, checked entry-by-entry against the
   paper's own Fig. 6b table.
@@ -60,24 +62,36 @@ def test_fig6_measured_superlinear_efficiency(benchmark, factorization):
     times = {p: _measure(lu, rhs[p]) for p in RHS_COUNTS}
     t11 = times[1]
     eff = {p: p * t11 / times[p] for p in RHS_COUNTS}
-    # superlinear on this host exactly as on Curie's P = 1 row
-    assert eff[8] > 2.0, eff
-    assert eff[64] > 4.0, eff
+    # one complex multiply-add per factor entry and right-hand side
+    gflops = {p: 8.0 * lu.factor_nnz * p / times[p] * 1e-9 for p in RHS_COUNTS}
+    steps = sum(lu.n_levels)
+    # superlinear like Curie's P = 1 row, and of its magnitude: an
+    # efficiency in the tens would be per-step interpreter overhead
+    # amortized over the block, not the factor streamed once per block
+    assert 1.5 < eff[64] < 8.0, eff
+    assert gflops[64] >= 2.0 * gflops[1], gflops
     # monotone-ish growth (allow small timing noise)
     assert eff[64] >= eff[4] >= 0.9 * eff[1]
 
-    rows = [(p, round(times[p] * 1e3, 3), round(times[p] / p * 1e3, 3),
+    rows = [(p, steps, round(times[p] * 1e3, 3),
+             round(times[p] / p * 1e3, 3), round(gflops[p], 2),
              round(eff[p], 2)) for p in RHS_COUNTS]
     table = format_table(
-        ["p (RHSs)", "solve (ms)", "per-RHS (ms)", "efficiency E(1,p)"],
+        ["p (RHSs)", "steps", "solve (ms)", "per-RHS (ms)", "GF/s",
+         "efficiency E(1,p)"],
         rows,
         title=f"Fig. 6 (measured, P=1) - blocked triangular solves on a "
               f"complex Maxwell factorization\n(n={prob.n}, factor nnz="
-              f"{lu.factor_nnz}, level schedules {lu.n_levels})",
-        note="Paper P=1 row: E grows 1.0 -> 2.43 by p=128 (superlinear: "
+              f"{lu.factor_nnz}, sweep steps (L, U) {lu.n_levels})",
+        note="steps: sweep steps of one solve (L + U), independent of p.  "
+             "GF/s: 8 * factor nnz * p / solve time.\n"
+             "Paper P=1 row: E grows 1.0 -> 2.43 by p=128 (superlinear: "
              "the factor is streamed once per block,\nBLAS-2 becomes "
-             "BLAS-3).  Same mechanism, measured on this library's own "
-             "level-scheduled kernels.")
+             "BLAS-3).  Here the same entries are multiplied at a rate "
+             "that grows with p; the row-level\nsweep this replaced "
+             "(868 + 866 steps on this factor) measured E(1,64) = 15-25, "
+             "which was interpreter\noverhead per step amortized over "
+             "the block.")
     write_result("fig6_measured", table)
 
 

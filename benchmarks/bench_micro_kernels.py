@@ -29,7 +29,9 @@ oracle contract (bit-identical counts and iterates vs the interpreter;
 its wall-clock ratio is recorded, not gated), AND sketch-whitened
 recycled-pair maintenance beats the full-space re-derivation by >= 1.5x
 modeled time with zero maintenance reductions per cycle and equal solve
-convergence — the repo's perf regression gates.
+convergence, AND the blocked triangular sweep needs at most a quarter of
+the row levels on the global LU factor while storing at most 1.25 nnz —
+the repo's perf regression gates.
 
 Also collectable by pytest (``pytest benchmarks/bench_micro_kernels.py``)
 via :func:`test_fused_not_slower_at_64_ranks`, following the suite's
@@ -52,7 +54,9 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from repro.direct.triangular import _levels_by_row_reference, _levels_frontier
+from repro.direct.triangular import (TriangularFactor,
+                                     _levels_by_row_reference,
+                                     _levels_frontier)
 from repro.distla.distcsr import DistributedCSR
 from repro.distla.distqr import distributed_cholqr
 from repro.distla.distvec import DistributedBlockVector
@@ -122,18 +126,23 @@ def bench_kernels(cfg: dict) -> list[dict]:
     return rows
 
 
-def bench_level_schedule(cfg: dict) -> list[dict]:
-    """Level-schedule construction: frontier-batched vs per-row reference.
+def bench_level_schedule(cfg: dict) -> tuple[list[dict], dict]:
+    """Level analysis (frontier-batched vs per-row reference) and the
+    blocked sweep built on it.
 
-    Two DAG shapes, matching where :class:`~repro.direct.triangular.
-    LevelSchedule` is built in practice:
+    Two DAG shapes, matching where triangular factors are analysed in
+    practice:
 
     * ``global_lu`` — the L factor of the benchmark Laplacian's LU: deep
       and skinny (the adaptive fallback handles the narrow tail);
-    * ``block_diag`` — 64 subdomain factors concatenated block-diagonally,
-      the shape :func:`~repro.direct.triangular.concat_factors` analyzes
-      for the Schwarz preconditioner: wide frontiers, where the batched
-      propagation wins by an order of magnitude.
+    * ``block_diag`` — 64 subdomain factors side by side, the shape of the
+      Schwarz preconditioner's batched factor: wide frontiers, where the
+      batched propagation wins by an order of magnitude.
+
+    Returns the timing rows and, per workload, what a
+    :class:`~repro.direct.triangular.TriangularFactor` makes of it: levels
+    of the row DAG, sweep steps of a solve (levels of the block DAG) and
+    stored entries over ``nnz`` — counts, exact for a fixed config.
     """
     import scipy.sparse.linalg as spla
 
@@ -147,19 +156,24 @@ def bench_level_schedule(cfg: dict) -> list[dict]:
     }
     impls = {"reference": _levels_by_row_reference,
              "frontier": _levels_frontier}
-    rows = []
+    rows, sweep = [], {}
     for workload, strict in workloads.items():
         n = strict.shape[0]
         ref = impls["reference"](n, strict.indptr, strict.indices)
         assert np.array_equal(ref, impls["frontier"](
             n, strict.indptr, strict.indices))
+        tri = TriangularFactor(strict + sp.eye(n), lower=True,
+                               unit_diagonal=True)
+        sweep[workload] = {"row_levels": int(ref.max()) + 1,
+                           "solve_steps": tri.n_levels,
+                           "stored_over_nnz": tri.stored_nnz / tri.nnz}
         for mode, fn in impls.items():
             seconds = _time(lambda: fn(n, strict.indptr, strict.indices),
                             cfg["repeats"])
             rows.append({"kernel": "level_schedule", "workload": workload,
                          "nnz": int(strict.nnz), "n": n, "mode": mode,
                          "seconds": seconds})
-    return rows
+    return rows, sweep
 
 
 def bench_orthogonalization(cfg: dict) -> dict:
@@ -392,7 +406,7 @@ def run(cfg: dict, out_path: Path | None) -> dict:
     ortho = bench_orthogonalization(cfg)
     plan = bench_plan(cfg)
     recycling = bench_recycling(cfg)
-    sched_rows = bench_level_schedule(cfg)
+    sched_rows, sched_sweep = bench_level_schedule(cfg)
     sched_t = {(r["workload"], r["mode"]): r["seconds"] for r in sched_rows}
     report = {
         "description": "fused vs per-rank execution of the simulated-MPI "
@@ -414,6 +428,7 @@ def run(cfg: dict, out_path: Path | None) -> dict:
             "speedup_frontier_over_reference": {
                 w: sched_t[(w, "reference")] / sched_t[(w, "frontier")]
                 for w in {r["workload"] for r in sched_rows}},
+            "sweep": sched_sweep,
         },
     }
     if out_path is not None:
@@ -486,6 +501,10 @@ def print_report(report: dict) -> None:
             print(f"{'nnz=' + str(rr['nnz']):>14} {w:>11} "
                   f"{rr['seconds']:>12.3e} {fr['seconds']:>12.3e} "
                   f"{ratio:>7.1f}x")
+        for w, row in sorted(sched["sweep"].items()):
+            print(f"{'blocked sweep':>14} {w:>11} {row['row_levels']:>6d} row "
+                  f"levels -> {row['solve_steps']:>4d} steps, stored/nnz "
+                  f"{row['stored_over_nnz']:.3f}")
 
 
 def check_gate(report: dict) -> list[str]:
@@ -499,9 +518,26 @@ def check_gate(report: dict) -> list[str]:
        informational: the interpreter shares the compiled path's arena);
     4. sketched recycling: pair maintenance >= 1.5x modeled speedup with
        at most one (in practice zero) maintenance reduction per cycle,
-       equal solve convergence, O(1) per-cycle solve overhead.
+       equal solve convergence, O(1) per-cycle solve overhead;
+    5. the blocked triangular sweep: at most a quarter of the row levels
+       on the global LU factor, stored entries within 1.25 nnz on both
+       factor shapes (counts, not timers).
     """
     failures = []
+    sweep = report.get("level_schedule", {}).get("sweep", {})
+    for workload in ("global_lu", "block_diag"):
+        row = sweep.get(workload)
+        if row is None:
+            failures.append(f"level_schedule: no sweep counts for {workload}")
+            continue
+        if row["stored_over_nnz"] > 1.25:
+            failures.append(f"level_schedule: {workload} sweep stores "
+                            f"{row['stored_over_nnz']:.2f}x nnz (cap: 1.25)")
+        if (workload == "global_lu"
+                and row["solve_steps"] > row["row_levels"] / 4):
+            failures.append(f"level_schedule: global_lu sweep takes "
+                            f"{row['solve_steps']} steps for "
+                            f"{row['row_levels']} row levels (gate: 1/4)")
     for kernel in ("spmm", "col_dots"):
         ratio = report["speedup_fused_over_per_rank"].get(kernel, {}).get("64")
         if ratio is None:

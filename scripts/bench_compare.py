@@ -21,7 +21,8 @@ Metric kinds and their tolerances:
   (service amortized speedup).  Deterministic for a fixed config; compared
   to 1e-6 relative.
 * ``exact`` — integer invariants (reductions per orthogonalization step,
-  setup builds per coalesced batch).  Compared exactly.
+  setup builds per coalesced batch, sweep steps of the blocked triangular
+  solve on the global LU factor).  Compared exactly.
 * ``info`` — recorded in the trajectory, never gated (the compiled-over-
   interpret wall ratio: both run over the same basis arena).
 
@@ -98,6 +99,9 @@ def extract_metrics(kernels: dict, service: dict,
     level = kernels["level_schedule"]["speedup_frontier_over_reference"]
     m["triangular_block_diag_speedup"] = {
         "value": float(level["block_diag"]), "kind": "ratio"}
+    m["triangular_global_lu_solve_steps"] = {
+        "value": int(kernels["level_schedule"]["sweep"]["global_lu"]
+                     ["solve_steps"]), "kind": "exact"}
     plan = kernels["plan"]
     m["plan_compiled_speedup"] = {
         "value": float(plan["speedup_compiled"]), "kind": "info"}

@@ -130,8 +130,9 @@ def gilbert_peierls_lu(a: sp.spmatrix, *, perm_c: np.ndarray | None = None,
             raise np.linalg.LinAlgError(f"structurally singular at column {j}")
         vals_below = np.array([x[r] for r in below])
         vmax = np.max(np.abs(vals_below))
-        if vmax == 0.0:
-            raise np.linalg.LinAlgError(f"numerically singular at column {j}")
+        if not np.isfinite(vmax) or vmax == 0.0:
+            raise np.linalg.LinAlgError(
+                f"singular or non-finite pivot column {j}")
         # prefer the natural (diagonal) row within the threshold
         pivot_row = None
         diag_row = perm_c[j]

@@ -14,8 +14,8 @@ Two factorization engines:
   :mod:`repro.direct.numeric` (reference, pure Python);
 * ``"scipy"`` — SuperLU via :func:`scipy.sparse.linalg.splu`, used for
   large subdomains; its factors are *extracted* and all solves still run
-  through our own level-scheduled kernels, so multi-RHS measurements
-  benchmark this library's code, not SuperLU's.
+  through our own blocked sweep (:mod:`repro.direct.triangular`), so
+  multi-RHS measurements benchmark this library's code, not SuperLU's.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class SparseLU:
 
     @property
     def n_levels(self) -> tuple[int, int]:
-        """(L levels, U levels) of the solve schedules."""
+        """Sweep steps of one solve: (L, U) levels of the block DAGs."""
         return self._ltri.n_levels, self._utri.n_levels
 
     def __repr__(self) -> str:

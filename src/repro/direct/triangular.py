@@ -1,17 +1,48 @@
-"""Level-scheduled blocked triangular solves — the Fig. 6 kernel.
+"""Blocked level-scheduled triangular solves — the Fig. 6 kernel.
 
 A sparse triangular solve is a DAG traversal: row ``i`` can be computed as
 soon as every row it references is done.  Grouping rows into *levels*
-(rows with equal longest-path depth) turns the solve into a short sequence
-of dense-ish operations:
+(equal longest-path depth) turns the solve into a short sequence of sparse
+products on the whole ``(rows, p)`` right-hand-side slab, the factor
+streamed once per *block* of right-hand sides (paper section V-B3).
 
-    for each level:  x[rows] = (b[rows] - L[rows, :] @ x) / diag[rows]
+Row levels alone leave LU factors deep and skinny: a supernode of ``w``
+columns is a chain of ``w`` rows in ``w`` successive levels, and on the
+Maxwell subdomain factors that is 680 levels of 14 rows — the sweep is
+bound by the number of steps, not by the entries it multiplies.  So the
+schedule is built over *blocks*:
 
-With ``p`` right-hand sides the update ``L[rows, :] @ X`` is a sparse-times
--dense-block product — the BLAS-2 -> BLAS-3 transition that gives direct
-solvers their superlinear multi-RHS efficiency (paper section V-B3).  The
-level structure is computed once at factorization time and reused by every
-solve.
+* a **block** is a run of consecutive rows (in sweep order) in which every
+  row references the one before it — a dependency chain, rows that sit in
+  successive levels anyway — at most ``_BLOCK_WIDTH`` rows wide, each row
+  holding at least ``_BLOCK_DENSITY`` of the entries it could hold inside
+  the block.  Its diagonal block ``T`` is inverted once, at construction;
+* levels are longest-path depths in the DAG of blocks (a row outside every
+  chain is a block of one), and one sweep step is
+
+      x[rows] = Dinv @ (b[rows] - Loff[rows, :] @ x)
+
+  with ``Loff`` the entries outside the diagonal blocks and ``Dinv`` the
+  block-diagonal matrix of that level's inverted blocks.  A level of
+  single rows degenerates to ``(b[rows] - Loff @ x) / diag``.
+
+The chain makes ``inv(T)`` a full triangle, so the density rule is what
+bounds the fill: a block stores at most twice the entries it replaces, and
+on LU factors (dense supernodes) ``stored_nnz`` stays within about one
+percent of ``nnz``.  That is why the ledger keeps charging ``2 * nnz * p``
+flops per solve — the blocked sweep multiplies, to that percent, the
+entries the row sweep did.
+
+Two properties are observed on the input, not assumed.  A block whose
+inverse cannot be trusted — non-finite, or ``|inv(T)|_1 |T|_1`` above
+``_BLOCK_COND`` — stays a run of single rows, solved by substitution as
+before.  And merging rows can, on adversarial patterns, *lengthen* the
+longest path (every block waits for the dependencies of all its rows), so
+a factor whose block DAG is no shallower than its row DAG keeps the row
+schedule.
+
+Everything is analysed once at construction and stored in the caller's row
+numbering, for lower and upper factors alike; every solve reuses it.
 """
 
 from __future__ import annotations
@@ -24,6 +55,13 @@ from ..util.ledger import Kernel
 from ..util.misc import as_block
 
 __all__ = ["LevelSchedule", "TriangularFactor", "concat_factors"]
+
+#: most rows merged into one inverted diagonal block
+_BLOCK_WIDTH = 32
+#: least share of its possible in-block entries a row must store to join
+_BLOCK_DENSITY = 0.5
+#: largest ``|inv(T)|_1 |T|_1`` at which an inverted block is used
+_BLOCK_COND = 1.0 / np.sqrt(np.finfo(np.float64).eps)
 
 
 def _levels_by_row_reference(n: int, indptr: np.ndarray, indices: np.ndarray
@@ -104,6 +142,8 @@ def _levels_frontier(n: int, indptr: np.ndarray, indices: np.ndarray,
     return level
 
 
+
+
 class LevelSchedule:
     """Topological level partition of a (lower) triangular matrix's rows."""
 
@@ -122,13 +162,121 @@ class LevelSchedule:
     def _init_from_levels(self, level: np.ndarray) -> None:
         self.level_of_row = level
         self.n_levels = int(level.max()) + 1 if level.size else 0
-        order = np.argsort(level, kind="stable")
-        bounds = np.searchsorted(level[order], np.arange(self.n_levels + 1))
-        self.rows_by_level = [order[bounds[k]: bounds[k + 1]]
+        #: rows sorted by level (ascending row inside a level) ...
+        self.order = np.argsort(level, kind="stable")
+        #: ... and where each level starts in that order
+        self.bounds = np.searchsorted(level[self.order],
+                                      np.arange(self.n_levels + 1))
+        self.rows_by_level = [self.order[self.bounds[k]: self.bounds[k + 1]]
                               for k in range(self.n_levels)]
 
     def __len__(self) -> int:
         return self.n_levels
+
+
+def _csr_ptr(sorted_rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of entries already grouped by ascending row."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sorted_rows, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _chain_blocks(n: int, row: np.ndarray, col: np.ndarray
+                  ) -> tuple[np.ndarray, int]:
+    """First row of every diagonal block of a strictly lower pattern.
+
+    Greedy, in row order: row ``r`` joins the block that ends at ``r - 1``
+    when it references ``r - 1``, the block is narrower than
+    ``_BLOCK_WIDTH``, and ``r`` stores at least ``_BLOCK_DENSITY`` of the
+    entries it could store inside the block; otherwise ``r`` starts a new
+    block.  The per-row python is one bit test on a precomputed mask.
+
+    Also returns the length of the longest chain (run of rows that each
+    reference the one before): those rows sit in successive row levels, so
+    it is a lower bound on the depth of the row DAG.
+    """
+    reach = np.arange(_BLOCK_WIDTH)
+    dist = row - col
+    near = dist < _BLOCK_WIDTH
+    band = np.zeros((n, _BLOCK_WIDTH), dtype=bool)
+    band[row[near], dist[near]] = True       # entry (r, r - d) is stored
+    chained = band[:, 1]
+    # inside[r, w]: entries of row r in the w columns left of its diagonal
+    inside = np.cumsum(band, axis=1, dtype=np.int16)
+    fits = chained[:, None] & (inside >= _BLOCK_DENSITY * reach)
+    # bit w of joins[r]: row r may extend a block that is w rows wide
+    joins = (fits.astype(np.int64) << reach).sum(axis=1).tolist()
+    starts, first = [], 0
+    for r in range(n):
+        w = r - first
+        if not (0 < w < _BLOCK_WIDTH and joins[r] >> w & 1):
+            first = r
+            starts.append(r)
+    longest = int(np.diff(np.flatnonzero(~chained), append=n).max()) if n else 0
+    return np.asarray(starts, dtype=np.int64), longest
+
+
+def _invert_blocks(start: np.ndarray, width: np.ndarray, row: np.ndarray,
+                   col: np.ndarray, val: np.ndarray, diag: np.ndarray | None,
+                   dtype) -> tuple[np.ndarray, tuple]:
+    """Invert the diagonal blocks ``[start, start + width)`` of a lower factor.
+
+    ``row, col, val`` are the factor's strict entries, ``diag`` its
+    diagonal (``None``: unit).  Blocks of equal width are inverted
+    together, by forward substitution on the ``(blocks, w, w)`` stack —
+    ``w`` vectorized steps, an exactly triangular result.  Returns which
+    blocks can be trusted (more than one row, finite, and
+    ``|inv(T)|_1 |T|_1 <= _BLOCK_COND``) and the inverses of those as COO
+    triples in the factor's row numbering.
+    """
+    block_of_row = np.repeat(np.arange(start.size), width)
+    block = block_of_row[row]
+    inside = block == block_of_row[col]
+    block, row, col, val = block[inside], row[inside], col[inside], val[inside]
+    trusted = np.zeros(start.size, dtype=bool)
+    none = np.empty(0, dtype=np.int64)
+    out_row, out_col, out_val = [none], [none], [np.empty(0, dtype=dtype)]
+    for w in np.unique(width[width > 1]).tolist():
+        ids = np.flatnonzero(width == w)
+        mine = width[block] == w
+        b = block[mine]
+        t = np.zeros((ids.size, w, w), dtype=dtype)
+        t[np.searchsorted(ids, b), row[mine] - start[b],
+          col[mine] - start[b]] = val[mine]
+        local = np.arange(w)
+        span = start[ids][:, None] + local            # (blocks, w) rows
+        t[:, local, local] = 1.0 if diag is None else diag[span]
+        inv = np.zeros_like(t)
+        with np.errstate(all="ignore"):
+            for i in range(w):
+                inv[:, i, i] = 1.0
+                inv[:, i, :i] = -(t[:, i:i + 1, :i] @ inv[:, :i, :i])[:, 0]
+                inv[:, i, :i + 1] /= t[:, i, i, None]
+            cond = (np.abs(inv).sum(axis=1).max(axis=1)
+                    * np.abs(t).sum(axis=1).max(axis=1))
+        ok = cond <= _BLOCK_COND          # False for a non-finite inverse
+        trusted[ids] = ok
+        li, lj = np.tril_indices(w)
+        out_row.append(span[ok][:, li].ravel())
+        out_col.append(span[ok][:, lj].ravel())
+        out_val.append(inv[ok][:, li, lj].ravel())
+    return trusted, (np.concatenate(out_row), np.concatenate(out_col),
+                     np.concatenate(out_val))
+
+
+def _levels_of_blocks(n: int, row: np.ndarray, col: np.ndarray,
+                      block: np.ndarray) -> np.ndarray:
+    """Per-row level in the DAG of blocks (``block``: block of each row).
+
+    Blocks are runs of consecutive rows, so the entries, already grouped
+    by ascending row, are grouped by ascending block as well.
+    """
+    nblocks = int(block[-1]) + 1 if n else 0
+    brow, bcol = block[row], block[col]
+    outside = brow != bcol
+    level = _levels_frontier(nblocks, _csr_ptr(brow[outside], nblocks),
+                             bcol[outside])
+    return level[block]
 
 
 class TriangularFactor:
@@ -137,62 +285,120 @@ class TriangularFactor:
     Parameters
     ----------
     mat:
-        sparse triangular matrix (lower or upper).
+        sparse triangular matrix (lower or upper); square, finite, with no
+        entry on the wrong side of the diagonal.
     lower:
-        orientation; an upper factor is handled by reversing row order.
+        orientation; an upper factor is swept from the last row up.
     unit_diagonal:
-        True when the diagonal is implicitly 1 (the L of an LU).
+        True when the diagonal is implicitly 1 (the L of an LU); stored
+        diagonal entries are then ignored.
     """
 
     def __init__(self, mat: sp.spmatrix, *, lower: bool, unit_diagonal: bool = False):
         mat = sp.csr_matrix(mat)
         n = mat.shape[0]
+        if mat.shape[1] != n:
+            raise ValueError(f"triangular factor must be square, got {mat.shape}")
+        if not mat.has_canonical_format:
+            mat = mat.copy()
+            mat.sum_duplicates()
+        if not np.isfinite(mat.data).all():
+            raise np.linalg.LinAlgError("non-finite entry in triangular factor")
+        rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+        if np.any(mat.indices > rows if lower else mat.indices < rows):
+            raise ValueError(f"{'lower' if lower else 'upper'} triangular "
+                             "factor has entries on the other side of the "
+                             "diagonal")
         self.n = n
         self.lower = bool(lower)
         self.unit_diagonal = bool(unit_diagonal)
         self.dtype = mat.dtype
         self.nnz = mat.nnz
-
-        if unit_diagonal:
-            diag = np.ones(n, dtype=mat.dtype)
-        else:
-            diag = np.asarray(mat.diagonal())
-            if np.any(diag == 0):
+        self.diag = None
+        if not unit_diagonal:
+            self.diag = np.asarray(mat.diagonal())
+            if np.any(self.diag == 0):
                 raise np.linalg.LinAlgError("singular triangular factor")
-        self.diag = diag
 
-        # orient everything as a *lower* solve on possibly reversed indices
-        if lower:
-            work = mat
-            self._reorder = None
-        else:
-            rev = np.arange(n)[::-1]
-            work = sp.csr_matrix(mat[rev][:, rev])
-            self._reorder = rev
-            self.diag = diag[rev]
+        # analyse in the *sweep frame* — rows numbered in the order the
+        # substitution visits them, in which every factor is lower
+        # triangular — and map the result back to the caller's numbering
+        strict = mat.indices != rows
+        row, col, val = rows[strict], mat.indices[strict], mat.data[strict]
+        diag = self.diag
+        if not lower:
+            row, col, val = n - 1 - row[::-1], n - 1 - col[::-1], val[::-1]
+            diag = None if diag is None else diag[::-1]
 
-        strict = sp.tril(work, k=-1).tocsr()
-        self.schedule = LevelSchedule(strict)
-        self._finish_init(strict)
+        start, longest_chain = _chain_blocks(n, row, col)
+        width = np.diff(start, append=n)
+        trusted, inv = _invert_blocks(start, width, row, col, val, diag,
+                                      np.result_type(mat.dtype, np.float32))
+        merged = np.repeat(trusted, width)     # row sits in an inverted block
+        head = ~merged
+        head[start[trusted]] = True
+        block = np.cumsum(head) - 1
+        level = _levels_of_blocks(n, row, col, block)
+        # a block waits for the dependencies of all its rows, which can
+        # lengthen the longest path; the row DAG is at least as deep as the
+        # longest chain, so it is levelled only when that does not settle it
+        if merged.any() and level.max() + 1 >= longest_chain:
+            row_level = _levels_of_blocks(n, row, col, np.arange(n))
+            if row_level.max() <= level.max():     # merging bought no depth
+                merged[:] = False
+                block, level = np.arange(n), row_level
+                inv = tuple(a[:0] for a in inv)
 
-    def _finish_init(self, strict: sp.csr_matrix) -> None:
-        # oriented strictly-lower part, kept for block-diagonal batching
-        self._strict = strict
-        # pre-sliced per-level strictly-lower blocks
-        self._level_rows = self.schedule.rows_by_level
-        self._level_mats = [sp.csr_matrix(strict[rows]) if rows.size else None
-                            for rows in self._level_rows]
-        # fully materialized solve steps: (rows, lmat-or-None, diag column).
-        # Empty levels are dropped and the per-level diagonal slice
-        # ``diag[rows][:, None]`` is taken once here instead of on every
-        # solve — repeated solves run the level sweep with zero slicing.
-        self._steps = [
-            (rows,
-             lmat if (lmat is not None and lmat.nnz) else None,
-             self.diag[rows][:, None])
-            for rows, lmat in zip(self._level_rows, self._level_mats)
-            if rows.size
-        ]
+        single = np.flatnonzero(~merged)
+        recip = (np.ones(single.size, dtype=inv[2].dtype) if diag is None
+                 else 1.0 / diag[single])
+        drow = np.concatenate([inv[0], single])
+        dcol = np.concatenate([inv[1], single])
+        dval = np.concatenate([inv[2], recip])
+        outside = block[row] != block[col]
+        orow, ocol, oval = row[outside], col[outside], val[outside]
+        if not lower:
+            orow, ocol, drow, dcol = (n - 1 - i for i in (orow, ocol, drow, dcol))
+            level = level[::-1]
+        # caller-numbered pieces, kept for block-diagonal batching
+        self._off = sp.csr_matrix((oval, (orow, ocol)), shape=(n, n))
+        self._dinv = sp.csr_matrix((dval, (drow, dcol)), shape=(n, n))
+        self.schedule = LevelSchedule.from_levels(level)
+        self._finish_init()
+
+    def _finish_init(self) -> None:
+        """Materialize the sweep: one ``(rows, Loff, Dinv, diag)`` per level.
+
+        ``Loff`` and ``Dinv`` are permuted into level order once; each
+        level's ``Loff`` is then a view of a row range of that one matrix.
+        ``Dinv`` is set on levels that hold an inverted block, ``diag`` on
+        the others (``None`` under a unit diagonal): repeated solves run
+        the sweep with no slicing at all.
+        """
+        n, order, bounds = self.n, self.schedule.order, self.schedule.bounds
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        off = self._off[order]
+        dinv = self._dinv[order]
+        dinv = sp.csr_matrix((dinv.data, pos[dinv.indices], dinv.indptr),
+                             shape=(n, n))
+        self._steps = []
+        self.stored_nnz = int(off.nnz)
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            rows = order[a:b]
+            lo, hi = off.indptr[a], off.indptr[b]
+            loff = None if lo == hi else sp.csr_matrix(
+                (off.data[lo:hi], off.indices[lo:hi], off.indptr[a:b + 1] - lo),
+                shape=(b - a, n))
+            if dinv.indptr[b] - dinv.indptr[a] > b - a:
+                step = (rows, loff, dinv[a:b, a:b], None)
+                self.stored_nnz += step[2].nnz
+            elif self.diag is None:
+                step = (rows, loff, None, None)
+            else:
+                step = (rows, loff, None, self.diag[rows][:, None])
+                self.stored_nnz += b - a
+            self._steps.append(step)
 
     # ------------------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -202,39 +408,44 @@ class TriangularFactor:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
         p = b.shape[1]
         dtype = np.promote_types(self.dtype, b.dtype)
-        if self._reorder is not None:
-            b = b[self._reorder]
-        x = np.zeros((self.n, p), dtype=dtype)
+        b = b.astype(dtype, copy=False)
+        # every row is written before a later level reads it
+        x = np.empty((self.n, p), dtype=dtype)
         led = ledger.current()
-        for rows, lmat, diag_col in self._steps:
+        for rows, loff, dinv, diag_col in self._steps:
             rhs = b[rows]
-            if lmat is not None:
-                rhs = rhs - lmat @ x
-            x[rows] = rhs / diag_col
+            if loff is not None:
+                rhs -= loff @ x
+            if dinv is not None:
+                rhs = dinv @ rhs
+            elif diag_col is not None:
+                rhs /= diag_col
+            x[rows] = rhs
         kern = Kernel.BLAS2 if p == 1 else Kernel.BLAS3
         led.flop(kern, 2.0 * self.nnz * p)
         led.event("triangular_solve", p)
-        if self._reorder is not None:
-            x = x[self._reorder]
         return x
 
     @property
     def n_levels(self) -> int:
+        """Sweep steps of one solve: levels of the block DAG."""
         return len(self.schedule)
 
 
 def concat_factors(factors: list[TriangularFactor]) -> TriangularFactor:
     """Block-diagonal concatenation of same-orientation triangular factors.
 
-    The combined factor solves all the subproblems in one level-scheduled
-    sweep: its level count is the *maximum* over the inputs (not the sum),
-    and each level update is one wide sparse-times-dense-block product —
-    the BLAS-3 batching that lets the Schwarz preconditioner push dozens of
-    small per-subdomain solves through a single kernel.  Its flop charge
+    The combined factor solves all the subproblems in one blocked sweep:
+    its level count is the *maximum* over the inputs (not the sum), and
+    each step is one wide sparse-times-dense-block product — the BLAS-3
+    batching that lets the Schwarz preconditioner push dozens of small
+    per-subdomain solves through a single kernel.  Its flop charge
     (``2 * nnz * p``) equals the sum of the per-factor charges exactly.
 
-    Block-diagonal structure means no cross-block dependencies, so the
-    per-row levels of each input carry over unchanged — no reanalysis.
+    Block-diagonal structure means no cross-factor dependencies, so the
+    inverted diagonal blocks and the levels of each input carry over
+    unchanged: the schedules are concatenated level by level, nothing is
+    analysed again.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -244,21 +455,16 @@ def concat_factors(factors: list[TriangularFactor]) -> TriangularFactor:
         raise ValueError("factors must share orientation and diagonal kind")
     if len(factors) == 1:
         return factors[0]
-    # Internals live in the *oriented* (lower-triangular) frame.  Lower
-    # factors concatenate in order; an upper concatenation is reversed as a
-    # whole, which reverses the block order and each block internally — and
-    # each internally-reversed block is exactly that factor's oriented form.
-    ordered = factors if lower else factors[::-1]
     obj = TriangularFactor.__new__(TriangularFactor)
     obj.n = int(sum(f.n for f in factors))
     obj.lower = lower
     obj.unit_diagonal = unit
     obj.dtype = np.result_type(*(f.dtype for f in factors))
     obj.nnz = int(sum(f.nnz for f in factors))
-    obj.diag = np.concatenate([f.diag for f in ordered])
-    obj._reorder = None if lower else np.arange(obj.n)[::-1]
-    strict = sp.block_diag([f._strict for f in ordered], format="csr")
-    levels = np.concatenate([f.schedule.level_of_row for f in ordered])
-    obj.schedule = LevelSchedule.from_levels(levels)
-    obj._finish_init(strict)
+    obj.diag = None if unit else np.concatenate([f.diag for f in factors])
+    obj._off = sp.block_diag([f._off for f in factors], format="csr")
+    obj._dinv = sp.block_diag([f._dinv for f in factors], format="csr")
+    obj.schedule = LevelSchedule.from_levels(
+        np.concatenate([f.schedule.level_of_row for f in factors]))
+    obj._finish_init()
     return obj

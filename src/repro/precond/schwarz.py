@@ -44,23 +44,22 @@ __all__ = ["SchwarzPreconditioner", "algebraic_interface_shift"]
 class _FusedBatch:
     """Block-diagonal batching of the per-subdomain direct solves.
 
-    All subdomain systems are solved in ONE pair of level-scheduled
-    triangular sweeps (levels = max over subdomains, each level a wide
-    BLAS-3 block), then scattered back through a single SpMM whose values
-    carry the partition-of-unity weights.  The ledger is charged exactly
-    what the per-subdomain loop charges: the concatenated factors' flop
-    counts sum to the per-factor totals, and ``events`` replays the
-    remaining per-subdomain event counts in O(1).
+    All subdomain systems are solved in ONE pair of blocked triangular
+    sweeps (levels = max over subdomains, each level a wide BLAS-3 block),
+    then scattered back through a single SpMM whose values carry the
+    partition-of-unity weights.  The restriction is composed with the row
+    permutations into one gather, the column permutations into the column
+    order of the scatter: an apply copies the ``(sum n_i) x p`` block
+    nowhere else.  The ledger is charged exactly what the per-subdomain
+    loop charges: the concatenated factors' flop counts sum to the
+    per-factor totals, and ``events`` replays the remaining per-subdomain
+    event counts in O(1).
     """
 
-    cat_dofs: np.ndarray          # concatenated subdomain index sets
-    perm_r: np.ndarray            # row permutations, offset per block
-    perm_c: np.ndarray            # column permutations, offset per block
+    gather: np.ndarray            # global DOF feeding each factored row
     l_factor: TriangularFactor    # block-diagonal L
     u_factor: TriangularFactor    # block-diagonal U
-    scatter: sp.csr_matrix        # (n x sum n_i) R_i^T D_i scatter-add
-    scipy_convention: bool
-    solver_dtype: np.dtype
+    scatter: sp.csr_matrix        # (n x sum n_i) R_i^T D_i Pc scatter-add
     events: CostTable
 
 
@@ -179,7 +178,11 @@ class SchwarzPreconditioner(Preconditioner):
                         b_i = sp.csc_matrix(a[dofs][:, dofs])
                     self.solvers.append(SparseLU(b_i, engine=engine))
                 led.event("schwarz_factorizations", len(self.subdomains))
+                # the batch is part of the set-up the fused mode solves
+                # with, so it is built (and timed) here, not on first apply
                 self._fused_batch: _FusedBatch | None = None
+                if exec_mode() == "fused" and len(self.solvers) > 1:
+                    self._fused_batch = self._build_fused_batch()
 
                 # optional Nicolaides coarse space: Z[:, i] = R_i^T D_i 1
                 self._coarse_z = None
@@ -226,24 +229,31 @@ class SchwarzPreconditioner(Preconditioner):
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         cat_dofs = np.concatenate(self.subdomains)
         ncat = int(cat_dofs.size)
+        perm_r = np.concatenate([s.perm_r + o for s, o in zip(solvers, offsets)])
+        perm_c = np.concatenate([s.perm_c + o for s, o in zip(solvers, offsets)])
+        if solvers[0]._scipy_convention:
+            # SuperLU: factored row perm_r[i] is local row i, local
+            # solution i is factored unknown perm_c[i]
+            row_of = np.empty(ncat, dtype=np.int64)
+            row_of[perm_r] = np.arange(ncat)
+            col_of = perm_c
+        else:
+            # Gilbert-Peierls: factored row i is local row perm_r[i],
+            # factored unknown i is local solution perm_c[i]
+            row_of = perm_r
+            col_of = np.empty(ncat, dtype=np.int64)
+            col_of[perm_c] = np.arange(ncat)
         if self.variant in ("ras", "oras"):
             weights = np.concatenate(self.pou)
         else:
             weights = np.ones(ncat)
-        scatter = sp.csr_matrix(
-            (weights, (cat_dofs, np.arange(ncat))), shape=(self.n, ncat))
         nparts = len(solvers)
         return _FusedBatch(
-            cat_dofs=cat_dofs,
-            perm_r=np.concatenate([s.perm_r + o
-                                   for s, o in zip(solvers, offsets)]),
-            perm_c=np.concatenate([s.perm_c + o
-                                   for s, o in zip(solvers, offsets)]),
+            gather=cat_dofs[row_of],
             l_factor=concat_factors([s._ltri for s in solvers]),
             u_factor=concat_factors([s._utri for s in solvers]),
-            scatter=scatter,
-            scipy_convention=solvers[0]._scipy_convention,
-            solver_dtype=np.result_type(*(s.dtype for s in solvers)),
+            scatter=sp.csr_matrix((weights, (cat_dofs, col_of)),
+                                  shape=(self.n, ncat)),
             # the combined triangular solves charge ONE event pair and the
             # batched path never enters SparseLU.solve; replay the rest so
             # the calls Counter matches the per-subdomain loop exactly
@@ -255,24 +265,12 @@ class SchwarzPreconditioner(Preconditioner):
 
     def _batched_local_solves(self, x: np.ndarray, dtype) -> np.ndarray:
         """All subdomain solves through one block-diagonal factor pair."""
-        if self._fused_batch is None:
+        if self._fused_batch is None:   # exec mode switched after set-up
             self._fused_batch = self._build_fused_batch()
         batch = self._fused_batch
-        cat = x[batch.cat_dofs]
-        if batch.scipy_convention:
-            bp = np.empty(cat.shape,
-                          dtype=np.promote_types(batch.solver_dtype, cat.dtype))
-            bp[batch.perm_r] = cat
-        else:
-            bp = cat[batch.perm_r]
-        z = batch.u_factor.solve(batch.l_factor.solve(bp))
-        if batch.scipy_convention:
-            solved = z[batch.perm_c]
-        else:
-            solved = np.empty_like(z)
-            solved[batch.perm_c] = z
+        z = batch.u_factor.solve(batch.l_factor.solve(x[batch.gather]))
         batch.events.charge(ledger.current(), p=x.shape[1])
-        return np.asarray(batch.scatter @ solved).astype(dtype, copy=False)
+        return np.asarray(batch.scatter @ z).astype(dtype, copy=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``M^{-1} X`` — all ``p`` columns through every subdomain solve

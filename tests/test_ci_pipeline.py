@@ -199,3 +199,44 @@ def test_wall_entry_is_ungated_and_invisible_to_the_gate(ci, tmp_path):
     assert compare.compare(
         {"traffic_wall_us_per_request": {"value": 1e9, "kind": "info"}},
         entry["metrics"], label="wall") == []
+
+
+# -- blocked triangular sweep: gated on counts, tracked exactly ----------
+def test_sweep_counts_are_gated_and_tracked_as_exact():
+    import copy
+    import json
+
+    results = ROOT / "benchmarks" / "results"
+    kernels = json.loads((results / "BENCH_kernels.json").read_text())
+    service = json.loads((results / "BENCH_service.json").read_text())
+    sweep = kernels["level_schedule"]["sweep"]
+    assert set(sweep) == {"global_lu", "block_diag"}
+
+    compare = _load_script(ROOT / "scripts" / "bench_compare.py",
+                           "repro_bench_compare")
+    metric = compare.extract_metrics(kernels, service)[
+        "triangular_global_lu_solve_steps"]
+    assert metric == {"value": sweep["global_lu"]["solve_steps"],
+                      "kind": "exact"}
+    deeper = {"triangular_global_lu_solve_steps":
+              {"value": metric["value"] + 1, "kind": "exact"}}
+    assert compare.compare(deeper, {"triangular_global_lu_solve_steps":
+                                    metric}, label="t")
+
+    bench = _load_script(ROOT / "benchmarks" / "bench_micro_kernels.py",
+                         "repro_bench_micro_kernels")
+
+    def sweep_failures(report):
+        return [f for f in bench.check_gate(report)
+                if f.startswith("level_schedule")]
+
+    assert sweep_failures(kernels) == []
+    deep = copy.deepcopy(kernels)
+    row = deep["level_schedule"]["sweep"]["global_lu"]
+    row["solve_steps"] = row["row_levels"] // 4 + 1
+    assert len(sweep_failures(deep)) == 1
+    fat = copy.deepcopy(kernels)
+    fat["level_schedule"]["sweep"]["block_diag"]["stored_over_nnz"] = 1.3
+    assert len(sweep_failures(fat)) == 1
+    del fat["level_schedule"]["sweep"]
+    assert len(sweep_failures(fat)) == 2

@@ -13,11 +13,13 @@ from repro.direct.ordering import (compute_ordering, minimum_degree,
 from repro.direct.solver import SparseLU
 from repro.direct.triangular import (LevelSchedule, TriangularFactor,
                                      _levels_by_row_reference,
-                                     _levels_frontier)
+                                     _levels_frontier, concat_factors)
+from repro.problems.maxwell import decompose_maxwell, maxwell_chamber
 from repro.util import ledger
 from repro.util.ledger import Kernel
 
 from conftest import make_rng, complex_shifted, laplacian_1d, laplacian_2d
+from fixtures.rowlevel_trisolve import RowLevelTriangularSolve
 
 
 def _random_sparse(rng, n, density=0.05, complex_=False):
@@ -109,6 +111,11 @@ class TestGilbertPeierls:
 
     def test_singular_matrix_raises(self):
         a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            gilbert_peierls_lu(a)
+
+    def test_nan_pivot_column_raises(self):
+        a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, np.nan]]))
         with pytest.raises(np.linalg.LinAlgError):
             gilbert_peierls_lu(a)
 
@@ -226,6 +233,290 @@ class TestTriangularFactor:
             tri.solve(rng.standard_normal((n, 8)))
         assert led.flops[Kernel.BLAS3] > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        # a NaN diagonal slipped past ``diag == 0`` and came back as
+        # [1, nan, nan]; non-finite factors are rejected at construction
+        for entry in ((1, 1), (2, 0)):
+            m = np.array([[1.0, 0, 0], [2.0, 1.0, 0], [1.0, 3.0, 1.0]])
+            m[entry] = bad
+            with pytest.raises(np.linalg.LinAlgError):
+                TriangularFactor(sp.csr_matrix(m), lower=True)
+            with pytest.raises(np.linalg.LinAlgError):
+                TriangularFactor(sp.csr_matrix(m.T), lower=False)
+
+    def test_nonsquare_rejected(self):
+        with pytest.raises(ValueError):
+            TriangularFactor(sp.csr_matrix(np.ones((3, 4))), lower=True)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_wrong_side_entries_rejected(self, lower):
+        # used to be dropped silently while their flops were still charged
+        m = np.array([[1.0, 0, 0], [2.0, 1.0, 0], [0, 3.0, 1.0]])
+        m = m if lower else m.T.copy()
+        assert TriangularFactor(sp.csr_matrix(m), lower=lower).nnz == 5
+        m[(0, 2) if lower else (2, 0)] = 5.0
+        with pytest.raises(ValueError):
+            TriangularFactor(sp.csr_matrix(m), lower=lower)
+
+
+def _triangle(rng, n, *, lower, complex_, density=0.1):
+    """Random diagonally dominant triangle with a stored diagonal."""
+    seed = int(rng.integers(2**31))
+    m = sp.random(n, n, density=density, random_state=seed)
+    if complex_:
+        m = m + 1j * sp.random(n, n, density=density, random_state=seed + 1)
+    m = sp.tril(m, -1) if lower else sp.triu(m, 1)
+    return (m + sp.diags(2.0 + np.arange(n, dtype=float))).tocsr()
+
+
+def _lu_triangles(a, engine):
+    """``(matrix, lower, unit_diagonal)`` of the L and U ``SparseLU`` solves with."""
+    a = sp.csc_matrix(a)
+    if engine == "scipy":
+        lu = spla.splu(a.astype(np.promote_types(a.dtype, np.float64)))
+        l_mat, u_mat = lu.L, lu.U
+    else:
+        f = gilbert_peierls_lu(a, perm_c=compute_ordering(a, "amd"))
+        l_mat, u_mat = f.l, f.u
+    return [(sp.csr_matrix(l_mat), True, True),
+            (sp.csr_matrix(u_mat), False, False)]
+
+
+def _check_blocked_sweep(mat, *, lower, unit, dominant, seed=0):
+    """Blocked sweep vs the row-level oracle vs scipy, on one factor.
+
+    Backward error <= 1e-13 always; agreement to 1e-10 when the factor is
+    diagonally dominant (forward errors are then of the same order); never
+    more steps than row levels, stored entries within 1.25 nnz, and the
+    ledger charge of the row-level sweep.  Returns (steps, row levels).
+    """
+    mat = sp.csr_matrix(mat)
+    n = mat.shape[0]
+    tri = TriangularFactor(mat, lower=lower, unit_diagonal=unit)
+    ref = RowLevelTriangularSolve(mat, lower=lower, unit_diagonal=unit)
+    assert tri.n_levels <= ref.n_levels
+    assert tri.stored_nnz <= 1.25 * tri.nnz
+    full = mat
+    if unit:
+        full = (mat - sp.diags(mat.diagonal()) + sp.eye(n)).tocsr()
+    rng = make_rng(seed, n)
+    for p in (1, 3, 8):
+        b = rng.standard_normal((n, p))
+        if np.iscomplexobj(mat.data):
+            b = b + 1j * rng.standard_normal((n, p))
+        with ledger.install() as led:
+            x = tri.solve(b)
+        kern = Kernel.BLAS2 if p == 1 else Kernel.BLAS3
+        assert dict(led.flops) == {kern: 2.0 * mat.nnz * p}
+        assert dict(led.calls) == {"triangular_solve": p}
+        back = np.linalg.norm(full @ x - b) / (
+            spla.norm(full) * np.linalg.norm(x) + np.linalg.norm(b))
+        assert back <= 1e-13
+        if dominant:
+            scale = np.linalg.norm(x)
+            assert np.linalg.norm(x - ref.solve(b)) <= 1e-10 * scale
+            x_sp = spla.spsolve_triangular(full, b, lower=lower,
+                                           unit_diagonal=unit)
+            assert np.linalg.norm(x - x_sp) <= 1e-10 * scale
+    return tri.n_levels, ref.n_levels
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**31 - 1),
+       density=st.floats(0.02, 0.6), complex_=st.booleans(),
+       lower=st.booleans(), unit=st.booleans())
+def test_property_blocked_sweep_on_random_triangles(n, seed, density,
+                                                    complex_, lower, unit):
+    mat = _triangle(make_rng(seed), n, lower=lower, complex_=complex_,
+                    density=density)
+    if unit:   # keep the solution bounded: scale the strict part down
+        mat = (mat - sp.diags(mat.diagonal())) / (1.0 + n * density) + sp.eye(n)
+    _check_blocked_sweep(mat, lower=lower, unit=unit, dominant=True,
+                         seed=seed)
+
+
+class TestBlockedSchedule:
+    """The block DAG against the row DAG, family by family."""
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_chainless_triangle_keeps_row_schedule(self, rng, lower):
+        # no row references its neighbour: nothing to merge — the steps
+        # and the entries of the row sweep
+        mat = _triangle(rng, 300, lower=lower, complex_=False, density=0.05)
+        k = -1 if lower else 1
+        mat = (mat - sp.diags(mat.diagonal(k), k)).tocsr()
+        mat.eliminate_zeros()
+        tri = TriangularFactor(mat, lower=lower)
+        assert tri.n_levels == RowLevelTriangularSolve(
+            mat, lower=lower).n_levels
+        assert tri.stored_nnz == tri.nnz
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_bidiagonal(self, lower, complex_):
+        n = 2000
+        sub = np.full(n - 1, -1.0 + (0.5j if complex_ else 0.0))
+        mat = sp.diags([np.full(n, 2.0), sub], [0, -1 if lower else 1])
+        steps, row_levels = _check_blocked_sweep(
+            mat, lower=lower, unit=False, dominant=True)
+        # one chain, a row holds half a block's entries up to width 3
+        assert (steps, row_levels) == (667, 2000)
+
+    def test_diagonal(self):
+        mat = sp.diags(1.0 + np.arange(50.0))
+        for lower in (True, False):
+            assert _check_blocked_sweep(mat, lower=lower, unit=False,
+                                        dominant=True) == (1, 1)
+
+    @pytest.mark.parametrize("omega", [1.0, 1.5])
+    def test_ssor_split_of_laplacian(self, omega):
+        nx = 48
+        a = laplacian_2d(nx)
+        d_over_w = sp.diags(a.diagonal() / omega)
+        for lower, part in ((True, sp.tril(a, -1)), (False, sp.triu(a, 1))):
+            steps, row_levels = _check_blocked_sweep(
+                part + d_over_w, lower=lower, unit=False, dominant=True)
+            # grid lines are chains: blocks of three rows along each
+            assert row_levels == 2 * nx - 1
+            assert steps <= 0.7 * row_levels
+
+    @pytest.mark.parametrize("engine", ["scipy", "gp"])
+    def test_laplacian_lu_factors(self, engine):
+        for mat, lower, unit in _lu_triangles(laplacian_2d(20), engine):
+            steps, row_levels = _check_blocked_sweep(
+                mat, lower=lower, unit=unit, dominant=True)
+            assert steps <= row_levels / 4
+
+    @pytest.mark.parametrize("engine", ["scipy", "gp"])
+    def test_complex_maxwell_subdomain_lu_factors(self, engine):
+        prob = maxwell_chamber(5, omega=8.0)
+        dec = decompose_maxwell(prob, 4, overlap=1, impedance=True)
+        for mat, lower, unit in _lu_triangles(dec.local_matrices[1], engine):
+            assert np.iscomplexobj(mat.data)
+            steps, row_levels = _check_blocked_sweep(
+                mat, lower=lower, unit=unit, dominant=False)
+            assert steps <= row_levels / 4
+
+    def test_ill_conditioned_chain_stays_single_rows(self, rng):
+        # a full unit triangle of -2: one chain, |inv(T)|_1 ~ 3^w — the
+        # inverse is not used and the sweep is the oracle's, bit for bit
+        w = 32
+        mat = sp.csr_matrix(np.tril(np.full((w, w), -2.0), -1) + np.eye(w))
+        tri = TriangularFactor(mat, lower=True, unit_diagonal=True)
+        ref = RowLevelTriangularSolve(mat, lower=True, unit_diagonal=True)
+        assert tri.n_levels == ref.n_levels == w
+        b = rng.standard_normal((w, 3))
+        assert np.array_equal(tri.solve(b), ref.solve(b))
+        # the same pattern, well conditioned, is one inverted block
+        tame = sp.csr_matrix(np.tril(np.full((w, w), -0.02), -1) + np.eye(w))
+        assert TriangularFactor(tame, lower=True,
+                                unit_diagonal=True).n_levels == 1
+
+    def test_merging_that_deepens_the_dag_is_undone(self):
+        # rows 2i+1 reference 2i (a chain of two) and 2i-2: two row
+        # levels, but the DAG of two-row blocks is one long path
+        n = 200
+        odd = np.arange(3, n, 2)
+        rows = np.concatenate([[1], odd, odd])
+        cols = np.concatenate([[0], odd - 1, odd - 3])
+        mat = (sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+               + 3.0 * sp.eye(n)).tocsr()
+        steps, row_levels = _check_blocked_sweep(
+            mat, lower=True, unit=False, dominant=True)
+        assert steps == row_levels == 2
+
+    def test_maxwell_lu_depth_gate(self):
+        # deterministic schedule gate: a regression fails on a count
+        a = maxwell_chamber(5, omega=8.0).a
+        steps = SparseLU(a, engine="scipy").n_levels
+        for n_steps, (mat, lower, unit) in zip(steps,
+                                               _lu_triangles(a, "scipy")):
+            row_levels = RowLevelTriangularSolve(
+                mat, lower=lower, unit_diagonal=unit).n_levels
+            assert row_levels > 250
+            assert n_steps <= row_levels / 8
+
+
+class TestConcatFactors:
+    """Block-diagonal batching of factors: schedules merge level by level."""
+
+    @staticmethod
+    def _family(lower, *, complex_last=False):
+        """Factors with inverted blocks, without, and a lone chain."""
+        k = -1 if lower else 1
+        lap = _lu_triangles(laplacian_2d(9), "scipy")[0 if lower else 1][0]
+        mats = [
+            (lap - sp.diags(lap.diagonal()) + 4.0 * sp.eye(lap.shape[0])),
+            _triangle(make_rng(5), 40, lower=lower, complex_=False),
+            sp.diags([np.full(30, 2.0), np.full(29, -1.0)], [0, k]),
+            _triangle(make_rng(6), 25, lower=lower, complex_=complex_last,
+                      density=0.5),
+        ]
+        return [sp.csr_matrix(m) for m in mats]
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError):
+            concat_factors([])
+
+    def test_mismatched_factors_rejected(self):
+        low = sp.csr_matrix(np.tril(np.ones((3, 3))))
+        lower = TriangularFactor(low, lower=True)
+        with pytest.raises(ValueError):   # orientation
+            concat_factors([lower, TriangularFactor(low.T, lower=False)])
+        with pytest.raises(ValueError):   # diagonal kind
+            concat_factors([lower, TriangularFactor(low, lower=True,
+                                                    unit_diagonal=True)])
+
+    def test_single_factor_passes_through(self):
+        tri = TriangularFactor(sp.eye(4, format="csr"), lower=True)
+        assert concat_factors([tri]) is tri
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_equals_per_factor_solves(self, rng, lower, unit):
+        mats = self._family(lower)
+        if unit:   # tame the growth of unit-triangular solves
+            mats = [(m - sp.diags(m.diagonal())) / 8.0 + sp.eye(m.shape[0])
+                    for m in mats]
+        factors = [TriangularFactor(m, lower=lower, unit_diagonal=unit)
+                   for m in mats]
+        assert len({f.n_levels for f in factors}) > 1
+        cat = concat_factors(factors)
+        assert cat.n == sum(f.n for f in factors)
+        assert cat.nnz == sum(f.nnz for f in factors)
+        # a single row that shares a level with another factor's block
+        # goes through the block-diagonal product: at most one entry more
+        stored = sum(f.stored_nnz for f in factors)
+        assert stored <= cat.stored_nnz <= stored + cat.n
+        assert cat.n_levels == max(f.n_levels for f in factors)
+        b = rng.standard_normal((cat.n, 4))
+        with ledger.install() as led_cat:
+            x = cat.solve(b)
+        parts, at = [], 0
+        with ledger.install() as led_each:
+            for f in factors:
+                parts.append(f.solve(b[at: at + f.n]))
+                at += f.n
+        assert led_cat.flops == led_each.flops
+        expect = np.vstack(parts)
+        assert np.abs(x - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_mixed_real_complex_promotes(self, rng, lower):
+        mats = self._family(lower, complex_last=True)
+        factors = [TriangularFactor(m, lower=lower) for m in mats]
+        assert [f.dtype.kind for f in factors] == ["f", "f", "f", "c"]
+        cat = concat_factors(factors)
+        assert cat.dtype == np.complex128
+        b = rng.standard_normal((cat.n, 2))
+        x = cat.solve(b)
+        assert x.dtype == np.complex128
+        full = sp.block_diag(mats, format="csr")
+        assert np.linalg.norm(full @ x - b) <= 1e-13 * np.linalg.norm(b)
+        # the real blocks of a real right-hand side stay real
+        assert np.abs(x[: -mats[-1].shape[0]].imag).max() == 0.0
+
 
 class TestSparseLU:
     @pytest.mark.parametrize("engine", ["gp", "scipy"])
@@ -301,6 +592,16 @@ class TestSparseLU:
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             SparseLU(laplacian_1d(10), engine="pardiso")
+
+    @pytest.mark.parametrize("engine", ["gp", "scipy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_matrix_rejected(self, engine, bad):
+        # the GP engine used to factor a NaN matrix (``vmax == 0`` is false
+        # for NaN) and solve to all-NaN; both engines must refuse
+        a = laplacian_2d(4).tolil()
+        a[5, 5] = bad
+        with pytest.raises((np.linalg.LinAlgError, RuntimeError)):
+            SparseLU(a.tocsc(), engine=engine)
 
 
 @settings(max_examples=15, deadline=None)
