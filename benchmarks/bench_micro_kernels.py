@@ -30,8 +30,12 @@ its wall-clock ratio is recorded, not gated), AND sketch-whitened
 recycled-pair maintenance beats the full-space re-derivation by >= 1.5x
 modeled time with zero maintenance reductions per cycle and equal solve
 convergence, AND the blocked triangular sweep needs at most a quarter of
-the row levels on the global LU factor while storing at most 1.25 nnz —
-the repo's perf regression gates.
+the row levels on the global LU factor while storing at most 1.25 nnz, AND
+the BLAS pseudo-block projector cores beat their einsum oracle by >= 2x —
+the repo's perf regression gates.  The ``deflation`` section records what
+one thin-QR / reordered-Schur extraction is charged and how it compares with
+the Gram + QZ oracle (tracked by ``scripts/bench_compare.py``, not gated
+here).
 
 Also collectable by pytest (``pytest benchmarks/bench_micro_kernels.py``)
 via :func:`test_fused_not_slower_at_64_ranks`, following the suite's
@@ -53,6 +57,11 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
     _src = Path(__file__).resolve().parent.parent / "src"
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
+# the reference formulations the new kernels are timed against are the
+# test oracles (tests/fixtures/reference_{deflation,pb_projector}.py)
+_tests = Path(__file__).resolve().parent.parent / "tests"
+if str(_tests) not in sys.path:
+    sys.path.insert(0, str(_tests))
 
 from repro.direct.triangular import (TriangularFactor,
                                      _levels_by_row_reference,
@@ -90,6 +99,19 @@ def _time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _time_pair(fn, ref, repeats: int) -> tuple[float, float]:
+    """Best-of-N of ``fn`` and of ``ref``, timed in alternation so that a
+    slow phase of the host falls on both and their ratio survives it."""
+    fn(), ref()
+    best = [np.inf, np.inf]
+    for _ in range(repeats):
+        for i, f in enumerate((fn, ref)):
+            t0 = time.perf_counter()
+            f()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 def bench_kernels(cfg: dict) -> list[dict]:
@@ -389,6 +411,84 @@ def bench_recycling(cfg: dict) -> dict:
     return out
 
 
+def bench_deflation(cfg: dict) -> dict:
+    """One restart extraction (paper line 33) on a fixed 258 x 250 pencil.
+
+    ``G_m`` as ``bgcrodr(m=40, k=10)`` at p = 8 builds it after a full
+    30-step cycle — diagonal ``D_k``, dense ``E_k``, block-Hessenberg
+    ``H-bar`` — with the strategy-B right factor.  Records what the
+    thin-QR / reordered-Schur extraction charges the ledger (a formula of
+    the shape: exact) and its wall time against the Gram + QZ +
+    eigenvector-splitting oracle, whose subspace it must reproduce.
+    """
+    from fixtures.reference_deflation import (
+        make_pencil, reference_generalized_ritz_vectors)
+
+    from repro.krylov.deflation import generalized_ritz_vectors
+    from repro.util import ledger as ledger_mod
+
+    k = 10
+    gm, w_hat = make_pencil(np.random.default_rng(20260705), np.float64, "B",
+                            k=k, j=30, p=8, offdiag=0.3)    # cond(G_m) ~ 50
+    rows, cols = gm.shape
+    repeats = max(cfg["repeats"], 9)     # 30-100 ms calls: best-of-3 is noise
+    with ledger_mod.install() as led:
+        pk = generalized_ritz_vectors(gm, w_hat, k, dtype=gm.dtype)
+    ref = reference_generalized_ritz_vectors(gm, w_hat, k, dtype=gm.dtype)
+    seconds, seconds_reference = _time_pair(
+        lambda: generalized_ritz_vectors(gm, w_hat, k, dtype=gm.dtype),
+        lambda: reference_generalized_ritz_vectors(gm, w_hat, k,
+                                                   dtype=gm.dtype), repeats)
+    out = {
+        "problem": {"rows": rows, "cols": cols, "k": k, "strategy": "B"},
+        "flops_charged": dict(led.flops),
+        "eig_flops_charged": led.total_flops(),
+        "qz_flops_charged": 50.0 * cols ** 3,      # what QZ was charged
+        "subspace_gap": float(np.linalg.norm(ref - pk @ (pk.T @ ref), 2)),
+        "seconds": seconds, "seconds_reference": seconds_reference,
+    }
+    out["speedup_over_reference"] = out["seconds_reference"] / out["seconds"]
+    return out
+
+
+def bench_pb_projector(cfg: dict) -> dict:
+    """BLAS pseudo-block projector cores vs their einsum oracle.
+
+    One ``cgs2_1r`` step (two dots + two updates, what ``heat_ensemble_amg``
+    runs) and one ``cgs`` step at n = 4096, p = 4 against a 25-deep basis:
+    the shipped cores on the ``(cols, p, n)``-stored tensor, the einsum
+    cores of ``tests/fixtures/reference_pb_projector.py`` on the
+    ``(cols, n, p)`` storage they were written for.
+    """
+    from fixtures import reference_pb_projector as ref
+
+    from repro.la import orthogonalization as ortho
+
+    n, p, depth = 4096, 4, 25
+    rng = np.random.default_rng(20260705)
+    q, _ = np.linalg.qr(rng.standard_normal((n, depth * p)))
+    old = np.ascontiguousarray(q.reshape(n, depth, p).transpose(1, 0, 2))
+    new = ortho.pseudo_block_tensor(depth, n, p, q.dtype)
+    new[:] = old
+    w = rng.standard_normal((n, p))
+    repeats = max(cfg["repeats"], 25)    # sub-millisecond calls
+    out = {"problem": {"n": n, "p": p, "depth": depth}, "cores": {}}
+    for name, kwargs in (("_pb_step_cgs2_1r", {}),
+                         ("_pb_step_cgs", {"iterated": False})):
+        blas, einsum = getattr(ortho, name), getattr(ref, name)
+        gap = float(np.linalg.norm(blas(new, w, **kwargs)[0]
+                                   - einsum(old, w, **kwargs)[0]))
+        seconds, seconds_reference = _time_pair(
+            lambda: blas(new, w, **kwargs), lambda: einsum(old, w, **kwargs),
+            repeats)
+        row = {"seconds": seconds, "seconds_reference": seconds_reference,
+               "remainder_gap": gap}
+        row["speedup_over_reference"] = (row["seconds_reference"]
+                                         / row["seconds"])
+        out["cores"][name] = row
+    return out
+
+
 def speedups(rows: list[dict]) -> dict[str, dict[str, float]]:
     """speedups[kernel][nranks] = per_rank time / fused time."""
     t = {(r["kernel"], r["nranks"], r["mode"]): r["seconds"] for r in rows}
@@ -407,6 +507,8 @@ def run(cfg: dict, out_path: Path | None) -> dict:
     plan = bench_plan(cfg)
     recycling = bench_recycling(cfg)
     sched_rows, sched_sweep = bench_level_schedule(cfg)
+    deflation = bench_deflation(cfg)
+    pb_projector = bench_pb_projector(cfg)
     sched_t = {(r["workload"], r["mode"]): r["seconds"] for r in sched_rows}
     report = {
         "description": "fused vs per-rank execution of the simulated-MPI "
@@ -430,6 +532,8 @@ def run(cfg: dict, out_path: Path | None) -> dict:
                 for w in {r["workload"] for r in sched_rows}},
             "sweep": sched_sweep,
         },
+        "deflation": deflation,
+        "pb_projector": pb_projector,
     }
     if out_path is not None:
         out_path.parent.mkdir(exist_ok=True)
@@ -505,6 +609,27 @@ def print_report(report: dict) -> None:
             print(f"{'blocked sweep':>14} {w:>11} {row['row_levels']:>6d} row "
                   f"levels -> {row['solve_steps']:>4d} steps, stored/nnz "
                   f"{row['stored_over_nnz']:.3f}")
+    defl = report.get("deflation")
+    if defl:
+        prob = defl["problem"]
+        print(f"\n# deflation: one restart extraction, {prob['rows']} x "
+              f"{prob['cols']} pencil, k={prob['k']}")
+        print(f"{'thin QR+Schur':>14} {defl['seconds']:>12.3e}  charged "
+              f"{defl['eig_flops_charged']:.3e} flops")
+        print(f"{'Gram+QZ':>14} {defl['seconds_reference']:>12.3e}  charged "
+              f"{defl['qz_flops_charged']:.3e} flops "
+              f"({defl['speedup_over_reference']:.1f}x slower; subspace gap "
+              f"{defl['subspace_gap']:.1e})")
+    pb = report.get("pb_projector")
+    if pb:
+        prob = pb["problem"]
+        print(f"\n# pseudo-block projector: n={prob['n']} p={prob['p']} "
+              f"depth={prob['depth']}")
+        print(f"{'core':>18} {'einsum':>12} {'blas':>12} {'speedup':>8}")
+        for name, row in pb["cores"].items():
+            print(f"{name:>18} {row['seconds_reference']:>12.3e} "
+                  f"{row['seconds']:>12.3e} "
+                  f"{row['speedup_over_reference']:>7.1f}x")
 
 
 def check_gate(report: dict) -> list[str]:
@@ -521,9 +646,25 @@ def check_gate(report: dict) -> list[str]:
        equal solve convergence, O(1) per-cycle solve overhead;
     5. the blocked triangular sweep: at most a quarter of the row levels
        on the global LU factor, stored entries within 1.25 nnz on both
-       factor shapes (counts, not timers).
+       factor shapes (counts, not timers);
+    6. the pseudo-block projector: the BLAS ``cgs2_1r`` core >= 2x its
+       einsum oracle at n = 4096, p = 4, depth 25 (a stride ``np.matmul``
+       cannot hand to BLAS falls back to a scalar loop *silently* and
+       reads ~1x), with equal remainders.
     """
     failures = []
+    core = report.get("pb_projector", {}).get("cores", {}).get(
+        "_pb_step_cgs2_1r")
+    if core is None:
+        failures.append("pb_projector: no measurement")
+    else:
+        if core["speedup_over_reference"] < 2.0:
+            failures.append(f"pb_projector: BLAS cgs2_1r core only "
+                            f"{core['speedup_over_reference']:.2f}x over the "
+                            "einsum oracle (gate: 2x)")
+        if core["remainder_gap"] > 1e-12:
+            failures.append(f"pb_projector: BLAS and einsum remainders "
+                            f"differ by {core['remainder_gap']:.1e}")
     sweep = report.get("level_schedule", {}).get("sweep", {})
     for workload in ("global_lu", "block_diag"):
         row = sweep.get(workload)

@@ -20,9 +20,10 @@ Metric kinds and their tolerances:
 * ``modeled`` — derived from ledger counts through the performance model
   (service amortized speedup).  Deterministic for a fixed config; compared
   to 1e-6 relative.
-* ``exact`` — integer invariants (reductions per orthogonalization step,
-  setup builds per coalesced batch, sweep steps of the blocked triangular
-  solve on the global LU factor).  Compared exactly.
+* ``exact`` — invariants of a fixed config (reductions per
+  orthogonalization step, setup builds per coalesced batch, sweep steps of
+  the blocked triangular solve on the global LU factor, flops one deflation
+  extraction is charged).  Compared exactly.
 * ``info`` — recorded in the trajectory, never gated (the compiled-over-
   interpret wall ratio: both run over the same basis arena).
 
@@ -102,6 +103,16 @@ def extract_metrics(kernels: dict, service: dict,
     m["triangular_global_lu_solve_steps"] = {
         "value": int(kernels["level_schedule"]["sweep"]["global_lu"]
                      ["solve_steps"]), "kind": "exact"}
+    # what one restart extraction is charged is a formula of the fixed
+    # pencil's shape; its wall ratio over the Gram + QZ oracle is noisy
+    defl = kernels["deflation"]
+    m["deflation_eig_flops_charged"] = {
+        "value": float(defl["eig_flops_charged"]), "kind": "exact"}
+    m["deflation_speedup_over_qz"] = {
+        "value": float(defl["speedup_over_reference"]), "kind": "ratio"}
+    m["pb_projector_speedup_over_einsum"] = {
+        "value": float(kernels["pb_projector"]["cores"]["_pb_step_cgs2_1r"]
+                       ["speedup_over_reference"]), "kind": "ratio"}
     plan = kernels["plan"]
     m["plan_compiled_speedup"] = {
         "value": float(plan["speedup_compiled"]), "kind": "info"}
@@ -228,6 +239,9 @@ def bootstrap_floors(current: dict[str, dict]) -> list[str]:
         if current[f"kernel_speedup64_{kern}"]["value"] < 1.0:
             failures.append(f"kernel_speedup64_{kern} < 1.0 "
                             f"(fused slower than per-rank oracle)")
+    if current["pb_projector_speedup_over_einsum"]["value"] < 2.0:
+        failures.append("pb_projector_speedup_over_einsum < 2.0 (a stride "
+                        "np.matmul cannot hand to BLAS reads ~1x)")
     if current["plan_oracle_identical"]["value"] != 1:
         failures.append("plan_oracle_identical != 1 (compiled plan broke "
                         "the bit-identity contract)")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Three rule families, each guarding an invariant the test suite and the
+Five rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -33,6 +33,14 @@ trace/bench gates rely on:
     interpreter-oracle bit-identity contract stay airtight; a body that
     reaches for the ledger directly re-derives costs at run time and
     silently escapes both.
+
+``einsum-3d``
+    ``np.einsum`` with an operand of three or more indices in
+    ``src/repro/la/`` or ``src/repro/krylov/``.  A contraction over the
+    3-D pseudo-block basis tensor never reaches BLAS (~2 GF/s); the
+    projector cores use batched ``np.matmul`` on the ``(p, i, n)`` view of
+    the ``(cols, p, n)``-stored tensor instead, and the einsum formulation
+    lives on only as ``tests/fixtures/reference_pb_projector.py``.
 
 False positives go in ``scripts/lint_allowlist.txt`` as
 ``<relpath>:<rule>`` (one per line, ``#`` comments allowed); a
@@ -81,6 +89,9 @@ PLAN_CHARGE_ATTRS = {"flop", "reduction", "p2p", "event"}
 PLAN_DIR = os.path.join("src", "repro", "plan") + os.sep
 #: ir.py hosts ChargeSpec.charge itself — the one sanctioned ledger caller
 PLAN_EXEMPT = (os.path.join("src", "repro", "plan", "ir.py"),)
+#: where an einsum over a 3-D (basis tensor) operand may not come back
+EINSUM_DIRS = (os.path.join("src", "repro", "la") + os.sep,
+               os.path.join("src", "repro", "krylov") + os.sep)
 
 
 def _dotted(node: ast.AST) -> str:
@@ -101,6 +112,7 @@ class _Visitor(ast.NodeVisitor):
         self.findings: list[tuple[str, int, str]] = []
         self.in_distla = os.path.join("src", "repro", "distla") in rel
         self.in_plan = rel.startswith(PLAN_DIR) and rel not in PLAN_EXEMPT
+        self.in_einsum_dirs = rel.startswith(EINSUM_DIRS)
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, msg: str) -> None:
@@ -139,6 +151,17 @@ class _Visitor(ast.NodeVisitor):
                        f"plan nodes must charge only through their "
                        f"pre-bound NodeCost specs (CostTable at lowering "
                        f"time)")
+        if self.in_einsum_dirs and tail == "einsum":
+            spec = node.args[0] if node.args else None
+            literal = isinstance(spec, ast.Constant) and isinstance(
+                spec.value, str)
+            if not literal or any(
+                    len(operand.strip()) >= 3
+                    for operand in spec.value.split("->")[0].split(",")):
+                self._flag("einsum-3d", node,
+                           f"{name}() over a 3-D operand (or unreadable "
+                           f"subscripts) — contract the basis tensor with "
+                           f"batched np.matmul, einsum cannot reach BLAS")
         self.generic_visit(node)
 
     def _clock_allowed(self) -> bool:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..la.orthogonalization import pseudo_block_tensor
+
 __all__ = [
     "BasisArena",
     "AugmentedTensorArena",
@@ -104,13 +106,14 @@ class AugmentedTensorArena:
     """Preallocated ``(kmax + steps + 1, n, p)`` tensor ``[C_k | V]``.
 
     pgcrodr's per-step augmented projector ``[C_l | V_l]`` is a prefix
-    view of one tensor instead of an O(n·cols) concatenate every step.
+    view of one :func:`pseudo_block_tensor` instead of an O(n·cols)
+    concatenate every step.
     """
 
     def __init__(self, kmax: int, steps: int, n: int, p: int,
                  dtype: np.dtype) -> None:
         self.kmax = kmax
-        self.aug = np.zeros((kmax + steps + 1, n, p), dtype=dtype)
+        self.aug = pseudo_block_tensor(kmax + steps + 1, n, p, dtype)
         self.ck, self.v = self.aug[:kmax], self.aug[kmax:]
 
     def stacked(self, j: int) -> np.ndarray:
@@ -126,7 +129,7 @@ class TransposedBasisArena:
     """
 
     def __init__(self, max_cols: int, n: int, dtype: np.dtype) -> None:
-        self.vt = np.zeros((max_cols, n, 1), dtype=dtype)
+        self.vt = pseudo_block_tensor(max_cols, n, 1, dtype)
         self.cols = 0
 
     def seed(self, v: np.ndarray, count: int) -> None:

@@ -5,134 +5,105 @@ Two eigenproblems appear in GCRO-DR (paper Fig. 1):
 * **line 16** (first cycle): the harmonic-Ritz problem ``H z = theta z``
   with the corrected Hessenberg of eq. (2);
 * **line 33** (subsequent restarts): the generalized problem
-  ``T z = theta W z`` with ``T = G_m^H G_m`` and ``W`` given by either
-  eq. (3a) (strategy A) or eq. (3b) (strategy B).
+  ``T z = theta W z`` with ``T = G_m^H G_m`` and ``W = G_m^H w_hat``,
+  ``w_hat`` from eq. (3a) (strategy A) or eq. (3b) (strategy B) — solved
+  as the standard problem ``R^{-1} Q^H w_hat`` of the thin QR
+  ``G_m = Q R``; ``T`` is never formed.
 
-Both return the ``k`` eigenvectors associated with the smallest (by
-default) eigenvalues in magnitude.  For *real* arithmetic the eigenvectors
-of a real matrix may come in complex-conjugate pairs; the invariant
-subspace is kept real by splitting such pairs into their real and
-imaginary parts (standard GCRO-DR practice).
+Both return an orthonormal basis of the invariant subspace of the ``k``
+smallest (by default) values in magnitude, read off one reordered Schur
+form (:func:`repro.la.dense.invariant_subspace`) and real for real
+arithmetic.  ``tests/fixtures/reference_deflation.py`` holds the Gram +
+QZ + eigenvector-splitting formulation as the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..la.dense import hessenberg_harmonic_lhs, sorted_eig, sorted_generalized_eig
+from ..la.dense import (hessenberg_harmonic_lhs, invariant_subspace,
+                        solve_upper_triangular)
+from ..util import ledger
+from ..util.ledger import Kernel
 
-__all__ = ["select_real_subspace", "harmonic_ritz_vectors",
-           "generalized_ritz_vectors", "sketched_harmonic_ritz_vectors",
+__all__ = ["harmonic_ritz_vectors", "generalized_ritz_vectors",
+           "sketched_harmonic_ritz_vectors",
            "sketched_generalized_ritz_vectors"]
-
-
-def select_real_subspace(vals: np.ndarray, vecs: np.ndarray, k: int,
-                         dtype: np.dtype) -> np.ndarray:
-    """Build a full-column-rank basis ``P`` (real if ``dtype`` is real).
-
-    ``vals``/``vecs`` are the (already sorted) eigenpairs; for a real target
-    dtype, complex-conjugate pairs contribute their real and imaginary
-    parts.  The result has at most ``k`` columns and is orthonormalized so
-    downstream QR factors stay well conditioned.
-    """
-    if np.issubdtype(dtype, np.complexfloating):
-        p = vecs[:, :k].astype(dtype)
-    else:
-        cols: list[np.ndarray] = []
-        j = 0
-        while j < vecs.shape[1] and len(cols) < k:
-            v = vecs[:, j]
-            lam = vals[j]
-            if abs(lam.imag) <= 1e-12 * max(abs(lam), 1.0) and \
-               np.max(np.abs(v.imag)) <= 1e-12 * max(np.max(np.abs(v.real)), 1e-300):
-                cols.append(v.real)
-                j += 1
-            else:
-                cols.append(v.real)
-                if len(cols) < k:
-                    cols.append(v.imag)
-                # conjugate partner (if adjacent) spans the same plane: skip it
-                if j + 1 < vecs.shape[1] and np.isclose(vals[j + 1], np.conj(lam)):
-                    j += 2
-                else:
-                    j += 1
-        if not cols:
-            return np.zeros((vecs.shape[0], 0), dtype=dtype)
-        p = np.column_stack(cols).astype(dtype)
-    # orthonormalize and drop numerically dependent columns
-    q, r = np.linalg.qr(p)
-    keep = np.abs(np.diagonal(r)) > 1e-12 * max(np.abs(np.diagonal(r)).max(), 1e-300)
-    return q[:, keep]
 
 
 def harmonic_ritz_vectors(hbar: np.ndarray, r_factor: np.ndarray,
                           h_last: np.ndarray, p: int, k: int, *,
                           dtype: np.dtype, target: str = "smallest") -> np.ndarray:
-    """Eigenvectors for the first GCRO-DR cycle (paper line 16 / eq. 2)."""
-    h = hessenberg_harmonic_lhs(hbar, r_factor, h_last, p)
-    k_eff = min(k, h.shape[0])
-    vals, vecs = sorted_eig(h, h.shape[0], target=target)
-    return select_real_subspace(vals, vecs, k_eff, np.dtype(dtype))
+    """Deflation basis for the first GCRO-DR cycle (paper line 16 / eq. 2)."""
+    if np.all(np.isfinite(hbar)):
+        h = hessenberg_harmonic_lhs(hbar, r_factor, h_last, p)
+    else:                       # non-finite: the extraction rejects it
+        h = np.full_like(hbar[: hbar.shape[1]], np.nan)
+    return invariant_subspace(h, k, target=target).astype(dtype, copy=False)
 
 
-def generalized_ritz_vectors(gm: np.ndarray, w: np.ndarray, k: int, *,
+def generalized_ritz_vectors(gm: np.ndarray, w_hat: np.ndarray, k: int, *,
                              dtype: np.dtype, target: str = "smallest") -> np.ndarray:
-    """Eigenvectors for the restart updates (paper line 33 / eq. 3).
+    """Deflation basis for the restart updates (paper line 33 / eq. 3).
 
-    ``gm`` is the stacked matrix ``G_m``; ``T = G_m^H G_m`` is formed here
-    (a small redundant gemm), ``w`` is supplied by the caller according to
-    the selected recycle strategy.
+    ``w_hat`` is the *right factor* of eq. (3), ``W = G_m^H w_hat``, as the
+    recycle strategy gives it.  With one thin QR ``G_m = Q R`` the pencil
+    ``G_m^H G_m z = theta G_m^H w_hat z`` is ``R z = theta Q^H w_hat z``: the
+    harmonic values are the reciprocals of the eigenvalues of
+    ``R^{-1} Q^H w_hat`` — a standard problem, no Gram, no QZ.  A
+    rank-deficient ``G_m`` takes ``solve_upper_triangular``'s least-squares
+    fallback and shows up as ``mu = 0``: an infinite, deprioritized ``theta``.
     """
-    t = gm.conj().T @ gm
-    k_eff = min(k, t.shape[0])
-    vals, vecs = sorted_generalized_eig(t, w, t.shape[0], target=target)
-    return select_real_subspace(vals, vecs, k_eff, np.dtype(dtype))
+    rows, cols = gm.shape
+    if np.all(np.isfinite(gm)) and np.all(np.isfinite(w_hat)):
+        led = ledger.current()
+        q, r = np.linalg.qr(gm)
+        led.flop(Kernel.QR, 4.0 * rows * cols**2 - 4.0 * cols**3 / 3.0)
+        b = solve_upper_triangular(r, q.conj().T @ w_hat)
+        led.flop(Kernel.BLAS3, 2.0 * rows * cols**2 + 1.0 * cols**3)
+    else:                       # non-finite: the extraction rejects it
+        b = np.full((cols, cols), np.nan, dtype=gm.dtype)
+    return invariant_subspace(b, k, target=target,
+                              reciprocal=True).astype(dtype, copy=False)
 
 
-def sketched_harmonic_ritz_vectors(hbar: np.ndarray, gv: np.ndarray, k: int, *,
+def sketched_harmonic_ritz_vectors(hbar: np.ndarray, t0: np.ndarray, k: int, *,
                                    dtype: np.dtype,
                                    target: str = "smallest") -> np.ndarray:
     """Harmonic-Ritz vectors of the *sketched* least-squares problem.
 
-    The sketched Arnoldi basis is only sketch-orthonormal, so the
-    harmonic-Ritz problem keeps the basis Gram: with ``G_V = (S V)^H (S V)``
-    (reconstructed locally from the engine's whitened sketch state — no
-    communication) the pencil is
+    The sketched Arnoldi basis is only sketch-orthonormal, so the problem
+    keeps the basis Gram ``G_V = (S V)^H (S V) = D^H D``, ``D = blockdiag(t0,
+    I)`` the engine's whitener (local state, no communication):
 
     .. math::  \\bar H^H G_V \\bar H \\, g = \\theta \\, \\bar H^H G_V E \\, g
 
-    where ``E`` keeps the leading ``mp`` rows.  With ``s = n`` the sketch
-    is an exact isometry, ``G_V = I`` and the pencil reduces to the
-    standard harmonic problem of :func:`harmonic_ritz_vectors`.
+    with ``E`` the leading ``mp`` rows — the pencil of
+    :func:`generalized_ritz_vectors` for ``G = D \\bar H`` and right factor
+    ``D E``.  An exact sketch (``s = n``) has ``D = I`` and reduces it to
+    :func:`harmonic_ritz_vectors`.
     """
-    jp = hbar.shape[1]
-    a_h = hbar.conj().T @ (gv @ hbar)
-    b_h = hbar.conj().T @ gv[:, :jp]
-    k_eff = min(k, a_h.shape[0])
-    vals, vecs = sorted_generalized_eig(a_h, b_h, a_h.shape[0], target=target)
-    return select_real_subspace(vals, vecs, k_eff, np.dtype(dtype))
+    w0 = t0.shape[0]
+    g = np.array(hbar)
+    g[:w0] = t0 @ hbar[:w0]
+    de = np.eye(*hbar.shape, dtype=hbar.dtype)
+    de[:w0, :w0] = t0
+    return generalized_ritz_vectors(g, de, k, dtype=dtype, target=target)
 
 
 def sketched_generalized_ritz_vectors(gm: np.ndarray, gcv: np.ndarray,
-                                      w: np.ndarray, k: int, *,
+                                      w_hat: np.ndarray, k: int, *,
                                       dtype: np.dtype,
                                       target: str = "smallest") -> np.ndarray:
     """Restart-update Ritz vectors under the sketch inner product.
 
-    ``gcv = (S [C_k | V])^H (S [C_k | V])`` is the sketch Gram of the
-    augmented basis (local small-matrix work); the left-hand side becomes
-    ``T_s = G_m^H gcv G_m`` — the sketch-norm analogue of ``G_m^H G_m``.
-    Reduces to :func:`generalized_ritz_vectors` when the sketch is exact
-    and the basis truly orthonormal.
-
-    Not used by the sketched-recycling solver path: with the whitened
-    carrying, ``C_k`` and ``V`` are already sketch-orthonormal, and the
-    gcv weighting squares the embedding distortion — measured to
-    destabilize the subspace selection for ``k`` approaching ``m/2``
-    (``benchmarks/results/ablation_sketched_recycle.txt``).  Kept as the
-    reference formulation.
+    ``gcv = (S [C_k | V])^H (S [C_k | V]) = L^H L`` is the sketch Gram of the
+    augmented basis: the pencil of :func:`generalized_ritz_vectors` for
+    ``L G_m`` and ``L w_hat``.  Reference only: the solver path carries
+    ``C_k`` and ``V`` whitened, and weighting by ``gcv`` squares the embedding
+    distortion — measured to destabilize the selection for ``k`` approaching
+    ``m/2`` (``benchmarks/results/ablation_sketched_recycle.txt``).
     """
-    t = gm.conj().T @ (gcv @ gm)
-    k_eff = min(k, t.shape[0])
-    vals, vecs = sorted_generalized_eig(t, w, t.shape[0], target=target)
-    return select_real_subspace(vals, vecs, k_eff, np.dtype(dtype))
+    lfac = np.linalg.cholesky(gcv).conj().T
+    return generalized_ritz_vectors(lfac @ gm, lfac @ w_hat, k, dtype=dtype,
+                                    target=target)

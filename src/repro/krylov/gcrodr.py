@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ..la.orthogonalization import (LOW_SYNC_SCHEMES, SCHEMES, cholqr,
-                                    cholqr2, householder_qr, project_out,
+from ..la.orthogonalization import (LOW_SYNC_SCHEMES, SCHEMES, _gram,
+                                    cholqr2, householder_qr,
                                     qr_factorization)
 from ..trace import tracer as trace
 from ..util import ledger
@@ -48,11 +48,6 @@ from .recycling import RecycledSubspace
 from .sketch_recycle import SketchedRecycler, sketch_drift_probe
 
 __all__ = ["gcrodr"]
-
-
-def _solve_right_triangular(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Compute ``U R^{-1}`` via a triangular solve (no explicit inverse)."""
-    return sla.solve_triangular(r.T, u.T, lower=True).T
 
 
 def _harvest(small: np.ndarray, pk: np.ndarray, *, rtol: float = 1e-12
@@ -138,14 +133,6 @@ def _tidy_pair(u_k: np.ndarray, c_k: np.ndarray, op_apply, scheme: str
     return u_k, c_k, True
 
 
-def _gram_reduce(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^H y counted as one fused global reduction."""
-    led = ledger.current()
-    led.flop(Kernel.BLAS3, 2.0 * x.shape[0] * x.shape[1] * y.shape[1])
-    led.reduction(nbytes=x.shape[1] * y.shape[1] * x.itemsize)
-    return x.conj().T @ y
-
-
 def gcrodr(a, b, m=None, *, options: Options | None = None,
            x0: np.ndarray | None = None,
            recycle: RecycledSubspace | None = None,
@@ -213,19 +200,25 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
         if sketched_mode else None
     pair_exact = True
 
-    def _sketch_tidy(u: np.ndarray, c: np.ndarray,
-                     sc_raw: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Sketch-whitened repair with the lazy full-space fallback.
+    def _tidy(u: np.ndarray, c: np.ndarray, qf: np.ndarray,
+              sbasis: np.ndarray | None
+              ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Repair the freshly mixed pair ``c = basis @ qf`` (see
+        :func:`_tidy_pair`); sketched mode whitens in sketch space with
+        the lazy full-space fallback.
 
-        When the caller hands a locally derived candidate sketch
-        (``S C_new`` assembled from the maintained ``S C_k`` and the
-        engine's ``S V``) the whitening is communication-free; without
-        one (breakdown cycles with a short engine state) the recycler
-        re-sketches, paying one assembly reduction.
+        ``sbasis`` is the sketch of that basis when the engine state covers
+        it — ``S C_new = sbasis @ qf`` is then local algebra and the
+        whitening communication-free; without it (breakdown cycles with a
+        short engine state) the recycler re-sketches, paying one assembly
+        reduction.
         """
-        if sc_raw is not None:
-            u2, c2, ok = skr.whiten_local(u, c, sc_raw)
+        if not sketched_mode:
+            return _tidy_pair(u, c, op_apply, options.orthogonalization)
+        if sbasis is not None and sbasis.shape[1] == qf.shape[0]:
+            led.flop(Kernel.BLAS3,
+                     4.0 * sbasis.shape[0] * sbasis.shape[1] * qf.shape[1])
+            u2, c2, ok = skr.whiten_local(u, c, sbasis @ qf)
         else:
             u2, c2, ok = skr.whiten(u, c)
         if ok:
@@ -301,7 +294,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 # (exactly orthonormal) pair for the whole solve
                 skr.adopt(u_k, c_k)
             # lines 8-9: project the initial residual onto the recycled space
-            chr0 = _gram_reduce(c_k, r)
+            chr0 = _gram(c_k, r)
             x += u_k @ chr0
             r = r - c_k @ chr0
             led.flop(Kernel.BLAS3, 4.0 * n * u_k.shape[1] * p)
@@ -368,13 +361,10 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 with tr.span("eig", kind="harmonic_ritz"):
                     if use_sketch_eig:
                         # harmonic Ritz of the *sketched* LS problem: the
-                        # basis Gram G_V = (S V)^H (S V) is local algebra
-                        # on the engine's whitened sketch state
-                        t0 = sk.t0
-                        gv = np.eye(hbar.shape[0], dtype=dtype)
-                        gv[:t0.shape[0], :t0.shape[0]] = t0.conj().T @ t0
+                        # basis Gram (S V)^H (S V) is local algebra on the
+                        # engine's whitener t0
                         pk = sketched_harmonic_ritz_vectors(
-                            hbar, gv, k, dtype=dtype,
+                            hbar, sk.t0, k, dtype=dtype,
                             target=options.recycle_target)
                     else:
                         pk = harmonic_ritz_vectors(
@@ -389,21 +379,9 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                         u_k = z @ s
                         led.flop(Kernel.BLAS3,
                                  4.0 * n * vstack.shape[1] * qf.shape[1])
-                        if sketched_mode:
-                            sc_raw = None
-                            if use_sketch_eig:
-                                sv = sk.sketched_basis()
-                                if sv.shape[1] == vstack.shape[1]:
-                                    # S C_new = (S V) qf: local algebra
-                                    sc_raw = sv @ qf
-                                    led.flop(Kernel.BLAS3,
-                                             4.0 * sv.shape[0]
-                                             * sv.shape[1] * qf.shape[1])
-                            u_k, c_k, pair_exact = _sketch_tidy(
-                                u_k, c_k, sc_raw)
-                        else:
-                            u_k, c_k, pair_exact = _tidy_pair(
-                                u_k, c_k, op_apply, options.orthogonalization)
+                        u_k, c_k, pair_exact = _tidy(
+                            u_k, c_k, qf,
+                            sk.sketched_basis() if use_sketch_eig else None)
                     chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                       what="harvested recycle space")
 
@@ -446,7 +424,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 v1 = complete_block(v1, rank, against=[c_k])
             chr_prev = None
             if not sketched_mode:
-                chr_prev = _gram_reduce(c_k, r)      # C_k^H R_{j-1} (line 28, 1st term)
+                chr_prev = _gram(c_k, r)      # C_k^H R_{j-1} (line 28, 1st term)
             # line 26: m-k steps of (block) GMRES on (I - C C^H) A
             with tr.span("cycle", index=cycles, kind="gcrodr",
                          same_system=bool(same_system)):
@@ -499,7 +477,6 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                              strategy=options.recycle_strategy):
                     led.event("recycle_update")
                     hbar = state.hqr.hessenberg()    # ((j+1)p x jp)
-                    jp = hbar.shape[1]
                     sk = state.sketch if sketched_mode else None
                     # the sketch-space update needs the engine state to
                     # cover the whole basis (a breakdown fallback leaves it
@@ -509,61 +486,28 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                                   and skr.sc is not None
                                   and skr.sc.shape[1] == k_cur
                                   and sk.qs.shape[1] == hbar.shape[0])
-                    dk = column_norms(u_k)           # line 32: one k-float
-                    led.reduction(nbytes=k_cur * 8)  # reduction, O(1) in m
-                    dk_safe = np.where(dk > 0, dk, 1.0)
-                    u_tilde = u_k / dk_safe
-                    gm = np.zeros((k_cur + hbar.shape[0], k_cur + jp),
-                                  dtype=dtype)
-                    gm[:k_cur, :k_cur] = np.diag((1.0 / dk_safe).astype(dtype))
-                    gm[:k_cur, k_cur:] = ek
-                    gm[k_cur:, k_cur:] = hbar
-                    # W (line 33): strategy B is communication-free in
-                    # either space; strategy A pays its one fused Gram
-                    # reduction — the cross-Gram [C_k V]^H U_tilde has no
-                    # sketch-side substitute because U's candidates mix in
-                    # the (never sketched) preconditioned directions Z
                     cv = state.cv_stack()            # [C_k | V], zero-copy
-                    w = _strategy_w(options.recycle_strategy, gm, cv,
-                                    u_tilde, k_cur, jp)
                     scv = None
                     if use_sketch:
                         # S [C_k | V] reconstructed locally from the
-                        # maintained S C_k and the engine's whitened state
-                        # — used below to derive the candidate sketch;
-                        # the eigenproblem itself uses the plain Gram:
-                        # after whitening, C_k and V are both
-                        # sketch-orthonormal, so weighting by the sketch
-                        # cross-Gram would square the embedding
-                        # distortion (measured to destabilize the
-                        # selection for k ≳ m/3; see
-                        # ablation_sketched_recycle)
+                        # maintained S C_k and the engine's whitened state,
+                        # only to derive the candidate sketch below: the
+                        # eigenproblem keeps the plain pencil (why, in
+                        # ``sketched_generalized_ritz_vectors``)
                         scv = np.concatenate(
                             [skr.sc, sk.sketched_basis()], axis=1)
-                    with tr.span("eig", kind="generalized_ritz"):
-                        pk = generalized_ritz_vectors(
-                            gm, w, k, dtype=dtype,
-                            target=options.recycle_target)
-                    if pk.shape[1]:
-                        qf, s = _harvest(gm, pk)     # line 35 (pivoted)
-                        uz = np.concatenate([u_tilde, z], axis=1)
+                    # lines 32-35; strategy A's cross-Gram [C_k V]^H U~ has
+                    # no sketch-side substitute: U's candidates mix in the
+                    # (never sketched) preconditioned directions Z
+                    found = _restart_extract(options, u_k, column_norms(u_k),
+                                             ek, hbar, cv)
+                    if found is not None:
+                        u_tilde, qf, s = found
                         c_k = cv @ qf                # line 36
-                        u_k = uz @ s                 # line 37
+                        u_k = u_tilde @ s[:k_cur] + z @ s[k_cur:]  # line 37
                         led.flop(Kernel.BLAS3,
                                  4.0 * n * cv.shape[1] * qf.shape[1])
-                        if sketched_mode:
-                            sc_raw = None
-                            if scv is not None and scv.shape[1] == qf.shape[0]:
-                                # S C_new = (S [C_k V]) qf: local algebra
-                                sc_raw = scv @ qf
-                                led.flop(Kernel.BLAS3,
-                                         4.0 * scv.shape[0]
-                                         * scv.shape[1] * qf.shape[1])
-                            u_k, c_k, pair_exact = _sketch_tidy(
-                                u_k, c_k, sc_raw)
-                        else:
-                            u_k, c_k, pair_exact = _tidy_pair(
-                                u_k, c_k, op_apply, options.orthogonalization)
+                        u_k, c_k, pair_exact = _tidy(u_k, c_k, qf, scv)
                         chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                           what="updated recycle space")
 
@@ -647,24 +591,43 @@ def check_recycle_invariants(a_apply, u: np.ndarray, c: np.ndarray, *,
     legacy.check_recycle(u, c, op_apply=a_apply, what="recycled pair")
 
 
-def _strategy_w(strategy: str, gm: np.ndarray, cv: np.ndarray,
-                u_tilde: np.ndarray, k: int, jp: int) -> np.ndarray:
-    """Right-hand side ``W`` of the generalized eigenproblem (line 33).
+def _restart_extract(options: Options, u_k: np.ndarray, dk: np.ndarray,
+                     ek: np.ndarray, hbar: np.ndarray, cv: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Paper lines 32-35 in the small space, shared with ``pgcrodr``.
 
-    Strategy ``A`` is eq. (3a): requires ``[C_k V]^H U_tilde`` (``cv`` is
-    the augmented basis) — two matrix-matrix products fused into **one**
-    global reduction.  Strategy ``B`` is eq. (3b): ``W = G_m^H [I; 0]`` —
-    no communication at all (section III-C / artifact description note G).
+    Scales ``u_k`` by its column norms ``dk`` (one k-float reduction, O(1)
+    in m, charged here), assembles ``G_m``, extracts the deflation basis of
+    eq. (3) and harvests it: ``(u_tilde, qf, s)`` for ``C = [C_k V] qf`` and
+    ``U = U~ s[:k] + Z s[k:]`` (lines 36-37), or ``None`` when the extraction
+    kept nothing and the previous pair stays.
     """
-    rows = gm.shape[0]          # k + (j+1)p
-    cols = k + jp
-    if strategy == "B":
-        # W = G_m^H [I; 0]: the adjoint of the leading square part of G_m
-        return np.ascontiguousarray(gm[:cols, :].conj().T)
-    # strategy A
-    coeff = _gram_reduce(cv, u_tilde)                   # rows x k, ONE reduction
-    wrhs = np.zeros((rows, cols), dtype=gm.dtype)
-    wrhs[:, :k] = coeff
-    wrhs[k:, k:] = np.eye(rows - k, jp, dtype=gm.dtype)
-    return gm.conj().T @ wrhs
+    kc, dtype = u_k.shape[1], u_k.dtype
+    ledger.current().reduction(nbytes=kc * 8)
+    dk_safe = np.where(dk > 0, dk, 1.0)
+    u_tilde = u_k / dk_safe
+    gm = np.zeros((kc + hbar.shape[0], kc + hbar.shape[1]), dtype=dtype)
+    gm[:kc, :kc] = np.diag((1.0 / dk_safe).astype(dtype))
+    gm[:kc, kc:] = ek
+    gm[kc:, kc:] = hbar
+    w_hat = _strategy_w(options.recycle_strategy, gm, cv, u_tilde)
+    with trace.current().span("eig", kind="generalized_ritz"):
+        pk = generalized_ritz_vectors(gm, w_hat, options.recycle, dtype=dtype,
+                                      target=options.recycle_target)
+    return (u_tilde, *_harvest(gm, pk)) if pk.shape[1] else None
 
+
+def _strategy_w(strategy: str, gm: np.ndarray, cv: np.ndarray,
+                u_tilde: np.ndarray) -> np.ndarray:
+    """Right factor ``w_hat`` of line 33's ``W = G_m^H w_hat``.
+
+    Strategy ``B`` is eq. (3b): ``w_hat = [I; 0]`` — no communication at
+    all (section III-C / artifact description note G).  Strategy ``A`` is
+    eq. (3a): its first ``k`` columns are ``[C_k V]^H U_tilde`` (``cv`` is
+    the augmented basis) — two matrix-matrix products fused into **one**
+    global reduction.
+    """
+    w_hat = np.eye(*gm.shape, dtype=gm.dtype)
+    if strategy != "B":
+        w_hat[:, :u_tilde.shape[1]] = _gram(cv, u_tilde)   # ONE reduction
+    return w_hat

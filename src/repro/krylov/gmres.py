@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
+from ..la.orthogonalization import pseudo_block_tensor
 from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
 from ..trace import tracer as trace
 from ..util import ledger
@@ -121,8 +122,8 @@ def gmres(a, b, m=None, *, options: Options | None = None,
     converged = column_norms(r) <= targets
     # one basis tensor per solve; a restart re-zeroes only the blocks the
     # previous cycle wrote (frozen columns must read as zero)
-    v = np.zeros((restart + 1, n, p), dtype=dtype)
-    z = v if identity_m else np.zeros((restart, n, p), dtype=dtype)
+    v = pseudo_block_tensor(restart + 1, n, p, dtype)
+    z = v if identity_m else pseudo_block_tensor(restart, n, p, dtype)
     j = 0
 
     while not np.all(converged) and total_it < options.max_it:

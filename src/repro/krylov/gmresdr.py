@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..la.dense import hessenberg_harmonic_lhs, sorted_eig
+from ..la.dense import hessenberg_harmonic_lhs, invariant_subspace
 from ..la.orthogonalization import SCHEMES
 from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
 from ..trace import tracer as trace
@@ -33,7 +33,6 @@ from ..verify import checker_for
 from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
                    as_operator, initial_state, residual_targets)
 from .basis import TransposedBasisArena
-from .deflation import select_real_subspace
 from .gmres import setup_preconditioning
 
 __all__ = ["gmresdr"]
@@ -201,9 +200,8 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
         with tr.span("eig", kind="harmonic_ritz"):
             hmat = hessenberg_harmonic_lhs(hj, None,
                                            hbar[jc: jc + 1, jc - 1: jc], 1)
-            vals, vecs = sorted_eig(hmat, jc, target=options.recycle_target)
-            pk = select_real_subspace(vals, vecs, min(k, jc - 1),
-                                      np.dtype(dtype))
+            pk = invariant_subspace(hmat, min(k, jc - 1),
+                                    target=options.recycle_target)
         if pk.shape[1] == 0:
             v_aug = None
             h_lead = None

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
-from ..la.orthogonalization import SCHEMES
+from ..la.orthogonalization import pseudo_block_tensor
 from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
 from ..trace import tracer as trace
 from ..util import ledger
@@ -31,9 +31,9 @@ from ..verify import checker_for
 from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
                    as_operator, initial_state, residual_targets)
 from .basis import AugmentedTensorArena
-from .deflation import harmonic_ritz_vectors, generalized_ritz_vectors
-from .gcrodr import (_exact_pair, _harvest, _project_solve, _strategy_w,
-                     _tidy_pair)
+from .deflation import harmonic_ritz_vectors
+from .gcrodr import (_exact_pair, _harvest, _project_solve,
+                     _restart_extract, _tidy_pair)
 from .gmres import setup_preconditioning
 from .recycling import RecycledSubspace
 from .sketch_recycle import SketchedRecycler
@@ -72,7 +72,7 @@ def _sketch_tidy_column(rec: SketchedRecycler, u: np.ndarray, c: np.ndarray,
     """Sketch-whiten one column's fresh pair, falling back to exact repair.
 
     Returns ``(u, c, exact)`` with the same contract as the block solver's
-    ``_sketch_tidy``: ``exact=False`` means the pair is sketch-whitened
+    ``_tidy``: ``exact=False`` means the pair is sketch-whitened
     only, and the caller owes one :func:`_exact_pair` before packaging.
     """
     u2, c2, ok = rec.whiten(u, c)
@@ -157,6 +157,17 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
             skr_cols[l] = SketchedRecycler(n=n, max_cols=m_restart + 1 + k)
         return skr_cols[l]
 
+    def _tidy_column(l: int, col: _Column, what: str) -> None:
+        """Repair column ``l``'s freshly mixed pair and check it."""
+        if sketched_mode:
+            col.u, col.c, pair_exact[l] = _sketch_tidy_column(
+                _col_recycler(l), col.u, col.c, op_apply)
+        else:
+            col.u, col.c, pair_exact[l] = _tidy_pair(
+                col.u, col.c, op_apply, options.orthogonalization)
+        chk.check_recycle(col.u, col.c, op_apply=op_apply,
+                          what=f"{what} recycle space (column {l})")
+
     # ---- adopt incoming recycled spaces ---------------------------------
     if recycle is not None and recycle.p == p:
         if same_system is None:
@@ -236,7 +247,7 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
         # prefix view, never a concatenate copy (kmax = 0 without folding)
         arena = AugmentedTensorArena(kmax, steps, n, p, dtype)
         v, ck_blocks = arena.v, arena.ck
-        z = v if identity_m else np.zeros((steps, n, p), dtype=dtype)
+        z = v if identity_m else pseudo_block_tensor(steps, n, p, dtype)
         for l, col in enumerate(cols):
             col.active = (not converged[l]) and beta[l] > 0
             col.steps = 0
@@ -415,67 +426,26 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                             1, k, dtype=dtype, target=options.recycle_target)
                     if pk.shape[1]:
                         qf, s = _harvest(hbar, pk)
-                        vstack = np.column_stack(
-                            [v[i, :, l] for i in range(jc + 1)])
-                        zstack = vstack[:, :jc] if identity_m else \
-                            np.column_stack([z[i, :, l] for i in range(jc)])
-                        col.c = vstack @ qf
-                        col.u = zstack @ s
-                        if sketched_mode:
-                            col.u, col.c, pair_exact[l] = _sketch_tidy_column(
-                                _col_recycler(l), col.u, col.c, op_apply)
-                        else:
-                            col.u, col.c, pair_exact[l] = _tidy_pair(
-                                col.u, col.c, op_apply,
-                                options.orthogonalization)
-                        chk.check_recycle(
-                            col.u, col.c, op_apply=op_apply,
-                            what=f"harvested recycle space (column {l})")
+                        # column l's stacks are views of the basis tensors
+                        col.c = v[: jc + 1, :, l].T @ qf
+                        col.u = z[:jc, :, l].T @ s
+                        _tidy_column(l, col, "harvested")
             elif not same_system and col.u is not None:
                 with tr.span("recycle_update", column=l,
                              strategy=options.recycle_strategy):
                     led.event("recycle_update")
-                    rec = _col_recycler(l) if sketched_mode else None
-                    # exact column norms: one tiny k*8-byte reduction,
-                    # O(1) in the restart length either way
-                    dk = np.linalg.norm(col.u, axis=0)
-                    led.reduction(nbytes=col.k * 8)
-                    dk_safe = np.where(dk > 0, dk, 1.0)
-                    u_tilde = col.u / dk_safe
-                    hbar = col.hqr.hessenberg()
                     kc = col.k
                     ek = (np.concatenate(col.e_cols, axis=1)
                           if col.e_cols else np.zeros((kc, jc), dtype=dtype))
-                    gm = np.zeros((kc + hbar.shape[0], kc + jc), dtype=dtype)
-                    gm[:kc, :kc] = np.diag((1.0 / dk_safe).astype(dtype))
-                    gm[:kc, kc:] = ek
-                    gm[kc:, kc:] = hbar
-                    vstack = np.column_stack(
-                        [v[i, :, l] for i in range(jc + 1)])
-                    zstack = vstack[:, :jc] if identity_m else \
-                        np.column_stack([z[i, :, l] for i in range(jc)])
-                    cv = np.concatenate([col.c, vstack], axis=1)
-                    w_mat = _strategy_w(options.recycle_strategy, gm, cv,
-                                        u_tilde, kc, jc)
-                    with tr.span("eig", kind="generalized_ritz"):
-                        pk = generalized_ritz_vectors(
-                            gm, w_mat, k, dtype=dtype,
-                            target=options.recycle_target)
-                    if pk.shape[1]:
-                        qf, s = _harvest(gm, pk)
-                        uz = np.concatenate([u_tilde, zstack], axis=1)
+                    cv = np.concatenate([col.c, v[: jc + 1, :, l].T], axis=1)
+                    found = _restart_extract(
+                        options, col.u, np.linalg.norm(col.u, axis=0), ek,
+                        col.hqr.hessenberg(), cv)
+                    if found is not None:
+                        u_tilde, qf, s = found
                         col.c = cv @ qf
-                        col.u = uz @ s
-                        if sketched_mode:
-                            col.u, col.c, pair_exact[l] = _sketch_tidy_column(
-                                rec, col.u, col.c, op_apply)
-                        else:
-                            col.u, col.c, pair_exact[l] = _tidy_pair(
-                                col.u, col.c, op_apply,
-                                options.orthogonalization)
-                        chk.check_recycle(
-                            col.u, col.c, op_apply=op_apply,
-                            what=f"updated recycle space (column {l})")
+                        col.u = u_tilde @ s[:kc] + z[:jc, :, l].T @ s[kc:]
+                        _tidy_column(l, col, "updated")
         if harvesting and any(col.u is not None for col in cols):
             have_recycle = True
 

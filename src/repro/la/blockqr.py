@@ -16,11 +16,11 @@ every (virtual) rank — it involves no communication.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..util import ledger
 from ..util.ledger import Kernel
 from ..util.misc import column_norms
+from .dense import solve_upper_triangular
 
 __all__ = ["BlockHessenbergQR"]
 
@@ -158,16 +158,10 @@ class BlockHessenbergQR:
         j = self.ncols
         if j == 0:
             return np.zeros((0, self.q), dtype=self.dtype)
-        r = self.triangular()
-        gtop = self.g[: j * self.p]
-        diag = np.abs(np.diagonal(r))
-        scale = diag.max(initial=0.0)
-        led = ledger.current()
-        led.flop(Kernel.BLAS2, 1.0 * (j * self.p) ** 2 * self.p)
-        if scale == 0.0 or diag.min() < 1e-14 * scale:
-            y, *_ = np.linalg.lstsq(r, gtop, rcond=None)
-            return y
-        return sla.solve_triangular(r, gtop, lower=False)
+        ledger.current().flop(Kernel.BLAS2,
+                              1.0 * (j * self.p) ** 2 * self.p)
+        return solve_upper_triangular(self.triangular(),
+                                      self.g[: j * self.p])
 
     def apply_qh(self, block: np.ndarray) -> np.ndarray:
         """Apply the accumulated ``Q^H`` to a ((j+1)p x q) block.

@@ -15,6 +15,7 @@ from ..util.ledger import Kernel
 __all__ = [
     "sorted_eig",
     "sorted_generalized_eig",
+    "invariant_subspace",
     "solve_upper_triangular",
     "hessenberg_harmonic_lhs",
 ]
@@ -32,38 +33,108 @@ def _sort_key(values: np.ndarray, target: str) -> np.ndarray:
     raise ValueError(f"unknown eigenvalue target {target!r}")
 
 
+def _order(vals: np.ndarray, target: str) -> np.ndarray:
+    """Positions of ``vals`` by closeness to ``target``, non-finite last."""
+    bad = ~np.isfinite(vals)
+    return _sort_key(
+        np.where(bad, np.inf if target.startswith("smallest") else 0.0, vals),
+        target)
+
+
 def sorted_eig(a: np.ndarray, k: int, *, target: str = "smallest"
                ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a small dense matrix, the ``k`` closest to ``target``.
 
-    Used for the harmonic-Ritz problem of the first GCRO-DR cycle (paper
-    line 16).  Infinite/NaN eigenvalues (possible when the Hessenberg is
-    singular) are pushed to the back of the ordering.
+    Infinite/NaN eigenvalues go last.  Reference only: the solvers extract
+    their deflation spaces with :func:`invariant_subspace`.
     """
     vals, vecs = np.linalg.eig(a)
     ledger.current().flop(Kernel.EIG, 25.0 * a.shape[0] ** 3)
-    bad = ~np.isfinite(vals)
-    vals_for_sort = np.where(bad, np.inf if target.startswith("smallest") else 0.0, vals)
-    order = _sort_key(vals_for_sort, target)
-    order = order[: k]
+    order = _order(vals, target)[: k]
     return vals[order], vecs[:, order]
 
 
 def sorted_generalized_eig(t: np.ndarray, w: np.ndarray, k: int, *,
                            target: str = "smallest"
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized eigenpairs ``T z = theta W z`` (paper line 33).
+    """Generalized eigenpairs ``T z = theta W z`` by QZ (reference only).
 
     Handles infinite eigenvalues from singular ``W`` by deprioritizing
     them; returns the ``k`` eigenpairs closest to the requested target.
     """
     vals, vecs = sla.eig(t, w)
     ledger.current().flop(Kernel.EIG, 50.0 * t.shape[0] ** 3)
-    bad = ~np.isfinite(vals)
-    vals_for_sort = np.where(bad, np.inf if target.startswith("smallest") else 0.0, vals)
-    order = _sort_key(vals_for_sort, target)
-    order = order[: k]
+    order = _order(vals, target)[: k]
     return vals[order], vecs[:, order]
+
+
+def invariant_subspace(a: np.ndarray, k: int, *, target: str = "smallest",
+                       reciprocal: bool = False) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace of ``a`` for the ``k``
+    eigenvalues closest to ``target`` — the one deflation extraction behind
+    paper lines 16 and 33 and GMRES-DR's restart.
+
+    One (real or complex) Schur form; LAPACK ``trsen`` moves the selected
+    values to the front and the leading Schur vectors *are* the basis (real
+    for real ``a``, no eigenvectors formed).  ``reciprocal`` orders the values
+    as ``theta = 1 / mu``; non-finite ones (``mu = 0``) go last.  For real
+    ``a``, a conjugate pair of which only one half is among the ``k`` selected
+    contributes the real part of its eigenvector.
+
+    Never raises on behalf of a solve: non-finite input or a LAPACK failure
+    (``gees`` not converged, ``trsen`` swap too ill-conditioned) returns a
+    zero-column basis and records a ``deflation_rejected`` ledger event.
+    """
+    n = a.shape[0]
+    k = min(k, n)
+    led = ledger.current()
+    if k <= 0:
+        return np.zeros((n, 0), dtype=a.dtype)
+    info = not np.all(np.isfinite(a))
+    if not info:
+        gees, trsen = sla.get_lapack_funcs(("gees", "trsen"), (a,))
+        unsorted = lambda *_: None      # gees' select callback, never called
+        lwork = int(gees(unsorted, a, lwork=-1)[-2][0].real)  # ~10 % faster
+        t, _, *mu, z, _, info = gees(unsorted, a, lwork=lwork)
+        led.flop(Kernel.EIG, 25.0 * n ** 3)
+    if not info:
+        # real Schur form: a 2x2 diagonal block is a conjugate pair (wi != 0)
+        wi = mu[1] if len(mu) == 2 else np.zeros(n)
+        vals = mu[0] + 1j * mu[1] if len(mu) == 2 else mu[0]
+        if reciprocal:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = 1.0 / vals
+        select = np.zeros(n, dtype=np.int32)
+        taken, pair = 0, None
+        for i in _order(vals, target):
+            if taken == k:
+                break
+            if not select[i]:
+                lo, width = i - (wi[i] < 0.0), 1 + (wi[i] != 0.0)
+                if taken + width > k:   # the k-th value is half of this pair
+                    pair = lo
+                    break
+                select[lo:lo + width] = 1
+                taken += width
+        if pair is not None:
+            # pair to the top first: the second reorder then leaves it right
+            # behind the k-1 whole values (unselected blocks keep their order)
+            alone = np.zeros(n, dtype=np.int32)
+            alone[pair] = 1
+            t, z, *_, info = trsen(alone, t, z, job="N")
+            select = np.concatenate([[0, 0], select[:pair], select[pair + 2:]])
+    if not info:
+        t, z, *_, info = trsen(select, t, z, job="N")
+    if info:
+        led.event("deflation_rejected")
+        return np.zeros((n, 0), dtype=a.dtype)
+    out = np.array(z[:, :k], order="C")
+    if pair is not None:
+        # the pair's plane is z[:, k-1:k+1]; keep the real part of the
+        # eigenvector of its 2x2 block (geev scaling: larger component real)
+        c = np.linalg.eig(t[k - 1:k + 1, k - 1:k + 1])[1][:, 0].real
+        out[:, k - 1] = z[:, k - 1:k + 1] @ (c / np.linalg.norm(c))
+    return out
 
 
 def solve_upper_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,17 +180,10 @@ def hessenberg_harmonic_lhs(hbar: np.ndarray, r_factor: np.ndarray,
     """
     mp = hbar.shape[1]
     hm = hbar[:mp, :]
-    # correction column block: only the last p columns of the correction
-    # matrix are nonzero, so solve for those columns only.
+    # only the last p columns of the correction are nonzero: solve for those
+    # (H_m^{-H} X = (QR)^{-H} X in exact arithmetic; see ``r_factor`` above)
     corr_rhs = np.zeros((mp, p), dtype=hbar.dtype)
     corr_rhs[-p:, :] = h_last.conj().T @ h_last
-    # (QR)^{-H} corr = R^{-H} Q^{-H}?  No: H_m = Q_{top} R with Q the unitary
-    # from the QR of \bar H_m restricted appropriately.  The paper evaluates
-    # (QR)^{-H} X as R^{-H} applied after accounting for Q being unitary on
-    # the extended space; in exact arithmetic H_m^{-H} X = (QR)^{-H} X.
-    # We use the triangular factor: H_m^{-H} = (Q_1 R)^{-H} where Q_1 is the
-    # top mp x mp block of the accumulated Q.  To stay faithful *and* robust
-    # we solve the small adjoint system directly with the Hessenberg.
     led = ledger.current()
     led.flop(Kernel.BLAS2, 2.0 * mp * mp * p)
     try:

@@ -38,6 +38,7 @@ from ..util.ledger import Kernel
 from ..util.misc import as_block, column_norms
 
 __all__ = [
+    "conj_gram",
     "cholqr",
     "shifted_cholqr",
     "cholqr2",
@@ -56,6 +57,7 @@ __all__ = [
     "SketchArena",
     "SketchState",
     "PseudoBlockOrthogonalizer",
+    "pseudo_block_tensor",
     "OrthoScheme",
     "SCHEMES",
     "ORTHO_SCHEME_NAMES",
@@ -136,12 +138,32 @@ LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2", "sketched")
 SCALE_AWARE_QR: tuple[str, ...] = ("cholqr", "cholqr_rr", "sketched")
 
 
+def conj_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Uncharged ``x^H y`` that never materializes ``conj(x)``: ``x`` is the
+    tall operand (a basis slab), so a complex product conjugates the skinny
+    ``y`` and the small result instead."""
+    if np.iscomplexobj(x):
+        return (x.T @ y.conj()).conj()
+    return x.T @ y
+
+
+def _right_solve(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Uncharged whitening ``x r^{-1}`` (``r`` upper triangular): a right-side
+    ``trsm`` on one F-ordered copy, returned C-contiguous — the left-side
+    solve on the ``p x n`` transpose is the slow way round.  The copy is
+    forced: an ``(n, 1)`` block is C- *and* F-contiguous, so ``overwrite_b``
+    would otherwise write into the caller's array."""
+    trsm, = sla.get_blas_funcs(("trsm",), (r, x))
+    return np.ascontiguousarray(
+        trsm(1.0, r, np.array(x, order="F"), side=1, overwrite_b=1))
+
+
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x^H y with flop + single-reduction accounting."""
     led = ledger.current()
     led.flop(Kernel.BLAS3, 2.0 * x.shape[0] * x.shape[1] * y.shape[1])
     led.reduction(nbytes=x.shape[1] * y.shape[1] * x.itemsize)
-    return x.conj().T @ y
+    return conj_gram(x, y)
 
 
 def _chol_from_gram(x: np.ndarray, g: np.ndarray
@@ -153,8 +175,7 @@ def _chol_from_gram(x: np.ndarray, g: np.ndarray
     (``repro.plan``), whose nodes replay pre-bound charges instead.
     """
     r = np.linalg.cholesky(g).conj().T
-    q = sla.solve_triangular(r.T, x.T, lower=True).T
-    return q, r
+    return _right_solve(x, r), r
 
 
 def cholqr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,13 +202,7 @@ def shifted_cholqr(x: np.ndarray, *, refine: bool = True) -> tuple[np.ndarray, n
     machine precision.  Still one reduction per pass.
     """
     x = as_block(x)
-    n, p = x.shape
-    g = _gram(x, x)
-    normx2 = float(np.trace(g).real)
-    u = np.finfo(x.dtype).eps
-    shift = 11.0 * (n * p + p * (p + 1)) * u * normx2
-    r = np.linalg.cholesky(g + shift * np.eye(p, dtype=g.dtype)).conj().T
-    q = sla.solve_triangular(r.T, x.T, lower=True).T
+    q, r = _chol_normalize_core(x, _gram(x, x), shift=True)
     if refine:
         q2, r2 = cholqr(q)
         return q2, r2 @ r
@@ -241,7 +256,7 @@ def _cholqr_rr_core(x: np.ndarray, *, tol: float, scale: float | None = None
     the self-Gram ``x^H x`` takes NumPy's syrk dispatch only then.
     """
     n, p = x.shape
-    g = x.conj().T @ x
+    g = conj_gram(x, x)
     w, v = np.linalg.eigh(g)
     w = np.maximum(w.real, 0.0)
     sig = np.sqrt(w)[::-1]           # descending singular values of x
@@ -411,7 +426,7 @@ def sketched_qr(x: np.ndarray, *, tol: float = 1e-12,
     rank = int(np.count_nonzero(d > tol * ref))
     if rank < p:
         return cholqr_rr(x, tol=tol, scale=scale)
-    q = sla.solve_triangular(rs.T, x.T, lower=True).T
+    q = _right_solve(x, rs)
     led.flop(Kernel.BLAS3, 1.0 * n * p**2)
     return q, rs, p
 
@@ -534,7 +549,7 @@ def _stacked_gram(stacked: np.ndarray, p: int
     led = ledger.current()
     led.flop(Kernel.BLAS3, 2.0 * n * cols * p)
     led.reduction(nbytes=cols * p * stacked.itemsize)
-    g = _thin_contig(stacked, p).conj().T @ _thin_contig(stacked[:, k:], 1)
+    g = conj_gram(_thin_contig(stacked, p), _thin_contig(stacked[:, k:], 1))
     return g[:k], g[k:]
 
 
@@ -906,13 +921,13 @@ class _SketchedEngine(_EngineBase):
         scale_s = float(np.max(column_norms(sw), initial=0.0))
         e_col = None
         if k:
-            e_col = ck.conj().T @ w
+            e_col = conj_gram(ck, w)
             led.flop(Kernel.BLAS3, 4.0 * n * k * p)
             w = w - ck @ e_col
             sw = sw - self._sck @ e_col
         qs = self._qs.view()
         w0 = self._t0.shape[0]
-        c = _thin_contig(qs, p).conj().T @ sw            # local, cols x p
+        c = conj_gram(_thin_contig(qs, p), sw)           # local, cols x p
         y = c.copy()
         if w0:
             y[:w0] = sla.solve_triangular(self._t0, c[:w0])
@@ -939,7 +954,7 @@ class _SketchedEngine(_EngineBase):
             # the sketch-space verdict stands even if the exact factor
             # keeps all p columns: nothing was appended to the sketch basis
             return q, y, r, min(rank, p - 1), e_col
-        q = sla.solve_triangular(rfac.T, w2.T, lower=True).T
+        q = _right_solve(w2, rfac)
         led.flop(Kernel.BLAS3, 1.0 * n * p**2)
         self._qs.append(qn)
         return q, y, rfac, rank, e_col
@@ -965,33 +980,65 @@ def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12,
 
 # ---------------------------------------------------------------------------
 # Pseudo-block per-step cores: the pure numerics of every scheme, with no
-# ledger access.  The interpreting PseudoBlockOrthogonalizer calls a core
-# and derives its charges per call; the compiled plan path
-# (repro.plan.pseudoblock) calls the *same* core and replays a pre-bound
-# charge table — bit-identical numerics and counts by construction.
+# ledger access — PseudoBlockOrthogonalizer.step runs them for the
+# interpreting class and its compiled twin (repro.plan.pseudoblock) alike,
+# so numerics are bit-identical by construction.
+#
+# Column l's basis is the ``i x n`` matrix ``basis[:, :, l]``; the cores
+# contract it with batched ``np.matmul`` on the ``(p, i, n)`` view — one
+# GEMV per column — and work on the ``(p, n)`` transpose of the candidate.
+# (``tests/fixtures/reference_pb_projector.py`` is the einsum oracle.)
 # ---------------------------------------------------------------------------
+
+
+def pseudo_block_tensor(cols: int, n: int, p: int, dtype) -> np.ndarray:
+    """Zeroed pseudo-block basis tensor, indexed ``(cols, n, p)`` but stored
+    ``(cols, p, n)``: ``t[j]``, ``t[j, :, l]`` and ``t[:i, :, l]`` index as
+    the logical shape says, while column ``l``'s basis has unit stride along
+    ``n`` — what the cores' GEMVs need to reach BLAS (``np.matmul`` silently
+    falls back to a scalar loop otherwise)."""
+    return np.zeros((cols, p, n), dtype=dtype).transpose(0, 2, 1)
+
+
+def _pb_dots(basis: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """``basis_l^H w_l`` per column, ``(p, i)``; ``wt`` is ``(p, n)``.
+    Conjugates the skinny operand and the small result, never the basis."""
+    return np.matmul(basis.transpose(2, 0, 1),
+                     wt.conj()[:, :, None])[:, :, 0].conj()
+
+
+def _pb_update(basis: np.ndarray, wt: np.ndarray, dt: np.ndarray
+               ) -> np.ndarray:
+    """``w_l - basis_l d_l`` per column, ``(p, n)``; ``dt`` is ``(p, i)``."""
+    return wt - np.matmul(dt[:, None, :], basis.transpose(2, 0, 1))[:, 0, :]
+
+
+def _pb_sq(xt: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each row of ``xt``."""
+    return np.einsum("pn,pn->p", xt.conj(), xt).real
 
 
 def _pb_step_mgs(basis: np.ndarray, w: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w2 = np.array(w, copy=True)
-    dots = np.zeros((basis.shape[0], w.shape[1]), dtype=w.dtype)
+    w2 = np.ascontiguousarray(w.T)
+    dots = np.zeros((w.shape[1], basis.shape[0]), dtype=w.dtype)
     for i in range(basis.shape[0]):
-        c = np.einsum("np,np->p", basis[i].conj(), w2)
-        w2 = w2 - basis[i] * c
-        dots[i] = c
-    return w2, dots, column_norms(w2)
+        c = _pb_dots(basis[i:i + 1], w2)
+        w2 = w2 - c * basis[i].T
+        dots[:, i] = c[:, 0]
+    return w2.T, dots.T, column_norms(w2.T)
 
 
 def _pb_step_cgs(basis: np.ndarray, w: np.ndarray, *, iterated: bool
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dots = np.einsum("inp,np->ip", basis.conj(), w)
-    w2 = w - np.einsum("inp,ip->np", basis, dots)
+    wt = np.ascontiguousarray(w.T)
+    dots = _pb_dots(basis, wt)
+    w2 = _pb_update(basis, wt, dots)
     if iterated:
-        d2 = np.einsum("inp,np->ip", basis.conj(), w2)
-        w2 = w2 - np.einsum("inp,ip->np", basis, d2)
+        d2 = _pb_dots(basis, w2)
+        w2 = _pb_update(basis, w2, d2)
         dots = dots + d2
-    return w2, dots, column_norms(w2)
+    return w2.T, dots.T, column_norms(w2.T)
 
 
 def _pb_step_cgs2_1r(basis: np.ndarray, w: np.ndarray
@@ -999,19 +1046,19 @@ def _pb_step_cgs2_1r(basis: np.ndarray, w: np.ndarray
     """Two fused passes + Pythagorean norm downdate; returns the count of
     columns whose norm had to be honestly recomputed (cancellation guard)
     so the caller can charge the extra reduction."""
-    d1 = np.einsum("inp,np->ip", basis.conj(), w)
-    w1 = w - np.einsum("inp,ip->np", basis, d1)
-    d2 = np.einsum("inp,np->ip", basis.conj(), w1)
-    w1sq = np.einsum("np,np->p", w1.conj(), w1).real
-    w2 = w1 - np.einsum("inp,ip->np", basis, d2)
-    dots = d1 + d2
-    nrm2 = w1sq - np.einsum("ip,ip->p", d2.conj(), d2).real
+    wt = np.ascontiguousarray(w.T)
+    d1 = _pb_dots(basis, wt)
+    w1 = _pb_update(basis, wt, d1)
+    d2 = _pb_dots(basis, w1)
+    w1sq = _pb_sq(w1)
+    w2 = _pb_update(basis, w1, d2).T
+    nrm2 = w1sq - _pb_sq(d2)
     nrm = np.sqrt(np.maximum(nrm2, 0.0))
     bad = (nrm2 < 0.25 * w1sq) & (w1sq > 0)
     nbad = int(np.count_nonzero(bad))
     if nbad:
         nrm = np.where(bad, column_norms(w2), nrm)
-    return w2, dots, nrm, nbad
+    return w2, (d1 + d2).T, nrm, nbad
 
 
 def _pb_step_sketched(qs: np.ndarray, t0: np.ndarray, basis: np.ndarray,
@@ -1021,28 +1068,27 @@ def _pb_step_sketched(qs: np.ndarray, t0: np.ndarray, basis: np.ndarray,
     """Sketch-space projection and residual; ``sw`` is the pre-sketched
     candidate.  Returns ``(w2, y, nrm, rs)`` with ``rs`` the sketch
     residual the caller stages for :meth:`commit`."""
-    c = np.einsum("isp,sp->ip", qs.conj(), sw)           # local
+    swt = np.ascontiguousarray(sw.T)
+    c = _pb_dots(qs, swt)                                # local, (p, j1)
     y = c.copy()
-    w0 = t0.shape[0]
-    j1 = qs.shape[0]
+    m = min(t0.shape[0], qs.shape[0])
     for l in range(w.shape[1]):                          # whiten leading block
-        t = t0[:min(w0, j1), :min(w0, j1), l]
+        t = t0[:m, :m, l]
         # a singular whitener marks a dead bundle column (zero initial
         # vector, e.g. an already-converged pseudo-block column): its
         # sketch coefficients are zero, so skip the solve
-        if t.shape[0] and np.all(np.abs(np.diag(t)) > 0):
-            y[:t.shape[0], l] = sla.solve_triangular(t, c[:t.shape[0], l])
-    w2 = w - np.einsum("inp,ip->np", basis, y)
-    rs = sw - np.einsum("isp,ip->sp", qs, c)
-    nrm = np.sqrt(np.einsum("sp,sp->p", rs.conj(), rs).real)
-    return w2, y, nrm, rs
+        if m and np.all(np.abs(np.diag(t)) > 0):
+            y[l, :m] = sla.solve_triangular(t, c[l, :m])
+    w2 = _pb_update(basis, np.ascontiguousarray(w.T), y)
+    rs = _pb_update(qs, swt, c)
+    return w2.T, y.T, np.sqrt(_pb_sq(rs)), rs.T
 
 
 def _pb_begin_sketched(sv: np.ndarray, max_cols: int, dtype: np.dtype
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column QR of the pre-sketched ``(s, w0, p)`` initial basis."""
     s, w0, p = sv.shape
-    qs = np.zeros((max_cols, s, p), dtype=dtype)
+    qs = pseudo_block_tensor(max_cols, s, p, dtype)
     t0 = np.zeros((w0, w0, p), dtype=dtype)
     for l in range(p):
         q, t = np.linalg.qr(sv[:, :, l])
@@ -1087,6 +1133,10 @@ class PseudoBlockOrthogonalizer:
 
     # -- sketch state ------------------------------------------------------
 
+    def _sketch(self, w: np.ndarray) -> np.ndarray:
+        """``S w``, flops charged (the compiled twin replays them instead)."""
+        return apply_sketch(w, self.s, seed=self.seed)
+
     def begin(self, v0: np.ndarray) -> None:
         """Start a cycle from the ``(w0, n, p)`` initial basis tensor.
 
@@ -1097,13 +1147,11 @@ class PseudoBlockOrthogonalizer:
         if self.scheme != "sketched":
             return
         w0, n, p = v0.shape
-        led = ledger.current()
-        led.reduction(nbytes=self.s * w0 * p * self.dtype.itemsize)
-        sv = apply_sketch(v0.transpose(1, 0, 2).reshape(n, w0 * p),
-                          self.s, seed=self.seed).reshape(self.s, w0, p)
+        sv = self._sketch(v0.transpose(1, 0, 2).reshape(n, w0 * p)
+                          ).reshape(self.s, w0, p)
         self._qs, self._t0 = _pb_begin_sketched(sv, self._max_cols,
                                                 self.dtype)
-        led.flop(Kernel.QR, 4.0 * self.s * w0**2 * p)
+        self._charge_begin(w0)
         self._cols = w0
         self._pending = None
 
@@ -1132,39 +1180,51 @@ class PseudoBlockOrthogonalizer:
         (for ``sketched`` these are sketch-space norms).  The caller
         normalizes / freezes columns and then calls :meth:`commit`.
         """
-        led = ledger.current()
-        n, p = w.shape
+        nbad = 0
         if self.scheme == "mgs":
             w2, dots, nrm = _pb_step_mgs(basis, w)
-            led.reduction(nbytes=p * w.itemsize, count=j + 1)
-            led.flop(Kernel.BLAS2, 4.0 * n * p * (j + 1))
-            led.reduction(nbytes=p * 8)
-            return w2, dots, nrm
-        if self.scheme in ("cgs", "imgs", "cholqr2"):
+        elif self.scheme == "cgs2_1r":
+            w2, dots, nrm, nbad = _pb_step_cgs2_1r(basis, w)
+        elif self.scheme == "sketched":
+            w2, dots, nrm, rs = _pb_step_sketched(
+                self._qs[:j + 1], self._t0, basis, w, self._sketch(w))
+            self._pending = (rs, nrm)
+        else:
             w2, dots, nrm = _pb_step_cgs(basis, w,
                                          iterated=self.scheme == "imgs")
-            passes = 2 if self.scheme == "imgs" else 1
-            led.reduction(nbytes=(j + 1) * p * w.itemsize, count=passes)
-            led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p * passes)
+        self._charge_step(j, nbad)
+        return w2, dots, nrm
+
+    # -- charges, derived per call (the compiled twin binds them once) -----
+
+    def _charge_begin(self, w0: int) -> None:
+        led = ledger.current()
+        led.reduction(nbytes=self.s * w0 * self.p * self.dtype.itemsize)
+        led.flop(Kernel.QR, 4.0 * self.s * w0**2 * self.p)
+
+    def _charge_step(self, j: int, nbad: int) -> None:
+        led = ledger.current()
+        n, p, itemsize = self.n, self.p, self.dtype.itemsize
+        if self.scheme == "mgs":
+            led.reduction(nbytes=p * itemsize, count=j + 1)
+            led.flop(Kernel.BLAS2, 4.0 * n * p * (j + 1))
             led.reduction(nbytes=p * 8)
-            return w2, dots, nrm
-        if self.scheme == "cgs2_1r":
+        elif self.scheme == "cgs2_1r":
             # two fused passes: dots stacked with the column masses, the
             # final norm by Pythagorean downdate; the cancellation guard's
             # honest recompute (rare: near-breakdown only) costs one extra
             # reduction carrying a scalar per affected column.
-            w2, dots, nrm, nbad = _pb_step_cgs2_1r(basis, w)
-            led.reduction(nbytes=((j + 1) * p + p) * w.itemsize, count=2)
+            led.reduction(nbytes=((j + 1) * p + p) * itemsize, count=2)
             led.flop(Kernel.BLAS3,
                      (4.0 * (j + 1) * n * p + 2.0 * n * p) * 2)
             if nbad:
                 led.reduction(nbytes=nbad * 8)
-            return w2, dots, nrm
-        # sketched: ONE reduction (the sketched candidate)
-        led.reduction(nbytes=self.s * p * self.dtype.itemsize)
-        sw = apply_sketch(w, self.s, seed=self.seed)
-        w2, y, nrm, rs = _pb_step_sketched(self._qs[:j + 1], self._t0,
-                                           basis, w, sw)
-        led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p)
-        self._pending = (rs, nrm)
-        return w2, y, nrm
+        elif self.scheme == "sketched":
+            # ONE reduction: the sketched candidate
+            led.reduction(nbytes=self.s * p * itemsize)
+            led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p)
+        else:
+            passes = 2 if self.scheme == "imgs" else 1
+            led.reduction(nbytes=(j + 1) * p * itemsize, count=passes)
+            led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p * passes)
+            led.reduction(nbytes=p * 8)

@@ -34,7 +34,8 @@ from ..krylov.basis import BasisArena
 from ..la.orthogonalization import (SketchArena, SketchState,
                                     _apply_sketch_core, _chol_from_gram,
                                     _chol_normalize_core, _cholqr_rr_core,
-                                    _thin_contig, sketch_size)
+                                    _right_solve, _thin_contig, conj_gram,
+                                    sketch_size)
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -92,7 +93,7 @@ class _Ctx:
 
 
 def _run_ck_seed(ctx):
-    e0 = np.asarray(ctx.ck).conj().T @ ctx.v1
+    e0 = conj_gram(np.asarray(ctx.ck), ctx.v1)
     ctx.v1 = ctx.v1 - ctx.ck @ e0
     ctx.e0 = e0
 
@@ -131,8 +132,8 @@ def _run_spmm_fresh(ctx):
 
 
 def _run_gram1(ctx):
-    g = _thin_contig(ctx.arena.stacked(), ctx.p).conj().T \
-        @ _thin_contig(ctx.arena.slot(), 1)
+    g = conj_gram(_thin_contig(ctx.arena.stacked(), ctx.p),
+                  _thin_contig(ctx.arena.slot(), 1))
     c = ctx.arena.cols
     ctx.c1, ctx.wg0 = g[:c], g[c:]
 
@@ -143,8 +144,8 @@ def _run_project1(ctx):
 
 
 def _run_gram2(ctx):
-    g = _thin_contig(ctx.arena.stacked(), ctx.p).conj().T \
-        @ _thin_contig(ctx.arena.slot(), 1)
+    g = conj_gram(_thin_contig(ctx.arena.stacked(), ctx.p),
+                  _thin_contig(ctx.arena.slot(), 1))
     c = ctx.arena.cols
     ctx.c2, ctx.wg1 = g[:c], g[c:]
 
@@ -161,7 +162,7 @@ def _run_downdate_cgs2(ctx):
     out = "ok"
     if np.any(d < 0.25 * d1) or np.any(d < 0.0):
         w2c = np.ascontiguousarray(ctx.arena.slot())
-        wgram = w2c.conj().T @ w2c
+        wgram = conj_gram(w2c, w2c)
         out = "recompute"
     ctx.wgram = wgram
     ctx.scale = float(np.sqrt(max(np.max(np.diag(ctx.wg0).real,
@@ -213,7 +214,7 @@ def _run_normalize_cholqr2(ctx):
             raise np.linalg.LinAlgError
         q1, r1 = _chol_normalize_core(slot, ctx.g1, shift=True)
         stage = "chol1"
-        gq = q1.conj().T @ q1
+        gq = conj_gram(q1, q1)
         q, r2 = _chol_from_gram(q1, gq)        # reduction 2: the "2"
         r, rank = r2 @ r1, ctx.p
         out = "chol2"
@@ -253,7 +254,7 @@ def _run_sketch_w(ctx):
 
 
 def _run_sketch_ck_project(ctx):
-    e_col = ctx.ck.conj().T @ ctx.w
+    e_col = conj_gram(ctx.ck, ctx.w)
     ctx.w = ctx.w - ctx.ck @ e_col
     ctx.sw = ctx.sw - ctx.sck @ e_col
     ctx.e_cols.append(e_col)
@@ -261,7 +262,7 @@ def _run_sketch_ck_project(ctx):
 
 def _run_sketch_coeffs(ctx):
     qs = _thin_contig(ctx.qs_arena.view(), ctx.p)
-    c = qs.conj().T @ ctx.sw
+    c = conj_gram(qs, ctx.sw)
     y = c.copy()
     w0 = ctx.t0.shape[0]
     if w0:
@@ -299,8 +300,7 @@ def _run_sketch_finish(ctx):
         # the sketch-space verdict stands (nothing joins the sketch basis)
         ctx.s_fac, ctx.rank = r, min(rank, ctx.p - 1)
         return "bd_rr" if rank else "bd_rr0"
-    q = sla.solve_triangular(ctx.rfac.T, ctx.w2.T, lower=True).T
-    slot[:] = q
+    slot[:] = _right_solve(ctx.w2, ctx.rfac)
     ctx.qs_arena.append(ctx.qn)
     ctx.s_fac, ctx.rank = ctx.rfac, ctx.sk_rank
     return "norm"

@@ -1,8 +1,8 @@
 """Compiled pseudo-block orthogonalization (gmres / pgcrodr / gmresdr).
 
-:class:`CompiledPseudoBlockOrthogonalizer` executes the exact numerics of
-:class:`~repro.la.orthogonalization.PseudoBlockOrthogonalizer` — the two
-share the uncharged ``_pb_*`` step cores — but replaces the interpreter's
+:class:`CompiledPseudoBlockOrthogonalizer` inherits the numerics of
+:class:`~repro.la.orthogonalization.PseudoBlockOrthogonalizer` — ``begin``,
+``step`` and the uncharged ``_pb_*`` cores — and replaces only the parent's
 per-call charge derivation with a pre-bound :class:`~repro.plan.ir.NodeCost`
 per ``(scheme, j)``, cached across restarts, so the hot loop's ledger
 accounting is a table replay.  Counts are bit-identical by construction;
@@ -15,9 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..la.orthogonalization import (PseudoBlockOrthogonalizer,
-                                    _apply_sketch_core, _pb_begin_sketched,
-                                    _pb_step_cgs, _pb_step_cgs2_1r,
-                                    _pb_step_mgs, _pb_step_sketched)
+                                    _apply_sketch_core)
 from ..util.ledger import Kernel
 from .ir import NodeCost, flop_cost, per_unit_reduction, reduction_cost
 
@@ -61,54 +59,25 @@ class CompiledPseudoBlockOrthogonalizer(PseudoBlockOrthogonalizer):
                             2.0 * n * np.log2(max(n, 2)) * max(p, 1))
                 + flop_cost(Kernel.BLAS3, 4.0 * (j + 1) * n * p))
 
-    def _step_cost(self, j: int) -> NodeCost:
+    # -- the hot path: the parent's numerics, bound charges ----------------
+
+    def _sketch(self, w: np.ndarray) -> np.ndarray:
+        return _apply_sketch_core(w, self.s, self.seed)
+
+    def _charge_begin(self, w0: int) -> None:
+        n, p = self.n, self.p
+        (reduction_cost(self.s * w0 * p * self.dtype.itemsize)
+         + flop_cost(Kernel.BLAS3,
+                     2.0 * n * np.log2(max(n, 2)) * max(w0 * p, 1))
+         + flop_cost(Kernel.QR, 4.0 * self.s * w0**2 * p)).charge()
+
+    def _charge_step(self, j: int, nbad: int) -> None:
         cost = self._step_costs.get(j)
         if cost is None:
             cost = self._step_costs[j] = self._bind_step(j)
-        return cost
-
-    # -- the hot path ------------------------------------------------------
-
-    def begin(self, v0: np.ndarray) -> None:
-        if self.scheme != "sketched":
-            return
-        w0, n, p = v0.shape
-        cost = (reduction_cost(self.s * w0 * p * self.dtype.itemsize)
-                + flop_cost(Kernel.BLAS3,
-                            2.0 * n * np.log2(max(n, 2)) * max(w0 * p, 1))
-                + flop_cost(Kernel.QR, 4.0 * self.s * w0**2 * p))
-        sv = _apply_sketch_core(v0.transpose(1, 0, 2).reshape(n, w0 * p),
-                                self.s, self.seed).reshape(self.s, w0, p)
-        self._qs, self._t0 = _pb_begin_sketched(sv, self._max_cols,
-                                                self.dtype)
         cost.charge()
-        self._cols = w0
-        self._pending = None
-
-    def step(self, basis: np.ndarray, w: np.ndarray, j: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cost = self._step_cost(j)
-        if self.scheme == "mgs":
-            w2, dots, nrm = _pb_step_mgs(basis, w)
-            cost.charge()
-            return w2, dots, nrm
-        if self.scheme in ("cgs", "imgs", "cholqr2"):
-            w2, dots, nrm = _pb_step_cgs(basis, w,
-                                         iterated=self.scheme == "imgs")
-            cost.charge()
-            return w2, dots, nrm
-        if self.scheme == "cgs2_1r":
-            w2, dots, nrm, nbad = _pb_step_cgs2_1r(basis, w)
-            cost.charge()
-            if nbad:
-                self._guard_cost.charge(units=nbad)
-            return w2, dots, nrm
-        sw = _apply_sketch_core(w, self.s, self.seed)
-        w2, y, nrm, rs = _pb_step_sketched(self._qs[:j + 1], self._t0,
-                                           basis, w, sw)
-        cost.charge()
-        self._pending = (rs, nrm)
-        return w2, y, nrm
+        if nbad:
+            self._guard_cost.charge(units=nbad)
 
 
 def make_pseudo_block_orthogonalizer(scheme: str, *, plan: str = "interpret",

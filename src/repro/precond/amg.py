@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..direct.solver import SparseLU
-from ..krylov.base import Preconditioner, as_operator
+from ..krylov.base import Operator, Preconditioner, as_operator
 from ..krylov.chebyshev import chebyshev_iteration, estimate_lambda_max
 from ..trace import tracer as trace
 from ..util import ledger
@@ -39,13 +39,16 @@ __all__ = ["SmoothedAggregationAMG", "AMGLevel"]
 
 @dataclass
 class AMGLevel:
-    """One level of the hierarchy."""
+    """One level of the hierarchy; ``op`` and ``restrict`` are built at
+    set-up so an apply neither re-wraps ``a`` nor re-conjugates ``p``."""
 
     a: sp.csr_matrix
+    op: Operator                     # ``a`` as the smoothers take it
     p: sp.csr_matrix | None          # prolongator to THIS level from coarser
     diag: np.ndarray
     lam_max: float
     smoother_state: dict
+    restrict: sp.csc_matrix | None = None    # ``p^H`` (None on the coarsest)
 
 
 def _condense_to_nodes(a: sp.csr_matrix, block_size: int) -> sp.csr_matrix:
@@ -140,9 +143,11 @@ class SmoothedAggregationAMG(Preconditioner):
                 current = a
                 for lvl in range(max_levels):
                     diag = np.asarray(current.diagonal())
-                    lam = estimate_lambda_max(as_operator(current), diag)
-                    self.levels.append(AMGLevel(a=current, p=None, diag=diag,
-                                                lam_max=lam, smoother_state={}))
+                    op = as_operator(current)
+                    lam = estimate_lambda_max(op, diag)
+                    self.levels.append(AMGLevel(a=current, op=op, p=None,
+                                                diag=diag, lam_max=lam,
+                                                smoother_state={}))
                     if current.shape[0] <= coarse_size:
                         break
                     node_mat = _condense_to_nodes(current, bs)
@@ -161,6 +166,7 @@ class SmoothedAggregationAMG(Preconditioner):
                     coarse = sp.csr_matrix(p.conj().T @ current @ p)
                     led.flop(Kernel.SPMM, 4.0 * current.nnz * t.shape[1])
                     self.levels[-1].p = p
+                    self.levels[-1].restrict = p.conj().T
                     current = coarse
                     ns = coarse_ns
                     bs = ns.shape[1]   # coarse DOFs per aggregate = nvec
@@ -188,7 +194,7 @@ class SmoothedAggregationAMG(Preconditioner):
         its = self.smoother_iterations
         if self.smoother == "chebyshev":
             return chebyshev_iteration(
-                as_operator(level.a), level.diag, b, degree=its,
+                level.op, level.diag, b, degree=its,
                 lam_min=level.lam_max / 10.0, lam_max=1.1 * level.lam_max,
                 x0=x)
         if self.smoother == "jacobi":
@@ -220,7 +226,7 @@ class SmoothedAggregationAMG(Preconditioner):
         x = self._smooth(level, b, None)
         r = b - level.a @ x
         ledger.current().flop(Kernel.SPMM, 2.0 * level.a.nnz * b.shape[1])
-        rc = level.p.conj().T @ r
+        rc = level.restrict @ r
         xc = self._vcycle(lvl + 1, rc)
         x = x + level.p @ xc
         x = self._smooth(level, b, x)

@@ -1,0 +1,72 @@
+"""The einsum pseudo-block projector cores — oracle for the BLAS cores.
+
+These are the ``_pb_step_*`` cores of ``repro.la.orthogonalization`` as they
+were while the basis tensor was stored ``(cols, n, p)``: every contraction
+an ``np.einsum`` over the 3-D basis, which cannot reach BLAS (a column's
+basis has no unit stride) and runs at ~2 GF/s.  Same signatures, same
+results to rounding; kept only as the reference for
+``tests/test_pb_projector.py`` and the ``pb_projector`` section of
+``benchmarks/bench_micro_kernels.py``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg as sla
+
+from repro.util.misc import column_norms
+
+
+def _pb_step_mgs(basis, w):
+    w2 = np.array(w, copy=True)
+    dots = np.zeros((basis.shape[0], w.shape[1]), dtype=w.dtype)
+    for i in range(basis.shape[0]):
+        c = np.einsum("np,np->p", basis[i].conj(), w2)
+        w2 = w2 - basis[i] * c
+        dots[i] = c
+    return w2, dots, column_norms(w2)
+
+
+def _pb_step_cgs(basis, w, *, iterated):
+    dots = np.einsum("inp,np->ip", basis.conj(), w)
+    w2 = w - np.einsum("inp,ip->np", basis, dots)
+    if iterated:
+        d2 = np.einsum("inp,np->ip", basis.conj(), w2)
+        w2 = w2 - np.einsum("inp,ip->np", basis, d2)
+        dots = dots + d2
+    return w2, dots, column_norms(w2)
+
+
+def _pb_step_cgs2_1r(basis, w):
+    d1 = np.einsum("inp,np->ip", basis.conj(), w)
+    w1 = w - np.einsum("inp,ip->np", basis, d1)
+    d2 = np.einsum("inp,np->ip", basis.conj(), w1)
+    w1sq = np.einsum("np,np->p", w1.conj(), w1).real
+    w2 = w1 - np.einsum("inp,ip->np", basis, d2)
+    dots = d1 + d2
+    nrm2 = w1sq - np.einsum("ip,ip->p", d2.conj(), d2).real
+    nrm = np.sqrt(np.maximum(nrm2, 0.0))
+    bad = (nrm2 < 0.25 * w1sq) & (w1sq > 0)
+    nbad = int(np.count_nonzero(bad))
+    if nbad:
+        nrm = np.where(bad, column_norms(w2), nrm)
+    return w2, dots, nrm, nbad
+
+
+def _pb_step_sketched(qs, t0, basis, w, sw):
+    c = np.einsum("isp,sp->ip", qs.conj(), sw)
+    y = c.copy()
+    m = min(t0.shape[0], qs.shape[0])
+    for l in range(w.shape[1]):
+        t = t0[:m, :m, l]
+        if m and np.all(np.abs(np.diag(t)) > 0):
+            y[:m, l] = sla.solve_triangular(t, c[:m, l])
+    w2 = w - np.einsum("inp,ip->np", basis, y)
+    rs = sw - np.einsum("isp,ip->sp", qs, c)
+    nrm = np.sqrt(np.einsum("sp,sp->p", rs.conj(), rs).real)
+    return w2, y, nrm, rs
+
+
+CORES = {"_pb_step_mgs": _pb_step_mgs, "_pb_step_cgs": _pb_step_cgs,
+         "_pb_step_cgs2_1r": _pb_step_cgs2_1r,
+         "_pb_step_sketched": _pb_step_sketched}

@@ -240,3 +240,51 @@ def test_sweep_counts_are_gated_and_tracked_as_exact():
     assert len(sweep_failures(fat)) == 1
     del fat["level_schedule"]["sweep"]
     assert len(sweep_failures(fat)) == 2
+
+
+# -- deflation charge tracked exactly, BLAS projector gated on its ratio ---
+def test_deflation_charge_and_projector_ratio_are_tracked_and_gated():
+    import copy
+    import json
+
+    results = ROOT / "benchmarks" / "results"
+    kernels = json.loads((results / "BENCH_kernels.json").read_text())
+    service = json.loads((results / "BENCH_service.json").read_text())
+    defl, cores = kernels["deflation"], kernels["pb_projector"]["cores"]
+    rows, cols = defl["problem"]["rows"], defl["problem"]["cols"]
+    assert (rows, cols) == (258, 250)
+    # the charge is the formula of the shape tests/test_deflation.py asserts
+    assert defl["eig_flops_charged"] == pytest.approx(
+        4.0 * rows * cols**2 - 4.0 * cols**3 / 3.0       # thin QR
+        + 2.0 * rows * cols**2 + cols**3                  # Q^H W-hat, trsm
+        + 25.0 * cols**3, rel=1e-12)                      # Schur + reorder
+    assert defl["eig_flops_charged"] < 0.65 * defl["qz_flops_charged"]
+    assert defl["subspace_gap"] <= 1e-8
+
+    compare = _load_script(ROOT / "scripts" / "bench_compare.py",
+                           "repro_bench_compare")
+    metrics = compare.extract_metrics(kernels, service)
+    assert metrics["deflation_eig_flops_charged"] == {
+        "value": defl["eig_flops_charged"], "kind": "exact"}
+    assert metrics["deflation_speedup_over_qz"]["kind"] == "ratio"
+    assert metrics["pb_projector_speedup_over_einsum"] == {
+        "value": cores["_pb_step_cgs2_1r"]["speedup_over_reference"],
+        "kind": "ratio"}
+    dearer = {"deflation_eig_flops_charged":
+              {"value": defl["qz_flops_charged"], "kind": "exact"}}
+    assert compare.compare(dearer, metrics, label="t")
+
+    bench = _load_script(ROOT / "benchmarks" / "bench_micro_kernels.py",
+                         "repro_bench_micro_kernels")
+
+    def projector_failures(report):
+        return [f for f in bench.check_gate(report)
+                if f.startswith("pb_projector")]
+
+    assert projector_failures(kernels) == []
+    slow = copy.deepcopy(kernels)
+    slow["pb_projector"]["cores"]["_pb_step_cgs2_1r"][
+        "speedup_over_reference"] = 1.1      # what a non-BLAS stride reads
+    assert len(projector_failures(slow)) == 1
+    del slow["pb_projector"]
+    assert len(projector_failures(slow)) == 1

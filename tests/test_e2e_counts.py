@@ -1,0 +1,50 @@
+"""Counts pinned where the benchmark reads them.
+
+``benchmarks/e2e`` compares ``reductions`` and ``krylov.iterations`` of a
+change against its parent commit; a kernel change that shifts either one
+should fail here, in pytest, not in the pipeline's parent/change comparison.
+Tiny copies of the four workloads — the benchmark's own classes, hence its
+solver configurations — are run once on seed 0 and held to the values
+recorded at the commit that introduced this file (PR 19's parent and PR 19
+agree on all of them).
+
+Sizes are ``benchmarks/e2e/selftest.py``'s, except the heat grid: at
+``nx = 12`` (n = 144) the AMG hierarchy is one level, i.e. an exact solve,
+every step converges in one iteration, and the only data-dependent count —
+the ``cgs2_1r`` cancellation guard's honest re-norm — is then decided by
+rounding noise (72 reductions at the parent, 74 with the BLAS projector,
+same 8 iterations).  ``nx = 24`` has a real hierarchy and real iterations.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.util import ledger
+from repro.util.ledger import CostLedger
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]
+                       / "benchmarks" / "e2e"))
+from workloads import (HeatEnsembleAmg, LaplaceBlockUnprec,  # noqa: E402
+                       MaxwellOrasBlock, TrafficAsync)
+
+#: (workload, iterations, reductions) on seed 0
+PINNED = [
+    (LaplaceBlockUnprec(grid=16, p=4), 36, 74),
+    (MaxwellOrasBlock(n=4, n_antennas=4, block=2, nparts=2), 2, 13),
+    (HeatEnsembleAmg(nx=24, n_steps=8, epoch_length=4), 61, 226),
+    (TrafficAsync(n_requests=120), 12, 48),
+]
+
+
+@pytest.mark.parametrize("wl,iterations,reductions", PINNED,
+                         ids=[wl.name for wl, _, _ in PINNED])
+def test_workload_counts_are_the_recorded_ones(wl, iterations, reductions):
+    state = wl.setup(0)
+    with ledger.install(CostLedger()) as led:
+        out = wl.run_pass(state)
+    assert not wl.check(state, out).failures
+    assert out.iterations == iterations
+    assert led.reductions == reductions
+    assert "deflation_rejected" not in led.calls

@@ -287,7 +287,10 @@ def test_augmented_tensor_arena_is_contiguous_prefix():
     arena.v[0] = 2.0
     st = arena.stacked(0)
     assert st.shape == (3, 8, 2)
-    assert st.flags["C_CONTIGUOUS"]      # layout-identical to concatenate
+    # stored (cols, p, n): a prefix of the slab, every column's basis an
+    # i x n matrix with unit stride along n (what the BLAS cores need)
+    assert st.transpose(0, 2, 1).flags["C_CONTIGUOUS"]
+    assert st[:, :, 1].strides[1] == st.itemsize
     assert np.all(st[:2] == 1.0) and np.all(st[2] == 2.0)
 
 
@@ -443,3 +446,21 @@ def test_lint_plan_tree_is_clean():
             findings += [(name, f) for f in
                          mod.lint_file(_os.path.join(plan_dir, name))]
     assert findings == []
+
+
+def test_lint_rejects_einsum_over_a_3d_operand():
+    """The ``einsum-3d`` rule: the slow contraction of the pseudo-block basis
+    cannot come back to ``la/`` or ``krylov/`` (2-D einsums stay legal)."""
+    slow = 'd = np.einsum("inp,np->ip", basis.conj(), w)\n'
+    for pkg in ("la", "krylov"):
+        assert _lint_plan_source(
+            slow, ("src", "repro", pkg, "x.py")) == ["einsum-3d"]
+    assert _lint_plan_source("d = np.einsum(spec, a, b)\n",
+                             ("src", "repro", "la", "x.py")) == ["einsum-3d"]
+    assert _lint_plan_source('s = np.einsum("pn,pn->p", x.conj(), x)\n',
+                             ("src", "repro", "la", "x.py")) == []
+    assert _lint_plan_source(slow, ("src", "repro", "problems", "x.py")) == []
+    assert _lint_plan_source(
+        slow, ("tests", "fixtures", "reference_pb_projector.py")) == []
+    assert _lint_plan_source(slow.rstrip() + "  # lint: allow(einsum-3d)\n",
+                             ("src", "repro", "la", "x.py")) == []
