@@ -31,7 +31,10 @@ recycled-pair maintenance beats the full-space re-derivation by >= 1.5x
 modeled time with zero maintenance reductions per cycle and equal solve
 convergence, AND the blocked triangular sweep needs at most a quarter of
 the row levels on the global LU factor while storing at most 1.25 nnz, AND
-the BLAS pseudo-block projector cores beat their einsum oracle by >= 2x —
+the BLAS pseudo-block projector cores beat their einsum oracle by >= 2x, AND
+the live-work AMG V-cycle / vectorized SA set-up / p = 1 Givens update beat
+their first formulations by >= 1.2x / 2x / 3x with the same bytes (AMG) or
+the same answer and ledger charge (Givens) —
 the repo's perf regression gates.  The ``deflation`` section records what
 one thin-QR / reordered-Schur extraction is charged and how it compares with
 the Gram + QZ oracle (tracked by ``scripts/bench_compare.py``, not gated
@@ -58,7 +61,8 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 # the reference formulations the new kernels are timed against are the
-# test oracles (tests/fixtures/reference_{deflation,pb_projector}.py)
+# test oracles (tests/fixtures/reference_{deflation,pb_projector,amg,
+# hessenberg}.py)
 _tests = Path(__file__).resolve().parent.parent / "tests"
 if str(_tests) not in sys.path:
     sys.path.insert(0, str(_tests))
@@ -489,6 +493,101 @@ def bench_pb_projector(cfg: dict) -> dict:
     return out
 
 
+def bench_amg(cfg: dict) -> dict:
+    """One V-cycle and one set-up on ``heat_ensemble_amg``'s first operator.
+
+    The 64 x 64 implicit heat operator of the e2e workload (4 096 -> 704 ->
+    80 unknowns), a p = 4 block, default AMG options.  The production
+    kernels against ``tests/fixtures/reference_amg.py``: the same bytes out
+    of ``apply`` and the same hierarchy, fewer sparse products (the SPMM
+    charge is a formula of the hierarchy: exact), and the set-up without
+    per-node / per-aggregate Python.
+    """
+    from fixtures import reference_amg as ref
+
+    from repro.direct.solver import SparseLU
+    from repro.precond.amg import SmoothedAggregationAMG
+    from repro.problems.transient import HeatSequence
+    from repro.util import ledger as ledger_mod
+    from repro.util.ledger import Kernel
+
+    seq = HeatSequence(nx=64, n_steps=1, dt0=5e-4, epoch_length=15,
+                       growth=1.25)
+    a = seq.operator(seq.steps()[0])
+    amg = SmoothedAggregationAMG(a)
+    x = np.random.default_rng(20260705).standard_normal((a.shape[0], 4))
+    with ledger_mod.install() as led:
+        y = amg.apply(x)
+    with ledger_mod.install() as led_ref:
+        y_ref = ref.apply(amg, x)
+    levels = ref.build_levels(a)
+    same_hierarchy = len(levels) == amg.n_levels and all(
+        (lv.a != a_ref).nnz == 0 and np.array_equal(lv.diag, diag_ref)
+        and (lv.p is None if p_ref is None else (lv.p != p_ref).nnz == 0)
+        for lv, (a_ref, p_ref, diag_ref) in zip(amg.levels, levels))
+    repeats = max(cfg["repeats"], 25)    # ~1 ms calls
+    apply_s, apply_ref_s = _time_pair(lambda: amg.apply(x),
+                                      lambda: ref.apply(amg, x), repeats)
+
+    def setup_reference():       # like for like: the coarse LU included
+        SparseLU(ref.build_levels(a)[-1][0], engine="auto")
+
+    setup_s, setup_ref_s = _time_pair(lambda: SmoothedAggregationAMG(a),
+                                      setup_reference, max(cfg["repeats"], 5))
+    return {
+        "problem": {"n": a.shape[0], "p": 4,
+                    "levels": [lv.a.shape[0] for lv in amg.levels]},
+        "vcycle_spmm_flops": led.flops[Kernel.SPMM],
+        "vcycle_spmm_flops_reference": led_ref.flops[Kernel.SPMM],
+        "operator_apply_columns": led.calls["operator_apply"],
+        "operator_apply_columns_reference": led_ref.calls["operator_apply"],
+        "apply_bytes_identical": y.tobytes() == y_ref.tobytes(),
+        "hierarchy_identical": bool(same_hierarchy),
+        "apply": {"seconds": apply_s, "seconds_reference": apply_ref_s,
+                  "speedup_over_reference": apply_ref_s / apply_s},
+        "setup": {"seconds": setup_s, "seconds_reference": setup_ref_s,
+                  "speedup_over_reference": setup_ref_s / setup_s},
+    }
+
+
+def bench_hessenberg_p1(cfg: dict) -> dict:
+    """30 columns through a ``p = 1`` Hessenberg QR: Givens rotations vs
+    the 2 x 2-panel oracle of ``tests/fixtures/reference_hessenberg.py``
+    (what every column of a pseudo-block solve pays per iteration)."""
+    from fixtures.reference_hessenberg import ReferenceBlockHessenbergQR
+
+    from repro.la.blockqr import BlockHessenbergQR
+    from repro.util import ledger as ledger_mod
+
+    m = 30
+    rng = np.random.default_rng(20260705)
+    cols = [rng.standard_normal((j + 2, 1)) for j in range(m)]
+    s1 = np.array([[2.5]])
+
+    def feed(cls):
+        hqr = cls(m, 1, s1)
+        for c in cols:
+            hqr.add_column(c)
+        return hqr
+
+    with ledger_mod.install() as led:
+        new = feed(BlockHessenbergQR)
+    with ledger_mod.install() as led_ref:
+        old = feed(ReferenceBlockHessenbergQR)
+    seconds, seconds_reference = _time_pair(
+        lambda: feed(BlockHessenbergQR),
+        lambda: feed(ReferenceBlockHessenbergQR), max(cfg["repeats"], 25))
+    y_new, y_old = new.solve(), old.solve()
+    return {
+        "problem": {"columns": m, "p": 1},
+        "solution_gap": float(np.abs(y_new - y_old).max()
+                              / np.abs(y_old).max()),
+        "counts_identical": led.counts() == led_ref.counts(),
+        "seconds": seconds, "seconds_reference": seconds_reference,
+        "speedup_over_reference": seconds_reference / seconds,
+    }
+
+
 def speedups(rows: list[dict]) -> dict[str, dict[str, float]]:
     """speedups[kernel][nranks] = per_rank time / fused time."""
     t = {(r["kernel"], r["nranks"], r["mode"]): r["seconds"] for r in rows}
@@ -509,6 +608,8 @@ def run(cfg: dict, out_path: Path | None) -> dict:
     sched_rows, sched_sweep = bench_level_schedule(cfg)
     deflation = bench_deflation(cfg)
     pb_projector = bench_pb_projector(cfg)
+    amg = bench_amg(cfg)
+    hessenberg_p1 = bench_hessenberg_p1(cfg)
     sched_t = {(r["workload"], r["mode"]): r["seconds"] for r in sched_rows}
     report = {
         "description": "fused vs per-rank execution of the simulated-MPI "
@@ -534,6 +635,8 @@ def run(cfg: dict, out_path: Path | None) -> dict:
         },
         "deflation": deflation,
         "pb_projector": pb_projector,
+        "amg": amg,
+        "hessenberg_p1": hessenberg_p1,
     }
     if out_path is not None:
         out_path.parent.mkdir(exist_ok=True)
@@ -630,6 +733,30 @@ def print_report(report: dict) -> None:
             print(f"{name:>18} {row['seconds_reference']:>12.3e} "
                   f"{row['seconds']:>12.3e} "
                   f"{row['speedup_over_reference']:>7.1f}x")
+    amg = report.get("amg")
+    if amg:
+        prob = amg["problem"]
+        print(f"\n# amg: heat operator n={prob['n']} p={prob['p']}, levels "
+              f"{' -> '.join(map(str, prob['levels']))}")
+        print(f"{'':>18} {'reference':>12} {'shipped':>12} {'speedup':>8}")
+        for name in ("apply", "setup"):
+            row = amg[name]
+            print(f"{name:>18} {row['seconds_reference']:>12.3e} "
+                  f"{row['seconds']:>12.3e} "
+                  f"{row['speedup_over_reference']:>7.1f}x")
+        print(f"{'V-cycle SPMM flops':>18} "
+              f"{amg['vcycle_spmm_flops_reference']:>12.0f} "
+              f"{amg['vcycle_spmm_flops']:>12.0f}  (same bytes: "
+              f"{amg['apply_bytes_identical']}, same hierarchy: "
+              f"{amg['hierarchy_identical']})")
+    hp1 = report.get("hessenberg_p1")
+    if hp1:
+        print(f"\n# hessenberg p=1: {hp1['problem']['columns']} columns")
+        print(f"{'panels':>18} {hp1['seconds_reference']:>12.3e}")
+        print(f"{'givens':>18} {hp1['seconds']:>12.3e} "
+              f"{hp1['speedup_over_reference']:>7.1f}x  (solution gap "
+              f"{hp1['solution_gap']:.1e}, same charge: "
+              f"{hp1['counts_identical']})")
 
 
 def check_gate(report: dict) -> list[str]:
@@ -650,9 +777,41 @@ def check_gate(report: dict) -> list[str]:
     6. the pseudo-block projector: the BLAS ``cgs2_1r`` core >= 2x its
        einsum oracle at n = 4096, p = 4, depth 25 (a stride ``np.matmul``
        cannot hand to BLAS falls back to a scalar loop *silently* and
-       reads ~1x), with equal remainders.
+       reads ~1x), with equal remainders;
+    7. the AMG kernels against their first formulations: one V-cycle
+       >= 1.2x, one set-up >= 2x, same ``apply`` bytes, same hierarchy;
+    8. the ``p = 1`` Hessenberg update: Givens rotations >= 3x the 2 x 2
+       panels over 30 columns, same solution (1e-12), same ledger charge.
     """
     failures = []
+    amg = report.get("amg")
+    if amg is None:
+        failures.append("amg: no measurement")
+    else:
+        for name, gate in (("apply", 1.2), ("setup", 2.0)):
+            ratio = amg[name]["speedup_over_reference"]
+            if ratio < gate:
+                failures.append(f"amg: {name} only {ratio:.2f}x over the "
+                                f"reference formulation (gate: {gate}x)")
+        if not amg["apply_bytes_identical"]:
+            failures.append("amg: apply output differs from the reference "
+                            "V-cycle (must be the same bytes)")
+        if not amg["hierarchy_identical"]:
+            failures.append("amg: hierarchy differs from the reference "
+                            "set-up")
+    hp1 = report.get("hessenberg_p1")
+    if hp1 is None:
+        failures.append("hessenberg_p1: no measurement")
+    else:
+        if hp1["speedup_over_reference"] < 3.0:
+            failures.append(f"hessenberg_p1: Givens only "
+                            f"{hp1['speedup_over_reference']:.2f}x over the "
+                            "panel update (gate: 3x)")
+        if hp1["solution_gap"] > 1e-12 or not hp1["counts_identical"]:
+            failures.append(f"hessenberg_p1: Givens and panel updates "
+                            f"disagree (solution gap "
+                            f"{hp1['solution_gap']:.1e}, same charge: "
+                            f"{hp1['counts_identical']})")
     core = report.get("pb_projector", {}).get("cores", {}).get(
         "_pb_step_cgs2_1r")
     if core is None:

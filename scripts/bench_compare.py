@@ -23,7 +23,7 @@ Metric kinds and their tolerances:
 * ``exact`` — invariants of a fixed config (reductions per
   orthogonalization step, setup builds per coalesced batch, sweep steps of
   the blocked triangular solve on the global LU factor, flops one deflation
-  extraction is charged).  Compared exactly.
+  extraction or one AMG V-cycle is charged).  Compared exactly.
 * ``info`` — recorded in the trajectory, never gated (the compiled-over-
   interpret wall ratio: both run over the same basis arena).
 
@@ -113,6 +113,21 @@ def extract_metrics(kernels: dict, service: dict,
     m["pb_projector_speedup_over_einsum"] = {
         "value": float(kernels["pb_projector"]["cores"]["_pb_step_cgs2_1r"]
                        ["speedup_over_reference"]), "kind": "ratio"}
+    # one V-cycle's SPMM charge is a formula of the fixed hierarchy (dead
+    # products coming back, or a transfer going uncharged, moves it); the
+    # walls over the first formulations are noisy
+    amg = kernels["amg"]
+    m["amg_vcycle_spmm_flops"] = {
+        "value": float(amg["vcycle_spmm_flops"]), "kind": "exact"}
+    m["amg_apply_speedup_over_reference"] = {
+        "value": float(amg["apply"]["speedup_over_reference"]),
+        "kind": "ratio"}
+    m["amg_setup_speedup_over_reference"] = {
+        "value": float(amg["setup"]["speedup_over_reference"]),
+        "kind": "ratio"}
+    m["hessenberg_p1_speedup_over_panels"] = {
+        "value": float(kernels["hessenberg_p1"]["speedup_over_reference"]),
+        "kind": "ratio"}
     plan = kernels["plan"]
     m["plan_compiled_speedup"] = {
         "value": float(plan["speedup_compiled"]), "kind": "info"}
@@ -242,6 +257,11 @@ def bootstrap_floors(current: dict[str, dict]) -> list[str]:
     if current["pb_projector_speedup_over_einsum"]["value"] < 2.0:
         failures.append("pb_projector_speedup_over_einsum < 2.0 (a stride "
                         "np.matmul cannot hand to BLAS reads ~1x)")
+    for name, floor in (("amg_apply_speedup_over_reference", 1.2),
+                        ("amg_setup_speedup_over_reference", 2.0),
+                        ("hessenberg_p1_speedup_over_panels", 3.0)):
+        if current[name]["value"] < floor:
+            failures.append(f"{name} < {floor}")
     if current["plan_oracle_identical"]["value"] != 1:
         failures.append("plan_oracle_identical != 1 (compiled plan broke "
                         "the bit-identity contract)")

@@ -19,7 +19,8 @@ from ..util.ledger import Kernel
 from ..util.misc import as_block, default_rng
 from .base import Operator, Preconditioner, as_operator
 
-__all__ = ["estimate_lambda_max", "ChebyshevSmoother", "chebyshev_iteration"]
+__all__ = ["estimate_lambda_max", "ChebyshevSmoother", "chebyshev_iteration",
+           "chebyshev_smooth", "safe_reciprocal"]
 
 
 def estimate_lambda_max(a: Operator, diag: np.ndarray, *, iterations: int = 10,
@@ -33,7 +34,7 @@ def estimate_lambda_max(a: Operator, diag: np.ndarray, *, iterations: int = 10,
     v = v.astype(a.dtype if np.issubdtype(a.dtype, np.floating) or
                  np.issubdtype(a.dtype, np.complexfloating) else np.float64)
     v /= np.linalg.norm(v)
-    dinv = 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
+    dinv = safe_reciprocal(diag)
     lam = 1.0
     for _ in range(iterations):
         w = dinv[:, None] * a.matmat(v.reshape(-1, 1))
@@ -47,35 +48,69 @@ def estimate_lambda_max(a: Operator, diag: np.ndarray, *, iterations: int = 10,
     return max(lam, 1e-12)
 
 
-def chebyshev_iteration(a: Operator, diag: np.ndarray, b: np.ndarray,
-                        *, degree: int, lam_min: float, lam_max: float,
-                        x0: np.ndarray | None = None) -> np.ndarray:
-    """Run ``degree`` Chebyshev iterations on ``D^{-1}A x = D^{-1}b``.
+def safe_reciprocal(diag: np.ndarray) -> np.ndarray:
+    """``1 / diag`` with zero entries treated as one (Jacobi scaling)."""
+    return 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
 
-    Standard three-term recurrence on the interval ``[lam_min, lam_max]``;
-    returns the smoothed iterate (all columns fused).
+
+def chebyshev_smooth(a: Operator, dinv: np.ndarray, b: np.ndarray,
+                     x: np.ndarray | None, r: np.ndarray, d: np.ndarray,
+                     *, degree: int, lam_min: float, lam_max: float
+                     ) -> np.ndarray:
+    """The Chebyshev recurrence on ``D^{-1}A x = D^{-1}b``, in place.
+
+    Smooths ``x`` — the caller must own it; ``None`` is the zero start and
+    returns a fresh block — through ``out=`` ufuncs on the scratch blocks
+    ``r``, ``d`` (shaped like ``b``); ``dinv`` broadcasts against ``b``.
+    Stops at the last update of ``x``: the ``r``/``d`` update (one more
+    ``A d``) the textbook loop runs after it feeds nothing.
     """
-    b = as_block(b)
-    n, p = b.shape
-    dinv = (1.0 / np.where(np.abs(diag) > 0, diag, 1.0)).astype(b.dtype)
-    x = np.zeros_like(b) if x0 is None else as_block(x0).astype(b.dtype, copy=True)
+    if degree <= 0:
+        return np.zeros_like(r) if x is None else x
     theta = 0.5 * (lam_max + lam_min)
     delta = 0.5 * (lam_max - lam_min)
     if delta <= 0:
         delta = 0.5 * theta if theta > 0 else 1.0
     sigma1 = theta / delta
     rho = 1.0 / sigma1
-    r = dinv[:, None] * (b - a.matmat(x)) if x0 is not None else dinv[:, None] * b
-    d = r / theta
-    led = ledger.current()
-    for _ in range(degree):
-        x = x + d
-        r = r - dinv[:, None] * a.matmat(d)
-        led.flop(Kernel.BLAS1, 4.0 * n * p)
+    if x is None:
+        np.multiply(dinv, b, out=r)
+    else:
+        t = a.matmat(x)
+        np.subtract(b, t, out=t)
+        np.multiply(dinv, t, out=r)
+    np.divide(r, theta, out=d)
+    # 0 + d, not a copy: a -0.0 in d becomes the +0.0 that zeros + d gives
+    x = d + 0.0 if x is None else np.add(x, d, out=x)
+    for _ in range(degree - 1):
+        t = a.matmat(d)
+        np.multiply(dinv, t, out=t)
+        np.subtract(r, t, out=r)
         rho_new = 1.0 / (2.0 * sigma1 - rho)
-        d = rho_new * rho * d + (2.0 * rho_new / delta) * r
+        np.multiply(d, rho_new * rho, out=d)
+        np.multiply(r, 2.0 * rho_new / delta, out=t)
+        np.add(d, t, out=d)
         rho = rho_new
+        np.add(x, d, out=x)
+    # one axpy per update of x, three more per update of r and d
+    ledger.current().flop(Kernel.BLAS1, (4.0 * degree - 3.0) * b.size)
     return x
+
+
+def chebyshev_iteration(a: Operator, diag: np.ndarray, b: np.ndarray,
+                        *, degree: int, lam_min: float, lam_max: float,
+                        x0: np.ndarray | None = None) -> np.ndarray:
+    """Run ``degree`` Chebyshev iterations on ``D^{-1}A x = D^{-1}b``.
+
+    Standard three-term recurrence on the interval ``[lam_min, lam_max]``;
+    returns the smoothed iterate as a new block (``x0`` is never written).
+    """
+    b = as_block(b)
+    dinv = safe_reciprocal(diag)[:, None]
+    r, d = np.empty((2,) + b.shape, dtype=np.result_type(dinv, b))
+    x = None if x0 is None else as_block(x0).astype(r.dtype, copy=True)
+    return chebyshev_smooth(a, dinv, b, x, r, d, degree=degree,
+                            lam_min=lam_min, lam_max=lam_max)
 
 
 class ChebyshevSmoother(Preconditioner):
@@ -92,7 +127,7 @@ class ChebyshevSmoother(Preconditioner):
                  lam_max: float | None = None):
         self.a = as_operator(a)
         self.degree = int(degree)
-        self.diag = _operator_diagonal(self.a)
+        self.diag = self.a.diagonal()
         if lam_max is None:
             lam_max = estimate_lambda_max(self.a, self.diag)
         self.lam_max = 1.1 * lam_max
@@ -101,8 +136,3 @@ class ChebyshevSmoother(Preconditioner):
     def apply(self, x: np.ndarray) -> np.ndarray:
         return chebyshev_iteration(self.a, self.diag, x, degree=self.degree,
                                    lam_min=self.lam_min, lam_max=self.lam_max)
-
-
-def _operator_diagonal(a: Operator) -> np.ndarray:
-    """Diagonal of the operator (explicit for wrapped matrices)."""
-    return a.diagonal()

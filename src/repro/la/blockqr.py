@@ -6,14 +6,22 @@ The paper's eq. (2) prefers the harmonic-Ritz left-hand side built from the
 ``H_m`` incrementally, i.e. p column(s) of Q and R are determined per
 iteration".  This module is that machinery.
 
-For ``p = 1`` the update degenerates to the classic Givens-rotation sweep of
-GMRES; for ``p > 1`` each step applies the stored small unitary factors to
-the new block column and triangularizes the trailing ``2p x p`` panel with a
-dense QR ("block Givens").  All of this is *redundant* work replicated on
-every (virtual) rank — it involves no communication.
+For ``p = 1`` the update *is* the classic Givens-rotation sweep of GMRES —
+stored ``(c, s)`` pairs (real ``c``, complex-safe ``s``), scalar arithmetic:
+every column of a pseudo-block solve owns a ``p = 1`` factorization.  For
+``p > 1`` each step applies the stored ``2p x 2p`` unitary factors to the
+new block column and triangularizes the trailing ``2p x p`` panel with a
+dense QR ("block Givens").  Both charge the block formula; ``R`` is unique
+up to a unitary diagonal, which eq. (2) (``R^H R``) cannot see.  All of this
+is *redundant* work replicated on every (virtual) rank — no communication.
+The all-panel update and the explicit ``Q`` products (``apply_qh``,
+``apply_q``, ``q_matrix``) are the oracle
+``tests/fixtures/reference_hessenberg.py``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,16 +68,12 @@ class BlockHessenbergQR:
         self.q = rhs0.shape[1]
         self.g = np.zeros((n_rows, self.q), dtype=self.dtype)
         self.g[: self.p] = rhs0
-        # small unitary panel factors (q2^H), one per processed block column
-        self._panels: list[np.ndarray] = []
+        # small unitary factors, one per processed block column: ``q2^H``
+        # panels, or ``(c, s)`` Givens pairs when p = 1
+        self._panels: list = []
         self.ncols = 0  # number of processed block columns (j)
 
     # ------------------------------------------------------------------
-    @property
-    def nrows_active(self) -> int:
-        """Rows of H currently meaningful: (j+1) * p."""
-        return (self.ncols + 1) * self.p
-
     def hessenberg(self) -> np.ndarray:
         """The raw block Hessenberg ``\\bar H_j`` ((j+1)p x jp)."""
         j = self.ncols
@@ -107,21 +111,39 @@ class BlockHessenbergQR:
         if h_col.shape != expected:
             raise ValueError(f"expected column block of shape {expected}, got {h_col.shape}")
         self.H[: (j + 2) * p, j * p: (j + 1) * p] = h_col
+        if charge:      # j stored factors on the column, the panel, one on g
+            led = ledger.current()
+            led.flop(Kernel.BLAS3, 2.0 * (2 * p) ** 2 * p * (j + 1))
+            led.flop(Kernel.QR, 16.0 * p**3)
+        if p == 1:      # rotations [[c, s], [-conj(s), c]], scalar sweep
+            col = h_col[:, 0].tolist()
+            for i, (c, s) in enumerate(self._panels):
+                col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                      c * col[i + 1] - s.conjugate() * col[i])
+            top, low = col[j], col[j + 1]
+            c, s = 1.0, 0.0
+            if low != 0:
+                norm = math.hypot(abs(top), abs(low))
+                phase = top / abs(top) if top != 0 else 1.0
+                c, s = abs(top) / norm, phase * low.conjugate() / norm
+                col[j] = phase * norm
+            self._panels.append((c, s))
+            self.R[: j + 1, j] = col[: j + 1]
+            g_top, g_low = self.g[j].copy(), self.g[j + 1]
+            self.g[j] = c * g_top + s * g_low
+            self.g[j + 1] = c * g_low - np.conjugate(s) * g_top
+            self.ncols = j + 1
+            return np.abs(self.g[j + 1])
 
         # apply the stored panel factors to the new column
         work = np.array(h_col, copy=True)
-        led = ledger.current()
         for i, q2h in enumerate(self._panels):
             rows = slice(i * p, (i + 2) * p)
             work[rows] = q2h @ work[rows]
-            if charge:
-                led.flop(Kernel.BLAS3, 2.0 * (2 * p) ** 2 * p)
 
         # triangularize the trailing 2p x p panel
         panel = work[j * p: (j + 2) * p]
         q2, r2 = np.linalg.qr(panel, mode="complete")
-        if charge:
-            led.flop(Kernel.QR, 16.0 * p**3)
         q2h = q2.conj().T
         self._panels.append(q2h)
         work[j * p: (j + 1) * p] = r2[:p]
@@ -131,8 +153,6 @@ class BlockHessenbergQR:
         # update the transformed right-hand side
         rows = slice(j * p, (j + 2) * p)
         self.g[rows] = q2h @ self.g[rows]
-        if charge:
-            led.flop(Kernel.BLAS3, 2.0 * (2 * p) ** 2 * p)
 
         self.ncols = j + 1
         return self.residual_norms()
@@ -162,38 +182,3 @@ class BlockHessenbergQR:
                               1.0 * (j * self.p) ** 2 * self.p)
         return solve_upper_triangular(self.triangular(),
                                       self.g[: j * self.p])
-
-    def apply_qh(self, block: np.ndarray) -> np.ndarray:
-        """Apply the accumulated ``Q^H`` to a ((j+1)p x q) block.
-
-        Used by GCRO-DR when forming ``C_k = V_{m+1} Q`` — the factor ``Q``
-        from the Hessenberg QR is exactly the adjoint of the accumulated
-        panel product.
-        """
-        work = np.array(block, dtype=self.dtype, copy=True)
-        p = self.p
-        if work.shape[0] != self.nrows_active:
-            raise ValueError(
-                f"expected {self.nrows_active} rows, got {work.shape[0]}")
-        for i, q2h in enumerate(self._panels):
-            rows = slice(i * p, (i + 2) * p)
-            work[rows] = q2h @ work[rows]
-        return work
-
-    def apply_q(self, block: np.ndarray) -> np.ndarray:
-        """Apply the accumulated ``Q`` ((j+1)p x (j+1)p unitary) to a block."""
-        work = np.array(block, dtype=self.dtype, copy=True)
-        p = self.p
-        if work.shape[0] != self.nrows_active:
-            raise ValueError(
-                f"expected {self.nrows_active} rows, got {work.shape[0]}")
-        for i, q2h in zip(range(len(self._panels) - 1, -1, -1),
-                          reversed(self._panels)):
-            rows = slice(i * p, (i + 2) * p)
-            work[rows] = q2h.conj().T @ work[rows]
-        return work
-
-    def q_matrix(self) -> np.ndarray:
-        """Materialize the (j+1)p x (j+1)p unitary ``Q`` (small, redundant)."""
-        eye = np.eye(self.nrows_active, dtype=self.dtype)
-        return self.apply_q(eye)

@@ -44,45 +44,47 @@ def strength_graph(a: sp.spmatrix, *, threshold: float = 0.0,
 
 
 def greedy_aggregation(strength: sp.csr_matrix) -> np.ndarray:
-    """Root-based greedy aggregation (standard SA pass 1 + 2 + 3).
+    """Root-based greedy aggregation (standard SA pass 1 + 2).
 
     Returns ``agg`` of length n with ``agg[i]`` = aggregate id of node i.
 
     * pass 1: any node whose strong neighbourhood is fully unaggregated
-      becomes a root and absorbs that neighbourhood;
+      becomes a root and absorbs that neighbourhood (an isolated node's
+      empty neighbourhood qualifies: it becomes a singleton);
     * pass 2: remaining nodes join the aggregate most of their strong
-      neighbours belong to;
-    * pass 3: still-isolated nodes become singleton aggregates.
+      neighbours belong to, the lowest id on a tie.  Every one of them has
+      such a neighbour — that is why it was not a root — so no node is
+      left for the textbook's singleton pass 3.
     """
     n = strength.shape[0]
-    indptr, indices = strength.indptr, strength.indices
-    agg = np.full(n, -1, dtype=np.int64)
+    # sequential by definition (a root claims its neighbours before the next
+    # node looks): loops, but over Python ints, not numpy scalars
+    indptr, indices = strength.indptr.tolist(), strength.indices.tolist()
+    agg = [-1] * n
     next_id = 0
     # pass 1
     for i in range(n):
         if agg[i] != -1:
             continue
         neigh = indices[indptr[i]: indptr[i + 1]]
-        if np.all(agg[neigh] == -1):
+        for j in neigh:
+            if agg[j] != -1:
+                break
+        else:
             agg[i] = next_id
-            agg[neigh] = next_id
+            for j in neigh:
+                agg[j] = next_id
             next_id += 1
     # pass 2
     for i in range(n):
         if agg[i] != -1:
             continue
-        neigh = indices[indptr[i]: indptr[i + 1]]
-        assigned = agg[neigh]
-        assigned = assigned[assigned >= 0]
-        if assigned.size:
-            vals, counts = np.unique(assigned, return_counts=True)
-            agg[i] = vals[np.argmax(counts)]
-    # pass 3
-    for i in range(n):
-        if agg[i] == -1:
-            agg[i] = next_id
-            next_id += 1
-    return agg
+        votes: dict[int, int] = {}
+        for j in indices[indptr[i]: indptr[i + 1]]:
+            if agg[j] >= 0:
+                votes[agg[j]] = votes.get(agg[j], 0) + 1
+        agg[i] = min(votes, key=lambda a_id: (-votes[a_id], a_id))
+    return np.asarray(agg, dtype=np.int64)
 
 
 def tentative_prolongator(agg: np.ndarray, nullspace: np.ndarray,
@@ -99,7 +101,6 @@ def tentative_prolongator(agg: np.ndarray, nullspace: np.ndarray,
     ``agg`` has one entry per node and rows ``node*bs .. node*bs+bs-1``
     belong to that node.
     """
-    nullspace = np.asarray(nullspace, dtype=nullspace.dtype)
     if nullspace.ndim == 1:
         nullspace = nullspace.reshape(-1, 1)
     n_rows, nvec = nullspace.shape
@@ -107,23 +108,28 @@ def tentative_prolongator(agg: np.ndarray, nullspace: np.ndarray,
     if n_nodes * block_size != n_rows:
         raise ValueError(f"{n_nodes} nodes x block {block_size} != {n_rows} rows")
     n_agg = int(agg.max()) + 1
-    rows_by_agg: list[list[int]] = [[] for _ in range(n_agg)]
-    for node, a_id in enumerate(agg):
-        base = node * block_size
-        rows_by_agg[a_id].extend(range(base, base + block_size))
+    # nodes grouped by aggregate, ascending within each (stable sort)
+    order = np.argsort(agg, kind="stable")
+    sizes = np.bincount(agg, minlength=n_agg)
+    starts = np.cumsum(sizes) - sizes
 
     data, rows, cols = [], [], []
     coarse_ns = np.zeros((n_agg * nvec, nvec), dtype=nullspace.dtype)
-    for a_id, agg_rows in enumerate(rows_by_agg):
-        agg_rows = np.asarray(agg_rows, dtype=np.int64)
-        local = nullspace[agg_rows]                   # (rows, nvec)
-        q, r = np.linalg.qr(local)
-        keep = min(q.shape[1], nvec)
-        for v in range(keep):
-            col = a_id * nvec + v
-            rows.extend(agg_rows.tolist())
-            cols.extend([col] * len(agg_rows))
-            data.extend(q[:, v].tolist())
-        coarse_ns[a_id * nvec: a_id * nvec + keep, :] = r[:keep, :]
-    t = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_agg * nvec))
+    # one stacked QR per distinct aggregate size: LAPACK still factors matrix
+    # by matrix, so Q, R and their signs are a per-aggregate call's
+    for size in np.unique(sizes):
+        ids = np.flatnonzero(sizes == size)
+        nodes = order[starts[ids][:, None] + np.arange(size)]
+        agg_rows = (nodes[:, :, None] * block_size
+                    + np.arange(block_size)).reshape(len(ids), -1)
+        q, r = np.linalg.qr(nullspace[agg_rows])      # (ids, rows, keep)
+        keep = q.shape[2]
+        coarse = ids[:, None] * nvec + np.arange(keep)    # (ids, keep)
+        data.append(q.ravel())
+        rows.append(np.repeat(agg_rows, keep, axis=1).ravel())
+        cols.append(np.tile(coarse, (1, agg_rows.shape[1])).ravel())
+        coarse_ns[coarse] = r
+    t = sp.csr_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_rows, n_agg * nvec))
     return t, coarse_ns

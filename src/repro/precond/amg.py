@@ -27,11 +27,15 @@ import scipy.sparse as sp
 
 from ..direct.solver import SparseLU
 from ..krylov.base import Operator, Preconditioner, as_operator
-from ..krylov.chebyshev import chebyshev_iteration, estimate_lambda_max
+from ..krylov.cg import cg as cg_solve
+from ..krylov.chebyshev import (chebyshev_smooth, estimate_lambda_max,
+                                safe_reciprocal)
+from ..krylov.gmres import gmres as gmres_solve
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import CostLedger, Kernel
 from ..util.misc import as_block
+from ..util.options import Options
 from .aggregation import greedy_aggregation, strength_graph, tentative_prolongator
 
 __all__ = ["SmoothedAggregationAMG", "AMGLevel"]
@@ -39,16 +43,27 @@ __all__ = ["SmoothedAggregationAMG", "AMGLevel"]
 
 @dataclass
 class AMGLevel:
-    """One level of the hierarchy; ``op`` and ``restrict`` are built at
-    set-up so an apply neither re-wraps ``a`` nor re-conjugates ``p``."""
+    """One level of the hierarchy; ``op``, ``dinv`` and ``restrict`` are built
+    at set-up: an apply re-wraps, re-inverts and re-conjugates nothing."""
 
     a: sp.csr_matrix
     op: Operator                     # ``a`` as the smoothers take it
     p: sp.csr_matrix | None          # prolongator to THIS level from coarser
     diag: np.ndarray
     lam_max: float
-    smoother_state: dict
+    dinv: np.ndarray                 # ``1 / diag``, zeros treated as one
     restrict: sp.csc_matrix | None = None    # ``p^H`` (None on the coarsest)
+    _work: np.ndarray | None = None  # smoother scratch, see ``workspace``
+
+    def workspace(self, p: int, dtype) -> np.ndarray:
+        """Smoother scratch ``(r, d, dinv)``: three ``n x p`` blocks, ``dinv``
+        spread over the columns so that every ufunc of the recurrence runs
+        one contiguous loop.  Kept for the last ``(p, dtype)`` only."""
+        w = self._work
+        if w is None or w.shape[2] != p or w.dtype != dtype:
+            w = self._work = np.empty((3, self.a.shape[0], p), dtype=dtype)
+            w[2] = self.dinv[:, None]
+        return w
 
 
 def _condense_to_nodes(a: sp.csr_matrix, block_size: int) -> sp.csr_matrix:
@@ -133,21 +148,17 @@ class SmoothedAggregationAMG(Preconditioner):
         with trace.current().span("setup.amg", threshold=threshold,
                                   smoother=smoother):
             with ledger.install(led), led.timer("amg_setup"):
-                ns = nullspace
-                if ns is None:
-                    ns = np.ones((a.shape[0], 1), dtype=self.dtype)
-                ns = np.asarray(ns, dtype=self.dtype)
-                if ns.ndim == 1:
-                    ns = ns.reshape(-1, 1)
+                ns = np.ones(a.shape[0]) if nullspace is None else nullspace
+                ns = as_block(np.asarray(ns, dtype=self.dtype))
                 bs = block_size
                 current = a
                 for lvl in range(max_levels):
                     diag = np.asarray(current.diagonal())
                     op = as_operator(current)
                     lam = estimate_lambda_max(op, diag)
-                    self.levels.append(AMGLevel(a=current, op=op, p=None,
-                                                diag=diag, lam_max=lam,
-                                                smoother_state={}))
+                    self.levels.append(AMGLevel(
+                        a=current, op=op, p=None, diag=diag, lam_max=lam,
+                        dinv=safe_reciprocal(diag)))
                     if current.shape[0] <= coarse_size:
                         break
                     node_mat = _condense_to_nodes(current, bs)
@@ -160,8 +171,8 @@ class SmoothedAggregationAMG(Preconditioner):
                         break  # coarsening stalled
                     t, coarse_ns = tentative_prolongator(agg, ns, block_size=bs)
                     # smoothed prolongator: P = (I - omega D^{-1} A) T
-                    dinv = 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
-                    p = t - sp.diags(omega / max(lam, 1e-12) * dinv) @ (current @ t)
+                    p = t - sp.diags(omega / max(lam, 1e-12)
+                                     * self.levels[-1].dinv) @ (current @ t)
                     p = sp.csr_matrix(p)
                     coarse = sp.csr_matrix(p.conj().T @ current @ p)
                     led.flop(Kernel.SPMM, 4.0 * current.nnz * t.shape[1])
@@ -190,50 +201,52 @@ class SmoothedAggregationAMG(Preconditioner):
     # ------------------------------------------------------------------
     def _smooth(self, level: AMGLevel, b: np.ndarray, x: np.ndarray | None
                 ) -> np.ndarray:
-        """One pre/post smoothing application on a level."""
+        """One pre/post smoothing application on a level; ``x`` (``None``:
+        zero start) is the V-cycle's own and may be smoothed in place."""
         its = self.smoother_iterations
         if self.smoother == "chebyshev":
-            return chebyshev_iteration(
-                level.op, level.diag, b, degree=its,
-                lam_min=level.lam_max / 10.0, lam_max=1.1 * level.lam_max,
-                x0=x)
+            r, d, dinv = level.workspace(b.shape[1], b.dtype)
+            return chebyshev_smooth(
+                level.op, dinv, b, x, r, d, degree=its,
+                lam_min=level.lam_max / 10.0, lam_max=1.1 * level.lam_max)
         if self.smoother == "jacobi":
-            dinv = (0.7 / np.where(np.abs(level.diag) > 0, level.diag, 1.0))
+            dinv = 0.7 * level.dinv[:, None]
             xk = np.zeros_like(b) if x is None else x
             for _ in range(its):
-                xk = xk + dinv[:, None] * (b - level.a @ xk)
+                xk = xk + dinv * (b - level.a @ xk)
+            ledger.current().flop(Kernel.SPMM,
+                                  2.0 * level.a.nnz * b.shape[1] * its)
             return xk
         # Krylov smoothers (variable preconditioning!)
-        from ..krylov.cg import cg as cg_solve
-        from ..krylov.gmres import gmres as gmres_solve
-        from ..util.options import Options
-        opts = Options(tol=1e-25, max_it=its,
-                       gmres_restart=max(its, 1))
+        opts = Options(tol=1e-25, max_it=its, gmres_restart=max(its, 1))
         fn = cg_solve if self.smoother == "cg" else gmres_solve
         res = fn(level.a, b, options=opts, x0=x)
         return as_block(res.x)
 
     def _vcycle(self, lvl: int, b: np.ndarray) -> np.ndarray:
+        """One V-cycle from ``lvl`` down; the caller owns the result.  Every
+        sparse product is charged ``2 nnz p`` as SPMM: the smoother's through
+        ``level.op``, the residual and the two grid transfers here."""
         level = self.levels[lvl]
         if lvl == len(self.levels) - 1:
             if self._coarse_lu is not None:
                 return self._coarse_lu.solve(b)
-            from ..krylov.cg import cg as cg_solve
-            from ..util.options import Options
             res = cg_solve(level.a, b, options=Options(
                 tol=1e-12, max_it=self.coarse_iterations))
             return as_block(res.x)
         x = self._smooth(level, b, None)
-        r = b - level.a @ x
-        ledger.current().flop(Kernel.SPMM, 2.0 * level.a.nnz * b.shape[1])
-        rc = level.restrict @ r
-        xc = self._vcycle(lvl + 1, rc)
-        x = x + level.p @ xc
-        x = self._smooth(level, b, x)
-        return x
+        r = level.a @ x
+        np.subtract(b, r, out=r)
+        xc = self._vcycle(lvl + 1, level.restrict @ r)
+        px = level.p @ xc
+        ledger.current().flop(Kernel.SPMM, 2.0 * b.shape[1]
+                              * (level.a.nnz + 2 * level.p.nnz))
+        # into the product's own block (a Krylov smoother's x is not ours)
+        return self._smooth(level, b, np.add(x, px, out=px))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = as_block(x).astype(self.dtype, copy=False)
+        x = as_block(x)
+        x = x.astype(np.result_type(self.dtype, x.dtype), copy=False)
         ledger.current().event("amg_vcycle", x.shape[1])
         return self._vcycle(0, x)
 

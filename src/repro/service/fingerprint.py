@@ -40,7 +40,7 @@ def _digest(*arrays: np.ndarray) -> str:
     for arr in arrays:
         arr = np.ascontiguousarray(arr)
         h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
+        h.update(arr.data)      # the buffer itself, no tobytes() copy
     return h.hexdigest()
 
 

@@ -183,16 +183,14 @@ class AsyncSolveService(SolveService):
 
     # -- submission ------------------------------------------------------
     def _make_async(self, a: Any, b: np.ndarray, *, options, x0,
-                    deadline, priority, tenant,
-                    shifts=(), mass=None) -> AsyncRequest:
+                    deadline, priority, tenant, **extra) -> AsyncRequest:
         opts = options or self.options
         rel = opts.service_deadline if deadline is None else deadline
         return self._make_request(
-            a, b, options=opts, x0=x0, shifts=shifts, mass=mass,
-            cls=AsyncRequest, arrival=self.now,
+            a, b, options=opts, x0=x0, cls=AsyncRequest, arrival=self.now,
             # 0 = no deadline; negative = already expired (rejected below)
             deadline=self.now + rel if rel != 0 else math.inf,
-            priority=priority, tenant=tenant)
+            priority=priority, tenant=tenant, **extra)
 
     def _enqueue(self, req: AsyncRequest) -> AsyncRequest:
         shard = self.cache.shard_of(req.fingerprint)
@@ -217,18 +215,19 @@ class AsyncSolveService(SolveService):
                options: Options | None = None,
                x0: np.ndarray | None = None,
                deadline: float | None = None, priority: int = 0,
-               tenant: str = "default") -> AsyncRequest:
+               tenant: str = "default", fingerprint=None) -> AsyncRequest:
         """Queue one request at the current simulated time.
 
         ``deadline`` is *relative* to now (``None`` uses
         ``options.service_deadline``; 0 means none).  The returned handle
         either joins a shard queue or comes back with
         :attr:`AsyncRequest.rejected` set — check it before calling
-        :meth:`result`.
+        :meth:`result`.  ``fingerprint`` as in
+        :meth:`~repro.service.service.SolveService.submit`.
         """
         return self._enqueue(self._make_async(
             a, b, options=options, x0=x0, deadline=deadline,
-            priority=priority, tenant=tenant))
+            priority=priority, tenant=tenant, fingerprint=fingerprint))
 
     def submit_family(self, a: Any, b: np.ndarray, shifts, *,
                       mass: Any = None, options: Options | None = None,

@@ -162,7 +162,8 @@ class SequenceDriver:
                     and hasattr(self.service.cache, "adopt_from"):
                 adopted = self.service.cache.adopt_from(fp, handle.fp_prev)
             x0 = handle.u if opts.sequence_warm_start else None
-            req = self.service.submit(a, rhs, options=opts, x0=x0, **kwargs)
+            req = self.service.submit(a, rhs, options=opts, x0=x0,
+                                      fingerprint=fp, **kwargs)
         if getattr(req, "rejected", None) is not None:
             raise RuntimeError(
                 f"sequence step {step.index} of tenant {handle.tenant!r} "

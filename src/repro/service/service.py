@@ -238,9 +238,10 @@ class SolveService:
     # -- submission ------------------------------------------------------
     def _make_request(self, a: Any, b: np.ndarray, *, options, x0,
                       shifts=(), mass=None, cls=SolveRequest,
+                      fingerprint: Fingerprint | None = None,
                       **extra) -> SolveRequest:
         opts = options or self.options
-        fp = operator_fingerprint(a)
+        fp = operator_fingerprint(a) if fingerprint is None else fingerprint
         b_arr = np.asarray(b)
         sig = tuple(np.ravel(np.asarray(list(shifts))).tolist()) \
             if len(shifts) else ()
@@ -288,14 +289,17 @@ class SolveService:
         return req
 
     def submit(self, a: Any, b: np.ndarray, *, options: Options | None = None,
-               x0: np.ndarray | None = None) -> SolveRequest:
+               x0: np.ndarray | None = None,
+               fingerprint: Fingerprint | None = None) -> SolveRequest:
         """Queue one solve request; returns a handle to poll for results.
 
         Under the ``"batch_full"`` flush policy a group is dispatched as
         soon as it reaches ``service_pmax`` columns; otherwise requests
-        wait for :meth:`flush`.
+        wait for :meth:`flush`.  ``fingerprint``: for a caller that has just
+        hashed ``a`` (:class:`SequenceDriver`), sparing the second pass.
         """
-        return self._enqueue(self._make_request(a, b, options=options, x0=x0))
+        return self._enqueue(self._make_request(
+            a, b, options=options, x0=x0, fingerprint=fingerprint))
 
     def submit_family(self, a: Any, b: np.ndarray, shifts, *,
                       mass: Any = None, options: Options | None = None,
@@ -455,9 +459,11 @@ class SolveService:
                     # spaces (``SetupCache.adopt_from``), which keep the
                     # previous operator's fingerprint stamp so the
                     # adoption-boundary repair runs instead of being
-                    # trusted against the wrong operator.
+                    # trusted against the wrong operator (False, not None:
+                    # the solver would guess by identity tag, which a
+                    # matrix mutated in place keeps).
                     if found and not recycle.matches_fingerprint(fp):
-                        adopted = True
+                        adopted, same_system = True, False
                     elif found and not fp.opaque:
                         same_system = True
                 res = api.solve(chunk[0].a, bmat, m, options=opts, x0=x0,

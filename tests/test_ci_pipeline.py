@@ -288,3 +288,58 @@ def test_deflation_charge_and_projector_ratio_are_tracked_and_gated():
     assert len(projector_failures(slow)) == 1
     del slow["pb_projector"]
     assert len(projector_failures(slow)) == 1
+
+
+# -- AMG V-cycle charge tracked exactly, AMG / Givens ratios gated ---------
+def test_amg_charge_and_kernel_ratios_are_tracked_and_gated():
+    import copy
+    import json
+
+    results = ROOT / "benchmarks" / "results"
+    kernels = json.loads((results / "BENCH_kernels.json").read_text())
+    service = json.loads((results / "BENCH_service.json").read_text())
+    amg, hp1 = kernels["amg"], kernels["hessenberg_p1"]
+    assert amg["problem"] == {"n": 4096, "p": 4, "levels": [4096, 704, 80]}
+    # the workload's hierarchy: 4 products + 2 transfers per level where
+    # the reference paid 6 products and charged no transfer
+    assert amg["vcycle_spmm_flops"] == 1033600.0
+    assert amg["vcycle_spmm_flops_reference"] == 1263360.0
+    assert (amg["operator_apply_columns"],
+            amg["operator_apply_columns_reference"]) == (24, 40)
+    assert amg["apply_bytes_identical"] and amg["hierarchy_identical"]
+    assert hp1["counts_identical"] and hp1["solution_gap"] <= 1e-12
+
+    compare = _load_script(ROOT / "scripts" / "bench_compare.py",
+                           "repro_bench_compare")
+    metrics = compare.extract_metrics(kernels, service)
+    assert metrics["amg_vcycle_spmm_flops"] == {
+        "value": amg["vcycle_spmm_flops"], "kind": "exact"}
+    for name, value in (
+            ("amg_apply_speedup_over_reference",
+             amg["apply"]["speedup_over_reference"]),
+            ("amg_setup_speedup_over_reference",
+             amg["setup"]["speedup_over_reference"]),
+            ("hessenberg_p1_speedup_over_panels",
+             hp1["speedup_over_reference"])):
+        assert metrics[name] == {"value": value, "kind": "ratio"}
+    dead = {"amg_vcycle_spmm_flops":
+            {"value": amg["vcycle_spmm_flops_reference"], "kind": "exact"}}
+    assert compare.compare(dead, metrics, label="t")
+
+    bench = _load_script(ROOT / "benchmarks" / "bench_micro_kernels.py",
+                         "repro_bench_micro_kernels")
+
+    def failures(report, prefix):
+        return [f for f in bench.check_gate(report) if f.startswith(prefix)]
+
+    assert failures(kernels, "amg") == failures(kernels, "hessenberg") == []
+    slow = copy.deepcopy(kernels)
+    slow["amg"]["apply"]["speedup_over_reference"] = 1.1
+    slow["amg"]["setup"]["speedup_over_reference"] = 1.9
+    slow["amg"]["apply_bytes_identical"] = False
+    slow["hessenberg_p1"]["speedup_over_reference"] = 2.9
+    assert len(failures(slow, "amg")) == 3
+    assert len(failures(slow, "hessenberg_p1")) == 1
+    del slow["amg"], slow["hessenberg_p1"]
+    assert len(failures(slow, "amg")) == len(
+        failures(slow, "hessenberg_p1")) == 1

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.util import ledger
-from repro.util.ledger import CostLedger
+from repro.util.ledger import CostLedger, Kernel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]
                        / "benchmarks" / "e2e"))
@@ -48,3 +48,19 @@ def test_workload_counts_are_the_recorded_ones(wl, iterations, reductions):
     assert out.iterations == iterations
     assert led.reductions == reductions
     assert "deflation_rejected" not in led.calls
+
+
+def test_heat_copy_charges_only_the_live_sparse_products():
+    """The V-cycle's share of the ledger, so dead products cannot come back.
+
+    With the textbook Chebyshev loop (one ``A d`` after the last update of
+    ``x``, twice per level and V-cycle) and uncharged grid transfers this
+    copy read 12 121 536 SPMM flops and 1 565 ``operator_apply`` columns;
+    244 V-cycle columns x 2 dead products = the 488 that are gone.
+    """
+    wl = PINNED[2][0]
+    with ledger.install(CostLedger()) as led:
+        wl.run_pass(wl.setup(0))
+    assert led.calls["amg_vcycle"] == 244
+    assert led.calls["operator_apply"] == 1077
+    assert led.flops[Kernel.SPMM] == 10753184.0

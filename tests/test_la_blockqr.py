@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.la.blockqr import BlockHessenbergQR
+from repro.util import ledger
+from repro.util.ledger import CostLedger
 from conftest import make_rng
+from fixtures.reference_hessenberg import ReferenceBlockHessenbergQR
 
 
 def _random_hessenberg(rng, m, p, dtype=np.float64):
@@ -126,39 +129,143 @@ class TestAccessorsAndGuards:
 
 
 class TestQApplication:
+    """The stored factors are a unitary ``Q`` with ``Q^H H = [R; 0]`` —
+    checked on the all-panel oracle, the only class that forms ``Q``."""
+
     def test_q_unitary(self, rng):
         m, p = 5, 2
         h = _random_hessenberg(rng, m, p)
-        hqr = BlockHessenbergQR(m, p, np.eye(p))
+        hqr = ReferenceBlockHessenbergQR(m, p, np.eye(p))
         for j in range(m):
             hqr.add_column(h[: (j + 2) * p, j * p: (j + 1) * p])
         q = hqr.q_matrix()
         assert np.allclose(q.conj().T @ q, np.eye(q.shape[0]), atol=1e-10)
 
     def test_qh_times_h_is_triangular(self, rng):
-        m, p = 4, 3
-        h = _random_hessenberg(rng, m, p)
-        hqr = BlockHessenbergQR(m, p, np.eye(p))
-        for j in range(m):
-            hqr.add_column(h[: (j + 2) * p, j * p: (j + 1) * p])
-        transformed = hqr.apply_qh(h)
-        assert np.allclose(transformed[: m * p], hqr.triangular(), atol=1e-9)
-        assert np.allclose(transformed[m * p:], 0, atol=1e-9)
+        m = 4
+        for p in (1, 3):
+            h = _random_hessenberg(rng, m, p)
+            hqr = ReferenceBlockHessenbergQR(m, p, np.eye(p))
+            for j in range(m):
+                hqr.add_column(h[: (j + 2) * p, j * p: (j + 1) * p])
+            transformed = hqr.apply_qh(h)
+            assert np.allclose(transformed[: m * p], hqr.triangular(),
+                               atol=1e-9)
+            assert np.allclose(transformed[m * p:], 0, atol=1e-9)
 
     def test_q_and_qh_inverse(self, rng):
         m, p = 4, 2
         h = _random_hessenberg(rng, m, p)
-        hqr = BlockHessenbergQR(m, p, np.eye(p))
+        hqr = ReferenceBlockHessenbergQR(m, p, np.eye(p))
         for j in range(m):
             hqr.add_column(h[: (j + 2) * p, j * p: (j + 1) * p])
         x = rng.standard_normal((hqr.nrows_active, 3))
         assert np.allclose(hqr.apply_q(hqr.apply_qh(x)), x, atol=1e-10)
 
     def test_row_count_guard(self, rng):
-        hqr = BlockHessenbergQR(4, 2, np.eye(2))
+        hqr = ReferenceBlockHessenbergQR(4, 2, np.eye(2))
         hqr.add_column(np.ones((4, 2)))
         with pytest.raises(ValueError, match="rows"):
             hqr.apply_qh(np.ones((6, 1)))
+
+
+def _feed(cls, cols, s1, dtype, **kw):
+    hqr = cls(len(cols), 1, s1, dtype=dtype)
+    with ledger.install(CostLedger()) as led:
+        res = [hqr.add_column(c, **kw) for c in cols]
+        y = hqr.solve()
+    return hqr, res, y, led
+
+
+def _agree(new, old, scale=1.0):
+    return np.allclose(new, old, rtol=1e-13, atol=1e-13 * scale)
+
+
+class TestGivensAgainstPanels:
+    """``p = 1`` keeps ``(c, s)`` rotations; the all-panel oracle is
+    ``tests/fixtures/reference_hessenberg.py``.  ``R`` may differ by a
+    unitary diagonal, nothing else may."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 40), q=st.integers(1, 3), complex_=st.booleans(),
+           seed=st.integers(0, 2**31 - 1),
+           subdiag=st.sampled_from(["random", "zero", "tiny", "zero-diag"]))
+    def test_matches_fixture(self, m, q, complex_, seed, subdiag):
+        dtype = np.complex128 if complex_ else np.float64
+        rng = make_rng(seed)
+        h = _random_hessenberg(rng, m, 1, dtype)
+        hit = int(rng.integers(0, m))
+        if subdiag == "zero":
+            h[hit + 1, hit] = 0.0
+        elif subdiag == "tiny":
+            h[hit + 1, hit] *= 1e-300
+        elif subdiag == "zero-diag":
+            h[: hit + 1, hit] = 0.0       # the rotation meets (0, b)
+        # q > p: block-size reduction tracks every original right-hand side
+        s1 = rng.standard_normal((1, q)).astype(dtype)
+        if complex_:
+            s1 = s1 + 1j * rng.standard_normal((1, q))
+        cols = [h[: j + 2, j: j + 1] for j in range(m)]
+        new, res_new, y_new, led_new = _feed(BlockHessenbergQR, cols, s1, dtype)
+        old, res_old, y_old, led_old = _feed(ReferenceBlockHessenbergQR,
+                                             cols, s1, dtype)
+        scale = np.abs(h).max()
+        r_new, r_old = new.triangular(), old.triangular()
+        assert np.array_equal(new.hessenberg(), old.hessenberg())
+        # both are backward stable: R^H R agrees to rounding, the entries
+        # of R themselves to rounding x cond(H) (random Hessenbergs reach
+        # 1e5; the well-conditioned case below holds |R| to 1e-13 flat)
+        assert _agree(r_new.conj().T @ r_new, r_old.conj().T @ r_old,
+                      scale ** 2)
+        assert _agree(np.abs(r_new), np.abs(r_old),
+                      scale * max(1.0, 1e-2 * np.linalg.cond(h)))
+        assert _agree(np.abs(new.g), np.abs(old.g), np.abs(s1).max())
+        for a, b in zip(res_new, res_old):
+            assert a.shape == b.shape == (q,)
+            assert _agree(a, b, np.abs(s1).max())
+        assert _agree(new.residual_norms(), old.residual_norms(),
+                      np.abs(s1).max())
+        if subdiag == "random":            # R well away from singular
+            assert np.allclose(y_new, y_old, rtol=1e-9,
+                               atol=1e-13 * np.abs(y_old).max())
+        assert led_new.counts() == led_old.counts()
+
+    def test_r_and_solve_to_1e13_on_a_well_conditioned_hessenberg(self, rng):
+        for dtype in (np.float64, np.complex128):
+            m = 30
+            h = _random_hessenberg(rng, m, 1, dtype) * 0.1
+            h[np.arange(m), np.arange(m)] += 4.0      # diagonally dominant
+            cols = [h[: j + 2, j: j + 1] for j in range(m)]
+            s1 = np.array([[2.5]], dtype=dtype)
+            new, _, y_new, _ = _feed(BlockHessenbergQR, cols, s1, dtype)
+            old, _, y_old, _ = _feed(ReferenceBlockHessenbergQR, cols, s1,
+                                     dtype)
+            assert np.abs(y_new - y_old).max() <= 1e-13 * np.abs(y_old).max()
+            assert np.abs(np.abs(new.triangular())
+                          - np.abs(old.triangular())).max() <= 1e-13
+
+    def test_uncharged_column_charges_nothing(self, rng):
+        h = _random_hessenberg(rng, 5, 1)
+        cols = [h[: j + 2, j: j + 1] for j in range(5)]
+        hqr = BlockHessenbergQR(5, 1, np.array([[1.0]]))
+        with ledger.install(CostLedger()) as led:
+            for c in cols:
+                hqr.add_column(c, charge=False)
+        assert led.total_flops() == 0
+
+    def test_rotations_are_real_cosine_pairs(self, rng):
+        h = _random_hessenberg(rng, 6, 1, np.complex128)
+        hqr = BlockHessenbergQR(6, 1, np.array([[1.0 + 0j]]),
+                                dtype=np.complex128)
+        for j in range(6):
+            hqr.add_column(h[: j + 2, j: j + 1])
+        for c, s in hqr._panels:
+            assert isinstance(c, float) and 0.0 <= c <= 1.0
+            assert abs(c * c + abs(s) ** 2 - 1.0) <= 1e-15
+        # the rotation's phase: R keeps the direction of the pivot entry,
+        # where Householder would have put -||.|| there
+        assert hqr.triangular()[0, 0] == pytest.approx(
+            h[0, 0] / abs(h[0, 0]) * np.linalg.norm(h[:2, 0]))
 
 
 @settings(max_examples=20, deadline=None)

@@ -284,6 +284,100 @@ def test_stale_adopted_pair_is_repaired_not_trusted():
     assert np.linalg.norm(handle.u - u) < 1e-7 * np.linalg.norm(u)
 
 
+# -- one hash per sequence step ------------------------------------------
+def _count_fingerprints(monkeypatch) -> list:
+    """Count ``operator_fingerprint`` calls from the driver and the service."""
+    import repro.service.sequence as sequence_mod
+    import repro.service.service as service_mod
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return operator_fingerprint(a)
+
+    monkeypatch.setattr(sequence_mod, "operator_fingerprint", counting)
+    monkeypatch.setattr(service_mod, "operator_fingerprint", counting)
+    return calls
+
+
+@pytest.mark.parametrize("service_cls", [SolveService, AsyncSolveService])
+@pytest.mark.parametrize("flush", ["explicit", "batch_full"])
+def test_driver_hashes_each_operator_once_per_step(monkeypatch, service_cls,
+                                                   flush):
+    """The driver's fingerprint rides on the request it creates; with
+    ``batch_full`` the dispatch happens *inside* submit, after adoption."""
+    calls = _count_fingerprints(monkeypatch)
+    seq = HeatSequence(nx=7, n_steps=6, dt0=1e-3, epoch_length=3, growth=1.5)
+    _, (h0, h1), records = drive(seq, service_cls=service_cls, tenants=2,
+                                 service_flush=flush, service_pmax=2)
+    assert h0.all_converged and h1.all_converged
+    assert len(calls) == len(records) == 12
+    assert [r["fp_changed"] for r in records[::2]] \
+        == [True, False, False, True, False, False]
+    boundary = records[6]
+    assert boundary["adopted_kinds"] and boundary["recycle_adopted"]
+
+
+def test_operator_mutated_in_place_between_steps_still_misses():
+    """No identity-keyed memo: the same matrix object with new values is a
+    new operator — new fingerprint, fresh set-up, and the recycle pair it
+    adopts is repaired although the object (and its identity tag, which the
+    solver's own same-system guess goes by) is the one the pair was built
+    with."""
+    class MutatingHeat(HeatSequence):
+        def operator(self, step):
+            lhs = super().operator(self._steps[0])
+            if step.index == 2:
+                lhs.data *= 1.5           # same object, same tag, new values
+            return lhs
+
+    seq = MutatingHeat(nx=7, n_steps=4, dt0=1e-3, epoch_length=4)
+    opts = seq_options()
+    svc = SolveService(options=opts, preconditioner="lu")
+    driver = SequenceDriver(svc)
+    handle = driver.add(seq, options=opts)
+    records = driver.run()
+    assert handle.all_converged
+    assert [r["fp_changed"] for r in records] == [True, False, True, False]
+    assert [r["setup_cache_hit"] for r in records] \
+        == [False, True, False, True]
+    assert records[1]["fingerprint"] != records[2]["fingerprint"]
+    assert records[2]["adopted_kinds"] and records[2]["recycle_adopted"]
+    u = seq.u0()
+    lhs = HeatSequence(nx=7, n_steps=4, dt0=1e-3, epoch_length=4)
+    for step in lhs.steps():
+        mat = lhs.operator(step) * (1.5 if step.index >= 2 else 1.0)
+        u = spla.spsolve(mat.tocsc(), seq.rhs(step, u))
+    assert np.linalg.norm(handle.u - u) < 1e-7 * np.linalg.norm(u)
+
+
+def test_submit_takes_the_callers_fingerprint(monkeypatch):
+    calls = _count_fingerprints(monkeypatch)
+    seq = HeatSequence(nx=7, n_steps=1, dt0=1e-3)
+    a = seq.operator(seq.steps()[0])
+    fp = operator_fingerprint(a)
+    for cls in (SolveService, AsyncSolveService):
+        svc = cls(options=seq_options())
+        given = svc.submit(a, np.ones(a.shape[0]), fingerprint=fp)
+        hashed = svc.submit(a, np.ones(a.shape[0]))
+        assert given.fingerprint is fp and hashed.fingerprint == fp
+    assert len(calls) == 2
+
+
+def test_digest_reads_the_buffer_it_used_to_copy():
+    import hashlib
+    from repro.service.fingerprint import _digest
+    rng = np.random.default_rng(0)
+    arrays = [rng.standard_normal(17), np.arange(12, dtype=np.int32),
+              rng.standard_normal((6, 4))[:, ::2],     # not contiguous
+              np.zeros((0, 3)), rng.standard_normal(5) + 1j]
+    h = hashlib.blake2b(digest_size=16)
+    for arr in arrays:
+        h.update(str(arr.dtype).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert _digest(*arrays) == h.hexdigest()
+
+
 # -- golden replay: byte-determinism -----------------------------------
 def _replay_payload() -> bytes:
     seq = HeatSequence(nx=7, n_steps=6, dt0=1e-3, epoch_length=3,
