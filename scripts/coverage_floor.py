@@ -32,6 +32,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FLOORS = {
     os.path.join("src", "repro", "krylov"): 90.0,
     os.path.join("src", "repro", "krylov", "shifted.py"): 85.0,
+    # the one restart loop: every solver runs through it, so the module is
+    # held to the package's floor on its own
+    os.path.join("src", "repro", "krylov", "restart.py"): 90.0,
     os.path.join("src", "repro", "service"): 88.0,
     os.path.join("src", "repro", "trace"): 85.0,
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Five rule families, each guarding an invariant the test suite and the
+Six rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -41,6 +41,16 @@ trace/bench gates rely on:
     projector cores use batched ``np.matmul`` on the ``(p, i, n)`` view of
     the ``(cols, p, n)``-stored tensor instead, and the einsum formulation
     lives on only as ``tests/fixtures/reference_pb_projector.py``.
+
+``restart-loop``
+    the iteration-budget test ``total_it < options.max_it`` or the
+    overwrite ``history.records[-1] = ...`` of the last history record in
+    ``src/repro/krylov/`` outside ``restart.py``.  How a restarted solve
+    starts, restarts, stops and is packed has one home
+    (``RestartLoop.running`` / ``budget``, ``RestartedSolve
+    .restart_residual``); a solver that spells either again has grown its
+    own copy of the loop, and seven copies is where this package came
+    from.  No allow-list entry.
 
 False positives go in ``scripts/lint_allowlist.txt`` as
 ``<relpath>:<rule>`` (one per line, ``#`` comments allowed); a
@@ -92,6 +102,10 @@ PLAN_EXEMPT = (os.path.join("src", "repro", "plan", "ir.py"),)
 #: where an einsum over a 3-D (basis tensor) operand may not come back
 EINSUM_DIRS = (os.path.join("src", "repro", "la") + os.sep,
                os.path.join("src", "repro", "krylov") + os.sep)
+#: the one module that may spell the restart loop's budget test and the
+#: restart-residual overwrite of the last history record
+KRYLOV_DIR = os.path.join("src", "repro", "krylov") + os.sep
+RESTART_HOME = os.path.join("src", "repro", "krylov", "restart.py")
 
 
 def _dotted(node: ast.AST) -> str:
@@ -113,6 +127,8 @@ class _Visitor(ast.NodeVisitor):
         self.in_distla = os.path.join("src", "repro", "distla") in rel
         self.in_plan = rel.startswith(PLAN_DIR) and rel not in PLAN_EXEMPT
         self.in_einsum_dirs = rel.startswith(EINSUM_DIRS)
+        self.in_restart_scope = rel.startswith(KRYLOV_DIR) \
+            and rel != RESTART_HOME
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, msg: str) -> None:
@@ -162,6 +178,29 @@ class _Visitor(ast.NodeVisitor):
                            f"{name}() over a 3-D operand (or unreadable "
                            f"subscripts) — contract the basis tensor with "
                            f"batched np.matmul, einsum cannot reach BLAS")
+        self.generic_visit(node)
+
+    # -- restart-loop ---------------------------------------------------
+    def visit_Compare(self, node: ast.Compare) -> None:
+        if self.in_restart_scope and len(node.ops) == 1 \
+                and isinstance(node.ops[0], ast.Lt) \
+                and _dotted(node.left).rsplit(".", 1)[-1] == "total_it" \
+                and _dotted(node.comparators[0]).endswith("options.max_it"):
+            self._flag("restart-loop", node,
+                       "iteration-budget test outside krylov/restart.py — "
+                       "use RestartLoop.running / .budget")
+        self.generic_visit(node)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for tgt in node.targets:
+            if self.in_restart_scope and isinstance(tgt, ast.Subscript) \
+                    and _dotted(tgt.value).endswith("history.records") \
+                    and isinstance(tgt.slice, ast.UnaryOp) \
+                    and isinstance(tgt.slice.op, ast.USub):
+                self._flag("restart-loop", node,
+                           "last history record overwritten outside "
+                           "krylov/restart.py — use "
+                           "RestartedSolve.restart_residual")
         self.generic_visit(node)
 
     def _clock_allowed(self) -> bool:

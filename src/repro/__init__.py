@@ -24,7 +24,7 @@ True
 from .api import Solver, solve
 from .krylov.base import (FunctionPreconditioner, Operator, Preconditioner,
                           SolveResult, as_operator, as_preconditioner)
-from .krylov.recycling import RecycledSubspace, RecyclingStore
+from .krylov.recycling import RecycledSubspace
 from .service import (AsyncSolveService, SetupCache, ShardedSetupCache,
                       SolveService, make_service, operator_fingerprint)
 from .util.execmode import exec_mode, set_exec_mode, use_exec_mode
@@ -45,7 +45,6 @@ __all__ = [
     "as_preconditioner",
     "SolveResult",
     "RecycledSubspace",
-    "RecyclingStore",
     "SolveService",
     "AsyncSolveService",
     "make_service",

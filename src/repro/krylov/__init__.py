@@ -11,7 +11,7 @@ from .pgcrodr import PseudoBlockRecycle, pgcrodr
 from .gmres import gmres
 from .gmresdr import gmresdr
 from .lgmres import lgmres
-from .recycling import GLOBAL_STORE, RecycledSubspace, RecyclingStore
+from .recycling import RecycledSubspace
 
 __all__ = [
     "gmres",
@@ -32,6 +32,4 @@ __all__ = [
     "SolveResult",
     "ConvergenceHistory",
     "RecycledSubspace",
-    "RecyclingStore",
-    "GLOBAL_STORE",
 ]

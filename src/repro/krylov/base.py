@@ -42,6 +42,7 @@ __all__ = [
     "IdentityPreconditioner",
     "FunctionPreconditioner",
     "as_preconditioner",
+    "setup_preconditioning",
     "ConvergenceHistory",
     "SolveResult",
     "eps_all_below",
@@ -175,6 +176,26 @@ def as_preconditioner(m: Any) -> Preconditioner:
     if callable(m):
         return FunctionPreconditioner(m)
     raise TypeError(f"cannot interpret {type(m).__name__} as a preconditioner")
+
+
+def setup_preconditioning(a: Operator, m: Any, options):
+    """Normalize the preconditioning side into ``(op_apply, inner_m, left_m)``:
+    what the method iterates with (``A``, or ``M∘A`` under left
+    preconditioning), what the Arnoldi loop applies (``M`` under right /
+    flexible, else the identity) and ``M`` when it transforms the RHS (left).
+    """
+    prec = as_preconditioner(m)
+    if prec.is_variable and options.variant != "flexible":
+        raise ValueError(
+            "variable (nonlinear) preconditioners require variant='flexible' "
+            "(FGMRES / FGCRO-DR) — cf. paper section III-C")
+    if isinstance(prec, IdentityPreconditioner):
+        return a.matmat, prec, None
+    if options.variant == "left":
+        def op_apply(x: np.ndarray) -> np.ndarray:
+            return prec(a.matmat(x))
+        return op_apply, IdentityPreconditioner(), prec
+    return a.matmat, prec, None
 
 
 @dataclass

@@ -29,25 +29,29 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..la.orthogonalization import (LOW_SYNC_SCHEMES, SCHEMES, _gram,
-                                    cholqr2, householder_qr,
-                                    qr_factorization)
+                                    cholqr2, householder_qr)
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
-from ..util.misc import as_block, column_norms
+from ..util.misc import column_norms
 from ..util.options import Options
-from ..verify import checker_for
-from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
-                   as_operator, initial_state, residual_targets)
+from .base import SolveResult
 from .basis import BasisArena
-from .cycle import block_arnoldi_cycle, complete_block
 from .deflation import (generalized_ritz_vectors, harmonic_ritz_vectors,
                         sketched_harmonic_ritz_vectors)
-from .gmres import setup_preconditioning
 from .recycling import RecycledSubspace
+from .restart import RestartedSolve
 from .sketch_recycle import SketchedRecycler, sketch_drift_probe
 
 __all__ = ["gcrodr"]
+
+#: verify=full labels (basis, Arnoldi relation) of each kind of cycle
+_CHECK_LABELS = {
+    "harvest": ("harvest-cycle basis", "harvest-cycle Arnoldi relation"),
+    "gmres_fallback": ("fallback-cycle basis",
+                       "fallback-cycle Arnoldi relation"),
+    "gcrodr": ("[C_k V] augmented basis", "projected Arnoldi relation"),
+}
 
 
 def _harvest(small: np.ndarray, pk: np.ndarray, *, rtol: float = 1e-12
@@ -133,6 +137,28 @@ def _tidy_pair(u_k: np.ndarray, c_k: np.ndarray, op_apply, scheme: str
     return u_k, c_k, True
 
 
+def _sketch_tidy(rec: SketchedRecycler, u: np.ndarray, c: np.ndarray, op_apply,
+                 sc: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Sketch-whiten a fresh pair (locally, given its sketch ``sc = S C``),
+    falling back to the exact full-space repair when the whitening fails.
+
+    Returns ``(u, c, exact)`` with :func:`_tidy_pair`'s contract:
+    ``exact=False`` means the pair is sketch-whitened only, and the caller
+    owes one :func:`_exact_pair` before packaging.
+    """
+    u2, c2, ok = rec.whiten(u, c) if sc is None \
+        else rec.whiten_local(u, c, sc)
+    if ok:
+        return u2, c2, False
+    with trace.current().span("recycle_repair", kind="sketch_drift"):
+        ledger.current().event("recycle_repair")
+        rec.repairs += 1
+        u2, c2 = _exact_pair(u, c, op_apply)
+        rec.adopt(u2, c2)
+    return u2, c2, True
+
+
 def gcrodr(a, b, m=None, *, options: Options | None = None,
            x0: np.ndarray | None = None,
            recycle: RecycledSubspace | None = None,
@@ -157,37 +183,17 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
     k = options.recycle
     if k <= 0:
         raise ValueError("GCRO-DR requires options.recycle (k) > 0")
-    a = as_operator(a)
-    op_apply, inner_m, left_m = setup_preconditioning(a, m, options)
-    b_in = as_block(b)
-    squeeze = np.asarray(b).ndim == 1
-
-    x, b2, r = initial_state(a, b_in, x0)
-    if left_m is not None:
-        b2 = np.asarray(left_m(b2))
-        r = np.asarray(left_m(r)) if x0 is not None else b2.copy()
-    n, p = b2.shape
-    dtype = x.dtype
-    targets = residual_targets(b2, options.tol)
-    identity_m = isinstance(inner_m, IdentityPreconditioner)
-    led = ledger.current()
-    tr = trace.current()
-    chk = checker_for(options, context="gcrodr")
-
-    history = ConvergenceHistory(rhs_norms=column_norms(b2))
-    rn = column_norms(r)
-    history.append(rn)
-    converged = rn <= targets
+    st = RestartedSolve(a, b, m, options, x0, context="gcrodr")
+    n, p, dtype, op_apply = st.n, st.p, st.dtype, st.op_apply
+    led, tr, chk = st.led, st.tr, st.chk
 
     m_restart = options.gmres_restart
     inner_steps = max(m_restart - k, 1)
     # one basis slab for the whole solve, re-bound by every cycle; a
     # supplied space is adopted untrimmed, so it may be wider than k
     k_arena = max(k, recycle.k) if recycle is not None else k
-    arena = BasisArena(n, p, k_arena, m_restart, dtype, identity_m=identity_m)
-    total_it = 0
-    cycles = 0
-    breakdown_seen = False
+    arena = BasisArena(n, p, k_arena, m_restart, dtype,
+                       identity_m=st.identity_m)
 
     u_k: np.ndarray | None = None
     c_k: np.ndarray | None = None
@@ -204,8 +210,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
               sbasis: np.ndarray | None
               ) -> tuple[np.ndarray, np.ndarray, bool]:
         """Repair the freshly mixed pair ``c = basis @ qf`` (see
-        :func:`_tidy_pair`); sketched mode whitens in sketch space with
-        the lazy full-space fallback.
+        :func:`_tidy_pair` / :func:`_sketch_tidy`).
 
         ``sbasis`` is the sketch of that basis when the engine state covers
         it — ``S C_new = sbasis @ qf`` is then local algebra and the
@@ -215,35 +220,22 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
         """
         if not sketched_mode:
             return _tidy_pair(u, c, op_apply, options.orthogonalization)
+        sc = None
         if sbasis is not None and sbasis.shape[1] == qf.shape[0]:
             led.flop(Kernel.BLAS3,
                      4.0 * sbasis.shape[0] * sbasis.shape[1] * qf.shape[1])
-            u2, c2, ok = skr.whiten_local(u, c, sbasis @ qf)
-        else:
-            u2, c2, ok = skr.whiten(u, c)
-        if ok:
-            return u2, c2, False
-        with tr.span("recycle_repair", kind="sketch_drift"):
-            led.event("recycle_repair")
-            skr.repairs += 1
-            u2, c2 = _exact_pair(u, c, op_apply)
-            skr.adopt(u2, c2)
-        return u2, c2, True
-
-    def _explicit_residual() -> np.ndarray:
-        if left_m is None:
-            return b2 - op_apply(x)
-        return np.asarray(left_m(b_in.astype(dtype) - a.matmat(x)))
+            sc = sbasis @ qf
+        return _sketch_tidy(skr, u, c, op_apply, sc)
 
     # ------------------------------------------------------------------
-    # Lines 1-21: initialization — either reuse a recycled space or run a
-    # plain (block) GMRES cycle and harvest harmonic Ritz vectors from it.
+    # Lines 1-9: adopt a recycled space from the previous solve, if any.
     # ------------------------------------------------------------------
     if recycle is not None and recycle.k > 0:
         u_k = np.asarray(recycle.u, dtype=dtype).copy()
         c_k = np.asarray(recycle.c, dtype=dtype).copy()
         if same_system is None:
-            same_system = options.recycle_same_system or recycle.matches_operator(a.tag)
+            same_system = options.recycle_same_system \
+                or recycle.matches_operator(st.a.tag)
         if not same_system:
             # lines 3-7: re-orthonormalize against the *new* operator.
             # Low-synchronization schemes route this through CholQR2
@@ -294,236 +286,115 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 # (exactly orthonormal) pair for the whole solve
                 skr.adopt(u_k, c_k)
             # lines 8-9: project the initial residual onto the recycled space
-            chr0 = _gram(c_k, r)
-            x += u_k @ chr0
-            r = r - c_k @ chr0
+            chr0 = _gram(c_k, st.r)
+            st.x += u_k @ chr0
+            st.r = st.r - c_k @ chr0
             led.flop(Kernel.BLAS3, 4.0 * n * u_k.shape[1] * p)
-            rn = column_norms(r)
             led.reduction(nbytes=p * 8)
-            history.append(rn)
-            converged = rn <= targets
+            st.record_residual()
     else:
         # First system of a sequence: Fig. 1's "A_i != A_{i-1}" guard is
         # vacuously true (there is no predecessor), so the recycle space is
         # always refined at restarts, whatever the same-system option says.
         same_system = False
 
-    if u_k is None or u_k.shape[1] == 0:
-        # lines 11-20: one full (block) GMRES cycle, then harmonic Ritz
-        v1, s1, rank = qr_factorization(r, "cholqr_rr", tol=options.deflation_tol)
-        if rank == 0:
-            converged[:] = True
-        else:
-            if rank < p:
-                breakdown_seen = True
-                v1 = complete_block(v1, rank)
-            with tr.span("cycle", index=cycles, kind="harvest"):
-                state = block_arnoldi_cycle(
-                    op_apply, inner_m, v1, s1, max_steps=m_restart,
-                    ortho=options.orthogonalization, qr_scheme=options.qr,
-                    deflation_tol=options.deflation_tol, targets=targets,
-                    history=history, identity_m=identity_m,
-                    iteration_budget=options.max_it - total_it,
-                    plan=options.plan, arena=arena)
-            total_it += state.steps
-            cycles += 1
-            breakdown_seen |= state.breakdown
-            if state.steps:
-                with tr.span("least_squares"):
-                    y = state.hqr.solve()
-                    z = state.z_stack(state.steps)
-                    x += z @ y
-                    led.flop(Kernel.BLAS3, 2.0 * n * z.shape[1] * p)
-                if chk.wants_full and not state.breakdown:
-                    vst = state.v_stack()
-                    chk.check_orthonormality(vst, what="harvest-cycle basis")
-                    chk.check_arnoldi(op_apply, z, vst,
-                                      state.hqr.hessenberg(),
-                                      what="harvest-cycle Arnoldi relation")
-                r = _explicit_residual()
-                rn = column_norms(r)
-                led.reduction(nbytes=p * 8)
-                converged = rn <= targets
-                if not chk.is_off and not state.breakdown:
-                    safe = np.where(history.rhs_norms > 0,
-                                    history.rhs_norms, 1.0)
-                    chk.check_residual_gap(history.records[-1] * safe, rn,
-                                           history.rhs_norms, targets,
-                                           what="harvest-cycle restart")
-                history.records[-1] = rn / np.where(history.rhs_norms > 0,
-                                                    history.rhs_norms, 1.0)
-                # lines 16-20: harvest the recycled space
-                hbar = state.hqr.hessenberg()
-                sk = state.sketch
-                use_sketch_eig = (sketched_mode and sk is not None
-                                  and not state.breakdown
-                                  and sk.qs.shape[1] == hbar.shape[0])
-                with tr.span("eig", kind="harmonic_ritz"):
-                    if use_sketch_eig:
-                        # harmonic Ritz of the *sketched* LS problem: the
-                        # basis Gram (S V)^H (S V) is local algebra on the
-                        # engine's whitener t0
-                        pk = sketched_harmonic_ritz_vectors(
-                            hbar, sk.t0, k, dtype=dtype,
-                            target=options.recycle_target)
-                    else:
-                        pk = harmonic_ritz_vectors(
-                            hbar, state.hqr.triangular(),
-                            state.hqr.last_subdiagonal_block(),
-                            p, k, dtype=dtype, target=options.recycle_target)
-                if pk.shape[1]:
-                    with tr.span("recycle_update", kind="harvest"):
-                        qf, s = _harvest(hbar, pk)
-                        vstack = state.v_stack()
-                        c_k = vstack @ qf
-                        u_k = z @ s
-                        led.flop(Kernel.BLAS3,
-                                 4.0 * n * vstack.shape[1] * qf.shape[1])
-                        u_k, c_k, pair_exact = _tidy(
-                            u_k, c_k, qf,
-                            sk.sketched_basis() if use_sketch_eig else None)
-                    chk.check_recycle(u_k, c_k, op_apply=op_apply,
-                                      what="harvested recycle space")
-
     # ------------------------------------------------------------------
-    # Lines 22-39: main GCRO-DR loop.
+    # Lines 11-39: one loop.  With a space, m-k steps on (I - C C^H) A and
+    # the update of lines 31-38; without one, the k = 0 cycle — a full-m
+    # (block) GMRES cycle — followed, when it is the solve's first, by the
+    # harvest of lines 16-20 (later ones degrade gracefully to plain GMRES).
     # ------------------------------------------------------------------
-    while not np.all(converged) and total_it < options.max_it:
-        if u_k is None or u_k.shape[1] == 0:
-            # recycled space vanished: degrade gracefully to plain GMRES cycles
-            v1, s1, rank = qr_factorization(r, "cholqr_rr", tol=options.deflation_tol)
-            if rank == 0:
-                break
-            if rank < p:
-                breakdown_seen = True
-                v1 = complete_block(v1, rank)
-            with tr.span("cycle", index=cycles, kind="gmres_fallback"):
-                state = block_arnoldi_cycle(
-                    op_apply, inner_m, v1, s1, max_steps=m_restart,
-                    ortho=options.orthogonalization, qr_scheme=options.qr,
-                    deflation_tol=options.deflation_tol, targets=targets,
-                    history=history, identity_m=identity_m,
-                    iteration_budget=options.max_it - total_it,
-                    plan=options.plan, arena=arena)
-            total_it += state.steps
-            cycles += 1
-            if state.steps == 0:
-                break
-            with tr.span("least_squares"):
-                y = state.hqr.solve()
-                x += state.z_stack(state.steps) @ y
-            r = _explicit_residual()
-        else:
-            k_cur = u_k.shape[1]
-            # line 24: distributed QR of the residual block
-            v1, s1, rank = qr_factorization(r, "cholqr_rr", tol=options.deflation_tol)
-            if rank == 0:
-                break
-            if rank < p:
-                breakdown_seen = True
-                v1 = complete_block(v1, rank, against=[c_k])
-            chr_prev = None
-            if not sketched_mode:
-                chr_prev = _gram(c_k, r)      # C_k^H R_{j-1} (line 28, 1st term)
-            # line 26: m-k steps of (block) GMRES on (I - C C^H) A
-            with tr.span("cycle", index=cycles, kind="gcrodr",
-                         same_system=bool(same_system)):
-                state = block_arnoldi_cycle(
-                    op_apply, inner_m, v1, s1, max_steps=inner_steps, ck=c_k,
-                    ortho=options.orthogonalization, qr_scheme=options.qr,
-                    deflation_tol=options.deflation_tol, targets=targets,
-                    history=history, identity_m=identity_m,
-                    iteration_budget=options.max_it - total_it,
-                    plan=options.plan, arena=arena,
-                    sck=skr.sc if sketched_mode else None)
-            total_it += state.steps
-            cycles += 1
-            breakdown_seen |= state.breakdown
-            if state.steps == 0:
-                break
-            # lines 27-29: solve the projected LS problem and update X
-            with tr.span("least_squares"):
-                y = state.hqr.solve()                # (jp x p)
-                ek = state.ek_matrix()               # (k x jp)
-                if sketched_mode:
-                    # C^H R_{j-1} = (C^H v1) s1: local algebra on the seed
-                    # coefficients that rode the fused prologue reduction —
-                    # line 28's first term costs no extra communication
-                    chr_prev = state.e0 @ np.asarray(s1, dtype=dtype)
-                    led.flop(Kernel.BLAS3, 2.0 * k_cur * p * p)
-                    yk = chr_prev - ek @ y           # line 28
+    while st.running:
+        projecting = u_k is not None and u_k.shape[1] > 0
+        kind = "gcrodr" if projecting else \
+            "harvest" if st.cycles == 0 else "gmres_fallback"
+        span = {"kind": kind}
+        if projecting:
+            span["same_system"] = bool(same_system)
+        state = st.cycle(
+            arena, inner_steps if projecting else m_restart, span=span,
+            what=_CHECK_LABELS[kind],
+            pair=(u_k, c_k) if projecting else None,
+            sck=skr.sc if projecting and sketched_mode else None)
+        if state is None:
+            break
+        st.restart_residual(
+            "harvest-cycle restart" if kind == "harvest"
+            else f"GCRO-DR restart {st.cycles}", gap=not state.breakdown)
+        if kind == "gmres_fallback" or (projecting and same_system):
+            # nothing to refine: the harvest came back empty, or lines 31-38
+            # are skipped for a non-variable sequence (same-system fast path)
+            continue
+        hbar = state.hqr.hessenberg()                # ((j+1)p x jp)
+        z = state.z_stack(state.steps)
+        sk = state.sketch if sketched_mode else None
+        if kind == "harvest":
+            # lines 16-20: harvest the recycled space
+            use_sketch_eig = (sk is not None and not state.breakdown
+                              and sk.qs.shape[1] == hbar.shape[0])
+            with tr.span("eig", kind="harmonic_ritz"):
+                if use_sketch_eig:
+                    # harmonic Ritz of the *sketched* LS problem: the
+                    # basis Gram (S V)^H (S V) is local algebra on the
+                    # engine's whitener t0
+                    pk = sketched_harmonic_ritz_vectors(
+                        hbar, sk.t0, k, dtype=dtype,
+                        target=options.recycle_target)
                 else:
-                    yk = chr_prev - ek @ y           # line 28 (one small gemm
-                    led.reduction(nbytes=k_cur * p * 8)  # + §III-D's reduction)
-                z = state.z_stack(state.steps)
-                x += u_k @ yk + z @ y
-                led.flop(Kernel.BLAS3, 2.0 * n * (k_cur + z.shape[1]) * p)
-            if chk.wants_full and not state.breakdown:
-                vst = state.v_stack()
-                # V must be orthonormal AND orthogonal to C_k (the cycle ran
-                # on the projected operator (I - C C^H) A)
-                chk.check_orthonormality(state.cv_stack(),
-                                         what="[C_k V] augmented basis")
-                chk.check_arnoldi(op_apply, z, vst, state.hqr.hessenberg(),
-                                  ck=c_k, ek=ek,
-                                  what="projected Arnoldi relation")
-            # line 30: explicit residual
-            r = _explicit_residual()
-
-            # lines 31-38: update the recycled space (skipped for
-            # non-variable sequences — the same-system optimization)
-            if not same_system:
-                with tr.span("recycle_update",
-                             strategy=options.recycle_strategy):
-                    led.event("recycle_update")
-                    hbar = state.hqr.hessenberg()    # ((j+1)p x jp)
-                    sk = state.sketch if sketched_mode else None
-                    # the sketch-space update needs the engine state to
-                    # cover the whole basis (a breakdown fallback leaves it
-                    # one block short) — otherwise run the full-space
-                    # machinery for this rare cycle and re-sketch after
-                    use_sketch = (sk is not None and not state.breakdown
-                                  and skr.sc is not None
-                                  and skr.sc.shape[1] == k_cur
-                                  and sk.qs.shape[1] == hbar.shape[0])
-                    cv = state.cv_stack()            # [C_k | V], zero-copy
-                    scv = None
-                    if use_sketch:
-                        # S [C_k | V] reconstructed locally from the
-                        # maintained S C_k and the engine's whitened state,
-                        # only to derive the candidate sketch below: the
-                        # eigenproblem keeps the plain pencil (why, in
-                        # ``sketched_generalized_ritz_vectors``)
-                        scv = np.concatenate(
-                            [skr.sc, sk.sketched_basis()], axis=1)
-                    # lines 32-35; strategy A's cross-Gram [C_k V]^H U~ has
-                    # no sketch-side substitute: U's candidates mix in the
-                    # (never sketched) preconditioned directions Z
-                    found = _restart_extract(options, u_k, column_norms(u_k),
-                                             ek, hbar, cv)
-                    if found is not None:
-                        u_tilde, qf, s = found
-                        c_k = cv @ qf                # line 36
-                        u_k = u_tilde @ s[:k_cur] + z @ s[k_cur:]  # line 37
-                        led.flop(Kernel.BLAS3,
-                                 4.0 * n * cv.shape[1] * qf.shape[1])
-                        u_k, c_k, pair_exact = _tidy(u_k, c_k, qf, scv)
-                        chk.check_recycle(u_k, c_k, op_apply=op_apply,
-                                          what="updated recycle space")
-
-        rn = column_norms(r)
-        led.reduction(nbytes=p * 8)
-        converged = rn <= targets
-        if not chk.is_off and not state.breakdown:
-            safe = np.where(history.rhs_norms > 0, history.rhs_norms, 1.0)
-            chk.check_residual_gap(history.records[-1] * safe, rn,
-                                   history.rhs_norms, targets,
-                                   what=f"GCRO-DR restart {cycles}")
-        history.records[-1] = rn / np.where(history.rhs_norms > 0,
-                                            history.rhs_norms, 1.0)
-        if options.check_invariants and u_k is not None and u_k.shape[1] \
-                and pair_exact:
-            check_recycle_invariants(op_apply, u_k, c_k)
+                    pk = harmonic_ritz_vectors(
+                        hbar, state.hqr.triangular(),
+                        state.hqr.last_subdiagonal_block(),
+                        p, k, dtype=dtype, target=options.recycle_target)
+            if pk.shape[1]:
+                with tr.span("recycle_update", kind="harvest"):
+                    qf, s = _harvest(hbar, pk)
+                    vstack = state.v_stack()
+                    c_k = vstack @ qf
+                    u_k = z @ s
+                    led.flop(Kernel.BLAS3,
+                             4.0 * n * vstack.shape[1] * qf.shape[1])
+                    u_k, c_k, pair_exact = _tidy(
+                        u_k, c_k, qf,
+                        sk.sketched_basis() if use_sketch_eig else None)
+                chk.check_recycle(u_k, c_k, op_apply=op_apply,
+                                  what="harvested recycle space")
+        else:
+            # lines 31-38: update the recycled space
+            with tr.span("recycle_update", strategy=options.recycle_strategy):
+                led.event("recycle_update")
+                k_cur = u_k.shape[1]
+                # the sketch-space update needs the engine state to
+                # cover the whole basis (a breakdown fallback leaves it
+                # one block short) — otherwise run the full-space
+                # machinery for this rare cycle and re-sketch after
+                use_sketch = (sk is not None and not state.breakdown
+                              and skr.sc is not None
+                              and skr.sc.shape[1] == k_cur
+                              and sk.qs.shape[1] == hbar.shape[0])
+                cv = state.cv_stack()            # [C_k | V], zero-copy
+                scv = None
+                if use_sketch:
+                    # S [C_k | V] reconstructed locally from the
+                    # maintained S C_k and the engine's whitened state,
+                    # only to derive the candidate sketch below: the
+                    # eigenproblem keeps the plain pencil (why, in
+                    # ``sketched_generalized_ritz_vectors``)
+                    scv = np.concatenate(
+                        [skr.sc, sk.sketched_basis()], axis=1)
+                # lines 32-35; strategy A's cross-Gram [C_k V]^H U~ has
+                # no sketch-side substitute: U's candidates mix in the
+                # (never sketched) preconditioned directions Z
+                found = _restart_extract(options, u_k, column_norms(u_k),
+                                         state.ek_matrix(), hbar, cv)
+                if found is not None:
+                    u_tilde, qf, s = found
+                    c_k = cv @ qf                # line 36
+                    u_k = u_tilde @ s[:k_cur] + z @ s[k_cur:]  # line 37
+                    led.flop(Kernel.BLAS3,
+                             4.0 * n * cv.shape[1] * qf.shape[1])
+                    u_k, c_k, pair_exact = _tidy(u_k, c_k, qf, scv)
+                    chk.check_recycle(u_k, c_k, op_apply=op_apply,
+                                      what="updated recycle space")
 
     # package the (possibly updated) recycled space for the next solve
     out_recycle = None
@@ -535,30 +406,19 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
             with tr.span("recycle_repair", kind="adoption_boundary"):
                 led.event("recycle_repair")
                 u_k, c_k = _exact_pair(u_k, c_k, op_apply)
-            pair_exact = True
             chk.check_recycle(u_k, c_k, op_apply=op_apply,
                               what="packaged recycle space")
-        out_recycle = RecycledSubspace(u_k, c_k, op_tag=a.tag,
+        out_recycle = RecycledSubspace(u_k, c_k, op_tag=st.a.tag,
                                        meta={"variant": options.variant,
                                              "k": u_k.shape[1]})
 
-    result_x = x[:, 0] if squeeze else x
-    is_block = p > 1
-    name = "gcrodr" if not is_block else "bgcrodr"
+    name = "gcrodr" if p == 1 else "bgcrodr"
     if options.variant == "flexible":
         name = "f" + name
-    info = {"variant": options.variant, "restart": m_restart, "k": k,
-            "block_size": p, "recycle": out_recycle,
-            "strategy": options.recycle_strategy,
-            "same_system": bool(same_system)}
-    if not chk.is_off:
-        info["verify"] = chk.report()
-    return SolveResult(
-        x=result_x, converged=converged, iterations=total_it,
-        history=history, method=name, restarts=cycles,
-        breakdown=breakdown_seen,
-        info=info,
-    )
+    return st.result(name, {
+        "restart": m_restart, "k": k, "block_size": p,
+        "recycle": out_recycle, "strategy": options.recycle_strategy,
+        "same_system": bool(same_system)})
 
 
 def _project_solve(pk: np.ndarray, rf: np.ndarray) -> np.ndarray:
@@ -569,26 +429,6 @@ def _project_solve(pk: np.ndarray, rf: np.ndarray) -> np.ndarray:
     if diag.min() < 1e-14 * max(diag.max(), 1e-300):
         return np.linalg.lstsq(rf.T, pk.T, rcond=None)[0].T
     return sla.solve_triangular(rf.T, pk.T, lower=True).T
-
-
-def check_recycle_invariants(a_apply, u: np.ndarray, c: np.ndarray, *,
-                             tol: float = 1e-6) -> None:
-    """Debug assertions on the recycled pair (``options.check_invariants``).
-
-    Legacy entry point predating :mod:`repro.verify`; now delegates to a
-    full-level :class:`~repro.verify.InvariantChecker` so the two defining
-    properties — ``C^H C = I`` and ``A U = C`` — are judged by the same
-    code as the ``-hpddm_verify`` hooks.  Raises
-    :class:`~repro.verify.InvariantViolation` (a
-    :class:`FloatingPointError`) when either drifts beyond ``tol``.
-    """
-    if u is None or u.shape[1] == 0:
-        return
-    from ..verify import InvariantChecker
-    legacy = InvariantChecker("full", context="check_invariants")
-    legacy.recycle_orth_tol = tol
-    legacy.recycle_map_tol = tol
-    legacy.check_recycle(u, c, op_apply=a_apply, what="recycled pair")
 
 
 def _restart_extract(options: Options, u_k: np.ndarray, dk: np.ndarray,

@@ -24,16 +24,12 @@ import numpy as np
 from ..la.dense import hessenberg_harmonic_lhs, invariant_subspace
 from ..la.orthogonalization import SCHEMES
 from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
-from ..trace import tracer as trace
-from ..util import ledger
 from ..util.ledger import Kernel
-from ..util.misc import as_block, column_norms
+from ..util.misc import column_norms
 from ..util.options import Options
-from ..verify import checker_for
-from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
-                   as_operator, initial_state, residual_targets)
+from .base import SolveResult
 from .basis import TransposedBasisArena
-from .gmres import setup_preconditioning
+from .restart import RestartedSolve
 
 __all__ = ["gmresdr"]
 
@@ -52,33 +48,14 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
     if options.variant == "flexible":
         raise ValueError("GMRES-DR cannot handle variable preconditioning "
                          "(paper section II-C) — use FGCRO-DR")
-    a = as_operator(a)
-    op_apply, inner_m, left_m = setup_preconditioning(a, m, options)
-    b_arr = as_block(b)
-    if b_arr.shape[1] != 1:
-        raise ValueError("GMRES-DR handles a single right-hand side")
-    squeeze = np.asarray(b).ndim == 1
-
-    x, b2, r = initial_state(a, b_arr, x0)
-    if left_m is not None:
-        b2 = np.asarray(left_m(b2))
-        r = np.asarray(left_m(r)) if x0 is not None else b2.copy()
-    n = b2.shape[0]
-    dtype = x.dtype
-    targets = residual_targets(b2, options.tol)
-    identity_m = isinstance(inner_m, IdentityPreconditioner)
-    led = ledger.current()
-    tr = trace.current()
-    chk = checker_for(options, context="gmresdr")
-
-    history = ConvergenceHistory(rhs_norms=column_norms(b2))
-    rn = column_norms(r)
-    history.append(rn)
-    converged = rn <= targets
+    st = RestartedSolve(a, b, m, options, x0, context="gmresdr",
+                        single_rhs="GMRES-DR handles a single right-hand side")
+    n, dtype, op_apply, inner_m = st.n, st.dtype, st.op_apply, st.inner_m
+    identity_m, x, targets, history = \
+        st.identity_m, st.x, st.targets, st.history
+    led, tr, chk = st.led, st.tr, st.chk
 
     m_dim = min(options.gmres_restart, n - 1)
-    total_it = 0
-    cycles = 0
     # GMRES-DR has always run its Arnoldi with one full reorthogonalization
     # pass; "cgs" therefore maps to the equivalent two-pass scheme so the
     # historical behavior (and reduction counts) are preserved exactly.
@@ -91,8 +68,9 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
     v_aug: np.ndarray | None = None
     h_lead: np.ndarray | None = None
 
-    while not np.all(converged) and total_it < options.max_it:
-        cycles += 1
+    while st.running:
+        st.cycles += 1
+        r = st.r
         v = np.zeros((n, m_dim + 1), dtype=dtype)
         hbar = np.zeros((m_dim + 1, m_dim), dtype=dtype)
         if v_aug is None:
@@ -125,8 +103,8 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
         orth.begin(varena.prefix(start))
         j = start
         lucky = False
-        with tr.span("cycle", index=cycles - 1, kind="gmresdr"):
-            while j < m_dim and total_it < options.max_it:
+        with tr.span("cycle", index=st.cycles - 1, kind="gmresdr"):
+            while j < m_dim and st.budget > 0:
                 with tr.span("arnoldi_step", j=j):
                     zj = v[:, j] if identity_m else np.asarray(
                         inner_m(v[:, j].reshape(-1, 1)))[:, 0].astype(dtype)
@@ -138,7 +116,7 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
                     nrm = float(nrms[0])
                     hbar[: j + 1, j] = coeffs
                     hbar[j + 1, j] = nrm
-                    total_it += 1
+                    st.total_it += 1
                     j += 1
                     if nrm <= 1e-300:
                         lucky = True
@@ -177,23 +155,10 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
             chk.check_orthonormality(v_jc, what="augmented Arnoldi basis")
             chk.check_arnoldi(op_apply, zst, v_jc, hbar[: jc + 1, :jc],
                               what="augmented Arnoldi relation")
-        if left_m is None:
-            r = b2 - op_apply(x)
-        else:
-            r = np.asarray(left_m(b_arr.astype(dtype) - a.matmat(x)))
-        rn = column_norms(r)
-        led.reduction()
-        converged = rn <= targets
-        if not chk.is_off and not lucky:
-            # after a lucky breakdown the last recorded estimate predates
-            # the breakdown step, so the gap is not meaningful
-            safe = np.where(history.rhs_norms > 0, history.rhs_norms, 1.0)
-            chk.check_residual_gap(history.records[-1] * safe, rn,
-                                   history.rhs_norms, targets,
-                                   what=f"GMRES-DR restart {cycles}")
-        history.records[-1] = rn / np.where(history.rhs_norms > 0,
-                                            history.rhs_norms, 1.0)
-        if np.all(converged):
+        # after a lucky breakdown the last recorded estimate predates the
+        # breakdown step, so the gap is not meaningful
+        st.restart_residual(f"GMRES-DR restart {st.cycles}", gap=not lucky)
+        if np.all(st.converged):
             break
 
         # ---- deflated restart: harmonic Ritz + LS residual ---------------
@@ -227,12 +192,4 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
             v_aug = q2
             h_lead = r2 @ h_lead @ np.linalg.inv(r2[:kk, :kk])
 
-    result_x = x[:, 0] if squeeze else x
-    info = {"variant": options.variant, "restart": m_dim, "k": k}
-    if not chk.is_off:
-        info["verify"] = chk.report()
-    return SolveResult(
-        x=result_x, converged=converged, iterations=total_it,
-        history=history, method="gmresdr", restarts=cycles,
-        info=info,
-    )
+    return st.result("gmresdr", {"restart": m_dim, "k": k})

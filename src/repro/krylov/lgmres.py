@@ -20,13 +20,11 @@ from collections import deque
 import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
-from ..util import ledger
 from ..util.ledger import Kernel
-from ..util.misc import as_block, column_norms
+from ..util.misc import column_norms
 from ..util.options import Options
-from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
-                   as_operator, initial_state, residual_targets)
-from .gmres import setup_preconditioning
+from .base import SolveResult
+from .restart import RestartedSolve
 
 __all__ = ["lgmres"]
 
@@ -44,37 +42,18 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
         raise ValueError("LGMRES does not support flexible preconditioning "
                          "(matching PETSc's implementation)")
     l_aug = options.recycle if augment is None else int(augment)
-    a = as_operator(a)
-    op_apply, inner_m, left_m = setup_preconditioning(a, m, options)
-    b_arr = as_block(b)
-    if b_arr.shape[1] != 1:
-        raise ValueError("LGMRES handles a single right-hand side "
-                         "(PETSc parity); loop over columns for multiple RHSs")
-    squeeze = np.asarray(b).ndim == 1
-
-    x, b2, r = initial_state(a, b_arr, x0)
-    if left_m is not None:
-        b2 = np.asarray(left_m(b2))
-        r = np.asarray(left_m(r)) if x0 is not None else b2.copy()
-    n = b2.shape[0]
-    dtype = x.dtype
-    targets = residual_targets(b2, options.tol)
-    identity_m = isinstance(inner_m, IdentityPreconditioner)
-
-    history = ConvergenceHistory(rhs_norms=column_norms(b2))
-    rn = column_norms(r)
-    history.append(rn)
-    converged = rn <= targets
-
+    st = RestartedSolve(
+        a, b, m, options, x0, context=None,
+        single_rhs="LGMRES handles a single right-hand side "
+                   "(PETSc parity); loop over columns for multiple RHSs")
+    n, dtype, led = st.n, st.dtype, st.led
     m_total = min(options.gmres_restart, n)   # total space per cycle (Krylov + aug)
-    led = ledger.current()
-    total_it = 0
-    cycles = 0
     # stored error approximations, most recent first
     corrections: deque[np.ndarray] = deque(maxlen=max(l_aug, 0))
 
-    while not np.all(converged) and total_it < options.max_it:
-        cycles += 1
+    while st.running:
+        st.cycles += 1
+        r = st.r
         beta = float(column_norms(r)[0])
         led.reduction()
         if beta == 0.0:
@@ -87,18 +66,17 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
         n_kry = m_total - n_aug
 
         j = 0
-        broke = False
-        while j < m_total and total_it < options.max_it:
+        while j < m_total and st.budget > 0:
             # augmented directions are appended after the Krylov ones;
             # both go through the same generalized-Arnoldi machinery.
             if j < n_kry:
                 c_dir = v[j]
             else:
                 c_dir = corrections[j - n_kry][:, 0]
-            zj = c_dir if identity_m else np.asarray(
-                inner_m(c_dir.reshape(-1, 1))).astype(dtype, copy=False)[:, 0]
+            zj = c_dir if st.identity_m else np.asarray(
+                st.inner_m(c_dir.reshape(-1, 1))).astype(dtype, copy=False)[:, 0]
             z[j] = zj
-            w = op_apply(zj.reshape(-1, 1))[:, 0]
+            w = st.op_apply(zj.reshape(-1, 1))[:, 0]
             basis = v[: j + 1]
             dots = basis.conj() @ w
             led.reduction(nbytes=(j + 1) * w.itemsize)
@@ -113,14 +91,13 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
             led.reduction()
             hcol = np.concatenate([dots, [nrm]]).reshape(-1, 1).astype(dtype)
             res = hqr.add_column(hcol)
-            history.append(res)
-            total_it += 1
+            st.history.append(res)
+            st.total_it += 1
             j += 1
-            if nrm <= 1e-300:
-                broke = True
+            if nrm <= 1e-300:   # lucky breakdown: restart from the new residual
                 break
             v[j] = w / nrm
-            if float(res[0]) <= targets[0]:
+            if float(res[0]) <= st.targets[0]:
                 break
 
         if j == 0:
@@ -128,27 +105,12 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
         y = hqr.solve()[:, 0]
         dx = z[:j].T @ y
         led.flop(Kernel.BLAS2, 2.0 * n * j)
-        x[:, 0] += dx
+        st.x[:, 0] += dx
         # store the (normalized) error approximation for the next cycles
         ndx = float(np.linalg.norm(dx))
         led.reduction()
         if l_aug > 0 and ndx > 0:
             corrections.appendleft((dx / ndx).reshape(-1, 1))
-        if left_m is None:
-            r = b2 - op_apply(x)
-        else:
-            r = np.asarray(left_m(b_arr.astype(dtype) - a.matmat(x)))
-        rn = column_norms(r)
-        led.reduction()
-        converged = rn <= targets
-        history.records[-1] = rn / np.where(history.rhs_norms > 0,
-                                            history.rhs_norms, 1.0)
-        if broke and not np.all(converged):
-            continue  # lucky breakdown mid-cycle: restart from the new residual
+        st.restart_residual("LGMRES restart")
 
-    result_x = x[:, 0] if squeeze else x
-    return SolveResult(
-        x=result_x, converged=converged, iterations=total_it,
-        history=history, method="lgmres", restarts=cycles,
-        info={"variant": options.variant, "restart": m_total, "augment": l_aug},
-    )
+    return st.result("lgmres", {"restart": m_total, "augment": l_aug})

@@ -5,7 +5,8 @@ every right-hand side keeps its *own* Krylov recurrence, Hessenberg matrix
 and recycled pair ``(U_l, C_l)``, but the expensive distributed kernels —
 the SpMM, the preconditioner application, the batched inner products —
 process all columns at once.  Fig. 8's alternatives 3, 5 and 6 are this
-method (for GMRES the fusion lives in :func:`repro.krylov.gmres.gmres`).
+method; :func:`repro.krylov.gmres.gmres` runs the same cycle
+(:class:`_PseudoBlockCycle`) with no column carrying a pair — k = 0.
 
 Cycles run in lockstep: all active columns restart together after
 ``m - k`` inner steps (or ``m`` during the initial harvest cycle), and
@@ -18,24 +19,21 @@ the entire point of pseudo-blocking (fewer, fatter messages).
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 from ..la.blockqr import BlockHessenbergQR
 from ..la.orthogonalization import pseudo_block_tensor
 from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
-from ..trace import tracer as trace
-from ..util import ledger
 from ..util.ledger import Kernel
-from ..util.misc import as_block, column_norms
+from ..util.misc import column_norms
 from ..util.options import Options
-from ..verify import checker_for
-from .base import (ConvergenceHistory, IdentityPreconditioner, SolveResult,
-                   as_operator, initial_state, residual_targets)
+from .base import SolveResult
 from .basis import AugmentedTensorArena
 from .deflation import harmonic_ritz_vectors
 from .gcrodr import (_exact_pair, _harvest, _project_solve,
-                     _restart_extract, _tidy_pair)
-from .gmres import setup_preconditioning
+                     _restart_extract, _sketch_tidy, _tidy_pair)
 from .recycling import RecycledSubspace
+from .restart import RestartedSolve
 from .sketch_recycle import SketchedRecycler
 
 __all__ = ["pgcrodr", "PseudoBlockRecycle"]
@@ -67,27 +65,9 @@ class PseudoBlockRecycle:
         return self.fingerprint is not None and self.fingerprint == fingerprint
 
 
-def _sketch_tidy_column(rec: SketchedRecycler, u: np.ndarray, c: np.ndarray,
-                        op_apply) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sketch-whiten one column's fresh pair, falling back to exact repair.
-
-    Returns ``(u, c, exact)`` with the same contract as the block solver's
-    ``_tidy``: ``exact=False`` means the pair is sketch-whitened
-    only, and the caller owes one :func:`_exact_pair` before packaging.
-    """
-    u2, c2, ok = rec.whiten(u, c)
-    if ok:
-        return u2, c2, False
-    with trace.current().span("recycle_repair", kind="sketch_drift"):
-        ledger.current().event("recycle_repair")
-        rec.repairs += 1
-        u2, c2 = _exact_pair(u, c, op_apply)
-        rec.adopt(u2, c2)
-    return u2, c2, True
-
-
 class _Column:
-    """One RHS's private GCRO-DR state."""
+    """One RHS's private recurrence: its Hessenberg and, under GCRO-DR, its
+    recycled pair ``(U_l, C_l)`` with this cycle's ``C_l^H A Z`` columns."""
 
     def __init__(self, l: int, dtype):
         self.l = l
@@ -104,6 +84,198 @@ class _Column:
     def k(self) -> int:
         return 0 if self.u is None else self.u.shape[1]
 
+    def ek(self) -> np.ndarray:
+        """``E_k = C_l^H A Z`` of this cycle (k x steps)."""
+        if self.e_cols:
+            return np.concatenate(self.e_cols, axis=1)
+        return np.zeros((self.k, self.steps), dtype=self.dtype)
+
+
+class _PseudoBlockCycle:
+    """The restart cycle of the fused per-column recurrences.
+
+    One object per solve: :meth:`seed` is a cycle's prologue (residual
+    norms, seeds, each column's ``C_l^H r_l``, the orthogonalizer),
+    :meth:`arnoldi` the lockstep loop, :meth:`update` the per-column least
+    squares.  A column that carries a pair runs on ``(I - C_l C_l^H) A``
+    and its update gains Fig. 1 line 28's ``U_l y_l`` term; a column
+    without one runs plain GMRES — which is all ``gmres`` ever asks for
+    (k = 0).  ``steps`` is the policy's: ``gmres`` passes ``min(m, n)``,
+    ``pgcrodr`` ``m`` or ``m - k`` clipped to the iteration budget.
+    """
+
+    def __init__(self, st: RestartedSolve):
+        self.st = st
+        self.cols = [_Column(l, st.dtype) for l in range(st.p)]
+        self.arena: AugmentedTensorArena | None = None
+        self.steps = self.kmax = self.j = 0
+        self.fold_ck = False
+
+    def seed(self, steps: int) -> None:
+        st, cols = self.st, self.cols
+        options, led = st.options, st.led
+        n, p, dtype = st.n, st.p, st.dtype
+        beta = column_norms(st.r)
+        led.reduction(nbytes=p * 8)
+        # cgs2_1r folds each column's C_l into both of its fused passes by
+        # stacking the (zero-padded) recycle blocks onto the basis tensor:
+        # the C cross terms get two-pass quality and the separate projection
+        # reduction disappears — 2 reductions/step with recycling, like the
+        # block engine.  The other schemes keep the single-pass C loop
+        # (their orth_tol covers it; sketched *must*, since its sketch basis
+        # tracks only V).
+        carried = [col for col in cols if col.c is not None]
+        self.fold_ck = options.orthogonalization == "cgs2_1r" and bool(carried)
+        kmax = max(col.k for col in carried) if self.fold_ck else 0
+        # one tensor [C | V] per solve: the folded per-step projector is a
+        # contiguous prefix view, never a concatenate copy (kmax = 0 without
+        # folding), and a restart re-zeroes only what the previous cycle
+        # wrote (frozen columns must read as zero)
+        if self.arena is None or kmax != self.kmax \
+                or steps >= self.arena.v.shape[0]:
+            self.arena = AugmentedTensorArena(kmax, steps, n, p, dtype)
+            self.z = self.arena.v if st.identity_m else \
+                pseudo_block_tensor(steps, n, p, dtype)
+        else:
+            self.arena.aug[: kmax + self.j + 2] = 0.0
+        self.steps, self.kmax, self.j = steps, kmax, 0
+        v = self.v = self.arena.v
+        active = ~st.converged & (beta > 0)
+        v[0][:, active] = st.r[:, active] / beta[active]
+        for col, on, beta_l in zip(cols, active.tolist(), beta.tolist()):
+            col.active = on
+            col.steps = 0
+            col.e_cols = []
+            col.chr_prev = None
+            if on:
+                col.hqr = BlockHessenbergQR(steps, 1, np.array([[beta_l]]),
+                                            dtype=dtype)
+                if col.c is not None:
+                    col.chr_prev = col.c.conj().T @ st.r[:, col.l]
+        if any(col.chr_prev is not None for col in cols):
+            led.reduction(nbytes=p * 8)   # fused C^H r across columns
+        if self.fold_ck:
+            for col in carried:
+                self.arena.ck[: col.k, :, col.l] = col.c.T
+            # The folded projector treats [C_l V_l] as one orthonormal basis
+            # per column, so each column's v1 must start C_l-orthogonal.
+            # C_l^H r only vanishes up to the previous cycle's least-squares
+            # roundoff, and that cross term compounds across cycles and
+            # same-system solves; one fused projection per cycle caps the
+            # seed at rounding (the removed component is O(drift), so the
+            # normalization beta is unaffected to first order).
+            for col in carried:
+                if col.active:
+                    v[0, :, col.l] -= col.c @ (col.c.conj().T @ v[0, :, col.l])
+            led.flop(Kernel.BLAS3, 4.0 * n * kmax * p)
+            led.reduction(nbytes=p * kmax * v.itemsize)
+        self.orth = make_pseudo_block_orthogonalizer(
+            options.orthogonalization, plan=options.plan, n=n, p=p,
+            dtype=dtype, max_cols=steps + 1)
+        self.orth.begin(v[:1])
+
+    def arnoldi(self) -> None:
+        """Advance every active column in lockstep, up to ``steps`` steps."""
+        st, cols, v, z, orth = self.st, self.cols, self.v, self.z, self.orth
+        options, tr, history = st.options, st.tr, st.history
+        p, dtype, kmax = st.p, st.dtype, self.kmax
+        j = 0
+        while j < self.steps and any(c.active for c in cols) \
+                and st.budget > 0:
+            with tr.span("arnoldi_step", j=j):
+                zj = v[j] if st.identity_m else \
+                    np.asarray(st.inner_m(v[j])).astype(dtype, copy=False)
+                if not st.identity_m:
+                    z[j] = zj
+                w = st.op_apply(zj)
+                # fused orthogonalization against each column's own basis:
+                # the whole bundle advances with the active scheme's
+                # reduction count (cgs 2, imgs 3, mgs j+2, cgs2_1r 2,
+                # sketched 1 per step)
+                with tr.span("ortho", scheme=options.orthogonalization):
+                    if self.fold_ck:
+                        w, adots, nrm = orth.step(self.arena.stacked(j), w,
+                                                  kmax + j)
+                        dots = adots[kmax:]
+                        for col in cols:
+                            if col.active and col.c is not None:
+                                col.e_cols.append(
+                                    adots[: col.k, col.l].reshape(-1, 1))
+                    else:
+                        # fused projection against each column's own C_l
+                        # (1 reduction), then the scheme engine on V
+                        any_ck = False
+                        for l, col in enumerate(cols):
+                            if col.active and col.c is not None:
+                                e_col = col.c.conj().T @ w[:, l]
+                                w[:, l] -= col.c @ e_col
+                                col.e_cols.append(e_col.reshape(-1, 1))
+                                any_ck = True
+                        if any_ck:
+                            st.led.reduction(
+                                nbytes=p * options.recycle * w.itemsize)
+                        w, dots, nrm = orth.step(v[: j + 1], w, j)
+
+                appended = np.zeros(p, dtype=bool)
+                # history: converged/frozen columns keep their last value
+                new_res = history.records[-1] * np.where(
+                    history.rhs_norms > 0, history.rhs_norms, 1.0)
+                for l, col in enumerate(cols):
+                    if not col.active:
+                        continue
+                    # an exact (lucky) breakdown leaves the column's Krylov
+                    # space invariant: close its Hessenberg and freeze it
+                    lucky = nrm[l] <= 1e-300 or not np.isfinite(nrm[l])
+                    hcol = np.concatenate(
+                        [dots[:, l], [0.0 if lucky else nrm[l]]])
+                    res_l = col.hqr.add_column(
+                        hcol.reshape(-1, 1).astype(dtype))
+                    col.steps = j + 1
+                    new_res[l] = float(res_l[0])
+                    if lucky:
+                        col.active = False
+                        continue
+                    v[j + 1, :, l] = w[:, l] / nrm[l]
+                    appended[l] = True
+                    if new_res[l] <= st.targets[l]:
+                        col.active = False
+                orth.commit(appended)
+            history.append(new_res)
+            st.total_it += 1
+            j = self.j = j + 1
+
+    def update(self, what: tuple[str, str]) -> None:
+        """Per-column least squares into ``st.x``, then the ``verify=full``
+        checks (``what`` labels those of a column without a pair)."""
+        st, chk = self.st, self.st.chk
+        ran = [col for col in self.cols if col.steps]
+        with st.tr.span("least_squares"):
+            for col in ran:
+                y = col.hqr.solve()[:, 0]
+                dx = self.z[:col.steps, :, col.l].T @ y
+                if col.u is not None:
+                    dx = dx + col.u @ (col.chr_prev - col.ek() @ y)
+                st.x[:, col.l] += dx
+                st.led.flop(Kernel.BLAS2, 2.0 * st.n * col.steps)
+        if not chk.wants_full:
+            return
+        # per-column (projected) Arnoldi relation and orthonormality of
+        # [C_l V_l]: each RHS keeps its own recurrence, so each is checked
+        # independently; trailing lucky-breakdown zero columns are trimmed
+        # inside the checker
+        for col in ran:
+            jc, l, at = col.steps, col.l, f" (column {col.l})"
+            vst = np.ascontiguousarray(self.v[: jc + 1, :, l].T)
+            zst = vst[:, :jc] if st.identity_m else \
+                np.ascontiguousarray(self.z[:jc, :, l].T)
+            basis, ek, labels = vst, None, what
+            if col.u is not None:
+                basis, ek = np.concatenate([col.c, vst], axis=1), col.ek()
+                labels = ("[C V] augmented basis", "projected Arnoldi relation")
+            chk.check_orthonormality(basis, what=labels[0] + at)
+            chk.check_arnoldi(st.op_apply, zst, vst, col.hqr.hessenberg(),
+                              ck=col.c, ek=ek, what=labels[1] + at)
+
 
 def pgcrodr(a, b, m=None, *, options: Options | None = None,
             x0: np.ndarray | None = None,
@@ -118,33 +290,13 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
     k = options.recycle
     if k <= 0:
         raise ValueError("GCRO-DR requires options.recycle (k) > 0")
-    a = as_operator(a)
-    op_apply, inner_m, left_m = setup_preconditioning(a, m, options)
-    b_in = as_block(b)
-    squeeze = np.asarray(b).ndim == 1
-
-    x, b2, r = initial_state(a, b_in, x0)
-    if left_m is not None:
-        b2 = np.asarray(left_m(b2))
-        r = np.asarray(left_m(r)) if x0 is not None else b2.copy()
-    n, p = b2.shape
-    dtype = x.dtype
-    targets = residual_targets(b2, options.tol)
-    identity_m = isinstance(inner_m, IdentityPreconditioner)
-    led = ledger.current()
-    tr = trace.current()
-    chk = checker_for(options, context="pgcrodr")
-
-    history = ConvergenceHistory(rhs_norms=column_norms(b2))
-    rn = column_norms(r)
-    history.append(rn)
-    converged = rn <= targets
-
+    st = RestartedSolve(a, b, m, options, x0, context="pgcrodr")
+    n, p, dtype, op_apply = st.n, st.p, st.dtype, st.op_apply
+    led, tr, chk = st.led, st.tr, st.chk
     m_restart = options.gmres_restart
-    total_it = 0
-    cycles = 0
 
-    cols = [_Column(l, dtype) for l in range(p)]
+    cyc = _PseudoBlockCycle(st)
+    cols = cyc.cols
     # sketched recycle carrying: one recycler (maintained S U_l, S C_l) per
     # column; whitening replaces the per-cycle full-space re-derivation and
     # the exact repair is deferred to the packaging boundary
@@ -157,10 +309,11 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
             skr_cols[l] = SketchedRecycler(n=n, max_cols=m_restart + 1 + k)
         return skr_cols[l]
 
-    def _tidy_column(l: int, col: _Column, what: str) -> None:
-        """Repair column ``l``'s freshly mixed pair and check it."""
+    def _tidy_column(col: _Column, what: str) -> None:
+        """Repair column ``col``'s freshly mixed pair and check it."""
+        l = col.l
         if sketched_mode:
-            col.u, col.c, pair_exact[l] = _sketch_tidy_column(
+            col.u, col.c, pair_exact[l] = _sketch_tidy(
                 _col_recycler(l), col.u, col.c, op_apply)
         else:
             col.u, col.c, pair_exact[l] = _tidy_pair(
@@ -172,14 +325,13 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
     if recycle is not None and recycle.p == p:
         if same_system is None:
             same_system = options.recycle_same_system or \
-                recycle.matches_operator(a.tag)
+                recycle.matches_operator(st.a.tag)
         for col, space in zip(cols, recycle.spaces):
             if space is None or space.k == 0:
                 continue
             col.u = np.asarray(space.u, dtype=dtype).copy()
             col.c = np.asarray(space.c, dtype=dtype).copy()
         if not same_system:
-            import scipy.linalg as sla
             for col in cols:
                 if col.u is None:
                     continue
@@ -211,209 +363,36 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
         for l, col in enumerate(cols):
             if col.u is None:
                 continue
-            chr0 = col.c.conj().T @ r[:, l]
-            x[:, l] += col.u @ chr0
-            r[:, l] -= col.c @ chr0
-        rn = column_norms(r)
+            chr0 = col.c.conj().T @ st.r[:, l]
+            st.x[:, l] += col.u @ chr0
+            st.r[:, l] -= col.c @ chr0
         led.reduction(nbytes=p * 8)
-        history.append(rn)
-        converged = rn <= targets
+        st.record_residual()
     else:
         same_system = False
 
+    # Cycles run in lockstep; until some column has a pair they are the
+    # k = 0 (GMRES) cycles of full length m, each followed by the harvest.
     have_recycle = any(col.u is not None for col in cols)
-
-    # ------------------------------------------------------------------
-    while not np.all(converged) and total_it < options.max_it:
-        cycles += 1
+    while st.running:
+        st.cycles += 1
         harvesting = not have_recycle
         steps = m_restart if harvesting else max(m_restart - k, 1)
-        steps = min(steps, max(options.max_it - total_it, 1))
-
-        beta = column_norms(r)
-        led.reduction(nbytes=p * 8)
-        # cgs2_1r folds each column's C_l into both of its fused passes by
-        # stacking the (zero-padded) recycle blocks onto the basis tensor:
-        # the C cross terms get two-pass quality and the separate projection
-        # reduction disappears — 2 reductions/step with recycling, like the
-        # block engine.  The other schemes keep the single-pass C loop
-        # (their orth_tol covers it; sketched *must*, since its sketch basis
-        # tracks only V).
-        fold_ck = (options.orthogonalization == "cgs2_1r" and not harvesting
-                   and any(col.c is not None for col in cols))
-        kmax = max((col.k for col in cols if col.c is not None), default=0) \
-            if fold_ck else 0
-        # one tensor [C | V]: the folded per-step projector is a contiguous
-        # prefix view, never a concatenate copy (kmax = 0 without folding)
-        arena = AugmentedTensorArena(kmax, steps, n, p, dtype)
-        v, ck_blocks = arena.v, arena.ck
-        z = v if identity_m else pseudo_block_tensor(steps, n, p, dtype)
-        for l, col in enumerate(cols):
-            col.active = (not converged[l]) and beta[l] > 0
-            col.steps = 0
-            col.e_cols = []
-            col.chr_prev = None
-            if col.active:
-                v[0, :, l] = r[:, l] / beta[l]
-                col.hqr = BlockHessenbergQR(steps, 1,
-                                            np.array([[beta[l]]]), dtype=dtype)
-                if col.u is not None and not harvesting:
-                    col.chr_prev = col.c.conj().T @ r[:, l]
-        if any(col.chr_prev is not None for col in cols):
-            led.reduction(nbytes=p * 8)   # fused C^H r across columns
-        if fold_ck:
-            for l, col in enumerate(cols):
-                if col.c is not None:
-                    ck_blocks[: col.k, :, l] = col.c.T
-            # The folded projector treats [C_l V_l] as one orthonormal basis
-            # per column, so each column's v1 must start C_l-orthogonal.
-            # C_l^H r only vanishes up to the previous cycle's least-squares
-            # roundoff, and that cross term compounds across cycles and
-            # same-system solves; one fused projection per cycle caps the
-            # seed at rounding (the removed component is O(drift), so the
-            # normalization beta is unaffected to first order).
-            for l, col in enumerate(cols):
-                if col.active and col.c is not None:
-                    v[0, :, l] -= col.c @ (col.c.conj().T @ v[0, :, l])
-            led.flop(Kernel.BLAS3, 4.0 * n * kmax * p)
-            led.reduction(nbytes=p * kmax * v.itemsize)
-        orth = make_pseudo_block_orthogonalizer(
-            options.orthogonalization, plan=options.plan, n=n, p=p,
-            dtype=dtype, max_cols=steps + 1)
-        orth.begin(v[:1])
-
-        j = 0
-        with tr.span("cycle", index=cycles - 1,
+        cyc.seed(min(steps, max(st.budget, 1)))
+        with tr.span("cycle", index=st.cycles - 1,
                      kind="harvest" if harvesting else "pgcrodr",
                      same_system=bool(same_system)):
-            while j < steps and any(c.active for c in cols) \
-                    and total_it < options.max_it:
-                with tr.span("arnoldi_step", j=j):
-                    zj = v[j] if identity_m else \
-                        np.asarray(inner_m(v[j])).astype(dtype, copy=False)
-                    if not identity_m:
-                        z[j] = zj
-                    w = op_apply(zj)
-                    with tr.span("ortho", scheme=options.orthogonalization):
-                        if fold_ck:
-                            w, adots, nrm = orth.step(arena.stacked(j), w,
-                                                      kmax + j)
-                            dots = adots[kmax:]
-                            for l, col in enumerate(cols):
-                                if col.active and col.c is not None:
-                                    col.e_cols.append(
-                                        adots[: col.k, l].reshape(-1, 1))
-                        else:
-                            # fused projection against each column's own C_l
-                            # (1 reduction), then the scheme engine on V
-                            any_ck = False
-                            for l, col in enumerate(cols):
-                                if col.active and col.c is not None \
-                                        and not harvesting:
-                                    e_col = col.c.conj().T @ w[:, l]
-                                    w[:, l] -= col.c @ e_col
-                                    col.e_cols.append(e_col.reshape(-1, 1))
-                                    any_ck = True
-                            if any_ck:
-                                led.reduction(nbytes=p * k * w.itemsize)
-                            w, dots, nrm = orth.step(v[: j + 1], w, j)
-
-                    appended = np.zeros(p, dtype=bool)
-                    new_res = np.zeros(p)
-                    prev = history.records[-1] * np.where(
-                        history.rhs_norms > 0, history.rhs_norms, 1.0)
-                    for l, col in enumerate(cols):
-                        if not col.active:
-                            new_res[l] = prev[l]
-                            continue
-                        if nrm[l] <= 1e-300 or not np.isfinite(nrm[l]):
-                            hcol = np.concatenate(
-                                [dots[:, l], [0.0]]).reshape(-1, 1)
-                            res_l = col.hqr.add_column(hcol.astype(dtype))
-                            col.steps = j + 1
-                            col.active = False
-                            new_res[l] = float(res_l[0])
-                            continue
-                        v[j + 1, :, l] = w[:, l] / nrm[l]
-                        appended[l] = True
-                        hcol = np.concatenate(
-                            [dots[:, l], [nrm[l]]]).reshape(-1, 1)
-                        res_l = col.hqr.add_column(hcol.astype(dtype))
-                        col.steps = j + 1
-                        new_res[l] = float(res_l[0])
-                        if new_res[l] <= targets[l]:
-                            col.active = False
-                    orth.commit(appended)
-                history.append(new_res)
-                total_it += 1
-                j += 1
-
-        # ---- end of cycle: per-column updates ----------------------------
-        with tr.span("least_squares"):
-            for l, col in enumerate(cols):
-                jc = col.steps
-                if jc == 0:
-                    continue
-                y = col.hqr.solve()[:, 0]
-                zl = z[:jc, :, l]
-                dx = zl.T @ y
-                if col.u is not None and not harvesting:
-                    ek = (np.concatenate(col.e_cols, axis=1)
-                          if col.e_cols else np.zeros((col.k, jc),
-                                                      dtype=dtype))
-                    yk = col.chr_prev - ek @ y
-                    dx = dx + col.u @ yk
-                x[:, l] += dx
-                led.flop(Kernel.BLAS2, 2.0 * n * jc)
-        if chk.wants_full:
-            # per-column (projected) Arnoldi relation and orthonormality of
-            # [C_l V_l]; trailing lucky-breakdown zero columns are trimmed
-            # inside the checker
-            for l, col in enumerate(cols):
-                jc = col.steps
-                if jc == 0:
-                    continue
-                vst = np.ascontiguousarray(v[: jc + 1, :, l].T)
-                zst = vst[:, :jc] if identity_m else \
-                    np.ascontiguousarray(z[:jc, :, l].T)
-                if col.u is not None and not harvesting:
-                    ek = (np.concatenate(col.e_cols, axis=1)
-                          if col.e_cols else np.zeros((col.k, jc),
-                                                      dtype=dtype))
-                    chk.check_orthonormality(
-                        np.concatenate([col.c, vst], axis=1),
-                        what=f"[C V] augmented basis (column {l})")
-                    chk.check_arnoldi(
-                        op_apply, zst, vst, col.hqr.hessenberg(),
-                        ck=col.c, ek=ek,
-                        what=f"projected Arnoldi relation (column {l})")
-                else:
-                    chk.check_orthonormality(
-                        vst, what=f"Arnoldi basis (column {l})")
-                    chk.check_arnoldi(
-                        op_apply, zst, vst, col.hqr.hessenberg(),
-                        what=f"Arnoldi relation (column {l})")
-        # fused explicit residual (one SpMM)
-        if left_m is None:
-            r = b2 - op_apply(x)
-        else:
-            r = np.asarray(left_m(b_in.astype(dtype) - a.matmat(x)))
-        rn = column_norms(r)
-        led.reduction(nbytes=p * 8)
-        converged = rn <= targets
-        if not chk.is_off:
-            safe = np.where(history.rhs_norms > 0, history.rhs_norms, 1.0)
-            chk.check_residual_gap(history.records[-1] * safe, rn,
-                                   history.rhs_norms, targets,
-                                   what=f"PGCRO-DR restart {cycles}")
-        history.records[-1] = rn / np.where(history.rhs_norms > 0,
-                                            history.rhs_norms, 1.0)
+            cyc.arnoldi()
+        cyc.update(("Arnoldi basis", "Arnoldi relation"))
+        st.restart_residual(f"PGCRO-DR restart {st.cycles}")  # one fused SpMM
 
         # ---- recycle harvest / update ------------------------------------
         for l, col in enumerate(cols):
             jc = col.steps
             if jc == 0:
                 continue
+            # column l's stacks are views of the basis tensors
+            v_l, z_l = cyc.v[: jc + 1, :, l].T, cyc.z[:jc, :, l].T
             if harvesting:
                 if jc < 2:
                     continue
@@ -426,26 +405,23 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                             1, k, dtype=dtype, target=options.recycle_target)
                     if pk.shape[1]:
                         qf, s = _harvest(hbar, pk)
-                        # column l's stacks are views of the basis tensors
-                        col.c = v[: jc + 1, :, l].T @ qf
-                        col.u = z[:jc, :, l].T @ s
-                        _tidy_column(l, col, "harvested")
+                        col.c = v_l @ qf
+                        col.u = z_l @ s
+                        _tidy_column(col, "harvested")
             elif not same_system and col.u is not None:
                 with tr.span("recycle_update", column=l,
                              strategy=options.recycle_strategy):
                     led.event("recycle_update")
                     kc = col.k
-                    ek = (np.concatenate(col.e_cols, axis=1)
-                          if col.e_cols else np.zeros((kc, jc), dtype=dtype))
-                    cv = np.concatenate([col.c, v[: jc + 1, :, l].T], axis=1)
+                    cv = np.concatenate([col.c, v_l], axis=1)
                     found = _restart_extract(
-                        options, col.u, np.linalg.norm(col.u, axis=0), ek,
-                        col.hqr.hessenberg(), cv)
+                        options, col.u, np.linalg.norm(col.u, axis=0),
+                        col.ek(), col.hqr.hessenberg(), cv)
                     if found is not None:
                         u_tilde, qf, s = found
                         col.c = cv @ qf
-                        col.u = u_tilde @ s[:kc] + z[:jc, :, l].T @ s[kc:]
-                        _tidy_column(l, col, "updated")
+                        col.u = u_tilde @ s[:kc] + z_l @ s[kc:]
+                        _tidy_column(col, "updated")
         if harvesting and any(col.u is not None for col in cols):
             have_recycle = True
 
@@ -456,26 +432,16 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                          column=l):
                 led.event("recycle_repair")
                 col.u, col.c = _exact_pair(col.u, col.c, op_apply)
-            pair_exact[l] = True
             chk.check_recycle(col.u, col.c, op_apply=op_apply,
                               what=f"packaged recycle space (column {l})")
 
-    spaces = [RecycledSubspace(col.u, col.c, op_tag=a.tag)
+    spaces = [RecycledSubspace(col.u, col.c, op_tag=st.a.tag)
               if col.u is not None else None for col in cols]
-    out_recycle = PseudoBlockRecycle(spaces, op_tag=a.tag)
-
-    result_x = x[:, 0] if squeeze else x
     name = "pgcrodr" if p > 1 else "gcrodr"
     if options.variant == "flexible":
         name = "f" + name
-    info = {"variant": options.variant, "restart": m_restart, "k": k,
-            "block_size": p, "recycle": out_recycle,
-            "strategy": options.recycle_strategy,
-            "same_system": bool(same_system)}
-    if not chk.is_off:
-        info["verify"] = chk.report()
-    return SolveResult(
-        x=result_x, converged=converged, iterations=total_it,
-        history=history, method=name, restarts=cycles,
-        info=info,
-    )
+    return st.result(name, {
+        "restart": m_restart, "k": k, "block_size": p,
+        "recycle": PseudoBlockRecycle(spaces, op_tag=st.a.tag),
+        "strategy": options.recycle_strategy,
+        "same_system": bool(same_system)})

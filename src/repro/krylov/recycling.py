@@ -3,9 +3,8 @@
 The paper allocates persistent memory for the recycled vectors ``U_k`` and
 ``C_k`` between cycles "using a singleton class" (section III-D).  The
 Python equivalent is an explicit, picklable holder object that the caller
-threads through a sequence of solves (or lets :class:`repro.api.Solver`
-manage); a process-wide registry keyed by user labels is provided for
-PETSc-callback-style integrations where no object can be threaded.
+threads through a sequence of solves (or lets :class:`repro.api.Solver` or
+the service's ``SetupCache`` manage).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["RecycledSubspace", "RecyclingStore"]
+__all__ = ["RecycledSubspace"]
 
 
 @dataclass
@@ -55,37 +54,3 @@ class RecycledSubspace:
     def copy(self) -> "RecycledSubspace":
         return RecycledSubspace(self.u.copy(), self.c.copy(), self.op_tag,
                                 dict(self.meta), self.fingerprint)
-
-
-class RecyclingStore:
-    """Registry of recycled subspaces keyed by a user label.
-
-    Mirrors HPDDM's singleton: callback-style codes (the modified PETSc
-    examples of the artifact description) address their recycled space by
-    name instead of carrying an object through the call stack.
-    """
-
-    def __init__(self) -> None:
-        self._spaces: dict[Any, RecycledSubspace] = {}
-
-    def get(self, key: Any) -> RecycledSubspace | None:
-        return self._spaces.get(key)
-
-    def put(self, key: Any, space: RecycledSubspace) -> None:
-        self._spaces[key] = space
-
-    def drop(self, key: Any) -> None:
-        self._spaces.pop(key, None)
-
-    def clear(self) -> None:
-        self._spaces.clear()
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._spaces
-
-    def __len__(self) -> int:
-        return len(self._spaces)
-
-
-#: module-level default store (the "singleton" of the paper)
-GLOBAL_STORE = RecyclingStore()

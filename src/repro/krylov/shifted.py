@@ -52,7 +52,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..la.blockqr import BlockHessenbergQR
-from ..la.orthogonalization import qr_factorization
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -61,10 +60,10 @@ from ..util.options import OptionError, Options
 from .base import (ConvergenceHistory, SolveResult, as_operator,
                    residual_targets)
 from .basis import BasisArena
-from .cycle import block_arnoldi_cycle, complete_block
 from .deflation import harmonic_ritz_vectors
 from .gcrodr import _exact_pair, _harvest
 from .recycling import RecycledSubspace
+from .restart import RestartLoop
 
 __all__ = [
     "ShiftedFamilyResult",
@@ -544,7 +543,6 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
     led.reduction(nbytes=k * 8)
     for i in range(k):
         histories[i].append(rn[i: i + 1])
-    converged = rn <= targets
 
     recycled_mode = options.is_recycling
     kr_target = options.recycle if recycled_mode else 0
@@ -555,36 +553,22 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
         u_k = np.asarray(recycle.u, dtype=dtype).copy()
         c_k = np.asarray(recycle.c, dtype=dtype).copy()
 
-    total_it = 0
-    cycles = 0
-    breakdown_seen = False
+    loop = RestartLoop(options, op_apply, r)
+    loop.converged = rn <= targets
     safe = np.where(rhs_norms > 0, rhs_norms, 1.0)
     arena = BasisArena(n, k, 0, restart, dtype)
 
-    while not np.all(converged) and total_it < options.max_it:
+    while loop.running:
         have_space = u_k is not None and u_k.shape[1] > 0
         inner = max(restart - u_k.shape[1], 1) if have_space else restart
-        with tr.span("cycle", index=cycles, kind="shifted", shifts=k,
+        with tr.span("cycle", index=loop.cycles, kind="shifted", shifts=k,
                      recycled=have_space):
-            v1, s1, rank = qr_factorization(r, "cholqr_rr",
-                                            tol=options.deflation_tol)
-            if rank == 0:
+            # the family's sigma-residuals and per-shift histories are its
+            # own: the base-operator cycle runs without targets or history
+            ran = loop.block_cycle(arena, inner)
+            if ran is None:
                 break
-            if rank < k:
-                breakdown_seen = True
-                v1 = complete_block(v1, rank)
-            state = block_arnoldi_cycle(
-                op_apply, None, v1, s1, max_steps=inner,
-                ortho=options.orthogonalization, qr_scheme=options.qr,
-                deflation_tol=options.deflation_tol, targets=None,
-                history=None, identity_m=True,
-                iteration_budget=options.max_it - total_it,
-                plan=options.plan, arena=arena)
-            total_it += state.steps
-            cycles += 1
-            breakdown_seen |= state.breakdown
-            if state.steps == 0:
-                break
+            state, s1 = ran
             hbar = state.hqr.hessenberg()
             zstack = state.z_stack(state.steps)
             ctx = FamilyUpdateCtx(
@@ -595,7 +579,7 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
                 c_k=c_k if have_space else None,
                 vfull=state.v_stack() if have_space else None)
             _family_update(ctx, options.plan)
-            r, rn = ctx.r, ctx.rn
+            loop.r, rn = ctx.r, ctx.rn
             if recycled_mode and not have_space:
                 # harvest the recycle pair ONCE from this base-operator
                 # cycle; it is reused across every shift and every later
@@ -603,11 +587,13 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
                 # recycled shifted method).
                 u_k, c_k = _harvest_family_pair(
                     state, zstack, kr_target, dtype, op_apply, options)
-        converged = rn <= targets
+        loop.converged = rn <= targets
         for i in range(k):
             for tail in ctx.tails[i]:
                 histories[i].append(np.array([tail]))
             histories[i].records[-1] = rn[i: i + 1] / safe[i: i + 1]
+    converged, total_it, cycles, breakdown_seen = \
+        loop.converged, loop.total_it, loop.cycles, loop.breakdown
 
     out_recycle = None
     if u_k is not None and u_k.shape[1]:

@@ -260,7 +260,6 @@ class Options:
     sequence_adopt: bool = True
     sequence_warm_start: bool = False
     verbosity: int = 0
-    check_invariants: bool = False
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -447,8 +446,8 @@ class Options:
         return args
 
 
-_BOOL_FLAGS = {"recycle_same_system", "check_invariants", "block_reduction",
-               "sequence_adopt", "sequence_warm_start"}
+_BOOL_FLAGS = {"recycle_same_system", "block_reduction", "sequence_adopt",
+               "sequence_warm_start"}
 _INT_FIELDS = {"gmres_restart", "recycle", "max_it", "verbosity",
                "service_pmax", "service_cache_entries", "service_shards",
                "service_queue_depth"}

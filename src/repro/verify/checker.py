@@ -62,8 +62,8 @@ _TINY = 1e-300
 class InvariantViolation(FloatingPointError):
     """A numerical invariant drifted beyond its tolerance.
 
-    Subclasses :class:`FloatingPointError` so existing handlers of the
-    legacy ``check_invariants`` debug assertions keep working.
+    Subclasses :class:`FloatingPointError`, which is what numerical-drift
+    handlers already catch.
     """
 
     def __init__(self, name: str, value: float, tol: float, what: str):

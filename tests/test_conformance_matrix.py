@@ -12,6 +12,8 @@ assert the checker fires — guarding against a checker that silently passes
 everything.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,9 @@ from repro.la.orthogonalization import project_out
 from repro.verify import InvariantChecker, InvariantViolation, activate, \
     cross_check_exec_modes
 
-from matrix import (SOLVERS, Config, assert_conforms, conformance_matrix,
-                    make_problem)
+from matrix import (COUNTS_FILE, SOLVERS, Config, assert_conforms,
+                    conformance_matrix, counts_of, make_problem,
+                    pinned_configs)
 
 QUICK = conformance_matrix(full=False)
 FULL = conformance_matrix(full=True)
@@ -44,6 +47,15 @@ def test_matrix_is_large_enough():
 def test_conformance_quick(cfg):
     out = assert_conforms(cfg)
     assert out.ok, f"{cfg.id()}: {out.failures}"
+
+
+@pytest.mark.parametrize("cfg", pinned_configs(), ids=Config.id)
+def test_counts_are_the_pinned_ones(cfg):
+    """Iterations, restarts, flags, the whole ledger and the span multiset
+    of every pinned config equal ``tests/data/solver_counts.json`` (see
+    docs/TESTING.md for what the file is and how to regenerate it)."""
+    pinned = json.loads(COUNTS_FILE.read_text())
+    assert json.loads(json.dumps(counts_of(cfg))) == pinned[cfg.id()]
 
 
 @pytest.mark.slow

@@ -362,21 +362,97 @@ class TestReductionAccounting:
 
 
 class TestInvariantChecking:
+    """``verify="full"`` is the one spelling of the recycled-pair checks."""
+
     def test_check_invariants_passes_on_healthy_solve(self, rng):
         a = laplacian_1d(300)
         res = gcrodr(a, rng.standard_normal(300),
-                     options=_opts(check_invariants=True, max_it=4000))
+                     options=_opts(verify="full", max_it=4000))
         assert res.converged.all()
+        assert not res.info["verify"]["violations"]
+        assert "recycle_map" in res.info["verify"]["max_drift"]
 
     def test_check_invariants_detects_corruption(self, rng):
-        from repro.krylov.gcrodr import check_recycle_invariants
         from repro.krylov.base import as_operator
+        from repro.verify import InvariantChecker, InvariantViolation
         a = as_operator(laplacian_1d(100, shift=0.5))
         u = rng.standard_normal((100, 3))
         c = rng.standard_normal((100, 3))   # not orthonormal, not A U
-        with pytest.raises(FloatingPointError):
-            check_recycle_invariants(a.matmat, u, c)
+        with pytest.raises(InvariantViolation):
+            InvariantChecker("full").check_recycle(u, c, op_apply=a.matmat)
 
     def test_check_invariants_empty_space_noop(self):
-        from repro.krylov.gcrodr import check_recycle_invariants
-        check_recycle_invariants(lambda x: x, None, None)
+        from repro.verify import InvariantChecker
+        chk = InvariantChecker("full")
+        chk.check_recycle(None, None, op_apply=lambda x: x)
+        chk.check_recycle(np.zeros((5, 0)), np.zeros((5, 0)),
+                          op_apply=lambda x: x)
+        assert chk.report()["checks"] == 0
+
+
+class TestKZeroIsGmres:
+    """With nothing to recycle, GCRO-DR *is* GMRES: the k = 0 cycle.
+
+    The harvest is forced empty, so every cycle of the recycling solver is
+    the full-m cycle its non-recycling twin runs — same iterates, same
+    counts, same charged flops.  (The block half failed at the parent of
+    the restart-loop PR: the ``gmres_fallback`` copy of the cycle forgot
+    the ``X += Z y`` charge, 4 302 144 vs 4 609 344 ``blas3`` flops.)
+    """
+
+    @staticmethod
+    def _pair(monkeypatch, recycler, plain, p, **kw):
+        from importlib import import_module
+
+        from repro.util.ledger import CostLedger
+
+        def no_harvest(hbar, *args, dtype, **kwargs):
+            return np.zeros((hbar.shape[1], 0), dtype=dtype)
+
+        # (the package attribute ``repro.krylov.gcrodr`` is the function)
+        for name in ("gcrodr", "pgcrodr"):
+            monkeypatch.setattr(import_module(f"repro.krylov.{name}"),
+                                "harmonic_ritz_vectors", no_harvest)
+        a = convection_diffusion_1d(400)
+        b = np.random.default_rng(11).standard_normal((400, p))
+        m = sp.diags(1.0 / a.diagonal()).tocsr()
+        out = []
+        for fn, method, k in ((recycler, "gcrodr", 3), (plain, "gmres", 0)):
+            o = Options(krylov_method=method, gmres_restart=10, recycle=k,
+                        tol=1e-10, max_it=2000, **kw)
+            with ledger.install(CostLedger()) as led:
+                out.append((fn(a, b, m, options=o), led))
+        return out
+
+    @staticmethod
+    def _assert_same(pair):
+        (rec, led_r), (ref, led_g) = pair
+        assert rec.restarts >= 3           # harvest cycle + fallback cycles
+        space = rec.info["recycle"]        # nothing was harvested
+        assert space is None or all(s is None for s in space.spaces)
+        assert np.array_equal(rec.x, ref.x)
+        assert np.array_equal(rec.history.matrix(), ref.history.matrix())
+        assert (rec.iterations, rec.restarts, rec.breakdown) \
+            == (ref.iterations, ref.restarts, ref.breakdown)
+        assert led_r.reductions == led_g.reductions
+        assert dict(led_r.flops) == dict(led_g.flops)
+
+    @pytest.mark.parametrize("variant", ["right", "left", "flexible"])
+    def test_block_gcrodr_is_bgmres(self, monkeypatch, variant):
+        from repro.krylov.bgmres import bgmres
+        self._assert_same(self._pair(monkeypatch, gcrodr, bgmres, 2,
+                                     variant=variant))
+
+    @pytest.mark.parametrize("ortho", ["cgs", "cgs2_1r", "mgs"])
+    def test_pseudo_block_gcrodr_is_gmres(self, monkeypatch, ortho):
+        from repro.krylov.pgcrodr import pgcrodr
+        self._assert_same(self._pair(monkeypatch, pgcrodr, gmres, 3,
+                                     orthogonalization=ortho))
+
+    def test_fallback_cycle_is_verified(self, monkeypatch):
+        """``verify=full`` checks every cycle's basis and Arnoldi relation;
+        the fallback copy of the cycle used to skip both."""
+        from repro.krylov.bgmres import bgmres
+        (rec, _), (ref, _) = self._pair(monkeypatch, gcrodr, bgmres, 2,
+                                        verify="full")
+        assert rec.info["verify"]["checks"] == ref.info["verify"]["checks"]

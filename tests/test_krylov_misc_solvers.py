@@ -11,7 +11,7 @@ from repro.krylov.cg import cg
 from repro.krylov.chebyshev import ChebyshevSmoother, estimate_lambda_max
 from repro.krylov.gcrodr import gcrodr
 from repro.krylov.lgmres import lgmres
-from repro.krylov.recycling import GLOBAL_STORE, RecycledSubspace, RecyclingStore
+from repro.krylov.recycling import RecycledSubspace
 
 from conftest import (convection_diffusion_1d, laplacian_1d, laplacian_2d,
                       relative_residuals)
@@ -214,27 +214,7 @@ class TestApiDispatch:
         assert r3.info["same_system"]
 
 
-class TestRecyclingStore:
-    def test_put_get_drop(self, rng):
-        store = RecyclingStore()
-        space = RecycledSubspace(rng.standard_normal((10, 2)),
-                                 rng.standard_normal((10, 2)))
-        store.put("heat", space)
-        assert "heat" in store
-        assert store.get("heat") is space
-        assert len(store) == 1
-        store.drop("heat")
-        assert store.get("heat") is None
-
-    def test_clear(self, rng):
-        store = RecyclingStore()
-        store.put(1, RecycledSubspace(np.ones((4, 1)), np.ones((4, 1))))
-        store.clear()
-        assert len(store) == 0
-
-    def test_global_store_exists(self):
-        assert isinstance(GLOBAL_STORE, RecyclingStore)
-
+class TestRecycledSubspace:
     def test_subspace_copy_independent(self, rng):
         s = RecycledSubspace(rng.standard_normal((8, 2)),
                              rng.standard_normal((8, 2)), op_tag="x")

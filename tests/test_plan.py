@@ -464,3 +464,24 @@ def test_lint_rejects_einsum_over_a_3d_operand():
         slow, ("tests", "fixtures", "reference_pb_projector.py")) == []
     assert _lint_plan_source(slow.rstrip() + "  # lint: allow(einsum-3d)\n",
                              ("src", "repro", "la", "x.py")) == []
+
+
+def test_lint_keeps_the_restart_loop_in_one_module():
+    """The ``restart-loop`` rule: the budget test and the restart-residual
+    overwrite of the last history record live in ``krylov/restart.py``."""
+    loop = "while not done and total_it < options.max_it:\n    pass\n"
+    attr = "ok = st.total_it < self.options.max_it\n"
+    record = "history.records[-1] = rn / safe\n"
+    own = "st.history.records[-1] = rn\n"
+    for src in (loop, attr, record, own):
+        assert _lint_plan_source(
+            src, ("src", "repro", "krylov", "x.py")) == ["restart-loop"]
+        assert _lint_plan_source(
+            src, ("src", "repro", "krylov", "restart.py")) == []
+        assert _lint_plan_source(src, ("src", "repro", "la", "x.py")) == []
+    # the shifted family's per-shift histories, a read, another bound
+    for src in ("histories[i].records[-1] = rn[i:i + 1]\n",
+                "prev = history.records[-1] * safe\n",
+                "while j < steps and st.budget > 0:\n    pass\n"):
+        assert _lint_plan_source(
+            src, ("src", "repro", "krylov", "x.py")) == []
