@@ -89,9 +89,13 @@ def test_fig6_measured_superlinear_efficiency(benchmark, factorization):
              "the factor is streamed once per block,\nBLAS-2 becomes "
              "BLAS-3).  Here the same entries are multiplied at a rate "
              "that grows with p; the row-level\nsweep this replaced "
-             "(868 + 866 steps on this factor) measured E(1,64) = 15-25, "
-             "which was interpreter\noverhead per step amortized over "
-             "the block.")
+             "measured E(1,64) = 15-25 (868 + 866 steps then; this factor "
+             "has 509 + 509 row\nlevels), which was interpreter overhead "
+             "per step amortized over the block.  The rate is over\nfewer "
+             "entries than before SparseLU ordered the symmetric structure "
+             "(MMD on A + A^T, threshold\ndiagonal pivoting): COLAMD with "
+             "partial pivoting left 465651 in this factor, swept in "
+             "36 + 32 steps.")
     write_result("fig6_measured", table)
 
 

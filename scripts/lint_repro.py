@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Six rule families, each guarding an invariant the test suite and the
+Seven rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -51,6 +51,13 @@ trace/bench gates rely on:
     .restart_residual``); a solver that spells either again has grown its
     own copy of the loop, and seven copies is where this package came
     from.  No allow-list entry.
+
+``bare-splu``
+    ``splu(`` / ``spilu(`` anywhere in ``src/repro/`` outside
+    ``direct/solver.py``.  Which ordering and pivoting SuperLU is asked
+    for is decided there, from the symmetry of the input's pattern, and
+    every factor is probed before it is accepted; a second call site is a
+    second ordering policy with no probe.  No allow-list entry.
 
 False positives go in ``scripts/lint_allowlist.txt`` as
 ``<relpath>:<rule>`` (one per line, ``#`` comments allowed); a
@@ -106,6 +113,9 @@ EINSUM_DIRS = (os.path.join("src", "repro", "la") + os.sep,
 #: restart-residual overwrite of the last history record
 KRYLOV_DIR = os.path.join("src", "repro", "krylov") + os.sep
 RESTART_HOME = os.path.join("src", "repro", "krylov", "restart.py")
+#: the one module of the library that may call SuperLU
+SRC_DIR = os.path.join("src", "repro") + os.sep
+SUPERLU_HOME = os.path.join("src", "repro", "direct", "solver.py")
 
 
 def _dotted(node: ast.AST) -> str:
@@ -129,6 +139,8 @@ class _Visitor(ast.NodeVisitor):
         self.in_einsum_dirs = rel.startswith(EINSUM_DIRS)
         self.in_restart_scope = rel.startswith(KRYLOV_DIR) \
             and rel != RESTART_HOME
+        self.in_superlu_scope = rel.startswith(SRC_DIR) \
+            and rel != SUPERLU_HOME
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, msg: str) -> None:
@@ -167,6 +179,11 @@ class _Visitor(ast.NodeVisitor):
                        f"plan nodes must charge only through their "
                        f"pre-bound NodeCost specs (CostTable at lowering "
                        f"time)")
+        if self.in_superlu_scope and tail in ("splu", "spilu"):
+            self._flag("bare-splu", node,
+                       f"{name}() outside direct/solver.py — factor through "
+                       f"SparseLU(engine=\"scipy\"), which picks the ordering "
+                       f"from the pattern and probes the factor")
         if self.in_einsum_dirs and tail == "einsum":
             spec = node.args[0] if node.args else None
             literal = isinstance(spec, ast.Constant) and isinstance(

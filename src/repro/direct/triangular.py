@@ -364,10 +364,23 @@ class TriangularFactor:
         self._off = sp.csr_matrix((oval, (orow, ocol)), shape=(n, n))
         self._dinv = sp.csr_matrix((dval, (drow, dcol)), shape=(n, n))
         self.schedule = LevelSchedule.from_levels(level)
-        self._finish_init()
 
-    def _finish_init(self) -> None:
-        """Materialize the sweep: one ``(rows, Loff, Dinv, diag)`` per level.
+    #: the sweep, one step per level, built by the first solve: a factor
+    #: that is only ever batched (:func:`concat_factors`) never holds one
+    _steps = None
+
+    @property
+    def stored_nnz(self) -> int:
+        """Entries one sweep multiplies: ``Loff``, the inverted blocks, and
+        the diagonal of every level that holds none (unless it is unit)."""
+        rows = np.diff(self.schedule.bounds)
+        kept = np.bincount(self.schedule.level_of_row, minlength=rows.size,
+                           weights=np.diff(self._dinv.indptr))
+        plain = 0 if self.diag is None else rows[kept == rows].sum()
+        return int(self._off.nnz + kept[kept > rows].sum() + plain)
+
+    def _materialize(self) -> list:
+        """Build the sweep: one ``(rows, Loff, Dinv, diag)`` per level.
 
         ``Loff`` and ``Dinv`` are permuted into level order once; each
         level's ``Loff`` is then a view of a row range of that one matrix.
@@ -383,7 +396,6 @@ class TriangularFactor:
         dinv = sp.csr_matrix((dinv.data, pos[dinv.indices], dinv.indptr),
                              shape=(n, n))
         self._steps = []
-        self.stored_nnz = int(off.nnz)
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             rows = order[a:b]
             lo, hi = off.indptr[a], off.indptr[b]
@@ -392,13 +404,12 @@ class TriangularFactor:
                 shape=(b - a, n))
             if dinv.indptr[b] - dinv.indptr[a] > b - a:
                 step = (rows, loff, dinv[a:b, a:b], None)
-                self.stored_nnz += step[2].nnz
             elif self.diag is None:
                 step = (rows, loff, None, None)
             else:
                 step = (rows, loff, None, self.diag[rows][:, None])
-                self.stored_nnz += b - a
             self._steps.append(step)
+        return self._steps
 
     # ------------------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -412,7 +423,7 @@ class TriangularFactor:
         # every row is written before a later level reads it
         x = np.empty((self.n, p), dtype=dtype)
         led = ledger.current()
-        for rows, loff, dinv, diag_col in self._steps:
+        for rows, loff, dinv, diag_col in self._steps or self._materialize():
             rhs = b[rows]
             if loff is not None:
                 rhs -= loff @ x
@@ -466,5 +477,5 @@ def concat_factors(factors: list[TriangularFactor]) -> TriangularFactor:
     obj._dinv = sp.block_diag([f._dinv for f in factors], format="csr")
     obj.schedule = LevelSchedule.from_levels(
         np.concatenate([f.schedule.level_of_row for f in factors]))
-    obj._finish_init()
+    obj._materialize()         # a batch exists to be solved with
     return obj

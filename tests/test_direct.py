@@ -1,5 +1,7 @@
 """Tests for the sparse direct solver substrate (orderings, LU, solves)."""
 
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 from repro.direct.numeric import gilbert_peierls_lu
 from repro.direct.ordering import (compute_ordering, minimum_degree,
                                    reverse_cuthill_mckee)
-from repro.direct.solver import SparseLU
+from repro.direct import solver as solver_mod
+from repro.direct.solver import _SYMMETRIC, SparseLU
 from repro.direct.triangular import (LevelSchedule, TriangularFactor,
                                      _levels_by_row_reference,
                                      _levels_frontier, concat_factors)
 from repro.problems.maxwell import decompose_maxwell, maxwell_chamber
+from repro.trace import Tracer, install as install_tracer
 from repro.util import ledger
 from repro.util.ledger import Kernel
 
@@ -270,11 +274,21 @@ def _triangle(rng, n, *, lower, complex_, density=0.1):
     return (m + sp.diags(2.0 + np.arange(n, dtype=float))).tocsr()
 
 
-def _lu_triangles(a, engine):
-    """``(matrix, lower, unit_diagonal)`` of the L and U ``SparseLU`` solves with."""
+def _pattern_is_symmetric(a):
+    """Oracle of the symmetry probe: the dense map of *stored* positions."""
+    coo = sp.coo_matrix(a)
+    stored = np.zeros(a.shape, dtype=bool)
+    stored[coo.row, coo.col] = True
+    return bool((stored == stored.T).all())
+
+
+def _lu_triangles(a, engine, **spec):
+    """``(matrix, lower, unit_diagonal)`` of the L and U of an LU of ``a``:
+    Gilbert-Peierls, or SuperLU asked with ``spec`` (none: COLAMD, partial
+    pivoting; ``_SYMMETRIC``: what ``SparseLU`` takes on a symmetric pattern)."""
     a = sp.csc_matrix(a)
     if engine == "scipy":
-        lu = spla.splu(a.astype(np.promote_types(a.dtype, np.float64)))
+        lu = spla.splu(a.astype(np.promote_types(a.dtype, np.float64)), **spec)
         l_mat, u_mat = lu.L, lu.U
     else:
         f = gilbert_peierls_lu(a, perm_c=compute_ordering(a, "amd"))
@@ -297,6 +311,13 @@ def _check_blocked_sweep(mat, *, lower, unit, dominant, seed=0):
     ref = RowLevelTriangularSolve(mat, lower=lower, unit_diagonal=unit)
     assert tri.n_levels <= ref.n_levels
     assert tri.stored_nnz <= 1.25 * tri.nnz
+    # counted from the analysis alone; the sweep is sliced by the first solve
+    assert tri._steps is None
+    held = sum((0 if loff is None else loff.nnz)
+               + (0 if dinv is None else dinv.nnz)
+               + (0 if diag is None else diag.size)
+               for _, loff, dinv, diag in tri._materialize())
+    assert tri.stored_nnz == held
     full = mat
     if unit:
         full = (mat - sp.diags(mat.diagonal()) + sp.eye(n)).tocsr()
@@ -429,12 +450,13 @@ class TestBlockedSchedule:
     def test_maxwell_lu_depth_gate(self):
         # deterministic schedule gate: a regression fails on a count
         a = maxwell_chamber(5, omega=8.0).a
-        steps = SparseLU(a, engine="scipy").n_levels
-        for n_steps, (mat, lower, unit) in zip(steps,
-                                               _lu_triangles(a, "scipy")):
+        lu = SparseLU(a, engine="scipy")
+        assert lu.symmetric
+        for n_steps, (mat, lower, unit) in zip(
+                lu.n_levels, _lu_triangles(a, "scipy", **_SYMMETRIC)):
             row_levels = RowLevelTriangularSolve(
                 mat, lower=lower, unit_diagonal=unit).n_levels
-            assert row_levels > 250
+            assert row_levels > 150      # 274 / 275 under COLAMD
             assert n_steps <= row_levels / 8
 
 
@@ -602,6 +624,146 @@ class TestSparseLU:
         a[5, 5] = bad
         with pytest.raises((np.linalg.LinAlgError, RuntimeError)):
             SparseLU(a.tocsc(), engine=engine)
+
+
+def _bare_splu(a):
+    """The parent's call: COLAMD, partial pivoting."""
+    a = sp.csc_matrix(a)
+    return spla.splu(a.astype(np.promote_types(a.dtype, np.float64)))
+
+
+def _backward_error(a, x, b):
+    """Scaled infinity-norm backward error of ``x`` as a solution of ``a x = b``."""
+    return np.abs(a @ x - b).max() / (spla.norm(a, np.inf) * np.abs(x).max()
+                                      + np.abs(b).max())
+
+
+def _corrupting_superlu(corrupt):
+    """Stand-in for ``solver.spla``: ``splu`` hands back an ``L`` with one
+    off-diagonal entry off by one whenever ``corrupt(spec)`` says so."""
+    def splu(a, **spec):
+        lu = spla.splu(a, **spec)
+        l_mat = sp.coo_matrix(lu.L)
+        if corrupt(spec):
+            l_mat.data[np.flatnonzero(l_mat.row != l_mat.col)[0]] += 1.0
+        return types.SimpleNamespace(L=l_mat.tocsc(), U=lu.U,
+                                     perm_r=lu.perm_r, perm_c=lu.perm_c)
+    return types.SimpleNamespace(splu=splu, norm=spla.norm)
+
+
+class TestSymmetricOrdering:
+    """The SuperLU engine orders the symmetric structure when there is one,
+    and keeps a factor only if it reproduces the matrix."""
+
+    def test_fill_gate(self):
+        # the mechanism as a count: fewer entries in L + U than COLAMD with
+        # partial pivoting leaves (0.61-0.71 per Maxwell subdomain, 0.66 on
+        # the Laplacian; grids under ~12 x 12 gain less and are not gated)
+        prob = maxwell_chamber(5, omega=8.0)
+        dec = decompose_maxwell(prob, 8, overlap=2, impedance=True)
+        for mats in (dec.local_matrices, [laplacian_2d(24)]):
+            ours = [SparseLU(m, engine="scipy") for m in mats]
+            assert all(lu.symmetric for lu in ours)
+            bare = sum(lu.L.nnz + lu.U.nnz for lu in map(_bare_splu, mats))
+            assert sum(lu.factor_nnz for lu in ours) <= 0.75 * bare
+
+    def test_unsymmetric_pattern_is_factored_as_before(self, rng, monkeypatch):
+        a = _random_sparse(rng, 150)
+        assert not _pattern_is_symmetric(a)
+        seen = []
+        monkeypatch.setattr(
+            solver_mod, "TriangularFactor",
+            lambda mat, **kw: seen.append(mat) or TriangularFactor(mat, **kw))
+        lu, ref = SparseLU(a, engine="scipy"), _bare_splu(a)
+        assert not lu.symmetric
+        assert "lu_repivot" not in lu.setup_cost.calls
+        assert np.array_equal(lu.perm_r, ref.perm_r)
+        assert np.array_equal(lu.perm_c, ref.perm_c)
+        for got, want in zip(seen, (sp.csr_matrix(ref.L), sp.csr_matrix(ref.U))):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+    def test_corrupted_symmetric_factor_is_abandoned(self, rng, monkeypatch):
+        # mutation: the probe must notice an L that is not the matrix's, give
+        # the symmetric path up, and hand out the parent's factorization
+        a = laplacian_2d(14)
+        monkeypatch.setattr(solver_mod, "spla", _corrupting_superlu(
+            lambda spec: "options" in spec))
+        lu = SparseLU(a, engine="scipy")
+        assert not lu.symmetric
+        assert lu.setup_cost.calls["lu_repivot"] == 1
+        assert lu.setup_cost.calls["lu_factorization"] == 2
+        ref = _bare_splu(a)
+        assert lu.factor_nnz == ref.L.nnz + ref.U.nnz
+        b = rng.standard_normal((a.shape[0], 3))
+        assert _backward_error(a, lu.solve(b), b) <= 1e-12
+
+    @pytest.mark.parametrize("a", [laplacian_2d(14),                 # both calls
+                                   _random_sparse(make_rng(8), 80)],  # the one
+                             ids=["symmetric", "unsymmetric"])
+    def test_factor_that_never_reproduces_the_matrix_raises(self, a, monkeypatch):
+        monkeypatch.setattr(solver_mod, "spla",
+                            _corrupting_superlu(lambda spec: True))
+        n = a.shape[0]
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"{n} x {n} .* backward error"):
+            SparseLU(a, engine="scipy")
+
+    def test_clean_symmetric_factor_is_kept(self):
+        lu = SparseLU(laplacian_2d(14), engine="scipy")
+        assert lu.symmetric
+        assert dict(lu.setup_cost.calls) == {"lu_factorization": 1}
+
+    def test_saddle_point_with_zero_diagonal(self, rng):
+        # symmetric pattern, nothing stored on a third of the diagonal:
+        # whichever path it ends on, the solve is right
+        a = laplacian_2d(10)
+        c = sp.random(a.shape[0], 40, density=0.06, random_state=3)
+        k = sp.bmat([[a, c], [c.T, None]], format="csc")
+        assert _pattern_is_symmetric(k) and (k.diagonal() == 0).sum() == 40
+        lu = SparseLU(k, engine="scipy")
+        b = rng.standard_normal((k.shape[0], 3))
+        assert _backward_error(k, lu.solve(b), b) <= 1e-12
+
+    def test_trace_and_repr_say_which_path(self, rng):
+        tr = Tracer()
+        with install_tracer(tr):
+            lus = [SparseLU(laplacian_2d(8), engine="scipy"),
+                   SparseLU(_random_sparse(rng, 64), engine="scipy"),
+                   SparseLU(laplacian_2d(8), engine="gp")]
+        spans = [s for root in tr.roots for s in root.find("setup.lu")]
+        assert [s.attrs["symmetric"] for s in spans] == [True, False, False]
+        assert [s.attrs["factor_nnz"] for s in spans] == [
+            lu.factor_nnz for lu in lus]
+        assert "symmetric=True" in repr(lus[0])
+        assert "symmetric=False" in repr(lus[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**31 - 1),
+       symmetrize=st.booleans(), zeros=st.booleans(), complex_=st.booleans())
+def test_property_symmetry_probe(n, seed, symmetrize, zeros, complex_):
+    """``symmetric`` is a property of the *stored* pattern: an explicit zero
+    counts as an entry, and values — ``A != A^T`` here — do not count at all."""
+    rng = make_rng(seed)
+    pat = sp.random(n, n, density=min(1.0, 4 / n), random_state=seed).tocoo()
+    row, col = pat.row, pat.col
+    if symmetrize:
+        row, col = np.concatenate([row, col]), np.concatenate([col, row])
+    val = rng.standard_normal(row.size) + (
+        1j * rng.standard_normal(row.size) if complex_ else 0.0)
+    if zeros:
+        val[::3] = 0.0       # stored all the same, maybe on one side only
+    diag = np.arange(n)      # one COO: sparse ``+`` would drop the zeros
+    a = sp.csc_matrix((np.concatenate([val, np.full(n, 8.0 * n)]),
+                       (np.concatenate([row, diag]),
+                        np.concatenate([col, diag]))), shape=(n, n))
+    assert _pattern_is_symmetric(a) or not symmetrize
+    lu = SparseLU(a, engine="scipy")
+    assert lu.symmetric == _pattern_is_symmetric(a)
+    b = rng.standard_normal(n)
+    assert _backward_error(a, lu.solve(b), b) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)

@@ -183,6 +183,60 @@ class TestPrimitiveEquivalence:
         np.testing.assert_allclose(y, m.apply(x), rtol=1e-13, atol=1e-14)
 
 
+    def test_schwarz_batch_holds_the_only_materialized_sweeps(self, rng):
+        # the per-subdomain factors are analysed once and sliced into sweep
+        # steps only if somebody solves with them; the fused apply does not
+        a = laplacian_2d(12)
+        with use_exec_mode("fused"):
+            m = SchwarzPreconditioner(a, nparts=4, overlap=1)
+            m.apply(rng.standard_normal((a.shape[0], 2)))
+        batch = m._fused_batch
+        assert batch.l_factor._steps and batch.u_factor._steps
+        assert all(s._ltri._steps is None and s._utri._steps is None
+                   for s in m.solvers)
+        assert (batch.l_factor.stored_nnz + batch.u_factor.stored_nnz
+                >= sum(s._ltri.stored_nnz + s._utri.stored_nnz
+                       for s in m.solvers))
+        dofs, lu = m.subdomains[0], m.solvers[0]
+        b = rng.standard_normal(len(dofs))
+        local = a[dofs][:, dofs]
+        assert np.abs(local @ lu.solve(b) - b).max() <= 1e-12 * np.abs(b).max()
+        assert lu._ltri._steps and lu._utri._steps
+
+    @pytest.mark.parametrize("kind", ["spd", "complex_symmetric",
+                                      "unsymmetric_values", "unsymmetric_pattern"])
+    def test_schwarz_on_every_kind_of_symmetry(self, rng, kind):
+        # the SuperLU engine picks its ordering from the pattern: each kind
+        # of input solves to 1e-12 per subdomain and through the batch, and
+        # the two modes charge the same ledger
+        a = laplacian_2d(14).astype(
+            complex if kind == "complex_symmetric" else float)
+        if kind == "complex_symmetric":
+            a = a + 0.4j * sp.eye(a.shape[0])
+        elif kind != "spd":                  # A != A^T on the same pattern
+            a.data *= 1.0 + 0.2 * rng.random(a.nnz)
+        if kind == "unsymmetric_pattern":
+            a = sp.csr_matrix(a + sp.diags(np.full(a.shape[0] - 3, 0.1), 3))
+        x = rng.standard_normal((a.shape[0], 3))
+        built = {mode: run_in_mode(mode, lambda: SchwarzPreconditioner(
+            a, nparts=4, overlap=1, variant="ras")) for mode in MODES}
+        assert built["fused"][1] == built["per_rank"][1]
+        m = built["fused"][0]
+        assert all(s.symmetric == (kind != "unsymmetric_pattern")
+                   for s in m.solvers)
+        y_pr, c_pr = run_in_mode("per_rank", lambda: m.apply(x))
+        y_fu, c_fu = run_in_mode("fused", lambda: m.apply(x))
+        assert c_fu == c_pr
+        expect = np.zeros_like(y_fu)
+        for dofs, d, lu in zip(m.subdomains, m.pou, m.solvers):
+            local = a[dofs][:, dofs]
+            z = lu.solve(x[dofs])
+            assert np.abs(local @ z - x[dofs]).max() <= 1e-12 * np.abs(x).max()
+            expect[dofs] += d[:, None] * np.linalg.solve(local.toarray(), x[dofs])
+        for y in (y_pr, y_fu):
+            assert np.abs(y - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 # ---------------------------------------------------------------------------
 # full solves: identical ledgers and matching solutions (ISSUE acceptance)
 # ---------------------------------------------------------------------------

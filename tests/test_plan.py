@@ -485,3 +485,17 @@ def test_lint_keeps_the_restart_loop_in_one_module():
                 "while j < steps and st.budget > 0:\n    pass\n"):
         assert _lint_plan_source(
             src, ("src", "repro", "krylov", "x.py")) == []
+
+
+def test_lint_keeps_superlu_behind_sparse_lu():
+    """The ``bare-splu`` rule: the library calls SuperLU from one module."""
+    for src in ("lu = spla.splu(a)\n", "lu = splu(a.tocsc())\n",
+                "m = scipy.sparse.linalg.spilu(a, drop_tol=1e-4)\n"):
+        for parts in (("src", "repro", "precond", "x.py"),
+                      ("src", "repro", "direct", "numeric.py")):
+            assert _lint_plan_source(src, parts) == ["bare-splu"]
+        assert _lint_plan_source(
+            src, ("src", "repro", "direct", "solver.py")) == []
+        # benchmarks and tests factor bare on purpose: that is the baseline
+        assert _lint_plan_source(src, ("benchmarks", "x.py")) == []
+        assert _lint_plan_source(src, ("tests", "test_direct.py")) == []
