@@ -20,14 +20,6 @@ of the reuse ladder at a time:
   fingerprints, and recycle-space carry-over across epoch boundaries
   via ``SetupCache.adopt_from`` (adopted pairs are repaired, never
   trusted).  **The headline gate compares this rung to the oracle.**
-* **cache_recycle_shifted** — the ``dt`` ramp re-expressed as a
-  shifted family ``theta A + (1/dt) I`` per step against the constant
-  base ``theta A``: the fingerprint never changes and family recycling
-  carries over with no adoption repair at all.  Family requests key on
-  their RHS digest, so this rung cannot coalesce across tenants — it
-  is reported to show exactly that trade-off (a sequence feeds the
-  family engine one shift per solve, so the k-shifts-for-the-price-of-
-  one amortization is structurally absent).
 
 Every number is *modeled* seconds — ledger counts through the perfmodel
 at ``nranks=64``, where reduction latency dominates — so the whole
@@ -39,7 +31,7 @@ merge bit-for-bit back to the batch ledger totals).
 Also measured: a two-tenant sync-vs-async parity leg (identical
 iteration counts through both front ends while the async scheduler
 coalesces across tenants), and a small time-harmonic Maxwell frequency
-ramp (operator+adoption vs mass-matrix shifted family).
+ramp (operator fingerprints + adoption).
 
 Gates (``--check``):
 
@@ -48,8 +40,7 @@ Gates (``--check``):
 * every rung ledger-verified;
 * the engine rung actually exercised carry-over (>= 1 adoption repair)
   and the fast path (>= half its steps on unchanged fingerprints);
-* async parity: same per-step iteration counts as the sync front end;
-* the shifted rung must not pay a single adoption repair.
+* async parity: same per-step iteration counts as the sync front end.
 
 Usage::
 
@@ -194,11 +185,9 @@ def _rung_report(records: list[dict], batches: list[dict],
     }
 
 
-def _run_driver_rung(cfg: TransientConfig, *, service_cls=SolveService,
-                     shifted: bool = False, adopt: bool = True) -> dict:
-    opts = _heat_options(
-        cfg, sequence_mode="shifted" if shifted else "operator",
-        sequence_adopt=adopt)
+def _run_driver_rung(cfg: TransientConfig, *,
+                     service_cls=SolveService) -> dict:
+    opts = _heat_options(cfg)
     svc = service_cls(options=opts)
     driver = SequenceDriver(svc, nranks=cfg.nranks)
     for phase in range(cfg.tenants):
@@ -243,8 +232,6 @@ class _OneStep:
         self._step = dataclasses.replace(step, index=0)
         self._orig = step
         self._u = u_prev
-        self.base = parent.base
-        self.mass = parent.mass
         self.n_epochs = 1
         self.total_time = step.dt
 
@@ -291,23 +278,16 @@ def _run_parity(cfg: TransientConfig) -> dict:
 
 
 def _run_maxwell(cfg: TransientConfig) -> dict:
-    """Frequency ramp: operator mode with adoption vs shifted family."""
-    out = {}
-    for label, over in (("operator", {}),
-                        ("shifted", {"sequence_mode": "shifted"})):
-        opts = _heat_options(cfg, gmres_restart=60, recycle=10,
-                             tol=1e-7, **over)
-        svc = SolveService(options=opts)
-        driver = SequenceDriver(svc, nranks=cfg.nranks)
-        seq = MaxwellRampSequence(n=cfg.maxwell_n,
-                                  n_steps=cfg.maxwell_steps,
-                                  omega0=6.0,
-                                  epoch_length=cfg.maxwell_epoch,
-                                  omega_growth=1.1, n_antennas=4)
-        driver.add(seq, options=opts, tenant="mx")
-        records = driver.run()
-        out[label] = _rung_report(records, svc.batches, seq.total_time)
-    return out
+    """Frequency ramp: one fingerprint per rung, adoption across rungs."""
+    opts = _heat_options(cfg, gmres_restart=60, recycle=10, tol=1e-7)
+    svc = SolveService(options=opts)
+    driver = SequenceDriver(svc, nranks=cfg.nranks)
+    seq = MaxwellRampSequence(n=cfg.maxwell_n, n_steps=cfg.maxwell_steps,
+                              omega0=6.0, epoch_length=cfg.maxwell_epoch,
+                              omega_growth=1.1, n_antennas=4)
+    driver.add(seq, options=opts, tenant="mx")
+    records = driver.run()
+    return {"operator": _rung_report(records, svc.batches, seq.total_time)}
 
 
 def run(cfg: TransientConfig, out_path: Path | None) -> dict:
@@ -317,7 +297,6 @@ def run(cfg: TransientConfig, out_path: Path | None) -> dict:
         "cache_only": _run_driver_rung(cfg,
                                        service_cls=_NoRecycleReuseService),
         "cache_recycle": _run_driver_rung(cfg),
-        "cache_recycle_shifted": _run_driver_rung(cfg, shifted=True),
     }
     parity = _run_parity(cfg)
     maxwell = _run_maxwell(cfg)
@@ -326,8 +305,8 @@ def run(cfg: TransientConfig, out_path: Path | None) -> dict:
     engine = ladder["cache_recycle"]
     reuse_multiple = (ladder["no_reuse"]["modeled_seconds"]
                       / engine["modeled_seconds"])
-    reuse_rungs = ("cache_only", "cache_recycle", "cache_recycle_shifted")
-    best = min(reuse_rungs, key=lambda r: ladder[r]["modeled_seconds"])
+    best = min(("cache_only", "cache_recycle"),
+               key=lambda r: ladder[r]["modeled_seconds"])
     all_converged = (all(r["all_converged"] for r in ladder.values())
                      and parity["sync"]["all_converged"]
                      and parity["async"]["all_converged"]
@@ -345,22 +324,18 @@ def run(cfg: TransientConfig, out_path: Path | None) -> dict:
         "ledger_verified": ledger_verified,
         "engine_exercised_carry_over_and_fast_path": engine_exercised,
         "parity_iterations_identical": parity["iterations_identical"],
-        "shifted_zero_adoption_repairs":
-            ladder["cache_recycle_shifted"]["adoption_repairs"] == 0,
         "passed": (reuse_multiple >= GATE_REUSE_MULTIPLE
                    and all_converged
                    and ledger_verified
                    and engine_exercised
-                   and parity["iterations_identical"]
-                   and ladder["cache_recycle_shifted"]["adoption_repairs"]
-                   == 0),
+                   and parity["iterations_identical"]),
     }
     report = {
         "description": "four-tenant ensemble of adaptive-dt heat "
                        "sequences (fp changes every epoch) through the "
                        "reuse ladder {no_reuse, cache_only, "
-                       "cache_recycle, cache_recycle_shifted}; modeled "
-                       "seconds per simulated second from ledger counts "
+                       "cache_recycle}; modeled seconds per simulated "
+                       "second from ledger counts "
                        f"at nranks={cfg.nranks}",
         "wall_seconds_informational": wall,
         "config": cfg.as_dict(),

@@ -32,10 +32,10 @@ e2e-selftest     ``benchmarks/e2e/run.py --selftest`` — the          yes
                  end-to-end benchmark checks itself (~5 s): its
                  contract file, answer checks, tracer neutrality
 trace-gate       ``repro.trace.gate.run_gate()`` — reduction shapes   yes
-                 from exported spans, both exec modes
-determinism      byte-identical chrome traces across repeated         yes
-                 solves, fused == per_rank ledger counts,
-                 order-stable ``CostLedger.split``
+                 from exported spans
+determinism      byte-identical chrome traces and ledger counts       yes
+                 across repeated solves, order-stable
+                 ``CostLedger.split``
 ===============  ===================================================  ======
 
 Each stage reports wall seconds; in-process stages that solve under a
@@ -393,11 +393,11 @@ def stage_trace_gate() -> dict:
         print(f"trace-gate FAILED: {exc}", file=sys.stderr)
         return {"ok": False, "error": str(exc)}
     shapes = report["reductions_per_cycle"]
-    shifted = report["fused"]["shifted"]["bgmres"]
+    shifted = report["shifted"]["bgmres"]
     print(f"trace-gate: gmres {shapes['gmres']} reductions/cycle, "
           f"gcrodr {shapes['gcrodr']} = 2(m-k); cgs2_1r <= 2/step; "
           f"shifted k=8 family at {shifted['headline_ratio']:.2f}x the "
-          f"reductions of k=1; attribution conserved in both exec modes")
+          f"reductions of k=1; attribution conserved")
     return {"ok": True, "report": report,
             "modeled_seconds": _modeled_seconds(outer)}
 
@@ -420,9 +420,9 @@ def stage_determinism() -> dict:
     b = np.random.default_rng(99).standard_normal(300)
     outer = CostLedger()
 
-    def traced_solve(mode: str) -> tuple[tuple, str]:
+    def traced_solve() -> tuple[tuple, str]:
         opts = Options(krylov_method="gcrodr", recycle=5, tol=1e-10,
-                       exec_mode=mode, trace="summary")
+                       trace="summary")
         tr = Tracer(level="summary")
         led = CostLedger()
         with install(tr), ledger.install(led):
@@ -430,21 +430,14 @@ def stage_determinism() -> dict:
         outer.merge(led)
         return counts_signature(led), chrome_trace_json(tr)
 
-    sig1, trace1 = traced_solve("fused")
-    sig2, trace2 = traced_solve("fused")
-    sig3, trace3 = traced_solve("per_rank")
+    sig1, trace1 = traced_solve()
+    sig2, trace2 = traced_solve()
     if trace1 != trace2:
         return {"ok": False, "error": "chrome trace differs between "
-                                      "identical fused runs"}
+                                      "identical runs"}
     if sig1 != sig2:
         return {"ok": False, "error": "ledger counts differ between "
-                                      "identical fused runs"}
-    if sig1 != sig3:
-        return {"ok": False, "error": "fused and per_rank ledger counts "
-                                      "diverge"}
-    if trace1 != trace3:
-        return {"ok": False, "error": "fused and per_rank chrome traces "
-                                      "diverge (modeled times must match)"}
+                                      "identical runs"}
 
     # CostLedger.split share-rounding must be order-stable
     led = CostLedger()
@@ -465,8 +458,7 @@ def stage_determinism() -> dict:
         if again != first:
             return {"ok": False,
                     "error": "CostLedger.split is not order-stable"}
-    print("determinism: repeated solves byte-identical, fused == per_rank, "
-          "split order-stable")
+    print("determinism: repeated solves byte-identical, split order-stable")
     return {"ok": True, "modeled_seconds": _modeled_seconds(outer)}
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Seven rule families, each guarding an invariant the test suite and the
+Nine rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -58,6 +58,19 @@ trace/bench gates rely on:
     for is decided there, from the symmetry of the input's pattern, and
     every factor is probed before it is accepted; a second call site is a
     second ordering policy with no probe.  No allow-list entry.
+
+``execmode-substrate``
+    an import of ``repro.util.execmode`` anywhere in ``src/repro/`` outside
+    ``distla/`` and ``simmpi/``.  The fused / per-rank switch is private to
+    the simulated-MPI substrate, whose per-rank path is the oracle of its
+    fused one; a solver, preconditioner or option that reads it grows a
+    second path nothing on a solve selects.  No allow-list entry.
+
+``option-census``
+    a field of ``Options`` that no module under ``src/repro/`` (outside
+    ``util/options.py`` itself) reads as an attribute.  An option nobody
+    reads still doubles the lattice its tests and docs describe.  Checked
+    over the whole tree, so only on a run without explicit paths.
 
 False positives go in ``scripts/lint_allowlist.txt`` as
 ``<relpath>:<rule>`` (one per line, ``#`` comments allowed); a
@@ -116,6 +129,11 @@ RESTART_HOME = os.path.join("src", "repro", "krylov", "restart.py")
 #: the one module of the library that may call SuperLU
 SRC_DIR = os.path.join("src", "repro") + os.sep
 SUPERLU_HOME = os.path.join("src", "repro", "direct", "solver.py")
+#: the switch itself and the two packages it is private to
+EXECMODE_HOMES = (os.path.join("src", "repro", "util", "execmode.py"),
+                  os.path.join("src", "repro", "distla") + os.sep,
+                  os.path.join("src", "repro", "simmpi") + os.sep)
+OPTIONS_HOME = os.path.join("src", "repro", "util", "options.py")
 
 
 def _dotted(node: ast.AST) -> str:
@@ -141,6 +159,8 @@ class _Visitor(ast.NodeVisitor):
             and rel != RESTART_HOME
         self.in_superlu_scope = rel.startswith(SRC_DIR) \
             and rel != SUPERLU_HOME
+        self.in_execmode_scope = rel.startswith(SRC_DIR) \
+            and not rel.startswith(EXECMODE_HOMES)
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, msg: str) -> None:
@@ -220,6 +240,21 @@ class _Visitor(ast.NodeVisitor):
                            "RestartedSolve.restart_residual")
         self.generic_visit(node)
 
+    # -- execmode-substrate ---------------------------------------------
+    def _visit_import(self, node: ast.Import | ast.ImportFrom) -> None:
+        names = [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{name}" for name in names]
+        if self.in_execmode_scope and any(
+                "execmode" in name.split(".") for name in names):
+            self._flag("execmode-substrate", node,
+                       "util.execmode imported outside distla/ and simmpi/ "
+                       "— the fused / per-rank switch is private to the "
+                       "simulated-MPI substrate")
+
+    visit_Import = _visit_import
+    visit_ImportFrom = _visit_import
+
     def _clock_allowed(self) -> bool:
         if self.rel in CLOCK_EXEMPT:
             return True
@@ -287,6 +322,38 @@ def lint_file(path: str) -> list[tuple[str, int, str]]:
     return visitor.findings
 
 
+def option_census(root: str = ROOT) -> list[tuple[str, int, str]]:
+    """``Options`` fields nothing under ``src/repro/`` reads as an attribute."""
+    home = os.path.join(root, OPTIONS_HOME)
+    read: set[str] = set()
+    fields: dict[str, int] = {}
+    for dirpath, _, names in os.walk(os.path.join(root, SRC_DIR)):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+            tree = ast.parse(source, filename=path)
+            if path != home:
+                read.update(node.attr for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute))
+                continue
+            lines = source.splitlines()
+            fields = {stmt.target.id: stmt.lineno
+                      for cls in tree.body
+                      if isinstance(cls, ast.ClassDef)
+                      and cls.name == "Options"
+                      for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and "lint: allow(option-census)"
+                      not in lines[stmt.lineno - 1]}
+    return [("option-census", lineno,
+             f"Options.{name} is read nowhere under src/repro/ — delete "
+             f"the option or the code that should have read it")
+            for name, lineno in fields.items() if name not in read]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="*",
@@ -311,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
             if (rel, rule) in allow:
                 continue
             print(f"{rel}:{lineno}: [{rule}] {msg}")
+            total += 1
+    if not ns.paths:
+        for rule, lineno, msg in option_census():
+            print(f"{OPTIONS_HOME}:{lineno}: [{rule}] {msg}")
             total += 1
     if total:
         print(f"\nlint_repro: {total} finding(s)", file=sys.stderr)

@@ -27,7 +27,6 @@ from .krylov.base import (FunctionPreconditioner, Operator, Preconditioner,
 from .krylov.recycling import RecycledSubspace
 from .service import (AsyncSolveService, SetupCache, ShardedSetupCache,
                       SolveService, make_service, operator_fingerprint)
-from .util.execmode import exec_mode, set_exec_mode, use_exec_mode
 from .util.ledger import CostLedger, CostTable, install as install_ledger
 from .util.options import Options, parse_hpddm_args
 
@@ -54,7 +53,4 @@ __all__ = [
     "CostLedger",
     "CostTable",
     "install_ledger",
-    "exec_mode",
-    "set_exec_mode",
-    "use_exec_mode",
 ]

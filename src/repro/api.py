@@ -32,7 +32,6 @@ from .krylov.shifted import (ShiftedFamilyResult, shifted_matrix,
 from .service.cache import SetupCache
 from .service.fingerprint import operator_fingerprint
 from .util import ledger
-from .util.execmode import use_exec_mode
 from .util.misc import as_block
 from .util.options import OptionError, Options
 from . import trace, verify
@@ -144,21 +143,13 @@ def _solve_traced(tracer, options: Options, run, **span_attrs):
 def _solve_family_checked(a, b, *, options: Options, shifts, mass, x0,
                           recycle) -> ShiftedFamilyResult:
     rec = recycle if isinstance(recycle, RecycledSubspace) else None
-
-    def _run() -> ShiftedFamilyResult:
-        if options.exec_mode is not None:
-            with use_exec_mode(options.exec_mode):
-                return solve_shifted_family(a, b, shifts, mass=mass,
-                                            options=options, x0=x0,
-                                            recycle=rec)
+    if options.verify == "off":
         return solve_shifted_family(a, b, shifts, mass=mass,
                                     options=options, x0=x0, recycle=rec)
-
-    if options.verify == "off":
-        return _run()
     chk = verify.InvariantChecker(options.verify, context="shifted")
     with verify.activate(chk):
-        res = _run()
+        res = solve_shifted_family(a, b, shifts, mass=mass,
+                                   options=options, x0=x0, recycle=rec)
         if mass is None:
             # with a mass matrix the engine solves the M^{-1}-transformed
             # system, so its reported residual is the transformed one — a
@@ -186,8 +177,8 @@ def _solve_checked(a, b, m, *, options: Options, x0, recycle,
         chk = verify.InvariantChecker(options.verify,
                                       context=options.krylov_method)
         with verify.activate(chk):
-            res = _dispatch_mode(a, b, m, options=options, x0=x0,
-                                 recycle=recycle, same_system=same_system)
+            res = _dispatch(a, b, m, options=options, x0=x0,
+                            recycle=recycle, same_system=same_system)
             # reported-vs-true residual at convergence.  Skipped under left
             # preconditioning: the solver's residual is the *preconditioned*
             # one, so a gap against ||B - A X|| is expected, not a defect.
@@ -201,16 +192,6 @@ def _solve_checked(a, b, m, *, options: Options, x0, recycle,
                         what="final residual")
         res.info["verify"] = chk.report()
         return res
-    return _dispatch_mode(a, b, m, options=options, x0=x0,
-                          recycle=recycle, same_system=same_system)
-
-
-def _dispatch_mode(a, b, m, *, options: Options, x0, recycle,
-                   same_system) -> SolveResult:
-    if options.exec_mode is not None:
-        with use_exec_mode(options.exec_mode):
-            return _dispatch(a, b, m, options=options, x0=x0,
-                             recycle=recycle, same_system=same_system)
     return _dispatch(a, b, m, options=options, x0=x0,
                      recycle=recycle, same_system=same_system)
 
@@ -218,11 +199,7 @@ def _dispatch_mode(a, b, m, *, options: Options, x0, recycle,
 def _dispatch(a, b, m, *, options: Options, x0, recycle,
               same_system) -> SolveResult:
     method = options.krylov_method
-    if method in ("gmres", "richardson", "none"):
-        if method in ("richardson", "none"):
-            raise NotImplementedError(
-                f"method {method!r} is accepted for option parity but has no "
-                "standalone driver; use gmres")
+    if method == "gmres":
         return gmres(a, b, m, options=options, x0=x0)
     if method == "bgmres":
         return bgmres(a, b, m, options=options, x0=x0)
@@ -301,8 +278,8 @@ class Solver:
         self.results: list[SolveResult] = []
 
     def _cache_kind(self) -> str:
-        from .service.service import _options_key, _recycle_kind
-        return _recycle_kind(_options_key(self.options))
+        from .service.service import _recycle_kind, options_key
+        return _recycle_kind(options_key(self.options))
 
     def solve(self, a, b, *, x0: np.ndarray | None = None,
               m=None, same_system: bool | None = None) -> SolveResult:

@@ -34,10 +34,9 @@ explicit residuals    1  (one stacked SpMM + one fused norm)
 
 Per-shift *sequential* solves (:func:`sequential_shifted_solves`) remain
 the bit-exact convergence oracle — they pay the full per-shift reduction
-bill the family engine amortizes away.  ``options.shifted_variant ==
-"projected"`` selects the honest contrast for recycling methods: one
-projected GCRO-DR solve per shift, chaining the recycle space with a
-per-shift re-orthonormalization.
+bill the family engine amortizes away.  With a recycling method they are
+also the *projected* contrast: one projected GCRO-DR solve per shift,
+chaining the recycle space with a per-shift re-orthonormalization.
 
 See ``docs/SHIFTED.md`` for the algorithm walkthrough and the
 reduction-count table.
@@ -56,7 +55,7 @@ from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
 from ..util.misc import as_block, column_norms
-from ..util.options import OptionError, Options
+from ..util.options import Options
 from .base import (ConvergenceHistory, SolveResult, as_operator,
                    residual_targets)
 from .basis import BasisArena
@@ -504,19 +503,15 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
     options:
         ``krylov_method`` in the GMRES family selects the shared-basis
         engine; a recycling method (``gcrodr``/``bgcrodr`` with
-        ``recycle=k``) selects the recycled engine, whose flavor is
-        ``options.shifted_variant`` (``"unprojected"`` default /
-        ``"projected"`` contrast).  Preconditioning is rejected — it
-        breaks the shift invariance the engine is built on.
+        ``recycle=k``) selects the unprojected recycled engine.
+        Preconditioning is rejected — it breaks the shift invariance the
+        engine is built on.
     recycle:
         optional :class:`RecycledSubspace` of the *base* operator to adopt
-        (unprojected variant only) instead of harvesting one.
+        instead of harvesting one.
     """
     options = options or Options()
     sig = _shift_array(shifts)
-    if options.is_recycling and options.shifted_variant == "projected":
-        return _projected_family(a, b, sig, mass=mass, options=options,
-                                 x0=x0)
 
     a_op = as_operator(a)
     n = a_op.shape[0]
@@ -604,7 +599,7 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
     method = "shifted_bgcrodr" if recycled_mode else "shifted_bgmres"
     fam_info: dict[str, Any] = {
         "shifts": k, "restart": restart, "variant":
-        (options.shifted_variant if recycled_mode else "shared"),
+        ("unprojected" if recycled_mode else "shared"),
         "mass": mass is not None,
     }
     if recycled_mode:
@@ -692,29 +687,3 @@ def _harvest_family_pair(state, zstack, kr: int, dtype, op_apply,
                  * qf.shape[1])
         u_k, c_k = _exact_pair(u_k, c_k, op_apply)
     return u_k, c_k
-
-
-# ---------------------------------------------------------------------------
-# the projected contrast
-# ---------------------------------------------------------------------------
-
-def _projected_family(a, b, sig: np.ndarray, *, mass, options: Options,
-                      x0) -> ShiftedFamilyResult:
-    """``shifted_variant="projected"``: one projected GCRO-DR per shift.
-
-    The recycle space is chained shift-to-shift but must be re-projected
-    for each shifted operator (``qr((A + sigma M) U)`` — per-shift
-    reductions), which is exactly the cost the unprojected variant
-    amortizes away.  Kept as the honest baseline the benchmarks and the
-    trace gate compare against.
-    """
-    from ..direct.solver import SparseLU
-    if isinstance(mass, SparseLU):
-        raise OptionError(
-            "shifted_variant='projected' forms A + sigma M explicitly and "
-            "needs the mass *matrix*, not a prefactored SparseLU")
-    fam = sequential_shifted_solves(a, b, sig, mass=mass, options=options,
-                                    x0=x0)
-    fam.method = "shifted_projected"
-    fam.info["variant"] = "projected"
-    return fam

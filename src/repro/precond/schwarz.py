@@ -33,7 +33,6 @@ from ..krylov.base import Preconditioner
 from ..problems.partition import OverlappingDecomposition, decompose
 from ..trace import tracer as trace
 from ..util import ledger
-from ..util.execmode import exec_mode
 from ..util.ledger import CostLedger, CostTable
 from ..util.misc import as_block
 
@@ -178,11 +177,11 @@ class SchwarzPreconditioner(Preconditioner):
                         b_i = sp.csc_matrix(a[dofs][:, dofs])
                     self.solvers.append(SparseLU(b_i, engine=engine))
                 led.event("schwarz_factorizations", len(self.subdomains))
-                # the batch is part of the set-up the fused mode solves
-                # with, so it is built (and timed) here, not on first apply
-                self._fused_batch: _FusedBatch | None = None
-                if exec_mode() == "fused" and len(self.solvers) > 1:
-                    self._fused_batch = self._build_fused_batch()
+                # the batch is part of the set-up every apply solves with,
+                # so it is built (and timed) here, not on first apply; a
+                # single subdomain has nothing to batch
+                self._fused_batch = (self._build_fused_batch()
+                                     if len(self.solvers) > 1 else None)
 
                 # optional Nicolaides coarse space: Z[:, i] = R_i^T D_i 1
                 self._coarse_z = None
@@ -211,17 +210,24 @@ class SchwarzPreconditioner(Preconditioner):
         return len(self.subdomains)
 
     def _local_solves(self, x: np.ndarray, dtype) -> np.ndarray:
-        """One-level sum: ``sum_i R_i^T (D_i) B_i^{-1} R_i x``."""
-        if exec_mode() == "fused" and len(self.solvers) > 1:
-            return self._batched_local_solves(x, dtype)
-        y = np.zeros((self.n, x.shape[1]), dtype=dtype)
-        for dofs, d, lu in zip(self.subdomains, self.pou, self.solvers):
+        """One-level sum: ``sum_i R_i^T (D_i) B_i^{-1} R_i x``.
+
+        All subdomain solves go through one block-diagonal factor pair
+        (``tests/fixtures/schwarz_loop.py`` is the per-subdomain loop the
+        batch is held to, in values and in ledger counts).
+        """
+        batch = self._fused_batch
+        if batch is None:
+            dofs, d, lu = self.subdomains[0], self.pou[0], self.solvers[0]
             local = lu.solve(x[dofs])
             if self.variant in ("ras", "oras"):
                 local = local * d[:, None]
+            y = np.zeros((self.n, x.shape[1]), dtype=dtype)
             y[dofs] += local
-            # halo traffic: the overlap values cross subdomain boundaries
-        return y
+            return y
+        z = batch.u_factor.solve(batch.l_factor.solve(x[batch.gather]))
+        batch.events.charge(ledger.current(), p=x.shape[1])
+        return np.asarray(batch.scatter @ z).astype(dtype, copy=False)
 
     def _build_fused_batch(self) -> _FusedBatch:
         solvers = self.solvers
@@ -262,15 +268,6 @@ class SchwarzPreconditioner(Preconditioner):
                 ("direct_solve", nparts),
             )),
         )
-
-    def _batched_local_solves(self, x: np.ndarray, dtype) -> np.ndarray:
-        """All subdomain solves through one block-diagonal factor pair."""
-        if self._fused_batch is None:   # exec mode switched after set-up
-            self._fused_batch = self._build_fused_batch()
-        batch = self._fused_batch
-        z = batch.u_factor.solve(batch.l_factor.solve(x[batch.gather]))
-        batch.events.charge(ledger.current(), p=x.shape[1])
-        return np.asarray(batch.scatter @ z).astype(dtype, copy=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``M^{-1} X`` — all ``p`` columns through every subdomain solve

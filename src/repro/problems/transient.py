@@ -1,8 +1,8 @@
 """Transient operator/RHS sequences — the macro workload of the paper.
 
-Section III-B's same-system fast path, the setup cache, recycled
-subspaces, and the shifted-family engine all pay off on the *sequences*
-that implicit time stepping produces: hundreds of solves where the
+Section III-B's same-system fast path, the setup cache and recycled
+subspaces all pay off on the *sequences* that implicit time stepping
+produces: hundreds of solves where the
 operator is constant for a while, then changes (adaptive ``dt``, a
 frequency ramp), then is constant again.  This module emits those
 sequences as first-class objects so the service layer
@@ -15,10 +15,7 @@ Two concrete sequences:
     backward-Euler / Crank-Nicolson stepping of ``du/dt - Delta u = f``
     (the algebra of :class:`repro.problems.heat.ImplicitHeat`) under an
     adaptive-``dt`` schedule ``dt_e = dt0 * growth**e`` that changes the
-    operator fingerprint every ``epoch_length`` steps.  The implicit
-    operator ``theta A + (1/dt) I`` is an identity-mass shift of the
-    fixed base ``theta A``, so a ``dt`` ramp is also expressible as a
-    shifted family (``sequence_mode="shifted"``).
+    operator fingerprint every ``epoch_length`` steps.
 
 :class:`MaxwellRampSequence`
     a lossless (``sigma = 0``) time-harmonic Maxwell frequency ramp
@@ -54,8 +51,8 @@ class SequenceStep:
     """One rung of a transient sequence.
 
     ``sigma`` is the scalar such that the step's operator equals
-    ``base + sigma * mass`` (``mass = None`` meaning the identity) — the
-    seam into the shifted-family engine.  ``epoch`` increments exactly
+    ``base + sigma * mass`` (the identity for the heat sequence).
+    ``epoch`` increments exactly
     when the operator fingerprint changes; ``t`` is the time at the *end*
     of the step.
     """
@@ -120,10 +117,8 @@ class HeatSequence:
         n = self.problem.n
         self._a = sp.csr_matrix(a)
         self._eye = sp.eye(n, format="csr")
-        #: fixed shifted-family base: theta * A
+        #: the dt-independent part of the implicit operator: theta * A
         self.base = sp.csr_matrix(theta * a)
-        #: identity mass — ``None`` is the engine's identity sentinel
-        self.mass = None
         self._lhs_by_epoch: dict[int, sp.csr_matrix] = {}
         self._steps = self._build_steps()
 

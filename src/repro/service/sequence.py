@@ -17,10 +17,7 @@ Per step the driver exercises the full reuse ladder:
 * epoch boundary (``dt`` / frequency change) → recycle carry-over via
   :meth:`SetupCache.adopt_from` — the adopted space keeps its foreign
   fingerprint stamp and is *repaired* at the adoption boundary, never
-  trusted (``options.sequence_adopt``);
-* ``options.sequence_mode="shifted"`` → each step is a one-shift family
-  request ``base + sigma M`` against the ramp's fixed base, so the
-  fingerprint never changes and family recycling needs no adoption.
+  trusted (``options.sequence_adopt``).
 
 Cost attribution is per step: each record carries the request's ledger
 share (``info["service"]["cost"]``) and its modeled duration at the
@@ -62,13 +59,6 @@ class SequenceHandle:
         self.u = sequence.u0()
         self.fp_prev = None
         self.records: list[dict[str, Any]] = []
-        if options.sequence_mode == "shifted":
-            # the family base never changes along the ramp, so its
-            # fingerprint — and the family recycle entry under it — is
-            # constant for the whole sequence
-            self.base_fp = operator_fingerprint(sequence.base)
-        else:
-            self.base_fp = None
 
     @property
     def done(self) -> bool:
@@ -109,14 +99,9 @@ class SequenceDriver:
 
     def add(self, sequence: Any, *, options: Options | None = None,
             tenant: str | None = None) -> SequenceHandle:
-        """Register one sequence; ``options.sequence_*`` select its mode."""
+        """Register one sequence; ``options.sequence_*`` tune its reuse."""
         opts = options or self.service.options
-        if opts.sequence_mode == "shifted" \
-                and getattr(sequence, "mass", None) is None \
-                and sequence.base is None:
-            raise ValueError("shifted sequence mode needs a family base")
-        if opts.recycle_same_system and opts.sequence_adopt \
-                and opts.sequence_mode == "operator":
+        if opts.recycle_same_system and opts.sequence_adopt:
             # recycle_same_system forces the fast path unconditionally —
             # an adopted (foreign-fingerprint) pair would be *trusted*
             # against the wrong operator instead of repaired.  The service
@@ -145,25 +130,17 @@ class SequenceDriver:
         kwargs: dict[str, Any] = {}
         if self.is_async:
             kwargs["tenant"] = handle.tenant
-        if opts.sequence_mode == "shifted":
-            fp = handle.base_fp
-            fp_changed = handle.fp_prev is None
-            adopted: list[str] = []
-            req = self.service.submit_family(
-                seq.base, rhs, [step.sigma], mass=seq.mass,
-                options=opts, **kwargs)
-        else:
-            a = seq.operator(step)
-            fp = operator_fingerprint(a)
-            fp_changed = handle.fp_prev is None or fp != handle.fp_prev
-            adopted = []
-            if fp_changed and handle.fp_prev is not None \
-                    and opts.sequence_adopt \
-                    and hasattr(self.service.cache, "adopt_from"):
-                adopted = self.service.cache.adopt_from(fp, handle.fp_prev)
-            x0 = handle.u if opts.sequence_warm_start else None
-            req = self.service.submit(a, rhs, options=opts, x0=x0,
-                                      fingerprint=fp, **kwargs)
+        a = seq.operator(step)
+        fp = operator_fingerprint(a)
+        fp_changed = handle.fp_prev is None or fp != handle.fp_prev
+        adopted: list[str] = []
+        if fp_changed and handle.fp_prev is not None \
+                and opts.sequence_adopt \
+                and hasattr(self.service.cache, "adopt_from"):
+            adopted = self.service.cache.adopt_from(fp, handle.fp_prev)
+        x0 = handle.u if opts.sequence_warm_start else None
+        req = self.service.submit(a, rhs, options=opts, x0=x0,
+                                  fingerprint=fp, **kwargs)
         if getattr(req, "rejected", None) is not None:
             raise RuntimeError(
                 f"sequence step {step.index} of tenant {handle.tenant!r} "
@@ -176,10 +153,7 @@ class SequenceDriver:
     def _complete_step(self, pend: dict) -> None:
         handle, step, req = pend["handle"], pend["step"], pend["req"]
         res = self.service.result(req)
-        x = np.asarray(res.x)
-        if x.ndim == 2:  # family requests come back as an (n, 1) slice
-            x = x[:, 0]
-        handle.u = x.copy()
+        handle.u = np.asarray(res.x).copy()
         svc = res.info["service"]
         cost = svc["cost"]
         modeled = float(modeled_time(cost, self.nranks,
@@ -192,7 +166,6 @@ class SequenceDriver:
             "t": step.t,
             "dt": step.dt,
             "sigma": step.sigma,
-            "mode": handle.options.sequence_mode,
             "fingerprint": pend["fp"].short(),
             "fp_changed": pend["fp_changed"],
             "adopted_kinds": list(pend["adopted"]),
@@ -261,7 +234,6 @@ class SequenceDriver:
             tenants[h.tenant] = {
                 "steps": len(h.records),
                 "epochs": h.sequence.n_epochs,
-                "mode": h.options.sequence_mode,
                 "iterations": h.total_iterations,
                 "all_converged": h.all_converged,
                 "modeled_seconds": modeled,

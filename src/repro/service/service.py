@@ -159,10 +159,6 @@ def _family_recycle_kind(okey: tuple, fpm: Fingerprint | None) -> str:
     return f"family_recycle:{options_digest(okey)}:{tag}"
 
 
-# retained for callers that imported the private name
-_options_key = options_key
-
-
 def _as_matrix(a: Any) -> sp.spmatrix:
     if sp.issparse(a):
         return a
@@ -264,8 +260,8 @@ class SolveService:
             fpm = operator_fingerprint(req.mass) \
                 if req.mass is not None else None
             return ("family", req.fingerprint, fpm, _rhs_digest(req.b),
-                    _options_key(req.options))
-        return (req.fingerprint, _options_key(req.options))
+                    options_key(req.options))
+        return (req.fingerprint, options_key(req.options))
 
     def _push(self, key: tuple, req: SolveRequest) -> None:
         group = self._queue.get(key)

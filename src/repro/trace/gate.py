@@ -32,10 +32,9 @@ Checks (all from span trees produced by real solves):
   span's ledger window (checked via :func:`counts_signature`, so flops,
   p2p and event counts are included — not just reductions).
 
-Everything runs under both execution modes (``fused`` / ``per_rank``); the
-ledger counts are bit-identical by construction and the gate would catch a
-divergence.  No service is involved: conservation is a *per-ledger*
-statement and the service's batch ledger would mix two ledgers in one tree.
+No service is involved in the conservation checks: conservation is a
+*per-ledger* statement and the service's batch ledger would mix two ledgers
+in one tree.
 """
 
 from __future__ import annotations
@@ -442,8 +441,7 @@ def _gate_problem(n: int = 400) -> tuple[sp.csr_matrix, np.ndarray]:
     return sp.csr_matrix(a), b
 
 
-def run_gate(exec_modes: tuple[str, ...] = ("fused", "per_rank"),
-             m: int = 10, k: int = 4) -> dict[str, Any]:
+def run_gate(m: int = 10, k: int = 4) -> dict[str, Any]:
     """Run the full reduction-shape gate; returns a report dict.
 
     Raises :class:`GateError` on the first violated invariant.
@@ -452,142 +450,130 @@ def run_gate(exec_modes: tuple[str, ...] = ("fused", "per_rank"),
 
     a, b_cols = _gate_problem()
     report: dict[str, Any] = {"m": m, "k": k}
-    for mode in exec_modes:
-        mode_report: dict[str, Any] = {}
 
-        # --- GMRES(m) with a one-reduction scheme: m reductions/cycle ---
-        opts = Options(krylov_method="gmres", gmres_restart=m,
-                       orthogonalization="sketched", tol=1e-12, max_it=60,
-                       exec_mode=mode, trace="summary")
-        tr = Tracer(level="summary")
-        led = CostLedger()
-        with install(tr), ledger.install(led):
-            res = api.solve(a, b_cols[:, 0], options=opts)
-        ledger.current().merge(led)   # gate cost shows up in outer ledgers
-        root = tr.roots[-1]
-        mode_report["gmres"] = check_gmres_shape(root, m)
-        mode_report["gmres"]["iterations"] = res.iterations
-        check_conservation(root)
+    # --- GMRES(m) with a one-reduction scheme: m reductions/cycle ---
+    opts = Options(krylov_method="gmres", gmres_restart=m,
+                   orthogonalization="sketched", tol=1e-12, max_it=60,
+                   trace="summary")
+    tr = Tracer(level="summary")
+    led = CostLedger()
+    with install(tr), ledger.install(led):
+        res = api.solve(a, b_cols[:, 0], options=opts)
+    ledger.current().merge(led)   # gate cost shows up in outer ledgers
+    root = tr.roots[-1]
+    report["gmres"] = check_gmres_shape(root, m)
+    report["gmres"]["iterations"] = res.iterations
+    check_conservation(root)
 
-        # --- GCRO-DR(m, k) same-system fast path: 2(m-k)/cycle ----------
-        opts = Options(krylov_method="gcrodr", gmres_restart=m, recycle=k,
-                       orthogonalization="cgs2_1r", tol=1e-12, max_it=90,
-                       exec_mode=mode, trace="summary")
+    # --- GCRO-DR(m, k) same-system fast path: 2(m-k)/cycle ----------
+    opts = Options(krylov_method="gcrodr", gmres_restart=m, recycle=k,
+                   orthogonalization="cgs2_1r", tol=1e-12, max_it=90,
+                   trace="summary")
+    tr = Tracer(level="summary")
+    led = CostLedger()
+    with install(tr), ledger.install(led):
+        first = api.solve(a, b_cols[:, 1], options=opts)
+        res = api.solve(a, b_cols[:, 2], options=opts,
+                        recycle=first.info["recycle"], same_system=True)
+    ledger.current().merge(led)
+    seed_root, root = tr.roots[-2], tr.roots[-1]
+    report["gcrodr"] = check_gcrodr_shape(root, m, k)
+    report["gcrodr"]["iterations"] = res.iterations
+    report["cgs2_1r_bound"] = check_step_reduction_bound(root)
+    check_step_reduction_bound(seed_root)
+    check_conservation(seed_root)
+    check_conservation(root)
+
+    # --- GCRO-DR(m, k) + sketched recycling: O(1) overhead/cycle ----
+    # Updates run for real (same_system=False); two restart lengths so
+    # the per-cycle overhead is demonstrably independent of m.
+    sk_report: dict[str, Any] = {}
+    for m_s in (m, 2 * m):
+        opts = Options(krylov_method="gcrodr", gmres_restart=m_s,
+                       recycle=k, orthogonalization="sketched",
+                       recycle_space="sketched", tol=1e-10, max_it=150,
+                       trace="summary")
         tr = Tracer(level="summary")
         led = CostLedger()
         with install(tr), ledger.install(led):
             first = api.solve(a, b_cols[:, 1], options=opts)
             res = api.solve(a, b_cols[:, 2], options=opts,
-                            recycle=first.info["recycle"], same_system=True)
+                            recycle=first.info["recycle"],
+                            same_system=False)
         ledger.current().merge(led)
         seed_root, root = tr.roots[-2], tr.roots[-1]
-        mode_report["gcrodr"] = check_gcrodr_shape(root, m, k)
-        mode_report["gcrodr"]["iterations"] = res.iterations
-        mode_report["cgs2_1r_bound"] = check_step_reduction_bound(root)
-        check_step_reduction_bound(seed_root)
+        rep = check_sketched_recycle_shape(root, m_s, k)
+        rep["iterations"] = res.iterations
+        check_step_reduction_bound(root, bound=1)
         check_conservation(seed_root)
         check_conservation(root)
+        sk_report[f"m={m_s}"] = rep
+    if len({rep["overhead_per_cycle"]
+            for rep in sk_report.values()}) != 1:
+        raise GateError(
+            f"sketched-recycle per-cycle overhead varies with m: "
+            f"{sk_report}")
+    report["sketched_recycle"] = sk_report
 
-        # --- GCRO-DR(m, k) + sketched recycling: O(1) overhead/cycle ----
-        # Updates run for real (same_system=False); two restart lengths so
-        # the per-cycle overhead is demonstrably independent of m.
-        sk_report: dict[str, Any] = {}
-        for m_s in (m, 2 * m):
-            opts = Options(krylov_method="gcrodr", gmres_restart=m_s,
-                           recycle=k, orthogonalization="sketched",
-                           recycle_space="sketched", tol=1e-10, max_it=150,
-                           exec_mode=mode, trace="summary")
+    # --- shifted families: reductions/cycle independent of #shifts --
+    # Full-rank RHS blocks so every width runs the same cycle shape;
+    # shared-basis and unprojected-recycled engines both checked.
+    rng = np.random.default_rng(77)
+    b_fam = rng.standard_normal((a.shape[0], 8))
+    shifts = [0.05 * (i + 1) for i in range(8)]
+    sh_report: dict[str, Any] = {}
+    for label, extra in (("bgmres", {}), ("bgcrodr", {"recycle": k})):
+        roots: dict[int, Span] = {}
+        for kf in (1, 4, 8):
+            opts = Options(krylov_method=label, gmres_restart=2 * m,
+                           orthogonalization="cgs2_1r", tol=1e-10,
+                           max_it=120, trace="summary", **extra)
             tr = Tracer(level="summary")
             led = CostLedger()
             with install(tr), ledger.install(led):
-                first = api.solve(a, b_cols[:, 1], options=opts)
-                res = api.solve(a, b_cols[:, 2], options=opts,
-                                recycle=first.info["recycle"],
-                                same_system=False)
+                api.solve(a, b_fam[:, :kf], options=opts,
+                          shifts=shifts[:kf])
             ledger.current().merge(led)
-            seed_root, root = tr.roots[-2], tr.roots[-1]
-            rep = check_sketched_recycle_shape(root, m_s, k)
-            rep["iterations"] = res.iterations
-            check_step_reduction_bound(root, bound=1)
-            check_conservation(seed_root)
-            check_conservation(root)
-            sk_report[f"m={m_s}"] = rep
-        if len({rep["overhead_per_cycle"]
-                for rep in sk_report.values()}) != 1:
-            raise GateError(
-                f"sketched-recycle per-cycle overhead varies with m: "
-                f"{sk_report}")
-        mode_report["sketched_recycle"] = sk_report
+            roots[kf] = tr.roots[-1]
+            check_conservation(roots[kf])
+            check_step_reduction_bound(roots[kf])
+        sh_report[label] = check_shifted_shape(roots)
+    report["shifted"] = sh_report
 
-        # --- shifted families: reductions/cycle independent of #shifts --
-        # Full-rank RHS blocks so every width runs the same cycle shape;
-        # shared-basis and unprojected-recycled engines both checked.
-        rng = np.random.default_rng(77)
-        b_fam = rng.standard_normal((a.shape[0], 8))
-        shifts = [0.05 * (i + 1) for i in range(8)]
-        sh_report: dict[str, Any] = {}
-        for label, extra in (("bgmres", {}), ("bgcrodr", {"recycle": k})):
-            roots: dict[int, Span] = {}
-            for kf in (1, 4, 8):
-                opts = Options(krylov_method=label, gmres_restart=2 * m,
-                               orthogonalization="cgs2_1r", tol=1e-10,
-                               max_it=120, exec_mode=mode, trace="summary",
-                               **extra)
-                tr = Tracer(level="summary")
-                led = CostLedger()
-                with install(tr), ledger.install(led):
-                    api.solve(a, b_fam[:, :kf], options=opts,
-                              shifts=shifts[:kf])
-                ledger.current().merge(led)
-                roots[kf] = tr.roots[-1]
-                check_conservation(roots[kf])
-                check_step_reduction_bound(roots[kf])
-            sh_report[label] = check_shifted_shape(roots)
-        mode_report["shifted"] = sh_report
+    # --- transient sequences: reuse must be visible in the spans ----
+    # Two heat tenants through the sync service with an LU-cached
+    # preconditioner: unchanged-fp steps must show zero setup and
+    # zero recycle-harvest work; the epoch boundary must adopt+repair.
+    # (No conservation check here — service batches run on private
+    # ledgers, which check_conservation explicitly excludes.)
+    from ..problems.transient import HeatSequence
+    from ..service.sequence import SequenceDriver
+    from ..service.service import SolveService
+    seq_opts = Options(krylov_method="gcrodr", gmres_restart=m,
+                       recycle=k, orthogonalization="cgs2_1r",
+                       tol=1e-10, max_it=2000,
+                       recycle_same_system=False,
+                       service_flush="explicit", trace="summary")
+    tr = Tracer(level="summary")
+    led = CostLedger()
+    with install(tr), ledger.install(led):
+        # Schwarz (not exact LU) keeps the per-step solves non-trivial
+        # so harvested recycle spaces are non-empty and adoption has
+        # something to repair; setup.schwarz spans still mark setup.
+        svc = SolveService(options=seq_opts, preconditioner="schwarz",
+                           precond_opts={"nparts": 2})
+        driver = SequenceDriver(svc)
+        for tenant in ("t0", "t1"):
+            driver.add(HeatSequence(nx=7, n_steps=6, dt0=1e-3,
+                                    epoch_length=3, growth=1.5),
+                       options=seq_opts, tenant=tenant)
+        driver.run()
+    ledger.current().merge(led)
+    report["sequence"] = check_sequence_shape(tr.roots[-1])
+    if report["sequence"]["adoptions"] == 0:
+        raise GateError("sequence gate scenario produced no "
+                        "adoption-boundary steps")
 
-        # --- transient sequences: reuse must be visible in the spans ----
-        # Two heat tenants through the sync service with an LU-cached
-        # preconditioner: unchanged-fp steps must show zero setup and
-        # zero recycle-harvest work; the epoch boundary must adopt+repair.
-        # (No conservation check here — service batches run on private
-        # ledgers, which check_conservation explicitly excludes.)
-        from ..problems.transient import HeatSequence
-        from ..service.sequence import SequenceDriver
-        from ..service.service import SolveService
-        seq_opts = Options(krylov_method="gcrodr", gmres_restart=m,
-                           recycle=k, orthogonalization="cgs2_1r",
-                           tol=1e-10, max_it=2000,
-                           recycle_same_system=False,
-                           service_flush="explicit",
-                           exec_mode=mode, trace="summary")
-        tr = Tracer(level="summary")
-        led = CostLedger()
-        with install(tr), ledger.install(led):
-            # Schwarz (not exact LU) keeps the per-step solves non-trivial
-            # so harvested recycle spaces are non-empty and adoption has
-            # something to repair; setup.schwarz spans still mark setup.
-            svc = SolveService(options=seq_opts, preconditioner="schwarz",
-                               precond_opts={"nparts": 2})
-            driver = SequenceDriver(svc)
-            for tenant in ("t0", "t1"):
-                driver.add(HeatSequence(nx=7, n_steps=6, dt0=1e-3,
-                                        epoch_length=3, growth=1.5),
-                           options=seq_opts, tenant=tenant)
-            driver.run()
-        ledger.current().merge(led)
-        mode_report["sequence"] = check_sequence_shape(tr.roots[-1])
-        if mode_report["sequence"]["adoptions"] == 0:
-            raise GateError("sequence gate scenario produced no "
-                            "adoption-boundary steps")
-
-        report[mode] = mode_report
-
-    # both modes must tell the same story
-    shapes = {mode: (report[mode]["gmres"]["reductions_per_full_cycle"],
-                     report[mode]["gcrodr"]["reductions_per_full_cycle"])
-              for mode in exec_modes}
-    if len(set(shapes.values())) > 1:
-        raise GateError(f"exec modes disagree on reduction shapes: {shapes}")
     report["reductions_per_cycle"] = {"gmres": m, "gcrodr": 2 * (m - k),
                                       "gcrodr_sketched_recycle": "steps + 1"}
     return report

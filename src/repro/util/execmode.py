@@ -1,8 +1,7 @@
 """Execution-mode switch of the simulated-MPI substrate.
 
-The distributed primitives in :mod:`repro.simmpi`, :mod:`repro.distla` and
-:mod:`repro.precond.schwarz` each have two numerically equivalent
-implementations:
+The distributed primitives in :mod:`repro.simmpi` and :mod:`repro.distla`
+each have two numerically equivalent implementations:
 
 * ``"fused"`` (default) — one vectorized numpy/scipy operation on the
   global array, with the ledger charged in O(1) from a precomputed
@@ -16,8 +15,8 @@ implementations:
   counting arguments are provably unaffected by the fast path.
 
 The mode is ambient process state (like the ledger stack): primitives
-consult :func:`exec_mode` at call time, and solvers install
-``Options.exec_mode`` for the duration of a solve when it is set.
+consult :func:`exec_mode` at call time.  It is private to those two
+packages — no solver, preconditioner or option reads it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .execmode import EXEC_MODES
-
 __all__ = ["Options", "OptionError", "parse_hpddm_args"]
 
 
@@ -31,7 +29,7 @@ def _scheme_names() -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 _KRYLOV_METHODS = ("gmres", "bgmres", "cg", "bcg", "gcrodr", "bgcrodr",
-                   "gmresdr", "lgmres", "richardson", "none")
+                   "gmresdr", "lgmres")
 _VARIANTS = ("left", "right", "flexible")
 _STRATEGIES = ("A", "B")
 _TARGETS = ("smallest", "largest", "smallest_real", "largest_real")
@@ -41,8 +39,6 @@ _SERVICE_MODES = ("sync", "async")
 _TRACE_LEVELS = ("off", "summary", "full")
 _PLAN_MODES = ("interpret", "compiled")
 _RECYCLE_SPACES = ("full", "sketched")
-_SHIFTED_VARIANTS = ("projected", "unprojected")
-_SEQUENCE_MODES = ("operator", "shifted")
 
 
 @dataclass
@@ -58,7 +54,8 @@ class Options:
     krylov_method:
         ``"gmres"`` (pseudo-block when ``p > 1``), ``"bgmres"`` (true block),
         ``"cg"``/``"bcg"``, ``"gcrodr"``/``"bgcrodr"`` (recycling),
-        ``"lgmres"`` (Loose GMRES baseline), ``"richardson"`` or ``"none"``.
+        ``"gmresdr"`` (deflated restarting) or ``"lgmres"`` (Loose GMRES
+        baseline).
     gmres_restart:
         maximum Krylov subspace dimension ``m`` before restarting.
     recycle:
@@ -109,14 +106,6 @@ class Options:
         single reduction per step, making the per-cycle reduction count
         O(1) in ``m``.  Requires ``orthogonalization="sketched"``.  See
         ``docs/ORTHOGONALIZATION.md``.
-    exec_mode:
-        execution mode of the simulated-MPI substrate for the duration of
-        a solve: ``"fused"`` (vectorized global kernels, O(1) ledger
-        charges from precomputed cost tables) or ``"per_rank"`` (loop over
-        the virtual ranks — the validation oracle).  ``None`` (default)
-        inherits the ambient :func:`repro.util.execmode.exec_mode`, whose
-        process default is ``"fused"``.  Both modes charge bit-identical
-        ledger counts.
     verify:
         runtime invariant-checking level (``-hpddm_verify``): ``"off"``
         (default, zero overhead), ``"cheap"`` (recycled-basis
@@ -184,35 +173,12 @@ class Options:
         deadline counts as a deadline miss (``service_deadline_misses``
         metric); requests submitted with an already-expired deadline are
         rejected at admission.
-    shifted_variant:
-        recycled shifted-family algorithm (``-hpddm_shifted_variant``):
-        ``"unprojected"`` (default) follows Burke's unprojected recycled
-        shifted method — the recycle pair ``(U_k, C_k)`` is harvested once
-        from the shared basis and reused across every shift without any
-        per-shift projection, so the per-cycle reduction count is
-        independent of the number of shifts; ``"projected"`` is the honest
-        contrast: each shift re-establishes ``(A + sigma M) U = C`` and
-        runs a projected GCRO-DR solve of its own, paying the per-shift
-        reductions the unprojected variant amortizes away.  Only consulted
-        by family solves (``api.solve(..., shifts=[...])``) with a
-        recycling ``krylov_method``.  See ``docs/SHIFTED.md``.
     service_queue_depth:
         admission-control bound of the async service
         (``-hpddm_service_queue_depth``): maximum queued (not yet
         dispatched) requests *per shard*; ``0`` means unbounded.  A
         submit against a full shard queue returns an explicit rejection
         (``rejected="queue_full"``) instead of queueing.
-    sequence_mode:
-        how a transient driver (:class:`repro.service.sequence.SequenceDriver`)
-        submits the steps of an operator ramp (``-hpddm_sequence_mode``):
-        ``"operator"`` (default) submits each epoch's assembled operator
-        ``A + sigma_e M`` as its own fingerprint (exercising the setup
-        cache and, with ``sequence_adopt``, recycle carry-over across
-        epoch boundaries); ``"shifted"`` submits each step as a
-        one-shift family request against the ramp's *base* operator —
-        the Δt ramp ``A + (1/Δt) M`` rides the shifted-family engine, the
-        recycle pair lives under the base fingerprint and no adoption
-        repair is ever needed.  See ``docs/TRANSIENT.md``.
     sequence_adopt:
         carry recycled subspaces across transient epoch boundaries
         (``-hpddm_sequence_adopt``, default on): when the operator
@@ -227,7 +193,6 @@ class Options:
         solve in a transient sequence (``-hpddm_sequence_warm_start``,
         default off so per-step iteration counts stay comparable across
         the reuse ladder).
-    initial_deflation_tol / enlarge... reserved knobs kept for CLI parity.
     """
 
     krylov_method: str = "gmres"
@@ -244,7 +209,6 @@ class Options:
     recycle_target: str = "smallest"
     recycle_space: str = "full"
     block_reduction: bool = False
-    exec_mode: str | None = None
     verify: str = "off"
     trace: str = "off"
     plan: str = "interpret"
@@ -255,12 +219,10 @@ class Options:
     service_shards: int = 1
     service_deadline: float = 0.0
     service_queue_depth: int = 0
-    shifted_variant: str = "unprojected"
-    sequence_mode: str = "operator"
     sequence_adopt: bool = True
     sequence_warm_start: bool = False
-    verbosity: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
+    # where parse_hpddm_args puts the flags it does not know; callers read it
+    extra: dict[str, Any] = field(default_factory=dict)  # lint: allow(option-census)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -300,10 +262,6 @@ class Options:
                 "engine; it requires orthogonalization='sketched' "
                 f"(got {self.orthogonalization!r})"
             )
-        if self.exec_mode is not None and self.exec_mode not in EXEC_MODES:
-            raise OptionError(
-                f"unknown exec_mode {self.exec_mode!r}; expected one of {EXEC_MODES}"
-            )
         if self.verify not in _VERIFY_LEVELS:
             raise OptionError(
                 f"unknown verify level {self.verify!r}; expected one of {_VERIFY_LEVELS}"
@@ -339,16 +297,6 @@ class Options:
         if self.service_queue_depth < 0:
             raise OptionError("service_queue_depth must be >= 0 "
                               "(0 = unbounded)")
-        if self.shifted_variant not in _SHIFTED_VARIANTS:
-            raise OptionError(
-                f"unknown shifted_variant {self.shifted_variant!r}; "
-                f"expected one of {_SHIFTED_VARIANTS}"
-            )
-        if self.sequence_mode not in _SEQUENCE_MODES:
-            raise OptionError(
-                f"unknown sequence_mode {self.sequence_mode!r}; "
-                f"expected one of {_SEQUENCE_MODES}"
-            )
         if self.gmres_restart < 1:
             raise OptionError("gmres_restart must be >= 1")
         if self.max_it < 1:
@@ -411,8 +359,6 @@ class Options:
                 args.append("-hpddm_recycle_same_system")
             if self.recycle_space != "full":
                 args += ["-hpddm_recycle_space", self.recycle_space]
-        if self.exec_mode is not None:
-            args += ["-hpddm_exec_mode", self.exec_mode]
         if self.verify != "off":
             args += ["-hpddm_verify", self.verify]
         if self.trace != "off":
@@ -435,10 +381,6 @@ class Options:
         if self.service_queue_depth != 0:
             args += ["-hpddm_service_queue_depth",
                      str(self.service_queue_depth)]
-        if self.shifted_variant != "unprojected":
-            args += ["-hpddm_shifted_variant", self.shifted_variant]
-        if self.sequence_mode != "operator":
-            args += ["-hpddm_sequence_mode", self.sequence_mode]
         if not self.sequence_adopt:
             args += ["-hpddm_sequence_adopt", "false"]
         if self.sequence_warm_start:
@@ -448,8 +390,8 @@ class Options:
 
 _BOOL_FLAGS = {"recycle_same_system", "block_reduction", "sequence_adopt",
                "sequence_warm_start"}
-_INT_FIELDS = {"gmres_restart", "recycle", "max_it", "verbosity",
-               "service_pmax", "service_cache_entries", "service_shards",
+_INT_FIELDS = {"gmres_restart", "recycle", "max_it", "service_pmax",
+               "service_cache_entries", "service_shards",
                "service_queue_depth"}
 _FLOAT_FIELDS = {"tol", "deflation_tol", "service_deadline"}
 

@@ -6,7 +6,7 @@ See :mod:`repro.verify.checker` for the contract catalogue and levels.
 from .checker import (NULL_CHECKER, VERIFY_LEVELS, InvariantChecker,
                       InvariantViolation, NullChecker, activate, checker_for,
                       current)
-from .crosscheck import cross_check_exec_modes, cross_check_plan_modes
+from .crosscheck import cross_check_plan_modes
 
 __all__ = [
     "NULL_CHECKER",
@@ -17,6 +17,5 @@ __all__ = [
     "activate",
     "checker_for",
     "current",
-    "cross_check_exec_modes",
     "cross_check_plan_modes",
 ]

@@ -300,14 +300,13 @@ class InvariantChecker:
                                 what=what)
 
     # ------------------------------------------------------------------
-    # ledger conservation (fused vs per-rank execution engines)
+    # ledger conservation (an optimized path against its oracle)
     # ------------------------------------------------------------------
-    def check_ledger_conservation(self, fused: CostLedger,
-                                  per_rank: CostLedger, *,
-                                  what: str = "exec modes") -> None:
-        """Fused and per-rank runs must charge bit-identical ledgers."""
-        a, b = fused.counts(), per_rank.counts()
-        drift = 0.0 if a == b else 1.0
+    def check_ledger_conservation(self, fast: CostLedger,
+                                  oracle: CostLedger, *,
+                                  what: str = "paths") -> None:
+        """Both runs of one workload must charge bit-identical ledgers."""
+        drift = 0.0 if fast.counts() == oracle.counts() else 1.0
         self._record("ledger_conservation", drift, 0.5, what)
 
     # ------------------------------------------------------------------

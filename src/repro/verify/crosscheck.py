@@ -1,14 +1,11 @@
-"""Fused-vs-per-rank and compiled-vs-interpret conservation cross-checks.
+"""Compiled-vs-interpret conservation cross-check.
 
-The fused execution engine (PR 1) is required to be a *pure* optimization:
-for any workload, the :class:`~repro.util.ledger.CostLedger` counts must be
-bit-identical between ``exec_mode="fused"`` and ``exec_mode="per_rank"``,
-and the numerics must agree to rounding.  The execution-plan compiler
-(``-hpddm_plan compiled``) carries the stronger contract — bit-identical
-counts *and* bit-identical iterates against the interpreter.  This module
-packages both equivalences as invariant checks so the conformance matrix
-(and users debugging a substrate or lowering change) can assert them for
-whole solves.
+The execution-plan compiler (``-hpddm_plan compiled``) is required to be a
+*pure* optimization: for any workload, the
+:class:`~repro.util.ledger.CostLedger` counts *and* the iterates must be
+bit-identical against the interpreter.  This module packages that
+equivalence as an invariant check so the conformance matrix (and users
+debugging a lowering change) can assert it for whole solves.
 """
 
 from __future__ import annotations
@@ -18,58 +15,10 @@ from typing import Any, Callable
 import numpy as np
 
 from ..util import ledger
-from ..util.execmode import use_exec_mode
 from ..util.ledger import CostLedger
 from .checker import InvariantChecker
 
-__all__ = ["cross_check_exec_modes", "cross_check_plan_modes"]
-
-
-def cross_check_exec_modes(fn: Callable[[], Any], *,
-                           checker: InvariantChecker | None = None,
-                           extract: Callable[[Any], np.ndarray] | None = None,
-                           rtol: float = 1e-9, atol: float = 1e-11,
-                           what: str = "workload") -> tuple[Any, Any]:
-    """Run ``fn`` under both execution modes and assert conservation.
-
-    Parameters
-    ----------
-    fn:
-        zero-argument workload (e.g. ``lambda: solve(A, b, options=o)``).
-        It is invoked twice, each time under a fresh ledger.
-    checker:
-        records the ledger-conservation drift (a throwaway full-level
-        checker is used when omitted).
-    extract:
-        maps ``fn``'s return value to an array compared across modes
-        (skipped when None and the return value is not array-like).
-    what:
-        label used in violation messages.
-
-    Returns the two results ``(fused_result, per_rank_result)``.
-    """
-    chk = checker or InvariantChecker("full", context="cross-check")
-    results: dict[str, Any] = {}
-    ledgers: dict[str, CostLedger] = {}
-    for mode in ("fused", "per_rank"):
-        with use_exec_mode(mode), ledger.install() as led:
-            results[mode] = fn()
-        ledgers[mode] = led
-    chk.check_ledger_conservation(ledgers["fused"], ledgers["per_rank"],
-                                  what=what)
-    a, b = results["fused"], results["per_rank"]
-    if extract is not None:
-        a_arr, b_arr = np.asarray(extract(a)), np.asarray(extract(b))
-    elif isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        a_arr, b_arr = a, b
-    else:
-        a_arr = b_arr = None
-    if a_arr is not None:
-        if not np.allclose(a_arr, b_arr, rtol=rtol, atol=atol):
-            gap = float(np.max(np.abs(a_arr - b_arr)))
-            chk._record("exec_mode_numerics", gap, 0.0,
-                        f"{what}: fused vs per_rank results diverge")
-    return results["fused"], results["per_rank"]
+__all__ = ["cross_check_plan_modes"]
 
 
 def cross_check_plan_modes(fn: Callable[[str], Any], *,
@@ -80,9 +29,9 @@ def cross_check_plan_modes(fn: Callable[[str], Any], *,
 
     ``fn`` takes the plan mode (``"interpret"`` / ``"compiled"``) — e.g.
     ``lambda plan: solve(A, b, options=o.replace(plan=plan))`` — and is
-    invoked once per mode under a fresh ledger.  Unlike the exec-mode
-    cross-check, the compiled plan promises **bit-identical** iterates, so
-    the numeric comparison is exact (``np.array_equal``), not a tolerance.
+    invoked once per mode under a fresh ledger.  The compiled plan promises
+    **bit-identical** iterates, so the numeric comparison is exact
+    (``np.array_equal``), not a tolerance.
 
     Returns the two results ``(interpret_result, compiled_result)``.
     """

@@ -1,7 +1,7 @@
 """Shared generator for the solver conformance matrix.
 
-One place defines the axes (solver x preconditioning variant x execution
-mode x dtype x block size x recycle strategy), how a configuration maps to
+One place defines the axes (solver x preconditioning variant x dtype x
+block size x recycle strategy), how a configuration maps to
 ``Options``, and the derived-property oracles every configuration must
 satisfy.  ``test_conformance_matrix.py`` sweeps the matrix; other tests can
 import :func:`make_problem` / :func:`assert_conforms` for single configs.
@@ -36,7 +36,6 @@ SOLVERS = {
 }
 
 VARIANTS = ("left", "right", "flexible")
-EXEC_MODES = ("fused", "per_rank")
 DTYPES = (np.float64, np.complex128)
 BLOCK_SIZES = (1, 3)
 STRATEGIES = ("A", "B")
@@ -48,7 +47,6 @@ class Config:
 
     method: str
     variant: str = "right"
-    exec_mode: str = "fused"
     dtype: type = np.float64
     p: int = 1
     strategy: str = "A"
@@ -67,15 +65,15 @@ class Config:
     #: family configs are unpreconditioned (the engine rejects ``m``)
     shifts: int = 0
     #: steps of an adaptive-dt heat sequence driven through the service
-    #: (0 = not a sequence config); with ``shifts`` the sequence runs in
-    #: ``sequence_mode="shifted"`` (one-shift family per step)
+    #: (0 = not a sequence config)
     sequence: int = 0
 
     def id(self) -> str:
         dt = "c128" if self.dtype is np.complex128 else "f64"
         pc = self.variant if self.precond else "none"
-        base = (f"{self.method}-{pc}-{self.exec_mode}-{dt}-p{self.p}"
-                f"-{self.strategy}")
+        # "fused" is a constant: the segment outlived the exec-mode axis so
+        # that the pinned keys and test ids of the surviving cells stay put
+        base = f"{self.method}-{pc}-fused-{dt}-p{self.p}-{self.strategy}"
         if self.ortho != "cgs":
             base += f"-{self.ortho}"
         if self.recycle_space != "full":
@@ -106,7 +104,7 @@ class Config:
                 kw["service_shards"] = 2  # exercise the sharded cache
         return Options(krylov_method=self.method, gmres_restart=restart,
                        tol=tol, max_it=2000, variant=self.variant
-                       if self.precond else "right", exec_mode=self.exec_mode,
+                       if self.precond else "right",
                        verify=verify, orthogonalization=self.ortho, **kw)
 
 
@@ -126,12 +124,11 @@ def conformance_matrix(full: bool = False) -> list[Config]:
             configs.append(cfg)
 
     if not full:
-        # tier-1 subset: every solver, both exec modes, one nontrivial
-        # variant and dtype apiece
+        # tier-1 subset: every solver, one nontrivial variant and dtype
+        # apiece
         for method in SOLVERS:
             p = 3 if SOLVERS[method]["block"] else 1
             add(Config(method, variant="right", p=p))
-            add(Config(method, variant="right", p=p, exec_mode="per_rank"))
             add(Config(method, variant="left", p=1))
             if method != "gmresdr":
                 add(Config(method, variant="flexible", p=p))
@@ -168,24 +165,21 @@ def conformance_matrix(full: bool = False) -> list[Config]:
         # service front ends (unchanged-fp steps must show zero setup
         # spans — see _assert_sequence_conforms)
         add(Config("gcrodr", p=1, service_mode="sync", sequence=6))
-        add(Config("gcrodr", p=1, service_mode="async", sequence=6,
-                   exec_mode="per_rank"))
+        add(Config("gcrodr", p=1, service_mode="async", sequence=6))
         return configs
 
     for method, caps in SOLVERS.items():
         for variant in VARIANTS:
             if variant == "flexible" and method == "gmresdr":
                 continue
-            for mode in EXEC_MODES:
-                for dtype in DTYPES:
-                    for p in BLOCK_SIZES:
-                        if p > 1 and not caps["block"]:
-                            continue
-                        strategies = STRATEGIES if caps["recycles"] else ("A",)
-                        for strat in strategies:
-                            add(Config(method, variant=variant,
-                                       exec_mode=mode, dtype=dtype, p=p,
-                                       strategy=strat))
+            for dtype in DTYPES:
+                for p in BLOCK_SIZES:
+                    if p > 1 and not caps["block"]:
+                        continue
+                    strategies = STRATEGIES if caps["recycles"] else ("A",)
+                    for strat in strategies:
+                        add(Config(method, variant=variant, dtype=dtype,
+                                   p=p, strategy=strat))
     # unpreconditioned spot checks (variant is then irrelevant)
     for method in SOLVERS:
         p = 3 if SOLVERS[method]["block"] else 1
@@ -196,48 +190,36 @@ def conformance_matrix(full: bool = False) -> list[Config]:
         for mode in ("sync", "async"):
             add(Config(method, p=p, service_mode=mode))
     # orthogonalization-scheme sweep: every solver x every non-default
-    # scheme, both exec modes, default axes elsewhere
+    # scheme, default axes elsewhere
     for method in SOLVERS:
         p = 3 if SOLVERS[method]["block"] else 1
         for scheme in ("mgs", "imgs", "cgs2_1r", "cholqr2", "sketched"):
             add(Config(method, p=p, ortho=scheme))
-            add(Config(method, p=p, ortho=scheme, exec_mode="per_rank"))
-    # recycle_space axis: both recyclers that carry (U_k, C_k) pairs, every
-    # exec mode x plan combination, both strategies on the block engine
+    # recycle_space axis: both recyclers that carry (U_k, C_k) pairs, both
+    # plans, both strategies on the block engine
     for method, p in (("gcrodr", 1), ("gcrodr", 3), ("bgcrodr", 3)):
-        for mode in EXEC_MODES:
-            for plan in ("interpret", "compiled"):
-                add(Config(method, p=p, ortho="sketched",
-                           recycle_space="sketched", exec_mode=mode,
-                           plan=plan))
+        for plan in ("interpret", "compiled"):
+            add(Config(method, p=p, ortho="sketched",
+                       recycle_space="sketched", plan=plan))
     add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
                strategy="B"))
     add(Config("bgcrodr", p=3, ortho="sketched", recycle_space="sketched",
                strategy="B"))
     add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
                dtype=np.complex128))
-    # shifted-family axis: both engines x exec mode x plan, plus a
-    # complex-shift spot check
+    # shifted-family axis: both engines x plan, plus a complex-shift spot
+    # check
     for method in ("bgmres", "bgcrodr"):
-        for mode in EXEC_MODES:
-            for plan in ("interpret", "compiled"):
-                add(Config(method, p=1, ortho="cgs2_1r", shifts=4,
-                           precond=False, exec_mode=mode, plan=plan))
+        for plan in ("interpret", "compiled"):
+            add(Config(method, p=1, ortho="cgs2_1r", shifts=4,
+                       precond=False, plan=plan))
     add(Config("bgmres", p=1, ortho="cgs2_1r", shifts=4, precond=False,
                dtype=np.complex128))
     add(Config("bgcrodr", p=1, ortho="cholqr2", shifts=8, precond=False))
-    # sequence axis: a recycler and a non-recycler through both front
-    # ends x exec modes, plus the shifted-sequence mode (dt ramp as a
-    # one-shift family per step against the constant base)
+    # sequence axis: a recycler and a non-recycler through both front ends
     for method in ("gmres", "gcrodr"):
-        for mode in EXEC_MODES:
-            for svc in ("sync", "async"):
-                add(Config(method, p=1, service_mode=svc, sequence=6,
-                           exec_mode=mode))
-    add(Config("gcrodr", p=1, service_mode="sync", sequence=6, shifts=1,
-               precond=False))
-    add(Config("gcrodr", p=1, service_mode="sync", sequence=6, shifts=1,
-               precond=False, exec_mode="per_rank"))
+        for svc in ("sync", "async"):
+            add(Config(method, p=1, service_mode=svc, sequence=6))
     return configs
 
 
@@ -429,12 +411,11 @@ def _run_sequence(cfg: Config, *, tol: float, restart: int = 20):
     from repro.service.service import SolveService
 
     o = cfg.options(verify="cheap", tol=tol, restart=restart).replace(
-        service_flush="explicit", trace="summary",
-        sequence_mode="shifted" if cfg.shifts else "operator")
+        service_flush="explicit", trace="summary")
     seq = HeatSequence(nx=8, n_steps=cfg.sequence, dt0=1e-3,
                        epoch_length=max(1, cfg.sequence // 2), growth=1.5)
     kwargs = {}
-    if cfg.precond and not cfg.shifts:  # families reject preconditioning
+    if cfg.precond:
         kwargs = {"preconditioner": "schwarz", "precond_opts": {"nparts": 2}}
     cls = AsyncSolveService if cfg.service_mode == "async" else SolveService
     svc = cls(options=o, **kwargs)

@@ -201,6 +201,75 @@ def test_wall_entry_is_ungated_and_invisible_to_the_gate(ci, tmp_path):
         entry["metrics"], label="wall") == []
 
 
+# -- a metric that stops being produced fails unless it is retired -------
+def test_metric_missing_from_the_run_fails_unless_retired():
+    compare = _load_script(ROOT / "scripts" / "bench_compare.py",
+                           "repro_bench_compare")
+    kept = {"service_setup_builds_coalesced": {"value": 1, "kind": "exact"}}
+    gone = {"value": 0.5, "kind": "modeled"}
+    failures = compare.compare(kept, {**kept, "some_rung_time": gone},
+                               label="t")
+    assert len(failures) == 1 and failures[0].startswith("some_rung_time:")
+    assert set(compare.RETIRED) == {
+        "transient_cache_recycle_shifted_time_per_sim_second"}
+    assert compare.compare(kept, {**kept, **dict.fromkeys(compare.RETIRED,
+                                                          gone)},
+                           label="t") == []
+
+
+# -- lint: the two census rules ------------------------------------------
+@pytest.fixture(scope="module")
+def lint():
+    return _load_script(ROOT / "scripts" / "lint_repro.py", "repro_lint")
+
+
+def _lint_rules(lint, src: str, *rel_parts: str) -> list[str]:
+    import ast
+    import os
+
+    visitor = lint._Visitor(os.path.join(*rel_parts), src.splitlines())
+    visitor.visit(ast.parse(src))
+    return [rule for rule, _, _ in visitor.findings]
+
+
+def test_lint_keeps_execmode_inside_the_substrate(lint):
+    for src in ("from ..util.execmode import exec_mode\n",
+                "from ..util import execmode\n",
+                "import repro.util.execmode\n"):
+        for rel in (("precond", "schwarz.py"), ("api.py",),
+                    ("util", "options.py")):
+            assert _lint_rules(lint, src, "src", "repro", *rel) \
+                == ["execmode-substrate"]
+        for rel in (("src", "repro", "distla", "distcsr.py"),
+                    ("src", "repro", "simmpi", "collectives.py"),
+                    ("tests", "test_exec_modes.py"),
+                    ("benchmarks", "bench_micro_kernels.py")):
+            assert _lint_rules(lint, src, *rel) == []
+    assert _lint_rules(lint, "from ..util import ledger\n",
+                       "src", "repro", "precond", "schwarz.py") == []
+
+
+def test_lint_option_census_names_the_unread_field(lint, tmp_path):
+    util = tmp_path / "src" / "repro" / "util"
+    util.mkdir(parents=True)
+    (util / "options.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass\nclass Options:\n"
+        "    tol: float = 1e-8\n"
+        "    verbosity: int = 0\n"
+        "    extra: dict = field(default_factory=dict)"
+        "  # lint: allow(option-census)\n\n"
+        "    def validate(self):\n"
+        "        return self.verbosity >= 0\n")    # its own module: no read
+    (tmp_path / "src" / "repro" / "solver.py").write_text(
+        "def run(options):\n    return options.tol\n")
+    findings = lint.option_census(str(tmp_path))
+    assert [(rule, line) for rule, line, _ in findings] \
+        == [("option-census", 7)]
+    assert "Options.verbosity" in findings[0][2]
+    assert lint.option_census() == []       # the repository itself is clean
+
+
 # -- blocked triangular sweep: gated on counts, tracked exactly ----------
 def test_sweep_counts_are_gated_and_tracked_as_exact():
     import copy

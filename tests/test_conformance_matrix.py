@@ -1,7 +1,7 @@
 """Property-based solver conformance matrix.
 
-Sweeps solver x {left,right,flexible} x exec_mode x dtype x block size x
-recycle strategy through the shared oracles in :mod:`tests.matrix`, with
+Sweeps solver x {left,right,flexible} x dtype x block size x recycle
+strategy through the shared oracles in :mod:`tests.matrix`, with
 the runtime invariant checker at ``full`` level so every configuration also
 re-verifies its own Arnoldi/recycle/residual algebra.  The quick subset
 runs in tier 1; the full cross product is behind the ``slow`` marker.
@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 import repro.krylov.cycle as cycle_mod
 from repro import Options, solve
 from repro.la.orthogonalization import project_out
-from repro.verify import InvariantChecker, InvariantViolation, activate, \
-    cross_check_exec_modes
+from repro.verify import InvariantChecker, InvariantViolation, activate
 
 from matrix import (COUNTS_FILE, SOLVERS, Config, assert_conforms,
                     conformance_matrix, counts_of, make_problem,
@@ -38,7 +37,6 @@ def test_matrix_is_large_enough():
     assert len(FULL) >= 48
     assert {c.method for c in FULL} == set(SOLVERS)
     assert {c.variant for c in FULL} == {"left", "right", "flexible"}
-    assert {c.exec_mode for c in FULL} == {"fused", "per_rank"}
     assert {c.dtype for c in FULL} == {np.float64, np.complex128}
     assert {c.strategy for c in FULL} >= {"A", "B"}
 
@@ -83,26 +81,6 @@ def test_property_random_config_conforms(method, variant, p, complex_,
                  p=p, strategy=strategy, seed=seed)
     out = assert_conforms(cfg)
     assert out.ok, f"{cfg.id()} (seed {seed}): {out.failures}"
-
-
-class TestLedgerConservation:
-    """Fused and per-rank execution must charge bit-identical ledgers."""
-
-    CASES = [Config("gmres", p=3), Config("bgmres", p=3),
-             Config("gcrodr", p=3), Config("gcrodr", p=1),
-             Config("gmresdr", p=1)]
-
-    @pytest.mark.parametrize("cfg", CASES, ids=Config.id)
-    def test_solve_ledger_conserved(self, cfg):
-        a, b, m = make_problem(cfg)
-        o = cfg.options(verify="off")
-        o.exec_mode = None  # the cross-check drives the mode itself
-        chk = InvariantChecker("full", raise_on_violation=False)
-        rf, rp = cross_check_exec_modes(
-            lambda: solve(a, b, m, options=o), checker=chk,
-            extract=lambda r: np.asarray(r.x), what=cfg.id())
-        assert not chk.report()["violations"], chk.report()["violations"]
-        assert rf.iterations == rp.iterations
 
 
 class TestMutationSmoke:

@@ -1,10 +1,13 @@
-"""Fused vs per-rank execution-mode equivalence.
+"""Fused vs per-rank equivalence of the simulated-MPI substrate.
 
-The fused engine is required to be a *pure* optimization of the simulated
-substrate: for every primitive and every full solve, the CostLedger counts
-(reductions, reduction bytes, p2p messages, p2p bytes, flops by kernel and
-named call counts) must be bit-identical between ``exec_mode="fused"`` and
-``exec_mode="per_rank"``, and the numerics must agree to rounding.
+The fused engine of ``distla`` / ``simmpi`` is required to be a *pure*
+optimization: for every primitive, and for a full solve over a
+``DistributedCSR``, the CostLedger counts (reductions, reduction bytes, p2p
+messages, p2p bytes, flops by kernel and named call counts) must be
+bit-identical between the ``"fused"`` and ``"per_rank"`` modes of
+``repro.util.execmode``, and the numerics must agree to rounding.  The
+Schwarz preconditioner has no such switch: its fused batch is held to the
+per-subdomain loop of ``tests/fixtures/schwarz_loop.py`` the same way.
 """
 
 import gc
@@ -14,6 +17,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import laplacian_1d, laplacian_2d
+
+from fixtures.schwarz_loop import looped
 
 from repro import Options, parse_hpddm_args, solve
 from repro.distla.distcsr import DistributedCSR
@@ -39,11 +44,17 @@ def ledger_state(led):
             led.p2p_bytes, dict(led.flops), dict(led.calls))
 
 
-def run_in_mode(mode, fn):
-    """Run fn() under `mode` with a fresh ledger; return (result, counts)."""
-    with use_exec_mode(mode), ledger.install() as led:
+def counted(fn):
+    """Run fn() with a fresh ledger; return (result, counts)."""
+    with ledger.install() as led:
         out = fn()
     return out, ledger_state(led)
+
+
+def run_in_mode(mode, fn):
+    """``counted(fn)`` under the substrate's execution mode `mode`."""
+    with use_exec_mode(mode):
+        return counted(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +154,8 @@ class TestPrimitiveEquivalence:
         a = laplacian_2d(14)
         x = rng.standard_normal((a.shape[0], 3))
         m = SchwarzPreconditioner(a, nparts=6, overlap=1, variant=variant)
-        y_pr, c_pr = run_in_mode("per_rank", lambda: m.apply(x))
-        y_fu, c_fu = run_in_mode("fused", lambda: m.apply(x))
+        y_pr, c_pr = counted(lambda: looped(m).apply(x))
+        y_fu, c_fu = counted(lambda: m.apply(x))
         assert c_fu == c_pr
         np.testing.assert_allclose(y_fu, y_pr, rtol=1e-11, atol=1e-12)
 
@@ -156,40 +167,40 @@ class TestPrimitiveEquivalence:
         x = rng.standard_normal((a.shape[0], 3))
         m = SchwarzPreconditioner(a, nparts=4, overlap=1, variant=variant,
                                   engine="gp")
-        y_pr, c_pr = run_in_mode("per_rank", lambda: m.apply(x))
-        y_fu, c_fu = run_in_mode("fused", lambda: m.apply(x))
+        y_pr, c_pr = counted(lambda: looped(m).apply(x))
+        y_fu, c_fu = counted(lambda: m.apply(x))
         assert c_fu == c_pr
         np.testing.assert_allclose(y_fu, y_pr, rtol=1e-11, atol=1e-12)
 
     def test_schwarz_batch_is_built_with_the_preconditioner(self, rng):
         # set-up work belongs to the set-up: the fused batch exists before
-        # the first apply (and is charged nothing), unless the mode that
-        # needs it is entered only later or there is nothing to batch
+        # the first apply (and is charged nothing) whatever the substrate's
+        # ambient mode says, unless there is nothing to batch
         a = laplacian_2d(12)
         x = rng.standard_normal((a.shape[0], 2))
-        with use_exec_mode("fused"):
-            m = SchwarzPreconditioner(a, nparts=4, overlap=1)
-            assert m._fused_batch is not None
-            assert m._fused_batch.l_factor.n_levels == max(
-                s._ltri.n_levels for s in m.solvers)
-            one = SchwarzPreconditioner(a, nparts=1, overlap=1)
-            assert one._fused_batch is None
+        m = SchwarzPreconditioner(a, nparts=4, overlap=1)
+        assert m._fused_batch is not None
+        assert m._fused_batch.l_factor.n_levels == max(
+            s._ltri.n_levels for s in m.solvers)
+        one = SchwarzPreconditioner(a, nparts=1, overlap=1)
+        assert one._fused_batch is None
+        y_one, c_one = counted(lambda: one.apply(x))
+        y_loop, c_loop = counted(lambda: looped(one).apply(x))
+        assert c_one == c_loop and np.array_equal(y_one, y_loop)
         with use_exec_mode("per_rank"):
-            late = SchwarzPreconditioner(a, nparts=4, overlap=1)
-            assert late._fused_batch is None
-            assert late.setup_cost.counts() == m.setup_cost.counts()
-        y, _ = run_in_mode("fused", lambda: late.apply(x))
-        assert late._fused_batch is not None
-        np.testing.assert_allclose(y, m.apply(x), rtol=1e-13, atol=1e-14)
-
+            same = SchwarzPreconditioner(a, nparts=4, overlap=1)
+            assert same._fused_batch is not None
+            assert same.setup_cost.counts() == m.setup_cost.counts()
+            y, c = counted(lambda: same.apply(x))
+        y_m, c_m = counted(lambda: m.apply(x))
+        assert c == c_m and np.array_equal(y, y_m)
 
     def test_schwarz_batch_holds_the_only_materialized_sweeps(self, rng):
         # the per-subdomain factors are analysed once and sliced into sweep
         # steps only if somebody solves with them; the fused apply does not
         a = laplacian_2d(12)
-        with use_exec_mode("fused"):
-            m = SchwarzPreconditioner(a, nparts=4, overlap=1)
-            m.apply(rng.standard_normal((a.shape[0], 2)))
+        m = SchwarzPreconditioner(a, nparts=4, overlap=1)
+        m.apply(rng.standard_normal((a.shape[0], 2)))
         batch = m._fused_batch
         assert batch.l_factor._steps and batch.u_factor._steps
         assert all(s._ltri._steps is None and s._utri._steps is None
@@ -208,7 +219,7 @@ class TestPrimitiveEquivalence:
     def test_schwarz_on_every_kind_of_symmetry(self, rng, kind):
         # the SuperLU engine picks its ordering from the pattern: each kind
         # of input solves to 1e-12 per subdomain and through the batch, and
-        # the two modes charge the same ledger
+        # batch and loop charge the same ledger
         a = laplacian_2d(14).astype(
             complex if kind == "complex_symmetric" else float)
         if kind == "complex_symmetric":
@@ -218,14 +229,11 @@ class TestPrimitiveEquivalence:
         if kind == "unsymmetric_pattern":
             a = sp.csr_matrix(a + sp.diags(np.full(a.shape[0] - 3, 0.1), 3))
         x = rng.standard_normal((a.shape[0], 3))
-        built = {mode: run_in_mode(mode, lambda: SchwarzPreconditioner(
-            a, nparts=4, overlap=1, variant="ras")) for mode in MODES}
-        assert built["fused"][1] == built["per_rank"][1]
-        m = built["fused"][0]
+        m = SchwarzPreconditioner(a, nparts=4, overlap=1, variant="ras")
         assert all(s.symmetric == (kind != "unsymmetric_pattern")
                    for s in m.solvers)
-        y_pr, c_pr = run_in_mode("per_rank", lambda: m.apply(x))
-        y_fu, c_fu = run_in_mode("fused", lambda: m.apply(x))
+        y_pr, c_pr = counted(lambda: looped(m).apply(x))
+        y_fu, c_fu = counted(lambda: m.apply(x))
         assert c_fu == c_pr
         expect = np.zeros_like(y_fu)
         for dofs, d, lu in zip(m.subdomains, m.pou, m.solvers):
@@ -238,7 +246,7 @@ class TestPrimitiveEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# full solves: identical ledgers and matching solutions (ISSUE acceptance)
+# full solves over a DistributedCSR: identical ledgers, matching solutions
 # ---------------------------------------------------------------------------
 
 def make_preconditioner(kind, a):
@@ -262,11 +270,11 @@ class TestSolveEquivalence:
         b = rng.standard_normal((a.shape[0], p))
         m = make_preconditioner(precond, a)
         results = {}
+        opts = Options(krylov_method=method, gmres_restart=20, tol=1e-8,
+                       **extra)
         for mode in MODES:
-            opts = Options(krylov_method=method, gmres_restart=20, tol=1e-8,
-                           exec_mode=mode, **extra)
             dcsr = DistributedCSR(a, nranks=4)
-            with ledger.install() as led:
+            with use_exec_mode(mode), ledger.install() as led:
                 res = solve(dcsr, b, m, options=opts)
             assert res.converged.all()
             results[mode] = (res, ledger_state(led))
@@ -315,22 +323,13 @@ class TestModePlumbing:
                 pass  # pragma: no cover
 
     def test_options_validation_and_cli_roundtrip(self):
-        with pytest.raises(ValueError):
-            Options(exec_mode="bogus")
-        assert Options().exec_mode is None  # inherit ambient
-        opts = Options(exec_mode="per_rank")
-        args = opts.hpddm_args()
-        assert "-hpddm_exec_mode" in args
-        assert parse_hpddm_args(args).exec_mode == "per_rank"
-        assert "-hpddm_exec_mode" not in Options().hpddm_args()
-
-    def test_solve_scopes_mode_to_the_call(self, rng):
-        a = laplacian_1d(40)
-        b = rng.standard_normal(40)
-        assert exec_mode() == "fused"
-        res = solve(a, b, options=Options(exec_mode="per_rank", tol=1e-10))
-        assert res.converged.all()
-        assert exec_mode() == "fused"  # restored after the solve
+        # private to distla/ + simmpi/: no Options field, and the old flag
+        # is a flag the parser does not know
+        with pytest.raises(TypeError):
+            Options(exec_mode="per_rank")
+        opts = parse_hpddm_args(["-hpddm_exec_mode", "per_rank"])
+        assert opts.extra == {"exec_mode": "per_rank"}
+        assert "-hpddm_exec_mode" not in opts.hpddm_args()
 
 
 # ---------------------------------------------------------------------------

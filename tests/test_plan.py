@@ -41,10 +41,8 @@ from matrix import Config, make_problem
 # ---------------------------------------------------------------------------
 
 PARITY_CONFIGS = [
-    Config(method, exec_mode=mode, p=(3 if method != "gmresdr" else 1),
-           ortho=scheme)
+    Config(method, p=(3 if method != "gmresdr" else 1), ortho=scheme)
     for method in ("gmres", "bgmres", "gcrodr", "bgcrodr", "gmresdr")
-    for mode in ("fused", "per_rank")
     for scheme in ("cgs2_1r", "sketched")
 ]
 

@@ -167,7 +167,6 @@ _option_fields = st.fixed_dictionaries({}, optional={
                                           "cholqr2", "sketched"]),
     "deflation_tol": st.floats(1e-16, 1e-6),
     "recycle_space": st.sampled_from(["full", "sketched"]),
-    "exec_mode": st.sampled_from([None, "fused", "per_rank"]),
     "verify": st.sampled_from(["off", "cheap", "full"]),
     "trace": st.sampled_from(["off", "summary", "full"]),
     "plan": st.sampled_from(["interpret", "compiled"]),

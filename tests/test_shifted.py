@@ -123,11 +123,13 @@ class TestOracleParity:
 
     def test_projected_variant_is_sequential_contrast(self):
         a, b = family_problem()
-        opts = recycled_opts(shifted_variant="projected")
-        fam = solve(a, b, options=opts, shifts=SHIFTS8[:4])
-        assert fam.method == "shifted_projected"
+        fam = sequential_shifted_solves(a, b, SHIFTS8[:4],
+                                        options=recycled_opts())
+        assert fam.method == "shifted_sequential"
         assert fam.converged.all()
-        assert fam.info["variant"] == "projected"
+        assert fam.info["variant"] == "sequential"
+        # the recycle space is chained shift to shift and re-projected
+        assert all(r.info["recycle"] is not None for r in fam.results)
 
     def test_preconditioner_rejected(self):
         a, b = family_problem()
@@ -140,10 +142,6 @@ class TestOracleParity:
         with pytest.raises(OptionError, match="mass"):
             solve(a, b, options=shared_opts(),
                   mass=sp.eye(a.shape[0]).tocsr())
-
-    def test_bad_variant_rejected(self):
-        with pytest.raises(OptionError, match="shifted_variant"):
-            Options(shifted_variant="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +235,8 @@ class TestRecycleAcrossShifts:
         with ledger.install(led_u):
             fam_u = solve(a, b, options=recycled_opts(), shifts=SHIFTS8[:4])
         with ledger.install(led_p):
-            fam_p = solve(a, b, options=recycled_opts(
-                shifted_variant="projected"), shifts=SHIFTS8[:4])
+            fam_p = sequential_shifted_solves(a, b, SHIFTS8[:4],
+                                              options=recycled_opts())
         assert fam_u.converged.all() and fam_p.converged.all()
         assert led_u.counts()[0] < led_p.counts()[0]
 

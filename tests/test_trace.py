@@ -288,10 +288,9 @@ class TestStreamingSummary:
 
     @pytest.mark.parametrize("level", ["summary", "full"])
     def test_both_levels_on_real_solves(self, rng, level):
-        from repro.util.execmode import use_exec_mode
         a = laplacian_1d(160, shift=0.5)
         tr = Tracer(level)
-        with install(tr), ledger.install(), use_exec_mode("per_rank"):
+        with install(tr), ledger.install():
             for method, kw in (("gmres", {}), ("gcrodr", {"recycle": 4}),
                                ("bgmres", {})):
                 api.solve(a, rng.standard_normal((160, 2)),
@@ -395,30 +394,29 @@ class TestNullTracer:
 
 # ---------------------------------------------------------------------------
 class TestSolverTraces:
-    def _solve(self, method, mode, rng, **kw):
+    def _solve(self, method, rng, **kw):
         a = laplacian_1d(240, shift=0.5)   # well-conditioned: converges fast
         b = rng.standard_normal(240)
-        opts = Options(krylov_method=method, tol=1e-10, exec_mode=mode,
-                       trace="summary", **kw)
+        opts = Options(krylov_method=method, tol=1e-10, trace="summary",
+                       **kw)
         tr = Tracer()
         led = CostLedger()
         with install(tr), ledger.install(led):
             res = api.solve(a, b, options=opts)
         return res, tr.roots[-1], led
 
-    @pytest.mark.parametrize("mode", ["fused", "per_rank"])
     @pytest.mark.parametrize("method,kw", [
         ("gmres", {}), ("gcrodr", {"recycle": 5}), ("bgmres", {}),
     ])
-    def test_conservation_both_exec_modes(self, rng, method, kw, mode):
-        res, root, led = self._solve(method, mode, rng, **kw)
+    def test_conservation(self, rng, method, kw):
+        res, root, led = self._solve(method, rng, **kw)
         assert res.converged.all()
         check_conservation(root)  # raises GateError on violation
         # the root window is the whole outer ledger (solve is all that ran)
         assert counts_signature(root.cost) == counts_signature(led)
 
     def test_cycle_structure_gmres(self, rng):
-        res, root, _ = self._solve("gmres", "fused", rng)
+        res, root, _ = self._solve("gmres", rng)
         cycles = root.find("cycle")
         assert cycles, "gmres must trace cycles"
         for cyc in cycles:
@@ -432,7 +430,7 @@ class TestSolverTraces:
                 assert step.cost.reductions == orthos[0].cost.reductions
 
     def test_info_trace_summary(self, rng):
-        res, root, _ = self._solve("gmres", "fused", rng)
+        res, root, _ = self._solve("gmres", rng)
         trace_info = res.info["trace"]
         assert trace_info["level"] == "summary"
         assert trace_info["span"]["name"] == "solve"
@@ -614,24 +612,19 @@ class TestExports:
 
 # ---------------------------------------------------------------------------
 class TestTraceGate:
-    @pytest.mark.slow
-    def test_run_gate_passes(self):
+    def test_gate_shapes_single_mode(self, rng):
+        """The whole gate, on real solves (~1 s)."""
         report = run_gate()
         assert report["reductions_per_cycle"] == {
             "gmres": 10, "gcrodr": 12,
             "gcrodr_sketched_recycle": "steps + 1"}
-        for mode in ("fused", "per_rank"):
-            assert report[mode]["gmres"]["full_cycles"] >= 1
-            assert report[mode]["gcrodr"]["full_cycles"] >= 1
-            assert report[mode]["cgs2_1r_bound"]["max_reductions_per_step"] <= 2
-            for shape in report[mode]["sketched_recycle"].values():
-                assert shape["overhead_per_cycle"] <= 1
-
-    def test_gate_shapes_single_mode(self, rng):
-        """The fast (tier-1) version: one exec mode, real solves."""
-        report = run_gate(exec_modes=("fused",))
-        assert report["fused"]["gmres"]["reductions_per_full_cycle"] == 10
-        assert report["fused"]["gcrodr"]["reductions_per_full_cycle"] == 12
+        assert report["gmres"]["reductions_per_full_cycle"] == 10
+        assert report["gcrodr"]["reductions_per_full_cycle"] == 12
+        assert report["gmres"]["full_cycles"] >= 1
+        assert report["gcrodr"]["full_cycles"] >= 1
+        assert report["cgs2_1r_bound"]["max_reductions_per_step"] <= 2
+        for shape in report["sketched_recycle"].values():
+            assert shape["overhead_per_cycle"] <= 1
 
     def _fake_cycle(self, tr, led, nsteps, reds_per_step, name="cycle",
                     **attrs):

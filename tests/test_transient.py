@@ -31,7 +31,7 @@ from repro.trace.gate import GateError, check_sequence_shape
 from repro.trace.tracer import Tracer, install
 from repro.util import ledger
 from repro.util.ledger import CostLedger
-from repro.util.options import OptionError, Options, parse_hpddm_args
+from repro.util.options import Options, parse_hpddm_args
 
 
 def seq_options(**over) -> Options:
@@ -142,22 +142,6 @@ def test_sequence_driver_sync_async_parity():
         its[cls.__name__] = [r["iterations"] for r in records]
         assert {r["batch_width"] for r in records} == {2}  # coalesced
     assert its["SolveService"] == its["AsyncSolveService"]
-
-
-def test_sequence_driver_shifted_mode_matches_operator_mode():
-    fields = {}
-    for mode in ("operator", "shifted"):
-        seq = HeatSequence(nx=7, n_steps=6, dt0=1e-3, epoch_length=3,
-                           growth=1.5)
-        _, (handle,), records = drive(seq, sequence_mode=mode)
-        assert handle.all_converged
-        fields[mode] = handle.u
-        if mode == "shifted":
-            # the family base never changes: no adoption, one fp
-            assert all(not r["adopted_kinds"] for r in records)
-            assert len({r["fingerprint"] for r in records}) == 1
-    diff = np.linalg.norm(fields["shifted"] - fields["operator"])
-    assert diff < 1e-6 * max(np.linalg.norm(fields["operator"]), 1.0)
 
 
 def test_sequence_driver_warm_start_converges_to_same_field():
@@ -524,16 +508,14 @@ def test_shape_accepts_well_formed_tree():
 
 # -- options plumbing --------------------------------------------------
 def test_sequence_options_validate_and_roundtrip():
-    opts = seq_options(sequence_mode="shifted", sequence_adopt=False,
-                       sequence_warm_start=True)
+    opts = seq_options(sequence_adopt=False, sequence_warm_start=True)
     args = opts.hpddm_args()
     joined = " ".join(args)
-    assert "-hpddm_sequence_mode shifted" in joined
     assert "-hpddm_sequence_adopt false" in joined
     assert "-hpddm_sequence_warm_start" in joined
     parsed = parse_hpddm_args(args)
-    assert parsed.sequence_mode == "shifted"
     assert parsed.sequence_adopt is False
     assert parsed.sequence_warm_start is True
-    with pytest.raises(OptionError):
-        Options(sequence_mode="interpolated").validate()
+    # the mode switch is gone: its flag is one the parser does not know
+    assert parse_hpddm_args(["-hpddm_sequence_mode", "shifted"]).extra \
+        == {"sequence_mode": "shifted"}

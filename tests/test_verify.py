@@ -9,11 +9,9 @@ from repro.distla.distqr import distributed_cholqr, distributed_tsqr
 from repro.distla.distvec import DistributedBlockVector
 from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
-from repro.util.execmode import exec_mode
 from repro.util.options import parse_hpddm_args
 from repro.verify import (NULL_CHECKER, InvariantChecker, InvariantViolation,
-                          activate, checker_for, cross_check_exec_modes,
-                          current)
+                          activate, checker_for, current)
 
 from conftest import laplacian_1d, make_rng
 
@@ -257,25 +255,3 @@ class TestSolveIntegration:
             chk.check_final_residual(a, rng.standard_normal((100, 1)), b,
                                      np.array([1e-10]), 1e-8,
                                      converged=np.array([True]))
-
-
-class TestCrossCheck:
-
-    def test_solve_conserved_across_exec_modes(self):
-        a = laplacian_1d(80, shift=0.3)
-        b = make_rng(3).standard_normal((80, 2))
-        o = Options(krylov_method="gmres", tol=1e-8)
-        chk = InvariantChecker("full", raise_on_violation=False)
-        rf, rp = cross_check_exec_modes(
-            lambda: solve(a, b, options=o), checker=chk,
-            extract=lambda r: np.asarray(r.x), what="gmres solve")
-        assert not chk.report()["violations"]
-        assert np.allclose(np.asarray(rf.x), np.asarray(rp.x))
-
-    def test_detects_mode_dependent_results(self):
-        chk = InvariantChecker("full", raise_on_violation=False)
-        cross_check_exec_modes(
-            lambda: np.ones(3) if exec_mode() == "fused" else np.zeros(3),
-            checker=chk, what="divergent workload")
-        names = [v["name"] for v in chk.report()["violations"]]
-        assert "exec_mode_numerics" in names
