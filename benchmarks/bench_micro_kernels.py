@@ -26,12 +26,9 @@ orthogonalization engine meets its budget (CGS2-1r: <= 2 reductions per
 Arnoldi step on the 40-block p=8 basis, where MGS pays 321, at equal final
 orthogonality; its wall-clock ratio over MGS is recorded and held to the
 previous trajectory entry by ``scripts/bench_compare.py``, not to an
-absolute floor — it reads 1.2-1.8x on an untouched checkout), AND the
-execution-plan compiler honors its
-oracle contract (bit-identical counts and iterates vs the interpreter;
-its wall-clock ratio is recorded, not gated), AND sketch-whitened
-recycled-pair maintenance beats the full-space re-derivation by >= 1.5x
-modeled time with zero maintenance reductions per cycle and equal solve
+absolute floor — it reads 1.2-1.8x on an untouched checkout), AND
+sketch-whitened recycled-pair maintenance beats the full-space
+re-derivation by >= 1.5x modeled time with zero maintenance reductions per cycle and equal solve
 convergence, AND the blocked triangular sweep needs at most a quarter of
 the row levels on the global LU factor while storing at most 1.25 nnz, AND
 the BLAS pseudo-block projector cores beat their einsum oracle by >= 2x, AND
@@ -270,54 +267,6 @@ def bench_orthogonalization(cfg: dict) -> dict:
         }
     for scheme, row in out.items():
         row["speedup_over_mgs"] = out["mgs"]["seconds"] / row["seconds"]
-    return out
-
-
-def bench_plan(cfg: dict) -> dict:
-    """Execution-plan compiler vs the interpreted cycle (the PR-6 gate).
-
-    Runs the full 40-step p=8 block-Arnoldi cycle — the Krylov hot path —
-    with the operator as a fused-mode :class:`DistributedCSR` SpMM at
-    nranks=64, in both ``-hpddm_plan`` modes.  The compiled mode must charge
-    a bit-identical ledger and produce bitwise-equal iterates (the oracle
-    contract, the hard gate).  Both modes run over the same basis arena, so
-    the compiled mode's remaining wall-clock edge is per-call ledger charge
-    re-derivation (pre-bound :class:`~repro.plan.ir.NodeCost` tables
-    instead); ``seconds_*`` and their ratio are informational.
-    """
-    from repro.krylov.cycle import block_arnoldi_cycle
-    from repro.la.orthogonalization import householder_qr
-    from repro.util import ledger as ledger_mod
-
-    a = laplacian_2d(cfg["grid"])
-    n, p = a.shape[0], cfg["p"]
-    steps = cfg["ortho_blocks"]
-    grid = VirtualGrid(n, 64)
-    dcsr = DistributedCSR(a, grid)
-    rng = np.random.default_rng(20260705)
-    v1, s1 = householder_qr(rng.standard_normal((n, p)))
-
-    def cycle(plan):
-        with use_exec_mode("fused"), ledger_mod.install() as led:
-            st = block_arnoldi_cycle(
-                dcsr.matmat, lambda v: v, v1.copy(), s1.copy(),
-                max_steps=steps, ortho="cgs2_1r", identity_m=True, plan=plan)
-        return st, led
-
-    st_i, led_i = cycle("interpret")
-    st_c, led_c = cycle("compiled")
-    out = {
-        "problem": {"n": n, "p": p, "steps": steps, "nranks": 64,
-                    "ortho": "cgs2_1r"},
-        "counts_identical": led_i.counts() == led_c.counts(),
-        "iterates_identical": bool(
-            np.array_equal(st_i.v_stack(), st_c.v_stack())
-            and np.array_equal(st_i.hqr.g, st_c.hqr.g)),
-        "optimizer": dict(st_c.plan_stats or {}),
-    }
-    for plan in ("interpret", "compiled"):
-        out[f"seconds_{plan}"] = _time(lambda: cycle(plan), cfg["repeats"])
-    out["speedup_compiled"] = out["seconds_interpret"] / out["seconds_compiled"]
     return out
 
 
@@ -606,7 +555,6 @@ def speedups(rows: list[dict]) -> dict[str, dict[str, float]]:
 def run(cfg: dict, out_path: Path | None) -> dict:
     rows = bench_kernels(cfg)
     ortho = bench_orthogonalization(cfg)
-    plan = bench_plan(cfg)
     recycling = bench_recycling(cfg)
     sched_rows, sched_sweep = bench_level_schedule(cfg)
     deflation = bench_deflation(cfg)
@@ -627,7 +575,6 @@ def run(cfg: dict, out_path: Path | None) -> dict:
                         "blocks": cfg["ortho_blocks"]},
             "schemes": ortho,
         },
-        "plan": plan,
         "recycling": recycling,
         "level_schedule": {
             "results": sched_rows,
@@ -668,22 +615,6 @@ def print_report(report: dict) -> None:
                   f"{row['speedup_over_mgs']:>7.1f}x "
                   f"{row['reductions_per_step_max']:>10d} "
                   f"{row['loss_of_orthogonality']:>10.1e}")
-    plan = report.get("plan")
-    if plan:
-        prob = plan["problem"]
-        stats = plan.get("optimizer", {})
-        print(f"\n# execution plan: {prob['steps']}-step p={prob['p']} "
-              f"{prob['ortho']} cycle, n={prob['n']}, nranks={prob['nranks']}")
-        print(f"{'mode':>10} {'seconds':>12}   counts_identical="
-              f"{plan['counts_identical']} iterates_identical="
-              f"{plan['iterates_identical']}")
-        print(f"{'interpret':>10} {plan['seconds_interpret']:>12.3e}")
-        print(f"{'compiled':>10} {plan['seconds_compiled']:>12.3e} "
-              f"{plan['speedup_compiled']:>7.2f}x  "
-              f"(hoisted={stats.get('hoisted', 0)} "
-              f"fused={stats.get('fused', 0)} "
-              f"batched={stats.get('batched', 0)} "
-              f"prebound={stats.get('prebound', 0)})")
     rec = report.get("recycling")
     if rec:
         prob = rec["problem"]
@@ -770,21 +701,19 @@ def check_gate(report: dict) -> list[str]:
        40-block p=8 basis in <= 2 reductions per step at every depth
        (MGS: 321 at the last), at equivalent final orthogonality — counts;
        the wall ratio over MGS is a trajectory ``ratio`` metric;
-    3. the plan compiler's oracle contract (its wall-clock ratio is
-       informational: the interpreter shares the compiled path's arena);
-    4. sketched recycling: pair maintenance >= 1.5x modeled speedup with
+    3. sketched recycling: pair maintenance >= 1.5x modeled speedup with
        at most one (in practice zero) maintenance reduction per cycle,
        equal solve convergence, O(1) per-cycle solve overhead;
-    5. the blocked triangular sweep: at most a quarter of the row levels
+    4. the blocked triangular sweep: at most a quarter of the row levels
        on the global LU factor, stored entries within 1.25 nnz on both
        factor shapes (counts, not timers);
-    6. the pseudo-block projector: the BLAS ``cgs2_1r`` core >= 2x its
+    5. the pseudo-block projector: the BLAS ``cgs2_1r`` core >= 2x its
        einsum oracle at n = 4096, p = 4, depth 25 (a stride ``np.matmul``
        cannot hand to BLAS falls back to a scalar loop *silently* and
        reads ~1x), with equal remainders;
-    7. the AMG kernels against their first formulations: one V-cycle
+    6. the AMG kernels against their first formulations: one V-cycle
        >= 1.2x, one set-up >= 2x, same ``apply`` bytes, same hierarchy;
-    8. the ``p = 1`` Hessenberg update: Givens rotations >= 3x the 2 x 2
+    7. the ``p = 1`` Hessenberg update: Givens rotations >= 3x the 2 x 2
        panels over 30 columns, same solution (1e-12), same ledger charge.
     """
     failures = []
@@ -865,16 +794,6 @@ def check_gate(report: dict) -> list[str]:
         failures.append("cholqr2: reduction budget exceeded")
     if ortho["sketched"]["reductions_per_step_max"] > 1:
         failures.append("sketched: reduction budget exceeded")
-    plan = report.get("plan")
-    if not plan:
-        failures.append("plan: no measurements")
-        return failures
-    if not plan["counts_identical"]:
-        failures.append("plan: compiled ledger counts diverge from the "
-                        "interpreter (oracle contract broken)")
-    if not plan["iterates_identical"]:
-        failures.append("plan: compiled iterates diverge bitwise from the "
-                        "interpreter (oracle contract broken)")
     rec = report.get("recycling")
     if not rec:
         failures.append("recycling: no measurements")

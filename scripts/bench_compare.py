@@ -24,8 +24,8 @@ Metric kinds and their tolerances:
   orthogonalization step, setup builds per coalesced batch, sweep steps of
   the blocked triangular solve on the global LU factor, flops one deflation
   extraction or one AMG V-cycle is charged).  Compared exactly.
-* ``info`` — recorded in the trajectory, never gated (the compiled-over-
-  interpret wall ratio: both run over the same basis arena).
+* ``info`` — recorded in the trajectory, never gated (the wall µs per
+  request of the traffic replay, which ``scripts/ci.py`` adds).
 
 A metric the baseline entry has and the current run lacks fails the
 comparison unless it is listed, with its reason, in ``RETIRED``: a gate
@@ -63,6 +63,14 @@ RETIRED = {
     "transient_cache_recycle_shifted_time_per_sim_second":
         "the sequence_mode='shifted' rung lost to doing nothing (0.793 vs "
         "0.577 modeled s / simulated s for no_reuse) and left with the option",
+    **dict.fromkeys(
+        ("plan_compiled_speedup", "plan_oracle_identical",
+         "plan_optimizer_fused"),
+        "the plan compiler was deleted: compiled / interpret read 0.947, "
+        "1.277 and 0.877 in three records and 0.96 / 1.005 / 1.03 on whole "
+        "solves (96^2 Laplacian, restart 40 / recycle 10, bgcrodr cgs2_1r "
+        "p = 8, gcrodr cgs2_1r p = 4, bgcrodr cholqr2 p = 8) at identical "
+        "iterations and reductions — no edge outside noise for 1 230 lines"),
 }
 
 
@@ -139,14 +147,6 @@ def extract_metrics(kernels: dict, service: dict,
     m["hessenberg_p1_speedup_over_panels"] = {
         "value": float(kernels["hessenberg_p1"]["speedup_over_reference"]),
         "kind": "ratio"}
-    plan = kernels["plan"]
-    m["plan_compiled_speedup"] = {
-        "value": float(plan["speedup_compiled"]), "kind": "info"}
-    m["plan_oracle_identical"] = {
-        "value": int(plan["counts_identical"] and plan["iterates_identical"]),
-        "kind": "exact"}
-    m["plan_optimizer_fused"] = {
-        "value": int(plan["optimizer"]["fused"]), "kind": "exact"}
     rec = kernels["recycling"]
     # ledger-derived through the performance model: deterministic for a
     # fixed config, like the service metrics
@@ -273,9 +273,6 @@ def bootstrap_floors(current: dict[str, dict]) -> list[str]:
                         ("hessenberg_p1_speedup_over_panels", 3.0)):
         if current[name]["value"] < floor:
             failures.append(f"{name} < {floor}")
-    if current["plan_oracle_identical"]["value"] != 1:
-        failures.append("plan_oracle_identical != 1 (compiled plan broke "
-                        "the bit-identity contract)")
     if current["recycle_modeled_speedup_sketched"]["value"] < 1.5:
         failures.append("recycle_modeled_speedup_sketched < 1.5")
     if current["recycle_reductions_per_cycle_sketched"]["value"] > 1.0:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Staged CI runner — the single entry point behind ``scripts/check.sh``.
+"""Staged CI runner — the single entry point (``python scripts/ci.py``).
 
 Stages, in order:
 
@@ -10,9 +10,6 @@ lint             ``scripts/lint_repro.py`` (determinism lint)         yes
 tier1            ``pytest -x -q`` (the tier-1 suite)                  yes
 slow             ``pytest -x -q -m slow`` (full conformance matrix)   no
 coverage         ``scripts/coverage_floor.py``                        no
-plan-equivalence compiled-vs-interpret execution plans: bit-identical yes
-                 ledger counts and iterates over representative
-                 solves (``cross_check_plan_modes``)
 perf-gates       quick microkernel + service + traffic benches     yes
                  with ``--check``, then ``scripts/bench_compare.py``
                  on their output (regression vs the bench
@@ -78,12 +75,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUMMARY = os.path.join(ROOT, "ci_summary.json")
 TRAJECTORY = os.path.join(ROOT, "benchmarks", "results",
                           "BENCH_trajectory.json")
-FAST_STAGES = ("lint", "tier1", "plan-equivalence", "perf-gates",
-               "traffic", "macro-gates", "e2e-selftest", "trace-gate",
-               "determinism")
-ALL_STAGES = ("lint", "tier1", "slow", "coverage", "plan-equivalence",
-              "perf-gates", "traffic", "macro-gates", "e2e-selftest",
-              "trace-gate", "determinism")
+FAST_STAGES = ("lint", "tier1", "perf-gates", "traffic", "macro-gates",
+               "e2e-selftest", "trace-gate", "determinism")
+ALL_STAGES = ("lint", "tier1", "slow", "coverage", "perf-gates", "traffic",
+              "macro-gates", "e2e-selftest", "trace-gate", "determinism")
 #: stages retried once on failure (shell out to bench subprocesses)
 BENCH_GATE_STAGES = ("perf-gates", "macro-gates")
 
@@ -168,59 +163,6 @@ def stage_slow() -> dict:
 def stage_coverage() -> dict:
     return _run([sys.executable, os.path.join(ROOT, "scripts",
                                               "coverage_floor.py")])
-
-
-def stage_plan_equivalence() -> dict:
-    """Compiled plans must be bit-identical twins of the interpreter.
-
-    Runs one representative solve per compiled surface — the block cycle
-    (bgmres), the recycled block cycle (gcrodr p>1), the pseudo-block
-    column path (gmres) and the GMRES-DR arena — under both
-    ``-hpddm_plan`` modes and asserts identical ``CostLedger.counts()``
-    and bitwise-equal solutions via ``cross_check_plan_modes`` (which
-    raises on any divergence).
-    """
-    import numpy as np
-    import scipy.sparse as sp
-
-    from repro import api
-    from repro.util import ledger
-    from repro.util.ledger import CostLedger
-    from repro.util.options import Options
-    from repro.verify import cross_check_plan_modes
-
-    n = 200
-    rng = np.random.default_rng(17)
-    a = sp.diags([-1.4 * np.ones(n - 1), 4.0 * np.ones(n),
-                  -0.6 * np.ones(n - 1)], [-1, 0, 1]).tocsr()
-    m = sp.diags(1.0 / a.diagonal()).tocsr()
-    workloads = {
-        "bgmres/cgs2_1r": (Options(krylov_method="bgmres",
-                                   orthogonalization="cgs2_1r",
-                                   gmres_restart=20), 3),
-        "gcrodr/sketched": (Options(krylov_method="gcrodr", recycle=5,
-                                    orthogonalization="sketched",
-                                    gmres_restart=20), 3),
-        "gmres/cholqr2": (Options(krylov_method="gmres",
-                                  orthogonalization="cholqr2",
-                                  gmres_restart=20), 2),
-        "gmresdr/cgs2_1r": (Options(krylov_method="gmresdr", recycle=5,
-                                    orthogonalization="cgs2_1r",
-                                    gmres_restart=20), 1),
-    }
-    outer = CostLedger()
-    for what, (opts, p) in workloads.items():
-        b = np.random.default_rng(3).standard_normal((n, p))
-
-        def run(plan, opts=opts, b=b):
-            res = api.solve(a, b, m, options=opts.replace(plan=plan))
-            outer.merge(ledger.current())
-            return res
-
-        cross_check_plan_modes(run, extract=lambda r: np.asarray(r.x),
-                               what=what)
-        print(f"plan-equivalence: {what}: counts + iterates bit-identical")
-    return {"ok": True, "modeled_seconds": _modeled_seconds(outer)}
 
 
 def stage_perf_gates() -> dict:
@@ -467,7 +409,6 @@ STAGES = {
     "tier1": stage_tier1,
     "slow": stage_slow,
     "coverage": stage_coverage,
-    "plan-equivalence": stage_plan_equivalence,
     "perf-gates": stage_perf_gates,
     "traffic": stage_traffic,
     "macro-gates": stage_macro_gates,

@@ -24,15 +24,14 @@ trace/bench gates rely on:
     ledger charge in the same function.  Distributed-array ops are the
     costs the paper counts; silent ones undermine every gate downstream.
 
-``plan-ledger``
-    direct ledger-charging calls (``.flop`` / ``.reduction`` / ``.p2p``
-    / ``.event``) anywhere in ``src/repro/plan/`` outside ``ir.py``.
-    Plan-node bodies must charge exclusively through their pre-bound
-    :class:`NodeCost` specs (built from the ``CostTable`` at lowering
-    time) so the optimizer's charge-conservation proof and the
-    interpreter-oracle bit-identity contract stay airtight; a body that
-    reaches for the ledger directly re-derives costs at run time and
-    silently escapes both.
+``plan-residue``
+    a module under ``src/repro/plan/`` that binds anything but the two
+    names ``benchmarks/e2e/tracing.py`` resolves there
+    (``make_pseudo_block_orthogonalizer``, ``compiled_block_arnoldi_cycle``),
+    or an import of ``repro.plan`` anywhere else in ``src/repro/``.  The
+    package is what is left of the deleted plan compiler; it may not grow
+    back, and nothing may come to depend on it before ROADMAP item 1a
+    deletes the directory.  No allow-list entry.
 
 ``einsum-3d``
     ``np.einsum`` with an operand of three or more indices in
@@ -113,12 +112,10 @@ SCANNED_DIRS = ("src", "tests", "benchmarks")
 CLOCK_EXEMPT = (os.path.join("src", "repro", "util", "ledger.py"),)
 CLOCK_EXEMPT_DIRS = ("benchmarks" + os.sep, "scripts" + os.sep)
 
-#: ledger primitives a plan-node body may NOT call directly — charging
-#: must flow through the pre-bound NodeCost specs built at lowering time
-PLAN_CHARGE_ATTRS = {"flop", "reduction", "p2p", "event"}
+#: what is left of the plan compiler, and the only names it may bind
 PLAN_DIR = os.path.join("src", "repro", "plan") + os.sep
-#: ir.py hosts ChargeSpec.charge itself — the one sanctioned ledger caller
-PLAN_EXEMPT = (os.path.join("src", "repro", "plan", "ir.py"),)
+PLAN_RESIDUE = {"make_pseudo_block_orthogonalizer",
+                "compiled_block_arnoldi_cycle", "__all__"}
 #: where an einsum over a 3-D (basis tensor) operand may not come back
 EINSUM_DIRS = (os.path.join("src", "repro", "la") + os.sep,
                os.path.join("src", "repro", "krylov") + os.sep)
@@ -153,7 +150,7 @@ class _Visitor(ast.NodeVisitor):
         self.lines = source_lines
         self.findings: list[tuple[str, int, str]] = []
         self.in_distla = os.path.join("src", "repro", "distla") in rel
-        self.in_plan = rel.startswith(PLAN_DIR) and rel not in PLAN_EXEMPT
+        self.in_plan = rel.startswith(PLAN_DIR)
         self.in_einsum_dirs = rel.startswith(EINSUM_DIRS)
         self.in_restart_scope = rel.startswith(KRYLOV_DIR) \
             and rel != RESTART_HOME
@@ -192,13 +189,6 @@ class _Visitor(ast.NodeVisitor):
                 self._flag("wall-clock", node,
                            f"{name}() outside util/ledger.py — wall clock "
                            f"breaks determinism and trace replay")
-        if self.in_plan and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in PLAN_CHARGE_ATTRS:
-            self._flag("plan-ledger", node,
-                       f"direct ledger call {name}() in plan code — "
-                       f"plan nodes must charge only through their "
-                       f"pre-bound NodeCost specs (CostTable at lowering "
-                       f"time)")
         if self.in_superlu_scope and tail in ("splu", "spilu"):
             self._flag("bare-splu", node,
                        f"{name}() outside direct/solver.py — factor through "
@@ -240,11 +230,37 @@ class _Visitor(ast.NodeVisitor):
                            "RestartedSolve.restart_residual")
         self.generic_visit(node)
 
-    # -- execmode-substrate ---------------------------------------------
+    # -- plan-residue -----------------------------------------------------
+    def visit_Module(self, node: ast.Module) -> None:
+        for stmt in node.body if self.in_plan else ():
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound = [a.asname or a.name.split(".")[0] for a in stmt.names]
+            elif isinstance(stmt, ast.Assign):
+                bound = [_dotted(tgt) for tgt in stmt.targets]
+            elif isinstance(stmt, ast.Expr) \
+                    and isinstance(stmt.value, ast.Constant):
+                continue                                    # the docstring
+            else:
+                bound = [getattr(stmt, "name", type(stmt).__name__)]
+            for name in bound:
+                if name not in PLAN_RESIDUE:
+                    self._flag("plan-residue", stmt,
+                               f"src/repro/plan/ binds {name!r} — the package "
+                               f"is the benchmark's two names and goes with "
+                               f"ROADMAP item 1a; new code belongs elsewhere")
+        self.generic_visit(node)
+
+    # -- execmode-substrate, plan-residue (the import side) ---------------
     def _visit_import(self, node: ast.Import | ast.ImportFrom) -> None:
         names = [alias.name for alias in node.names]
         if isinstance(node, ast.ImportFrom):
             names = [f"{node.module or ''}.{name}" for name in names]
+        if self.rel.startswith(SRC_DIR) and not self.in_plan and any(
+                "plan" in name.split(".") for name in names):
+            self._flag("plan-residue", node,
+                       "repro.plan imported from src/repro/ — the package is "
+                       "a benchmark-only residue; import "
+                       "la.orthogonalization / krylov.cycle directly")
         if self.in_execmode_scope and any(
                 "execmode" in name.split(".") for name in names):
             self._flag("execmode-substrate", node,

@@ -32,7 +32,7 @@ from .krylov.shifted import (ShiftedFamilyResult, shifted_matrix,
 from .service.cache import SetupCache
 from .service.fingerprint import operator_fingerprint
 from .util import ledger
-from .util.misc import as_block
+from .util.misc import as_block, invalid_input
 from .util.options import OptionError, Options
 from . import trace, verify
 
@@ -70,6 +70,9 @@ def solve(a, b, m=None, *, options: Options | None = None,
     True
     """
     options = options or Options()
+    problem = invalid_input(np.shape(a)[0], b, x0)
+    if problem is not None:
+        raise ValueError(problem)
     if shifts is not None:
         if m is not None:
             raise OptionError(

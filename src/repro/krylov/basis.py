@@ -1,7 +1,6 @@
 """Single-allocation basis stores for the Krylov hot loops.
 
-Every Arnoldi cycle — interpreted or compiled, block or pseudo-block —
-keeps its basis in one preallocated slab and hands out *views*: advancing a
+Every Arnoldi cycle — block or pseudo-block — keeps its basis in one preallocated slab and hands out *views*: advancing a
 step is a pointer bump, and the stacked basis the orthogonalization kernels
 project against is a zero-copy slice, never an ``np.concatenate``.
 

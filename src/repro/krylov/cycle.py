@@ -81,7 +81,6 @@ class CycleState:
     steps: int = 0
     breakdown: bool = False
     converged_early: bool = False
-    plan_stats: dict | None = None        # optimizer counters (compiled only)
     e0: np.ndarray | None = None          # C^H v1 seed projection (low-sync)
     sketch: object | None = None          # SketchState (sketched scheme only)
 
@@ -114,7 +113,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
                         history: ConvergenceHistory | None = None,
                         identity_m: bool = False,
                         iteration_budget: int | None = None,
-                        plan: str = "interpret",
                         sck: np.ndarray | None = None,
                         arena: BasisArena | None = None,
                         ) -> CycleState:
@@ -139,10 +137,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
         optional convergence history to append per-iteration tail norms to.
     iteration_budget:
         remaining global iteration allowance (max_it enforcement).
-    plan:
-        ``"interpret"`` runs this loop; ``"compiled"`` lowers it to an
-        execution plan (``repro.plan``, low-synchronization schemes only)
-        with bit-identical counts and iterates.
     sck:
         pre-sketched recycled space ``S C_k`` maintained by the sketched
         recycler (``recycle_space="sketched"`` only).  When supplied, the
@@ -158,13 +152,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
     k = ck.shape[1] if ck is not None else 0
     if arena is None:
         arena = BasisArena(n, p, k, max_steps, dtype, identity_m=identity_m)
-    if plan == "compiled" and ortho in LOW_SYNC_SCHEMES:
-        from ..plan.block_cycle import compiled_block_arnoldi_cycle
-        return compiled_block_arnoldi_cycle(
-            op_apply, inner_m, v1, s1, max_steps=max_steps, ck=ck,
-            ortho=ortho, qr_scheme=qr_scheme, deflation_tol=deflation_tol,
-            targets=targets, history=history, identity_m=identity_m,
-            iteration_budget=iteration_budget, sck=sck, arena=arena)
     led = ledger.current()
     tr = trace.current()
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..la.dense import hessenberg_harmonic_lhs, invariant_subspace
-from ..la.orthogonalization import SCHEMES
-from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
+from ..la.orthogonalization import (SCHEMES,
+                                    make_pseudo_block_orthogonalizer)
 from ..util.ledger import Kernel
 from ..util.misc import column_norms
 from ..util.options import Options
@@ -94,8 +94,7 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
 
         # ---- (augmented) Arnoldi from column `start` to m ----------------
         orth = make_pseudo_block_orthogonalizer(
-            scheme, plan=options.plan, n=n, p=1, dtype=dtype,
-            max_cols=m_dim + 1)
+            scheme, n=n, p=1, dtype=dtype, max_cols=m_dim + 1)
         # transposed-basis arena: each committed column is written once and
         # the per-step (j+1, n, 1) basis is a contiguous prefix view
         varena = TransposedBasisArena(m_dim + 1, n, dtype)

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..la.blockqr import BlockHessenbergQR
-from ..la.orthogonalization import pseudo_block_tensor
-from ..plan.pseudoblock import make_pseudo_block_orthogonalizer
+from ..la.orthogonalization import (make_pseudo_block_orthogonalizer,
+                                    pseudo_block_tensor)
 from ..util.ledger import Kernel
 from ..util.misc import column_norms
 from ..util.options import Options
@@ -170,8 +170,8 @@ class _PseudoBlockCycle:
             led.flop(Kernel.BLAS3, 4.0 * n * kmax * p)
             led.reduction(nbytes=p * kmax * v.itemsize)
         self.orth = make_pseudo_block_orthogonalizer(
-            options.orthogonalization, plan=options.plan, n=n, p=p,
-            dtype=dtype, max_cols=steps + 1)
+            options.orthogonalization, n=n, p=p, dtype=dtype,
+            max_cols=steps + 1)
         self.orth.begin(v[:1])
 
     def arnoldi(self) -> None:

@@ -97,7 +97,7 @@ class RestartLoop:
                 ortho=o.orthogonalization, qr_scheme=o.qr,
                 deflation_tol=o.deflation_tol, targets=self.targets,
                 history=self.history, identity_m=self.identity_m,
-                iteration_budget=self.budget, plan=o.plan, arena=arena,
+                iteration_budget=self.budget, arena=arena,
                 sck=sck)
         self.total_it += state.steps
         self.cycles += 1

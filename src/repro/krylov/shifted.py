@@ -45,7 +45,7 @@ reduction-count table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,7 +69,6 @@ __all__ = [
     "solve_shifted_family",
     "sequential_shifted_solves",
     "shifted_matrix",
-    "family_update_charges",
 ]
 
 
@@ -195,61 +194,8 @@ def _x0_column(x0, i: int, squeeze: bool):
 
 
 # ---------------------------------------------------------------------------
-# charge formulas — the single source both the interpreter and the compiled
-# plan lowering (src/repro/plan/shifted.py) evaluate, so counts() is
-# bit-identical across plan modes by construction.
-# ---------------------------------------------------------------------------
-
-def family_update_charges(*, n: int, nshifts: int, steps: int, kblk: int,
-                          kr: int, rows: int, itemsize: int
-                          ) -> tuple[list[tuple[Any, float]], list[int]]:
-    """Ledger charges of one family update (post-cycle work).
-
-    Returns ``(flops, reductions)`` where ``flops`` is a list of
-    ``(Kernel, count)`` pairs and ``reductions`` a list of payload byte
-    counts (one fused reduction each).  Everything except the recycled
-    variant's single fused Gram and the final stacked residual norm is
-    communication-free — note no term scales the *reduction* list by
-    ``nshifts``.
-    """
-    cols = steps * kblk
-    flops: list[tuple[Any, float]] = []
-    reductions: list[int] = []
-    if kr:
-        # one fused Gram [C|U]^H [U|V_{j+1}] — the only extra reduction
-        flops.append((Kernel.BLAS3, 2.0 * n * (2 * kr) * (kr + rows)))
-        reductions.append((2 * kr) * (kr + rows) * itemsize)
-        dim = 2 * kr + rows
-        zdim = kr + cols
-        # Cholesky of the W-metric, shared by every shift
-        flops.append((Kernel.FACTORIZATION, dim ** 3 / 3.0))
-        # per-shift whitened LS: F = L^H T_sigma, rhs = L^H rho, dense QR
-        flops.append((Kernel.BLAS3, nshifts * 2.0 * dim * dim * (zdim + 1)))
-        flops.append((Kernel.QR, nshifts * 4.0 * dim * zdim ** 2))
-        # X += U A + Z Y
-        flops.append((Kernel.BLAS3, 2.0 * n * zdim * nshifts))
-    else:
-        # per-shift incremental QR of H-bar + sigma E-bar (block Givens)
-        flops.append((Kernel.BLAS3,
-                      nshifts * (steps * (steps - 1) / 2.0 + steps)
-                      * 2.0 * (2 * kblk) ** 2 * kblk))
-        flops.append((Kernel.QR, nshifts * steps * 16.0 * kblk ** 3))
-        # per-shift triangular solve
-        flops.append((Kernel.BLAS2, nshifts * 1.0 * cols ** 2))
-        # X += Z Y
-        flops.append((Kernel.BLAS3, 2.0 * n * cols * nshifts))
-    # explicit restart residuals: ONE stacked SpMM (charged by the
-    # operator itself) + the column-wise sigma_i x_i axpy
-    flops.append((Kernel.BLAS1, 3.0 * n * nshifts))
-    # one fused norm reduction over all k shift residuals
-    reductions.append(nshifts * 8)
-    return flops, reductions
-
-
-# ---------------------------------------------------------------------------
-# silent math cores — shared verbatim by the interpreter and the compiled
-# plan's node bodies; they never touch the ledger (charges flow through
-# family_update_charges / the pre-bound NodeCosts).
+# per-shift dense cores: redundant local work that never touches the ledger
+# (the family update charges each phase as one total, beside the call)
 # ---------------------------------------------------------------------------
 
 def _per_shift_ls(hbar: np.ndarray, s1_col: np.ndarray, sigma,
@@ -340,138 +286,78 @@ def _per_shift_augmented_ls(lfac: np.ndarray, hbar: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# family update context — one restart's post-cycle work
+# family update — one restart's post-cycle work
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FamilyUpdateCtx:
-    """Inputs/outputs of one family update, shared by interpreter and plan.
-
-    The compiled lowering's node bodies operate on this object; the math
-    cores above keep both paths bit-identical in iterates, and
-    :func:`family_update_charges` keeps them bit-identical in counts.
-    """
-
-    op_apply: Callable[[np.ndarray], np.ndarray]
-    x: np.ndarray                 # n x k solutions, updated in place
-    b2: np.ndarray                # n x k (transformed) right-hand sides
-    sig: np.ndarray               # (k,) shifts
-    s1: np.ndarray                # kblk x kblk seed coefficients
-    hbar: np.ndarray              # ((j+1)kblk x j kblk) base Hessenberg
-    zstack: np.ndarray            # n x (j kblk) basis
-    steps: int
-    kblk: int
-    dtype: Any
-    # recycled (unprojected) variant only:
-    u_k: np.ndarray | None = None
-    c_k: np.ndarray | None = None
-    vfull: np.ndarray | None = None   # n x rows, V_{j+1}
-    # populated by the update:
-    g: np.ndarray | None = None
-    lfac: np.ndarray | None = None
-    ymat: np.ndarray | None = None
-    amat: np.ndarray | None = None
-    r: np.ndarray | None = None
-    rn: np.ndarray | None = None
-    tails: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def nshifts(self) -> int:
-        return int(self.sig.shape[0])
-
-    @property
-    def kr(self) -> int:
-        return 0 if self.u_k is None else int(self.u_k.shape[1])
-
-    @property
-    def rows(self) -> int:
-        return 0 if self.vfull is None else int(self.vfull.shape[1])
-
-    def charges(self) -> tuple[list[tuple[Any, float]], list[int]]:
-        return family_update_charges(
-            n=self.n, nshifts=self.nshifts, steps=self.steps,
-            kblk=self.kblk, kr=self.kr, rows=self.rows,
-            itemsize=np.dtype(self.dtype).itemsize)
-
-    # -- silent math steps (no ledger access) ---------------------------
-    def run_shared_ls(self) -> None:
-        ys = []
-        self.tails = []
-        for i in range(self.nshifts):
-            y, tails = _per_shift_ls(self.hbar, self.s1[:, i: i + 1],
-                                     self.sig[i], self.steps, self.kblk,
-                                     self.dtype)
-            ys.append(y[:, 0])
-            self.tails.append(tails)
-        self.ymat = np.column_stack(ys)
-        self.x += self.zstack @ self.ymat
-
-    def run_gram(self) -> None:
-        xg = np.concatenate([self.c_k, self.u_k], axis=1)
-        yg = np.concatenate([self.u_k, self.vfull], axis=1)
-        self.g = xg.conj().T @ yg
-
-    def run_metric(self) -> None:
-        gw = _assemble_metric(self.g, self.kr, self.rows, self.dtype)
-        self.lfac = _metric_factor(gw)
-
-    def run_recycled_ls(self) -> None:
-        ys, ams = [], []
-        self.tails = []
-        for i in range(self.nshifts):
-            a_i, y_i, res = _per_shift_augmented_ls(
-                self.lfac, self.hbar, self.s1[:, i: i + 1], self.sig[i],
-                self.steps, self.kblk, self.kr, self.rows, self.dtype)
-            ams.append(a_i[:, 0])
-            ys.append(y_i[:, 0])
-            self.tails.append(np.array([res]))
-        self.amat = np.column_stack(ams)
-        self.ymat = np.column_stack(ys)
-        self.x += self.u_k @ self.amat + self.zstack @ self.ymat
-
-    def run_residual(self) -> None:
-        # ONE stacked operator application covers every shift; the
-        # sigma_i x_i correction is column-wise local work.
-        ax = self.op_apply(self.x)
-        self.r = self.b2 - ax - self.x * self.sig[None, :]
-
-    def run_norms(self) -> None:
-        self.rn = column_norms(self.r)
-
-
-def _family_update(ctx: FamilyUpdateCtx, plan: str) -> None:
+def _family_update(op_apply, x, b2, sig, s1, hbar, zstack, steps: int, dtype,
+                   u_k, c_k, vfull):
     """Post-cycle family update: per-shift LS + X update + restart residual.
 
-    ``plan="compiled"`` lowers the same steps to pre-bound plan nodes
-    (:mod:`repro.plan.shifted`); both paths produce bit-identical iterates
-    and ledger counts.
+    Updates the ``n x k`` solutions ``x`` in place and returns ``(r, rn,
+    tails)``: the stacked restart residuals, their norms and every shift's
+    in-cycle LS residual history.  A non-empty pair ``(u_k, c_k)`` selects
+    the unprojected recycled variant, which also reads ``vfull``, the
+    ``n x rows`` ``V_{j+1}``.  Everything except that variant's single
+    fused Gram and the final stacked residual norm is communication-free —
+    no reduction scales with the number of shifts.
     """
-    if plan == "compiled":
-        from ..plan.shifted import compiled_family_update
-        compiled_family_update(ctx)
-        return
     led = ledger.current()
-    tr = trace.current()
-    flops, reductions = ctx.charges()
-    with tr.span("least_squares", shifts=ctx.nshifts,
-                 recycled=bool(ctx.kr)):
-        if ctx.kr:
-            ctx.run_gram()
-            ctx.run_metric()
-            ctx.run_recycled_ls()
-            led.reduction(nbytes=reductions[0])   # the fused family Gram
+    n, nshifts = x.shape
+    kblk = nshifts
+    cols = steps * kblk
+    kr = 0 if u_k is None else int(u_k.shape[1])
+    tails = []
+    with trace.current().span("least_squares", shifts=nshifts,
+                              recycled=bool(kr)):
+        if kr:
+            rows = int(vfull.shape[1])
+            dim, zdim = 2 * kr + rows, kr + cols
+            # one fused Gram [C|U]^H [U|V_{j+1}] — the only extra reduction
+            g = np.concatenate([c_k, u_k], axis=1).conj().T \
+                @ np.concatenate([u_k, vfull], axis=1)
+            led.reduction(nbytes=(2 * kr) * (kr + rows)
+                          * np.dtype(dtype).itemsize)
+            led.flop(Kernel.BLAS3, 2.0 * n * (2 * kr) * (kr + rows))
+            # Cholesky of the W-metric, shared by every shift
+            lfac = _metric_factor(_assemble_metric(g, kr, rows, dtype))
+            led.flop(Kernel.FACTORIZATION, dim ** 3 / 3.0)
+            ys, ams = [], []
+            for i in range(nshifts):
+                a_i, y_i, res = _per_shift_augmented_ls(
+                    lfac, hbar, s1[:, i: i + 1], sig[i], steps, kblk, kr,
+                    rows, dtype)
+                ams.append(a_i[:, 0])
+                ys.append(y_i[:, 0])
+                tails.append(np.array([res]))
+            # per-shift whitened LS: F = L^H T_sigma, rhs = L^H rho, dense QR
+            led.flop(Kernel.BLAS3, nshifts * 2.0 * dim * dim * (zdim + 1))
+            led.flop(Kernel.QR, nshifts * 4.0 * dim * zdim ** 2)
+            x += u_k @ np.column_stack(ams) + zstack @ np.column_stack(ys)
+            led.flop(Kernel.BLAS3, 2.0 * n * zdim * nshifts)
         else:
-            ctx.run_shared_ls()
-        for kernel, count in flops[:-1]:
-            led.flop(kernel, count)
-    ctx.run_residual()
-    led.flop(flops[-1][0], flops[-1][1])
-    ctx.run_norms()
-    led.reduction(nbytes=reductions[-1])
+            ys = []
+            for i in range(nshifts):
+                y, tail = _per_shift_ls(hbar, s1[:, i: i + 1], sig[i], steps,
+                                        kblk, dtype)
+                ys.append(y[:, 0])
+                tails.append(tail)
+            # per-shift incremental QR of H-bar + sigma E-bar (block Givens)
+            led.flop(Kernel.BLAS3,
+                     nshifts * (steps * (steps - 1) / 2.0 + steps)
+                     * 2.0 * (2 * kblk) ** 2 * kblk)
+            led.flop(Kernel.QR, nshifts * steps * 16.0 * kblk ** 3)
+            # per-shift triangular solve
+            led.flop(Kernel.BLAS2, nshifts * 1.0 * cols ** 2)
+            x += zstack @ np.column_stack(ys)
+            led.flop(Kernel.BLAS3, 2.0 * n * cols * nshifts)
+    # explicit restart residuals: ONE stacked operator application (charged
+    # by the operator itself) covers every shift; the sigma_i x_i correction
+    # is column-wise local work, and one fused reduction carries all k norms
+    r = b2 - op_apply(x) - x * sig[None, :]
+    led.flop(Kernel.BLAS1, 3.0 * n * nshifts)
+    rn = column_norms(r)
+    led.reduction(nbytes=nshifts * 8)
+    return r, rn, tails
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +452,9 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
             state, s1 = ran
             hbar = state.hqr.hessenberg()
             zstack = state.z_stack(state.steps)
-            ctx = FamilyUpdateCtx(
-                op_apply=op_apply, x=x, b2=b2, sig=sig,
-                s1=np.asarray(s1, dtype=dtype), hbar=hbar, zstack=zstack,
-                steps=state.steps, kblk=k, dtype=dtype,
-                u_k=u_k if have_space else None,
-                c_k=c_k if have_space else None,
-                vfull=state.v_stack() if have_space else None)
-            _family_update(ctx, options.plan)
-            loop.r, rn = ctx.r, ctx.rn
+            loop.r, rn, tails = _family_update(
+                op_apply, x, b2, sig, np.asarray(s1, dtype=dtype), hbar,
+                zstack, state.steps, dtype, u_k, c_k, state.v_stack())
             if recycled_mode and not have_space:
                 # harvest the recycle pair ONCE from this base-operator
                 # cycle; it is reused across every shift and every later
@@ -584,7 +464,7 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
                     state, zstack, kr_target, dtype, op_apply, options)
         loop.converged = rn <= targets
         for i in range(k):
-            for tail in ctx.tails[i]:
+            for tail in tails[i]:
                 histories[i].append(np.array([tail]))
             histories[i].records[-1] = rn[i: i + 1] / safe[i: i + 1]
     converged, total_it, cycles, breakdown_seen = \

@@ -99,8 +99,8 @@ class BlockHessenbergQR:
         ``h_col`` has shape ((j+2)p, p) where ``j = self.ncols`` is the number
         of previously processed columns.  Returns the per-column least-squares
         residual norms after including this column.  ``charge=False`` skips
-        the ledger flop accounting — used by the compiled plan path, whose
-        node replays the same total from a pre-bound table.
+        the ledger flop accounting — used by the shifted family update, which
+        charges all its per-shift factorizations as one total.
         """
         j = self.ncols
         p = self.p

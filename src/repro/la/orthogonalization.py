@@ -57,6 +57,7 @@ __all__ = [
     "SketchArena",
     "SketchState",
     "PseudoBlockOrthogonalizer",
+    "make_pseudo_block_orthogonalizer",
     "pseudo_block_tensor",
     "OrthoScheme",
     "SCHEMES",
@@ -166,14 +167,20 @@ def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return conj_gram(x, y)
 
 
-def _chol_from_gram(x: np.ndarray, g: np.ndarray
+def _chol_from_gram(x: np.ndarray, g: np.ndarray, *, shift: bool = False
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Uncharged CholQR back half: factorize a precomputed Gram, whiten x.
 
-    Raises :class:`numpy.linalg.LinAlgError` before any work when ``g`` is
-    numerically indefinite.  Shared with the compiled plan path
-    (``repro.plan``), whose nodes replay pre-bound charges instead.
+    ``shift`` adds the classic ``11(np + p(p+1)) u ||x||^2`` diagonal shift
+    that makes the factorization safe.  Raises
+    :class:`numpy.linalg.LinAlgError` before any work when ``g`` is
+    numerically indefinite.
     """
+    if shift:
+        n, p = x.shape
+        u = np.finfo(x.dtype).eps
+        g = g + (11.0 * (n * p + p * (p + 1)) * u *
+                 float(np.trace(g).real)) * np.eye(p, dtype=g.dtype)
     r = np.linalg.cholesky(g).conj().T
     return _right_solve(x, r), r
 
@@ -202,7 +209,7 @@ def shifted_cholqr(x: np.ndarray, *, refine: bool = True) -> tuple[np.ndarray, n
     machine precision.  Still one reduction per pass.
     """
     x = as_block(x)
-    q, r = _chol_normalize_core(x, _gram(x, x), shift=True)
+    q, r = _chol_from_gram(x, _gram(x, x), shift=True)
     if refine:
         q2, r2 = cholqr(q)
         return q2, r2 @ r
@@ -241,23 +248,9 @@ def cholqr_rr(x: np.ndarray, *, tol: float = 1e-12,
     led = ledger.current()
     led.flop(Kernel.BLAS3, 2.0 * n * p * p)
     led.reduction(nbytes=p * p * x.itemsize)
-    q, r, rank = _cholqr_rr_core(x, tol=tol, scale=scale)
-    led.flop(Kernel.EIG, 9.0 * p**3)
-    if rank:
-        led.flop(Kernel.BLAS3, 2.0 * n * p * p)
-    return q, r, rank
-
-
-def _cholqr_rr_core(x: np.ndarray, *, tol: float, scale: float | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Uncharged rank-revealing CholQR numerics (shared with ``repro.plan``).
-
-    ``x`` must be contiguous for bitwise parity with the interpreted path:
-    the self-Gram ``x^H x`` takes NumPy's syrk dispatch only then.
-    """
-    n, p = x.shape
     g = conj_gram(x, x)
     w, v = np.linalg.eigh(g)
+    led.flop(Kernel.EIG, 9.0 * p**3)
     w = np.maximum(w.real, 0.0)
     sig = np.sqrt(w)[::-1]           # descending singular values of x
     v = v[:, ::-1]
@@ -268,6 +261,7 @@ def _cholqr_rr_core(x: np.ndarray, *, tol: float, scale: float | None = None
         return np.zeros_like(x), np.zeros((p, p), dtype=x.dtype), 0
     # x = (x v) v^H ; orthonormalize the leading rank columns of x v
     xv = x @ v
+    led.flop(Kernel.BLAS3, 2.0 * n * p * p)
     q = np.zeros_like(x)
     q[:, :rank] = xv[:, :rank] / sig[:rank]
     r = np.zeros((p, p), dtype=x.dtype)
@@ -376,27 +370,21 @@ def sketch_size(n: int, max_cols: int) -> int:
     return int(min(n, max(32, 4 * max_cols + 16)))
 
 
-def _apply_sketch_core(w: np.ndarray, s: int, seed: int) -> np.ndarray:
-    """Uncharged SRHT application (shared with ``repro.plan``)."""
-    from scipy.fft import dct
-
-    n = w.shape[0]
-    signs, rows = _srht_operator(n, s, seed)
-    y = dct(signs[:, None] * w, axis=0, norm="ortho", type=2)
-    return np.ascontiguousarray(y[rows]) * np.sqrt(n / s)
-
-
 def apply_sketch(w: np.ndarray, s: int, *, seed: int = 0) -> np.ndarray:
     """``S @ w`` for the seeded SRHT ``S = sqrt(n/s) P H D`` (s x p result).
 
     Local work only (flops are charged here); the caller charges the one
     global reduction that assembles the s x p sketched block.
     """
+    from scipy.fft import dct
+
     w = as_block(w)
     n, p = w.shape
     ledger.current().flop(
         Kernel.BLAS3, 2.0 * n * np.log2(max(n, 2)) * max(p, 1))
-    return _apply_sketch_core(w, s, seed)
+    signs, rows = _srht_operator(n, s, seed)
+    y = dct(signs[:, None] * w, axis=0, norm="ortho", type=2)
+    return np.ascontiguousarray(y[rows]) * np.sqrt(n / s)
 
 
 def sketched_qr(x: np.ndarray, *, tol: float = 1e-12,
@@ -690,28 +678,11 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
 # ---------------------------------------------------------------------------
 
 
-def _chol_normalize_core(w2: np.ndarray, gram: np.ndarray, *, shift: bool
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Uncharged Cholesky normalizer from a precomputed remainder Gram.
-
-    Raises :class:`numpy.linalg.LinAlgError` before any work on an
-    indefinite Gram.  Shared with the compiled plan path.
-    """
-    p = gram.shape[0]
-    g = gram
-    if shift:
-        n = w2.shape[0]
-        u = np.finfo(w2.dtype).eps
-        g = g + (11.0 * (n * p + p * (p + 1)) * u *
-                 float(np.trace(g).real)) * np.eye(p, dtype=g.dtype)
-    return _chol_from_gram(w2, g)
-
-
 def _chol_normalize(w2: np.ndarray, gram: np.ndarray, *, shift: bool
                     ) -> tuple[np.ndarray, np.ndarray]:
     """q, r from a precomputed (downdated) remainder Gram — no reduction."""
     p = gram.shape[0]
-    q, r = _chol_normalize_core(w2, gram, shift=shift)
+    q, r = _chol_from_gram(w2, gram, shift=shift)
     led = ledger.current()
     led.flop(Kernel.FACTORIZATION, p**3 / 3.0)
     led.flop(Kernel.BLAS3, 1.0 * w2.shape[0] * p**2)
@@ -980,9 +951,7 @@ def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12,
 
 # ---------------------------------------------------------------------------
 # Pseudo-block per-step cores: the pure numerics of every scheme, with no
-# ledger access — PseudoBlockOrthogonalizer.step runs them for the
-# interpreting class and its compiled twin (repro.plan.pseudoblock) alike,
-# so numerics are bit-identical by construction.
+# ledger access — PseudoBlockOrthogonalizer.step charges beside each call.
 #
 # Column l's basis is the ``i x n`` matrix ``basis[:, :, l]``; the cores
 # contract it with batched ``np.matmul`` on the ``(p, i, n)`` view — one
@@ -1133,10 +1102,6 @@ class PseudoBlockOrthogonalizer:
 
     # -- sketch state ------------------------------------------------------
 
-    def _sketch(self, w: np.ndarray) -> np.ndarray:
-        """``S w``, flops charged (the compiled twin replays them instead)."""
-        return apply_sketch(w, self.s, seed=self.seed)
-
     def begin(self, v0: np.ndarray) -> None:
         """Start a cycle from the ``(w0, n, p)`` initial basis tensor.
 
@@ -1147,11 +1112,13 @@ class PseudoBlockOrthogonalizer:
         if self.scheme != "sketched":
             return
         w0, n, p = v0.shape
-        sv = self._sketch(v0.transpose(1, 0, 2).reshape(n, w0 * p)
-                          ).reshape(self.s, w0, p)
+        sv = apply_sketch(v0.transpose(1, 0, 2).reshape(n, w0 * p), self.s,
+                          seed=self.seed).reshape(self.s, w0, p)
         self._qs, self._t0 = _pb_begin_sketched(sv, self._max_cols,
                                                 self.dtype)
-        self._charge_begin(w0)
+        led = ledger.current()
+        led.reduction(nbytes=self.s * w0 * self.p * self.dtype.itemsize)
+        led.flop(Kernel.QR, 4.0 * self.s * w0**2 * self.p)
         self._cols = w0
         self._pending = None
 
@@ -1180,32 +1147,10 @@ class PseudoBlockOrthogonalizer:
         (for ``sketched`` these are sketch-space norms).  The caller
         normalizes / freezes columns and then calls :meth:`commit`.
         """
-        nbad = 0
-        if self.scheme == "mgs":
-            w2, dots, nrm = _pb_step_mgs(basis, w)
-        elif self.scheme == "cgs2_1r":
-            w2, dots, nrm, nbad = _pb_step_cgs2_1r(basis, w)
-        elif self.scheme == "sketched":
-            w2, dots, nrm, rs = _pb_step_sketched(
-                self._qs[:j + 1], self._t0, basis, w, self._sketch(w))
-            self._pending = (rs, nrm)
-        else:
-            w2, dots, nrm = _pb_step_cgs(basis, w,
-                                         iterated=self.scheme == "imgs")
-        self._charge_step(j, nbad)
-        return w2, dots, nrm
-
-    # -- charges, derived per call (the compiled twin binds them once) -----
-
-    def _charge_begin(self, w0: int) -> None:
-        led = ledger.current()
-        led.reduction(nbytes=self.s * w0 * self.p * self.dtype.itemsize)
-        led.flop(Kernel.QR, 4.0 * self.s * w0**2 * self.p)
-
-    def _charge_step(self, j: int, nbad: int) -> None:
         led = ledger.current()
         n, p, itemsize = self.n, self.p, self.dtype.itemsize
         if self.scheme == "mgs":
+            w2, dots, nrm = _pb_step_mgs(basis, w)
             led.reduction(nbytes=p * itemsize, count=j + 1)
             led.flop(Kernel.BLAS2, 4.0 * n * p * (j + 1))
             led.reduction(nbytes=p * 8)
@@ -1214,6 +1159,7 @@ class PseudoBlockOrthogonalizer:
             # final norm by Pythagorean downdate; the cancellation guard's
             # honest recompute (rare: near-breakdown only) costs one extra
             # reduction carrying a scalar per affected column.
+            w2, dots, nrm, nbad = _pb_step_cgs2_1r(basis, w)
             led.reduction(nbytes=((j + 1) * p + p) * itemsize, count=2)
             led.flop(Kernel.BLAS3,
                      (4.0 * (j + 1) * n * p + 2.0 * n * p) * 2)
@@ -1221,10 +1167,25 @@ class PseudoBlockOrthogonalizer:
                 led.reduction(nbytes=nbad * 8)
         elif self.scheme == "sketched":
             # ONE reduction: the sketched candidate
+            w2, dots, nrm, rs = _pb_step_sketched(
+                self._qs[:j + 1], self._t0, basis, w,
+                apply_sketch(w, self.s, seed=self.seed))
+            self._pending = (rs, nrm)
             led.reduction(nbytes=self.s * p * itemsize)
             led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p)
         else:
             passes = 2 if self.scheme == "imgs" else 1
+            w2, dots, nrm = _pb_step_cgs(basis, w, iterated=passes == 2)
             led.reduction(nbytes=(j + 1) * p * itemsize, count=passes)
             led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p * passes)
             led.reduction(nbytes=p * 8)
+        return w2, dots, nrm
+
+
+def make_pseudo_block_orthogonalizer(scheme: str, *, n: int, p: int, dtype,
+                                     max_cols: int, seed: int = 0
+                                     ) -> PseudoBlockOrthogonalizer:
+    """The one constructor the pseudo-block solvers call (a module global of
+    each caller, so a tracer can rebind it and time the returned ``step``)."""
+    return PseudoBlockOrthogonalizer(scheme, n=n, p=p, dtype=dtype,
+                                     max_cols=max_cols, seed=seed)

@@ -16,7 +16,8 @@ workload is byte-identical.  On top of the base class it adds
   ``Options.service_queue_depth > 0`` a submit against a full shard
   queue is *rejected* (an explicit :attr:`AsyncRequest.rejected` reason,
   never an exception and never a silent drop), as is a request whose
-  deadline already passed;
+  deadline already passed or whose right-hand side or initial guess is
+  malformed (``invalid_input``: wrong row count, non-numeric, non-finite);
 * **sharding** — operators are partitioned across per-shard
   :class:`~repro.service.shard.ShardedSetupCache` instances by
   consistent hashing; each shard is an independent execution lane with
@@ -174,6 +175,8 @@ class AsyncSolveService(SolveService):
 
     def _admit(self, req: AsyncRequest, shard: int) -> str | None:
         """Admission decision: ``None`` admits, else a rejection reason."""
+        if req.rejected is not None:
+            return req.rejected
         depth = self.options.service_queue_depth
         if depth and self.shard_depth(shard) >= depth:
             return "queue_full"
@@ -191,6 +194,11 @@ class AsyncSolveService(SolveService):
             # 0 = no deadline; negative = already expired (rejected below)
             deadline=self.now + rel if rel != 0 else math.inf,
             priority=priority, tenant=tenant, **extra)
+
+    def _refuse_invalid(self, req: AsyncRequest, problem: str) -> None:
+        """Refused like any other admission failure: an open-loop replay
+        keeps going and counts the request under ``invalid_input``."""
+        req.rejected = "invalid_input"
 
     def _enqueue(self, req: AsyncRequest) -> AsyncRequest:
         shard = self.cache.shard_of(req.fingerprint)

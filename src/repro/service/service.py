@@ -41,7 +41,7 @@ from ..krylov.recycling import RecycledSubspace
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import CostLedger
-from ..util.misc import as_block
+from ..util.misc import as_block, invalid_input
 from ..util.options import Options
 from .cache import SetupCache
 from .fingerprint import Fingerprint, operator_fingerprint
@@ -246,8 +246,16 @@ class SolveService:
                   width=width, options=opts, x0=x0,
                   squeeze=b_arr.ndim == 1 and not sig,
                   shifts=sig, mass=mass, **extra)
+        problem = invalid_input(np.shape(a)[0], b_arr, x0)
+        if problem is not None:
+            self._refuse_invalid(req, problem)
         self._next_index += 1
         return req
+
+    def _refuse_invalid(self, req: SolveRequest, problem: str) -> None:
+        """A malformed request joins no queue: it would hang or poison the
+        block it is batched into, and every co-batched tenant with it."""
+        raise ValueError(problem)
 
     def _request_key(self, req: SolveRequest) -> tuple:
         """The coalescing-group key this request queues under.

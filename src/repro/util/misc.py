@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "as_block",
     "column_norms",
+    "invalid_input",
     "result_dtype",
     "is_complex_dtype",
     "default_rng",
@@ -85,6 +86,27 @@ def column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", x.real, x.real) + (
         np.einsum("ij,ij->j", x.imag, x.imag) if np.iscomplexobj(x) else 0.0
     ))
+
+
+def invalid_input(n: int, b: Any, x0: Any = None) -> str | None:
+    """Why ``b`` / ``x0`` cannot be solved against an ``n``-row operator, or
+    ``None``: the door check of ``api.solve`` and the solve services.  A
+    non-finite entry never reaches a solver — there a NaN column stalls the
+    pseudo-block loop and poisons every column of a block it shares."""
+    for name, arr in (("b", b), ("x0", x0)):
+        if arr is None:
+            continue
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in "biufc":
+            return f"{name} has non-numeric dtype {arr.dtype}"
+        if arr.ndim not in (1, 2) or arr.shape[0] != n:
+            return (f"{name} has shape {arr.shape}; expected a vector or "
+                    f"block with the operator's {n} rows")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            col = int(np.flatnonzero(~as_block(finite).all(axis=0))[0])
+            return f"{name} column {col} holds a non-finite value"
+    return None
 
 
 def result_dtype(*arrays: np.ndarray | np.dtype | type) -> np.dtype:

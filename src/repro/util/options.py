@@ -37,7 +37,6 @@ _VERIFY_LEVELS = ("off", "cheap", "full")
 _FLUSH_POLICIES = ("batch_full", "queue_drained", "explicit")
 _SERVICE_MODES = ("sync", "async")
 _TRACE_LEVELS = ("off", "summary", "full")
-_PLAN_MODES = ("interpret", "compiled")
 _RECYCLE_SPACES = ("full", "sketched")
 
 
@@ -124,15 +123,6 @@ class Options:
         spans inside the simulated-MPI substrate).  An ambient tracer
         installed via :func:`repro.trace.install` takes precedence.  See
         ``docs/OBSERVABILITY.md``.
-    plan:
-        hot-path execution mode (``-hpddm_plan``): ``"interpret"``
-        (default) runs the per-cycle loops directly; ``"compiled"`` lowers
-        them to pre-bound execution plans (:mod:`repro.plan`) — fused
-        nodes, hoisted cycle-invariant setup, single-allocation basis
-        arenas, table-replay cost charging.  Both modes produce
-        bit-identical ledger counts and iterates; legacy orthogonalization
-        schemes without a lowering fall back to the interpreter.  See
-        ``docs/EXECUTION.md``.
     service_pmax:
         maximum block width a :class:`repro.service.SolveService` batch
         may reach (``-hpddm_service_pmax``): queued requests sharing an
@@ -211,7 +201,6 @@ class Options:
     block_reduction: bool = False
     verify: str = "off"
     trace: str = "off"
-    plan: str = "interpret"
     service_pmax: int = 16
     service_flush: str = "batch_full"
     service_cache_entries: int = 32
@@ -270,11 +259,6 @@ class Options:
             raise OptionError(
                 f"unknown trace level {self.trace!r}; "
                 f"expected one of {_TRACE_LEVELS}"
-            )
-        if self.plan not in _PLAN_MODES:
-            raise OptionError(
-                f"unknown plan mode {self.plan!r}; "
-                f"expected one of {_PLAN_MODES}"
             )
         if self.service_flush not in _FLUSH_POLICIES:
             raise OptionError(
@@ -363,8 +347,6 @@ class Options:
             args += ["-hpddm_verify", self.verify]
         if self.trace != "off":
             args += ["-hpddm_trace", self.trace]
-        if self.plan != "interpret":
-            args += ["-hpddm_plan", self.plan]
         if self.service_pmax != 16:
             args += ["-hpddm_service_pmax", str(self.service_pmax)]
         if self.service_flush != "batch_full":

@@ -6,7 +6,6 @@ See :mod:`repro.verify.checker` for the contract catalogue and levels.
 from .checker import (NULL_CHECKER, VERIFY_LEVELS, InvariantChecker,
                       InvariantViolation, NullChecker, activate, checker_for,
                       current)
-from .crosscheck import cross_check_plan_modes
 
 __all__ = [
     "NULL_CHECKER",
@@ -17,5 +16,4 @@ __all__ = [
     "activate",
     "checker_for",
     "current",
-    "cross_check_plan_modes",
 ]

@@ -56,8 +56,6 @@ class Config:
     #: how the recycled pair travels: "full" (exact re-derivation) or
     #: "sketched" (sketch-whitened carrying, lazy repair)
     recycle_space: str = "full"
-    #: execution plan for the low-sync Arnoldi cycle
-    plan: str = "interpret"
     #: route the solve through the service front end: None = direct
     #: ``repro.solve``, "sync"/"async" = the matching ``make_service``
     service_mode: str | None = None
@@ -78,8 +76,6 @@ class Config:
             base += f"-{self.ortho}"
         if self.recycle_space != "full":
             base += f"-rs_{self.recycle_space}"
-        if self.plan != "interpret":
-            base += f"-{self.plan}"
         if self.service_mode is not None:
             base += f"-svc_{self.service_mode}"
         if self.shifts:
@@ -96,8 +92,6 @@ class Config:
         elif SOLVERS[self.method]["recycles"]:
             kw = {"recycle": restart // 4, "recycle_strategy": self.strategy,
                   "recycle_space": self.recycle_space}
-        if self.plan != "interpret":
-            kw["plan"] = self.plan
         if self.service_mode is not None:
             kw["service_mode"] = self.service_mode
             if self.service_mode == "async":
@@ -156,11 +150,9 @@ def conformance_matrix(full: bool = False) -> list[Config]:
             add(Config("gmres", p=3, service_mode=mode))
             add(Config("gcrodr", p=3, service_mode=mode))
         # shifted-family axis: shared-basis and unprojected-recycled
-        # engines, interpret and compiled plans (families reject m)
+        # engines (families reject m)
         add(Config("bgmres", p=1, ortho="cgs2_1r", shifts=4, precond=False))
         add(Config("bgcrodr", p=1, ortho="cgs2_1r", shifts=4, precond=False))
-        add(Config("bgcrodr", p=1, ortho="cgs2_1r", shifts=4, precond=False,
-                   plan="compiled"))
         # sequence axis: an adaptive-dt heat sequence through both
         # service front ends (unchanged-fp steps must show zero setup
         # spans — see _assert_sequence_conforms)
@@ -196,23 +188,18 @@ def conformance_matrix(full: bool = False) -> list[Config]:
         for scheme in ("mgs", "imgs", "cgs2_1r", "cholqr2", "sketched"):
             add(Config(method, p=p, ortho=scheme))
     # recycle_space axis: both recyclers that carry (U_k, C_k) pairs, both
-    # plans, both strategies on the block engine
+    # strategies on the block engine
     for method, p in (("gcrodr", 1), ("gcrodr", 3), ("bgcrodr", 3)):
-        for plan in ("interpret", "compiled"):
-            add(Config(method, p=p, ortho="sketched",
-                       recycle_space="sketched", plan=plan))
+        add(Config(method, p=p, ortho="sketched", recycle_space="sketched"))
     add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
                strategy="B"))
     add(Config("bgcrodr", p=3, ortho="sketched", recycle_space="sketched",
                strategy="B"))
     add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
                dtype=np.complex128))
-    # shifted-family axis: both engines x plan, plus a complex-shift spot
-    # check
+    # shifted-family axis: both engines, plus a complex-shift spot check
     for method in ("bgmres", "bgcrodr"):
-        for plan in ("interpret", "compiled"):
-            add(Config(method, p=1, ortho="cgs2_1r", shifts=4,
-                       precond=False, plan=plan))
+        add(Config(method, p=1, ortho="cgs2_1r", shifts=4, precond=False))
     add(Config("bgmres", p=1, ortho="cgs2_1r", shifts=4, precond=False,
                dtype=np.complex128))
     add(Config("bgcrodr", p=1, ortho="cholqr2", shifts=8, precond=False))

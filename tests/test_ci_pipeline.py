@@ -211,7 +211,9 @@ def test_metric_missing_from_the_run_fails_unless_retired():
                                label="t")
     assert len(failures) == 1 and failures[0].startswith("some_rung_time:")
     assert set(compare.RETIRED) == {
-        "transient_cache_recycle_shifted_time_per_sim_second"}
+        "transient_cache_recycle_shifted_time_per_sim_second",
+        "plan_compiled_speedup", "plan_oracle_identical",
+        "plan_optimizer_fused"}
     assert compare.compare(kept, {**kept, **dict.fromkeys(compare.RETIRED,
                                                           gone)},
                            label="t") == []

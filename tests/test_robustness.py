@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 
 from repro import Options, Solver, solve
 from repro.krylov.base import Operator
+from repro.service import AsyncSolveService, SolveService
+from repro.trace import Tracer
+from repro.trace import install as trace_install
 
-from conftest import make_rng, laplacian_1d, relative_residuals
+from conftest import (make_rng, laplacian_1d, laplacian_2d,
+                      relative_residuals)
 
 
 class TestScalingExtremes:
@@ -155,6 +159,110 @@ class TestSequenceRobustness:
         assert late <= 1.5 * early
         # recycled solves stay well below the cold first solve
         assert late < 0.9 * its[0]
+
+
+class TestDoorValidation:
+    """A malformed right-hand side or initial guess is refused before it is
+    solved or queued: inside a solver a NaN column stalls the pseudo-block
+    loop (``beta > 0`` is false for it, nothing is active, nothing advances)
+    and poisons every column of a block method's Gram matrices."""
+
+    METHODS = [("gmres", {}), ("gcrodr", {"gmres_restart": 30, "recycle": 10}),
+               ("bgmres", {}),
+               ("bgcrodr", {"gmres_restart": 30, "recycle": 10})]
+
+    @staticmethod
+    def _bad_inputs(n, rng):
+        good = rng.standard_normal((n, 3))
+        nan_b, inf_b = good.copy(), good.copy()
+        nan_b[5, 1] = np.nan
+        inf_b[0, 2] = -np.inf
+        nan_x0 = np.zeros((n, 3))
+        nan_x0[n - 1, 0] = np.nan
+        return good, [
+            (nan_b, None, "b column 1 holds a non-finite"),
+            (inf_b, None, "b column 2 holds a non-finite"),
+            (good, nan_x0, "x0 column 0 holds a non-finite"),
+            (good[:-1], None, f"operator's {n} rows"),
+            (good.astype(object), None, "non-numeric dtype"),
+        ]
+
+    def test_solve_and_solver_raise_naming_the_column(self, rng):
+        a = laplacian_1d(40, shift=0.3)
+        _, bad = self._bad_inputs(40, rng)
+        s = Solver(options=Options(krylov_method="gcrodr", recycle=4))
+        for b, x0, match in bad:
+            with pytest.raises(ValueError, match=match):
+                solve(a, b, x0=x0)
+            with pytest.raises(ValueError, match=match):
+                s.solve(a, b, x0=x0)
+        with pytest.raises(ValueError, match="b column 0"):
+            solve(a, np.full(40, np.nan), shifts=[0.1, 0.2])
+        assert s.results == []
+
+    def test_sync_service_refuses_before_queueing(self, rng):
+        a = laplacian_1d(40, shift=0.3)
+        good, bad = self._bad_inputs(40, rng)
+        svc = SolveService(options=Options(service_flush="explicit"))
+        for b, x0, match in bad:
+            with pytest.raises(ValueError, match=match):
+                svc.submit(a, b, x0=x0)
+        with pytest.raises(ValueError, match="b column 0"):
+            svc.submit_family(a, np.full(40, np.inf), [0.1, 0.2])
+        assert svc.pending == 0
+        req = svc.submit(a, good)
+        assert req.index == 0       # a refused submit takes no request index
+        svc.flush()
+        assert req.result.converged.all()
+
+    def test_async_service_rejects_and_keeps_going(self, rng):
+        a = laplacian_1d(40, shift=0.3)
+        good, bad = self._bad_inputs(40, rng)
+        tr = Tracer()
+        with trace_install(tr):
+            svc = AsyncSolveService(options=Options(service_mode="async"))
+            refused = [svc.submit(a, b, x0=x0) for b, x0, _ in bad]
+            refused.append(svc.submit_family(a, np.full(40, np.nan), [0.1]))
+            ok = svc.submit(a, good)
+            svc.drain()
+        assert [r.rejected for r in refused] == ["invalid_input"] * 6
+        assert svc.rejections == refused and not any(r.done for r in refused)
+        assert ok.rejected is None and ok.result.converged.all()
+        with pytest.raises(RuntimeError, match="invalid_input"):
+            svc.result(refused[0])
+        assert tr.metrics.counter("service_rejected_total").value(
+            reason="invalid_input") == 6
+
+    @pytest.mark.parametrize("method,extra", METHODS,
+                             ids=[m for m, _ in METHODS])
+    def test_one_nan_tenant_cannot_hurt_its_batch(self, method, extra):
+        """ROADMAP 3a's reproduction: four tenants on the 24 x 24 Laplacian,
+        one right-hand side holding a single NaN.  It used to hang ``gmres``
+        / ``gcrodr`` and raise ``LinAlgError`` out of ``flush()`` for the
+        block methods, losing all four answers."""
+        a = laplacian_2d(24)
+        n = a.shape[0]
+        rng = make_rng(24)
+        bs = [rng.standard_normal(n) for _ in range(4)]
+        bs[1][7] = np.nan
+        o = Options(krylov_method=method, max_it=300,
+                    service_flush="explicit", **extra)
+        clean = SolveService(options=o)
+        expected = [clean.submit(a, b) for b in bs if np.isfinite(b).all()]
+        clean.flush()
+        svc = SolveService(options=o)
+        healthy = []
+        for b in bs:
+            if np.isfinite(b).all():
+                healthy.append(svc.submit(a, b))
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    svc.submit(a, b)
+        svc.flush()
+        assert len(healthy) == 3
+        for req, ref in zip(healthy, expected):
+            assert req.result.converged.all()
+            assert np.array_equal(req.result.x, ref.result.x)
 
 
 @settings(max_examples=15, deadline=None)

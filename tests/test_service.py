@@ -169,7 +169,6 @@ _option_fields = st.fixed_dictionaries({}, optional={
     "recycle_space": st.sampled_from(["full", "sketched"]),
     "verify": st.sampled_from(["off", "cheap", "full"]),
     "trace": st.sampled_from(["off", "summary", "full"]),
-    "plan": st.sampled_from(["interpret", "compiled"]),
     "service_pmax": st.integers(1, 64),
     "service_flush": st.sampled_from(["batch_full", "queue_drained",
                                       "explicit"]),
