@@ -31,11 +31,19 @@ A metric the baseline entry has and the current run lacks fails the
 comparison unless it is listed, with its reason, in ``RETIRED``: a gate
 that silently stops being computed is a gate that passes forever.
 
+``--rebaseline METRIC --reason TEXT`` (repeatable METRIC) accepts a move of
+a ``modeled`` metric that a change of rounding explains: the comparison
+skips the named metrics and the appended entry records, under
+``"rebaselined"``, each one's old and new value and the reason.  ``exact``
+(and ``ratio`` / ``info``) metrics cannot be re-based.
+
 ``--self-test`` injects a synthetic 2x slowdown into the current metrics
 and verifies the comparison logic rejects it (the gate that gates the
-gate).
+gate), then that a 4e-5 move of a ``modeled`` metric fails without
+``--rebaseline`` and passes with it, and that an ``exact`` one is refused.
 
     PYTHONPATH=src python scripts/bench_compare.py [--self-test] ...
+    PYTHONPATH=src python scripts/bench_compare.py --rebaseline NAME --reason TEXT ...
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ TRAJECTORY = os.path.join(RESULTS, "BENCH_trajectory.json")
 
 RATIO_TOLERANCE = 1.6
 MODELED_RTOL = 1e-6
+#: the only metric kind ``--rebaseline`` accepts
+REBASEABLE = "modeled"
 
 #: kernels whose fused-over-per-rank speedup at nranks=64 is tracked
 TRACKED_KERNELS = ("spmm", "col_dots", "cholqr")
@@ -219,15 +229,17 @@ def extract_metrics(kernels: dict, service: dict,
 
 
 def compare(current: dict[str, dict], baseline: dict[str, dict],
-            *, label: str) -> list[str]:
-    """Return a list of regression messages (empty = pass)."""
+            *, label: str, rebaseline: frozenset[str] = frozenset()
+            ) -> list[str]:
+    """Return a list of regression messages (empty = pass).  Metrics in
+    ``rebaseline`` (checked by :func:`rebaseline_errors`) are not gated."""
     failures = [f"{name}: in {label} but not produced by this run — restore "
                 f"it, or list it in RETIRED with the reason it went"
                 for name in sorted(set(baseline) - set(current))
                 if name not in RETIRED]
     for name, cur in sorted(current.items()):
-        if name not in baseline:
-            continue  # metric added after the baseline entry
+        if name not in baseline or name in rebaseline:
+            continue  # added after the baseline entry, or re-based
         base_v, cur_v = baseline[name]["value"], cur["value"]
         kind = cur["kind"]
         if kind == "info":
@@ -249,6 +261,28 @@ def compare(current: dict[str, dict], baseline: dict[str, dict],
         else:  # pragma: no cover - metric table is static
             failures.append(f"{name}: unknown kind {kind!r}")
     return failures
+
+
+def rebaseline_errors(current: dict[str, dict], names: frozenset[str],
+                      reason: str | None) -> list[str]:
+    """Why ``--rebaseline names --reason reason`` is refused (empty = ok)."""
+    errors = [] if reason or not names else \
+        ["--rebaseline needs --reason: the entry records why"]
+    for name in sorted(names):
+        if name not in current:
+            errors.append(f"{name}: not produced by this run")
+        elif current[name]["kind"] != REBASEABLE:
+            errors.append(f"{name}: kind {current[name]['kind']!r} cannot be "
+                          f"re-based (only {REBASEABLE!r} metrics can)")
+    return errors
+
+
+def rebaseline_record(current: dict[str, dict], baseline: dict[str, dict],
+                      names: frozenset[str], reason: str) -> dict[str, dict]:
+    """The ``"rebaselined"`` field of the appended entry."""
+    return {name: {"from": baseline.get(name, {}).get("value"),
+                   "to": current[name]["value"], "reason": reason}
+            for name in sorted(names)}
 
 
 def bootstrap_floors(current: dict[str, dict]) -> list[str]:
@@ -341,7 +375,30 @@ def self_test(current: dict[str, dict]) -> int:
           f"({len(failures)} metric(s) flagged):")
     for f in failures:
         print(f"  {f}")
-    return 0
+    return self_test_rebaseline(current)
+
+
+def self_test_rebaseline(current: dict[str, dict]) -> int:
+    """A rounding-level (4e-5) move of a ``modeled`` metric fails without
+    ``--rebaseline`` and passes with it; an ``exact`` metric is refused."""
+    name = min(n for n, e in current.items() if e["kind"] == REBASEABLE)
+    exact = min(n for n, e in current.items() if e["kind"] == "exact")
+    moved = json.loads(json.dumps(current))
+    moved[name]["value"] *= 1.0 + 4e-5
+    names = frozenset({name})
+    checks = {
+        "fails without the flag": bool(compare(moved, current, label="t")),
+        "passes with it": not compare(moved, current, label="t",
+                                      rebaseline=names)
+        and not rebaseline_errors(moved, names, "rounding"),
+        "needs a reason": bool(rebaseline_errors(moved, names, None)),
+        "refuses an exact metric": bool(rebaseline_errors(
+            moved, frozenset({exact}), "rounding")),
+    }
+    for what, ok in checks.items():
+        print(f"bench_compare --self-test: 4e-5 move of {name} "
+              f"{what}: {'ok' if ok else 'NO'}")
+    return 0 if all(checks.values()) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -361,7 +418,14 @@ def main(argv: list[str] | None = None) -> int:
                     help="compare only; do not extend the trajectory")
     ap.add_argument("--self-test", action="store_true",
                     help="verify an injected 2x slowdown is caught, then exit")
+    ap.add_argument("--rebaseline", action="append", default=[],
+                    metavar="METRIC",
+                    help="accept this modeled metric's move (repeatable); "
+                         "needs --reason, recorded in the appended entry")
+    ap.add_argument("--reason", type=str, default=None,
+                    help="why the --rebaseline metrics moved")
     ns = ap.parse_args(argv)
+    rebased = frozenset(ns.rebaseline)
 
     if ns.current_kernels and ns.current_service:
         with open(ns.current_kernels, encoding="utf-8") as fh:
@@ -388,19 +452,29 @@ def main(argv: list[str] | None = None) -> int:
 
     if ns.self_test:
         return self_test(current)
+    errors = rebaseline_errors(current, rebased, ns.reason)
+    if errors:
+        for e in errors:
+            print(f"bench_compare: --rebaseline {e}", file=sys.stderr)
+        return 2
 
     trajectory = load_trajectory()
     same_config = [e for e in trajectory if e.get("config") == "quick"]
     if same_config:
         baseline = same_config[-1]["metrics"]
         failures = compare(current, baseline,
-                           label=f"trajectory[{same_config[-1]['date']}]")
+                           label=f"trajectory[{same_config[-1]['date']}]",
+                           rebaseline=rebased)
         mode = f"vs trajectory entry {same_config[-1]['date']}"
     else:
+        baseline = {}
         failures = bootstrap_floors(current)
         mode = "bootstrap (absolute floors; trajectory was empty)"
 
     print(f"bench_compare: {mode}")
+    if rebased:
+        print(f"bench_compare: re-based {', '.join(sorted(rebased))}: "
+              f"{ns.reason}")
     for name, entry in sorted(current.items()):
         print(f"  {name:<38} {entry['value']:>12.4f}  [{entry['kind']}]")
     if failures:
@@ -411,12 +485,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if not ns.no_append:
-        trajectory.append({
+        entry = {
             "date": time.strftime("%Y-%m-%d"),
             "config": "quick",
             "metrics": current,
             "compared_against": mode,
-        })
+        }
+        if rebased:
+            entry["rebaselined"] = rebaseline_record(current, baseline,
+                                                     rebased, ns.reason)
+        trajectory.append(entry)
         with open(TRAJECTORY, "w", encoding="utf-8") as fh:
             json.dump(trajectory, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -16,7 +16,7 @@ import numpy as np
 from ..la.blockqr import BlockHessenbergQR
 from ..la.orthogonalization import (LOW_SYNC_SCHEMES, conj_gram,
                                     make_arnoldi_engine, project_out,
-                                    qr_factorization)
+                                    qr_factorization, slab_matmul)
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.misc import column_norms, default_rng
@@ -176,7 +176,7 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
             # removed component is O(drift), so no renormalization is
             # needed (and v1 @ s1 = r is preserved to the same order).
             e0 = conj_gram(np.asarray(ck), v1)
-            v1 = v1 - ck @ e0
+            v1 = v1 - slab_matmul(ck, e0)
             led.flop(ledger.Kernel.BLAS3, 4.0 * n * k * p)
             led.reduction(nbytes=(s_dim + k) * p * v1.itemsize)
         if s_dim:

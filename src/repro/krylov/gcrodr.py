@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..la.orthogonalization import (LOW_SYNC_SCHEMES, SCHEMES, _gram,
-                                    cholqr2, householder_qr)
+                                    cholqr2, householder_qr, slab_matmul)
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -224,7 +224,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
         if sbasis is not None and sbasis.shape[1] == qf.shape[0]:
             led.flop(Kernel.BLAS3,
                      4.0 * sbasis.shape[0] * sbasis.shape[1] * qf.shape[1])
-            sc = sbasis @ qf
+            sc = slab_matmul(sbasis, qf)
         return _sketch_tidy(skr, u, c, op_apply, sc)
 
     # ------------------------------------------------------------------
@@ -287,8 +287,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 skr.adopt(u_k, c_k)
             # lines 8-9: project the initial residual onto the recycled space
             chr0 = _gram(c_k, st.r)
-            st.x += u_k @ chr0
-            st.r = st.r - c_k @ chr0
+            st.x += slab_matmul(u_k, chr0)
+            st.r = st.r - slab_matmul(c_k, chr0)
             led.flop(Kernel.BLAS3, 4.0 * n * u_k.shape[1] * p)
             led.reduction(nbytes=p * 8)
             st.record_residual()
@@ -349,8 +349,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 with tr.span("recycle_update", kind="harvest"):
                     qf, s = _harvest(hbar, pk)
                     vstack = state.v_stack()
-                    c_k = vstack @ qf
-                    u_k = z @ s
+                    c_k = slab_matmul(vstack, qf)
+                    u_k = slab_matmul(z, s)
                     led.flop(Kernel.BLAS3,
                              4.0 * n * vstack.shape[1] * qf.shape[1])
                     u_k, c_k, pair_exact = _tidy(
@@ -388,8 +388,9 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                                          state.ek_matrix(), hbar, cv)
                 if found is not None:
                     u_tilde, qf, s = found
-                    c_k = cv @ qf                # line 36
-                    u_k = u_tilde @ s[:k_cur] + z @ s[k_cur:]  # line 37
+                    c_k = slab_matmul(cv, qf)    # line 36
+                    u_k = slab_matmul(u_tilde, s[:k_cur]) \
+                        + slab_matmul(z, s[k_cur:])           # line 37
                     led.flop(Kernel.BLAS3,
                              4.0 * n * cv.shape[1] * qf.shape[1])
                     u_k, c_k, pair_exact = _tidy(u_k, c_k, qf, scv)

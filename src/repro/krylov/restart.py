@@ -20,7 +20,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from ..la.orthogonalization import _gram, qr_factorization
+from ..la.orthogonalization import _gram, qr_factorization, slab_matmul
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -186,7 +186,7 @@ class RestartedSolve(RestartLoop):
             z = state.z_stack(state.steps)
             kc = 0 if c_k is None else c_k.shape[1]
             if c_k is None:
-                self.x += z @ y
+                self.x += slab_matmul(z, y)
             else:
                 ek = state.ek_matrix()               # (k x jp)
                 if sketched:
@@ -197,7 +197,7 @@ class RestartedSolve(RestartLoop):
                 else:
                     led.reduction(nbytes=kc * p * 8)  # §III-D's reduction
                 yk = chr_prev - ek @ y               # line 28
-                self.x += u_k @ yk + z @ y
+                self.x += slab_matmul(u_k, yk) + slab_matmul(z, y)
             led.flop(Kernel.BLAS3, 2.0 * self.n * (kc + z.shape[1]) * p)
         if self.chk.wants_full and not state.breakdown:
             # V orthonormal AND orthogonal to C_k (without a pair [C_k V] is V)

@@ -39,6 +39,8 @@ from ..util.misc import as_block, column_norms
 
 __all__ = [
     "conj_gram",
+    "slab_matmul",
+    "SLAB_PANEL",
     "cholqr",
     "shifted_cholqr",
     "cholqr2",
@@ -139,13 +141,57 @@ LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2", "sketched")
 SCALE_AWARE_QR: tuple[str, ...] = ("cholqr", "cholqr_rr", "sketched")
 
 
+#: Rows per panel of a real slab product: a panel of 256 rows x <= 420
+#: columns x 8 B is at most 860 KB and stays in a 2 MiB L2 while its GEMM
+#: runs (see docs/ORTHOGONALIZATION.md, "Row panels").
+SLAB_PANEL = 256
+
+
+def _panelled(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether a product over the tall ``x`` runs in row panels: real
+    operands at least two panels tall.  Anything else is one GEMM."""
+    return (x.shape[0] >= 2 * SLAB_PANEL
+            and not (np.iscomplexobj(x) or np.iscomplexobj(y)))
+
+
+def _panels(x: np.ndarray) -> np.ndarray:
+    """``(rows / SLAB_PANEL, SLAB_PANEL, cols)`` view of a whole-panel slab
+    (splitting the row axis never copies a strided view)."""
+    return x.reshape(-1, SLAB_PANEL, x.shape[1])
+
+
 def conj_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Uncharged ``x^H y`` that never materializes ``conj(x)``: ``x`` is the
     tall operand (a basis slab), so a complex product conjugates the skinny
-    ``y`` and the small result instead."""
+    ``y`` and the small result instead.
+
+    A real product over two or more row panels sums one GEMM per
+    :data:`SLAB_PANEL`-row panel (one batched ``np.matmul``) plus the
+    remainder panel — each rank's partial before its allreduce.  Self-Grams
+    (``y is x``: BLAS ``syrk``) stay one product."""
     if np.iscomplexobj(x):
         return (x.T @ y.conj()).conj()
-    return x.T @ y
+    if y is x or not _panelled(x, y):
+        return x.T @ y
+    m = x.shape[0] - x.shape[0] % SLAB_PANEL
+    g = np.matmul(_panels(x[:m]).transpose(0, 2, 1), _panels(y[:m])).sum(axis=0)
+    if m < x.shape[0]:
+        g += x[m:].T @ y[m:]
+    return g
+
+
+def slab_matmul(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Uncharged ``x @ c`` for a tall slab ``x`` and a small ``c``: row
+    panels under the rule of :func:`conj_gram`, one GEMM otherwise."""
+    if not _panelled(x, c):
+        return x @ c
+    n = x.shape[0]
+    m = n - n % SLAB_PANEL
+    out = np.empty((n, c.shape[1]), dtype=np.result_type(x, c))
+    np.matmul(_panels(x[:m]), c, out=_panels(out[:m]))
+    if m < n:
+        out[m:] = x[m:] @ c
+    return out
 
 
 def _right_solve(x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -569,10 +615,10 @@ def project_out_fused(stacked: np.ndarray, p: int
         return w, np.zeros((0, p), dtype=w.dtype), g, scale
     led = ledger.current()
     c1, wg0 = _stacked_gram(stacked, p)
-    np.subtract(w, basis @ c1, out=w)
+    np.subtract(w, slab_matmul(basis, c1), out=w)
     led.flop(Kernel.BLAS3, 2.0 * basis.shape[0] * k * p)
     c2, wg1 = _stacked_gram(stacked, p)
-    np.subtract(w, basis @ c2, out=w)
+    np.subtract(w, slab_matmul(basis, c2), out=w)
     led.flop(Kernel.BLAS3, 2.0 * basis.shape[0] * k * p)
     wgram = wg1 - c2.conj().T @ c2
     wgram = 0.5 * (wgram + wgram.conj().T)
@@ -606,11 +652,11 @@ def project_out(basis: np.ndarray, w: np.ndarray, *,
         return np.ascontiguousarray(w2), coeffs
     if scheme in ("cgs", "imgs"):
         coeffs = _gram(basis, w)
-        w2 = w - basis @ coeffs
+        w2 = w - slab_matmul(basis, coeffs)
         ledger.current().flop(Kernel.BLAS3, 2.0 * basis.shape[0] * basis.shape[1] * w.shape[1])
         if scheme == "imgs":  # iterated: one re-orthogonalization pass
             c2 = _gram(basis, w2)
-            w2 = w2 - basis @ c2
+            w2 = w2 - slab_matmul(basis, c2)
             coeffs = coeffs + c2
             ledger.current().flop(Kernel.BLAS3, 2.0 * basis.shape[0] * basis.shape[1] * w.shape[1])
         return w2, coeffs
@@ -752,7 +798,7 @@ class _Cholqr2Engine(_EngineBase):
             return q, np.zeros((0, p), dtype=w.dtype), r, rank, None
         c1, wg0 = _stacked_gram(stacked, p)
         led = ledger.current()
-        np.subtract(w, proj @ c1, out=w)
+        np.subtract(w, slab_matmul(proj, c1), out=w)
         led.flop(Kernel.BLAS3, 2.0 * proj.shape[0] * cols * p)
         e_col, h = (c1[:k] if k else None), c1[k:]
         g1 = wg0 - c1.conj().T @ c1
@@ -894,8 +940,8 @@ class _SketchedEngine(_EngineBase):
         if k:
             e_col = conj_gram(ck, w)
             led.flop(Kernel.BLAS3, 4.0 * n * k * p)
-            w = w - ck @ e_col
-            sw = sw - self._sck @ e_col
+            w = w - slab_matmul(ck, e_col)
+            sw = sw - slab_matmul(self._sck, e_col)
         qs = self._qs.view()
         w0 = self._t0.shape[0]
         c = conj_gram(_thin_contig(qs, p), sw)           # local, cols x p
@@ -907,9 +953,9 @@ class _SketchedEngine(_EngineBase):
                 f"sketched engine state holds {qs.shape[1]} basis "
                 f"columns but step received {basis.shape[1]}; the engine "
                 "must see every appended block (begin + successive steps)")
-        w2 = w - basis @ y
+        w2 = w - slab_matmul(basis, y)
         led.flop(Kernel.BLAS3, 2.0 * n * basis.shape[1] * p)
-        rs = sw - qs @ c                                 # sketch residual
+        rs = sw - slab_matmul(qs, c)                     # sketch residual
         qn, rfac = np.linalg.qr(rs)
         led.flop(Kernel.QR, 4.0 * self.s * p**2)
         d = np.abs(np.diag(rfac))

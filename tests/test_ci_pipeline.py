@@ -64,6 +64,15 @@ def test_workflow_invokes_ci_runner_and_uploads_artifacts():
     assert "schedule:" in text  # the nightly full run
 
 
+# -- watchdog: a hung test dumps its stacks instead of stalling the stage --
+def test_pytest_runs_under_a_faulthandler_watchdog(pytestconfig):
+    tomllib = pytest.importorskip("tomllib")
+    ini = tomllib.loads((ROOT / "pyproject.toml").read_text(
+        encoding="utf-8"))["tool"]["pytest"]["ini_options"]
+    assert ini["faulthandler_timeout"] == 300
+    assert float(pytestconfig.getini("faulthandler_timeout")) == 300.0
+
+
 # -- path -> stage mapping ---------------------------------------------
 def test_docs_only_diff_maps_to_lint(ci):
     assert ci.stages_for_paths(["docs/TRANSIENT.md"]) == {"lint"}
@@ -217,6 +226,28 @@ def test_metric_missing_from_the_run_fails_unless_retired():
     assert compare.compare(kept, {**kept, **dict.fromkeys(compare.RETIRED,
                                                           gone)},
                            label="t") == []
+
+
+# -- a rounding-level move of a modeled metric is re-based, with a reason --
+def test_rebaseline_accepts_modeled_moves_only_with_a_reason():
+    compare = _load_script(ROOT / "scripts" / "bench_compare.py",
+                           "repro_bench_compare")
+    base = {"service_amortized_speedup": {"value": 2.5, "kind": "modeled"},
+            "service_setup_builds_coalesced": {"value": 1, "kind": "exact"}}
+    moved = {k: dict(v) for k, v in base.items()}
+    moved["service_amortized_speedup"]["value"] = 2.5 * (1 + 4e-5)
+    names = frozenset({"service_amortized_speedup"})
+    assert compare.compare(moved, base, label="t")
+    assert compare.compare(moved, base, label="t", rebaseline=names) == []
+    assert compare.rebaseline_errors(moved, names, "rounding") == []
+    assert compare.rebaseline_errors(moved, names, None)
+    assert compare.rebaseline_errors(
+        moved, frozenset({"service_setup_builds_coalesced"}), "rounding")
+    assert compare.rebaseline_errors(moved, frozenset({"gone"}), "rounding")
+    assert compare.rebaseline_record(moved, base, names, "rounding") == {
+        "service_amortized_speedup": {"from": 2.5, "to": 2.5 * (1 + 4e-5),
+                                      "reason": "rounding"}}
+    assert compare.self_test_rebaseline(base) == 0
 
 
 # -- lint: the two census rules ------------------------------------------

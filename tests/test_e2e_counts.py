@@ -8,7 +8,11 @@ solver configurations — are run once on seed 0 and held to the values
 recorded at the commit that introduced this file (PR 19's parent and PR 19
 agree on all of them).
 
-Sizes are ``benchmarks/e2e/selftest.py``'s, except the heat grid: at
+Sizes are ``benchmarks/e2e/selftest.py``'s, plus one copy above the row-panel
+threshold of the slab kernels (``la.orthogonalization.SLAB_PANEL``: real
+slabs of 512 rows or more sum per-panel products, anything smaller is one
+GEMM): the 48 x 48 Laplacian, n = 2 304, nine panels — its counts are the
+same under both formulations.  The heat grid differs too: at
 ``nx = 12`` (n = 144) the AMG hierarchy is one level, i.e. an exact solve,
 every step converges in one iteration, and the only data-dependent count —
 the ``cgs2_1r`` cancellation guard's honest re-norm — is then decided by
@@ -21,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.la.orthogonalization import SLAB_PANEL
 from repro.util import ledger
 from repro.util.ledger import CostLedger, Kernel
 
@@ -32,14 +37,21 @@ from workloads import (HeatEnsembleAmg, LaplaceBlockUnprec,  # noqa: E402
 #: (workload, iterations, reductions) on seed 0
 PINNED = [
     (LaplaceBlockUnprec(grid=16, p=4), 36, 74),
+    (LaplaceBlockUnprec(grid=48, p=4), 116, 328),
     (MaxwellOrasBlock(n=4, n_antennas=4, block=2, nparts=2), 2, 13),
     (HeatEnsembleAmg(nx=24, n_steps=8, epoch_length=4), 61, 226),
     (TrafficAsync(n_requests=120), 12, 48),
 ]
 
 
+def _id(wl) -> str:
+    """The workload's name; a Laplace copy above the threshold says so."""
+    above = getattr(wl, "grid", 0) ** 2 >= 2 * SLAB_PANEL
+    return wl.name + ("_panelled" if above else "")
+
+
 @pytest.mark.parametrize("wl,iterations,reductions", PINNED,
-                         ids=[wl.name for wl, _, _ in PINNED])
+                         ids=[_id(wl) for wl, _, _ in PINNED])
 def test_workload_counts_are_the_recorded_ones(wl, iterations, reductions):
     state = wl.setup(0)
     with ledger.install(CostLedger()) as led:
@@ -58,7 +70,7 @@ def test_heat_copy_charges_only_the_live_sparse_products():
     copy read 12 121 536 SPMM flops and 1 565 ``operator_apply`` columns;
     244 V-cycle columns x 2 dead products = the 488 that are gone.
     """
-    wl = PINNED[2][0]
+    wl = next(wl for wl, _, _ in PINNED if isinstance(wl, HeatEnsembleAmg))
     with ledger.install(CostLedger()) as led:
         wl.run_pass(wl.setup(0))
     assert led.calls["amg_vcycle"] == 244
