@@ -38,7 +38,7 @@ RHS_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 @pytest.fixture(scope="module")
 def factorization():
     prob = maxwell_chamber(7, omega=8.0, cylinder=False)
-    lu = SparseLU(prob.a, engine="scipy")
+    lu = SparseLU(prob.a)
     rng = np.random.default_rng(42)
     n = prob.n
     rhs = {p: (rng.standard_normal((n, p))

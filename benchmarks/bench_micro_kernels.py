@@ -62,14 +62,12 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
         sys.path.insert(0, str(_src))
 # the reference formulations the new kernels are timed against are the
 # test oracles (tests/fixtures/reference_{deflation,pb_projector,amg,
-# hessenberg}.py)
+# hessenberg}.py, tests/fixtures/rowlevel_trisolve.py)
 _tests = Path(__file__).resolve().parent.parent / "tests"
 if str(_tests) not in sys.path:
     sys.path.insert(0, str(_tests))
 
-from repro.direct.triangular import (TriangularFactor,
-                                     _levels_by_row_reference,
-                                     _levels_frontier)
+from repro.direct.triangular import TriangularFactor, _levels_frontier
 from repro.distla.distcsr import DistributedCSR
 from repro.distla.distqr import distributed_cholqr
 from repro.distla.distvec import DistributedBlockVector
@@ -180,7 +178,9 @@ def bench_level_schedule(cfg: dict) -> tuple[list[dict], dict]:
             [sp.tril(sp.csr_matrix(spla.splu(sub).L), k=-1)] * 64,
             format="csr"),
     }
-    impls = {"reference": _levels_by_row_reference,
+    from fixtures.rowlevel_trisolve import levels_by_row
+
+    impls = {"reference": levels_by_row,
              "frontier": _levels_frontier}
     rows, sweep = [], {}
     for workload, strict in workloads.items():
@@ -482,7 +482,7 @@ def bench_amg(cfg: dict) -> dict:
                                       lambda: ref.apply(amg, x), repeats)
 
     def setup_reference():       # like for like: the coarse LU included
-        SparseLU(ref.build_levels(a)[-1][0], engine="auto")
+        SparseLU(ref.build_levels(a)[-1][0])
 
     setup_s, setup_ref_s = _time_pair(lambda: SmoothedAggregationAMG(a),
                                       setup_reference, max(cfg["repeats"], 5))

@@ -35,6 +35,7 @@ determinism      byte-identical chrome traces and ledger counts       yes
                  ``CostLedger.split``
 ===============  ===================================================  ======
 
+Every stage runs with one BLAS / OpenMP thread (``THREAD_VARS``).
 Each stage reports wall seconds; in-process stages that solve under a
 ledger (trace-gate, determinism) also report *modeled* seconds from
 ``perfmodel`` at nranks=64.  Failed stages carry a machine-readable
@@ -119,8 +120,14 @@ def changed_paths(ref: str) -> list[str]:
     return [line for line in proc.stdout.splitlines() if line.strip()]
 
 
+#: BLAS / OpenMP pools pinned to one thread in every stage: a threaded
+#: GEMM reorders its sums, so counts and gates would depend on the host
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _env() -> dict[str, str]:
     env = dict(os.environ)
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
@@ -486,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     src = os.path.join(ROOT, "src")
     if src not in sys.path:
         sys.path.insert(0, src)
+    # the in-process stages (trace-gate, determinism) import numpy here,
+    # after this: pin their pools as _env() pins the subprocesses'
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
     summary = {"selected": selected, "stages": [], "passed": True}
     if changed is not None:

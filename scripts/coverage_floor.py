@@ -36,7 +36,7 @@ FLOORS = {
     # held to the package's floor on its own
     os.path.join("src", "repro", "krylov", "restart.py"): 90.0,
     os.path.join("src", "repro", "service"): 88.0,
-    # the SuperLU engine's measured branch (symmetric / unsymmetric pattern)
+    # SparseLU's measured branch (symmetric / unsymmetric pattern)
     # and its re-pivot fallback must stay exercised
     os.path.join("src", "repro", "direct"): 97.0,
     os.path.join("src", "repro", "trace"): 85.0,

@@ -192,7 +192,7 @@ class _Visitor(ast.NodeVisitor):
         if self.in_superlu_scope and tail in ("splu", "spilu"):
             self._flag("bare-splu", node,
                        f"{name}() outside direct/solver.py — factor through "
-                       f"SparseLU(engine=\"scipy\"), which picks the ordering "
+                       f"SparseLU, which picks the ordering "
                        f"from the pattern and probes the factor")
         if self.in_einsum_dirs and tail == "einsum":
             spec = node.args[0] if node.args else None

@@ -1,16 +1,11 @@
-"""Sparse direct solver: orderings, LU, blocked triangular solves."""
+"""Sparse direct solver: LU, blocked triangular solves, RCM ordering."""
 
-from .numeric import LUFactors, gilbert_peierls_lu
-from .ordering import compute_ordering, minimum_degree, reverse_cuthill_mckee
+from .ordering import reverse_cuthill_mckee
 from .solver import SparseLU
 from .triangular import LevelSchedule, TriangularFactor
 
 __all__ = [
     "SparseLU",
-    "LUFactors",
-    "gilbert_peierls_lu",
-    "compute_ordering",
-    "minimum_degree",
     "reverse_cuthill_mckee",
     "LevelSchedule",
     "TriangularFactor",

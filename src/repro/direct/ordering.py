@@ -1,74 +1,17 @@
-"""Fill-reducing orderings for the sparse direct solver.
+"""Reverse Cuthill-McKee ordering, built from scratch.
 
-Two classic schemes built from scratch (plus scipy's RCM as a cross-check
-oracle in the tests):
-
-* **minimum degree** on the symmetrized graph — greedy elimination of the
-  lowest-degree vertex with clique formation, the workhorse behind AMD;
-* **reverse Cuthill-McKee** — BFS banding, cheap and predictable.
-
-The subdomain matrices of the Schwarz preconditioner are factored once and
-solved thousands of times, so even a simple fill-reducing pass pays for
-itself immediately.
+BFS banding, cheap and predictable: the graph partitioner of
+:mod:`repro.problems.partition` chunks it into subdomains.  The LU of
+:mod:`repro.direct.solver` does not use it — SuperLU orders the matrices
+it factors by itself.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["minimum_degree", "reverse_cuthill_mckee", "compute_ordering"]
-
-
-def _symmetric_adjacency(a: sp.spmatrix) -> list[set[int]]:
-    """Adjacency sets of the symmetrized pattern, no self-loops."""
-    pattern = (a != 0).astype(np.int8)
-    pattern = (pattern + pattern.T).tocsr()
-    n = a.shape[0]
-    adj: list[set[int]] = []
-    for i in range(n):
-        row = set(pattern.indices[pattern.indptr[i]: pattern.indptr[i + 1]].tolist())
-        row.discard(i)
-        adj.append(row)
-    return adj
-
-
-def minimum_degree(a: sp.spmatrix) -> np.ndarray:
-    """Greedy minimum-degree ordering with clique update.
-
-    Returns the permutation ``perm`` such that eliminating rows/columns in
-    the order ``perm[0], perm[1], ...`` keeps fill low.  Quadratic-ish in
-    the worst case — intended for the subdomain sizes of this library
-    (up to a few tens of thousands of unknowns).
-    """
-    n = a.shape[0]
-    adj = _symmetric_adjacency(a)
-    eliminated = np.zeros(n, dtype=bool)
-    heap = [(len(adj[i]), i) for i in range(n)]
-    heapq.heapify(heap)
-    perm = np.empty(n, dtype=np.int64)
-    count = 0
-    while count < n:
-        deg, v = heapq.heappop(heap)
-        if eliminated[v] or deg != len(adj[v]):
-            if not eliminated[v]:
-                heapq.heappush(heap, (len(adj[v]), v))
-            continue
-        perm[count] = v
-        count += 1
-        eliminated[v] = True
-        neigh = adj[v]
-        # clique formation: neighbours of v become mutually adjacent
-        for u in neigh:
-            adj[u].discard(v)
-            adj[u].update(w for w in neigh if w != u and not eliminated[w])
-        for u in neigh:
-            if not eliminated[u]:
-                heapq.heappush(heap, (len(adj[u]), u))
-        adj[v] = set()
-    return perm
+__all__ = ["reverse_cuthill_mckee"]
 
 
 def reverse_cuthill_mckee(a: sp.spmatrix) -> np.ndarray:
@@ -113,15 +56,3 @@ def reverse_cuthill_mckee(a: sp.spmatrix) -> np.ndarray:
                 visited[u] = True
             queue.extend(neigh)
     return np.asarray(order[::-1], dtype=np.int64)
-
-
-def compute_ordering(a: sp.spmatrix, method: str = "amd") -> np.ndarray:
-    """Dispatch by name: ``"amd"`` (minimum degree), ``"rcm"``, ``"natural"``."""
-    n = a.shape[0]
-    if method == "natural":
-        return np.arange(n, dtype=np.int64)
-    if method == "amd":
-        return minimum_degree(a)
-    if method == "rcm":
-        return reverse_cuthill_mckee(a)
-    raise ValueError(f"unknown ordering {method!r}")

@@ -8,16 +8,12 @@ substitution pass ("it can be done in a single forward elimination and
 backward substitution as long as the vectors are stored contiguously" —
 paper section V-A).
 
-Two factorization engines:
+The numeric phase is SuperLU (:func:`scipy.sparse.linalg.splu`), the
+stand-in for PARDISO's; its factors are *extracted* and every solve runs
+through our own blocked sweep (:mod:`repro.direct.triangular`), so
+multi-RHS measurements benchmark this library's code, not SuperLU's.
 
-* ``"gp"`` — the from-scratch Gilbert-Peierls LU of
-  :mod:`repro.direct.numeric` (reference, pure Python);
-* ``"scipy"`` — SuperLU via :func:`scipy.sparse.linalg.splu`, used for
-  large subdomains; its factors are *extracted* and all solves still run
-  through our own blocked sweep (:mod:`repro.direct.triangular`), so
-  multi-RHS measurements benchmark this library's code, not SuperLU's.
-
-The SuperLU engine orders by what it measures.  A matrix whose stored
+SuperLU is asked to order by what it measures.  A matrix whose stored
 pattern equals its transpose's (every Schwarz subdomain matrix) has its
 symmetric structure ordered — minimum degree on ``A + A^T``, the pivot kept
 on the diagonal unless it is under a tenth of its column — which leaves
@@ -25,7 +21,8 @@ about a third fewer entries in ``L + U`` than COLAMD with partial pivoting,
 the bare ``splu`` every other pattern gets.  Either factor is accepted on
 evidence: ``L U`` must reproduce ``A x`` for a probe ``x`` to ``1e-10``; a
 symmetric-path miss refactors the bare way (``lu_repivot`` event), a miss
-after that raises ``LinAlgError``.
+after that raises ``LinAlgError`` — as does a matrix SuperLU finds
+exactly singular.
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import CostLedger, Kernel
 from ..util.misc import as_block
-from .numeric import gilbert_peierls_lu
-from .ordering import compute_ordering
 from .triangular import TriangularFactor
 
 __all__ = ["SparseLU"]
@@ -57,26 +52,17 @@ class SparseLU:
     Parameters
     ----------
     a:
-        square sparse matrix (real or complex).
-    engine:
-        ``"gp"`` (from-scratch Gilbert-Peierls), ``"scipy"`` (SuperLU
-        numeric phase), or ``"auto"`` (GP below 1500 unknowns).
-    ordering:
-        fill-reducing ordering for the GP engine (``"amd"``, ``"rcm"``,
-        ``"natural"``); SuperLU orders by itself, by the pattern's symmetry
-        (see the module docstring; ``self.symmetric`` says which way).
+        square sparse matrix (real or complex).  SuperLU orders it by the
+        symmetry of its pattern (see the module docstring;
+        ``self.symmetric`` says which way).
     """
 
-    def __init__(self, a: sp.spmatrix, *, engine: str = "auto",
-                 ordering: str = "amd"):
+    def __init__(self, a: sp.spmatrix):
         a = sp.csc_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError("SparseLU requires a square matrix")
         self.n = a.shape[0]
         self.dtype = np.promote_types(a.dtype, np.float64)
-        if engine == "auto":
-            engine = "gp" if self.n <= 1500 else "scipy"
-        self.engine = engine
         # run the whole numeric phase under a private ledger and replay it
         # onto the ambient one: totals are unchanged, and ``setup_cost``
         # records exactly what this factorization charged — the quantity a
@@ -85,44 +71,31 @@ class SparseLU:
         # the span is opened against the *ambient* ledger, so its window
         # sees the merged total; work inside runs under the private ledger
         # and is therefore excluded from any enclosing span's exclusive cost
-        with trace.current().span("setup.lu", engine=engine, n=self.n) as span:
+        with trace.current().span("setup.lu", n=self.n) as span:
             with ledger.install(led):
-                self._factorize(a, engine, ordering)
+                self._factorize(a)
             if span is not None:
                 span.attrs.update(symmetric=self.symmetric,
                                   factor_nnz=self.factor_nnz)
             self.setup_cost = led
             ledger.current().merge(led)
 
-    def _factorize(self, a: sp.spmatrix, engine: str, ordering: str) -> None:
-        led = ledger.current()
-        self.symmetric = False     #: factored by the symmetric-pattern path
-        if engine == "gp":
-            perm_c = compute_ordering(a, ordering)
-            factors = gilbert_peierls_lu(a, perm_c=perm_c)
-            l_mat, u_mat = factors.l, factors.u
-            self.perm_r = factors.perm_r       # factored row i = A row perm_r[i]
-            self.perm_c = factors.perm_c
-            self._scipy_convention = False
-        elif engine == "scipy":
-            a = a.astype(self.dtype)
-            pattern = sp.csc_matrix((np.ones(a.nnz, dtype=bool), a.indices,
-                                     a.indptr), shape=a.shape)
-            self.symmetric = (pattern != pattern.T).nnz == 0
-            l_mat, u_mat, err = self._superlu(
-                a, **(_SYMMETRIC if self.symmetric else {}))
-            if self.symmetric and not err <= _PROBE_TOL:
-                self.symmetric = False
-                led.event("lu_repivot")
-                l_mat, u_mat, err = self._superlu(a)
-            if not err <= _PROBE_TOL:          # also catches NaN
-                raise np.linalg.LinAlgError(
-                    f"LU of the {self.n} x {self.n} matrix reproduces it "
-                    f"only to a backward error of {err:.1e}")
-            self._scipy_convention = True
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
-
+    def _factorize(self, a: sp.csc_matrix) -> None:
+        a = a.astype(self.dtype)
+        pattern = sp.csc_matrix((np.ones(a.nnz, dtype=bool), a.indices,
+                                 a.indptr), shape=a.shape)
+        #: factored by the symmetric-pattern path
+        self.symmetric = (pattern != pattern.T).nnz == 0
+        l_mat, u_mat, err = self._superlu(
+            a, **(_SYMMETRIC if self.symmetric else {}))
+        if self.symmetric and not err <= _PROBE_TOL:
+            self.symmetric = False
+            ledger.current().event("lu_repivot")
+            l_mat, u_mat, err = self._superlu(a)
+        if not err <= _PROBE_TOL:              # also catches NaN
+            raise np.linalg.LinAlgError(
+                f"LU of the {self.n} x {self.n} matrix reproduces it "
+                f"only to a backward error of {err:.1e}")
         self.factor_nnz = int(l_mat.nnz + u_mat.nnz)
         self._ltri = TriangularFactor(l_mat, lower=True, unit_diagonal=True)
         self._utri = TriangularFactor(u_mat, lower=False)
@@ -134,7 +107,12 @@ class SparseLU:
         for one fixed ``x`` (as many flops as a sweep pair: charged as one)."""
         led = ledger.current()
         with led.timer("superlu_factor"):
-            lu = spla.splu(a, **spec)
+            try:
+                lu = spla.splu(a, **spec)
+            except RuntimeError as exc:        # "Factor is exactly singular"
+                raise np.linalg.LinAlgError(
+                    f"SuperLU cannot factor the {self.n} x {self.n} "
+                    f"matrix: {exc}") from exc
         l_mat, u_mat = sp.csr_matrix(lu.L), sp.csr_matrix(lu.U)
         self.perm_r, self.perm_c = lu.perm_r, lu.perm_c   # Pr[perm_r[i], i] = 1
         # standard LU flop estimate: 2 sum_j nnz(L(:,j)) * nnz(U(j,:))
@@ -159,21 +137,11 @@ class SparseLU:
         b = as_block(b)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        if self._scipy_convention:
-            # SuperLU: Pr A Pc = L U with Pr[perm_r[i], i] = 1,
-            # Pc[i, perm_c[i]] = 1  =>  x = Pc U^{-1} L^{-1} Pr b
-            bp = np.empty_like(b, dtype=np.promote_types(self.dtype, b.dtype))
-            bp[self.perm_r] = b
-        else:
-            # Gilbert-Peierls: L U = A[perm_r][:, perm_c]
-            bp = b[self.perm_r]
-        y = self._ltri.solve(bp)
-        z = self._utri.solve(y)
-        if self._scipy_convention:
-            x = z[self.perm_c]
-        else:
-            x = np.empty_like(z)
-            x[self.perm_c] = z
+        # Pr A Pc = L U with Pr[perm_r[i], i] = 1, Pc[i, perm_c[i]] = 1
+        #   =>  x = Pc U^{-1} L^{-1} Pr b
+        bp = np.empty_like(b, dtype=np.promote_types(self.dtype, b.dtype))
+        bp[self.perm_r] = b
+        x = self._utri.solve(self._ltri.solve(bp))[self.perm_c]
         ledger.current().event("direct_solve", b.shape[1])
         return x[:, 0] if squeeze else x
 
@@ -188,5 +156,5 @@ class SparseLU:
         return self._ltri.n_levels, self._utri.n_levels
 
     def __repr__(self) -> str:
-        return (f"SparseLU(n={self.n}, engine={self.engine!r}, "
-                f"symmetric={self.symmetric}, factor_nnz={self.factor_nnz})")
+        return (f"SparseLU(n={self.n}, symmetric={self.symmetric}, "
+                f"factor_nnz={self.factor_nnz})")

@@ -64,23 +64,6 @@ _BLOCK_DENSITY = 0.5
 _BLOCK_COND = 1.0 / np.sqrt(np.finfo(np.float64).eps)
 
 
-def _levels_by_row_reference(n: int, indptr: np.ndarray, indices: np.ndarray
-                             ) -> np.ndarray:
-    """Reference per-row longest-path levels (python loop over rows).
-
-    Kept as the oracle for the vectorized frontier propagation below
-    (property-tested in ``tests/test_direct.py``) and as the baseline of
-    the ``level_schedule`` entry in ``benchmarks/bench_micro_kernels.py``.
-    """
-    level = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        row_cols = indices[indptr[i]: indptr[i + 1]]
-        deps = row_cols[row_cols < i]
-        if deps.size:
-            level[i] = level[deps].max() + 1
-    return level
-
-
 def _levels_frontier(n: int, indptr: np.ndarray, indices: np.ndarray,
                      *, fallback_width: int = 32) -> np.ndarray:
     """Frontier-batched longest-path levels over the CSR dependency DAG.

@@ -182,7 +182,7 @@ class SmoothedAggregationAMG(Preconditioner):
                     ns = coarse_ns
                     bs = ns.shape[1]   # coarse DOFs per aggregate = nvec
                 # coarse solver
-                self._coarse_lu = (SparseLU(self.levels[-1].a, engine="auto")
+                self._coarse_lu = (SparseLU(self.levels[-1].a)
                                    if coarse_solver == "lu" else None)
             self.setup_cost = led
             ledger.current().merge(led)

@@ -114,11 +114,6 @@ class SchwarzPreconditioner(Preconditioner):
         coordinates); otherwise the matrix graph is band-partitioned.
     points:
         node coordinates forwarded to the RCB partitioner.
-    engine:
-        direct-solver engine for the subdomain factorizations ("scipy" by
-        default: the factor-once/solve-thousands pattern wants the fastest
-        numeric phase, while all solves still run through this library's
-        blocked level-scheduled kernels).
     coarse:
         add a Nicolaides coarse correction: one coarse DOF per subdomain
         (the partition-of-unity vector ``R_i^T D_i 1``), solved directly
@@ -137,7 +132,6 @@ class SchwarzPreconditioner(Preconditioner):
                  interface_shift: complex = 0.0,
                  decomposition: OverlappingDecomposition | None = None,
                  points: np.ndarray | None = None,
-                 engine: str = "scipy",
                  coarse: bool = False):
         if variant not in ("asm", "ras", "oras"):
             raise ValueError(f"unknown Schwarz variant {variant!r}")
@@ -175,7 +169,7 @@ class SchwarzPreconditioner(Preconditioner):
                         b_i = algebraic_interface_shift(a, dofs, interface_shift)
                     else:
                         b_i = sp.csc_matrix(a[dofs][:, dofs])
-                    self.solvers.append(SparseLU(b_i, engine=engine))
+                    self.solvers.append(SparseLU(b_i))
                 led.event("schwarz_factorizations", len(self.subdomains))
                 # the batch is part of the set-up every apply solves with,
                 # so it is built (and timed) here, not on first apply; a
@@ -237,18 +231,10 @@ class SchwarzPreconditioner(Preconditioner):
         ncat = int(cat_dofs.size)
         perm_r = np.concatenate([s.perm_r + o for s, o in zip(solvers, offsets)])
         perm_c = np.concatenate([s.perm_c + o for s, o in zip(solvers, offsets)])
-        if solvers[0]._scipy_convention:
-            # SuperLU: factored row perm_r[i] is local row i, local
-            # solution i is factored unknown perm_c[i]
-            row_of = np.empty(ncat, dtype=np.int64)
-            row_of[perm_r] = np.arange(ncat)
-            col_of = perm_c
-        else:
-            # Gilbert-Peierls: factored row i is local row perm_r[i],
-            # factored unknown i is local solution perm_c[i]
-            row_of = perm_r
-            col_of = np.empty(ncat, dtype=np.int64)
-            col_of[perm_c] = np.arange(ncat)
+        # factored row perm_r[i] is local row i, local solution i is
+        # factored unknown perm_c[i]
+        row_of = np.empty(ncat, dtype=np.int64)
+        row_of[perm_r] = np.arange(ncat)
         if self.variant in ("ras", "oras"):
             weights = np.concatenate(self.pou)
         else:
@@ -258,7 +244,7 @@ class SchwarzPreconditioner(Preconditioner):
             gather=cat_dofs[row_of],
             l_factor=concat_factors([s._ltri for s in solvers]),
             u_factor=concat_factors([s._utri for s in solvers]),
-            scatter=sp.csr_matrix((weights, (cat_dofs, col_of)),
+            scatter=sp.csr_matrix((weights, (cat_dofs, perm_c)),
                                   shape=(self.n, ncat)),
             # the combined triangular solves charge ONE event pair and the
             # batched path never enters SparseLU.solve; replay the rest so

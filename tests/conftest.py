@@ -5,6 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
+
+#: tier-1 replays the same examples every run and stores none: a red
+#: property test is red on every host.  ``-m slow`` keeps the default,
+#: random exploration (no example database either).
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", database=None)
+
+
+def pytest_configure(config):
+    explore = config.getoption("markexpr", "").strip() == "slow"
+    settings.load_profile("explore" if explore else "tier1")
 
 
 def laplacian_1d(n: int, shift: float = 0.0) -> sp.csr_matrix:

@@ -12,6 +12,11 @@ bound — so it left ``src/``; it is kept only as the reference the blocked
 sweep of ``repro.direct.triangular`` must reproduce (to rounding: a block
 is applied through its inverse, not by substitution) and as the yardstick
 its step counts are measured against (see ``tests/test_direct.py``).
+
+``levels_by_row`` is the per-row longest-path recurrence the vectorized
+frontier propagation of ``repro.direct.triangular`` must reproduce exactly,
+and the baseline of the ``level_schedule`` entry of
+``benchmarks/bench_micro_kernels.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.direct.triangular import LevelSchedule
+
+
+def levels_by_row(n: int, indptr: np.ndarray, indices: np.ndarray
+                  ) -> np.ndarray:
+    """Per-row longest-path levels of a CSR dependency DAG (loop over rows)."""
+    level = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        row_cols = indices[indptr[i]: indptr[i + 1]]
+        deps = row_cols[row_cols < i]
+        if deps.size:
+            level[i] = level[deps].max() + 1
+    return level
 
 
 class RowLevelTriangularSolve:

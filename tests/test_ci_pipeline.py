@@ -73,6 +73,22 @@ def test_pytest_runs_under_a_faulthandler_watchdog(pytestconfig):
     assert float(pytestconfig.getini("faulthandler_timeout")) == 300.0
 
 
+def test_every_stage_runs_single_threaded(ci, monkeypatch):
+    """Tier-1 and the gates see one BLAS thread whatever the host sets."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "8")
+        assert var in ci.THREAD_VARS
+        assert ci._env()[var] == "1"
+
+
+def test_tier1_hypothesis_profile_is_derandomized(pytestconfig):
+    from hypothesis import settings
+    if pytestconfig.getoption("markexpr") == "slow":
+        pytest.skip("-m slow keeps random exploration")
+    assert settings.default.derandomize
+    assert settings.default.database is None
+
+
 # -- path -> stage mapping ---------------------------------------------
 def test_docs_only_diff_maps_to_lint(ci):
     assert ci.stages_for_paths(["docs/TRANSIENT.md"]) == {"lint"}

@@ -1,4 +1,4 @@
-"""Tests for the sparse direct solver substrate (orderings, LU, solves)."""
+"""Tests for the sparse direct solver substrate (ordering, LU, solves)."""
 
 import types
 
@@ -9,13 +9,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.direct.numeric import gilbert_peierls_lu
-from repro.direct.ordering import (compute_ordering, minimum_degree,
-                                   reverse_cuthill_mckee)
+from repro.direct.ordering import reverse_cuthill_mckee
 from repro.direct import solver as solver_mod
 from repro.direct.solver import _SYMMETRIC, SparseLU
 from repro.direct.triangular import (LevelSchedule, TriangularFactor,
-                                     _levels_by_row_reference,
                                      _levels_frontier, concat_factors)
 from repro.problems.maxwell import decompose_maxwell, maxwell_chamber
 from repro.trace import Tracer, install as install_tracer
@@ -23,7 +20,7 @@ from repro.util import ledger
 from repro.util.ledger import Kernel
 
 from conftest import make_rng, complex_shifted, laplacian_1d, laplacian_2d
-from fixtures.rowlevel_trisolve import RowLevelTriangularSolve
+from fixtures.rowlevel_trisolve import RowLevelTriangularSolve, levels_by_row
 
 
 def _random_sparse(rng, n, density=0.05, complex_=False):
@@ -36,20 +33,6 @@ def _random_sparse(rng, n, density=0.05, complex_=False):
 
 
 class TestOrderings:
-    @pytest.mark.parametrize("method", ["natural", "rcm", "amd"])
-    def test_is_a_permutation(self, rng, method):
-        a = laplacian_2d(8)
-        perm = compute_ordering(a, method)
-        assert sorted(perm.tolist()) == list(range(a.shape[0]))
-
-    def test_amd_reduces_fill_vs_natural(self):
-        a = laplacian_2d(15)
-        fills = {}
-        for method in ("natural", "amd"):
-            lu = SparseLU(a, engine="gp", ordering=method)
-            fills[method] = lu.factor_nnz
-        assert fills["amd"] < fills["natural"]
-
     def test_rcm_reduces_bandwidth(self, rng):
         # random permutation of a banded matrix: RCM should recover low bandwidth
         n = 60
@@ -66,76 +49,13 @@ class TestOrderings:
         perm = reverse_cuthill_mckee(a)
         assert sorted(perm.tolist()) == list(range(17))
 
-    def test_minimum_degree_on_star(self):
-        # star graph: centre must be eliminated last
-        n = 12
-        rows = [0] * (n - 1) + list(range(1, n)) + list(range(n))
-        cols = list(range(1, n)) + [0] * (n - 1) + list(range(n))
-        a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        perm = minimum_degree(a)
-        assert perm[-1] == 0 or perm[0] != 0  # centre not eliminated first
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            compute_ordering(laplacian_1d(5), "colamd")
-
-
-class TestGilbertPeierls:
-    def test_factorization_identity(self, rng):
-        a = _random_sparse(rng, 80)
-        f = gilbert_peierls_lu(a)
-        lhs = (f.l @ f.u).toarray()
-        rhs = a.toarray()[f.perm_r][:, f.perm_c]
-        assert np.allclose(lhs, rhs, atol=1e-10)
-
-    def test_l_unit_lower_u_upper(self, rng):
-        a = _random_sparse(rng, 50)
-        f = gilbert_peierls_lu(a)
-        l, u = f.l.toarray(), f.u.toarray()
-        assert np.allclose(np.triu(l, 1), 0)
-        assert np.allclose(np.diag(l), 1)
-        assert np.allclose(np.tril(u, -1), 0)
-
-    def test_matches_dense_lu_without_pivoting_need(self, rng):
-        import scipy.linalg as sla
-        n = 12
-        ad = rng.standard_normal((n, n)) + np.diag([10.0] * n)
-        f = gilbert_peierls_lu(sp.csc_matrix(ad))
-        p, l, u = sla.lu(ad)
-        if np.allclose(p, np.eye(n)):
-            assert np.allclose(f.l.toarray(), l, atol=1e-10)
-            assert np.allclose(f.u.toarray(), u, atol=1e-10)
-
-    def test_pivoting_handles_zero_diagonal(self):
-        a = sp.csc_matrix(np.array([[0.0, 2.0], [3.0, 1.0]]))
-        f = gilbert_peierls_lu(a)
-        lhs = (f.l @ f.u).toarray()
-        rhs = a.toarray()[f.perm_r][:, f.perm_c]
-        assert np.allclose(lhs, rhs)
-
-    def test_singular_matrix_raises(self):
-        a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        with pytest.raises(np.linalg.LinAlgError):
-            gilbert_peierls_lu(a)
-
-    def test_nan_pivot_column_raises(self):
-        a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, np.nan]]))
-        with pytest.raises(np.linalg.LinAlgError):
-            gilbert_peierls_lu(a)
-
-    def test_complex_factorization(self, rng):
-        a = _random_sparse(rng, 40, complex_=True)
-        f = gilbert_peierls_lu(a)
-        lhs = (f.l @ f.u).toarray()
-        rhs = a.toarray()[f.perm_r][:, f.perm_c]
-        assert np.allclose(lhs, rhs, atol=1e-10)
-
-    def test_flops_accounted(self, rng):
-        a = _random_sparse(rng, 40)
-        with ledger.install() as led:
-            gilbert_peierls_lu(a)
-        assert led.flops[Kernel.FACTORIZATION] > 0
-        assert led.calls["lu_factorization"] == 1
+    def test_amd_reduces_fill_vs_natural(self):
+        # a symmetric pattern is ordered by minimum degree on A + A^T
+        a = laplacian_2d(15)
+        lu = SparseLU(a)
+        assert lu.symmetric
+        natural = spla.splu(sp.csc_matrix(a), permc_spec="NATURAL")
+        assert lu.factor_nnz < natural.L.nnz + natural.U.nnz
 
 
 class TestLevelSchedule:
@@ -170,7 +90,7 @@ class TestLevelSchedule:
             a = sp.random(n, n, density=dens,
                           random_state=int(rng.integers(2**31)))
             low = sp.tril(a, k=-1).tocsr()
-            ref = _levels_by_row_reference(n, low.indptr, low.indices)
+            ref = levels_by_row(n, low.indptr, low.indices)
             vec = _levels_frontier(n, low.indptr, low.indices,
                                    fallback_width=fallback_width)
             assert np.array_equal(ref, vec)
@@ -180,11 +100,11 @@ class TestLevelSchedule:
         sub = sp.tril(_random_sparse(rng, 40), k=-1).tocsr()
         blk = sp.block_diag([sub] * 8, format="csr")
         n = blk.shape[0]
-        ref = _levels_by_row_reference(n, blk.indptr, blk.indices)
+        ref = levels_by_row(n, blk.indptr, blk.indices)
         vec = _levels_frontier(n, blk.indptr, blk.indices)
         assert np.array_equal(ref, vec)
         # block-diagonal structure never deepens the schedule
-        assert vec.max() == _levels_by_row_reference(
+        assert vec.max() == levels_by_row(
             sub.shape[0], sub.indptr, sub.indices).max()
 
 
@@ -282,19 +202,14 @@ def _pattern_is_symmetric(a):
     return bool((stored == stored.T).all())
 
 
-def _lu_triangles(a, engine, **spec):
-    """``(matrix, lower, unit_diagonal)`` of the L and U of an LU of ``a``:
-    Gilbert-Peierls, or SuperLU asked with ``spec`` (none: COLAMD, partial
-    pivoting; ``_SYMMETRIC``: what ``SparseLU`` takes on a symmetric pattern)."""
+def _lu_triangles(a, **spec):
+    """``(matrix, lower, unit_diagonal)`` of the L and U of SuperLU's LU of
+    ``a`` asked with ``spec`` (none: COLAMD, partial pivoting; ``_SYMMETRIC``:
+    what ``SparseLU`` takes on a symmetric pattern)."""
     a = sp.csc_matrix(a)
-    if engine == "scipy":
-        lu = spla.splu(a.astype(np.promote_types(a.dtype, np.float64)), **spec)
-        l_mat, u_mat = lu.L, lu.U
-    else:
-        f = gilbert_peierls_lu(a, perm_c=compute_ordering(a, "amd"))
-        l_mat, u_mat = f.l, f.u
-    return [(sp.csr_matrix(l_mat), True, True),
-            (sp.csr_matrix(u_mat), False, False)]
+    lu = spla.splu(a.astype(np.promote_types(a.dtype, np.float64)), **spec)
+    return [(sp.csr_matrix(lu.L), True, True),
+            (sp.csr_matrix(lu.U), False, False)]
 
 
 def _check_blocked_sweep(mat, *, lower, unit, dominant, seed=0):
@@ -402,18 +317,16 @@ class TestBlockedSchedule:
             assert row_levels == 2 * nx - 1
             assert steps <= 0.7 * row_levels
 
-    @pytest.mark.parametrize("engine", ["scipy", "gp"])
-    def test_laplacian_lu_factors(self, engine):
-        for mat, lower, unit in _lu_triangles(laplacian_2d(20), engine):
+    def test_laplacian_lu_factors(self):
+        for mat, lower, unit in _lu_triangles(laplacian_2d(20)):
             steps, row_levels = _check_blocked_sweep(
                 mat, lower=lower, unit=unit, dominant=True)
             assert steps <= row_levels / 4
 
-    @pytest.mark.parametrize("engine", ["scipy", "gp"])
-    def test_complex_maxwell_subdomain_lu_factors(self, engine):
+    def test_complex_maxwell_subdomain_lu_factors(self):
         prob = maxwell_chamber(5, omega=8.0)
         dec = decompose_maxwell(prob, 4, overlap=1, impedance=True)
-        for mat, lower, unit in _lu_triangles(dec.local_matrices[1], engine):
+        for mat, lower, unit in _lu_triangles(dec.local_matrices[1]):
             assert np.iscomplexobj(mat.data)
             steps, row_levels = _check_blocked_sweep(
                 mat, lower=lower, unit=unit, dominant=False)
@@ -450,10 +363,10 @@ class TestBlockedSchedule:
     def test_maxwell_lu_depth_gate(self):
         # deterministic schedule gate: a regression fails on a count
         a = maxwell_chamber(5, omega=8.0).a
-        lu = SparseLU(a, engine="scipy")
+        lu = SparseLU(a)
         assert lu.symmetric
         for n_steps, (mat, lower, unit) in zip(
-                lu.n_levels, _lu_triangles(a, "scipy", **_SYMMETRIC)):
+                lu.n_levels, _lu_triangles(a, **_SYMMETRIC)):
             row_levels = RowLevelTriangularSolve(
                 mat, lower=lower, unit_diagonal=unit).n_levels
             assert row_levels > 150      # 274 / 275 under COLAMD
@@ -467,7 +380,7 @@ class TestConcatFactors:
     def _family(lower, *, complex_last=False):
         """Factors with inverted blocks, without, and a lone chain."""
         k = -1 if lower else 1
-        lap = _lu_triangles(laplacian_2d(9), "scipy")[0 if lower else 1][0]
+        lap = _lu_triangles(laplacian_2d(9))[0 if lower else 1][0]
         mats = [
             (lap - sp.diags(lap.diagonal()) + 4.0 * sp.eye(lap.shape[0])),
             _triangle(make_rng(5), 40, lower=lower, complex_=False),
@@ -541,33 +454,60 @@ class TestConcatFactors:
 
 
 class TestSparseLU:
-    @pytest.mark.parametrize("engine", ["gp", "scipy"])
-    def test_solves_exactly(self, rng, engine):
+    def test_solves_exactly(self, rng):
         a = _random_sparse(rng, 120)
-        lu = SparseLU(a, engine=engine)
+        lu = SparseLU(a)
         b = rng.standard_normal((120, 4))
         x = lu.solve(b)
         assert np.allclose(a @ x, b, atol=1e-8)
 
-    @pytest.mark.parametrize("engine", ["gp", "scipy"])
-    def test_complex(self, rng, engine):
+    def test_complex(self, rng):
         a = complex_shifted(90).tocsc()
-        lu = SparseLU(a, engine=engine)
+        lu = SparseLU(a)
         b = rng.standard_normal(90) + 1j * rng.standard_normal(90)
         x = lu.solve(b)
         assert np.allclose(a @ x, b, atol=1e-8)
         assert x.shape == (90,)
 
-    def test_auto_engine_selection(self):
-        small = SparseLU(laplacian_1d(100))
-        assert small.engine == "gp"
-        big = SparseLU(laplacian_2d(45))  # 2025 unknowns
-        assert big.engine == "scipy"
+    def test_has_no_engine_or_ordering_knob(self):
+        # one factorization engine: SuperLU, ordered by the pattern
+        for knob in ({"engine": "scipy"}, {"ordering": "amd"}):
+            with pytest.raises(TypeError):
+                SparseLU(laplacian_1d(10), **knob)
+
+    def test_unknown_engine(self):
+        with pytest.raises(TypeError):
+            SparseLU(laplacian_1d(10), engine="pardiso")
+
+    def test_pivoting_handles_zero_diagonal(self, rng):
+        a = sp.csc_matrix(np.array([[0.0, 2.0], [3.0, 1.0]]))
+        b = rng.standard_normal((2, 2))
+        assert np.allclose(a @ SparseLU(a).solve(b), b, atol=1e-12)
+
+    def test_singular_matrix_raises(self):
+        # SuperLU's "Factor is exactly singular" is a RuntimeError; callers
+        # see the one error type of a matrix SparseLU cannot factor
+        for a in ([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
+                  np.diag([1.0, 0.0, 1.0])):
+            with pytest.raises(np.linalg.LinAlgError, match="3 x 3"):
+                SparseLU(sp.csc_matrix(np.array(a)))
+
+    def test_nan_pivot_column_raises(self):
+        a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, np.nan]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            SparseLU(a)
+
+    def test_flops_accounted(self, rng):
+        with ledger.install() as led:
+            lu = SparseLU(_random_sparse(rng, 40))
+        assert led.flops[Kernel.FACTORIZATION] > 0
+        assert led.calls["lu_factorization"] == 1
+        assert led.counts() == lu.setup_cost.counts()
 
     def test_factor_once_solve_many(self, rng):
         a = laplacian_2d(12)
         n = a.shape[0]
-        lu = SparseLU(a, engine="gp")
+        lu = SparseLU(a)
         for _ in range(3):
             b = rng.standard_normal(n)
             assert np.allclose(a @ lu.solve(b), b, atol=1e-8)
@@ -575,7 +515,7 @@ class TestSparseLU:
     def test_as_preconditioner_gives_one_iteration(self, rng):
         from repro import Options, solve
         a = laplacian_2d(10)
-        lu = SparseLU(a, engine="gp")
+        lu = SparseLU(a)
         b = rng.standard_normal(a.shape[0])
         res = solve(a, b, lu.as_preconditioner(),
                     options=Options(tol=1e-10, variant="right"))
@@ -586,7 +526,7 @@ class TestSparseLU:
         """The measured Fig. 6 effect: blocked solves amortize the sweep."""
         import time
         a = laplacian_2d(40)  # 1600 unknowns
-        lu = SparseLU(a, engine="scipy")
+        lu = SparseLU(a)
         n = a.shape[0]
         b1 = rng.standard_normal((n, 1))
         b32 = rng.standard_normal((n, 32))
@@ -611,19 +551,12 @@ class TestSparseLU:
         with pytest.raises(ValueError):
             SparseLU(sp.random(4, 5, density=0.5))
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            SparseLU(laplacian_1d(10), engine="pardiso")
-
-    @pytest.mark.parametrize("engine", ["gp", "scipy"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_matrix_rejected(self, engine, bad):
-        # the GP engine used to factor a NaN matrix (``vmax == 0`` is false
-        # for NaN) and solve to all-NaN; both engines must refuse
+    def test_nonfinite_matrix_rejected(self, bad):
         a = laplacian_2d(4).tolil()
         a[5, 5] = bad
-        with pytest.raises((np.linalg.LinAlgError, RuntimeError)):
-            SparseLU(a.tocsc(), engine=engine)
+        with pytest.raises(np.linalg.LinAlgError):
+            SparseLU(a.tocsc())
 
 
 def _bare_splu(a):
@@ -636,6 +569,10 @@ def _backward_error(a, x, b):
     """Scaled infinity-norm backward error of ``x`` as a solution of ``a x = b``."""
     return np.abs(a @ x - b).max() / (spla.norm(a, np.inf) * np.abs(x).max()
                                       + np.abs(b).max())
+
+
+#: symmetric patterns the probe tests run on: n = 196, 64 and 80
+_PROBED = (laplacian_2d(14), laplacian_2d(8), laplacian_2d(8, 10))
 
 
 def _corrupting_superlu(corrupt):
@@ -652,7 +589,7 @@ def _corrupting_superlu(corrupt):
 
 
 class TestSymmetricOrdering:
-    """The SuperLU engine orders the symmetric structure when there is one,
+    """SuperLU is asked to order the symmetric structure when there is one,
     and keeps a factor only if it reproduces the matrix."""
 
     def test_fill_gate(self):
@@ -662,7 +599,7 @@ class TestSymmetricOrdering:
         prob = maxwell_chamber(5, omega=8.0)
         dec = decompose_maxwell(prob, 8, overlap=2, impedance=True)
         for mats in (dec.local_matrices, [laplacian_2d(24)]):
-            ours = [SparseLU(m, engine="scipy") for m in mats]
+            ours = [SparseLU(m) for m in mats]
             assert all(lu.symmetric for lu in ours)
             bare = sum(lu.L.nnz + lu.U.nnz for lu in map(_bare_splu, mats))
             assert sum(lu.factor_nnz for lu in ours) <= 0.75 * bare
@@ -674,7 +611,7 @@ class TestSymmetricOrdering:
         monkeypatch.setattr(
             solver_mod, "TriangularFactor",
             lambda mat, **kw: seen.append(mat) or TriangularFactor(mat, **kw))
-        lu, ref = SparseLU(a, engine="scipy"), _bare_splu(a)
+        lu, ref = SparseLU(a), _bare_splu(a)
         assert not lu.symmetric
         assert "lu_repivot" not in lu.setup_cost.calls
         assert np.array_equal(lu.perm_r, ref.perm_r)
@@ -686,18 +623,19 @@ class TestSymmetricOrdering:
 
     def test_corrupted_symmetric_factor_is_abandoned(self, rng, monkeypatch):
         # mutation: the probe must notice an L that is not the matrix's, give
-        # the symmetric path up, and hand out the parent's factorization
-        a = laplacian_2d(14)
+        # the symmetric path up, and hand out the bare factorization — at
+        # every size, the traffic operator's n = 64 and an AMG coarse n = 80
         monkeypatch.setattr(solver_mod, "spla", _corrupting_superlu(
             lambda spec: "options" in spec))
-        lu = SparseLU(a, engine="scipy")
-        assert not lu.symmetric
-        assert lu.setup_cost.calls["lu_repivot"] == 1
-        assert lu.setup_cost.calls["lu_factorization"] == 2
-        ref = _bare_splu(a)
-        assert lu.factor_nnz == ref.L.nnz + ref.U.nnz
-        b = rng.standard_normal((a.shape[0], 3))
-        assert _backward_error(a, lu.solve(b), b) <= 1e-12
+        for a in _PROBED:
+            lu = SparseLU(a)
+            assert not lu.symmetric
+            assert lu.setup_cost.calls["lu_repivot"] == 1
+            assert lu.setup_cost.calls["lu_factorization"] == 2
+            ref = _bare_splu(a)
+            assert lu.factor_nnz == ref.L.nnz + ref.U.nnz
+            b = rng.standard_normal((a.shape[0], 3))
+            assert _backward_error(a, lu.solve(b), b) <= 1e-12
 
     @pytest.mark.parametrize("a", [laplacian_2d(14),                 # both calls
                                    _random_sparse(make_rng(8), 80)],  # the one
@@ -708,12 +646,13 @@ class TestSymmetricOrdering:
         n = a.shape[0]
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"{n} x {n} .* backward error"):
-            SparseLU(a, engine="scipy")
+            SparseLU(a)
 
     def test_clean_symmetric_factor_is_kept(self):
-        lu = SparseLU(laplacian_2d(14), engine="scipy")
-        assert lu.symmetric
-        assert dict(lu.setup_cost.calls) == {"lu_factorization": 1}
+        for a in _PROBED:
+            lu = SparseLU(a)
+            assert lu.symmetric
+            assert dict(lu.setup_cost.calls) == {"lu_factorization": 1}
 
     def test_saddle_point_with_zero_diagonal(self, rng):
         # symmetric pattern, nothing stored on a third of the diagonal:
@@ -722,18 +661,19 @@ class TestSymmetricOrdering:
         c = sp.random(a.shape[0], 40, density=0.06, random_state=3)
         k = sp.bmat([[a, c], [c.T, None]], format="csc")
         assert _pattern_is_symmetric(k) and (k.diagonal() == 0).sum() == 40
-        lu = SparseLU(k, engine="scipy")
+        lu = SparseLU(k)
         b = rng.standard_normal((k.shape[0], 3))
         assert _backward_error(k, lu.solve(b), b) <= 1e-12
 
     def test_trace_and_repr_say_which_path(self, rng):
         tr = Tracer()
         with install_tracer(tr):
-            lus = [SparseLU(laplacian_2d(8), engine="scipy"),
-                   SparseLU(_random_sparse(rng, 64), engine="scipy"),
-                   SparseLU(laplacian_2d(8), engine="gp")]
+            lus = [SparseLU(laplacian_2d(8)),
+                   SparseLU(_random_sparse(rng, 64))]
         spans = [s for root in tr.roots for s in root.find("setup.lu")]
-        assert [s.attrs["symmetric"] for s in spans] == [True, False, False]
+        assert [s.attrs["symmetric"] for s in spans] == [True, False]
+        assert [s.attrs["n"] for s in spans] == [64, 64]
+        assert all("engine" not in s.attrs for s in spans)
         assert [s.attrs["factor_nnz"] for s in spans] == [
             lu.factor_nnz for lu in lus]
         assert "symmetric=True" in repr(lus[0])
@@ -760,7 +700,7 @@ def test_property_symmetry_probe(n, seed, symmetrize, zeros, complex_):
                        (np.concatenate([row, diag]),
                         np.concatenate([col, diag]))), shape=(n, n))
     assert _pattern_is_symmetric(a) or not symmetrize
-    lu = SparseLU(a, engine="scipy")
+    lu = SparseLU(a)
     assert lu.symmetric == _pattern_is_symmetric(a)
     b = rng.standard_normal(n)
     assert _backward_error(a, lu.solve(b), b) <= 1e-12
@@ -777,7 +717,7 @@ def test_property_lu_roundtrip(n, seed, complex_):
         a = a + 1j * sp.random(n, n, density=min(1.0, 5 / n),
                                random_state=seed + 1)
     a = sp.csc_matrix(a)
-    lu = SparseLU(a, engine="gp")
+    lu = SparseLU(a)
     b = rng.standard_normal((n, 2))
     x = lu.solve(b)
     assert np.allclose(a @ x, b, atol=1e-7 * max(1.0, abs(a).max()))

@@ -159,19 +159,6 @@ class TestPrimitiveEquivalence:
         assert c_fu == c_pr
         np.testing.assert_allclose(y_fu, y_pr, rtol=1e-11, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", ["asm", "oras"])
-    def test_schwarz_apply_gilbert_peierls(self, rng, variant):
-        # the other permutation convention (L U = A[perm_r][:, perm_c])
-        # through the composed gather / scatter of the fused batch
-        a = laplacian_2d(10)
-        x = rng.standard_normal((a.shape[0], 3))
-        m = SchwarzPreconditioner(a, nparts=4, overlap=1, variant=variant,
-                                  engine="gp")
-        y_pr, c_pr = counted(lambda: looped(m).apply(x))
-        y_fu, c_fu = counted(lambda: m.apply(x))
-        assert c_fu == c_pr
-        np.testing.assert_allclose(y_fu, y_pr, rtol=1e-11, atol=1e-12)
-
     def test_schwarz_batch_is_built_with_the_preconditioner(self, rng):
         # set-up work belongs to the set-up: the fused batch exists before
         # the first apply (and is charged nothing) whatever the substrate's
@@ -217,7 +204,7 @@ class TestPrimitiveEquivalence:
     @pytest.mark.parametrize("kind", ["spd", "complex_symmetric",
                                       "unsymmetric_values", "unsymmetric_pattern"])
     def test_schwarz_on_every_kind_of_symmetry(self, rng, kind):
-        # the SuperLU engine picks its ordering from the pattern: each kind
+        # SparseLU picks SuperLU's ordering from the pattern: each kind
         # of input solves to 1e-12 per subdomain and through the batch, and
         # batch and loop charge the same ledger
         a = laplacian_2d(14).astype(

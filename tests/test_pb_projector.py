@@ -88,13 +88,17 @@ def test_blas_cores_match_einsum_oracle(scheme, n, p, depth, complex_,
     # cancellation guard (the one data-dependent charge) is a coin toss
     if depth < n or scheme != "cgs2_1r":
         assert counts == ref_counts
-    for (w2, dots, nrm), (rw2, rdots, rnrm) in zip(got, want):
+    for j, ((w2, dots, nrm), (rw2, rdots, rnrm)) in enumerate(zip(got, want)):
         assert w2.shape == rw2.shape and dots.shape == rdots.shape
         scale = max(np.linalg.norm(rw2), np.linalg.norm(rdots), 1.0)
-        assert np.linalg.norm(w2 - rw2) <= 1e-13 * scale
-        assert np.linalg.norm(dots - rdots) <= 1e-13 * scale
+        # the step against a complete basis (j + 1 = n) projects a vector
+        # onto its own span: both cores return rounding noise, which agrees
+        # only to a few hundred ulps (cholqr2: 1.3e-13 seen at n = p = 4)
+        tol = 1e-12 if j + 1 == n else 1e-13
+        assert np.linalg.norm(w2 - rw2) <= tol * scale
+        assert np.linalg.norm(dots - rdots) <= tol * scale
         # a cancelled remainder's norm is only as good as the remainder
-        assert np.linalg.norm(nrm - rnrm) <= 1e-13 * scale
+        assert np.linalg.norm(nrm - rnrm) <= tol * scale
         assert not np.any(w2[:, frozen]) and not np.any(dots[:, frozen])
 
 

@@ -243,7 +243,7 @@ def test_lint_keeps_superlu_behind_sparse_lu():
     for src in ("lu = spla.splu(a)\n", "lu = splu(a.tocsc())\n",
                 "m = scipy.sparse.linalg.spilu(a, drop_tol=1e-4)\n"):
         for parts in (("src", "repro", "precond", "x.py"),
-                      ("src", "repro", "direct", "numeric.py")):
+                      ("src", "repro", "direct", "ordering.py")):
             assert _lint_plan_source(src, parts) == ["bare-splu"]
         assert _lint_plan_source(
             src, ("src", "repro", "direct", "solver.py")) == []
