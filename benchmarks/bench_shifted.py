@@ -43,11 +43,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-if __name__ == "__main__":  # allow running without PYTHONPATH=src
+if __name__ == "__main__":
+    # one BLAS thread, set before numpy loads: a threaded GEMM on a skinny
+    # block measures thread contention, not the kernel
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    # allow running without PYTHONPATH=src
     _src = Path(__file__).resolve().parent.parent / "src"
     if str(_src) not in sys.path:
         sys.path.insert(0, str(_src))

@@ -29,7 +29,9 @@ from repro.perfmodel.estimate import modeled_time
 from repro.perfmodel.machine import CURIE
 
 
-def run(n: int = 800) -> None:
+def run(n: int = 800) -> dict:
+    """Print the counts and the modeled times; return ``{label: (result,
+    ledger)}`` of the two solves."""
     # mildly shifted 1-D Laplacian: hard enough to need many restart
     # cycles, easy enough that plain GMRES(30) still converges
     a = sp.diags([-np.ones(n - 1), 2.05 * np.ones(n), -np.ones(n - 1)],
@@ -78,6 +80,7 @@ def run(n: int = 800) -> None:
           "paper's fewer-synchronizations engineering\n(CholQR, strategy B, "
           "same-system fast path) is the difference between scaling and "
           "not.")
+    return events
 
 
 if __name__ == "__main__":

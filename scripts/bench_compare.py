@@ -13,8 +13,8 @@ trajectory grows one point per CI run.
 
 Metric kinds and their tolerances:
 
-* ``ratio`` — wall-clock-derived speedups (fused over per-rank at
-  nranks=64, CGS2-1R over MGS, ...).  Noisy run-to-run, so the gate only
+* ``ratio`` — wall-clock-derived speedups (CGS2-1R over MGS, a kernel
+  over its reference formulation, ...).  Noisy run-to-run, so the gate only
   requires ``current >= previous / RATIO_TOLERANCE`` (default 1.6x): a
   genuine 2x slowdown is caught, scheduler jitter is not.
 * ``modeled`` — derived from ledger counts through the performance model
@@ -65,9 +65,6 @@ MODELED_RTOL = 1e-6
 #: the only metric kind ``--rebaseline`` accepts
 REBASEABLE = "modeled"
 
-#: kernels whose fused-over-per-rank speedup at nranks=64 is tracked
-TRACKED_KERNELS = ("spmm", "col_dots", "cholqr")
-
 #: metrics of earlier trajectory entries that no run produces any more
 RETIRED = {
     "transient_cache_recycle_shifted_time_per_sim_second":
@@ -81,6 +78,15 @@ RETIRED = {
         "solves (96^2 Laplacian, restart 40 / recycle 10, bgcrodr cgs2_1r "
         "p = 8, gcrodr cgs2_1r p = 4, bgcrodr cholqr2 p = 8) at identical "
         "iterations and reductions — no edge outside noise for 1 230 lines"),
+    **{f"kernel_speedup64_{kern}":
+       f"the per-rank execution of the simulated-MPI substrate left src/ for "
+       f"tests/fixtures/per_rank_substrate.py (an oracle held to "
+       f"bit-identical counts, never timed), so there is no second mode to "
+       f"be faster than; the last three quick readings of the {kern} "
+       f"speedup at 64 ranks were {readings}"
+       for kern, readings in (("spmm", "12.91 / 10.67 / 11.41"),
+                              ("col_dots", "5.96 / 6.27 / 6.60"),
+                              ("cholqr", "6.16 / 6.99 / 5.40"))},
 }
 
 
@@ -115,10 +121,6 @@ def extract_metrics(kernels: dict, service: dict,
                     transient: dict | None = None) -> dict[str, dict]:
     """Reduce raw bench JSON to ``{metric: {value, kind}}``."""
     m: dict[str, dict] = {}
-    speed = kernels["speedup_fused_over_per_rank"]
-    for kern in TRACKED_KERNELS:
-        m[f"kernel_speedup64_{kern}"] = {
-            "value": float(speed[kern]["64"]), "kind": "ratio"}
     schemes = kernels["orthogonalization"]["schemes"]
     m["ortho_cgs2_1r_reductions_per_step"] = {
         "value": int(schemes["cgs2_1r"]["reductions_per_step_max"]),
@@ -295,10 +297,6 @@ def bootstrap_floors(current: dict[str, dict]) -> list[str]:
         failures.append("service_amortized_speedup < 2.0")
     if current["service_setup_builds_coalesced"]["value"] != 1:
         failures.append("service_setup_builds_coalesced != 1")
-    for kern in TRACKED_KERNELS:
-        if current[f"kernel_speedup64_{kern}"]["value"] < 1.0:
-            failures.append(f"kernel_speedup64_{kern} < 1.0 "
-                            f"(fused slower than per-rank oracle)")
     if current["pb_projector_speedup_over_einsum"]["value"] < 2.0:
         failures.append("pb_projector_speedup_over_einsum < 2.0 (a stride "
                         "np.matmul cannot hand to BLAS reads ~1x)")
@@ -362,7 +360,7 @@ def self_test(current: dict[str, dict]) -> int:
     degraded = json.loads(json.dumps(current))
     for name, entry in degraded.items():
         if entry["kind"] == "ratio":
-            entry["value"] /= 2.0          # fused path got 2x slower
+            entry["value"] /= 2.0          # the kernel got 2x slower
         elif entry["kind"] == "modeled":
             entry["value"] /= 2.0          # coalescing stopped amortizing
     failures = compare(degraded, current, label="pre-slowdown")

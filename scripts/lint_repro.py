@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Nine rule families, each guarding an invariant the test suite and the
+Eight rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -57,13 +57,6 @@ trace/bench gates rely on:
     for is decided there, from the symmetry of the input's pattern, and
     every factor is probed before it is accepted; a second call site is a
     second ordering policy with no probe.  No allow-list entry.
-
-``execmode-substrate``
-    an import of ``repro.util.execmode`` anywhere in ``src/repro/`` outside
-    ``distla/`` and ``simmpi/``.  The fused / per-rank switch is private to
-    the simulated-MPI substrate, whose per-rank path is the oracle of its
-    fused one; a solver, preconditioner or option that reads it grows a
-    second path nothing on a solve selects.  No allow-list entry.
 
 ``option-census``
     a field of ``Options`` that no module under ``src/repro/`` (outside
@@ -126,10 +119,6 @@ RESTART_HOME = os.path.join("src", "repro", "krylov", "restart.py")
 #: the one module of the library that may call SuperLU
 SRC_DIR = os.path.join("src", "repro") + os.sep
 SUPERLU_HOME = os.path.join("src", "repro", "direct", "solver.py")
-#: the switch itself and the two packages it is private to
-EXECMODE_HOMES = (os.path.join("src", "repro", "util", "execmode.py"),
-                  os.path.join("src", "repro", "distla") + os.sep,
-                  os.path.join("src", "repro", "simmpi") + os.sep)
 OPTIONS_HOME = os.path.join("src", "repro", "util", "options.py")
 
 
@@ -156,8 +145,6 @@ class _Visitor(ast.NodeVisitor):
             and rel != RESTART_HOME
         self.in_superlu_scope = rel.startswith(SRC_DIR) \
             and rel != SUPERLU_HOME
-        self.in_execmode_scope = rel.startswith(SRC_DIR) \
-            and not rel.startswith(EXECMODE_HOMES)
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, msg: str) -> None:
@@ -250,7 +237,7 @@ class _Visitor(ast.NodeVisitor):
                                f"ROADMAP item 1a; new code belongs elsewhere")
         self.generic_visit(node)
 
-    # -- execmode-substrate, plan-residue (the import side) ---------------
+    # -- plan-residue (the import side) -----------------------------------
     def _visit_import(self, node: ast.Import | ast.ImportFrom) -> None:
         names = [alias.name for alias in node.names]
         if isinstance(node, ast.ImportFrom):
@@ -261,12 +248,6 @@ class _Visitor(ast.NodeVisitor):
                        "repro.plan imported from src/repro/ — the package is "
                        "a benchmark-only residue; import "
                        "la.orthogonalization / krylov.cycle directly")
-        if self.in_execmode_scope and any(
-                "execmode" in name.split(".") for name in names):
-            self._flag("execmode-substrate", node,
-                       "util.execmode imported outside distla/ and simmpi/ "
-                       "— the fused / per-rank switch is private to the "
-                       "simulated-MPI substrate")
 
     visit_Import = _visit_import
     visit_ImportFrom = _visit_import

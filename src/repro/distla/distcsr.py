@@ -1,18 +1,14 @@
 """Row-distributed CSR matrix over a virtual process grid.
 
-Mirrors PETSc's ``MatMPIAIJ`` storage: every rank holds a *diagonal* block
-(its rows restricted to its own columns) and an *off-diagonal* block (its
-rows restricted to ghost columns), plus a halo plan describing the ghost
-exchange.  ``matmat`` has two execution paths (ambient
-:func:`repro.util.execmode.exec_mode`):
-
-* ``"fused"`` (default) — one global ``A @ X`` plus an O(1) ledger charge
-  replayed from the :class:`~repro.util.ledger.CostTable` precomputed at
-  construction.  Numerically the per-rank product *is* the serial product,
-  so nothing is lost — only interpreter overhead.
-* ``"per_rank"`` — execute the product rank-by-rank (halo exchange + local
-  diag/offdiag products), charging the ledger event-by-event.  The
-  equivalence tests use this as the oracle for the fused charges.
+Mirrors the communication of PETSc's ``MatMPIAIJ``: every rank owns a
+contiguous row range, and a halo plan per rank records which ghost columns
+it receives from which neighbour.  ``matmat`` is one global ``A @ X`` plus
+an O(1) ledger charge replayed from the
+:class:`~repro.util.ledger.CostTable` the plans sum to at construction —
+numerically the per-rank product *is* the serial product.  The rank-by-rank
+execution (per-rank diagonal / off-diagonal blocks, halo gather, local
+products, charged event by event) is a test oracle under
+``tests/fixtures/``, held to bit-identical ledger counts.
 
 This is the operator handed to the Krylov solvers for the scalability
 benchmarks (Figs. 6-8): the solvers never know they are running on a
@@ -27,7 +23,6 @@ import scipy.sparse as sp
 from ..simmpi.grid import VirtualGrid
 from ..simmpi.halo import HaloPlan, aggregate_halo_cost, build_halo_plans
 from ..util import ledger
-from ..util.execmode import exec_mode
 from ..util.ledger import Kernel
 from ..util.misc import as_block, next_tag
 
@@ -35,7 +30,7 @@ __all__ = ["DistributedCSR"]
 
 
 class DistributedCSR:
-    """Row-distributed sparse matrix with PETSc-style diag/offdiag splitting.
+    """Row-distributed sparse matrix with PETSc-style halo plans.
 
     Parameters
     ----------
@@ -64,24 +59,7 @@ class DistributedCSR:
         # could spuriously re-enable the same-system fast path)
         self.tag = next_tag()
         self.plans: list[HaloPlan] = build_halo_plans(a, self.grid)
-        # per-rank diagonal and off-diagonal blocks (ghost columns compressed)
-        self._diag_blocks: list[sp.csr_matrix] = []
-        self._off_blocks: list[sp.csr_matrix | None] = []
-        if self.grid.nranks == 1:
-            # trivial distribution: the diagonal block IS the global matrix —
-            # skip the split (it would double memory and setup time)
-            self._diag_blocks.append(a)
-            self._off_blocks.append(None)
-        else:
-            for r in range(self.grid.nranks):
-                rows = self.grid.rows(r)
-                local = a[rows]
-                own = local[:, rows]
-                plan = self.plans[r]
-                off = local[:, plan.ghost_cols] if plan.n_ghost else None
-                self._diag_blocks.append(sp.csr_matrix(own))
-                self._off_blocks.append(sp.csr_matrix(off) if off is not None else None)
-        # aggregate cost of one apply, replayed in O(1) by the fused path
+        # aggregate cost of one apply, replayed in O(1) by matmat
         self.cost = aggregate_halo_cost(self.plans, flops_per_col=2.0 * self.nnz)
 
     # ------------------------------------------------------------------
@@ -89,38 +67,15 @@ class DistributedCSR:
         return np.asarray(self.global_matrix.diagonal())
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Distributed SpMM: halo exchange + local products."""
+        """Distributed SpMM: halo exchange + local products, as one product."""
         x = as_block(x)
         if x.shape[0] != self.shape[0]:
             raise ValueError(f"operand has {x.shape[0]} rows, expected {self.shape[0]}")
         p = x.shape[1]
         led = ledger.current()
-        kern = Kernel.SPMV if p == 1 else Kernel.SPMM
-        if exec_mode() == "fused":
-            y = as_block(np.asarray(self.global_matrix @ x))
-            self.cost.charge(led, itemsize=x.itemsize, p=p, kernel=kern)
-            led.event("operator_apply", p)
-            return y
-        if self.grid.nranks == 1:
-            # single-rank loop body, minus the gather copy: no halo, and
-            # the diagonal block IS the global matrix
-            self.plans[0].charge(x.itemsize, p)
-            y = as_block(np.asarray(self._diag_blocks[0] @ x))
-            led.flop(kern, 2.0 * self.nnz * p)
-            led.event("operator_apply", p)
-            return y
-        y = np.empty((self.shape[0], p), dtype=np.promote_types(self.dtype, x.dtype))
-        for r in range(self.grid.nranks):
-            rows = self.grid.rows(r)
-            plan = self.plans[r]
-            plan.charge(x.itemsize, p)
-            yr = self._diag_blocks[r] @ x[rows]
-            off = self._off_blocks[r]
-            if off is not None:
-                ghost_vals = x[plan.ghost_cols]       # the received halo
-                yr = yr + off @ ghost_vals
-            y[rows] = yr
-        led.flop(kern, 2.0 * self.nnz * p)
+        y = as_block(np.asarray(self.global_matrix @ x))
+        self.cost.charge(led, itemsize=x.itemsize, p=p,
+                         kernel=Kernel.SPMV if p == 1 else Kernel.SPMM)
         led.event("operator_apply", p)
         return y
 

@@ -2,21 +2,20 @@
 
 The communication-critical kernel of GCRO-DR (paper lines 11 and 24):
 
-* **CholQR** — one per-rank local Gram, one all-reduce, one redundant
-  Cholesky, one local triangular solve (single reduction total);
+* **CholQR** — one Gram, one all-reduce, one redundant Cholesky, one local
+  triangular solve (single reduction total);
 * **TSQR** — per-rank local Householder QR, a binary reduction tree over
   the small R factors (single reduction, unconditionally stable);
 * **CGS** — column-by-column projection: ``2p - 1`` reductions, retained
   as the baseline the paper's §III-D compares against.
 
-These run genuinely rank-partitioned (per-rank locals, collectives from
-:mod:`repro.simmpi`), so the tests can assert both the numerics *and* the
-reduction counts against the serial kernels in :mod:`repro.la`.
-
-CholQR and CGS additionally have fused fast paths (one GEMM/solve on the
-contiguous backing store of a fused :class:`DistributedBlockVector`, same
-reduction charges); TSQR always runs per-rank because its local-QR +
-reduction-tree flop counts *are* the algorithm being accounted.
+CholQR, CholQR2 and CGS run as one GEMM / solve on the contiguous backing
+store of a :class:`DistributedBlockVector`, charging the reductions a
+rank-partitioned run pays; TSQR runs its local QRs on the per-rank views,
+because its local-QR + reduction-tree flop counts *are* the algorithm being
+accounted.  The rank-by-rank bodies are a test oracle under
+``tests/fixtures/``, held to the same numerics and bit-identical ledger
+counts.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ..simmpi.collectives import allreduce_sum
 from ..util import ledger
 from ..util.ledger import Kernel
 from .. import verify
@@ -57,23 +55,13 @@ def distributed_cholqr(x: DistributedBlockVector
     """CholQR on a distributed block: one reduction, Gram + local solves."""
     grid = x.grid
     led = ledger.current()
-    if x._fused_with():
-        data = x.global_data
-        gram = data.conj().T @ data             # the single reduction
-        led.reduction(nbytes=gram.nbytes)
-        r = np.linalg.cholesky(gram).conj().T
-        led.flop(Kernel.BLAS3, 2.0 * grid.n * x.p ** 2)
-        q = sla.solve_triangular(r.T, data.T, lower=True).T
-        qv = DistributedBlockVector._from_data(grid, q)
-        _verify_qr(x, qv, r, "distributed CholQR (fused)")
-        return qv, r
-    parts = [a.conj().T @ a for a in x.locals]
-    gram = allreduce_sum(grid, parts)           # the single reduction
+    data = x.global_data
+    gram = data.conj().T @ data                 # the single reduction
+    led.reduction(nbytes=gram.nbytes)
     r = np.linalg.cholesky(gram).conj().T       # redundant on every rank
     led.flop(Kernel.BLAS3, 2.0 * grid.n * x.p ** 2)
-    q_locals = [sla.solve_triangular(r.T, a.T, lower=True).T
-                for a in x.locals]
-    qv = DistributedBlockVector(grid, q_locals)
+    q = sla.solve_triangular(r.T, data.T, lower=True).T
+    qv = DistributedBlockVector._from_data(grid, q)
     _verify_qr(x, qv, r, "distributed CholQR")
     return qv, r
 
@@ -85,48 +73,26 @@ def distributed_cholqr2(x: DistributedBlockVector
     The first Gram gets the classic ``11(np + p(p+1)) u ||x||^2`` diagonal
     shift so the Cholesky cannot break down; the second pass restores
     orthonormality to machine precision.  The distributed counterpart of
-    :func:`repro.la.orthogonalization.cholqr2`, with the same fused /
-    per-rank duality (bit-identical ledger charges) as
-    :func:`distributed_cholqr`.
+    :func:`repro.la.orthogonalization.cholqr2`.
     """
     grid = x.grid
     p = x.p
     led = ledger.current()
     u = np.finfo(np.float64).eps
-
-    def _shifted_factor(gram: np.ndarray) -> np.ndarray:
-        shift = 11.0 * (grid.n * p + p * (p + 1)) * u * float(
-            np.trace(gram).real)
-        return np.linalg.cholesky(
-            gram + shift * np.eye(p, dtype=gram.dtype)).conj().T
-
-    if x._fused_with():
-        data = x.global_data
-        gram = data.conj().T @ data                 # reduction 1
-        led.reduction(nbytes=gram.nbytes)
-        r1 = _shifted_factor(gram)
-        led.flop(Kernel.BLAS3, 2.0 * grid.n * p ** 2)
-        q1 = sla.solve_triangular(r1.T, data.T, lower=True).T
-        g2 = q1.conj().T @ q1                       # reduction 2
-        led.reduction(nbytes=g2.nbytes)
-        r2 = np.linalg.cholesky(g2).conj().T
-        led.flop(Kernel.BLAS3, 2.0 * grid.n * p ** 2)
-        q = sla.solve_triangular(r2.T, q1.T, lower=True).T
-        qv = DistributedBlockVector._from_data(grid, q)
-        r = r2 @ r1
-        _verify_qr(x, qv, r, "distributed CholQR2 (fused)")
-        return qv, r
-    gram = allreduce_sum(grid, [a.conj().T @ a for a in x.locals])
-    r1 = _shifted_factor(gram)                      # redundant on every rank
+    data = x.global_data
+    gram = data.conj().T @ data                     # reduction 1
+    led.reduction(nbytes=gram.nbytes)
+    shift = 11.0 * (grid.n * p + p * (p + 1)) * u * float(np.trace(gram).real)
+    r1 = np.linalg.cholesky(
+        gram + shift * np.eye(p, dtype=gram.dtype)).conj().T
     led.flop(Kernel.BLAS3, 2.0 * grid.n * p ** 2)
-    q1_locals = [sla.solve_triangular(r1.T, a.T, lower=True).T
-                 for a in x.locals]
-    g2 = allreduce_sum(grid, [a.conj().T @ a for a in q1_locals])
+    q1 = sla.solve_triangular(r1.T, data.T, lower=True).T
+    g2 = q1.conj().T @ q1                           # reduction 2
+    led.reduction(nbytes=g2.nbytes)
     r2 = np.linalg.cholesky(g2).conj().T
     led.flop(Kernel.BLAS3, 2.0 * grid.n * p ** 2)
-    q_locals = [sla.solve_triangular(r2.T, a.T, lower=True).T
-                for a in q1_locals]
-    qv = DistributedBlockVector(grid, q_locals)
+    q = sla.solve_triangular(r2.T, q1.T, lower=True).T
+    qv = DistributedBlockVector._from_data(grid, q)
     r = r2 @ r1
     _verify_qr(x, qv, r, "distributed CholQR2")
     return qv, r
@@ -137,46 +103,33 @@ def distributed_tsqr(x: DistributedBlockVector
     """TSQR: local Householder QRs + a binary tree over the R factors.
 
     The tree is executed explicitly (one reduction charged); the thin Q is
-    reconstructed per rank by back-substituting the combined R — stable
-    for any block the local QRs can handle.
+    reconstructed by back-substituting the combined R — stable for any
+    block the local QRs can handle.
     """
-    grid = x.grid
     p = x.p
     led = ledger.current()
-    local_qs, rs = [], []
+    rs = []
     for a in x.locals:
-        q, r = np.linalg.qr(a)
+        rs.append(np.linalg.qr(a, mode="r"))
         led.flop(Kernel.QR, 4.0 * a.shape[0] * p ** 2)
-        local_qs.append(q)
-        rs.append(r)
-    # binary reduction tree over the p x p R factors
-    tree_qs: list[list[np.ndarray]] = [[] for _ in rs]
-    level = list(range(len(rs)))
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            a_idx, b_idx = level[i], level[i + 1]
-            stacked = np.vstack([rs[a_idx], rs[b_idx]])
-            q, r = np.linalg.qr(stacked)
+    # binary reduction tree over the p x p R factors: pairs merge, an odd
+    # one out is carried to the next level
+    while len(rs) > 1:
+        merged = []
+        for top, bottom in zip(rs[::2], rs[1::2]):
+            merged.append(np.linalg.qr(np.vstack([top, bottom]), mode="r"))
             led.flop(Kernel.QR, 8.0 * p ** 3)
-            rs[a_idx] = r
-            tree_qs[a_idx].append((q, b_idx))
-            nxt.append(a_idx)
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    led.reduction(nbytes=p * p * x.locals[0].itemsize)
-    r_final = rs[level[0]]
-    # reconstruct per-rank thin Q by solving X = Q R locally
+        rs = merged + rs[2 * len(merged):]
+    data = x.global_data
+    led.reduction(nbytes=p * p * data.itemsize)
+    r_final = rs[0]
     try:
-        q_locals = [sla.solve_triangular(r_final.conj().T, a.conj().T,
-                                         lower=True).conj().T
-                    for a in x.locals]
+        q = sla.solve_triangular(r_final.conj().T, data.conj().T,
+                                 lower=True).conj().T
     except (sla.LinAlgError, ValueError):
-        q_locals = [np.linalg.lstsq(r_final.conj().T, a.conj().T,
-                                    rcond=None)[0].conj().T
-                    for a in x.locals]
-    qv = DistributedBlockVector(grid, q_locals)
+        q = np.linalg.lstsq(r_final.conj().T, data.conj().T,
+                            rcond=None)[0].conj().T
+    qv = DistributedBlockVector._from_data(x.grid, q)
     _verify_qr(x, qv, r_final, "distributed TSQR")
     return qv, r_final
 
@@ -184,36 +137,6 @@ def distributed_tsqr(x: DistributedBlockVector
 def distributed_cgs_qr(x: DistributedBlockVector
                        ) -> tuple[DistributedBlockVector, np.ndarray]:
     """Classical Gram-Schmidt, one column at a time: 2p - 1 reductions."""
-    grid = x.grid
-    p = x.p
-    if x._fused_with():
-        return _fused_cgs_qr(x)
-    work = [a.astype(np.promote_types(a.dtype, np.float64), copy=True)
-            for a in x.locals]
-    r = np.zeros((p, p), dtype=work[0].dtype)
-    for j in range(p):
-        if j > 0:
-            coeffs = allreduce_sum(
-                grid, [w[:, :j].conj().T @ w[:, j: j + 1] for w in work])
-            for w in work:
-                w[:, j: j + 1] -= w[:, :j] @ coeffs
-            r[:j, j] = coeffs[:, 0]
-        nrm2 = allreduce_sum(
-            grid, [np.array([np.vdot(w[:, j], w[:, j]).real]) for w in work])
-        nrm = float(np.sqrt(nrm2[0]))
-        if nrm > 0:
-            for w in work:
-                w[:, j] /= nrm
-        r[j, j] = nrm
-    qv = DistributedBlockVector(grid, work)
-    _verify_qr(x, qv, r, "distributed CGS QR")
-    return qv, r
-
-
-def _fused_cgs_qr(x: DistributedBlockVector
-                  ) -> tuple[DistributedBlockVector, np.ndarray]:
-    """CGS on the contiguous backing store: same 2p - 1 reduction charges."""
-    grid = x.grid
     p = x.p
     led = ledger.current()
     work = x.global_data.astype(
@@ -231,6 +154,6 @@ def _fused_cgs_qr(x: DistributedBlockVector
         if nrm > 0:
             work[:, j] /= nrm
         r[j, j] = nrm
-    qv = DistributedBlockVector._from_data(grid, work)
-    _verify_qr(x, qv, r, "distributed CGS QR (fused)")
+    qv = DistributedBlockVector._from_data(x.grid, work)
+    _verify_qr(x, qv, r, "distributed CGS QR")
     return qv, r

@@ -2,32 +2,26 @@
 
 The solver stack works on plain ndarrays (the distribution lives in the
 operator and the cost ledger), but the scalability analyses need genuinely
-partitioned vector objects to verify that every fused operation maps onto
+partitioned vector objects to verify that every operation maps onto
 per-rank locals + the advertised collectives.  ``DistributedBlockVector``
-is that object, with two storage modes:
+is that object: one contiguous global backing array, whose ``locals`` are
+zero-copy views of each rank's rows.  Reductions run as single
+einsums/GEMMs on the backing store with one ledger charge, and the in-place
+``axpy_``/``scale_`` variants mutate it without allocating anything.
 
-* **fused** (default, via :meth:`from_global` under ``exec_mode="fused"``)
-  — one contiguous global backing array; ``locals`` are zero-copy views
-  into it, materialized lazily.  Reductions run as single einsums/GEMMs on
-  the backing store with one batched ledger charge, and the in-place
-  ``axpy_``/``scale_`` variants mutate it without allocating anything.
-* **per-rank** — one array per rank, every operation loops over the
-  virtual ranks and routes reductions through
-  :mod:`repro.simmpi.collectives`, exactly like a real MPI run partitions
-  the work.
-
-Both modes charge bit-identical ledger counts (the reduction payloads are
-the same arrays), which the equivalence tests assert.
+The rank-by-rank execution — one array per rank, every reduction an
+all-reduce of per-rank partials — is a test oracle under
+``tests/fixtures/``; both charge bit-identical ledger counts, because the
+reduction payloads are the same arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..simmpi.collectives import allreduce_sum
+from ..simmpi.collectives import dot_columns, norm_columns
 from ..simmpi.grid import VirtualGrid
 from ..util import ledger
-from ..util.execmode import exec_mode
 from ..util.misc import as_block
 
 __all__ = ["DistributedBlockVector"]
@@ -41,7 +35,8 @@ class DistributedBlockVector:
     grid:
         the row distribution.
     locals_:
-        one array per rank, shapes ``(grid.local_size(r), p)``.
+        one array per rank, shapes ``(grid.local_size(r), p)``; validated,
+        then concatenated into the backing array.
     """
 
     def __init__(self, grid: VirtualGrid, locals_: list[np.ndarray]):
@@ -56,90 +51,62 @@ class DistributedBlockVector:
                     f"rank {r}: local block {loc.shape} != "
                     f"({grid.local_size(r)}, {p})")
             checked.append(loc)
-        self._locals: list[np.ndarray] | None = checked
-        self._data: np.ndarray | None = None
-        self.grid = grid
-        self.p = p
+        self._set(grid, np.concatenate(checked, axis=0))
 
-    # ------------------------------------------------------------------
+    def _set(self, grid: VirtualGrid, data: np.ndarray) -> None:
+        self.grid = grid
+        self._data = data
+        self._locals: list[np.ndarray] | None = None
+        self.p = data.shape[1]
+
     @classmethod
     def _from_data(cls, grid: VirtualGrid, data: np.ndarray
                    ) -> "DistributedBlockVector":
-        """Wrap a contiguous global array as a fused-storage vector."""
+        """Wrap a global array (no copy) as the backing store."""
         obj = cls.__new__(cls)
-        obj.grid = grid
-        obj._data = data
-        obj._locals = None
-        obj.p = data.shape[1]
+        obj._set(grid, data)
         return obj
 
     @classmethod
-    def from_global(cls, grid: VirtualGrid, x: np.ndarray, *,
-                    mode: str | None = None) -> "DistributedBlockVector":
-        """Scatter a global array into per-rank blocks (copying).
-
-        Under ``exec_mode="fused"`` (or ``mode="fused"``) the copy is one
-        contiguous backing array and the per-rank blocks are views into it.
-        """
+    def from_global(cls, grid: VirtualGrid, x: np.ndarray
+                    ) -> "DistributedBlockVector":
+        """Scatter a global array over the grid (one contiguous copy)."""
         x = as_block(x)
         if x.shape[0] != grid.n:
             raise ValueError(f"global array has {x.shape[0]} rows, grid "
                              f"expects {grid.n}")
-        if (mode or exec_mode()) == "fused":
-            return cls._from_data(grid, x.copy())
-        return cls(grid, [x[grid.rows(r)].copy() for r in range(grid.nranks)])
+        return cls._from_data(grid, x.copy())
 
     def to_global(self) -> np.ndarray:
         """Assemble the global array (an allgather in a real run)."""
-        if self._data is not None:
-            return self._data.copy()
-        return np.concatenate(self._locals, axis=0)
+        return self._data.copy()
 
     # ------------------------------------------------------------------
     @property
     def locals(self) -> list[np.ndarray]:
-        """Per-rank row blocks (zero-copy views in fused storage)."""
+        """Per-rank row blocks: zero-copy views of the backing array."""
         if self._locals is None:
             data, grid = self._data, self.grid
             self._locals = [data[grid.rows(r)] for r in range(grid.nranks)]
         return self._locals
 
     @property
-    def global_data(self) -> np.ndarray | None:
-        """The contiguous backing array, or ``None`` for per-rank storage."""
+    def global_data(self) -> np.ndarray:
+        """The contiguous backing array (not a copy)."""
         return self._data
-
-    @property
-    def is_fused(self) -> bool:
-        return self._data is not None
-
-    def _fused_with(self, other: "DistributedBlockVector | None" = None) -> bool:
-        """True when the fused fast path applies to this operation."""
-        if exec_mode() != "fused" or self._data is None:
-            return False
-        return other is None or other._data is not None
 
     # ------------------------------------------------------------------
     def dot(self, other: "DistributedBlockVector") -> np.ndarray:
         """Block inner product ``X^H Y`` (p x p), one global reduction."""
         self._check_compatible(other)
-        if self._fused_with(other):
-            out = self._data.conj().T @ other._data
-            ledger.current().reduction(nbytes=out.nbytes)
-            return out
-        parts = [a.conj().T @ b for a, b in zip(self.locals, other.locals)]
-        return allreduce_sum(self.grid, parts)
+        out = self._data.conj().T @ other._data
+        ledger.current().reduction(nbytes=out.nbytes)
+        return out
 
     def col_dots(self, other: "DistributedBlockVector") -> np.ndarray:
         """Column-wise <x_j, y_j>, one global reduction."""
         self._check_compatible(other)
-        if self._fused_with(other):
-            out = np.einsum("ij,ij->j", self._data.conj(), other._data)
-            ledger.current().reduction(nbytes=out.nbytes)
-            return out
-        parts = [np.einsum("ij,ij->j", a.conj(), b)
-                 for a, b in zip(self.locals, other.locals)]
-        return allreduce_sum(self.grid, parts)
+        return dot_columns(self.grid, self._data, other._data)
 
     def gram_against(self, basis_blocks: "list[DistributedBlockVector]"
                      ) -> np.ndarray:
@@ -156,84 +123,45 @@ class DistributedBlockVector:
             if self.grid != b.grid:
                 raise ValueError("mismatched grids")
         if not basis_blocks:
-            return np.zeros((0, self.p),
-                            dtype=self._data.dtype if self._data is not None
-                            else self.locals[0].dtype)
-        if self._fused_with() and all(b._data is not None
-                                      for b in basis_blocks):
-            out = np.concatenate(
-                [b._data.conj().T @ self._data for b in basis_blocks], axis=0)
-            ledger.current().reduction(nbytes=out.nbytes)
-            return out
-        parts = [np.concatenate(
-                     [b.locals[r].conj().T @ self.locals[r]
-                      for b in basis_blocks], axis=0)
-                 for r in range(self.grid.nranks)]
-        return allreduce_sum(self.grid, parts)
+            return np.zeros((0, self.p), dtype=self._data.dtype)
+        out = np.concatenate(
+            [b._data.conj().T @ self._data for b in basis_blocks], axis=0)
+        ledger.current().reduction(nbytes=out.nbytes)
+        return out
 
     def norms(self) -> np.ndarray:
         """Column 2-norms, one global reduction."""
-        if self._fused_with():
-            sq = np.einsum("ij,ij->j", self._data.conj(), self._data).real
-            ledger.current().reduction(nbytes=sq.nbytes)
-            return np.sqrt(sq)
-        parts = [np.einsum("ij,ij->j", a.conj(), a).real
-                 for a in self.locals]
-        return np.sqrt(allreduce_sum(self.grid, parts))
+        return norm_columns(self.grid, self._data)
 
     # -- local (communication-free) operations -----------------------------
     def axpy(self, alpha, other: "DistributedBlockVector") -> "DistributedBlockVector":
         """self + alpha * other (elementwise or per-column alpha)."""
         self._check_compatible(other)
-        if self._fused_with(other):
-            return DistributedBlockVector._from_data(
-                self.grid, self._data + alpha * other._data)
-        return DistributedBlockVector(
-            self.grid, [a + alpha * b
-                        for a, b in zip(self.locals, other.locals)])
+        return DistributedBlockVector._from_data(
+            self.grid, self._data + alpha * other._data)
 
     def scale(self, alpha) -> "DistributedBlockVector":
-        if self._fused_with():
-            return DistributedBlockVector._from_data(self.grid,
-                                                     alpha * self._data)
-        return DistributedBlockVector(self.grid,
-                                      [alpha * a for a in self.locals])
+        return DistributedBlockVector._from_data(self.grid, alpha * self._data)
 
     def combine(self, coeffs: np.ndarray) -> "DistributedBlockVector":
         """Right-multiply by a small (p x q) matrix — purely local."""
-        coeffs = np.asarray(coeffs)
-        if self._fused_with():
-            return DistributedBlockVector._from_data(self.grid,
-                                                     self._data @ coeffs)
-        return DistributedBlockVector(self.grid,
-                                      [a @ coeffs for a in self.locals])
+        return DistributedBlockVector._from_data(
+            self.grid, self._data @ np.asarray(coeffs))
 
     def copy(self) -> "DistributedBlockVector":
-        if self._data is not None:
-            return DistributedBlockVector._from_data(self.grid,
-                                                     self._data.copy())
-        return DistributedBlockVector(self.grid,
-                                      [a.copy() for a in self.locals])
+        return DistributedBlockVector._from_data(self.grid, self._data.copy())
 
-    # -- in-place variants (no per-rank list allocation in hot loops) ------
+    # -- in-place variants (no allocation in hot loops) --------------------
     def axpy_(self, alpha, other: "DistributedBlockVector"
               ) -> "DistributedBlockVector":
         """In-place ``self += alpha * other``; returns self."""
         self._check_compatible(other)
-        if self._data is not None and other._data is not None:
-            self._data += alpha * other._data
-        else:
-            for a, b in zip(self.locals, other.locals):
-                a += alpha * b
+        self._data += alpha * other._data
         return self
 
     def scale_(self, alpha) -> "DistributedBlockVector":
         """In-place ``self *= alpha``; returns self."""
-        if self._data is not None:
-            self._data *= alpha
-        else:
-            for a in self.locals:
-                a *= alpha
+        self._data *= alpha
         return self
 
     # ------------------------------------------------------------------

@@ -1,22 +1,15 @@
 """Collective operations over a virtual grid.
 
 Each collective computes its result exactly (the data all lives in one
-address space) *and* charges the active cost ledger with what a real MPI
-implementation would pay: one logical "reduction" event per collective —
-the performance model expands that into ``2 log2(P)`` latency hops plus the
-bandwidth term.
+address space) as one vectorized numpy operation *and* charges the active
+cost ledger with what a real MPI implementation would pay: one logical
+"reduction" event per collective — the performance model expands that into
+``2 log2(P)`` latency hops plus the bandwidth term.
 
-Every collective has two execution paths selected by the ambient
-:func:`repro.util.execmode.exec_mode`:
-
-* ``"fused"`` (default) — one vectorized numpy operation on the global
-  array plus one batched ledger charge;
-* ``"per_rank"`` — loop over the virtual ranks exactly as a real MPI run
-  would partition the work.
-
-The two are numerically equivalent (same operations, different blocking)
-and charge *bit-identical* ledger counts: the reduction payload is the
-same array either way, so ``nbytes`` matches exactly.
+The rank-by-rank loops a real run would execute are a test oracle under
+``tests/fixtures/``: same operations, different blocking, and
+*bit-identical* ledger counts, because the reduction payload is the same
+array either way.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ import numpy as np
 
 from ..trace import tracer as trace
 from ..util import ledger
-from ..util.execmode import exec_mode
 from .grid import VirtualGrid
 
 __all__ = ["allreduce_sum", "allgather_rows", "dot_columns", "norm_columns"]
@@ -39,13 +31,8 @@ def allreduce_sum(grid: VirtualGrid, contributions: list[np.ndarray]) -> np.ndar
     if len(contributions) != grid.nranks:
         raise ValueError(f"expected {grid.nranks} contributions, got {len(contributions)}")
     with trace.current().detail_span("simmpi.allreduce_sum"):
-        if exec_mode() == "fused" and len(contributions) > 1:
-            first = np.asarray(contributions[0])
-            out = np.stack(contributions).sum(axis=0, dtype=first.dtype)
-        else:
-            out = np.zeros_like(contributions[0])
-            for c in contributions:
-                out += c
+        first = np.asarray(contributions[0])
+        out = np.stack(contributions).sum(axis=0, dtype=first.dtype)
         ledger.current().reduction(nbytes=out.nbytes)
     return out
 
@@ -68,31 +55,16 @@ def allgather_rows(grid: VirtualGrid, locals_: list[np.ndarray]) -> np.ndarray:
 
 
 def dot_columns(grid: VirtualGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Column-wise inner products: one fused einsum or rank-by-rank parts."""
-    if exec_mode() == "fused":
-        with trace.current().detail_span("simmpi.dot_columns"):
-            out = np.einsum("ij,ij->j", x.conj(), y)
-            ledger.current().reduction(nbytes=out.nbytes)
-        return out
+    """Column-wise inner products ``<x_j, y_j>``, one global reduction."""
     with trace.current().detail_span("simmpi.dot_columns"):
-        parts = []
-        for r in range(grid.nranks):
-            rows = grid.rows(r)
-            parts.append(np.einsum("ij,ij->j", x[rows].conj(), y[rows]))
-        return allreduce_sum(grid, parts)
+        out = np.einsum("ij,ij->j", x.conj(), y)
+        ledger.current().reduction(nbytes=out.nbytes)
+    return out
 
 
 def norm_columns(grid: VirtualGrid, x: np.ndarray) -> np.ndarray:
     """Column 2-norms via one all-reduce of the squared partial sums."""
-    if exec_mode() == "fused":
-        with trace.current().detail_span("simmpi.norm_columns"):
-            sq = np.einsum("ij,ij->j", x.conj(), x).real
-            ledger.current().reduction(nbytes=sq.nbytes)
-        return np.sqrt(sq)
     with trace.current().detail_span("simmpi.norm_columns"):
-        parts = []
-        for r in range(grid.nranks):
-            rows = grid.rows(r)
-            xr = x[rows]
-            parts.append(np.einsum("ij,ij->j", xr.conj(), xr).real)
-        return np.sqrt(allreduce_sum(grid, parts))
+        sq = np.einsum("ij,ij->j", x.conj(), x).real
+        ledger.current().reduction(nbytes=sq.nbytes)
+    return np.sqrt(sq)

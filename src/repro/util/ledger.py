@@ -71,7 +71,7 @@ class CostLedger:
     produced by integer-valued arithmetic below 2^53).  ``timers`` is the
     *only* wall-clock quantity on the ledger and is therefore quarantined:
     it never appears in :meth:`counts` (the tuple every conservation and
-    fused-vs-per-rank equivalence check is stated over), it is never split
+    optimized-path-vs-oracle check is stated over), it is never split
     by :meth:`split` (shares would not be reproducible), and the trace
     layer never copies it into span costs (:meth:`counts_snapshot`).  ``merge`` does carry timers across
     (summing wall-clock is still meaningful for profiling) but nothing
@@ -246,8 +246,9 @@ class CostLedger:
         Timers are excluded (wall-clock is never reproducible); all other
         fields are integer- or exactly-representable-float-valued, so two
         runs that charge the same events compare equal with ``==``.  This
-        is the quantity the fused-vs-per-rank conservation invariant (and
-        ``tests/test_exec_modes.py``) is stated over.
+        is the quantity every conservation invariant — a distributed
+        primitive against its rank-by-rank test oracle included — is
+        stated over.
         """
         return (self.reductions, self.reduction_bytes, self.p2p_messages,
                 self.p2p_bytes, dict(self.flops), dict(self.calls))
@@ -266,10 +267,10 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class CostTable:
-    """Precomputed aggregate cost of one fused distributed primitive.
+    """Precomputed aggregate cost of one distributed primitive.
 
-    The fused execution engine runs each primitive as a single vectorized
-    operation on the global array, so the ledger can no longer be charged
+    The simulated-MPI substrate runs each primitive as a single vectorized
+    operation on the global array, so the ledger is not charged
     event-by-event from inside per-rank loops.  Instead, the owning object
     (e.g. :class:`repro.distla.DistributedCSR`) sums its per-rank costs
     once at construction into a ``CostTable`` and replays them in O(1) per
@@ -279,8 +280,8 @@ class CostTable:
 
     Charging from a table is bit-identical to the per-rank charges it
     summarizes: message/byte/flop totals are integer-valued and exactly
-    representable, so ``fused`` and ``per_rank`` runs produce equal
-    ledgers.
+    representable, so the global product and its rank-by-rank test oracle
+    produce equal ledgers.
     """
 
     p2p_messages: int = 0

@@ -14,8 +14,8 @@ Soodhalter & Szyld; Thomas, Baker & Gaudreault):
   solver *assumes* they still hold;
 * agreement of the Hessenberg-tail (reported) residual with the explicitly
   recomputed one at restarts and at convergence;
-* conservation of the cost ledger between the fused execution engine and
-  the per-rank oracle.
+* conservation of the cost ledger between an optimized path and its
+  oracle.
 
 Solvers call the checker at checkpoint hooks, gated by the Options level
 (``-hpddm_verify {off,cheap,full}``, default off):

@@ -81,6 +81,37 @@ def test_every_stage_runs_single_threaded(ci, monkeypatch):
         assert ci._env()[var] == "1"
 
 
+def test_every_bench_main_pins_one_blas_thread(ci):
+    """A bench run as a script sets the thread variables before anything
+    loads numpy (``benchmarks/conftest.py`` does the same under pytest)."""
+    import ast
+
+    def loads_numpy(node):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                 else [])
+        return any(n.split(".")[0] in ("numpy", "scipy", "repro")
+                   for n in names)
+
+    pinned = []
+    for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        mains = [i for i, node in enumerate(body)
+                 if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'"]
+        if not mains:
+            continue
+        pin = ast.unparse(body[mains[0]])
+        assert "os.environ[_var] = '1'" in pin, path.name
+        assert all(var in pin for var in ci.THREAD_VARS), path.name
+        assert not any(loads_numpy(node) for node in body[:mains[0]]), \
+            f"{path.name} loads numpy before it pins the thread count"
+        pinned.append(path.name)
+    assert pinned == ["bench_micro_kernels.py", "bench_service.py",
+                      "bench_shifted.py", "bench_traffic.py",
+                      "bench_transient.py"]
+
+
 def test_tier1_hypothesis_profile_is_derandomized(pytestconfig):
     from hypothesis import settings
     if pytestconfig.getoption("markexpr") == "slow":
@@ -238,7 +269,8 @@ def test_metric_missing_from_the_run_fails_unless_retired():
     assert set(compare.RETIRED) == {
         "transient_cache_recycle_shifted_time_per_sim_second",
         "plan_compiled_speedup", "plan_oracle_identical",
-        "plan_optimizer_fused"}
+        "plan_optimizer_fused", "kernel_speedup64_spmm",
+        "kernel_speedup64_col_dots", "kernel_speedup64_cholqr"}
     assert compare.compare(kept, {**kept, **dict.fromkeys(compare.RETIRED,
                                                           gone)},
                            label="t") == []
@@ -266,36 +298,10 @@ def test_rebaseline_accepts_modeled_moves_only_with_a_reason():
     assert compare.self_test_rebaseline(base) == 0
 
 
-# -- lint: the two census rules ------------------------------------------
+# -- lint: the option census ----------------------------------------------
 @pytest.fixture(scope="module")
 def lint():
     return _load_script(ROOT / "scripts" / "lint_repro.py", "repro_lint")
-
-
-def _lint_rules(lint, src: str, *rel_parts: str) -> list[str]:
-    import ast
-    import os
-
-    visitor = lint._Visitor(os.path.join(*rel_parts), src.splitlines())
-    visitor.visit(ast.parse(src))
-    return [rule for rule, _, _ in visitor.findings]
-
-
-def test_lint_keeps_execmode_inside_the_substrate(lint):
-    for src in ("from ..util.execmode import exec_mode\n",
-                "from ..util import execmode\n",
-                "import repro.util.execmode\n"):
-        for rel in (("precond", "schwarz.py"), ("api.py",),
-                    ("util", "options.py")):
-            assert _lint_rules(lint, src, "src", "repro", *rel) \
-                == ["execmode-substrate"]
-        for rel in (("src", "repro", "distla", "distcsr.py"),
-                    ("src", "repro", "simmpi", "collectives.py"),
-                    ("tests", "test_exec_modes.py"),
-                    ("benchmarks", "bench_micro_kernels.py")):
-            assert _lint_rules(lint, src, *rel) == []
-    assert _lint_rules(lint, "from ..util import ledger\n",
-                       "src", "repro", "precond", "schwarz.py") == []
 
 
 def test_lint_option_census_names_the_unread_field(lint, tmp_path):

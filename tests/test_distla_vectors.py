@@ -11,6 +11,7 @@ from repro.distla.distvec import DistributedBlockVector
 from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
 from conftest import make_rng
+from fixtures import per_rank_substrate as oracle
 
 
 def _dist(rng, n=60, p=3, nranks=4, complex_=False):
@@ -77,6 +78,26 @@ class TestDistributedBlockVector:
         with pytest.raises(ValueError):
             DistributedBlockVector.from_global(grid, np.ones(11))
 
+    def test_rank_count_widths_and_repr_validated(self, rng):
+        grid = VirtualGrid(10, 2)
+        with pytest.raises(ValueError, match="2 local blocks"):
+            DistributedBlockVector(grid, [np.ones((10, 1))])
+        _, dx = _dist(rng, n=10, p=2, nranks=2)
+        _, wide = _dist(rng, n=10, p=3, nranks=2)
+        _, other = _dist(rng, n=10, p=2, nranks=5)
+        with pytest.raises(ValueError, match="widths"):
+            dx.dot(wide)
+        with pytest.raises(ValueError, match="grids"):
+            dx.gram_against([other])
+        assert repr(dx) == "DistributedBlockVector(n=10, p=2, nranks=2)"
+
+    def test_gram_against_nothing_is_free(self, rng):
+        _, dx = _dist(rng, complex_=True)
+        with ledger.install() as led:
+            out = dx.gram_against([])
+        assert out.shape == (0, 3) and out.dtype == np.complex128
+        assert led.reductions == 0
+
 
 class TestDistributedQR:
     @pytest.mark.parametrize("fn,n_reds", [
@@ -92,6 +113,10 @@ class TestDistributedQR:
         assert np.allclose(qg @ r, x, atol=1e-9)
         assert np.allclose(qg.conj().T @ qg, np.eye(3), atol=1e-9)
         assert led.reductions == n_reds
+        with ledger.install() as led_or:      # the rank-by-rank oracle
+            getattr(oracle, fn.__name__)(
+                oracle.PerRankBlockVector.from_global(dx.grid, x))
+        assert led.counts() == led_or.counts()
 
     @pytest.mark.parametrize("fn", [distributed_cholqr, distributed_tsqr])
     def test_complex(self, rng, fn):
@@ -116,6 +141,18 @@ class TestDistributedQR:
         qg = q.to_global()
         assert np.linalg.norm(qg @ r - x) < 1e-9 * np.linalg.norm(x)
 
+    def test_tsqr_rank_deficient_falls_back_to_least_squares(self, rng):
+        # a zero column makes the combined R exactly singular: the
+        # back-substitution refuses it and the least-squares Q still
+        # reconstructs the block
+        x, _ = _dist(rng, n=80, p=3)
+        x[:, 1] = 0.0
+        dx = DistributedBlockVector.from_global(VirtualGrid(80, 4), x)
+        with ledger.install() as led:
+            q, r = distributed_tsqr(dx)
+        assert r[1, 1] == 0.0 and led.reductions == 1
+        assert np.allclose(q.to_global() @ r, x, atol=1e-10)
+
     def test_single_rank_degenerates(self, rng):
         x, _ = _dist(rng)
         dx = DistributedBlockVector.from_global(VirtualGrid(60, 1), x)
@@ -131,7 +168,13 @@ def test_property_distributed_cholqr(n, p, nranks, seed):
     nranks = min(nranks, n // max(p, 1), n)
     nranks = max(nranks, 1)
     x = rng.standard_normal((n, p))
-    dx = DistributedBlockVector.from_global(VirtualGrid(n, nranks), x)
-    q, r = distributed_cholqr(dx)
+    grid = VirtualGrid(n, nranks)
+    with ledger.install() as led:
+        q, r = distributed_cholqr(DistributedBlockVector.from_global(grid, x))
     assert np.allclose(q.to_global() @ r, x,
                        atol=1e-8 * max(np.linalg.norm(x), 1.0))
+    with ledger.install() as led_or:          # the rank-by-rank oracle
+        q_or, r_or = oracle.distributed_cholqr(
+            oracle.PerRankBlockVector.from_global(grid, x))
+    assert led.counts() == led_or.counts()
+    assert np.allclose(r, r_or, atol=1e-10 * max(np.linalg.norm(x), 1.0))

@@ -92,7 +92,15 @@ def test_frequency_sweep_runs(capsys):
 
 def test_cost_model_scaling_runs(capsys):
     import cost_model_scaling
-    cost_model_scaling.run(300)
+    events = cost_model_scaling.run(300)
     out = capsys.readouterr().out
     assert "reductions" in out
     assert "modeled time" in out
+    # the counts the substrate charges at n = 300 over 8 virtual ranks:
+    # reductions, halo messages / bytes and total flops, exactly
+    counts = {label: (led.reductions, led.p2p_messages, led.p2p_bytes,
+                      led.total_flops())
+              for label, (_, led) in events.items()}
+    assert counts == {"GMRES(30)": (176, 1232, 9856, 1886921.0),
+                      "GCRO-DR(30,10)": (236, 1204, 9632,
+                                         6884650.666666667)}

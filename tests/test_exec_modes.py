@@ -1,16 +1,18 @@
-"""Fused vs per-rank equivalence of the simulated-MPI substrate.
+"""The simulated-MPI substrate against its rank-by-rank oracle.
 
-The fused engine of ``distla`` / ``simmpi`` is required to be a *pure*
-optimization: for every primitive, and for a full solve over a
-``DistributedCSR``, the CostLedger counts (reductions, reduction bytes, p2p
-messages, p2p bytes, flops by kernel and named call counts) must be
-bit-identical between the ``"fused"`` and ``"per_rank"`` modes of
-``repro.util.execmode``, and the numerics must agree to rounding.  The
-Schwarz preconditioner has no such switch: its fused batch is held to the
-per-subdomain loop of ``tests/fixtures/schwarz_loop.py`` the same way.
+Every distributed primitive of ``distla`` / ``simmpi`` runs as one global
+kernel plus the ledger charge a rank-partitioned run would make.  For every
+primitive, and for full solves over a ``DistributedCSR``, the CostLedger
+counts (reductions, reduction bytes, p2p messages, p2p bytes, flops by
+kernel and named call counts) must be bit-identical to the rank-by-rank
+execution of ``tests/fixtures/per_rank_substrate.py``, and the numerics
+must agree to rounding.  The Schwarz preconditioner's fused batch is held
+to the per-subdomain loop of ``tests/fixtures/schwarz_loop.py`` the same
+way.
 """
 
 import gc
+import importlib
 
 import numpy as np
 import pytest
@@ -18,12 +20,13 @@ import scipy.sparse as sp
 
 from conftest import laplacian_1d, laplacian_2d
 
+from fixtures import per_rank_substrate as oracle
 from fixtures.schwarz_loop import looped
 
 from repro import Options, parse_hpddm_args, solve
 from repro.distla.distcsr import DistributedCSR
 from repro.distla.distqr import (distributed_cgs_qr, distributed_cholqr,
-                                 distributed_tsqr)
+                                 distributed_cholqr2, distributed_tsqr)
 from repro.distla.distvec import DistributedBlockVector
 from repro.krylov.base import as_operator
 from repro.precond.amg import SmoothedAggregationAMG
@@ -31,11 +34,12 @@ from repro.precond.schwarz import SchwarzPreconditioner
 from repro.precond.simple import JacobiPreconditioner
 from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
-from repro.util.execmode import exec_mode, set_exec_mode, use_exec_mode
 from repro.util.ledger import CostTable, Kernel
 from repro.util.misc import identity_tag, next_tag
 
-MODES = ("per_rank", "fused")
+#: every primitive is held to its oracle at each rank count, real and complex
+SWEEP = [(nranks, dtype) for nranks in (1, 3, 16, 64)
+         for dtype in (np.float64, np.complex128)]
 
 
 def ledger_state(led):
@@ -51,10 +55,11 @@ def counted(fn):
     return out, ledger_state(led)
 
 
-def run_in_mode(mode, fn):
-    """``counted(fn)`` under the substrate's execution mode `mode`."""
-    with use_exec_mode(mode):
-        return counted(fn)
+def block(rng, n, p, dtype):
+    x = rng.standard_normal((n, p))
+    if dtype == np.complex128:
+        x = x + 1j * rng.standard_normal((n, p))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -64,90 +69,101 @@ def run_in_mode(mode, fn):
 class TestPrimitiveEquivalence:
     def test_matmat(self, rng):
         a = laplacian_2d(12)
-        x = rng.standard_normal((a.shape[0], 3))
-        dcsr = DistributedCSR(a, nranks=8)
-        y_pr, c_pr = run_in_mode("per_rank", lambda: dcsr.matmat(x))
-        y_fu, c_fu = run_in_mode("fused", lambda: dcsr.matmat(x))
-        assert c_fu == c_pr
-        np.testing.assert_allclose(y_fu, y_pr, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(y_fu, a @ x, rtol=1e-12, atol=1e-12)
+        for (nranks, dtype), p in zip(SWEEP * 2, [1] * 8 + [3] * 8):
+            x = block(rng, a.shape[0], p, dtype)
+            dcsr = DistributedCSR(a, nranks=nranks)
+            y_or, c_or = counted(lambda: oracle.matmat(dcsr, x))
+            y, c = counted(lambda: dcsr.matmat(x))
+            assert c == c_or, (nranks, dtype, p)
+            np.testing.assert_allclose(y, y_or, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(y, a @ x, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("op", ["dot", "col_dots", "norms", "axpy",
-                                    "scale", "combine", "copy"])
+    @pytest.mark.parametrize("op", ["dot", "col_dots", "gram_against",
+                                    "norms", "axpy", "scale", "combine",
+                                    "copy"])
     def test_vector_ops(self, rng, op):
-        grid = VirtualGrid(96, 6)
-        x = rng.standard_normal((96, 4))
-        y = rng.standard_normal((96, 4))
-        coeffs = rng.standard_normal((4, 2))
+        n, p = 192, 4
+        for nranks, dtype in SWEEP:
+            grid = VirtualGrid(n, nranks)
+            x, y, z = (block(rng, n, p, dtype) for _ in range(3))
+            coeffs = block(rng, p, 2, dtype)
 
-        def build_and_run():
-            dx = DistributedBlockVector.from_global(grid, x)
-            dy = DistributedBlockVector.from_global(grid, y)
-            if op == "dot":
-                return dx.dot(dy)
-            if op == "col_dots":
-                return dx.col_dots(dy)
-            if op == "norms":
-                return dx.norms()
-            if op == "axpy":
-                return dx.axpy(0.7, dy).to_global()
-            if op == "scale":
-                return dx.scale(-1.3).to_global()
-            if op == "combine":
-                return dx.combine(coeffs).to_global()
-            return dx.copy().to_global()
+            def build_and_run(cls):
+                dx, dy, dz = (cls.from_global(grid, v) for v in (x, y, z))
+                return {
+                    "dot": lambda: dx.dot(dy),
+                    "col_dots": lambda: dx.col_dots(dy),
+                    "gram_against": lambda: dx.gram_against([dy, dz]),
+                    "norms": dx.norms,
+                    "axpy": lambda: dx.axpy(0.7, dy).to_global(),
+                    "scale": lambda: dx.scale(-1.3).to_global(),
+                    "combine": lambda: dx.combine(coeffs).to_global(),
+                    "copy": lambda: dx.copy().to_global(),
+                }[op]()
 
-        r_pr, c_pr = run_in_mode("per_rank", build_and_run)
-        r_fu, c_fu = run_in_mode("fused", build_and_run)
-        assert c_fu == c_pr
-        np.testing.assert_allclose(r_fu, r_pr, rtol=1e-13, atol=1e-13)
+            r_or, c_or = counted(
+                lambda: build_and_run(oracle.PerRankBlockVector))
+            r, c = counted(lambda: build_and_run(DistributedBlockVector))
+            assert c == c_or, (nranks, dtype)
+            np.testing.assert_allclose(r, r_or, rtol=1e-13, atol=1e-13)
 
     def test_inplace_ops_match_out_of_place(self, rng):
-        grid = VirtualGrid(60, 4)
-        x = rng.standard_normal((60, 3))
-        y = rng.standard_normal((60, 3))
-        for mode in MODES:
-            with use_exec_mode(mode):
-                dx = DistributedBlockVector.from_global(grid, x)
-                dy = DistributedBlockVector.from_global(grid, y)
-                out = dx.axpy_(0.5, dy)
-                assert out is dx  # mutates in place, returns self
-                np.testing.assert_allclose(dx.to_global(), x + 0.5 * y,
+        n, p = 96, 3
+        for nranks, dtype in SWEEP:
+            grid = VirtualGrid(n, nranks)
+            x, y = block(rng, n, p, dtype), block(rng, n, p, dtype)
+            for cls in (DistributedBlockVector, oracle.PerRankBlockVector):
+                dx = cls.from_global(grid, x)
+                dy = cls.from_global(grid, y)
+
+                def run():
+                    assert dx.axpy_(0.5, dy) is dx  # mutates, returns self
+                    first = dx.to_global()
+                    assert dx.scale_(2.0) is dx
+                    return first, dx.to_global()
+
+                (first, second), c = counted(run)
+                assert c == (0, 0, 0, 0, {}, {})   # communication-free
+                np.testing.assert_allclose(first, x + 0.5 * y,
                                            rtol=1e-14, atol=1e-14)
-                assert dx.scale_(2.0) is dx
-                np.testing.assert_allclose(dx.to_global(), 2.0 * (x + 0.5 * y),
+                np.testing.assert_allclose(second, 2.0 * (x + 0.5 * y),
                                            rtol=1e-14, atol=1e-14)
 
     def test_fused_vector_has_contiguous_backing(self, rng):
+        # one storage however the vector is built: a contiguous copy whose
+        # per-rank locals are views of it
         grid = VirtualGrid(40, 4)
         x = rng.standard_normal((40, 2))
-        with use_exec_mode("fused"):
-            dx = DistributedBlockVector.from_global(grid, x)
-        assert dx.is_fused and dx.global_data is not None
-        # per-rank views alias the backing store: mixed dispatch stays valid
-        dx.locals[1][:] = 0.0
-        assert np.all(dx.global_data[grid.rows(1)] == 0.0)
-        with use_exec_mode("per_rank"):
-            dpr = DistributedBlockVector.from_global(grid, x)
-        assert not dpr.is_fused and dpr.global_data is None
+        for dx in (DistributedBlockVector.from_global(grid, x),
+                   DistributedBlockVector(
+                       grid, [x[grid.rows(r)] for r in range(4)])):
+            assert dx.global_data.flags.c_contiguous
+            assert not np.shares_memory(dx.global_data, x)
+            np.testing.assert_array_equal(dx.global_data, x)
+            dx.locals[1][:] = 0.0
+            assert np.all(dx.global_data[grid.rows(1)] == 0.0)
 
-    @pytest.mark.parametrize("qr", [distributed_cholqr, distributed_cgs_qr,
-                                    distributed_tsqr])
+    @pytest.mark.parametrize("qr", [distributed_cholqr, distributed_cholqr2,
+                                    distributed_cgs_qr, distributed_tsqr])
     def test_distributed_qr(self, rng, qr):
-        grid = VirtualGrid(80, 5)
-        x = rng.standard_normal((80, 4))
+        n, p = 320, 4                   # >= p rows on each of 64 ranks
+        reference = getattr(oracle, qr.__name__)
+        for nranks, dtype in SWEEP:
+            grid = VirtualGrid(n, nranks)
+            x = block(rng, n, p, dtype)
 
-        def run():
-            dx = DistributedBlockVector.from_global(grid, x)
-            q, r = qr(dx)
-            return q.to_global(), r
+            def run(cls, fn):
+                q, r = fn(cls.from_global(grid, x))
+                return q.to_global(), r
 
-        (q_pr, r_pr), c_pr = run_in_mode("per_rank", run)
-        (q_fu, r_fu), c_fu = run_in_mode("fused", run)
-        assert c_fu == c_pr
-        np.testing.assert_allclose(r_fu, r_pr, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(q_fu, q_pr, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(q_fu.T @ q_fu, np.eye(4), atol=1e-10)
+            (q_or, r_or), c_or = counted(
+                lambda: run(oracle.PerRankBlockVector, reference))
+            (q, r), c = counted(lambda: run(DistributedBlockVector, qr))
+            assert c == c_or, (nranks, dtype)
+            np.testing.assert_allclose(r, r_or, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(q, q_or, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(p),
+                                       atol=1e-10)
 
     @pytest.mark.parametrize("variant", ["asm", "ras", "oras"])
     def test_schwarz_apply(self, rng, variant):
@@ -161,8 +177,8 @@ class TestPrimitiveEquivalence:
 
     def test_schwarz_batch_is_built_with_the_preconditioner(self, rng):
         # set-up work belongs to the set-up: the fused batch exists before
-        # the first apply (and is charged nothing) whatever the substrate's
-        # ambient mode says, unless there is nothing to batch
+        # the first apply (and is charged nothing), unless there is nothing
+        # to batch
         a = laplacian_2d(12)
         x = rng.standard_normal((a.shape[0], 2))
         m = SchwarzPreconditioner(a, nparts=4, overlap=1)
@@ -174,11 +190,10 @@ class TestPrimitiveEquivalence:
         y_one, c_one = counted(lambda: one.apply(x))
         y_loop, c_loop = counted(lambda: looped(one).apply(x))
         assert c_one == c_loop and np.array_equal(y_one, y_loop)
-        with use_exec_mode("per_rank"):
-            same = SchwarzPreconditioner(a, nparts=4, overlap=1)
-            assert same._fused_batch is not None
-            assert same.setup_cost.counts() == m.setup_cost.counts()
-            y, c = counted(lambda: same.apply(x))
+        same = SchwarzPreconditioner(a, nparts=4, overlap=1)
+        assert same._fused_batch is not None
+        assert same.setup_cost.counts() == m.setup_cost.counts()
+        y, c = counted(lambda: same.apply(x))
         y_m, c_m = counted(lambda: m.apply(x))
         assert c == c_m and np.array_equal(y, y_m)
 
@@ -256,67 +271,42 @@ class TestSolveEquivalence:
         a = laplacian_2d(16)
         b = rng.standard_normal((a.shape[0], p))
         m = make_preconditioner(precond, a)
-        results = {}
+        results = []
         opts = Options(krylov_method=method, gmres_restart=20, tol=1e-8,
                        **extra)
-        for mode in MODES:
-            dcsr = DistributedCSR(a, nranks=4)
-            with use_exec_mode(mode), ledger.install() as led:
-                res = solve(dcsr, b, m, options=opts)
+        for op in (oracle.per_rank(DistributedCSR(a, nranks=4)),
+                   DistributedCSR(a, nranks=4)):
+            with ledger.install() as led:
+                res = solve(op, b, m, options=opts)
             assert res.converged.all()
-            results[mode] = (res, ledger_state(led))
-        res_pr, counts_pr = results["per_rank"]
-        res_fu, counts_fu = results["fused"]
+            results.append((res, ledger_state(led)))
+        (res_or, counts_or), (res, counts) = results
         # bit-identical accounting: reductions, bytes, messages, flops, calls
-        assert counts_fu == counts_pr
-        assert res_fu.iterations == res_pr.iterations
-        np.testing.assert_allclose(res_fu.x, res_pr.x, rtol=1e-6, atol=1e-9)
-        r = b - a @ res_fu.x
+        assert counts == counts_or
+        assert res.iterations == res_or.iterations
+        np.testing.assert_allclose(res.x, res_or.x, rtol=1e-6, atol=1e-9)
+        r = b - a @ res.x
         assert np.all(np.linalg.norm(r, axis=0)
                       <= 1e-7 * np.linalg.norm(b, axis=0))
 
 
 # ---------------------------------------------------------------------------
-# mode plumbing
+# one substrate: the switch that selected the oracle is gone
 # ---------------------------------------------------------------------------
 
-class TestModePlumbing:
-    def test_default_is_fused(self):
-        assert exec_mode() == "fused"
-
-    def test_context_manager_nests_and_restores(self):
-        assert exec_mode() == "fused"
-        with use_exec_mode("per_rank"):
-            assert exec_mode() == "per_rank"
-            with use_exec_mode("fused"):
-                assert exec_mode() == "fused"
-            assert exec_mode() == "per_rank"
-        assert exec_mode() == "fused"
-
-    def test_set_returns_previous(self):
-        prev = set_exec_mode("per_rank")
-        try:
-            assert prev == "fused"
-            assert exec_mode() == "per_rank"
-        finally:
-            set_exec_mode(prev)
-        assert exec_mode() == "fused"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_exec_mode("simd")
-        with pytest.raises(ValueError):
-            with use_exec_mode("simd"):
-                pass  # pragma: no cover
-
-    def test_options_validation_and_cli_roundtrip(self):
-        # private to distla/ + simmpi/: no Options field, and the old flag
-        # is a flag the parser does not know
-        with pytest.raises(TypeError):
-            Options(exec_mode="per_rank")
-        opts = parse_hpddm_args(["-hpddm_exec_mode", "per_rank"])
-        assert opts.extra == {"exec_mode": "per_rank"}
-        assert "-hpddm_exec_mode" not in opts.hpddm_args()
+def test_execmode_is_gone():
+    """No switch module, no field, no mode argument: the old flag is an
+    unknown one like any other."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.util.execmode")
+    with pytest.raises(TypeError, match="exec_mode"):
+        Options(exec_mode="per_rank")
+    opts = parse_hpddm_args(["-hpddm_exec_mode", "per_rank"])
+    assert opts.extra == {"exec_mode": "per_rank"}
+    assert "-hpddm_exec_mode" not in opts.hpddm_args()
+    with pytest.raises(TypeError, match="mode"):
+        DistributedBlockVector.from_global(VirtualGrid(4, 2), np.ones(4),
+                                           mode="fused")
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +353,21 @@ class TestIdentityTags:
 class TestSingleRankShortCircuit:
     def test_no_split_no_halo(self, rng):
         a = laplacian_2d(10)
+        # no per-rank matrix is stored at any rank count: the plans and
+        # their cost table are the whole distribution
+        for nranks in (1, 8):
+            dcsr = DistributedCSR(a, nranks=nranks)
+            held = [name for name, value in vars(dcsr).items()
+                    if sp.issparse(value) or isinstance(value, list)
+                    and any(sp.issparse(v) for v in value)]
+            assert held == ["global_matrix"]
         dcsr = DistributedCSR(a, nranks=1)
-        assert dcsr._diag_blocks[0] is dcsr.global_matrix  # no copy
-        assert dcsr._off_blocks == [None]
         assert len(dcsr.plans) == 1 and dcsr.plans[0].n_ghost == 0
         assert dcsr.cost.p2p_messages == 0
         x = rng.standard_normal((a.shape[0], 2))
-        for mode in MODES:
-            with use_exec_mode(mode), ledger.install() as led:
-                y = dcsr.matmat(x)
+        for matmat in (dcsr.matmat, oracle.per_rank(dcsr).matmat):
+            with ledger.install() as led:
+                y = matmat(x)
             np.testing.assert_allclose(y, a @ x, rtol=1e-13)
             assert led.p2p_messages == 0 and led.p2p_bytes == 0
 

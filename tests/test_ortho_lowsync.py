@@ -26,12 +26,12 @@ from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, ORTHO_SCHEME_NAMES,
                                         project_out)
 from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
-from repro.util.execmode import use_exec_mode
 from repro.util.ledger import CostLedger
 from repro.verify import InvariantChecker, InvariantViolation, activate
 from repro.verify.checker import checker_for
 
 from conftest import make_rng
+from fixtures import per_rank_substrate as oracle
 from matrix import Config, make_problem
 
 
@@ -165,47 +165,47 @@ class TestLossOfOrthogonality:
 
 
 class TestDistributedPrimitives:
-    """Fused and per-rank paths: same values, bit-identical ledgers."""
+    """The substrate and its rank-by-rank oracle
+    (``tests/fixtures/per_rank_substrate.py``): same values, bit-identical
+    ledgers."""
 
     def test_gram_against_one_reduction_and_conserved(self):
         n, nranks, p = 120, 4, 2
         rng = make_rng(5, p)
         xs = _complex(rng, n, p)
         bs = [_complex(rng, n, p) for _ in range(3)]
-        results, ledgers = {}, {}
-        for mode in ("fused", "per_rank"):
-            grid = VirtualGrid(n, nranks)
+        grid = VirtualGrid(n, nranks)
+        results, ledgers = [], []
+        for cls in (oracle.PerRankBlockVector, DistributedBlockVector):
             led = CostLedger()
-            with use_exec_mode(mode), ledger.install(led):
-                x = DistributedBlockVector.from_global(grid, xs)
-                basis = [DistributedBlockVector.from_global(grid, b)
-                         for b in bs]
-                results[mode] = x.gram_against(basis)
-            ledgers[mode] = led.counts()
-        np.testing.assert_allclose(results["fused"], results["per_rank"],
-                                   rtol=1e-13)
-        assert ledgers["fused"] == ledgers["per_rank"]
-        assert ledgers["fused"][0] == 1  # ONE reduction for the whole stack
+            with ledger.install(led):
+                x = cls.from_global(grid, xs)
+                basis = [cls.from_global(grid, b) for b in bs]
+                results.append(x.gram_against(basis))
+            ledgers.append(led.counts())
+        np.testing.assert_allclose(results[1], results[0], rtol=1e-13)
+        assert ledgers[1] == ledgers[0]
+        assert ledgers[1][0] == 1  # ONE reduction for the whole stack
         expect = np.concatenate([b.conj().T @ xs for b in bs], axis=0)
-        np.testing.assert_allclose(results["fused"], expect, rtol=1e-13)
+        np.testing.assert_allclose(results[1], expect, rtol=1e-13)
 
     def test_distributed_cholqr2_two_reductions(self):
         n, nranks, p = 96, 4, 6
         rng = make_rng(9, p)
         xs = _complex(rng, n, p)
-        ledgers = {}
-        for mode in ("fused", "per_rank"):
-            grid = VirtualGrid(n, nranks)
+        grid = VirtualGrid(n, nranks)
+        ledgers = []
+        for cls, qr in ((oracle.PerRankBlockVector, oracle.distributed_cholqr2),
+                        (DistributedBlockVector, distributed_cholqr2)):
             led = CostLedger()
-            with use_exec_mode(mode), ledger.install(led):
-                x = DistributedBlockVector.from_global(grid, xs)
-                q, r = distributed_cholqr2(x)
-            ledgers[mode] = led.counts()
+            with ledger.install(led):
+                q, r = qr(cls.from_global(grid, xs))
+            ledgers.append(led.counts())
             qg = q.to_global()
             assert np.linalg.norm(qg.conj().T @ qg - np.eye(p)) < 1e-13
             assert np.linalg.norm(qg @ r - xs) / np.linalg.norm(xs) < 1e-13
             assert led.counts()[0] == 2
-        assert ledgers["fused"] == ledgers["per_rank"]
+        assert ledgers[1] == ledgers[0]
 
 
 class TestCheckerSchemeScaling:

@@ -62,6 +62,20 @@ class TestVirtualGrid:
         with pytest.raises(ValueError):
             g.rows(2)
 
+    def test_invalid_rank_count_and_offset_length(self):
+        with pytest.raises(ValueError, match="nranks"):
+            VirtualGrid(10, 0)
+        with pytest.raises(ValueError, match="length 3"):
+            VirtualGrid(10, 2, offsets=np.array([0, 10]))
+
+    def test_value_semantics(self):
+        g = VirtualGrid(10, 3)
+        assert g.max_local_size == 4
+        assert repr(g) == "VirtualGrid(n=10, nranks=3)"
+        assert g == VirtualGrid(10, 3) and hash(g) == hash(VirtualGrid(10, 3))
+        assert g != VirtualGrid(10, 3, offsets=np.array([0, 2, 5, 10]))
+        assert len({g, VirtualGrid(10, 3)}) == 1
+
 
 class TestCollectives:
     def test_allreduce_matches_serial(self, rng):
@@ -100,6 +114,8 @@ class TestCollectives:
         g = VirtualGrid(10, 2)
         with pytest.raises(ValueError):
             allreduce_sum(g, [np.zeros(2)])
+        with pytest.raises(ValueError, match="2 blocks"):
+            allgather_rows(g, [np.zeros((10, 1))])
 
 
 class TestHaloAndDistributedCSR:
@@ -156,6 +172,19 @@ class TestHaloAndDistributedCSR:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             DistributedCSR(sp.random(4, 6, density=0.5))
+
+    def test_shapes_validated(self, rng):
+        a = laplacian_1d(20)
+        with pytest.raises(ValueError, match="grid size"):
+            DistributedCSR(a, VirtualGrid(21, 2))
+        with pytest.raises(ValueError, match="does not match grid"):
+            build_halo_plans(a, VirtualGrid(21, 2))
+        dist = DistributedCSR(a, nranks=2)
+        with pytest.raises(ValueError, match="19 rows"):
+            dist.matmat(np.ones(19))
+        x = rng.standard_normal((20, 2))
+        np.testing.assert_array_equal(dist @ x, dist.matmat(x))
+        assert repr(dist) == "DistributedCSR(n=20, nnz=58, nranks=2)"
 
 
 class TestMachineModel:

@@ -455,13 +455,12 @@ class TestSolverTraces:
     def test_full_level_records_collectives(self, rng):
         """The simmpi collectives only open spans at the "full" level."""
         from repro.simmpi import VirtualGrid, dot_columns, norm_columns
-        from repro.util.execmode import use_exec_mode
         grid = VirtualGrid(64, 4)
         x = rng.standard_normal((64, 3))
         for level, expected in (("summary", 0), ("full", 2)):
             tr = Tracer(level)
             led = CostLedger()
-            with install(tr), ledger.install(led), use_exec_mode("per_rank"):
+            with install(tr), ledger.install(led):
                 with tr.span("solve") as root:
                     dot_columns(grid, x, x)
                     norm_columns(grid, x)
@@ -469,8 +468,10 @@ class TestSolverTraces:
                      + root.find("simmpi.norm_columns"))
             assert len(found) == expected
             if level == "full":
-                # the per-rank path nests allreduce_sum inside each
-                assert len(root.find("simmpi.allreduce_sum")) == 2
+                # one global kernel each: no per-rank all-reduce nested in
+                # them, and each span owns its one reduction
+                assert root.find("simmpi.allreduce_sum") == []
+                assert [s.cost.reductions for s in found] == [1, 1]
                 check_conservation(root)
                 assert root.cost.reductions == 2
 
