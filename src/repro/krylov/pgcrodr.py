@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ..la.blockqr import BlockHessenbergQR
+from ..la.blockqr import HessenbergQRBundle, column_index
 from ..la.orthogonalization import (make_pseudo_block_orthogonalizer,
                                     pseudo_block_tensor)
 from ..util.ledger import Kernel
@@ -66,15 +66,15 @@ class PseudoBlockRecycle:
 
 
 class _Column:
-    """One RHS's private recurrence: its Hessenberg and, under GCRO-DR, its
-    recycled pair ``(U_l, C_l)`` with this cycle's ``C_l^H A Z`` columns."""
+    """One RHS's private recurrence (its Hessenberg is column ``l`` of the
+    cycle's :class:`HessenbergQRBundle`) and, under GCRO-DR, its recycled
+    pair ``(U_l, C_l)`` with this cycle's ``C_l^H A Z`` columns."""
 
     def __init__(self, l: int, dtype):
         self.l = l
         self.dtype = dtype
         self.u: np.ndarray | None = None      # n x k
         self.c: np.ndarray | None = None
-        self.hqr: BlockHessenbergQR | None = None
         self.e_cols: list[np.ndarray] = []
         self.active = True
         self.steps = 0
@@ -95,19 +95,25 @@ class _PseudoBlockCycle:
     """The restart cycle of the fused per-column recurrences.
 
     One object per solve: :meth:`seed` is a cycle's prologue (residual
-    norms, seeds, each column's ``C_l^H r_l``, the orthogonalizer),
-    :meth:`arnoldi` the lockstep loop, :meth:`update` the per-column least
-    squares.  A column that carries a pair runs on ``(I - C_l C_l^H) A``
-    and its update gains Fig. 1 line 28's ``U_l y_l`` term; a column
-    without one runs plain GMRES — which is all ``gmres`` ever asks for
-    (k = 0).  ``steps`` is the policy's: ``gmres`` passes ``min(m, n)``,
-    ``pgcrodr`` ``m`` or ``m - k`` clipped to the iteration budget.
+    norms, seeds, each column's ``C_l^H r_l``, the orthogonalizer, the
+    cycle's one least-squares state ``ls``), :meth:`arnoldi` the lockstep
+    loop, :meth:`update` the per-column least squares.  A column that
+    carries a pair runs on ``(I - C_l C_l^H) A`` and its update gains
+    Fig. 1 line 28's ``U_l y_l`` term; a column without one runs plain
+    GMRES — which is all ``gmres`` ever asks for (k = 0).  ``steps`` is the
+    policy's: ``gmres`` passes ``min(m, n)``, ``pgcrodr`` ``m`` or ``m - k``
+    clipped to the iteration budget.
+
+    A column whose Hessenberg column or restart residual is non-finite is
+    frozen (``st.frozen``) for the rest of the solve, at its last finite
+    step: it stops advancing, and the other columns never see it.
     """
 
     def __init__(self, st: RestartedSolve):
         self.st = st
         self.cols = [_Column(l, st.dtype) for l in range(st.p)]
         self.arena: AugmentedTensorArena | None = None
+        self.ls: HessenbergQRBundle | None = None
         self.steps = self.kmax = self.j = 0
         self.fold_ck = False
 
@@ -140,18 +146,16 @@ class _PseudoBlockCycle:
             self.arena.aug[: kmax + self.j + 2] = 0.0
         self.steps, self.kmax, self.j = steps, kmax, 0
         v = self.v = self.arena.v
-        active = ~st.converged & (beta > 0)
+        active = ~st.converged & ~st.frozen & (beta > 0)
         v[0][:, active] = st.r[:, active] / beta[active]
-        for col, on, beta_l in zip(cols, active.tolist(), beta.tolist()):
+        self.ls = HessenbergQRBundle(steps, beta, dtype=dtype)
+        for col, on in zip(cols, active.tolist()):
             col.active = on
             col.steps = 0
             col.e_cols = []
             col.chr_prev = None
-            if on:
-                col.hqr = BlockHessenbergQR(steps, 1, np.array([[beta_l]]),
-                                            dtype=dtype)
-                if col.c is not None:
-                    col.chr_prev = col.c.conj().T @ st.r[:, col.l]
+            if on and col.c is not None:
+                col.chr_prev = col.c.conj().T @ st.r[:, col.l]
         if any(col.chr_prev is not None for col in cols):
             led.reduction(nbytes=p * 8)   # fused C^H r across columns
         if self.fold_ck:
@@ -179,6 +183,7 @@ class _PseudoBlockCycle:
         st, cols, v, z, orth = self.st, self.cols, self.v, self.z, self.orth
         options, tr, history = st.options, st.tr, st.history
         p, dtype, kmax = st.p, st.dtype, self.kmax
+        targets = st.targets.tolist()
         j = 0
         while j < self.steps and any(c.active for c in cols) \
                 and st.budget > 0:
@@ -220,25 +225,36 @@ class _PseudoBlockCycle:
                 # history: converged/frozen columns keep their last value
                 new_res = history.records[-1] * np.where(
                     history.rhs_norms > 0, history.rhs_norms, 1.0)
-                for l, col in enumerate(cols):
-                    if not col.active:
-                        continue
+                # the active columns' Hessenberg columns as one block; a
+                # non-finite one freezes its column at step j
+                live = [col.l for col in cols if col.active]
+                at = column_index(live)
+                hcol = np.empty((j + 2, len(live)), dtype=dtype)
+                hcol[: j + 1] = dots[:, at]
+                hcol[j + 1] = nrm[at]
+                if not np.isfinite(hcol).all():
+                    finite = np.isfinite(hcol).all(axis=0)
+                    for l, ok in zip(live, finite.tolist()):
+                        if not ok:
+                            st.frozen[l], cols[l].active = True, False
+                            del cols[l].e_cols[j:]
+                    live = [l for l, ok in zip(live, finite) if ok]
+                    at, hcol = column_index(live), hcol[:, finite]
+                if live:
                     # an exact (lucky) breakdown leaves the column's Krylov
-                    # space invariant: close its Hessenberg and freeze it
-                    lucky = nrm[l] <= 1e-300 or not np.isfinite(nrm[l])
-                    hcol = np.concatenate(
-                        [dots[:, l], [0.0 if lucky else nrm[l]]])
-                    res_l = col.hqr.add_column(
-                        hcol.reshape(-1, 1).astype(dtype))
-                    col.steps = j + 1
-                    new_res[l] = float(res_l[0])
-                    if lucky:
-                        col.active = False
-                        continue
-                    v[j + 1, :, l] = w[:, l] / nrm[l]
-                    appended[l] = True
-                    if new_res[l] <= st.targets[l]:
-                        col.active = False
+                    # space invariant: close its Hessenberg and stop it
+                    lucky = [x <= 1e-300 for x in nrm[at].tolist()]
+                    if any(lucky):
+                        hcol[j + 1, lucky] = 0.0
+                    grow = column_index(
+                        [l for l, lk in zip(live, lucky) if not lk])
+                    res = self.ls.add_column(live, hcol)
+                    new_res[at] = res
+                    v[j + 1][:, grow] = w[:, grow] / nrm[grow]
+                    appended[grow] = True
+                    for l, r_l, lk in zip(live, res.tolist(), lucky):
+                        cols[l].steps = j + 1
+                        cols[l].active = not (lk or r_l <= targets[l])
                 orth.commit(appended)
             history.append(new_res)
             st.total_it += 1
@@ -250,8 +266,7 @@ class _PseudoBlockCycle:
         st, chk = self.st, self.st.chk
         ran = [col for col in self.cols if col.steps]
         with st.tr.span("least_squares"):
-            for col in ran:
-                y = col.hqr.solve()[:, 0]
+            for col, y in zip(ran, self.ls.solve([col.l for col in ran])):
                 dx = self.z[:col.steps, :, col.l].T @ y
                 if col.u is not None:
                     dx = dx + col.u @ (col.chr_prev - col.ek() @ y)
@@ -273,7 +288,7 @@ class _PseudoBlockCycle:
                 basis, ek = np.concatenate([col.c, vst], axis=1), col.ek()
                 labels = ("[C V] augmented basis", "projected Arnoldi relation")
             chk.check_orthonormality(basis, what=labels[0] + at)
-            chk.check_arnoldi(st.op_apply, zst, vst, col.hqr.hessenberg(),
+            chk.check_arnoldi(st.op_apply, zst, vst, self.ls.hessenberg(l),
                               ck=col.c, ek=ek, what=labels[1] + at)
 
 
@@ -389,7 +404,7 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
         # ---- recycle harvest / update ------------------------------------
         for l, col in enumerate(cols):
             jc = col.steps
-            if jc == 0:
+            if jc == 0 or st.frozen[l]:
                 continue
             # column l's stacks are views of the basis tensors
             v_l, z_l = cyc.v[: jc + 1, :, l].T, cyc.z[:jc, :, l].T
@@ -397,11 +412,11 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                 if jc < 2:
                     continue
                 with tr.span("recycle_update", kind="harvest", column=l):
-                    hbar = col.hqr.hessenberg()
+                    hbar = cyc.ls.hessenberg(l)
                     with tr.span("eig", kind="harmonic_ritz"):
                         pk = harmonic_ritz_vectors(
-                            hbar, col.hqr.triangular(),
-                            col.hqr.last_subdiagonal_block(),
+                            hbar, cyc.ls.triangular(l),
+                            cyc.ls.last_subdiagonal_block(l),
                             1, k, dtype=dtype, target=options.recycle_target)
                     if pk.shape[1]:
                         qf, s = _harvest(hbar, pk)
@@ -416,7 +431,7 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                     cv = np.concatenate([col.c, v_l], axis=1)
                     found = _restart_extract(
                         options, col.u, np.linalg.norm(col.u, axis=0),
-                        col.ek(), col.hqr.hessenberg(), cv)
+                        col.ek(), cyc.ls.hessenberg(l), cv)
                     if found is not None:
                         u_tilde, qf, s = found
                         col.c = cv @ qf

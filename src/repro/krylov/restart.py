@@ -44,6 +44,9 @@ class RestartLoop:
 
     inner_m = targets = history = None
     identity_m = True
+    #: columns that met non-finite data and can never advance again (a
+    #: per-column mask under :class:`RestartedSolve`)
+    frozen = False
 
     def __init__(self, options: Options, op_apply=None, r=None):
         self.options, self.op_apply, self.r = options, op_apply, r
@@ -54,9 +57,11 @@ class RestartLoop:
 
     @property
     def running(self) -> bool:
-        """The loop condition: something left to converge, budget left."""
+        """The loop condition: a column left that can still converge, budget
+        left."""
         options = self.options
-        return not np.all(self.converged) and self.total_it < options.max_it
+        return not np.all(self.converged | self.frozen) \
+            and self.total_it < options.max_it
 
     @property
     def budget(self) -> int:
@@ -133,19 +138,23 @@ class RestartedSolve(RestartLoop):
         self.history = ConvergenceHistory(rhs_norms=column_norms(self.b2))
         self.chk = checker_for(options, context=context) if context \
             else NULL_CHECKER
+        self.frozen = np.zeros(self.p, dtype=bool)
         self.record_residual()
 
     def record_residual(self) -> None:
-        """Append ``||r||`` to the history and refresh ``converged``."""
+        """Append ``||r||`` to the history and refresh ``converged`` and
+        ``frozen``."""
         rn = column_norms(self.r)
         self.history.append(rn)
         self.converged = rn <= self.targets
+        self.frozen |= ~np.isfinite(rn)
 
     def restart_residual(self, what: str, *, gap: bool = True) -> None:
         """The explicit residual at a restart (insurance against drift):
         ``r`` (through ``M`` under left preconditioning), one fused norm
-        reduction, ``converged``, the reported-vs-true gap check (not after
-        a breakdown, which the last estimate predates), the history record."""
+        reduction, ``converged``, ``frozen`` (a non-finite residual), the
+        reported-vs-true gap check (not after a breakdown, which the last
+        estimate predates), the history record."""
         if self.left_m is None:
             self.r = self.b2 - self.op_apply(self.x)
         else:
@@ -154,6 +163,7 @@ class RestartedSolve(RestartLoop):
         rn = column_norms(self.r)
         self.led.reduction(nbytes=self.p * 8)
         self.converged = rn <= self.targets
+        self.frozen |= ~np.isfinite(rn)
         history = self.history
         safe = np.where(history.rhs_norms > 0, history.rhs_norms, 1.0)
         if gap and not self.chk.is_off:

@@ -35,11 +35,26 @@ from ..util.misc import identity_tag
 __all__ = ["Fingerprint", "operator_fingerprint"]
 
 
+#: ``np.dtype -> (str(dtype), its bytes)``: ``str(dtype)`` costs ~3 us, and a
+#: request would pay it once per digested array plus once for the label
+_DTYPE_NAMES: dict[np.dtype, tuple[str, bytes]] = {}
+
+
+def _dtype_name(dtype: np.dtype) -> tuple[str, bytes]:
+    try:
+        return _DTYPE_NAMES[dtype]
+    except KeyError:
+        name = str(dtype)
+        out = _DTYPE_NAMES[dtype] = (name, name.encode())
+        return out
+
+
 def _digest(*arrays: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=16)
     for arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        h.update(str(arr.dtype).encode())
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
+        h.update(_dtype_name(arr.dtype)[1])
         h.update(arr.data)      # the buffer itself, no tobytes() copy
     return h.hexdigest()
 
@@ -93,7 +108,7 @@ def operator_fingerprint(a: Any) -> Fingerprint:
         return Fingerprint(
             kind=a.format,
             shape=tuple(a.shape),
-            dtype=str(a.dtype),
+            dtype=_dtype_name(a.dtype)[0],
             structure=_digest(a.indptr, a.indices),
             values=_digest(a.data),
         )
@@ -101,7 +116,7 @@ def operator_fingerprint(a: Any) -> Fingerprint:
         return Fingerprint(
             kind="dense",
             shape=tuple(a.shape),
-            dtype=str(a.dtype),
+            dtype=_dtype_name(a.dtype)[0],
             structure="dense",
             values=_digest(a),
         )

@@ -503,9 +503,24 @@ def assert_sketched_quality(cfg: Config, *, rtol: float = 0.75,
 COUNTS_FILE = Path(__file__).parent / "data" / "solver_counts.json"
 
 
+#: sha1 of ``x`` and of the history of every ``gmres`` / ``gcrodr`` cell,
+#: recorded while each column of a pseudo-block cycle still owned its own
+#: ``BlockHessenbergQR``; regenerate with ``python tests/matrix.py --sha1``
+SHA1_FILE = Path(__file__).parent / "data" / "pseudo_block_sha1.json"
+
+
 def pinned_configs() -> list[Config]:
     """The quick matrix (shifted families included) plus the LGMRES baseline."""
     return conformance_matrix(full=False) + [Config("lgmres", p=1)]
+
+
+def pseudo_block_configs() -> list[Config]:
+    """Every ``gmres`` / ``gcrodr`` cell of the pinned and the full matrix."""
+    cells: dict[str, Config] = {}
+    for cfg in pinned_configs() + conformance_matrix(full=True):
+        if cfg.method in ("gmres", "gcrodr"):
+            cells.setdefault(cfg.id(), cfg)
+    return list(cells.values())
 
 
 def _sha1(arr) -> str:
@@ -570,13 +585,20 @@ def counts_of(cfg: Config, *, digests: bool = False) -> dict:
 
 if __name__ == "__main__":
     # python tests/matrix.py --pin          rewrite COUNTS_FILE
+    # python tests/matrix.py --sha1         rewrite SHA1_FILE
     # python tests/matrix.py --digests OUT  counts + sha1 of x / history
     import sys
     mode, *rest = sys.argv[1:] or [""]
-    if mode not in ("--pin", "--digests") or len(rest) != (mode != "--pin"):
+    if mode not in ("--pin", "--sha1", "--digests") \
+            or len(rest) != (mode == "--digests"):
         raise SystemExit(__doc__)
-    target = Path(rest[0]) if rest else COUNTS_FILE
-    table = {c.id(): counts_of(c, digests=bool(rest))
-             for c in pinned_configs()}
+    if mode == "--sha1":
+        target = SHA1_FILE
+        table = {c.id(): counts_of(c, digests=True)["sha1"]
+                 for c in pseudo_block_configs()}
+    else:
+        target = Path(rest[0]) if rest else COUNTS_FILE
+        table = {c.id(): counts_of(c, digests=bool(rest))
+                 for c in pinned_configs()}
     target.parent.mkdir(exist_ok=True)
     target.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -467,3 +467,44 @@ def test_amg_charge_and_kernel_ratios_are_tracked_and_gated():
     del slow["amg"], slow["hessenberg_p1"]
     assert len(failures(slow, "amg")) == len(
         failures(slow, "hessenberg_p1")) == 1
+
+
+# -- the alternating e2e A/B: its summarizer on canned runs ------------------
+def _e2e_run(**values):
+    units = {"setup_s": "s", "solve_wall_s": "s", "modeled_r64_s": "s",
+             "reductions": "count", "peak_rss_mb": "MiB", "ok_frac": "ratio"}
+    return {"correct": True, "attempted": 10, "failed": 0,
+            "metrics": {k: {"value": v, "unit": units[k]}
+                        for k, v in values.items()}}
+
+
+def test_e2e_ab_summarizes_medians_wins_and_exact_mismatches():
+    ab = _load_script(ROOT / "scripts" / "e2e_ab.py", "repro_e2e_ab")
+    assert ab.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    base = dict(setup_s=0.5, modeled_r64_s=2e-3, reductions=100,
+                peak_rss_mb=200.0, ok_frac=1.0)
+    pairs = [{"seed": s,
+              "parent": _e2e_run(solve_wall_s=1.0, **base),
+              "change": _e2e_run(solve_wall_s=wall, **base)}
+             for s, wall in ((1, 0.70), (2, 0.80), (3, 1.10))]
+    pairs[2]["change"]["metrics"]["reductions"]["value"] = 101
+    summary = ab.summarize(pairs, ab.contract())
+    wall = summary["metrics"]["solve_wall_s"]
+    assert wall["median_ratio"] == pytest.approx(0.80)
+    assert (wall["wins"], wall["pairs"], wall["within"]) == (2, 3, True)
+    assert [s["seed"] for s in wall["seeds"]] == [1, 2, 3]
+    assert wall["differ"] == []          # a wall clock is never "exact"
+    red = summary["metrics"]["reductions"]
+    assert red["differ"] == [3] and red["bound"] == 0.1
+    assert summary["metrics"]["ok_frac"]["differ"] == []
+    text = ab.render("traffic_async", summary)
+    assert "DIFFERS on seeds [3]" in text and "OVER BOUND" not in text
+    # a median past its bound is called out; a failed run is not summarized
+    slow = [{**p, "change": _e2e_run(solve_wall_s=1.5, **base)}
+            for p in pairs]
+    slow[0]["change"]["correct"] = False
+    summary = ab.summarize(slow, ab.contract())
+    assert summary["failed"] == [1]
+    assert summary["metrics"]["solve_wall_s"]["pairs"] == 2
+    assert not summary["metrics"]["solve_wall_s"]["within"]
+    assert "OVER BOUND" in ab.render("w", summary)

@@ -24,9 +24,9 @@ from repro import Options, solve
 from repro.la.orthogonalization import project_out
 from repro.verify import InvariantChecker, InvariantViolation, activate
 
-from matrix import (COUNTS_FILE, SOLVERS, Config, assert_conforms,
+from matrix import (COUNTS_FILE, SHA1_FILE, SOLVERS, Config, assert_conforms,
                     conformance_matrix, counts_of, make_problem,
-                    pinned_configs)
+                    pinned_configs, pseudo_block_configs)
 
 QUICK = conformance_matrix(full=False)
 FULL = conformance_matrix(full=True)
@@ -54,6 +54,18 @@ def test_counts_are_the_pinned_ones(cfg):
     docs/TESTING.md for what the file is and how to regenerate it)."""
     pinned = json.loads(COUNTS_FILE.read_text())
     assert json.loads(json.dumps(counts_of(cfg))) == pinned[cfg.id()]
+
+
+def test_pseudo_block_iterates_are_the_pinned_bits():
+    """sha1 of ``x`` and of the history of every ``gmres`` / ``gcrodr`` cell
+    equal ``tests/data/pseudo_block_sha1.json``: the pseudo-block cycle's
+    least-squares state moved into one bundle without moving a bit.  The
+    digests hold for one BLAS build; regenerate them (``python
+    tests/matrix.py --sha1``) from an unchanged solver on a new one."""
+    pinned = json.loads(SHA1_FILE.read_text())
+    got = {c.id(): counts_of(c, digests=True)["sha1"]
+           for c in pseudo_block_configs()}
+    assert got == pinned
 
 
 @pytest.mark.slow

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.la.blockqr import BlockHessenbergQR
+from repro.la.blockqr import (BlockHessenbergQR, HessenbergQRBundle,
+                              column_index)
 from repro.util import ledger
 from repro.util.ledger import CostLedger
 from conftest import make_rng
@@ -266,6 +267,83 @@ class TestGivensAgainstPanels:
         # where Householder would have put -||.|| there
         assert hqr.triangular()[0, 0] == pytest.approx(
             h[0, 0] / abs(h[0, 0]) * np.linalg.norm(h[:2, 0]))
+
+
+class TestBundleAgainstSingleColumns:
+    """A pseudo-block cycle's :class:`HessenbergQRBundle` is, column for
+    column and bit for bit, ``p`` independent ``BlockHessenbergQR(p = 1)``
+    objects fed the same Hessenberg columns: the same rotation sweep, the
+    same numpy arithmetic on ``g``, the same LAPACK call in ``solve``, the
+    same ledger charges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 40), p=st.sampled_from([1, 3, 16]),
+           complex_=st.booleans(), seed=st.integers(0, 2**31 - 1),
+           special=st.sampled_from(["none", "zero", "tiny", "singular"]))
+    def test_bitwise_equal_to_p_single_column_factorizations(
+            self, m, p, complex_, seed, special):
+        dtype = np.complex128 if complex_ else np.float64
+        rng = make_rng(seed)
+        hs = [_random_hessenberg(rng, m, 1, dtype) for _ in range(p)]
+        for h in hs:
+            hit = int(rng.integers(0, m))
+            if special == "zero":           # lucky breakdown
+                h[hit + 1, hit] = 0.0
+            elif special == "tiny":
+                h[hit + 1, hit] = 1e-300
+            elif special == "singular":     # R[hit, hit] ~ 1e-20: lstsq
+                h[: hit + 2, hit] *= 1e-20
+        beta = rng.standard_normal(p) + (1j * rng.standard_normal(p)
+                                         if complex_ else 0.0)
+        # columns stop at different steps (converged, breakdown, frozen)
+        stops = rng.integers(1, m + 1, size=p).tolist()
+        bundle = HessenbergQRBundle(m, beta, dtype=dtype)
+        singles = [BlockHessenbergQR(m, 1, np.array([[b]]), dtype=dtype)
+                   for b in beta]
+        with ledger.install(CostLedger()) as led_b:
+            res_b = []
+            for j in range(m):
+                cols = [l for l in range(p) if stops[l] > j]
+                if cols:
+                    block = np.stack([hs[l][: j + 2, j] for l in cols], 1)
+                    res_b.append(bundle.add_column(cols, block))
+            y_b = bundle.solve(list(range(p)))
+        with ledger.install(CostLedger()) as led_s:
+            res_s = [[] for _ in range(m)]
+            for l, (h, single) in enumerate(zip(hs, singles)):
+                for j in range(stops[l]):
+                    res_s[j].append(single.add_column(h[: j + 2, j: j + 1]))
+            y_s = [single.solve()[:, 0] for single in singles]
+        assert led_b.counts() == led_s.counts()
+        for got, want in zip(res_b, res_s):
+            assert np.array_equal(got, np.concatenate(want))
+        for l, single in enumerate(singles):
+            assert bundle.ncols[l] == single.ncols == stops[l]
+            assert np.array_equal(bundle.R[l], single.R)
+            assert np.array_equal(bundle.g[l], single.g[:, 0])
+            assert np.array_equal(bundle.hessenberg(l), single.hessenberg())
+            assert np.array_equal(bundle.triangular(l), single.triangular())
+            assert np.array_equal(bundle.last_subdiagonal_block(l),
+                                  single.last_subdiagonal_block())
+            assert np.array_equal(y_b[l], y_s[l])
+
+    def test_misuse_is_refused(self):
+        bundle = HessenbergQRBundle(2, np.ones(3))
+        with pytest.raises(ValueError, match="processed 1"):
+            bundle.add_column([0, 1], np.ones((3, 2)))
+        bundle.add_column([0, 2], np.ones((2, 2)))
+        with pytest.raises(ValueError, match="processed 1"):
+            bundle.add_column([0, 1], np.ones((3, 2)))
+        bundle.add_column([0], np.ones((3, 1)))
+        with pytest.raises(ValueError, match="full"):
+            bundle.add_column([0], np.ones((4, 1)))
+        with pytest.raises(ValueError, match="no column"):
+            bundle.last_subdiagonal_block(1)
+
+    def test_column_index(self):
+        assert column_index([2, 3, 4]) == slice(2, 5)
+        assert column_index([0, 2]) == [0, 2]
+        assert column_index([5]) == slice(5, 6)
 
 
 @settings(max_examples=20, deadline=None)

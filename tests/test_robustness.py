@@ -1,5 +1,11 @@
 """Robustness and stress tests: scaling extremes, dtypes, nasty inputs."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -163,9 +169,9 @@ class TestSequenceRobustness:
 
 class TestDoorValidation:
     """A malformed right-hand side or initial guess is refused before it is
-    solved or queued: inside a solver a NaN column stalls the pseudo-block
-    loop (``beta > 0`` is false for it, nothing is active, nothing advances)
-    and poisons every column of a block method's Gram matrices."""
+    solved or queued: inside a solver a NaN column can only be frozen
+    unconverged (pseudo-block, see :class:`TestNonFiniteColumn`), and it
+    poisons every column of a block method's Gram matrices."""
 
     METHODS = [("gmres", {}), ("gcrodr", {"gmres_restart": 30, "recycle": 10}),
                ("bgmres", {}),
@@ -263,6 +269,78 @@ class TestDoorValidation:
         for req, ref in zip(healthy, expected):
             assert req.result.converged.all()
             assert np.array_equal(req.result.x, ref.result.x)
+
+
+#: the child of TestNonFiniteColumn: each case's faulty solve runs under a
+#: 5 s faulthandler watchdog (exit code 1 and a traceback on a hang), then
+#: the same solve with a preconditioner that never writes NaN
+_NAN_CHILD = r"""
+import faulthandler, json, sys
+import numpy as np, scipy.sparse as sp
+from repro import Options, solve
+
+n, p = 50, 3
+a = sp.diags([-1.4 * np.ones(n - 1), 4.0 * np.ones(n), -0.6 * np.ones(n - 1)],
+             [-1, 0, 1]).tocsr()
+b = np.random.default_rng(7).standard_normal((n, p))
+
+def run(method, variant, call, every, faulty):
+    calls = [0]
+    def m(x):
+        calls[0] += 1
+        y = np.array(x, copy=True) / 4.0
+        if faulty and (calls[0] >= call if every else calls[0] == call):
+            y[:, 1] = np.nan
+        return y
+    extra = {"recycle": 3} if method == "gcrodr" else {}
+    return solve(a, b, m, options=Options(
+        krylov_method=method, variant=variant, tol=1e-10, max_it=200,
+        gmres_restart=8, **extra))
+
+out = []
+for case in json.loads(sys.argv[1]):
+    faulthandler.dump_traceback_later(5, exit=True)
+    bad = run(*case, True)
+    faulthandler.cancel_dump_traceback_later()
+    good = run(*case, False)
+    out.append({"converged": bad.converged.tolist(),
+                "healthy_equal": bool(np.array_equal(bad.x[:, [0, 2]],
+                                                     good.x[:, [0, 2]])),
+                "finite": np.isfinite(bad.x).all(axis=0).tolist()})
+print(json.dumps(out))
+"""
+
+
+class TestNonFiniteColumn:
+    """A preconditioner that writes NaN into one column *inside* a
+    pseudo-block solve (the door cannot see it): that column is frozen at
+    its last finite step and returns ``converged=False``, the loop ends when
+    no column can advance, and the healthy columns are bit-identical to the
+    fault-free solve.  It used to raise out of ``solve_triangular``'s
+    finiteness check (NaN in the Hessenberg) or spin forever (NaN in every
+    restart residual: the column is never active, ``total_it`` never
+    advances).  The solves run in a child under a watchdog, so a
+    regression fails in seconds rather than at the suite's timeout."""
+
+    #: (method, variant, preconditioner call, every call from then on)
+    CASES = [(method, variant, call, every)
+             for method in ("gmres", "gcrodr")
+             for variant, call, every in (("right", 3, False),
+                                          ("left", 10, True))]
+
+    def test_nan_column_is_frozen_and_contained(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAN_CHILD, json.dumps(self.CASES)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for case, got in zip(self.CASES, json.loads(proc.stdout)):
+            assert got["converged"] == [True, False, True], case
+            assert got["healthy_equal"], case
+            assert got["finite"][0] and got["finite"][2], case
 
 
 @settings(max_examples=15, deadline=None)

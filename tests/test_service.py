@@ -79,6 +79,29 @@ class TestFingerprint:
         b = a.astype(np.complex128)
         assert operator_fingerprint(a) != operator_fingerprint(b)
 
+    def test_digests_are_pinned(self):
+        """The hashed bytes never change with how they are fed: the hex of
+        each kind (a non-contiguous slice included) is the one the
+        per-array ``str(dtype)`` / ``ascontiguousarray`` digest produced."""
+        n = 64
+        lap = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                       [-1, 0, 1]).tocsr()
+        cases = [
+            (lap, "csr", "float64", "3fd654951b7b5c4d3f5caa44ee2f2e6f",
+             "2d8d66d7566cba6ebaa5ca89450e7a18"),
+            ((lap + 0.5j * sp.eye(n)).astype(np.complex128).tocsc(), "csc",
+             "complex128", "3fd654951b7b5c4d3f5caa44ee2f2e6f",
+             "10e480ee21e3e0c98f19889d2396a7ee"),
+            (np.arange(36.0).reshape(6, 6) - 3.5, "dense", "float64",
+             "dense", "01ef2572973325bb7fa6f9bd270c3ef5"),
+            (np.arange(120.0).reshape(10, 12)[::2, 1::3], "dense", "float64",
+             "dense", "82359fbc214e3be687d8efff227d3f47"),
+        ]
+        for a, kind, dtype, structure, values in cases:
+            fp = operator_fingerprint(a)
+            assert (fp.kind, fp.dtype, fp.structure, fp.values) \
+                == (kind, dtype, structure, values)
+
 
 # ---------------------------------------------------------------------------
 # the cache
