@@ -226,8 +226,9 @@ def test_ablation_recycling_vs_deflated_restarting(benchmark):
         rec = res.info["recycle"]
         gc_its.append(res.iterations)
 
-    # equivalent on the first system (Parks et al.), recycling wins after
-    assert abs(dr_its[0] - gc_its[0]) <= 0.05 * dr_its[0] + 3
+    # identical on the first system (Parks et al.; GMRES-DR is single-system
+    # GCRO-DR by construction), recycling wins after
+    assert dr_its[0] == gc_its[0]
     assert sum(gc_its[1:]) < 0.8 * sum(dr_its[1:])
 
     table = format_table(

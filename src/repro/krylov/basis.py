@@ -21,7 +21,6 @@ from ..la.orthogonalization import pseudo_block_tensor
 __all__ = [
     "BasisArena",
     "AugmentedTensorArena",
-    "TransposedBasisArena",
 ]
 
 
@@ -119,27 +118,3 @@ class AugmentedTensorArena:
         """View ``[C_k | V_0..V_j]`` for the step-``j`` projection."""
         return self.aug[:self.kmax + j + 1]
 
-
-class TransposedBasisArena:
-    """Preallocated ``(max_cols, n, 1)`` transposed basis for GMRES-DR.
-
-    Each committed column is written once and ``prefix(j)`` is a view —
-    no per-step re-transpose of the column-major basis.
-    """
-
-    def __init__(self, max_cols: int, n: int, dtype: np.dtype) -> None:
-        self.vt = pseudo_block_tensor(max_cols, n, 1, dtype)
-        self.cols = 0
-
-    def seed(self, v: np.ndarray, count: int) -> None:
-        """Load the first ``count`` columns of ``v`` (n x cols)."""
-        self.vt[:count, :, 0] = v[:, :count].T
-        self.cols = count
-
-    def append(self, col: np.ndarray) -> None:
-        self.vt[self.cols, :, 0] = col
-        self.cols += 1
-
-    def prefix(self, j: int) -> np.ndarray:
-        """View of columns ``0..j`` as a ``(j+1, n, 1)`` tensor."""
-        return self.vt[:j + 1]

@@ -41,6 +41,9 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
     if options.variant == "flexible":
         raise ValueError("LGMRES does not support flexible preconditioning "
                          "(matching PETSc's implementation)")
+    if options.orthogonalization not in ("cgs", "imgs"):
+        raise ValueError("LGMRES orthogonalizes with cgs or imgs only, got "
+                         f"{options.orthogonalization!r}")
     l_aug = options.recycle if augment is None else int(augment)
     st = RestartedSolve(
         a, b, m, options, x0, context=None,

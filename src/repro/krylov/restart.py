@@ -10,8 +10,9 @@ A solver is a *policy* over these — how a cycle is built, what is harvested
 at a restart, what is carried.  ``bgmres`` is :meth:`RestartedSolve.cycle`
 in a loop, ``gcrodr`` the same loop with a pair, a harvest and an update;
 ``gmres`` / ``pgcrodr`` run :mod:`repro.krylov.pgcrodr`'s pseudo-block
-cycle on this state; ``gmresdr`` / ``lgmres`` keep their single-RHS inner
-loops and use the state only; the shifted family engine uses the loop.
+cycle on this state; ``gmresdr`` is ``gcrodr`` on one system with nothing
+carried in or out; ``lgmres`` keeps its single-RHS inner loop and uses the
+state only; the shifted family engine uses the loop.
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ def invariant_subspace(a: np.ndarray, k: int, *, target: str = "smallest",
                        reciprocal: bool = False) -> np.ndarray:
     """Orthonormal basis of the invariant subspace of ``a`` for the ``k``
     eigenvalues closest to ``target`` — the one deflation extraction behind
-    paper lines 16 and 33 and GMRES-DR's restart.
+    paper lines 16 and 33 (GMRES-DR's restart is line 16's harvest).
 
     One (real or complex) Schur form; LAPACK ``trsen`` moves the selected
     values to the front and the leading Schur vectors *are* the basis (real

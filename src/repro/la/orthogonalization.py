@@ -1114,7 +1114,7 @@ def _pb_begin_sketched(sv: np.ndarray, max_cols: int, dtype: np.dtype
 
 class PseudoBlockOrthogonalizer:
     """Fused per-column Arnoldi orthogonalization for the pseudo-block
-    solvers (gmres / pgcrodr / gmresdr).
+    solvers (gmres / pgcrodr).
 
     The basis is a ``(j+1, n, p)`` tensor whose ``[:, :, l]`` slice is
     column ``l``'s Krylov basis; all ``p`` recurrences advance together, so

@@ -307,11 +307,6 @@ class Options:
         return self.krylov_method in ("gcrodr", "bgcrodr")
 
     @property
-    def is_deflated(self) -> bool:
-        """Deflated restarting without cross-solve recycling (GMRES-DR)."""
-        return self.krylov_method == "gmresdr"
-
-    @property
     def is_flexible(self) -> bool:
         return self.variant == "flexible"
 

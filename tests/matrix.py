@@ -129,8 +129,9 @@ def conformance_matrix(full: bool = False) -> list[Config]:
         add(Config("gcrodr", p=3, strategy="B"))
         add(Config("bgmres", p=3, dtype=np.complex128))
         # low-synchronization orthogonalization engine: the block engine
-        # (bgmres/bgcrodr), the pseudo-block per-column path (gcrodr) and
-        # GMRES-DR each route the schemes differently — cover all three
+        # (bgmres/bgcrodr), the pseudo-block per-column path (gcrodr p = 3)
+        # and the p = 1 block GCRO-DR path that GMRES-DR runs — cover all
+        # three
         for scheme in ("cgs2_1r", "cholqr2", "sketched"):
             add(Config("bgmres", p=3, ortho=scheme))
             add(Config("gcrodr", p=3, ortho=scheme))
@@ -546,19 +547,14 @@ def counts_of(cfg: Config, *, digests: bool = False) -> dict:
                    "converged": [bool(handle.all_converged)]}
         else:
             # several restarts per solve (restart 8, k = 2, tol 1e-10),
-            # except where the pinned parent is not healthy there.
-            # GMRES-DR(8, 2) loses its augmented-Arnoldi relation from the
-            # second cycle on (drift ~1e-2 under verify=full) and stagnates
-            # below 1e-8: pinned at tol 1e-8, "cheap".  The pseudo-block
-            # sketched recurrences (GMRES-DR, pseudo-block GCRO-DR) lose
-            # their residual estimate after a few restarts: pinned at
-            # restart 20, one cycle, as the conformance test runs them.
-            dr = cfg.method == "gmresdr"
-            sick = cfg.ortho == "sketched" and (
-                dr or (cfg.method == "gcrodr" and cfg.p > 1))
-            res = _solve_config(
-                cfg, tol=1e-8 if dr else 1e-10, restart=20 if sick else 8,
-                verify="cheap" if dr else "full")
+            # except where the pinned parent is not healthy there: the
+            # pseudo-block sketched recurrence (pseudo-block GCRO-DR) loses
+            # its residual estimate after a few restarts — pinned at
+            # restart 20, one cycle, as the conformance test runs it.
+            sick = cfg.ortho == "sketched" and cfg.method == "gcrodr" \
+                and cfg.p > 1
+            res = _solve_config(cfg, tol=1e-10, restart=20 if sick else 8,
+                                verify="full")
             parts = list(res.results) if cfg.shifts else [res]
             x = np.asarray(res.x)
             hist = np.concatenate([r.history.matrix() for r in parts], axis=1)

@@ -1,7 +1,7 @@
 """The thin-QR / reordered-Schur deflation extraction against its oracle.
 
 ``repro.la.dense.invariant_subspace`` (behind ``harmonic_ritz_vectors``,
-``generalized_ritz_vectors``, the sketched pencil and GMRES-DR's restart)
+``generalized_ritz_vectors`` and the sketched pencil)
 must span what the Gram + QZ + eigenvector-splitting formulation of
 ``tests/fixtures/reference_deflation.py`` spans, be orthonormal and real
 for real input, never raise on behalf of a solve, and charge the ledger
@@ -102,7 +102,7 @@ def test_straddling_pair_contributes_one_real_direction(target):
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "c128"])
 @pytest.mark.parametrize("target", TARGETS)
 def test_standard_problem_matches_oracle(dtype, target):
-    # the first-cycle (eq. 2) and GMRES-DR use: eigenvalues of the matrix
+    # the first-cycle (eq. 2) use: eigenvalues of the matrix
     # itself; here the straddling direction is geev's on both sides only up
     # to the scaling, so compare where the k-th value is whole
     rng = make_rng(3, TARGETS.index(target))

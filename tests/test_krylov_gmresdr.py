@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import Options, solve
 from repro.krylov.gcrodr import gcrodr
 from repro.krylov.gmres import gmres
 from repro.krylov.gmresdr import gmresdr
 from repro.precond.simple import SSORPreconditioner
+from repro.util import ledger
+from repro.util.ledger import CostLedger
 
 from conftest import complex_shifted, laplacian_1d, relative_residuals
 
@@ -19,6 +22,13 @@ def _opts(**kw):
     kw.setdefault("tol", 1e-8)
     kw.setdefault("max_it", 6000)
     return Options(**kw)
+
+
+def _counted(fn, a, b, m, options, **kw):
+    led = CostLedger()
+    with ledger.install(led):
+        res = fn(a, b, m, options=options, **kw)
+    return res, led
 
 
 class TestConvergence:
@@ -33,14 +43,53 @@ class TestConvergence:
         assert (not rg.converged.all()) or rd.iterations < rg.iterations
 
     def test_equivalent_to_gcrodr_on_single_system(self, rng):
-        """Parks et al.: GMRES-DR == GCRO-DR for one linear system."""
-        a = laplacian_1d(500)
-        b = rng.standard_normal(500)
-        rd = gmresdr(a, b, options=_opts())
-        rc = gcrodr(a, b, options=_opts(krylov_method="gcrodr"))
-        assert rd.converged.all() and rc.converged.all()
-        # equivalence is exact in exact arithmetic; allow round-off slack
-        assert abs(rd.iterations - rc.iterations) <= 0.05 * rc.iterations + 3
+        """Parks et al.: GMRES-DR == GCRO-DR for one linear system — here
+        by construction, so the iterate and every charged cost are the
+        same bits, real and complex, left and right preconditioned."""
+        for a in (laplacian_1d(300), complex_shifted(300)):
+            n = a.shape[0]
+            b = rng.standard_normal(n)
+            if np.iscomplexobj(a.data):
+                b = b + 1j * rng.standard_normal(n)
+            m = SSORPreconditioner(a)
+            for variant in ("right", "left"):
+                rd, led_d = _counted(gmresdr, a, b, m, _opts(variant=variant))
+                rc, led_c = _counted(
+                    gcrodr, a, b, m,
+                    _opts(krylov_method="gcrodr", variant=variant),
+                    recycle=None, same_system=False)
+                assert rd.converged.all()
+                assert rd.x.tobytes() == rc.x.tobytes()
+                assert rd.iterations == rc.iterations
+                assert led_d.counts() == led_c.counts()
+
+    def test_same_system_flag_does_not_reach_the_restarts(self, rng):
+        """Every restart re-harvests the harmonic Ritz vectors (Morgan's
+        deflated restart) whatever ``recycle_same_system`` says."""
+        a = laplacian_1d(300)
+        b = rng.standard_normal(300)
+        r0, led0 = _counted(gmresdr, a, b, None, _opts())
+        r1, led1 = _counted(gmresdr, a, b, None,
+                            _opts(recycle_same_system=True))
+        assert r0.restarts > 1
+        assert r1.x.tobytes() == r0.x.tobytes()
+        assert led1.counts() == led0.counts()
+
+    @pytest.mark.parametrize("m,k", [(8, 2), (12, 4), (20, 5)])
+    def test_nonsymmetric_convection_diffusion_converges(self, m, k):
+        """Nonsymmetric convection-diffusion: every deflated restart must keep
+        the Arnoldi relation exact under verify=full and the solve must not
+        stagnate (a carried augmented basis drifts ~1e-2 here)."""
+        n = 200
+        a = sp.diags([-1.4 * np.ones(n - 1), 2.2 * np.ones(n),
+                      -0.6 * np.ones(n - 1)], [-1, 0, 1]).tocsr()
+        b = np.random.default_rng(0).standard_normal(n)
+        res = solve(a, b, options=_opts(gmres_restart=m, recycle=k,
+                                        tol=1e-10, max_it=2000,
+                                        verify="full"))
+        assert res.converged.all()
+        assert res.iterations <= 200
+        assert relative_residuals(a, res.x, b)[0] <= 1e-9
 
     def test_preconditioned(self, rng):
         a = laplacian_1d(400)

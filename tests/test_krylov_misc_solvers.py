@@ -61,6 +61,14 @@ class TestLgmres:
             lgmres(a, np.ones(30), options=Options(krylov_method="lgmres",
                                                    variant="flexible"))
 
+    @pytest.mark.parametrize("scheme", ["mgs", "cgs2_1r", "cholqr2",
+                                        "sketched"])
+    def test_unsupported_orthogonalization_rejected(self, scheme):
+        a = laplacian_1d(30)
+        with pytest.raises(ValueError, match="cgs or imgs"):
+            lgmres(a, np.ones(30), options=Options(
+                krylov_method="lgmres", orthogonalization=scheme))
+
     def test_explicit_augment_argument(self, rng):
         a = laplacian_1d(300)
         b = rng.standard_normal(300)

@@ -120,7 +120,7 @@ class TestEngineReductionCounts:
         ("sketched", 1),
     ])
     def test_pseudo_block_step_counts(self, scheme, expected):
-        """Per-column bundle path (gmres/pgcrodr/gmresdr): fixed counts."""
+        """Per-column bundle path (gmres/pgcrodr): fixed counts."""
         n, p = 300, 3
         rng = make_rng(11, p)
         orth = PseudoBlockOrthogonalizer(scheme, n=n, p=p,

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro import Options
-from repro.krylov.basis import (AugmentedTensorArena, BasisArena,
-                                TransposedBasisArena)
+from repro.krylov.basis import AugmentedTensorArena, BasisArena
 from repro.krylov.cycle import complete_block
 from repro.la.orthogonalization import SketchArena
 from repro.util.options import parse_hpddm_args
@@ -52,16 +51,6 @@ def test_augmented_tensor_arena_is_contiguous_prefix():
     assert st.transpose(0, 2, 1).flags["C_CONTIGUOUS"]
     assert st[:, :, 1].strides[1] == st.itemsize
     assert np.all(st[:2] == 1.0) and np.all(st[2] == 2.0)
-
-
-def test_transposed_basis_arena_matches_retranspose():
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal((12, 5))
-    arena = TransposedBasisArena(5, 12, np.float64)
-    arena.seed(v, 2)
-    arena.append(v[:, 2])
-    ref = np.ascontiguousarray(v[:, :3].T)[:, :, np.newaxis]
-    assert np.array_equal(arena.prefix(2), ref)
 
 
 def test_sketch_arena_append():
