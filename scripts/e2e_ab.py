@@ -15,10 +15,19 @@ that tree ("parent") and once in this checkout, uncommitted edits included
 seed to seed, so a drift of the host moves both sides alike.
 
 Printed per workload: every end-to-end metric's parent -> change value per
-seed, the median change / parent ratio against its ``BENCHMARK.json``
-bound (read, never written), how many seeds the change won, and a flag on
-each seed where an exact metric (``reductions``, ``ok_frac``,
-``modeled_r64_s``) differs.  A failed run is reported, not summarized.
+seed, each side's quartiles across the seeds, the median change / parent
+ratio against its ``BENCHMARK.json`` bound (read, never written), how many
+seeds the change won, and a flag on each seed where an exact metric
+(``reductions``, ``ok_frac``, ``modeled_r64_s``) differs.  A failed run is
+reported, not summarized.
+
+A timed metric whose parent runs spread wider than its bound (interquartile
+range / median across the seeds) cannot show a move of that size: it is
+labelled ``unresolved`` rather than ``ok`` or ``OVER BOUND``, unless every
+change run beats every parent run.  Exact metrics are compared seed by
+seed, so their spread across seeds is not noise and never unresolves them.
+The exit code is 1 on a failed run or an exact-metric difference, and
+``unresolved`` does not change it.
 """
 
 from __future__ import annotations
@@ -67,6 +76,12 @@ def run_one(tree: Path, workload: str, seed: int, seconds: int | None
                 "error": proc.stderr.strip().splitlines()[-12:]}
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """``[q1, median, q3]`` (one value: itself three times)."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 \
+        else [values[0]] * 3
+
+
 def _value(run: dict, name: str) -> float | None:
     metric = run.get("metrics", {}).get(name)
     return None if metric is None else float(metric["value"])
@@ -77,7 +92,10 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     workload to per-metric rows: per-seed values and ratios, the median
     ratio, the seeds the change won and — for :data:`EXACT` metrics — the
     seeds where the two differ.  ``worse`` is the median's move in the bad
-    direction; ``within`` compares it with the metric's bound."""
+    direction; ``within`` compares it with the metric's bound.  ``spread``
+    is the parent's IQR / median across seeds, ``separated`` says every
+    change run beat every parent run, and ``unresolved`` is a timed metric
+    whose spread exceeds its bound without that separation."""
     failed = [p["seed"] for p in pairs
               if not (p["parent"].get("correct") and p["change"].get("correct"))]
     good = [p for p in pairs if p["seed"] not in failed]
@@ -98,11 +116,21 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         if not ratios:
             continue
         median = statistics.median(ratios)
-        worse = median - 1.0 if spec["better"] == "lower" else 1.0 - median
+        lower = spec["better"] == "lower"
+        worse = median - 1.0 if lower else 1.0 - median
+        par = [s["parent"] for s in seeds]
+        chg = [s["change"] for s in seeds]
+        pq, cq = quartiles(par), quartiles(chg)
+        spread = (pq[2] - pq[0]) / abs(pq[1]) if pq[1] else 0.0
+        separated = max(chg) < min(par) if lower else min(chg) > max(par)
         rows[name] = {"seeds": seeds, "median_ratio": median, "wins": wins,
                       "pairs": len(ratios), "bound": spec["bound"],
                       "worse": worse, "within": worse <= spec["bound"],
-                      "differ": differ}
+                      "differ": differ,
+                      "quartiles": {"parent": pq, "change": cq},
+                      "spread": spread, "separated": separated,
+                      "unresolved": name not in EXACT and not separated
+                      and spread > spec["bound"]}
     return {"failed": failed, "metrics": rows}
 
 
@@ -113,11 +141,17 @@ def render(workload: str, summary: dict) -> str:
     for name, row in summary["metrics"].items():
         per_seed = "  ".join(f"s{s['seed']} {s['parent']:.6g} -> "
                              f"{s['change']:.6g}" for s in row["seeds"])
-        verdict = "ok" if row["within"] else "OVER BOUND"
+        quarts = "  ".join(
+            f"{side} q1/q2/q3 " + "/".join(f"{v:.6g}" for v in qs)
+            for side, qs in row["quartiles"].items())
+        verdict = ("unresolved" if row["unresolved"]
+                   else "ok" if row["within"] else "OVER BOUND")
         lines.append(
             f"  {name:<14} median change/parent {row['median_ratio']:.4f}"
             f"  won {row['wins']}/{row['pairs']}"
             f"  bound {row['bound']:.0%} {verdict}")
+        lines.append(f"  {'':<14} {quarts}  parent spread "
+                     f"{row['spread']:.1%}")
         lines.append(f"  {'':<14} {per_seed}")
         if row["differ"]:
             lines.append(f"  {'':<14} DIFFERS on seeds {row['differ']}")

@@ -281,8 +281,8 @@ class Solver:
         self.results: list[SolveResult] = []
 
     def _cache_kind(self) -> str:
-        from .service.service import _recycle_kind, options_key
-        return _recycle_kind(options_key(self.options))
+        from .service.service import _key_state, _recycle_kind
+        return _recycle_kind(_key_state(self.options)[2])
 
     def solve(self, a, b, *, x0: np.ndarray | None = None,
               m=None, same_system: bool | None = None) -> SolveResult:

@@ -273,12 +273,17 @@ class AsyncSolveService(SolveService):
             del self._shard_groups[group.shard][key]
         return chunk
 
-    def _best_key(self, shard: int) -> tuple | None:
-        """The coalescing group holding the most urgent queued request."""
+    def _best_group(self, shard: int) -> tuple[tuple, _ShardGroup] | None:
+        """``(key, group)`` holding the shard's most urgent queued request.
+
+        Scans the items, not the keys: hashing a coalescing key (a
+        fingerprint and an options key of every field) would cost more
+        than the comparison it serves.
+        """
         groups = self._shard_groups[shard]
         if not groups:
             return None
-        return min(groups, key=lambda k: groups[k].heap[0][0])
+        return min(groups.items(), key=lambda kv: kv[1].heap[0][0])
 
     def _pump(self, shard: int, *, allow_partial: bool) -> bool:
         """Dispatch at most one batch on an idle shard; True if it did.
@@ -294,11 +299,11 @@ class AsyncSolveService(SolveService):
         """
         if self._busy_until[shard] > self.now:
             return False
-        key = self._best_key(shard)
-        if key is None:
+        best = self._best_group(shard)
+        if best is None:
             return False
+        key, group = best
         if not allow_partial:
-            group = self._queue[key]
             head_due = group.head.deadline <= self.now
             bound = self.options.service_queue_depth
             queue_full = bool(bound) and self.shard_depth(shard) >= bound
@@ -371,8 +376,13 @@ class AsyncSolveService(SolveService):
 
         Processes batch completions (which pipeline the next accumulated
         batch out) and deadline timers (which force partial dispatch of a
-        due group on an idle shard) in time order.
+        due group on an idle shard) in time order.  ``t`` must be finite
+        (``ValueError`` otherwise): the clock never reaches ``inf``, and
+        :meth:`drain` is the way to run everything that is queued.
         """
+        if not math.isfinite(t):
+            raise ValueError(f"advance_to needs a finite time, got {t!r}; "
+                             "use drain() to run everything queued")
         while True:
             ev_t = self._events[0][0] if self._events else math.inf
             dl_t, dl_shard = self._next_deadline()

@@ -131,9 +131,27 @@ class _RequestGroup:
 _OPTION_FIELDS = tuple(sorted(f.name for f in fields(Options)))
 
 
+def _key_state(options: Options) -> tuple[str, tuple, str]:
+    """``(repr(extra), options_key, options_digest)``, stored on ``options``.
+
+    :class:`Options` is frozen, so its key is computed once per object.
+    ``extra`` is the one mutable value: it is re-read on every call, and a
+    changed ``extra`` recomputes the key (at ``extra``'s sorted position,
+    as always).
+    """
+    extra = repr(options.extra)
+    state = options.__dict__.get("_okey")
+    if state is None or state[0] != extra:
+        key = tuple((k, extra if k == "extra" else repr(getattr(options, k)))
+                    for k in _OPTION_FIELDS)
+        state = (extra, key, options_digest(key))
+        object.__setattr__(options, "_okey", state)
+    return state
+
+
 def options_key(options: Options) -> tuple:
     """Hashable compatibility key: requests coalesce iff keys are equal."""
-    return tuple((k, repr(getattr(options, k))) for k in _OPTION_FIELDS)
+    return _key_state(options)[1]
 
 
 def options_digest(okey: tuple) -> str:
@@ -141,8 +159,15 @@ def options_digest(okey: tuple) -> str:
     return hashlib.blake2b(repr(okey).encode(), digest_size=6).hexdigest()
 
 
-def _recycle_kind(okey: tuple) -> str:
-    return f"recycle:{options_digest(okey)}"
+def _okey_digest(options: Options, okey: tuple) -> str:
+    """``options_digest(okey)``, read off ``options`` when ``okey`` is the
+    key stored there (a batch's options and the key it queued under)."""
+    _, key, digest = _key_state(options)
+    return digest if key is okey else options_digest(okey)
+
+
+def _recycle_kind(digest: str) -> str:
+    return f"recycle:{digest}"
 
 
 def _rhs_digest(b: np.ndarray) -> str:
@@ -154,9 +179,9 @@ def _rhs_digest(b: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _family_recycle_kind(okey: tuple, fpm: Fingerprint | None) -> str:
+def _family_recycle_kind(digest: str, fpm: Fingerprint | None) -> str:
     tag = fpm.short() if fpm is not None else "none"
-    return f"family_recycle:{options_digest(okey)}:{tag}"
+    return f"family_recycle:{digest}:{tag}"
 
 
 def _as_matrix(a: Any) -> sp.spmatrix:
@@ -406,10 +431,10 @@ class SolveService:
         raise TypeError(f"cannot interpret {type(spec).__name__} as a "
                         "preconditioner spec")
 
-    def _cached_recycle(self, fp: Fingerprint, okey: tuple, p: int
+    def _cached_recycle(self, fp: Fingerprint, kind: str, p: int
                         ) -> tuple[Any, bool | None]:
         """Recycled state for this (operator, options) pair, if compatible."""
-        space = self.cache.get(fp, _recycle_kind(okey))
+        space = self.cache.get(fp, kind)
         if space is None:
             return None, False
         if isinstance(space, PseudoBlockRecycle) and space.p != p:
@@ -424,6 +449,7 @@ class SolveService:
             return self._solve_family_batch(key, chunk)
         fp, okey = key
         opts = chunk[0].options
+        digest = _okey_digest(opts, okey)
         batch_id = self._next_batch
         self._next_batch += 1
 
@@ -453,7 +479,8 @@ class SolveService:
                 recycle = same_system = None
                 adopted = False
                 if recycling:
-                    recycle, found = self._cached_recycle(fp, okey, p)
+                    recycle, found = self._cached_recycle(
+                        fp, _recycle_kind(digest), p)
                     # the cache key is the *value* fingerprint, so a hit
                     # means the operator is numerically unchanged: take the
                     # paper's same-system fast path (section III-B)
@@ -475,7 +502,7 @@ class SolveService:
                 new_space = res.info.get("recycle")
                 if recycling and new_space is not None:
                     new_space.fingerprint = fp
-                    self.cache.put(fp, _recycle_kind(okey), new_space)
+                    self.cache.put(fp, _recycle_kind(digest), new_space)
             ambient.merge(batch_led)
         tr.metrics.histogram("service_batch_occupancy").observe(p)
         tr.metrics.counter("service_requests_total").inc(len(chunk))
@@ -494,7 +521,7 @@ class SolveService:
         self.batches.append({
             "batch": batch_id,
             "fingerprint": fp.short(),
-            "okey_digest": options_digest(okey),
+            "okey_digest": digest,
             "requests": len(chunk),
             "request_indices": [r.index for r in chunk],
             "width": p,
@@ -508,47 +535,57 @@ class SolveService:
                  batch_led: CostLedger, *, batch_id: int, p: int,
                  setup_hit: bool | None, recycle_hit: bool | None,
                  recycle_adopted: bool | None = None) -> None:
-        """Slice the block result and the ledger back onto each request."""
+        """Slice the block result and the ledger back onto each request.
+
+        Everything the batch's requests share — the shares, the column
+        arrays, the fingerprint label, the carried ``info`` keys, the
+        cache statistics — is computed once; a width-1 request takes its
+        share as its cost ledger.
+        """
         shares = batch_led.split(p)
         x = as_block(np.asarray(res.x))
         records = res.history.records
+        rhs_norms = np.asarray(res.history.rhs_norms)
+        converged = np.atleast_1d(res.converged)
+        label = chunk[0].fingerprint.short()  # one operator per batch
+        carried = {k: res.info[k] for k in ("verify", "same_system", "k",
+                                            "variant") if k in res.info}
         cache_stats = self.cache.stats()
         j0 = 0
         for req in chunk:
             j1 = j0 + req.width
-            cost = CostLedger()
-            for share in shares[j0:j1]:
-                cost.merge(share)
-            hist = ConvergenceHistory(
-                rhs_norms=np.asarray(res.history.rhs_norms)[j0:j1])
-            hist.records = [rec[j0:j1] for rec in records]
+            if req.width == 1:
+                cost = shares[j0]
+            else:
+                cost = CostLedger()
+                for share in shares[j0:j1]:
+                    cost.merge(share)
             xcol = x[:, j0:j1]
-            info: dict[str, Any] = {
-                "service": {
-                    "batch": batch_id,
-                    "batch_width": p,
-                    "columns": (j0, j1),
-                    "coalesced_requests": len(chunk),
-                    "fingerprint": req.fingerprint.short(),
-                    "setup_cache_hit": setup_hit,
-                    "recycle_cache_hit": recycle_hit,
-                    "recycle_adopted": recycle_adopted,
-                    "cache": cache_stats,
-                    "cost": cost,
-                },
-            }
-            for carried in ("verify", "same_system", "k", "variant"):
-                if carried in res.info:
-                    info[carried] = res.info[carried]
             req.result = SolveResult(
                 x=xcol[:, 0] if req.squeeze else xcol,
-                converged=np.atleast_1d(res.converged)[j0:j1],
+                converged=converged[j0:j1],
                 iterations=res.iterations,
-                history=hist,
+                history=ConvergenceHistory(
+                    rhs_norms=rhs_norms[j0:j1],
+                    records=[rec[j0:j1] for rec in records]),
                 method=res.method,
                 restarts=res.restarts,
                 breakdown=res.breakdown,
-                info=info,
+                info={
+                    "service": {
+                        "batch": batch_id,
+                        "batch_width": p,
+                        "columns": (j0, j1),
+                        "coalesced_requests": len(chunk),
+                        "fingerprint": label,
+                        "setup_cache_hit": setup_hit,
+                        "recycle_cache_hit": recycle_hit,
+                        "recycle_adopted": recycle_adopted,
+                        "cache": cache_stats,
+                        "cost": cost,
+                    },
+                    **carried,
+                },
             )
             j0 = j1
 
@@ -567,6 +604,7 @@ class SolveService:
 
         _, fp, fpm, _bdigest, okey = key
         opts = chunk[0].options
+        digest = _okey_digest(opts, okey)
         batch_id = self._next_batch
         self._next_batch += 1
 
@@ -580,7 +618,7 @@ class SolveService:
         ambient = ledger.current()
         batch_led = CostLedger()
         recycling = opts.is_recycling
-        rkind = _family_recycle_kind(okey, fpm)
+        rkind = _family_recycle_kind(digest, fpm)
         tr = trace.current()
         with tr.span("service.batch", batch=batch_id, width=k,
                      requests=len(chunk), family=True):
@@ -620,7 +658,7 @@ class SolveService:
         self.batches.append({
             "batch": batch_id,
             "fingerprint": fp.short(),
-            "okey_digest": options_digest(okey),
+            "okey_digest": digest,
             "requests": len(chunk),
             "request_indices": [r.index for r in chunk],
             "width": k,
@@ -646,6 +684,7 @@ class SolveService:
         k = len(union)
         shares = batch_led.split(k)
         pos = {s: i for i, s in enumerate(union)}
+        label = chunk[0].fingerprint.short()  # one operator per family
         cache_stats = self.cache.stats()
         for req in chunk:
             idx = [pos[s] for s in req.shifts]
@@ -659,7 +698,7 @@ class SolveService:
                 "batch_width": k,
                 "shift_indices": idx,
                 "coalesced_requests": len(chunk),
-                "fingerprint": req.fingerprint.short(),
+                "fingerprint": label,
                 "setup_cache_hit": setup_hit,
                 "recycle_cache_hit": recycle_hit,
                 "cache": cache_stats,

@@ -70,8 +70,15 @@ class ConsistentHashRouter:
         self._shards = [s for _, s in points]
 
     def route(self, fp: Fingerprint) -> int:
-        """Shard index owning ``fp`` (successor clockwise on the ring)."""
-        key = _point(f"{fp.structure}:{fp.values}")
+        """Shard index owning ``fp`` (successor clockwise on the ring).
+
+        ``fp``'s ring point depends on ``fp`` alone, and ``fp`` is frozen:
+        it is hashed once and stored on the fingerprint.
+        """
+        key = fp.__dict__.get("_ring_point")
+        if key is None:
+            key = _point(f"{fp.structure}:{fp.values}")
+            object.__setattr__(fp, "_ring_point", key)
         i = bisect.bisect_right(self._ring, key)
         if i == len(self._ring):
             i = 0

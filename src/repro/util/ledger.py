@@ -162,35 +162,38 @@ class CostLedger:
         ``counts()`` split into shares with identical serialized form
         (key order included), which keeps per-request attribution
         reproducible run-to-run.
+
+        Cost: one ``divmod`` per counter and one pass over the shares,
+        held bitwise to the per-share split of
+        ``tests/fixtures/reference_split.py``.
         """
         if parts < 1:
             raise ValueError("parts must be >= 1")
-
-        def ishare(v: int, j: int) -> int:
-            return v // parts + (1 if j < v % parts else 0)
-
-        shares = []
-        for j in range(parts):
-            led = CostLedger(
-                reductions=ishare(self.reductions, j),
-                reduction_bytes=ishare(self.reduction_bytes, j),
-                p2p_messages=ishare(self.p2p_messages, j),
-                p2p_bytes=ishare(self.p2p_bytes, j),
-            )
-            for kern in sorted(self.flops):
-                v = self.flops[kern]
-                iv = int(v)
-                part = float(ishare(iv, j))
-                if j == 0:
-                    part += v - float(iv)
-                if part:
-                    led.flops[kern] = part
-            for name in sorted(self.calls):
-                part = ishare(self.calls[name], j)
-                if part:
-                    led.calls[name] = part
-            shares.append(led)
-        return shares
+        # one divmod per counter: share j takes q + 1 when j < r, else q
+        ints = []
+        for v in (self.reductions, self.reduction_bytes, self.p2p_messages,
+                  self.p2p_bytes):
+            q, r = divmod(v, parts)
+            ints.append([q + 1] * r + [q] * (parts - r))
+        flops = [Counter() for _ in range(parts)]
+        for kern in sorted(self.flops):
+            v = self.flops[kern]
+            iv = int(v)
+            q, r = divmod(iv, parts)
+            hi, lo = float(q + 1), float(q)
+            first = (hi if r else lo) + (v - float(iv))
+            if first:
+                flops[0][kern] = first
+            _fill(flops, kern, hi, 1, r)
+            _fill(flops, kern, lo, max(r, 1), parts)
+        calls = [Counter() for _ in range(parts)]
+        for name in sorted(self.calls):
+            q, r = divmod(self.calls[name], parts)
+            _fill(calls, name, q + 1, 0, r)
+            _fill(calls, name, q, r, parts)
+        # positional: (reductions, reduction_bytes, p2p_messages, p2p_bytes,
+        # flops, calls), the field order
+        return [CostLedger(*fields) for fields in zip(*ints, flops, calls)]
 
     def counts_snapshot(self) -> "CostLedger":
         """Copy of every deterministic field; ``timers`` stay behind.
@@ -263,6 +266,14 @@ class CostLedger:
         for k in sorted(self.calls):
             lines.append(f"calls[{k:<13}]: {self.calls[k]}")
         return "\n".join(lines)
+
+
+def _fill(counters: "list[Counter]", key: str, value, lo: int,
+          hi: int) -> None:
+    """``counters[j][key] = value`` for ``lo <= j < hi``, unless zero."""
+    if value:
+        for c in counters[lo:hi]:
+            c[key] = value
 
 
 @dataclass(frozen=True)

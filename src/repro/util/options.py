@@ -2,7 +2,7 @@
 
 The original library (HPDDM) is configured through prefixed command-line
 options such as ``-hpddm_krylov_method gcrodr -hpddm_recycle 10``.  This
-module provides the Python equivalent: a validated, immutable-ish options
+module provides the Python equivalent: a validated, immutable options
 object that every solver in :mod:`repro.krylov` consumes, plus a parser for
 HPDDM-flavoured argument lists so that the examples can mirror the paper's
 artifact description verbatim.
@@ -40,13 +40,18 @@ _TRACE_LEVELS = ("off", "summary", "full")
 _RECYCLE_SPACES = ("full", "sketched")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Options:
     """Validated option set for every Krylov method in the library.
 
     Names deliberately follow the HPDDM command-line options documented in
     the paper's artifact description (``-hpddm_<name>``) so the mapping from
     paper to code is one-to-one.
+
+    Immutable: assigning a field raises
+    :class:`dataclasses.FrozenInstanceError`; derive a variant with
+    :meth:`replace`, which re-validates.  ``extra`` (the flags
+    :func:`parse_hpddm_args` does not know) is the one mutable value.
 
     Parameters
     ----------

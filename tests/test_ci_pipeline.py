@@ -508,3 +508,44 @@ def test_e2e_ab_summarizes_medians_wins_and_exact_mismatches():
     assert summary["metrics"]["solve_wall_s"]["pairs"] == 2
     assert not summary["metrics"]["solve_wall_s"]["within"]
     assert "OVER BOUND" in ab.render("w", summary)
+
+
+def test_e2e_ab_labels_noisy_metrics_unresolved():
+    """A parent spread (IQR / median across seeds) wider than the bound
+    makes a timed metric ``unresolved`` unless every change run beats
+    every parent run; exact metrics are never unresolved."""
+    ab = _load_script(ROOT / "scripts" / "e2e_ab.py", "repro_e2e_ab")
+    assert ab.quartiles([2.0]) == [2.0, 2.0, 2.0]
+
+    def pairs_of(parent_setup, change_setup):
+        return [{"seed": s,
+                 "parent": _e2e_run(setup_s=a, solve_wall_s=1.0,
+                                    modeled_r64_s=1e-3 * s, reductions=s * 50,
+                                    peak_rss_mb=200.0, ok_frac=1.0),
+                 "change": _e2e_run(setup_s=b, solve_wall_s=0.9,
+                                    modeled_r64_s=1e-3 * s, reductions=s * 50,
+                                    peak_rss_mb=200.0, ok_frac=1.0)}
+                for s, (a, b) in enumerate(zip(parent_setup, change_setup), 1)]
+
+    # heat-like set-up: the parent scatters 0.010..0.016 (spread ~40 %), and
+    # the change reads 16 % "worse" in the median while overlapping it
+    noisy = pairs_of([0.010, 0.016, 0.011, 0.015], [0.014, 0.016, 0.013, 0.017])
+    summary = ab.summarize(noisy, ab.contract())
+    setup = summary["metrics"]["setup_s"]
+    assert setup["spread"] > setup["bound"]
+    assert setup["unresolved"] and not setup["separated"]
+    q1, q2, q3 = setup["quartiles"]["parent"]
+    assert q1 <= q2 <= q3 and q2 == pytest.approx(0.013)
+    # the per-seed spread of an exact metric is the workload, not noise
+    reds = summary["metrics"]["reductions"]
+    assert reds["spread"] > reds["bound"] and not reds["unresolved"]
+    assert not summary["metrics"]["solve_wall_s"]["unresolved"]
+    text = ab.render("heat_ensemble_amg", summary)
+    setup_line = next(l for l in text.splitlines() if "setup_s" in l)
+    assert "unresolved" in setup_line and "OVER BOUND" not in setup_line
+    assert "parent q1/q2/q3" in text and "change q1/q2/q3" in text
+
+    # the same parent spread, but every change run beats every parent run
+    clear = pairs_of([0.010, 0.016, 0.011, 0.015], [0.008, 0.009, 0.008, 0.009])
+    setup = ab.summarize(clear, ab.contract())["metrics"]["setup_s"]
+    assert setup["separated"] and not setup["unresolved"] and setup["within"]

@@ -489,6 +489,28 @@ class TestAdmissionControl:
         assert req.result.info["service"]["deadline"] == pytest.approx(1e-3)
 
 
+class TestClock:
+    """``advance_to`` takes finite times only; ``drain`` runs everything."""
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_on_idle_service_raises(self, t):
+        svc = _service(service_shards=2)
+        with pytest.raises(ValueError, match="finite"):
+            svc.advance_to(t)
+        assert svc.now == 0.0 and svc.pending == 0
+
+    def test_non_finite_time_with_a_queued_request_raises(self):
+        svc = _service(service_shards=1, service_pmax=8)
+        svc.advance_to(2e-5)
+        req = svc.submit(_operators(1)[0], make_rng(11).standard_normal(N))
+        assert not req.done  # under-full, no deadline: waits
+        with pytest.raises(ValueError, match="drain"):
+            svc.advance_to(math.inf)
+        assert svc.now == 2e-5 and svc.pending == 1 and not req.done
+        svc.drain()
+        assert req.done and math.isfinite(svc.now)
+
+
 class TestDeadlineDispatch:
     def test_due_deadline_forces_partial_dispatch(self):
         """A queued group whose deadline arrives goes out under-full."""

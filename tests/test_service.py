@@ -23,13 +23,14 @@ from hypothesis import strategies as st
 
 from repro import Options, Solver, solve
 from repro.service import (SetupCache, SolveService, operator_fingerprint,
-                           options_key)
+                           options_digest, options_key)
 from repro.service.fingerprint import Fingerprint
 from repro.util import ledger
 from repro.util.ledger import CostLedger
-from repro.util.options import OptionError
+from repro.util.options import OptionError, parse_hpddm_args
 
 from conftest import laplacian_2d, make_rng, relative_residuals
+from fixtures.reference_split import reference_split
 
 
 def poisson(nx: int = 14) -> sp.csr_matrix:
@@ -287,6 +288,66 @@ class TestCoalescing:
         assert len(svc.batches) == 2
 
 
+class TestOptionsKey:
+    """The coalescing key of a frozen :class:`Options`: computed once per
+    object, with ``extra`` (the one mutable value) re-read on every call."""
+
+    #: ``options_digest(options_key(o))`` as the key was first defined; it
+    #: names ``recycle:<digest>`` cache kinds and ``okey_digest`` records
+    PINNED = {
+        "default": "7ca896323f2a",
+        "gcrodr": "7df1b3e31bc6",
+        "hpddm_extra": "595842070996",
+    }
+
+    @staticmethod
+    def _options() -> dict[str, Options]:
+        return {
+            "default": Options(),
+            "gcrodr": Options(krylov_method="gcrodr", recycle=10,
+                              gmres_restart=40, tol=1e-10, service_pmax=8,
+                              orthogonalization="imgs"),
+            "hpddm_extra": parse_hpddm_args([
+                "-hpddm_krylov_method", "bgmres",
+                "-hpddm_gmres_restart", "25", "-hpddm_service_shards", "4",
+                "-hpddm_schwarz_overlap", "2", "-hpddm_level_1_eps", "0.5"]),
+        }
+
+    def test_digests_are_pinned(self):
+        opts = self._options()
+        assert opts["hpddm_extra"].extra == {"schwarz_overlap": "2",
+                                             "level_1_eps": "0.5"}
+        got = {name: options_digest(options_key(o))
+               for name, o in opts.items()}
+        assert got == self.PINNED
+        # the second call reads the stored key: the same tuple object
+        for o in opts.values():
+            assert options_key(o) is options_key(o)
+
+    def test_mutating_extra_changes_the_key(self):
+        o = self._options()["hpddm_extra"]
+        before = options_key(o)
+        o.extra["schwarz_overlap"] = "3"
+        after = options_key(o)
+        assert after != before
+        assert options_digest(after) == "77c3f9313b8a"
+        o.extra["schwarz_overlap"] = "2"
+        assert options_key(o) == before
+        assert options_digest(options_key(o)) == self.PINNED["hpddm_extra"]
+
+    def test_mutated_extra_splits_coalescing_groups(self):
+        a = poisson()
+        o = Options(krylov_method="gmres", tol=1e-9,
+                    service_flush="queue_drained")
+        svc = SolveService(options=o)
+        svc.submit(a, np.ones(a.shape[0]))
+        o.extra["tag"] = "late"
+        svc.submit(a, np.ones(a.shape[0]))
+        svc.flush()
+        assert len(svc.batches) == 2
+        assert len({rep["okey_digest"] for rep in svc.batches}) == 2
+
+
 # ---------------------------------------------------------------------------
 # flush policies
 # ---------------------------------------------------------------------------
@@ -352,6 +413,32 @@ class TestAttribution:
         assert total.counts() == batch_total.counts()
         # and the ambient ledger saw exactly the batch totals
         assert ambient.counts() == batch_total.counts()
+
+    def test_width_one_cost_is_its_reference_share(self):
+        """A width-1 request's cost is its column's share of the batch
+        ledger, as the per-share reference split computes it."""
+        a = poisson()
+        rng = make_rng(4)
+        opts = Options(krylov_method="gcrodr", recycle=5, tol=1e-9,
+                       service_pmax=6, service_flush="queue_drained")
+        svc = SolveService(options=opts, preconditioner="lu")
+        reqs = [svc.submit(a, rng.standard_normal(
+                    (a.shape[0], 2) if j % 4 == 1 else a.shape[0]))
+                for j in range(11)]
+        svc.flush()
+        checked = 0
+        for rep in svc.batches:
+            shares = reference_split(rep["ledger"], rep["width"])
+            for req in (reqs[i] for i in rep["request_indices"]):
+                j0, j1 = req.result.info["service"]["columns"]
+                if j1 - j0 != 1:
+                    continue
+                cost = req.result.info["service"]["cost"]
+                assert cost.counts() == shares[j0].counts()
+                assert list(cost.flops) == list(shares[j0].flops)
+                assert list(cost.calls) == list(shares[j0].calls)
+                checked += 1
+        assert checked == 8
 
     def test_split_is_exact_for_any_ledger(self):
         led = CostLedger()

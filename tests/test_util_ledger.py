@@ -1,7 +1,11 @@
 """Tests for the cost ledger (the accounting backbone)."""
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fixtures.reference_split import reference_split
 from repro.util import ledger
 from repro.util.ledger import CostLedger, Kernel
 
@@ -83,6 +87,47 @@ class TestSnapshotDiff:
         text = led.summary()
         assert "reductions" in text
         assert "blas3" in text
+
+
+_KEYS = st.text("abcdefghij_", min_size=1, max_size=6)
+_INTS = st.integers(0, 10**12)
+#: integer-valued and fractional flop charges, zeros included
+_FLOPS = st.one_of(st.integers(0, 2**52).map(float),
+                   st.floats(0.0, 1e15, allow_nan=False, allow_infinity=False),
+                   st.just(0.0))
+
+
+@st.composite
+def _ledgers(draw) -> CostLedger:
+    led = CostLedger(reductions=draw(_INTS), reduction_bytes=draw(_INTS),
+                     p2p_messages=draw(_INTS), p2p_bytes=draw(_INTS))
+    for k, v in draw(st.dictionaries(_KEYS, _FLOPS, max_size=12)).items():
+        led.flops[k] = v
+    for k, v in draw(st.dictionaries(_KEYS, _INTS, max_size=12)).items():
+        led.calls[k] = v
+    return led
+
+
+class TestSplitAgainstReference:
+    """The one-pass split is the per-share split of
+    ``tests/fixtures/reference_split.py``, bit for bit."""
+
+    @given(led=_ledgers(), parts=st.integers(1, 40))
+    def test_split_matches_reference_bitwise(self, led, parts):
+        got, want = led.split(parts), reference_split(led, parts)
+        assert len(got) == len(want) == parts
+        for g, w in zip(got, want):
+            assert g.counts() == w.counts()
+            # key order is part of the serialized share
+            assert list(g.flops) == list(w.flops)
+            assert list(g.calls) == list(w.calls)
+            assert [v.hex() for v in g.flops.values()] == \
+                [v.hex() for v in w.flops.values()]
+            assert g.timers == {}
+
+    def test_split_rejects_zero_parts(self):
+        with pytest.raises(ValueError, match="parts"):
+            CostLedger().split(0)
 
 
 class TestInstrumentedKernels:

@@ -1,5 +1,7 @@
 """Tests for the HPDDM-style option registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.util.options import OptionError, Options, parse_hpddm_args
@@ -86,6 +88,14 @@ class TestOptionsProperties:
         opt2 = opt.replace(krylov_method="gcrodr", recycle=10)
         assert opt2.recycle == 10
         assert opt.recycle == 0  # original untouched
+
+    def test_fields_are_frozen(self):
+        opt = Options()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opt.tol = 1e-4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opt.extra = {"schwarz_method": "oras"}
+        assert opt.tol == 1.0e-8 and opt.extra == {}
 
     def test_as_dict_roundtrip(self):
         opt = Options(krylov_method="bgcrodr", recycle=7, tol=1e-6)
