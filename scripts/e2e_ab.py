@@ -28,6 +28,16 @@ change run beats every parent run.  Exact metrics are compared seed by
 seed, so their spread across seeds is not noise and never unresolves them.
 The exit code is 1 on a failed run or an exact-metric difference, and
 ``unresolved`` does not change it.
+
+``--claim METRIC`` also judges a claimed gain on every workload by the
+rule for a small sandbox: the change wins at least nine tenths of the
+pairs (a tie counts for neither side), and the medians of the two sides
+differ, in the metric's better direction, by more than the parent's
+interquartile range.  It prints ``claim met`` or ``claim not met`` per
+workload and exits 1 on "not met".
+
+    python scripts/e2e_ab.py --workload maxwell_oras_block --seeds 1-10 \\
+        --claim setup_s
 """
 
 from __future__ import annotations
@@ -124,6 +134,7 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         spread = (pq[2] - pq[0]) / abs(pq[1]) if pq[1] else 0.0
         separated = max(chg) < min(par) if lower else min(chg) > max(par)
         rows[name] = {"seeds": seeds, "median_ratio": median, "wins": wins,
+                      "better": spec["better"],
                       "pairs": len(ratios), "bound": spec["bound"],
                       "worse": worse, "within": worse <= spec["bound"],
                       "differ": differ,
@@ -132,6 +143,20 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
                       "unresolved": name not in EXACT and not separated
                       and spread > spec["bound"]}
     return {"failed": failed, "metrics": rows}
+
+
+def judge_claim(row: dict | None) -> dict:
+    """Is a claimed gain shown by one metric's row of :func:`summarize`?
+    ``wins`` must reach nine tenths of the pairs, and ``gap`` — the move of
+    the median in the better direction — must exceed the parent's
+    interquartile range ``iqr``.  A metric no pair measured is not met."""
+    if row is None:
+        return {"met": False, "wins": 0, "pairs": 0, "gap": 0.0, "iqr": 0.0}
+    (p1, p2, p3), c2 = row["quartiles"]["parent"], row["quartiles"]["change"][1]
+    gap = p2 - c2 if row["better"] == "lower" else c2 - p2
+    return {"met": row["wins"] >= 0.9 * row["pairs"] and gap > p3 - p1,
+            "wins": row["wins"], "pairs": row["pairs"], "gap": gap,
+            "iqr": p3 - p1}
 
 
 def render(workload: str, summary: dict) -> str:
@@ -158,6 +183,12 @@ def render(workload: str, summary: dict) -> str:
     return "\n".join(lines)
 
 
+def render_claim(metric: str, claim: dict) -> str:
+    return (f"  {metric:<14} {'claim met' if claim['met'] else 'claim not met'}"
+            f" (won {claim['wins']}/{claim['pairs']}, need 9/10; median gap "
+            f"{claim['gap']:.6g} vs parent q3-q1 {claim['iqr']:.6g})")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", required=True,
@@ -170,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="timed-pass budget per run (default: run.py's)")
     ap.add_argument("--out", type=Path, default=None,
                     help="also write every run and summary as JSON")
+    ap.add_argument("--claim", metavar="METRIC", default=None,
+                    help="judge a claimed gain in METRIC on every workload "
+                         "(exit 1 when not met)")
     args = ap.parse_args(argv)
     metrics = contract()
     report, bad = {}, False
@@ -193,6 +227,11 @@ def main(argv: list[str] | None = None) -> int:
             print(render(workload, summary))
             bad |= bool(summary["failed"]) or any(
                 row["differ"] for row in summary["metrics"].values())
+            if args.claim is not None:
+                claim = judge_claim(summary["metrics"].get(args.claim))
+                print(render_claim(args.claim, claim))
+                summary["claim"] = {"metric": args.claim, **claim}
+                bad |= not claim["met"]
             report[workload] = {"pairs": pairs, "summary": summary}
     if args.out is not None:
         args.out.write_text(json.dumps(

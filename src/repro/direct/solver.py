@@ -125,6 +125,8 @@ class SparseLU:
         b = a @ z[self.perm_c]
         led.flop(Kernel.SPMV, 2.0 * a.nnz)
         led.flop(Kernel.BLAS2, 2.0 * (l_mat.nnz + u_mat.nnz))
+        if not self.n:                         # 0 x 0: nothing to reproduce
+            return l_mat, u_mat, 0.0
         with np.errstate(invalid="ignore"):    # a non-finite factor: NaN
             gap = (l_mat @ (u_mat @ z))[self.perm_r] - b
         err = np.abs(gap).max() / (spla.norm(a, np.inf) + np.abs(b).max())

@@ -41,14 +41,22 @@ longest path (every block waits for the dependencies of all its rows), so
 a factor whose block DAG is no shallower than its row DAG keeps the row
 schedule.
 
-Everything is analysed once at construction and stored in the caller's row
-numbering, for lower and upper factors alike; every solve reuses it.
+Everything is analysed once at construction and stored in *level order*,
+for lower and upper factors alike: rows renumbered so that level ``k`` is
+the slice ``[bounds[k], bounds[k+1])``, ``Loff``'s columns in that
+numbering, each level's ``Dinv`` (or diagonal) beside it.  A solve gathers
+the right-hand side into level order once, runs every step on a contiguous
+slice through scipy's CSR kernel (``csr_matvecs``, the kernel behind
+``Loff @ x``, with the entries of a row in the caller's column order: the
+same bits), and scatters once back.  Batching factors
+(:func:`concat_factors`) stitches their levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs, csr_tocsc
 
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -94,11 +102,15 @@ def _levels_frontier(n: int, indptr: np.ndarray, indices: np.ndarray,
     src = indices[strict]            # dependency j ...
     dst = rows[strict]               # ... of row i > j
     remaining = np.bincount(dst, minlength=n)
-    # reverse adjacency (edges grouped by source), CSR-style
-    order = np.argsort(src, kind="stable")
-    out_dst = dst[order]
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
+    # reverse adjacency (edges grouped by source): the transpose of the
+    # strict pattern, by scipy's counting sort
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(remaining, out=ptr[1:])
+    out_ptr = np.empty(n + 1, dtype=np.int64)
+    out_dst = np.empty(src.size, dtype=np.int64)
+    pattern = np.zeros(src.size, dtype=bool)       # values: none needed
+    csr_tocsc(n, n, ptr, src.astype(np.int64), pattern, out_ptr, out_dst,
+              pattern.copy())
 
     level = np.zeros(n, dtype=np.int64)
     frontier = np.flatnonzero(remaining == 0)
@@ -117,11 +129,19 @@ def _levels_frontier(n: int, indptr: np.ndarray, indices: np.ndarray,
         remaining -= touched
         frontier = np.flatnonzero((touched > 0) & (remaining == 0))
         level[frontier] = wave
-    # skinny tail: per-row recurrence over the still-unresolved rows
-    for i in np.flatnonzero(remaining > 0):
-        row_cols = indices[indptr[i]: indptr[i + 1]]
-        deps = row_cols[row_cols < i]
-        level[i] = level[deps].max() + 1
+    # skinny tail: per-row recurrence over the still-unresolved rows, on
+    # python lists (a row costs a list slice, not four numpy calls)
+    pending = np.flatnonzero(remaining > 0)
+    if pending.size:
+        counts = ptr[pending + 1] - ptr[pending]
+        offsets = np.cumsum(counts) - counts
+        deps = src[np.repeat(ptr[pending] - offsets, counts)
+                   + np.arange(int(counts.sum()))].tolist()
+        lv = level.tolist()
+        for i, lo, hi in zip(pending.tolist(), offsets.tolist(),
+                             (offsets + counts).tolist()):
+            lv[i] = max(map(lv.__getitem__, deps[lo:hi])) + 1
+        level = np.asarray(lv, dtype=np.int64)
     return level
 
 
@@ -199,52 +219,106 @@ def _chain_blocks(n: int, row: np.ndarray, col: np.ndarray
     return np.asarray(starts, dtype=np.int64), longest
 
 
+def _ragged_tril(width: np.ndarray) -> tuple:
+    """``(block, i, j)`` of every entry of the lower triangles of blocks of
+    the given widths, block by block, row by row (row-major)."""
+    block = np.repeat(np.arange(width.size), width)
+    i = np.arange(block.size) - np.repeat(np.cumsum(width) - width, width)
+    j = np.arange(int((i + 1).sum())) - np.repeat(np.cumsum(i + 1) - i - 1,
+                                                  i + 1)
+    return np.repeat(block, i + 1), np.repeat(i, i + 1), j
+
+
+def _width_groups(widths: np.ndarray) -> list[tuple[int, int]]:
+    """Split blocks sorted widest first into runs inverted as one stack.
+
+    A run is padded to its widest block, so it is cut where the padding
+    would exceed four times the entries its blocks really hold: memory
+    stays within a constant of the factor's, and on LU factors (a few wide
+    supernodes, many narrow ones) one run usually holds every block.
+    """
+    groups, lo = [], 0
+    while lo < widths.size:
+        sq = np.cumsum(widths[lo:] ** 2)
+        fits = np.arange(1, sq.size + 1) * widths[lo] ** 2 <= 4 * sq
+        hi = lo + (sq.size if fits.all() else int(np.argmin(fits)))
+        groups.append((lo, hi))
+        lo = hi
+    return groups
+
+
 def _invert_blocks(start: np.ndarray, width: np.ndarray, row: np.ndarray,
                    col: np.ndarray, val: np.ndarray, diag: np.ndarray | None,
                    dtype) -> tuple[np.ndarray, tuple]:
     """Invert the diagonal blocks ``[start, start + width)`` of a lower factor.
 
     ``row, col, val`` are the factor's strict entries, ``diag`` its
-    diagonal (``None``: unit).  Blocks of equal width are inverted
-    together, by forward substitution on the ``(blocks, w, w)`` stack —
-    ``w`` vectorized steps, an exactly triangular result.  Returns which
-    blocks can be trusted (more than one row, finite, and
+    diagonal (``None``: unit).  The blocks wider than one row are stacked
+    widest first, padded to the widest (see :func:`_width_groups`), and
+    inverted by one forward substitution: step ``i`` acts on the prefix
+    of blocks wider than ``i``, each block through the same
+    ``(1, i) @ (i, i)`` product as alone — an exactly triangular result.
+    Returns which blocks can be trusted (more than one row, finite, and
     ``|inv(T)|_1 |T|_1 <= _BLOCK_COND``) and the inverses of those as COO
     triples in the factor's row numbering.
     """
-    block_of_row = np.repeat(np.arange(start.size), width)
-    block = block_of_row[row]
-    inside = block == block_of_row[col]
-    block, row, col, val = block[inside], row[inside], col[inside], val[inside]
     trusted = np.zeros(start.size, dtype=bool)
+    wide = np.flatnonzero(width > 1)
+    wide = wide[np.argsort(-width[wide], kind="stable")]
+    # an entry is inside its row's block when its column is not left of it
+    first = np.repeat(start, width)
+    inside = col >= first[row]
+    row, col, val = row[inside], col[inside], val[inside]
+    block = np.repeat(np.arange(start.size), width)[row]
+    slot = np.full(start.size, -1, dtype=np.int64)     # block -> stack row
     none = np.empty(0, dtype=np.int64)
     out_row, out_col, out_val = [none], [none], [np.empty(0, dtype=dtype)]
-    for w in np.unique(width[width > 1]).tolist():
-        ids = np.flatnonzero(width == w)
-        mine = width[block] == w
+    for lo, hi in _width_groups(width[wide]):
+        ids = wide[lo:hi]
+        w = width[ids]
+        big = int(w[0])
+        slot[ids] = np.arange(ids.size)
+        mine = slot[block] >= 0
         b = block[mine]
-        t = np.zeros((ids.size, w, w), dtype=dtype)
-        t[np.searchsorted(ids, b), row[mine] - start[b],
-          col[mine] - start[b]] = val[mine]
-        local = np.arange(w)
-        span = start[ids][:, None] + local            # (blocks, w) rows
-        t[:, local, local] = 1.0 if diag is None else diag[span]
+        t = np.zeros((ids.size, big, big), dtype=dtype)
+        t[slot[b], row[mine] - start[b], col[mine] - start[b]] = val[mine]
+        slot[ids] = -1
+        # every block's lower triangle, row-major, and its diagonal
+        blk, ri, ci = _ragged_tril(w)
+        on = ri == ci
+        t[blk[on], ri[on], ri[on]] = (1.0 if diag is None
+                                      else diag[start[ids][blk[on]] + ri[on]])
+        # blocks wider than i: a prefix, the stack being sorted widest first
+        wider = np.bincount(w - 1)[::-1].cumsum()[::-1].tolist()
         inv = np.zeros_like(t)
         with np.errstate(all="ignore"):
-            for i in range(w):
-                inv[:, i, i] = 1.0
-                inv[:, i, :i] = -(t[:, i:i + 1, :i] @ inv[:, :i, :i])[:, 0]
-                inv[:, i, :i + 1] /= t[:, i, i, None]
-            cond = (np.abs(inv).sum(axis=1).max(axis=1)
-                    * np.abs(t).sum(axis=1).max(axis=1))
+            for i, m in enumerate(wider):
+                inv[:m, i, i] = 1.0
+                inv[:m, i, :i] = -(t[:m, i:i + 1, :i] @ inv[:m, :i, :i])[:, 0]
+                inv[:m, i, :i + 1] /= t[:m, i, i, None]
+            tril = inv[blk, ri, ci]
+            cond = (_column_norm(tril, blk, ci, ids.size, big)
+                    * _column_norm(t[blk, ri, ci], blk, ci, ids.size, big))
         ok = cond <= _BLOCK_COND          # False for a non-finite inverse
-        trusted[ids] = ok
-        li, lj = np.tril_indices(w)
-        out_row.append(span[ok][:, li].ravel())
-        out_col.append(span[ok][:, lj].ravel())
-        out_val.append(inv[ok][:, li, lj].ravel())
+        trusted[ids[ok]] = True
+        keep = ok[blk]
+        rows = start[ids][blk[keep]] + ri[keep]
+        out_row.append(rows)
+        out_col.append(rows - ri[keep] + ci[keep])
+        out_val.append(tril[keep])
     return trusted, (np.concatenate(out_row), np.concatenate(out_col),
                      np.concatenate(out_val))
+
+
+def _column_norm(tril: np.ndarray, k: np.ndarray, j: np.ndarray,
+                 nblocks: int, big: int) -> np.ndarray:
+    """``|T|_1`` of every block from its lower triangle ``tril``, entries
+    row by row: each column summed down its rows, as ``sum(axis=1)``
+    of the dense blocks does."""
+    mag = np.abs(tril)
+    norms = np.zeros(nblocks * big, dtype=mag.dtype)
+    np.add.at(norms, k * big + j, mag)
+    return norms.reshape(nblocks, big).max(axis=1)
 
 
 def _levels_of_blocks(n: int, row: np.ndarray, col: np.ndarray,
@@ -252,14 +326,42 @@ def _levels_of_blocks(n: int, row: np.ndarray, col: np.ndarray,
     """Per-row level in the DAG of blocks (``block``: block of each row).
 
     Blocks are runs of consecutive rows, so the entries, already grouped
-    by ascending row, are grouped by ascending block as well.
+    by ascending row, are grouped by ascending block as well; with the
+    columns of a row ascending, the edges a row's entries give to one
+    block are adjacent, and only the first of them is kept.
     """
     nblocks = int(block[-1]) + 1 if n else 0
-    brow, bcol = block[row], block[col]
-    outside = brow != bcol
-    level = _levels_frontier(nblocks, _csr_ptr(brow[outside], nblocks),
-                             bcol[outside])
+    brow, bcol = np.take(block, row), np.take(block, col)
+    keep = brow != bcol
+    keep[1:] &= (bcol[1:] != bcol[:-1]) | (brow[1:] != brow[:-1])
+    level = _levels_frontier(nblocks, _csr_ptr(brow[keep], nblocks),
+                             bcol[keep])
     return level[block]
+
+
+def _index_dtype(size: int):
+    """The CSR index type of arrays addressing ``size`` entries."""
+    return np.int32 if size < np.iinfo(np.int32).max else np.int64
+
+
+def _permute_rows(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
+                  src: np.ndarray, newcol: np.ndarray) -> tuple:
+    """CSR rows ``src[0], src[1], ...`` of ``(ptr, idx, val)``, columns
+    renumbered by ``newcol``; the entries keep their order inside a row."""
+    counts = np.diff(ptr)[src]
+    itype = _index_dtype(max(int(counts.sum()), newcol.size))
+    out = np.zeros(src.size + 1, dtype=itype)
+    np.cumsum(counts, out=out[1:])
+    take = np.repeat(ptr[src] - out[:-1], counts) + np.arange(out[-1])
+    return (out, np.take(newcol.astype(itype, copy=False), np.take(idx, take)),
+            np.take(val, take))
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse permutation: ``pos[order[k]] == k``."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    return pos
 
 
 class TriangularFactor:
@@ -297,128 +399,139 @@ class TriangularFactor:
         self.unit_diagonal = bool(unit_diagonal)
         self.dtype = mat.dtype
         self.nnz = mat.nnz
-        self.diag = None
+        diag = None
         if not unit_diagonal:
-            self.diag = np.asarray(mat.diagonal())
-            if np.any(self.diag == 0):
+            diag = np.asarray(mat.diagonal())
+            if np.any(diag == 0):
                 raise np.linalg.LinAlgError("singular triangular factor")
 
         # analyse in the *sweep frame* — rows numbered in the order the
         # substitution visits them, in which every factor is lower
-        # triangular — and map the result back to the caller's numbering
+        # triangular; an upper factor's entries are the caller's reversed
         strict = mat.indices != rows
         row, col, val = rows[strict], mat.indices[strict], mat.data[strict]
-        diag = self.diag
+        srow, scol, sval, sdiag = row, col, val, diag
         if not lower:
-            row, col, val = n - 1 - row[::-1], n - 1 - col[::-1], val[::-1]
-            diag = None if diag is None else diag[::-1]
+            srow, scol, sval = n - 1 - row[::-1], n - 1 - col[::-1], val[::-1]
+            sdiag = None if diag is None else diag[::-1]
 
-        start, longest_chain = _chain_blocks(n, row, col)
+        start, longest_chain = _chain_blocks(n, srow, scol)
         width = np.diff(start, append=n)
-        trusted, inv = _invert_blocks(start, width, row, col, val, diag,
-                                      np.result_type(mat.dtype, np.float32))
+        dtype = np.result_type(mat.dtype, np.float32)
+        trusted, inv = _invert_blocks(start, width, srow, scol, sval, sdiag,
+                                      dtype)
         merged = np.repeat(trusted, width)     # row sits in an inverted block
         head = ~merged
         head[start[trusted]] = True
         block = np.cumsum(head) - 1
-        level = _levels_of_blocks(n, row, col, block)
+        level = _levels_of_blocks(n, srow, scol, block)
         # a block waits for the dependencies of all its rows, which can
         # lengthen the longest path; the row DAG is at least as deep as the
         # longest chain, so it is levelled only when that does not settle it
         if merged.any() and level.max() + 1 >= longest_chain:
-            row_level = _levels_of_blocks(n, row, col, np.arange(n))
+            row_level = _levels_of_blocks(n, srow, scol, np.arange(n))
             if row_level.max() <= level.max():     # merging bought no depth
                 merged[:] = False
                 block, level = np.arange(n), row_level
                 inv = tuple(a[:0] for a in inv)
 
+        # Dinv, sweep frame, in CSR order: a row of an inverted block holds
+        # its row of inv(T), every other row its reciprocal diagonal
+        local = np.arange(n) - np.repeat(start, width)
+        dptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.where(merged, local + 1, 1), out=dptr[1:])
+        dcol = np.empty(dptr[-1], dtype=np.int64)
+        dval = np.empty(dptr[-1], dtype=dtype)
         single = np.flatnonzero(~merged)
-        recip = (np.ones(single.size, dtype=inv[2].dtype) if diag is None
-                 else 1.0 / diag[single])
-        drow = np.concatenate([inv[0], single])
-        dcol = np.concatenate([inv[1], single])
-        dval = np.concatenate([inv[2], recip])
-        outside = block[row] != block[col]
-        orow, ocol, oval = row[outside], col[outside], val[outside]
-        if not lower:
-            orow, ocol, drow, dcol = (n - 1 - i for i in (orow, ocol, drow, dcol))
-            level = level[::-1]
-        # caller-numbered pieces, kept for block-diagonal batching
-        self._off = sp.csr_matrix((oval, (orow, ocol)), shape=(n, n))
-        self._dinv = sp.csr_matrix((dval, (drow, dcol)), shape=(n, n))
+        dcol[dptr[single]] = single
+        dval[dptr[single]] = 1.0 if sdiag is None else 1.0 / sdiag[single]
+        at = dptr[inv[0]] + local[inv[1]]
+        dcol[at], dval[at] = inv[1], inv[2]
+        outside = np.take(block, srow) != np.take(block, scol)
+        if not lower:    # back to the caller's rows, still in CSR order
+            dptr = dptr[-1] - dptr[::-1]
+            dcol, dval = n - 1 - dcol[::-1], dval[::-1]
+            outside, level = outside[::-1], level[::-1]
         self.schedule = LevelSchedule.from_levels(level)
+        order = self.schedule.order
+        pos = _inverse(order)
+        self._lay_out(
+            _permute_rows(_csr_ptr(row[outside], n), col[outside],
+                          val[outside], order, pos),
+            _permute_rows(dptr, dcol, dval, order, pos),
+            None if diag is None else diag[order], pos)
 
-    #: the sweep, one step per level, built by the first solve: a factor
-    #: that is only ever batched (:func:`concat_factors`) never holds one
-    _steps = None
+    def _lay_out(self, loff: tuple, dinv: tuple, diag: np.ndarray | None,
+                 pos: np.ndarray) -> None:
+        """Store the level-ordered sweep: row ``k`` of ``Loff`` / ``Dinv`` /
+        ``diag`` is caller row ``schedule.order[k]``, level ``l`` the slice
+        ``bounds[l]:bounds[l + 1]``, columns numbered the same way.  One
+        ``(start, stop, Loff row pointer, Dinv row pointer, diag)`` per
+        level: ``Dinv`` on levels that hold an inverted block, ``diag`` on
+        the others (``None`` under a unit diagonal), ``Loff`` unless the
+        level has no entry outside its blocks."""
+        self._loff, self._dinv, self._diag, self._pos = loff, dinv, diag, pos
+        bounds = self.schedule.bounds
+        a, b = bounds[:-1], bounds[1:]
+        has_off = (loff[0][b] > loff[0][a]).tolist()
+        blocked = (dinv[0][b] - dinv[0][a] > b - a).tolist()
+        self._steps = [
+            (lo, hi, loff[0][lo:hi + 1] if off else None,
+             dinv[0][lo:hi + 1] if blk else None,
+             None if blk or diag is None else diag[lo:hi, None])
+            for lo, hi, off, blk in zip(a.tolist(), b.tolist(), has_off,
+                                        blocked)]
+        self._widest = int((b - a).max()) if a.size else 0
 
     @property
     def stored_nnz(self) -> int:
         """Entries one sweep multiplies: ``Loff``, the inverted blocks, and
         the diagonal of every level that holds none (unless it is unit)."""
-        rows = np.diff(self.schedule.bounds)
-        kept = np.bincount(self.schedule.level_of_row, minlength=rows.size,
-                           weights=np.diff(self._dinv.indptr))
-        plain = 0 if self.diag is None else rows[kept == rows].sum()
-        return int(self._off.nnz + kept[kept > rows].sum() + plain)
-
-    def _materialize(self) -> list:
-        """Build the sweep: one ``(rows, Loff, Dinv, diag)`` per level.
-
-        ``Loff`` and ``Dinv`` are permuted into level order once; each
-        level's ``Loff`` is then a view of a row range of that one matrix.
-        ``Dinv`` is set on levels that hold an inverted block, ``diag`` on
-        the others (``None`` under a unit diagonal): repeated solves run
-        the sweep with no slicing at all.
-        """
-        n, order, bounds = self.n, self.schedule.order, self.schedule.bounds
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        off = self._off[order]
-        dinv = self._dinv[order]
-        dinv = sp.csr_matrix((dinv.data, pos[dinv.indices], dinv.indptr),
-                             shape=(n, n))
-        self._steps = []
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            rows = order[a:b]
-            lo, hi = off.indptr[a], off.indptr[b]
-            loff = None if lo == hi else sp.csr_matrix(
-                (off.data[lo:hi], off.indices[lo:hi], off.indptr[a:b + 1] - lo),
-                shape=(b - a, n))
-            if dinv.indptr[b] - dinv.indptr[a] > b - a:
-                step = (rows, loff, dinv[a:b, a:b], None)
-            elif self.diag is None:
-                step = (rows, loff, None, None)
-            else:
-                step = (rows, loff, None, self.diag[rows][:, None])
-            self._steps.append(step)
-        return self._steps
+        bounds = self.schedule.bounds
+        rows = np.diff(bounds)
+        kept = np.diff(self._dinv[0][bounds])
+        plain = 0 if self.unit_diagonal else rows[kept == rows].sum()
+        return int(self._loff[0][-1] + kept[kept > rows].sum() + plain)
 
     # ------------------------------------------------------------------
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``T x = b`` for one or many right-hand sides at once."""
+        """Solve ``T x = b`` for one or many right-hand sides at once.
+
+        ``b`` is gathered into level order once; every level is then a
+        contiguous slice ``x[lo:hi]``, updated through the CSR kernel:
+        ``x[lo:hi] -= Loff x`` and ``x[lo:hi] = Dinv x[lo:hi]`` (or
+        ``/= diag``), each product into a zeroed scratch block — the
+        kernel, entry order and operations of ``b[rows] - Loff @ x`` with
+        scipy's product.  One gather returns the caller's row order.
+        """
         b = as_block(b)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        p = b.shape[1]
+        n, p = b.shape
         dtype = np.promote_types(self.dtype, b.dtype)
-        b = b.astype(dtype, copy=False)
-        # every row is written before a later level reads it
-        x = np.empty((self.n, p), dtype=dtype)
+        x = np.ascontiguousarray(b[self.schedule.order], dtype=dtype)
+        (_, lidx, lval), (_, didx, dval) = self._loff, self._dinv
+        # the kernel would convert a real factor's entries on every call
+        lval = lval.astype(dtype, copy=False)
+        dval = dval.astype(dtype, copy=False)
+        scratch = np.empty((self._widest, p), dtype=dtype)
+        for lo, hi, lptr, dptr, diag in self._steps:
+            rhs, prod = x[lo:hi], scratch[:hi - lo]
+            if lptr is not None:
+                prod.fill(0)
+                csr_matvecs(hi - lo, n, p, lptr, lidx, lval, x, prod)
+                np.subtract(rhs, prod, out=rhs)
+            if dptr is not None:
+                prod.fill(0)
+                csr_matvecs(hi - lo, n, p, dptr, didx, dval, x, prod)
+                rhs[...] = prod
+            elif diag is not None:
+                np.divide(rhs, diag, out=rhs)
         led = ledger.current()
-        for rows, loff, dinv, diag_col in self._steps or self._materialize():
-            rhs = b[rows]
-            if loff is not None:
-                rhs -= loff @ x
-            if dinv is not None:
-                rhs = dinv @ rhs
-            elif diag_col is not None:
-                rhs /= diag_col
-            x[rows] = rhs
         kern = Kernel.BLAS2 if p == 1 else Kernel.BLAS3
         led.flop(kern, 2.0 * self.nnz * p)
         led.event("triangular_solve", p)
-        return x
+        return x[self._pos]
 
     @property
     def n_levels(self) -> int:
@@ -438,8 +551,10 @@ def concat_factors(factors: list[TriangularFactor]) -> TriangularFactor:
 
     Block-diagonal structure means no cross-factor dependencies, so the
     inverted diagonal blocks and the levels of each input carry over
-    unchanged: the schedules are concatenated level by level, nothing is
-    analysed again.
+    unchanged: level ``l`` of the batch is level ``l`` of every input in
+    turn, and each input's level-ordered rows are stitched into it with
+    their column indices moved to the batch's positions — nothing is
+    analysed or sorted again.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -455,10 +570,34 @@ def concat_factors(factors: list[TriangularFactor]) -> TriangularFactor:
     obj.unit_diagonal = unit
     obj.dtype = np.result_type(*(f.dtype for f in factors))
     obj.nnz = int(sum(f.nnz for f in factors))
-    obj.diag = None if unit else np.concatenate([f.diag for f in factors])
-    obj._off = sp.block_diag([f._off for f in factors], format="csr")
-    obj._dinv = sp.block_diag([f._dinv for f in factors], format="csr")
     obj.schedule = LevelSchedule.from_levels(
         np.concatenate([f.schedule.level_of_row for f in factors]))
-    obj._materialize()         # a batch exists to be solved with
+    pos = _inverse(obj.schedule.order)
+    first = np.cumsum([0] + [f.n for f in factors])
+    bounds = [f.schedule.bounds.tolist() for f in factors]
+    # level l of the batch is level l of every input in turn: (input, rows)
+    pieces = [(i, rows[lvl], rows[lvl + 1]) for lvl in range(obj.n_levels)
+              for i, rows in enumerate(bounds) if lvl + 1 < len(rows)]
+    # batch position of every input's level-ordered row
+    moved = [np.take(pos, o + f.schedule.order)
+             for f, o in zip(factors, first)]
+
+    def gather(arrays: list[np.ndarray], spans: list[tuple]) -> np.ndarray:
+        # every input's empty slice first: the dtype of all of them
+        return np.concatenate([a[:0] for a in arrays]
+                              + [arrays[i][lo:hi] for i, lo, hi in spans])
+
+    def stitch(parts: list[tuple]) -> tuple:
+        """The batch's level-ordered CSR from the inputs' CSR triples."""
+        ptrs, idxs, vals = zip(*parts)
+        spans = [(i, ptrs[i][lo], ptrs[i][hi]) for i, lo, hi in pieces]
+        idx = gather([np.take(m, idx) for m, idx in zip(moved, idxs)], spans)
+        ptr = np.zeros(obj.n + 1, dtype=_index_dtype(max(idx.size, obj.n)))
+        np.cumsum(gather([np.diff(p) for p in ptrs], pieces), out=ptr[1:])
+        return ptr, idx.astype(ptr.dtype, copy=False), gather(vals, spans)
+
+    obj._lay_out(stitch([f._loff for f in factors]),
+                 stitch([f._dinv for f in factors]),
+                 None if unit else gather([f._diag for f in factors], pieces),
+                 pos)
     return obj

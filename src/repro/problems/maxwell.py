@@ -248,36 +248,85 @@ class MaxwellDecomposition:
     overlap_cells: list[np.ndarray]
 
 
-def _face_trace_mass(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """3x3 tangential-trace mass matrix of a face's three edges.
+#: a face's local edges, as pairs of its sorted vertices
+_FACE_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+def _face_trace_mass(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """3x3 tangential-trace mass matrices of faces' three edges, (F, 3, 3).
 
     The trace of the 3-D Whitney edge function on a face equals the 2-D
     Whitney function of the triangle; its mass matrix uses the in-plane
     barycentric gradients and ``int lambda_i lambda_j = |F|(1+delta)/12``.
     Edges are ordered ``(0,1), (0,2), (1,2)`` in sorted-vertex convention.
+    ``tris`` is ``(F, 3)`` (or one ``(3,)`` face: one ``(3, 3)`` matrix);
+    every face goes through the same dot products, ``det`` and ``solve``
+    as it would alone, batched.
     """
-    p0, p1, p2 = points[tri]
-    u = p1 - p0
-    v = p2 - p0
-    gram = np.array([[u @ u, u @ v], [v @ u, v @ v]])
-    area = 0.5 * np.sqrt(max(np.linalg.det(gram), 0.0))
+    tris = np.asarray(tris)
+    if tris.ndim == 1:
+        return _face_trace_mass(points, tris[None])[0]
+    p0, p1, p2 = (points[tris[:, k]] for k in range(3))
+    u = (p1 - p0)[:, None, :]                     # (F, 1, 3)
+    v = (p2 - p0)[:, None, :]
+    ut, vt = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
+    gram = np.empty((tris.shape[0], 2, 2))
+    gram[:, 0, 0] = (u @ ut)[:, 0, 0]
+    gram[:, 0, 1] = (u @ vt)[:, 0, 0]
+    gram[:, 1, 0] = (v @ ut)[:, 0, 0]
+    gram[:, 1, 1] = (v @ vt)[:, 0, 0]
+    area = 0.5 * np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
     gi = np.linalg.solve(gram, np.eye(2))
-    g1 = gi[0, 0] * u + gi[0, 1] * v
-    g2 = gi[1, 0] * u + gi[1, 1] * v
-    g = np.array([-(g1 + g2), g1, g2])
-    d = g @ g.T
-    local_edges = np.array([[0, 1], [0, 2], [1, 2]])
-    delta = np.eye(3)
-    m = np.empty((3, 3))
-    for a in range(3):
-        i_a, j_a = local_edges[a]
-        for b in range(3):
-            i_b, j_b = local_edges[b]
-            m[a, b] = ((1 + delta[i_a, i_b]) * d[j_a, j_b]
-                       - (1 + delta[i_a, j_b]) * d[j_a, i_b]
-                       - (1 + delta[j_a, i_b]) * d[i_a, j_b]
-                       + (1 + delta[j_a, j_b]) * d[i_a, i_b])
-    return m * area / 12.0
+    u, v = u[:, 0], v[:, 0]
+    g1 = gi[:, 0, 0, None] * u + gi[:, 0, 1, None] * v
+    g2 = gi[:, 1, 0, None] * u + gi[:, 1, 1, None] * v
+    g = np.stack([-(g1 + g2), g1, g2], axis=1)    # (F, 3, 3)
+    d = g @ g.transpose(0, 2, 1)
+    m = np.empty_like(d)
+    for a, (i_a, j_a) in enumerate(_FACE_EDGES):
+        for b, (i_b, j_b) in enumerate(_FACE_EDGES):
+            m[:, a, b] = ((1 + (i_a == i_b)) * d[:, j_a, j_b]
+                          - (1 + (i_a == j_b)) * d[:, j_a, i_b]
+                          - (1 + (j_a == i_b)) * d[:, i_a, j_b]
+                          + (1 + (j_a == j_b)) * d[:, i_a, i_b])
+    return m * area[:, None, None] / 12.0
+
+
+def _interface_trace(mesh: TetMesh, cells: np.ndarray, sub_edges: np.ndarray,
+                     edge_key_order: np.ndarray, sorted_keys: np.ndarray
+                     ) -> sp.csc_matrix | None:
+    """Tangential-trace mass ``T`` on a subdomain's interface faces, in the
+    local numbering of ``sub_edges`` (the subdomain's free edges).
+
+    Interface faces occur once among the subdomain's cells and are not on
+    the chamber wall; they are visited in order of first appearance in
+    ``cell_faces[cells]`` and their triplets emitted as (face, a, b), so
+    that CSC sums duplicates in one fixed order.  ``None``: no triplet.
+    """
+    local_of_edge = np.full(mesh.n_edges, -1, dtype=np.int64)
+    local_of_edge[sub_edges] = np.arange(sub_edges.size)
+    flat = mesh.cell_faces[cells].ravel()
+    faces, first, counts = np.unique(flat, return_index=True,
+                                     return_counts=True)
+    keep = (counts == 1) & ~np.isin(faces, mesh.boundary_faces)
+    faces = faces[keep][np.argsort(first[keep], kind="stable")]
+    tris = mesh.faces[faces]                              # (F, 3)
+    n_pts = mesh.n_points
+    pairs = np.stack([tris[:, list(pair)] for pair in _FACE_EDGES], axis=1)
+    lo, hi = pairs.min(axis=2), pairs.max(axis=2)         # (F, 3)
+    eids = edge_key_order[np.searchsorted(sorted_keys,
+                                          lo.astype(np.int64) * n_pts + hi)]
+    lids = local_of_edge[eids]
+    sgns = np.where(mesh.edges[eids, 0] == lo, 1.0, -1.0)
+    vals = (_face_trace_mass(mesh.points, tris) * sgns[:, :, None]
+            * sgns[:, None, :])
+    rows = np.broadcast_to(lids[:, :, None], vals.shape)
+    cols = np.broadcast_to(lids[:, None, :], vals.shape)
+    both = (rows >= 0) & (cols >= 0)
+    if not both.any():
+        return None
+    return sp.csc_matrix((vals[both], (rows[both], cols[both])),
+                         shape=(sub_edges.size, sub_edges.size))
 
 
 def decompose_maxwell(problem: MaxwellProblem, nparts: int, *,
@@ -292,28 +341,21 @@ def decompose_maxwell(problem: MaxwellProblem, nparts: int, *,
       add the first-order absorbing term ``- i omega eta T`` on interface
       faces — the optimized transmission condition of eq. (6);
     * the partition of unity is multiplicity-based on the overlapping edge
-      sets, so ``sum R^T D R = I`` holds exactly.
+      sets, so ``sum R^T D R = I`` holds to rounding (``1 / m`` summed
+      ``m`` times: within about 1e-16 at multiplicity 8).
     """
     mesh = problem.mesh
     cell_parts = recursive_coordinate_bisection(mesh.cell_centroids, nparts)
     led = ledger.current()
 
-    # node -> cells adjacency for overlap growth
-    n_cells = mesh.n_cells
-    cells_of_node: dict[int, list[int]] = {}
-    for c in range(n_cells):
-        for v in mesh.cells[c]:
-            cells_of_node.setdefault(int(v), []).append(c)
-
+    # overlap growth: a layer adds every cell sharing a node with the set
     overlap_cells: list[np.ndarray] = []
     for part in range(nparts):
         mask = cell_parts == part
         for _ in range(overlap):
-            nodes = np.unique(mesh.cells[mask])
-            grown = mask.copy()
-            for v in nodes:
-                grown[cells_of_node[int(v)]] = True
-            mask = grown
+            touched = np.zeros(mesh.n_points, dtype=bool)
+            touched[mesh.cells[mask]] = True
+            mask = touched[mesh.cells].any(axis=1)
         overlap_cells.append(np.nonzero(mask)[0])
 
     if eta is None:
@@ -323,17 +365,11 @@ def decompose_maxwell(problem: MaxwellProblem, nparts: int, *,
     elem = problem.elem_k.astype(np.complex128) \
         - weight[:, None, None] * problem.elem_m
 
-    # precompute edge keys for face-edge lookup
-    n_pts = mesh.n_points
-    edge_key = mesh.edges[:, 0].astype(np.int64) * n_pts + mesh.edges[:, 1]
+    # edge keys for the face-edge lookup
+    edge_key = mesh.edges[:, 0].astype(np.int64) * mesh.n_points \
+        + mesh.edges[:, 1]
     key_order = np.argsort(edge_key)
     sorted_keys = edge_key[key_order]
-
-    def find_edge(a: int, b: int) -> int:
-        lo, hi = (a, b) if a < b else (b, a)
-        key = lo * n_pts + hi
-        pos = np.searchsorted(sorted_keys, key)
-        return int(key_order[pos])
 
     owned_sets: list[np.ndarray] = []
     overlapping_sets: list[np.ndarray] = []
@@ -341,10 +377,8 @@ def decompose_maxwell(problem: MaxwellProblem, nparts: int, *,
 
     # ownership of a free DOF: the part of the lowest-id cell touching it
     edge_owner = np.full(mesh.n_edges, -1, dtype=np.int64)
-    for c in range(n_cells):
-        for e in mesh.cell_edges[c]:
-            if edge_owner[e] < 0:
-                edge_owner[e] = cell_parts[c]
+    edges, first = np.unique(mesh.cell_edges.ravel(), return_index=True)
+    edge_owner[edges] = cell_parts[first // mesh.cell_edges.shape[1]]
 
     with led.timer("oras_setup"):
         for part in range(nparts):
@@ -358,50 +392,17 @@ def decompose_maxwell(problem: MaxwellProblem, nparts: int, *,
             order = np.argsort(sub_dofs)
             sub_edges = sub_edges[order]
             sub_dofs = sub_dofs[order]
-            # local index of each global edge
-            local_of_edge = {int(e): i for i, e in enumerate(sub_edges)}
 
             # assemble subdomain (Neumann) matrix
-            mask = np.zeros(n_cells, dtype=bool)
+            mask = np.zeros(mesh.n_cells, dtype=bool)
             mask[cells] = True
             a_local = _scatter_assemble(mesh, elem, cell_mask=mask)
             a_local = sp.csc_matrix(a_local[sub_edges][:, sub_edges])
 
             if impedance:
-                # interface faces: owned by one in-cell and one out-cell
-                face_cells: dict[int, list[int]] = {}
-                for c in cells:
-                    for f in mesh.cell_faces[c]:
-                        face_cells.setdefault(int(f), []).append(c)
-                rows, cols, vals = [], [], []
-                boundary_set = set(mesh.boundary_faces.tolist())
-                for f, owners in face_cells.items():
-                    if len(owners) != 1 or f in boundary_set:
-                        continue  # interior to the subdomain, or chamber wall
-                    tri = mesh.faces[f]
-                    mloc = _face_trace_mass(mesh.points, tri)
-                    eids = [find_edge(tri[0], tri[1]),
-                            find_edge(tri[0], tri[2]),
-                            find_edge(tri[1], tri[2])]
-                    lids = [local_of_edge.get(e, -1) for e in eids]
-                    sgns = [1.0 if mesh.edges[e][0] == lo else -1.0
-                            for e, lo in zip(
-                                eids, [min(tri[0], tri[1]),
-                                       min(tri[0], tri[2]),
-                                       min(tri[1], tri[2])])]
-                    for ai in range(3):
-                        if lids[ai] < 0:
-                            continue
-                        for bi in range(3):
-                            if lids[bi] < 0:
-                                continue
-                            rows.append(lids[ai])
-                            cols.append(lids[bi])
-                            vals.append(mloc[ai, bi] * sgns[ai] * sgns[bi])
-                if rows:
-                    t = sp.csc_matrix(
-                        (np.asarray(vals), (rows, cols)),
-                        shape=a_local.shape)
+                t = _interface_trace(mesh, cells, sub_edges, key_order,
+                                     sorted_keys)
+                if t is not None:
                     a_local = a_local - 1j * problem.omega * eta * t
             local_mats.append(sp.csc_matrix(a_local))
 

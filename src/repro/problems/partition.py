@@ -132,7 +132,8 @@ class OverlappingDecomposition:
         return len(self.owned)
 
     def check_pou(self) -> float:
-        """Max deviation of ``sum R^T D R`` from the identity (should be 0)."""
+        """Max deviation of ``sum R^T D R`` from the identity (0 up to
+        rounding)."""
         acc = np.zeros(self.n)
         for ov, d in zip(self.overlapping, self.pou):
             acc[ov] += d

@@ -510,6 +510,48 @@ def test_e2e_ab_summarizes_medians_wins_and_exact_mismatches():
     assert "OVER BOUND" in ab.render("w", summary)
 
 
+def test_e2e_ab_judges_a_claim_by_wins_and_the_parent_iqr():
+    """``--claim``: nine tenths of the pairs won (ties count for neither
+    side) and a median gap wider than the parent's q3 - q1."""
+    ab = _load_script(ROOT / "scripts" / "e2e_ab.py", "repro_e2e_ab")
+    base = dict(solve_wall_s=1.0, modeled_r64_s=1e-3, reductions=50,
+                peak_rss_mb=200.0, ok_frac=1.0)
+
+    def claim(parent, change, metric="setup_s"):
+        pairs = [{"seed": s,
+                  "parent": _e2e_run(setup_s=a, **base),
+                  "change": _e2e_run(setup_s=b, **base)}
+                 for s, (a, b) in enumerate(zip(parent, change), 1)]
+        return ab.judge_claim(ab.summarize(pairs, ab.contract())["metrics"]
+                              .get(metric))
+
+    parent = [0.80, 0.62, 0.81, 0.70, 0.75, 0.79, 0.66, 0.72, 0.77, 0.69]
+    won = claim(parent, [0.48, 0.44, 0.48, 0.46, 0.47, 0.45, 0.44, 0.47,
+                         0.46, 0.45])
+    assert won["met"] and won["pairs"] == 10 and won["wins"] == 10
+    assert won["gap"] > won["iqr"] > 0
+    # 8 of 10: one loss and one tie (a tie is no win) -> not met
+    split = claim(parent, [0.48, 0.70, 0.48, 0.46, 0.47, 0.45, 0.44, 0.47,
+                           0.46, 0.69])
+    assert (split["wins"], split["met"]) == (8, False)
+    # every pair won, but by less than the parent's own spread -> not met
+    close = claim(parent, [p - 0.01 for p in parent])
+    assert close["wins"] == 10 and close["gap"] < close["iqr"]
+    assert not close["met"]
+    # a higher-is-better metric is judged in its own direction
+    pairs = [{"seed": s, "parent": _e2e_run(ok_frac=0.5, **{
+                  k: v for k, v in base.items() if k != "ok_frac"}),
+              "change": _e2e_run(ok_frac=1.0, **{
+                  k: v for k, v in base.items() if k != "ok_frac"})}
+             for s in range(1, 11)]
+    ok = ab.judge_claim(ab.summarize(pairs, ab.contract())["metrics"]
+                        ["ok_frac"])
+    assert ok["met"] and ok["gap"] == pytest.approx(0.5)
+    assert not ab.judge_claim(None)["met"]
+    assert "claim not met" in ab.render_claim("setup_s", split)
+    assert "claim met" in ab.render_claim("setup_s", won)
+
+
 def test_e2e_ab_labels_noisy_metrics_unresolved():
     """A parent spread (IQR / median across seeds) wider than the bound
     makes a timed metric ``unresolved`` unless every change run beats

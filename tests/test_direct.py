@@ -13,6 +13,7 @@ from repro.direct.ordering import reverse_cuthill_mckee
 from repro.direct import solver as solver_mod
 from repro.direct.solver import _SYMMETRIC, SparseLU
 from repro.direct.triangular import (LevelSchedule, TriangularFactor,
+                                     _chain_blocks, _invert_blocks,
                                      _levels_frontier, concat_factors)
 from repro.problems.maxwell import decompose_maxwell, maxwell_chamber
 from repro.trace import Tracer, install as install_tracer
@@ -20,6 +21,9 @@ from repro.util import ledger
 from repro.util.ledger import Kernel
 
 from conftest import make_rng, complex_shifted, laplacian_1d, laplacian_2d
+from fixtures.reference_sweep import (ReferenceTriangularFactor,
+                                      reference_concat,
+                                      reference_invert_blocks)
 from fixtures.rowlevel_trisolve import RowLevelTriangularSolve, levels_by_row
 
 
@@ -226,12 +230,11 @@ def _check_blocked_sweep(mat, *, lower, unit, dominant, seed=0):
     ref = RowLevelTriangularSolve(mat, lower=lower, unit_diagonal=unit)
     assert tri.n_levels <= ref.n_levels
     assert tri.stored_nnz <= 1.25 * tri.nnz
-    # counted from the analysis alone; the sweep is sliced by the first solve
-    assert tri._steps is None
-    held = sum((0 if loff is None else loff.nnz)
-               + (0 if dinv is None else dinv.nnz)
+    # counted from the analysis alone: the entries the level steps hold
+    held = sum((0 if lptr is None else lptr[-1] - lptr[0])
+               + (0 if dptr is None else dptr[-1] - dptr[0])
                + (0 if diag is None else diag.size)
-               for _, loff, dinv, diag in tri._materialize())
+               for _, _, lptr, dptr, diag in tri._steps)
     assert tri.stored_nnz == held
     full = mat
     if unit:
@@ -453,6 +456,159 @@ class TestConcatFactors:
         assert np.abs(x[: -mats[-1].shape[0]].imag).max() == 0.0
 
 
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def _oracle_triangle(rng, n, kind, *, lower, complex_):
+    """A stored-diagonal triangle of one family: ``band`` (every row holds
+    its four left neighbours: chains that merge into inverted blocks),
+    ``ill`` (a 32-row chain of -2 on a unit diagonal, too ill-conditioned
+    to invert: single rows), ``chainless`` (no row references its
+    neighbour) or ``random``."""
+    if kind == "ill":
+        n = 32
+    row, col = np.tril_indices(n, -1)
+    dist = row - col
+    keep = {"band": dist <= 4, "ill": dist > 0,
+            "chainless": (dist > 1) & (rng.random(dist.size) < 0.3),
+            "random": rng.random(dist.size) < 0.3}[kind]
+    val = (np.full(keep.sum(), -2.0) if kind == "ill"
+           else rng.uniform(-0.4, 0.4, keep.sum()))
+    if complex_:
+        val = val + 1j * rng.uniform(-0.1, 0.1, val.size)
+    diag = np.ones(n) if kind == "ill" else 1.0 + rng.random(n)
+    m = sp.csr_matrix((np.concatenate([val, diag]),
+                       (np.concatenate([row[keep], np.arange(n)]),
+                        np.concatenate([col[keep], np.arange(n)]))),
+                      shape=(n, n))
+    return m if lower else sp.csr_matrix(m.T)
+
+
+_KINDS = st.sampled_from(["band", "ill", "chainless", "random"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), lower=st.booleans(),
+       unit=st.booleans(), complex_rhs=st.booleans(),
+       p=st.sampled_from([0, 1, 3, 16]),
+       parts=st.lists(st.tuples(st.integers(1, 40), _KINDS, st.booleans()),
+                      min_size=1, max_size=4))
+def test_property_sweep_matches_reference(seed, lower, unit, complex_rhs, p,
+                                          parts):
+    """The level-ordered sweep against the row-gather sweep it replaced:
+    the same bytes, the same ledger, the same schedule — per factor and
+    for every batch of 1 to 4 of them (real and complex mixed)."""
+    rng = make_rng(seed)
+    mats = [_oracle_triangle(rng, n, kind, lower=lower, complex_=cplx)
+            for n, kind, cplx in parts]
+    factors = [TriangularFactor(m, lower=lower, unit_diagonal=unit)
+               for m in mats]
+    refs = [ReferenceTriangularFactor(m, lower=lower, unit_diagonal=unit)
+            for m in mats]
+    pairs = list(zip(factors, refs))
+    pairs.append((concat_factors(factors), reference_concat(refs)))
+    for (n, kind, _), f in zip(parts, factors):
+        blocked = any(dptr is not None for *_, dptr, _ in f._steps)
+        assert blocked if kind == "band" and n >= 4 else (
+            kind == "random" or not blocked)
+    for got, ref in pairs:
+        assert (got.n, got.dtype, got.nnz) == (ref.n, ref.dtype, ref.nnz)
+        assert got.n_levels == ref.n_levels
+        assert got.stored_nnz == ref.stored_nnz
+        b = rng.standard_normal((got.n, p))
+        if complex_rhs:
+            b = b + 1j * rng.standard_normal((got.n, p))
+        with ledger.install() as led_got:
+            x = got.solve(b)
+        with ledger.install() as led_ref:
+            x_ref = ref.solve(b)
+        assert _same_bytes(x, x_ref)
+        assert led_got.counts() == led_ref.counts()
+
+
+class TestAgainstReferenceSweep:
+    """Bytes of the production factors against the fixture on LU factors:
+    the one-pass inversion, ``SparseLU.solve`` and the Schwarz batch."""
+
+    @pytest.fixture(scope="class")
+    def maxwell(self):
+        prob = maxwell_chamber(5, omega=8.0)
+        return prob, decompose_maxwell(prob, 4, overlap=1, impedance=True)
+
+    @staticmethod
+    def _sweep_frame(mat, lower):
+        mat = sp.csr_matrix(mat)
+        n = mat.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+        strict = mat.indices != rows
+        row, col, val = rows[strict], mat.indices[strict], mat.data[strict]
+        diag = mat.diagonal()
+        if not lower:
+            row, col, val = n - 1 - row[::-1], n - 1 - col[::-1], val[::-1]
+            diag = diag[::-1]
+        return n, row, col, val, diag
+
+    def test_one_pass_inversion_is_the_per_width_one(self, maxwell):
+        _, dec = maxwell
+        mats = [*_lu_triangles(dec.local_matrices[1], **_SYMMETRIC),
+                *_lu_triangles(laplacian_2d(20)),
+                (sp.csr_matrix(np.tril(np.full((32, 32), -2.0), -1)
+                               + np.eye(32)), True, True)]
+        for mat, lower, unit in mats:
+            n, row, col, val, diag = self._sweep_frame(mat, lower)
+            start, _ = _chain_blocks(n, row, col)
+            width = np.diff(start, append=n)
+            args = (start, width, row, col, val, None if unit else diag,
+                    np.result_type(mat.dtype, np.float32))
+            (ok, got), (ok_ref, ref) = (_invert_blocks(*args),
+                                        reference_invert_blocks(*args))
+            assert np.array_equal(ok, ok_ref)
+            key, key_ref = (np.lexsort((got[1], got[0])),
+                            np.lexsort((ref[1], ref[0])))
+            for a, b in zip(got, ref):
+                assert _same_bytes(a[key], b[key_ref])
+
+    def test_sparse_lu_solve(self, maxwell, rng, monkeypatch):
+        prob, dec = maxwell
+        for a in (dec.local_matrices[2], prob.a, laplacian_2d(8)):
+            seen = []
+            monkeypatch.setattr(
+                solver_mod, "TriangularFactor",
+                lambda mat, **kw: seen.append((mat, kw))
+                or TriangularFactor(mat, **kw))
+            lu = SparseLU(a)
+            ref_l, ref_u = (ReferenceTriangularFactor(mat, **kw)
+                            for mat, kw in seen)
+            b = rng.standard_normal((lu.n, 5)) + 1j * rng.standard_normal(
+                (lu.n, 5))
+            bp = np.empty_like(b)
+            bp[lu.perm_r] = b
+            assert _same_bytes(lu.solve(b),
+                               ref_u.solve(ref_l.solve(bp))[lu.perm_c])
+
+    def test_schwarz_apply(self, maxwell, rng, monkeypatch):
+        from repro.precond.schwarz import SchwarzPreconditioner
+        prob, dec = maxwell
+        seen = []
+        monkeypatch.setattr(
+            solver_mod, "TriangularFactor",
+            lambda mat, **kw: seen.append((mat, kw))
+            or TriangularFactor(mat, **kw))
+        m = SchwarzPreconditioner(prob.a, variant="oras",
+                                  decomposition=dec.decomposition,
+                                  local_matrices=dec.local_matrices)
+        refs = [ReferenceTriangularFactor(mat, **kw) for mat, kw in seen]
+        ref_l, ref_u = reference_concat(refs[::2]), reference_concat(refs[1::2])
+        batch = m._fused_batch
+        x = rng.standard_normal((prob.n, 8)) + 1j * rng.standard_normal(
+            (prob.n, 8))
+        z = ref_u.solve(ref_l.solve(x[batch.gather]))
+        assert _same_bytes(m.apply(x), np.asarray(batch.scatter @ z))
+
+
 class TestSparseLU:
     def test_solves_exactly(self, rng):
         a = _random_sparse(rng, 120)
@@ -541,6 +697,14 @@ class TestSparseLU:
         t32 = (time.perf_counter() - t0) / 3
         # 32 fused RHSs must cost far less than 32 single solves
         assert t32 < 16 * t1
+
+    def test_empty_matrix(self):
+        # a 0 x 0 matrix is an empty factor, not a failed probe
+        lu = SparseLU(sp.csc_matrix((0, 0)))
+        assert lu.factor_nnz == 0 and lu.n_levels == (0, 0)
+        assert lu.solve(np.zeros((0, 3))).shape == (0, 3)
+        assert lu.solve(np.zeros(0)).shape == (0,)
+        assert lu.solve(np.zeros((0, 2), complex)).dtype == np.complex128
 
     def test_wrong_rhs_size(self):
         lu = SparseLU(laplacian_1d(10))

@@ -198,15 +198,23 @@ class TestPrimitiveEquivalence:
         assert c == c_m and np.array_equal(y, y_m)
 
     def test_schwarz_batch_holds_the_only_materialized_sweeps(self, rng):
-        # the per-subdomain factors are analysed once and sliced into sweep
-        # steps only if somebody solves with them; the fused apply does not
+        # every factor holds its entries once, in level order: the batch
+        # stitched a copy of its own (no array shared with a subdomain
+        # factor), and a subdomain factor still solves on its own
         a = laplacian_2d(12)
         m = SchwarzPreconditioner(a, nparts=4, overlap=1)
         m.apply(rng.standard_normal((a.shape[0], 2)))
         batch = m._fused_batch
-        assert batch.l_factor._steps and batch.u_factor._steps
-        assert all(s._ltri._steps is None and s._utri._steps is None
-                   for s in m.solvers)
+        for cat, parts in ((batch.l_factor, [s._ltri for s in m.solvers]),
+                           (batch.u_factor, [s._utri for s in m.solvers])):
+            assert cat.n_levels == max(f.n_levels for f in parts)
+            mine = cat._loff + cat._dinv
+            assert not any(np.shares_memory(x, y) for f in parts
+                           for x in mine for y in f._loff + f._dinv)
+            for f in [cat] + parts:
+                (lptr, lidx, lval), (dptr, didx, dval) = f._loff, f._dinv
+                assert lidx.size == lval.size == lptr[-1]
+                assert didx.size == dval.size == dptr[-1]
         assert (batch.l_factor.stored_nnz + batch.u_factor.stored_nnz
                 >= sum(s._ltri.stored_nnz + s._utri.stored_nnz
                        for s in m.solvers))
@@ -214,7 +222,6 @@ class TestPrimitiveEquivalence:
         b = rng.standard_normal(len(dofs))
         local = a[dofs][:, dofs]
         assert np.abs(local @ lu.solve(b) - b).max() <= 1e-12 * np.abs(b).max()
-        assert lu._ltri._steps and lu._utri._steps
 
     @pytest.mark.parametrize("kind", ["spd", "complex_symmetric",
                                       "unsymmetric_values", "unsymmetric_pattern"])

@@ -7,13 +7,17 @@ import scipy.sparse.linalg as spla
 
 from repro.problems.elasticity import (PAPER_INCLUSIONS, Inclusion,
                                        elasticity_3d, rigid_body_modes)
-from repro.problems.maxwell import (MaxwellProblem, antenna_ring_rhs,
-                                    assemble_maxwell, chamber_phantom,
-                                    decompose_maxwell, edge_element_matrices,
-                                    maxwell_chamber, _scatter_assemble)
+from repro.problems.maxwell import (MaxwellProblem, _face_trace_mass,
+                                    antenna_ring_rhs, assemble_maxwell,
+                                    chamber_phantom, decompose_maxwell,
+                                    edge_element_matrices, maxwell_chamber,
+                                    _scatter_assemble)
 from repro.problems.poisson import PAPER_NUS, poisson_2d
 from repro.problems.tetmesh import (LOCAL_EDGES, TetMesh, box_tet_mesh,
                                     cylinder_mask)
+
+from fixtures.reference_maxwell_decomposition import (
+    face_trace_mass, reference_decompose_maxwell)
 
 
 class TestPoisson:
@@ -302,3 +306,51 @@ class TestMaxwellDecomposition:
         r_asm = solve(chamber.a, b, m_asm, options=o)
         assert (not r_asm.converged.all()) or \
             r.iterations < r_asm.iterations
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+class TestDecompositionOracle:
+    """The batched decomposition against the per-face loop, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[4, 8])
+    def chamber(self, request):
+        return maxwell_chamber(request.param, omega=8.0,
+                               inclusion_radius=0.15)
+
+    def test_trace_mass_of_every_face(self, chamber):
+        mesh = chamber.mesh
+        batched = _face_trace_mass(mesh.points, mesh.faces)
+        assert _same_bytes(batched, [face_trace_mass(mesh.points, tri)
+                                     for tri in mesh.faces])
+        assert _same_bytes(_face_trace_mass(mesh.points, mesh.faces[3]),
+                           batched[3])
+
+    @pytest.mark.parametrize("impedance", [True, False])
+    @pytest.mark.parametrize("overlap", [0, 2])
+    @pytest.mark.parametrize("nparts", [1, 2, 8])
+    def test_matches_the_face_loop(self, chamber, nparts, overlap,
+                                   impedance):
+        got = decompose_maxwell(chamber, nparts, overlap=overlap,
+                                impedance=impedance)
+        ref = reference_decompose_maxwell(chamber, nparts, overlap=overlap,
+                                          impedance=impedance)
+        assert len(got.local_matrices) == len(ref.local_matrices) == nparts
+        for a, b in zip(got.local_matrices, ref.local_matrices):
+            assert a.format == b.format == "csc"
+            assert _same_bytes(a.data, b.data)
+            assert _same_bytes(a.indices, b.indices)
+            assert _same_bytes(a.indptr, b.indptr)
+        mine, theirs = got.decomposition, ref.decomposition
+        for field in ("overlapping", "owned", "pou"):
+            assert all(_same_bytes(x, y) for x, y in zip(
+                getattr(mine, field), getattr(theirs, field)))
+        assert _same_bytes(got.cell_parts, ref.cell_parts)
+        assert all(_same_bytes(x, y) for x, y in zip(got.overlap_cells,
+                                                     ref.overlap_cells))
+        # the partition of unity sums to one only to rounding
+        assert mine.check_pou() <= 4e-16
