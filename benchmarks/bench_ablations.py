@@ -333,90 +333,3 @@ def test_ablation_same_system(benchmark):
              "eigen-update block (lines 31-38)\nafter the first solve; "
              "updates continue during solve 1 to refine the space.")
     write_result("ablation_same_system", table)
-
-
-def test_ablation_sketched_recycle(benchmark):
-    """Randomized subspace selection: recycle space x k x Ritz target.
-
-    Sweeps ``-hpddm_recycle_space {full,sketched}`` against the recycle
-    dimension k and the harmonic-Ritz selection target on the 4-system
-    varying-operator sequence, all under the sketched Arnoldi engine.
-    The claims quantified:
-
-    * the sketch-whitened carrying costs a *bounded* number of extra
-      iterations over the bit-exact full-space oracle at every (k,
-      target) — the quality oracle of ``tests/matrix.py`` at ablation
-      scale;
-    * its ledger-counted reductions per recycle update are strictly
-      lower (the full-space path pays the drift probe every tidy; the
-      sketched path whitens by local algebra);
-    * the selection target matters independently of the carrying
-      representation (smallest harmonic Ritz wins on this spectrum).
-    """
-    # well-conditioned varying-operator sequence (the sketched scheme is
-    # quasi-optimal, not an oracle: on the near-singular Laplacian
-    # sequence its 2-3x iteration premium turns into a stall, which is a
-    # scheme-choice question — docs/ORTHOGONALIZATION.md — not a
-    # subspace-selection one)
-    rng = np.random.default_rng(29)
-    n = 600
-    rs = np.random.RandomState(1234)
-    base = sp.random(n, n, density=0.02, random_state=rs, format="csr")
-    base = sp.csr_matrix(base + sp.eye(n, format="csr") * 4.0)
-    mats = [(base + 0.05 * i * sp.eye(n)).tocsr() for i in range(4)]
-    rhss = [rng.standard_normal(n) for _ in range(4)]
-    benchmark(lambda: mats[0] @ rhss[0])
-
-    rows = []
-    totals: dict[tuple, int] = {}
-    reds_per_update: dict[tuple, float] = {}
-    for space in ("full", "sketched"):
-        for k in (4, 8, 16):
-            for target in ("smallest", "largest"):
-                opts = Options(krylov_method="gcrodr", gmres_restart=30,
-                               recycle=k, orthogonalization="sketched",
-                               recycle_space=space, recycle_target=target,
-                               tol=1e-8, max_it=6000)
-                s = Solver(options=opts)
-                with install_ledger() as led:
-                    its, flags = [], []
-                    for a, b in zip(mats, rhss):
-                        res = s.solve(a, b, same_system=False)
-                        its.append(res.iterations)
-                        flags.append(bool(res.converged.all()))
-                upd = led.calls.get("recycle_update", 0)
-                # maintenance overhead: reductions beyond one-per-step,
-                # amortized over recycle updates (step reductions scale
-                # with the iteration count and would swamp the metric)
-                steps = led.calls.get("arnoldi_step", 0)
-                rpu = (led.reductions - steps) / max(upd, 1)
-                totals[(space, k, target)] = sum(its)
-                reds_per_update[(space, k, target)] = rpu
-                rows.append((space, k, target) + tuple(its)
-                            + (sum(its), upd, round(rpu, 1),
-                               all(flags)))
-
-    for k in (4, 8, 16):
-        for target in ("smallest", "largest"):
-            full_t = totals[("full", k, target)]
-            sk_t = totals[("sketched", k, target)]
-            # quality oracle: bounded carrying cost at every selection
-            assert sk_t <= 1.75 * full_t + 5, (k, target, full_t, sk_t)
-            # communication: fewer reductions per update, every config
-            assert (reds_per_update[("sketched", k, target)]
-                    < reds_per_update[("full", k, target)]), (k, target)
-
-    table = format_table(
-        ["space", "k", "target", "sys1", "sys2", "sys3", "sys4",
-         "total its", "updates", "overhead/update", "converged"],
-        rows,
-        title="Ablation - randomized subspace selection: recycle_space x "
-              "k x Ritz target\n(GCRO-DR(30, k), sketched Arnoldi, 4 "
-              "varying systems)",
-        note="The sketch-whitened carrying (recycle_space=sketched) pays "
-             "no per-update reductions for\npair maintenance beyond a "
-             "bounded periodic re-sketch (the full-space path pays the\n"
-             "drift probe at every harvest/update), at a bounded "
-             "iteration premium; the harmonic-\nRitz selection target "
-             "acts independently of the carrying representation.")
-    write_result("ablation_sketched_recycle", table)

@@ -17,9 +17,7 @@ engine meets its budget (CGS2-1r: <= 2 reductions per Arnoldi step on the
 40-block p=8 basis, where MGS pays 321, at equal final orthogonality; its
 wall-clock ratio over MGS is recorded and held to the previous trajectory
 entry by ``scripts/bench_compare.py``, not to an absolute floor — it reads
-1.2-1.8x on an untouched checkout), AND sketch-whitened recycled-pair
-maintenance beats the full-space re-derivation by >= 1.5x modeled time with
-zero maintenance reductions per cycle and equal solve convergence, AND the
+1.2-1.8x on an untouched checkout), AND the
 blocked triangular sweep needs at most a quarter of the row levels on the
 global LU factor while storing at most 1.25 nnz, AND the BLAS pseudo-block
 projector cores beat their einsum oracle by >= 2x, AND the live-work AMG
@@ -63,8 +61,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.direct.triangular import TriangularFactor, _levels_frontier
-from repro.distla.distcsr import DistributedCSR
-from repro.simmpi.grid import VirtualGrid
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_kernels.json"
 
@@ -223,101 +219,6 @@ def bench_orthogonalization(cfg: dict) -> dict:
         }
     for scheme, row in out.items():
         row["speedup_over_mgs"] = out["mgs"]["seconds"] / row["seconds"]
-    return out
-
-
-def bench_recycling(cfg: dict) -> dict:
-    """Full-space vs sketch-whitened recycled-pair maintenance (ISSUE-8).
-
-    Two measurements at m=40, k=16, nranks=64:
-
-    * kernel level — one cycle's maintenance of ``(U_k, C_k)``: the full
-      path re-derives the pair from the operator (a k-column SpMM plus a
-      distributed Householder QR — global reductions, halo p2p and
-      O(nnz k + n k^2) flops); the sketched path assembles the candidate
-      sketch by LOCAL algebra on sketches already held (``S C_k`` from
-      the recycler, ``S V`` from the engine's fused step reductions) and
-      whitens against it — ZERO communication per cycle.  Costs common to
-      both spaces (column norms, the strategy Gram, the eigenproblem)
-      cancel and are excluded.  Gate: >= 1.5x modeled speedup.
-    * solve level — a two-solve ``bgcrodr(m, k)`` recycling sequence
-      under both ``-hpddm_recycle_space`` settings must converge with
-      identical flags and boundedly more iterations, while the sketched
-      run keeps its per-cycle reduction overhead O(1).
-    """
-    from repro import Options
-    from repro import solve as api_solve
-    from repro.krylov.gcrodr import _exact_pair
-    from repro.krylov.sketch_recycle import SketchedRecycler
-    from repro.la.orthogonalization import apply_sketch
-    from repro.perfmodel.estimate import modeled_time
-    from repro.util import ledger as ledger_mod
-    from repro.util.ledger import CostLedger, Kernel
-
-    n, p = cfg["grid"] ** 2, cfg["p"]
-    m_restart, k, nranks, cycles = 40, 16, 64, 8
-    a = (laplacian_2d(cfg["grid"]) + 4.0 * sp.eye(n)).tocsr()
-    dcsr = DistributedCSR(a, VirtualGrid(n, nranks))
-    rng = np.random.default_rng(20260705)
-    u0 = rng.standard_normal((n, k))
-
-    def maintain(space):
-        with ledger_mod.install():   # setup: common, not measured
-            u, c = _exact_pair(u0, np.empty((n, k)), dcsr.matmat)
-            rec = None
-            if space == "sketched":
-                # adoption-boundary sketch: amortized once per solve
-                rec = SketchedRecycler(n=n, max_cols=m_restart + 1)
-                rec.adopt(u, c)
-        led = CostLedger()
-        with ledger_mod.install(led):
-            for _ in range(cycles):
-                if rec is None:
-                    u, c = _exact_pair(u, c, dcsr.matmat)
-                else:
-                    # in-solver the candidate sketch is [S C_k | S V] @ qf
-                    # — local algebra on sketches already held; stand in
-                    # with the deterministic sketch and charge the same
-                    # BLAS3 assembly cost (mixing width ~ m basis columns)
-                    sc_raw = apply_sketch(c, rec.s, seed=rec.seed)
-                    led.flop(Kernel.BLAS3, 4.0 * rec.s * m_restart * k)
-                    u, c, ok = rec.whiten_local(u, c, sc_raw)
-                    assert ok
-        return led, led.reductions
-
-    out = {"problem": {"n": n, "p": p, "m": m_restart, "k": k,
-                       "nranks": nranks, "cycles": cycles}}
-    for space in ("full", "sketched"):
-        led, reds = maintain(space)
-        out[space] = {
-            "seconds": _time(lambda: maintain(space), cfg["repeats"]),
-            "modeled_seconds": modeled_time(led, nranks,
-                                            block_width=p).total,
-            "reductions_per_cycle": reds / cycles,
-        }
-    out["modeled_speedup_sketched"] = (
-        out["full"]["modeled_seconds"] / out["sketched"]["modeled_seconds"])
-
-    solves = {}
-    for space in ("full", "sketched"):
-        opts = Options(krylov_method="bgcrodr", gmres_restart=m_restart,
-                       recycle=k, orthogonalization="sketched",
-                       recycle_space=space, tol=1e-8, max_it=400)
-        b = np.random.default_rng(7).standard_normal((n, p))
-        with ledger_mod.install() as led:
-            r1 = api_solve(a, b, options=opts)
-            r2 = api_solve(a, np.negative(b), options=opts,
-                           recycle=r1.info["recycle"], same_system=False)
-        steps = led.calls.get("arnoldi_step", 0)
-        n_cycles = sum(getattr(r, "restarts", 0) + 1 for r in (r1, r2))
-        solves[space] = {
-            "iterations": r1.iterations + r2.iterations,
-            "converged": bool(np.asarray(r1.converged).all()
-                              and np.asarray(r2.converged).all()),
-            "reductions": led.reductions,
-            "overhead_per_cycle": (led.reductions - steps) / n_cycles,
-        }
-    out["solve"] = solves
     return out
 
 
@@ -496,7 +397,6 @@ def bench_hessenberg_p1(cfg: dict) -> dict:
 
 def run(cfg: dict, out_path: Path | None) -> dict:
     ortho = bench_orthogonalization(cfg)
-    recycling = bench_recycling(cfg)
     sched_rows, sched_sweep = bench_level_schedule(cfg)
     deflation = bench_deflation(cfg)
     pb_projector = bench_pb_projector(cfg)
@@ -515,7 +415,6 @@ def run(cfg: dict, out_path: Path | None) -> dict:
                         "blocks": cfg["ortho_blocks"]},
             "schemes": ortho,
         },
-        "recycling": recycling,
         "level_schedule": {
             "results": sched_rows,
             "speedup_frontier_over_reference": {
@@ -548,23 +447,6 @@ def print_report(report: dict) -> None:
                   f"{row['speedup_over_mgs']:>7.1f}x "
                   f"{row['reductions_per_step_max']:>10d} "
                   f"{row['loss_of_orthogonality']:>10.1e}")
-    rec = report.get("recycling")
-    if rec:
-        prob = rec["problem"]
-        print(f"\n# recycling: pair maintenance, m={prob['m']} k={prob['k']} "
-              f"n={prob['n']}, nranks={prob['nranks']}")
-        print(f"{'space':>10} {'seconds':>12} {'modeled':>12} {'reds/cyc':>9}")
-        for space in ("full", "sketched"):
-            row = rec[space]
-            print(f"{space:>10} {row['seconds']:>12.3e} "
-                  f"{row['modeled_seconds']:>12.3e} "
-                  f"{row['reductions_per_cycle']:>9.1f}")
-        print(f"{'':>10} modeled speedup "
-              f"{rec['modeled_speedup_sketched']:.2f}x; solve iterations "
-              f"full={rec['solve']['full']['iterations']} "
-              f"sketched={rec['solve']['sketched']['iterations']} "
-              f"(overhead/cycle "
-              f"{rec['solve']['sketched']['overhead_per_cycle']:.2f})")
     sched = report.get("level_schedule")
     if sched:
         st = {(r["workload"], r["mode"]): r for r in sched["results"]}
@@ -633,19 +515,16 @@ def check_gate(report: dict) -> list[str]:
        40-block p=8 basis in <= 2 reductions per step at every depth
        (MGS: 321 at the last), at equivalent final orthogonality — counts;
        the wall ratio over MGS is a trajectory ``ratio`` metric;
-    2. sketched recycling: pair maintenance >= 1.5x modeled speedup with
-       at most one (in practice zero) maintenance reduction per cycle,
-       equal solve convergence, O(1) per-cycle solve overhead;
-    3. the blocked triangular sweep: at most a quarter of the row levels
+    2. the blocked triangular sweep: at most a quarter of the row levels
        on the global LU factor, stored entries within 1.25 nnz on both
        factor shapes (counts, not timers);
-    4. the pseudo-block projector: the BLAS ``cgs2_1r`` core >= 2x its
+    3. the pseudo-block projector: the BLAS ``cgs2_1r`` core >= 2x its
        einsum oracle at n = 4096, p = 4, depth 25 (a stride ``np.matmul``
        cannot hand to BLAS falls back to a scalar loop *silently* and
        reads ~1x), with equal remainders;
-    5. the AMG kernels against their first formulations: one V-cycle
+    4. the AMG kernels against their first formulations: one V-cycle
        >= 1.2x, one set-up >= 2x, same ``apply`` bytes, same hierarchy;
-    6. the ``p = 1`` Hessenberg update: Givens rotations >= 3x the 2 x 2
+    5. the ``p = 1`` Hessenberg update: Givens rotations >= 3x the 2 x 2
        panels over 30 columns, same solution (1e-12), same ledger charge.
     """
     failures = []
@@ -719,30 +598,6 @@ def check_gate(report: dict) -> list[str]:
         failures.append("cholqr2: reduction budget exceeded")
     if ortho["sketched"]["reductions_per_step_max"] > 1:
         failures.append("sketched: reduction budget exceeded")
-    rec = report.get("recycling")
-    if not rec:
-        failures.append("recycling: no measurements")
-        return failures
-    if rec["modeled_speedup_sketched"] < 1.5:
-        failures.append(f"recycling: sketched maintenance only "
-                        f"{rec['modeled_speedup_sketched']:.2f}x over the "
-                        "full-space re-derivation (gate: 1.5x modeled)")
-    if rec["sketched"]["reductions_per_cycle"] > 1:
-        failures.append(f"recycling: sketched maintenance pays "
-                        f"{rec['sketched']['reductions_per_cycle']:.1f} "
-                        "reductions/cycle (budget: 1)")
-    sv_full, sv_sk = rec["solve"]["full"], rec["solve"]["sketched"]
-    if sv_full["converged"] != sv_sk["converged"]:
-        failures.append("recycling: full and sketched solves disagree on "
-                        "convergence")
-    if sv_sk["iterations"] > 1.75 * sv_full["iterations"] + 5:
-        failures.append(f"recycling: sketched carrying costs "
-                        f"{sv_sk['iterations']} iterations vs "
-                        f"{sv_full['iterations']} full (quality bound)")
-    if sv_sk["overhead_per_cycle"] > 8.0:
-        failures.append(f"recycling: sketched solve overhead "
-                        f"{sv_sk['overhead_per_cycle']:.2f} reductions/cycle "
-                        "beyond one-per-step (O(1) budget: 8)")
     return failures
 
 

@@ -87,6 +87,18 @@ RETIRED = {
        for kern, readings in (("spmm", "12.91 / 10.67 / 11.41"),
                               ("col_dots", "5.96 / 6.27 / 6.60"),
                               ("cholqr", "6.16 / 6.99 / 5.40"))},
+    **dict.fromkeys(
+        ("recycle_modeled_speedup_sketched",
+         "recycle_reductions_per_cycle_sketched",
+         "recycle_solve_overhead_per_cycle",
+         "recycle_solve_convergence_equal"),
+        "feature deleted: the sketch-whitened recycle space "
+        "(recycle_space='sketched') lost on both clocks wherever recycling "
+        "pays (convection-diffusion sequence, GCRO-DR(30,10): 1 583 vs 690 "
+        "iterations, 46.2 vs 26.1 ms modeled at 64 ranks); these metrics "
+        "timed its pair maintenance alone (last quick readings 2.06x "
+        "modeled, 0.125 reductions / cycle, 4.0 overhead / cycle, equal "
+        "convergence)"),
 }
 
 
@@ -159,21 +171,6 @@ def extract_metrics(kernels: dict, service: dict,
     m["hessenberg_p1_speedup_over_panels"] = {
         "value": float(kernels["hessenberg_p1"]["speedup_over_reference"]),
         "kind": "ratio"}
-    rec = kernels["recycling"]
-    # ledger-derived through the performance model: deterministic for a
-    # fixed config, like the service metrics
-    m["recycle_modeled_speedup_sketched"] = {
-        "value": float(rec["modeled_speedup_sketched"]), "kind": "modeled"}
-    m["recycle_reductions_per_cycle_sketched"] = {
-        "value": float(rec["sketched"]["reductions_per_cycle"]),
-        "kind": "exact"}
-    m["recycle_solve_overhead_per_cycle"] = {
-        "value": float(rec["solve"]["sketched"]["overhead_per_cycle"]),
-        "kind": "modeled"}
-    m["recycle_solve_convergence_equal"] = {
-        "value": int(rec["solve"]["full"]["converged"]
-                     == rec["solve"]["sketched"]["converged"]),
-        "kind": "exact"}
     m["service_amortized_speedup"] = {
         "value": float(service["amortized_speedup"]), "kind": "modeled"}
     m["service_setup_builds_coalesced"] = {
@@ -305,17 +302,6 @@ def bootstrap_floors(current: dict[str, dict]) -> list[str]:
                         ("hessenberg_p1_speedup_over_panels", 3.0)):
         if current[name]["value"] < floor:
             failures.append(f"{name} < {floor}")
-    if current["recycle_modeled_speedup_sketched"]["value"] < 1.5:
-        failures.append("recycle_modeled_speedup_sketched < 1.5")
-    if current["recycle_reductions_per_cycle_sketched"]["value"] > 1.0:
-        failures.append("recycle_reductions_per_cycle_sketched > 1 "
-                        "(sketched maintenance must be O(1) communication)")
-    if current["recycle_solve_overhead_per_cycle"]["value"] > 8.0:
-        failures.append("recycle_solve_overhead_per_cycle > 8 "
-                        "(per-cycle reduction overhead must stay O(1))")
-    if current["recycle_solve_convergence_equal"]["value"] != 1:
-        failures.append("recycle_solve_convergence_equal != 1 "
-                        "(full and sketched spaces disagree on convergence)")
     if "traffic_async_speedup" in current:
         if current["traffic_async_speedup"]["value"] < 1.5:
             failures.append("traffic_async_speedup < 1.5")

@@ -30,7 +30,7 @@ trace/bench gates rely on:
     (``make_pseudo_block_orthogonalizer``, ``compiled_block_arnoldi_cycle``),
     or an import of ``repro.plan`` anywhere else in ``src/repro/``.  The
     package is what is left of the deleted plan compiler; it may not grow
-    back, and nothing may come to depend on it before ROADMAP item 1a
+    back, and nothing may come to depend on it before ROADMAP item 2a
     deletes the directory.  No allow-list entry.
 
 ``einsum-3d``
@@ -234,7 +234,7 @@ class _Visitor(ast.NodeVisitor):
                     self._flag("plan-residue", stmt,
                                f"src/repro/plan/ binds {name!r} — the package "
                                f"is the benchmark's two names and goes with "
-                               f"ROADMAP item 1a; new code belongs elsewhere")
+                               f"ROADMAP item 2a; new code belongs elsewhere")
         self.generic_visit(node)
 
     # -- plan-residue (the import side) -----------------------------------

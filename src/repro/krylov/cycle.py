@@ -81,8 +81,6 @@ class CycleState:
     steps: int = 0
     breakdown: bool = False
     converged_early: bool = False
-    e0: np.ndarray | None = None          # C^H v1 seed projection (low-sync)
-    sketch: object | None = None          # SketchState (sketched scheme only)
 
     def v_stack(self, count: int | None = None) -> np.ndarray:
         """``[V_0..V_{count-1}]`` (default: all ``steps+1`` blocks)."""
@@ -113,7 +111,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
                         history: ConvergenceHistory | None = None,
                         identity_m: bool = False,
                         iteration_budget: int | None = None,
-                        sck: np.ndarray | None = None,
                         arena: BasisArena | None = None,
                         ) -> CycleState:
     """Run up to ``max_steps`` block-Arnoldi iterations.
@@ -137,12 +134,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
         optional convergence history to append per-iteration tail norms to.
     iteration_budget:
         remaining global iteration allowance (max_it enforcement).
-    sck:
-        pre-sketched recycled space ``S C_k`` maintained by the sketched
-        recycler (``recycle_space="sketched"`` only).  When supplied, the
-        seed projection ``C_k^H v1`` and the sketch of ``v1`` assemble in
-        ONE fused prologue reduction instead of two, and the seed
-        coefficients are exposed as ``state.e0``.
     arena:
         the solve's :class:`BasisArena`, re-bound here (allocated per call
         when omitted); the returned state's basis views live in it.
@@ -158,14 +149,10 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
     # Low-synchronization schemes run through the fused Arnoldi engine: the
     # C_k projection, all basis projections and the normalizer Gram travel
     # in at most two stacked reductions per step (one for ``sketched``).
-    engine = e0 = None
+    engine = None
     if ortho in LOW_SYNC_SCHEMES:
         engine = make_arnoldi_engine(ortho, tol=deflation_tol,
                                      max_cols=(max_steps + 1) * p + k)
-        # sketched recycling keeps ``S C_k`` across cycles: the seed
-        # projection and the sketch of v1 share ONE prologue reduction
-        s_dim = int(sck.shape[0]) if sck is not None and k \
-            and ortho == "sketched" else 0
         if k:
             # The stacked projector treats [C_k | V] as one orthonormal
             # basis, so v1 must be C_k-orthogonal when the engine starts.
@@ -178,11 +165,8 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
             e0 = conj_gram(np.asarray(ck), v1)
             v1 = v1 - slab_matmul(ck, e0)
             led.flop(ledger.Kernel.BLAS3, 4.0 * n * k * p)
-            led.reduction(nbytes=(s_dim + k) * p * v1.itemsize)
-        if s_dim:
-            engine.begin_recycled(v1, ck, sck)
-        else:
-            engine.begin(v1, ck)
+            led.reduction(nbytes=k * p * v1.itemsize)
+        engine.begin(v1, ck)
 
     steps = max_steps
     if iteration_budget is not None:
@@ -190,7 +174,7 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
 
     arena.bind(v1, ck, max_steps=steps)
     hqr = BlockHessenbergQR(max_steps, p, np.asarray(s1, dtype=dtype), dtype=dtype)
-    state = CycleState(arena=arena, hqr=hqr, e0=e0)
+    state = CycleState(arena=arena, hqr=hqr)
 
     vj = v1
     for j in range(steps):
@@ -234,6 +218,4 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
         if targets is not None and np.all(res <= targets):
             state.converged_early = True
             break
-    if engine is not None and hasattr(engine, "export_state"):
-        state.sketch = engine.export_state()
     return state

@@ -81,7 +81,8 @@ def sketched_harmonic_ritz_vectors(hbar: np.ndarray, t0: np.ndarray, k: int, *,
     with ``E`` the leading ``mp`` rows — the pencil of
     :func:`generalized_ritz_vectors` for ``G = D \\bar H`` and right factor
     ``D E``.  An exact sketch (``s = n``) has ``D = I`` and reduces it to
-    :func:`harmonic_ritz_vectors`.
+    :func:`harmonic_ritz_vectors`.  No solver calls it: it stays because
+    ``benchmarks/e2e/tracing.py`` wraps it by name.
     """
     w0 = t0.shape[0]
     g = np.array(hbar)
@@ -99,10 +100,11 @@ def sketched_generalized_ritz_vectors(gm: np.ndarray, gcv: np.ndarray,
 
     ``gcv = (S [C_k | V])^H (S [C_k | V]) = L^H L`` is the sketch Gram of the
     augmented basis: the pencil of :func:`generalized_ritz_vectors` for
-    ``L G_m`` and ``L w_hat``.  Reference only: the solver path carries
-    ``C_k`` and ``V`` whitened, and weighting by ``gcv`` squares the embedding
-    distortion — measured to destabilize the selection for ``k`` approaching
-    ``m/2`` (``benchmarks/results/ablation_sketched_recycle.txt``).
+    ``L G_m`` and ``L w_hat``.  Reference only — weighting by ``gcv``
+    squares the embedding distortion, measured to destabilize the selection
+    for ``k`` approaching ``m/2`` — and, like
+    :func:`sketched_harmonic_ritz_vectors`, kept because
+    ``benchmarks/e2e/tracing.py`` wraps it by name.
     """
     lfac = np.linalg.cholesky(gcv).conj().T
     return generalized_ritz_vectors(lfac @ gm, lfac @ w_hat, k, dtype=dtype,

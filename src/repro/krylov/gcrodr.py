@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..la.orthogonalization import (LOW_SYNC_SCHEMES, SCHEMES, _gram,
-                                    cholqr2, householder_qr, slab_matmul)
+                                    apply_sketch, cholqr2, householder_qr,
+                                    sketch_size, slab_matmul)
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -37,11 +38,9 @@ from ..util.misc import column_norms
 from ..util.options import Options
 from .base import SolveResult
 from .basis import BasisArena
-from .deflation import (generalized_ritz_vectors, harmonic_ritz_vectors,
-                        sketched_harmonic_ritz_vectors)
+from .deflation import generalized_ritz_vectors, harmonic_ritz_vectors
 from .recycling import RecycledSubspace
 from .restart import RestartedSolve
-from .sketch_recycle import SketchedRecycler, sketch_drift_probe
 
 __all__ = ["gcrodr"]
 
@@ -77,6 +76,31 @@ def _harvest(small: np.ndarray, pk: np.ndarray, *, rtol: float = 1e-12
     qf = qf[:, :rank]
     s = _project_solve(pk[:, piv[:rank]], rf[:rank, :rank])
     return qf, s
+
+
+def sketch_drift(sc: np.ndarray) -> float:
+    """Scaled orthonormality drift ``||sc^H sc - I|| / sqrt(k)`` (local)."""
+    k = sc.shape[1]
+    if k == 0:
+        return 0.0
+    g = sc.conj().T @ sc
+    return float(np.linalg.norm(g - np.eye(k, dtype=g.dtype)) / np.sqrt(k))
+
+
+def sketch_drift_probe(c_k: np.ndarray, *, seed: int = 0) -> float:
+    """One-reduction sketch-space estimate of the drift of a *full* basis.
+
+    Used by the drift-gated :func:`_tidy_pair`: for inexact schemes the
+    exact full-space repair (operator application + distributed QR) is
+    skipped whenever this estimate stays below the scheme's registry
+    tolerance.  Cost: the single reduction assembling the ``s x k`` sketch.
+    """
+    n, k = c_k.shape
+    if k == 0:
+        return 0.0
+    s = sketch_size(n, max(k, 1))
+    ledger.current().reduction(nbytes=s * k * c_k.itemsize)
+    return sketch_drift(apply_sketch(c_k, s, seed=seed))
 
 
 def _exact_pair(u_k: np.ndarray, c_k: np.ndarray, op_apply
@@ -137,28 +161,6 @@ def _tidy_pair(u_k: np.ndarray, c_k: np.ndarray, op_apply, scheme: str
     return u_k, c_k, True
 
 
-def _sketch_tidy(rec: SketchedRecycler, u: np.ndarray, c: np.ndarray, op_apply,
-                 sc: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sketch-whiten a fresh pair (locally, given its sketch ``sc = S C``),
-    falling back to the exact full-space repair when the whitening fails.
-
-    Returns ``(u, c, exact)`` with :func:`_tidy_pair`'s contract:
-    ``exact=False`` means the pair is sketch-whitened only, and the caller
-    owes one :func:`_exact_pair` before packaging.
-    """
-    u2, c2, ok = rec.whiten(u, c) if sc is None \
-        else rec.whiten_local(u, c, sc)
-    if ok:
-        return u2, c2, False
-    with trace.current().span("recycle_repair", kind="sketch_drift"):
-        ledger.current().event("recycle_repair")
-        rec.repairs += 1
-        u2, c2 = _exact_pair(u, c, op_apply)
-        rec.adopt(u2, c2)
-    return u2, c2, True
-
-
 def gcrodr(a, b, m=None, *, options: Options | None = None,
            x0: np.ndarray | None = None,
            recycle: RecycledSubspace | None = None,
@@ -197,35 +199,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
 
     u_k: np.ndarray | None = None
     c_k: np.ndarray | None = None
-
-    # Sketched recycling: the pair travels sketch-whitened; the recycler's
-    # sketch dimension is what the Arnoldi engine adopts (via the ``sck``
-    # it is handed), so both live in the same SRHT image.
-    sketched_mode = options.recycle_space == "sketched"
-    skr = SketchedRecycler(n=n, max_cols=(inner_steps + 1) * p + k) \
-        if sketched_mode else None
+    # False once the drift gate deferred the pair's repair (_tidy_pair)
     pair_exact = True
-
-    def _tidy(u: np.ndarray, c: np.ndarray, qf: np.ndarray,
-              sbasis: np.ndarray | None
-              ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Repair the freshly mixed pair ``c = basis @ qf`` (see
-        :func:`_tidy_pair` / :func:`_sketch_tidy`).
-
-        ``sbasis`` is the sketch of that basis when the engine state covers
-        it — ``S C_new = sbasis @ qf`` is then local algebra and the
-        whitening communication-free; without it (breakdown cycles with a
-        short engine state) the recycler re-sketches, paying one assembly
-        reduction.
-        """
-        if not sketched_mode:
-            return _tidy_pair(u, c, op_apply, options.orthogonalization)
-        sc = None
-        if sbasis is not None and sbasis.shape[1] == qf.shape[0]:
-            led.flop(Kernel.BLAS3,
-                     4.0 * sbasis.shape[0] * sbasis.shape[1] * qf.shape[1])
-            sc = slab_matmul(sbasis, qf)
-        return _sketch_tidy(skr, u, c, op_apply, sc)
 
     # ------------------------------------------------------------------
     # Lines 1-9: adopt a recycled space from the previous solve, if any.
@@ -281,10 +256,6 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
             chk.check_recycle(u_k, c_k, op_apply=op_apply,
                               what="adopted recycle space"
                               + (" (same-system skip)" if same_system else ""))
-            if sketched_mode:
-                # adoption boundary: one fused reduction sketches the
-                # (exactly orthonormal) pair for the whole solve
-                skr.adopt(u_k, c_k)
             # lines 8-9: project the initial residual onto the recycled space
             chr0 = _gram(c_k, st.r)
             st.x += slab_matmul(u_k, chr0)
@@ -314,8 +285,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
         state = st.cycle(
             arena, inner_steps if projecting else m_restart, span=span,
             what=_CHECK_LABELS[kind],
-            pair=(u_k, c_k) if projecting else None,
-            sck=skr.sc if projecting and sketched_mode else None)
+            pair=(u_k, c_k) if projecting else None)
         if state is None:
             break
         st.restart_residual(
@@ -327,24 +297,13 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
             continue
         hbar = state.hqr.hessenberg()                # ((j+1)p x jp)
         z = state.z_stack(state.steps)
-        sk = state.sketch if sketched_mode else None
         if kind == "harvest":
             # lines 16-20: harvest the recycled space
-            use_sketch_eig = (sk is not None and not state.breakdown
-                              and sk.qs.shape[1] == hbar.shape[0])
             with tr.span("eig", kind="harmonic_ritz"):
-                if use_sketch_eig:
-                    # harmonic Ritz of the *sketched* LS problem: the
-                    # basis Gram (S V)^H (S V) is local algebra on the
-                    # engine's whitener t0
-                    pk = sketched_harmonic_ritz_vectors(
-                        hbar, sk.t0, k, dtype=dtype,
-                        target=options.recycle_target)
-                else:
-                    pk = harmonic_ritz_vectors(
-                        hbar, state.hqr.triangular(),
-                        state.hqr.last_subdiagonal_block(),
-                        p, k, dtype=dtype, target=options.recycle_target)
+                pk = harmonic_ritz_vectors(
+                    hbar, state.hqr.triangular(),
+                    state.hqr.last_subdiagonal_block(),
+                    p, k, dtype=dtype, target=options.recycle_target)
             if pk.shape[1]:
                 with tr.span("recycle_update", kind="harvest"):
                     qf, s = _harvest(hbar, pk)
@@ -353,9 +312,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     u_k = slab_matmul(z, s)
                     led.flop(Kernel.BLAS3,
                              4.0 * n * vstack.shape[1] * qf.shape[1])
-                    u_k, c_k, pair_exact = _tidy(
-                        u_k, c_k, qf,
-                        sk.sketched_basis() if use_sketch_eig else None)
+                    u_k, c_k, pair_exact = _tidy_pair(
+                        u_k, c_k, op_apply, options.orthogonalization)
                 chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                   what="harvested recycle space")
         else:
@@ -363,27 +321,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
             with tr.span("recycle_update", strategy=options.recycle_strategy):
                 led.event("recycle_update")
                 k_cur = u_k.shape[1]
-                # the sketch-space update needs the engine state to
-                # cover the whole basis (a breakdown fallback leaves it
-                # one block short) — otherwise run the full-space
-                # machinery for this rare cycle and re-sketch after
-                use_sketch = (sk is not None and not state.breakdown
-                              and skr.sc is not None
-                              and skr.sc.shape[1] == k_cur
-                              and sk.qs.shape[1] == hbar.shape[0])
                 cv = state.cv_stack()            # [C_k | V], zero-copy
-                scv = None
-                if use_sketch:
-                    # S [C_k | V] reconstructed locally from the
-                    # maintained S C_k and the engine's whitened state,
-                    # only to derive the candidate sketch below: the
-                    # eigenproblem keeps the plain pencil (why, in
-                    # ``sketched_generalized_ritz_vectors``)
-                    scv = np.concatenate(
-                        [skr.sc, sk.sketched_basis()], axis=1)
-                # lines 32-35; strategy A's cross-Gram [C_k V]^H U~ has
-                # no sketch-side substitute: U's candidates mix in the
-                # (never sketched) preconditioned directions Z
+                # lines 32-35
                 found = _restart_extract(options, u_k, column_norms(u_k),
                                          state.ek_matrix(), hbar, cv)
                 if found is not None:
@@ -393,7 +332,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                         + slab_matmul(z, s[k_cur:])           # line 37
                     led.flop(Kernel.BLAS3,
                              4.0 * n * cv.shape[1] * qf.shape[1])
-                    u_k, c_k, pair_exact = _tidy(u_k, c_k, qf, scv)
+                    u_k, c_k, pair_exact = _tidy_pair(
+                        u_k, c_k, op_apply, options.orthogonalization)
                     chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                       what="updated recycle space")
 

@@ -31,10 +31,9 @@ from .base import SolveResult
 from .basis import AugmentedTensorArena
 from .deflation import harmonic_ritz_vectors
 from .gcrodr import (_exact_pair, _harvest, _project_solve,
-                     _restart_extract, _sketch_tidy, _tidy_pair)
+                     _restart_extract, _tidy_pair)
 from .recycling import RecycledSubspace
 from .restart import RestartedSolve
-from .sketch_recycle import SketchedRecycler
 
 __all__ = ["pgcrodr", "PseudoBlockRecycle"]
 
@@ -306,33 +305,20 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
     if k <= 0:
         raise ValueError("GCRO-DR requires options.recycle (k) > 0")
     st = RestartedSolve(a, b, m, options, x0, context="pgcrodr")
-    n, p, dtype, op_apply = st.n, st.p, st.dtype, st.op_apply
+    p, dtype, op_apply = st.p, st.dtype, st.op_apply
     led, tr, chk = st.led, st.tr, st.chk
     m_restart = options.gmres_restart
 
     cyc = _PseudoBlockCycle(st)
     cols = cyc.cols
-    # sketched recycle carrying: one recycler (maintained S U_l, S C_l) per
-    # column; whitening replaces the per-cycle full-space re-derivation and
-    # the exact repair is deferred to the packaging boundary
-    sketched_mode = options.recycle_space == "sketched"
-    skr_cols: list[SketchedRecycler | None] = [None] * p
+    # per column: False once the drift gate deferred the repair (_tidy_pair)
     pair_exact = [True] * p
-
-    def _col_recycler(l: int) -> SketchedRecycler:
-        if skr_cols[l] is None:
-            skr_cols[l] = SketchedRecycler(n=n, max_cols=m_restart + 1 + k)
-        return skr_cols[l]
 
     def _tidy_column(col: _Column, what: str) -> None:
         """Repair column ``col``'s freshly mixed pair and check it."""
         l = col.l
-        if sketched_mode:
-            col.u, col.c, pair_exact[l] = _sketch_tidy(
-                _col_recycler(l), col.u, col.c, op_apply)
-        else:
-            col.u, col.c, pair_exact[l] = _tidy_pair(
-                col.u, col.c, op_apply, options.orthogonalization)
+        col.u, col.c, pair_exact[l] = _tidy_pair(
+            col.u, col.c, op_apply, options.orthogonalization)
         chk.check_recycle(col.u, col.c, op_apply=op_apply,
                           what=f"{what} recycle space (column {l})")
 

@@ -68,7 +68,7 @@ class RestartLoop:
     def budget(self) -> int:
         return self.options.max_it - self.total_it
 
-    def block_cycle(self, arena: BasisArena, steps: int, *, ck=None, sck=None,
+    def block_cycle(self, arena: BasisArena, steps: int, *, ck=None,
                     span: dict | None = None, block_reduction: bool = False
                     ) -> tuple[CycleState, np.ndarray] | None:
         """Seed one cycle from the residual block and run it.
@@ -103,8 +103,7 @@ class RestartLoop:
                 ortho=o.orthogonalization, qr_scheme=o.qr,
                 deflation_tol=o.deflation_tol, targets=self.targets,
                 history=self.history, identity_m=self.identity_m,
-                iteration_budget=self.budget, arena=arena,
-                sck=sck)
+                iteration_budget=self.budget, arena=arena)
         self.total_it += state.steps
         self.cycles += 1
         self.breakdown |= state.breakdown
@@ -174,7 +173,7 @@ class RestartedSolve(RestartLoop):
         history.records[-1] = rn / safe
 
     def cycle(self, arena: BasisArena, steps: int, *, span: dict,
-              what: tuple[str, str], pair=None, sck=None,
+              what: tuple[str, str], pair=None,
               block_reduction: bool = False) -> CycleState | None:
         """One restart cycle of the block engine, iterate updated: on
         ``(I - C_k C_k^H) A`` with Fig. 1 line 28's ``U_k y_k`` term when
@@ -183,15 +182,14 @@ class RestartedSolve(RestartLoop):
         the cycle state; ``None`` stops the solve."""
         led, p = self.led, self.p
         u_k, c_k = pair if pair is not None else (None, None)
-        sketched = self.options.recycle_space == "sketched"
         chr_prev = ek = None
-        if c_k is not None and not sketched:
+        if c_k is not None:
             chr_prev = _gram(c_k, self.r)    # C_k^H R_{j-1} (line 28, 1st term)
-        ran = self.block_cycle(arena, steps, ck=c_k, sck=sck, span=span,
+        ran = self.block_cycle(arena, steps, ck=c_k, span=span,
                                block_reduction=block_reduction)
         if ran is None:
             return None
-        state, s1 = ran
+        state, _ = ran
         with self.tr.span("least_squares"):
             y = state.hqr.solve()                    # (jp x p)
             z = state.z_stack(state.steps)
@@ -200,13 +198,7 @@ class RestartedSolve(RestartLoop):
                 self.x += slab_matmul(z, y)
             else:
                 ek = state.ek_matrix()               # (k x jp)
-                if sketched:
-                    # C^H R_{j-1} = (C^H v1) s1: the seed coefficients rode
-                    # the fused prologue reduction, no extra communication
-                    chr_prev = state.e0 @ np.asarray(s1, dtype=self.dtype)
-                    led.flop(Kernel.BLAS3, 2.0 * kc * p * p)
-                else:
-                    led.reduction(nbytes=kc * p * 8)  # §III-D's reduction
+                led.reduction(nbytes=kc * p * 8)     # §III-D's reduction
                 yk = chr_prev - ek @ y               # line 28
                 self.x += slab_matmul(u_k, yk) + slab_matmul(z, y)
             led.flop(Kernel.BLAS3, 2.0 * self.n * (kc + z.shape[1]) * p)

@@ -57,7 +57,6 @@ __all__ = [
     "sketch_size",
     "make_arnoldi_engine",
     "SketchArena",
-    "SketchState",
     "PseudoBlockOrthogonalizer",
     "make_pseudo_block_orthogonalizer",
     "pseudo_block_tensor",
@@ -841,32 +840,6 @@ class SketchArena:
         self.cols += qn.shape[1]
 
 
-@dataclass
-class SketchState:
-    """Snapshot of the sketched engine's state after a cycle.
-
-    ``qs`` has orthonormal columns with ``S V = qs @ blockdiag(t0, I)``
-    exactly by construction, so consumers (the sketched recycler) can
-    reconstruct the sketch of the whole Krylov basis locally — no
-    communication.  ``sck`` is the sketch of the recycled space the
-    cycle ran against (``None`` without recycling).
-    """
-
-    s: int
-    seed: int
-    qs: np.ndarray
-    t0: np.ndarray
-    sck: np.ndarray | None = None
-
-    def sketched_basis(self, cols: int | None = None) -> np.ndarray:
-        """``S V`` (s x cols), reconstructed locally from ``qs`` and ``t0``."""
-        sv = np.array(self.qs if cols is None else self.qs[:, :cols])
-        w0 = self.t0.shape[0]
-        if w0:
-            sv[:, :w0] = sv[:, :w0] @ self.t0
-        return sv
-
-
 class _SketchedEngine(_EngineBase):
     """Sketch-space Arnoldi orthogonalization: ONE reduction per step.
 
@@ -885,45 +858,23 @@ class _SketchedEngine(_EngineBase):
         self._sck: np.ndarray | None = None  # sketched C_k
         self.s = 0
 
-    def _whiten(self, sv: np.ndarray) -> None:
-        """Seed the sketch arena from the sketched starting basis."""
-        qs, self._t0 = np.linalg.qr(sv)
-        self._qs = SketchArena(self.s, max(self.max_cols, qs.shape[1]),
-                               qs.dtype)
-        self._qs.seed(qs)
-        if sv.shape[1]:
-            ledger.current().flop(Kernel.QR, 4.0 * self.s * sv.shape[1]**2)
-
     def begin(self, v1, ck=None):
         n, cols = v1.shape
         self.s = sketch_size(n, self.max_cols)
         k = ck.shape[1] if ck is not None and ck.size else 0
-        ledger.current().reduction(
-            nbytes=self.s * (cols + k) * v1.dtype.itemsize)
+        led = ledger.current()
+        led.reduction(nbytes=self.s * (cols + k) * v1.dtype.itemsize)
         if k:
             self._sck = apply_sketch(ck, self.s, seed=self.seed)
-        self._whiten(apply_sketch(v1, self.s, seed=self.seed) if cols
-                     else np.zeros((self.s, 0), dtype=v1.dtype))
-
-    def begin_recycled(self, v1, ck, sck: np.ndarray) -> None:
-        """Start a cycle against a *pre-sketched* recycled space.
-
-        The sketched recycler maintains ``sck = S C_k`` across cycles, and
-        the caller has already charged the single fused prologue reduction
-        assembling ``C_k^H v1`` stacked with ``S v1`` — so this setup is
-        local work only (sketch flops + the small whitening QR).  The
-        engine adopts the recycler's sketch dimension (the recycler sizes
-        it for the *option* ``k``; a rank-trimmed harvest may leave the
-        actual ``C_k`` narrower, which only makes the sketch roomier).
-        """
-        self.s = int(sck.shape[0])
-        self._sck = sck
-        self._whiten(apply_sketch(v1, self.s, seed=self.seed))
-
-    def export_state(self) -> SketchState:
-        """Expose the sketch state for the sketched recycling machinery."""
-        return SketchState(s=self.s, seed=self.seed, qs=self._qs.view(),
-                           t0=self._t0, sck=self._sck)
+        # whiten the sketched starting basis into the sketch arena
+        sv = apply_sketch(v1, self.s, seed=self.seed) if cols \
+            else np.zeros((self.s, 0), dtype=v1.dtype)
+        qs, self._t0 = np.linalg.qr(sv)
+        self._qs = SketchArena(self.s, max(self.max_cols, qs.shape[1]),
+                               qs.dtype)
+        self._qs.seed(qs)
+        if cols:
+            led.flop(Kernel.QR, 4.0 * self.s * cols**2)
 
     def step(self, stacked, p, *, k=0):
         led = ledger.current()

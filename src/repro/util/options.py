@@ -37,7 +37,6 @@ _VERIFY_LEVELS = ("off", "cheap", "full")
 _FLUSH_POLICIES = ("batch_full", "queue_drained", "explicit")
 _SERVICE_MODES = ("sync", "async")
 _TRACE_LEVELS = ("off", "summary", "full")
-_RECYCLE_SPACES = ("full", "sketched")
 
 
 @dataclass(frozen=True)
@@ -99,17 +98,6 @@ class Options:
         restart-level variant for the ablation study).
     recycle_target:
         which end of the (harmonic) Ritz spectrum to retain.
-    recycle_space:
-        where GCRO-DR's harvest/update machinery runs
-        (``-hpddm_recycle_space``): ``"full"`` (default) computes the
-        generalized eigenproblem and the pair repair in the full space —
-        the bit-exact oracle; ``"sketched"`` computes recycle candidates
-        from the sketched least-squares problem, carries ``(U_k, C_k)``
-        in sketch-whitened form with a lazy full-space repair, and fuses
-        the recycled-space projection into the sketched Arnoldi engine's
-        single reduction per step, making the per-cycle reduction count
-        O(1) in ``m``.  Requires ``orthogonalization="sketched"``.  See
-        ``docs/ORTHOGONALIZATION.md``.
     verify:
         runtime invariant-checking level (``-hpddm_verify``): ``"off"``
         (default, zero overhead), ``"cheap"`` (recycled-basis
@@ -202,7 +190,6 @@ class Options:
     qr: str = "cholqr"
     deflation_tol: float = 1.0e-12
     recycle_target: str = "smallest"
-    recycle_space: str = "full"
     block_reduction: bool = False
     verify: str = "off"
     trace: str = "off"
@@ -243,18 +230,6 @@ class Options:
         if self.recycle_target not in _TARGETS:
             raise OptionError(
                 f"unknown recycle_target {self.recycle_target!r}; expected one of {_TARGETS}"
-            )
-        if self.recycle_space not in _RECYCLE_SPACES:
-            raise OptionError(
-                f"unknown recycle_space {self.recycle_space!r}; "
-                f"expected one of {_RECYCLE_SPACES}"
-            )
-        if (self.recycle_space == "sketched"
-                and self.orthogonalization != "sketched"):
-            raise OptionError(
-                "recycle_space='sketched' rides on the sketched Arnoldi "
-                "engine; it requires orthogonalization='sketched' "
-                f"(got {self.orthogonalization!r})"
             )
         if self.verify not in _VERIFY_LEVELS:
             raise OptionError(
@@ -324,58 +299,26 @@ class Options:
         return dataclasses.asdict(self)
 
     def hpddm_args(self) -> list[str]:
-        """Render back to HPDDM-style command-line arguments."""
-        args = [
-            "-hpddm_krylov_method", self.krylov_method,
-            "-hpddm_gmres_restart", str(self.gmres_restart),
-            "-hpddm_tol", f"{self.tol:g}",
-            "-hpddm_variant", self.variant,
-            "-hpddm_orthogonalization", self.orthogonalization,
-            "-hpddm_qr", self.qr,
-            "-hpddm_max_it", str(self.max_it),
-        ]
-        if self.is_recycling or self.krylov_method == "gmresdr":
-            args += [
-                "-hpddm_recycle", str(self.recycle),
-                "-hpddm_recycle_strategy", self.recycle_strategy,
-            ]
-            if self.recycle_same_system:
-                args.append("-hpddm_recycle_same_system")
-            if self.recycle_space != "full":
-                args += ["-hpddm_recycle_space", self.recycle_space]
-        if self.verify != "off":
-            args += ["-hpddm_verify", self.verify]
-        if self.trace != "off":
-            args += ["-hpddm_trace", self.trace]
-        if self.service_pmax != 16:
-            args += ["-hpddm_service_pmax", str(self.service_pmax)]
-        if self.service_flush != "batch_full":
-            args += ["-hpddm_service_flush", self.service_flush]
-        if self.service_cache_entries != 32:
-            args += ["-hpddm_service_cache_entries",
-                     str(self.service_cache_entries)]
-        if self.service_mode != "sync":
-            args += ["-hpddm_service_mode", self.service_mode]
-        if self.service_shards != 1:
-            args += ["-hpddm_service_shards", str(self.service_shards)]
-        if self.service_deadline != 0.0:
-            args += ["-hpddm_service_deadline", repr(self.service_deadline)]
-        if self.service_queue_depth != 0:
-            args += ["-hpddm_service_queue_depth",
-                     str(self.service_queue_depth)]
-        if not self.sequence_adopt:
-            args += ["-hpddm_sequence_adopt", "false"]
-        if self.sequence_warm_start:
-            args.append("-hpddm_sequence_warm_start")
+        """Render back to HPDDM-style command-line arguments: one flag per
+        option that differs from its default, which
+        :func:`parse_hpddm_args` reads back to an equal object.  ``extra``
+        (flags the parser did not know) is not rendered."""
+        args: list[str] = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name != "extra" and value != f.default:
+                args += [f"-hpddm_{f.name}", _render(value)]
         return args
 
 
-_BOOL_FLAGS = {"recycle_same_system", "block_reduction", "sequence_adopt",
-               "sequence_warm_start"}
-_INT_FIELDS = {"gmres_restart", "recycle", "max_it", "service_pmax",
-               "service_cache_entries", "service_shards",
-               "service_queue_depth"}
-_FLOAT_FIELDS = {"tol", "deflation_tol", "service_deadline"}
+def _render(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+#: ``Options`` field name -> its annotation (``"bool"``, ``"int"``, ...)
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Options)}
 
 
 def parse_hpddm_args(args: Iterable[str], *, prefix: str = "-hpddm_",
@@ -400,7 +343,8 @@ def parse_hpddm_args(args: Iterable[str], *, prefix: str = "-hpddm_",
             i += 1
             continue
         name = tok[len(prefix):]
-        if name in _BOOL_FLAGS:
+        kind = _FIELD_TYPES.get(name)
+        if kind == "bool":
             # a boolean flag may optionally be followed by true/false
             if i + 1 < len(arglist) and arglist[i + 1].lower() in ("true", "false", "0", "1"):
                 kv[name] = arglist[i + 1].lower() in ("true", "1")
@@ -412,16 +356,11 @@ def parse_hpddm_args(args: Iterable[str], *, prefix: str = "-hpddm_",
         if i + 1 >= len(arglist):
             raise OptionError(f"option {tok} expects a value")
         raw = arglist[i + 1]
-        if name in _INT_FIELDS:
-            kv[name] = int(raw)
-        elif name in _FLOAT_FIELDS:
-            kv[name] = float(raw)
-        else:
-            kv[name] = raw
+        kv[name] = int(raw) if kind == "int" \
+            else float(raw) if kind == "float" else raw
         i += 2
-    known = {f.name for f in dataclasses.fields(Options)}
-    extra = {k: v for k, v in kv.items() if k not in known}
-    kv = {k: v for k, v in kv.items() if k in known}
+    extra = {k: v for k, v in kv.items() if k not in _FIELD_TYPES}
+    kv = {k: v for k, v in kv.items() if k in _FIELD_TYPES}
     if extra:
         kv.setdefault("extra", {}).update(extra)
     return Options(**kv)

@@ -418,10 +418,7 @@ def _apply_scheme_tolerances(chk: InvariantChecker, options) -> InvariantChecker
     expensive full-space re-derivation is deferred while a sketch-space
     probe stays below ``info.orth_tol``, so mid-solve ``C_k^H C_k`` may
     legitimately carry that much drift (packaged spaces are still repaired
-    to rounding at the adoption boundary).  The mapping identity
-    ``A U_k = C_k`` is preserved exactly by the sketch-whitening transform,
-    but an ill-conditioned whitening factor amplifies its rounding error,
-    so ``recycle_space="sketched"`` widens the map tolerance moderately.
+    to rounding at the adoption boundary).
     """
     from ..la.orthogonalization import SCHEMES  # deferred: keep verify light
     info = SCHEMES.get(getattr(options, "orthogonalization", ""))
@@ -431,6 +428,4 @@ def _apply_scheme_tolerances(chk: InvariantChecker, options) -> InvariantChecker
             chk.residual_gap_rtol = info.residual_gap_rtol
         if not info.exact_basis:
             chk.recycle_orth_tol = max(chk.recycle_orth_tol, info.orth_tol)
-            if getattr(options, "recycle_space", "full") == "sketched":
-                chk.recycle_map_tol = max(chk.recycle_map_tol, 1e-4)
     return chk

@@ -53,9 +53,6 @@ class Config:
     precond: bool = True
     seed: int = 0
     ortho: str = "cgs"
-    #: how the recycled pair travels: "full" (exact re-derivation) or
-    #: "sketched" (sketch-whitened carrying, lazy repair)
-    recycle_space: str = "full"
     #: route the solve through the service front end: None = direct
     #: ``repro.solve``, "sync"/"async" = the matching ``make_service``
     service_mode: str | None = None
@@ -74,8 +71,6 @@ class Config:
         base = f"{self.method}-{pc}-fused-{dt}-p{self.p}-{self.strategy}"
         if self.ortho != "cgs":
             base += f"-{self.ortho}"
-        if self.recycle_space != "full":
-            base += f"-rs_{self.recycle_space}"
         if self.service_mode is not None:
             base += f"-svc_{self.service_mode}"
         if self.shifts:
@@ -90,8 +85,7 @@ class Config:
         if self.method == "lgmres":     # pinned baseline only: LGMRES(m, k)
             kw["recycle"] = restart // 4
         elif SOLVERS[self.method]["recycles"]:
-            kw = {"recycle": restart // 4, "recycle_strategy": self.strategy,
-                  "recycle_space": self.recycle_space}
+            kw = {"recycle": restart // 4, "recycle_strategy": self.strategy}
         if self.service_mode is not None:
             kw["service_mode"] = self.service_mode
             if self.service_mode == "async":
@@ -136,14 +130,6 @@ def conformance_matrix(full: bool = False) -> list[Config]:
             add(Config("bgmres", p=3, ortho=scheme))
             add(Config("gcrodr", p=3, ortho=scheme))
             add(Config("gmresdr", p=1, ortho=scheme))
-        # sketched recycle carrying: block engine (gcrodr p=1 / bgcrodr)
-        # and the pseudo-block per-column path (gcrodr p=3)
-        add(Config("gcrodr", p=1, ortho="sketched",
-                   recycle_space="sketched"))
-        add(Config("gcrodr", p=3, ortho="sketched",
-                   recycle_space="sketched"))
-        add(Config("bgcrodr", p=3, ortho="sketched",
-                   recycle_space="sketched"))
         # service_mode axis (verify=cheap on this subset — see
         # assert_conforms): both front ends over a plain and a recycling
         # solver, block width 3
@@ -188,16 +174,6 @@ def conformance_matrix(full: bool = False) -> list[Config]:
         p = 3 if SOLVERS[method]["block"] else 1
         for scheme in ("mgs", "imgs", "cgs2_1r", "cholqr2", "sketched"):
             add(Config(method, p=p, ortho=scheme))
-    # recycle_space axis: both recyclers that carry (U_k, C_k) pairs, both
-    # strategies on the block engine
-    for method, p in (("gcrodr", 1), ("gcrodr", 3), ("bgcrodr", 3)):
-        add(Config(method, p=p, ortho="sketched", recycle_space="sketched"))
-    add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
-               strategy="B"))
-    add(Config("bgcrodr", p=3, ortho="sketched", recycle_space="sketched",
-               strategy="B"))
-    add(Config("gcrodr", p=1, ortho="sketched", recycle_space="sketched",
-               dtype=np.complex128))
     # shifted-family axis: both engines, plus a complex-shift spot check
     for method in ("bgmres", "bgcrodr"):
         add(Config(method, p=1, ortho="cgs2_1r", shifts=4, precond=False))
@@ -459,40 +435,6 @@ def _assert_sequence_conforms(cfg: Config, *, tol: float) -> Outcome:
     if err > 1e-6:
         out.failures.append(f"final field off by {err:.2e} vs direct solves")
     return out
-
-
-def assert_sketched_quality(cfg: Config, *, rtol: float = 0.75,
-                            tol: float = 1e-8) -> None:
-    """Full-vs-sketched recycle-space quality oracle.
-
-    Solves the same two-solve recycling sequence (the second solve is
-    where the carried pair actually matters) under both
-    ``recycle_space`` settings and requires *identical* convergence flags
-    and iteration counts within ``rtol`` relative slack — the sketched
-    carrying trades the per-cycle exact re-derivation for sketch-level
-    pair quality, so a bounded iteration regression is the contract, an
-    unbounded one is a bug.
-    """
-    assert cfg.recycle_space == "sketched", "pass the sketched config"
-    a, b, m = make_problem(cfg)
-    results = {}
-    for space in ("full", "sketched"):
-        o = Config(**{**cfg.__dict__, "recycle_space": space}).options(
-            verify="cheap", tol=tol)
-        r1 = solve(a, b, m, options=o)
-        r2 = solve(a, b[:, ::-1] if b.ndim > 1 else -b, m, options=o,
-                   recycle=r1.info["recycle"], same_system=False)
-        results[space] = (np.asarray(r1.converged).tolist()
-                          + np.asarray(r2.converged).tolist(),
-                          r1.iterations + r2.iterations)
-    full_flags, full_it = results["full"]
-    sk_flags, sk_it = results["sketched"]
-    assert sk_flags == full_flags, (
-        f"{cfg.id()}: convergence flags differ full={full_flags} "
-        f"sketched={sk_flags}")
-    assert sk_it <= (1.0 + rtol) * full_it + 5, (
-        f"{cfg.id()}: sketched carrying costs too many iterations "
-        f"({sk_it} vs {full_it} full)")
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,11 @@ def test_metric_missing_from_the_run_fails_unless_retired():
         "transient_cache_recycle_shifted_time_per_sim_second",
         "plan_compiled_speedup", "plan_oracle_identical",
         "plan_optimizer_fused", "kernel_speedup64_spmm",
-        "kernel_speedup64_col_dots", "kernel_speedup64_cholqr"}
+        "kernel_speedup64_col_dots", "kernel_speedup64_cholqr",
+        "recycle_modeled_speedup_sketched",
+        "recycle_reductions_per_cycle_sketched",
+        "recycle_solve_overhead_per_cycle",
+        "recycle_solve_convergence_equal"}
     assert compare.compare(kept, {**kept, **dict.fromkeys(compare.RETIRED,
                                                           gone)},
                            label="t") == []

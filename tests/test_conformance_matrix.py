@@ -53,6 +53,8 @@ def test_counts_are_the_pinned_ones(cfg):
     of every pinned config equal ``tests/data/solver_counts.json`` (see
     docs/TESTING.md for what the file is and how to regenerate it)."""
     pinned = json.loads(COUNTS_FILE.read_text())
+    # no orphaned entry: every pinned count is one a live config reads
+    assert set(pinned) == {c.id() for c in pinned_configs()}
     assert json.loads(json.dumps(counts_of(cfg))) == pinned[cfg.id()]
 
 
@@ -63,8 +65,9 @@ def test_pseudo_block_iterates_are_the_pinned_bits():
     digests hold for one BLAS build; regenerate them (``python
     tests/matrix.py --sha1``) from an unchanged solver on a new one."""
     pinned = json.loads(SHA1_FILE.read_text())
-    got = {c.id(): counts_of(c, digests=True)["sha1"]
-           for c in pseudo_block_configs()}
+    configs = pseudo_block_configs()
+    assert set(pinned) == {c.id() for c in configs}
+    got = {c.id(): counts_of(c, digests=True)["sha1"] for c in configs}
     assert got == pinned
 
 

@@ -5,14 +5,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro import Options, RecycledSubspace, Solver
+from repro import Options, RecycledSubspace, Solver, solve
 from repro.krylov.base import FunctionPreconditioner
-from repro.krylov.gcrodr import gcrodr
+from repro.krylov.gcrodr import gcrodr, sketch_drift, sketch_drift_probe
 from repro.krylov.gmres import gmres
+from repro.trace import Tracer, install
 from repro.util import ledger
 
 from conftest import (complex_shifted, convection_diffusion_1d, laplacian_1d,
-                      laplacian_2d, relative_residuals)
+                      laplacian_2d, make_rng, relative_residuals)
+from matrix import Config, make_problem
 
 
 def _opts(**kw):
@@ -455,3 +457,51 @@ class TestKZeroIsGmres:
         (rec, _), (ref, _) = self._pair(monkeypatch, gcrodr, bgmres, 2,
                                         verify="full")
         assert rec.info["verify"]["checks"] == ref.info["verify"]["checks"]
+
+
+class TestPairRepair:
+    """``_tidy_pair``: which schemes repair the recycled pair, and when."""
+
+    def test_exact_scheme_repair_path_unchanged(self):
+        """cgs2_1r (exact basis) never routes through the drift-gated repair."""
+        cfg = Config("gcrodr", p=3, ortho="cgs2_1r")
+        a, b, m = make_problem(cfg)
+        o = cfg.options(verify="full", tol=1e-8).replace(trace="summary")
+        tr = Tracer(level="summary")
+        with install(tr), ledger.install() as led:
+            r1 = solve(a, b, m, options=o)
+            r2 = solve(a, np.negative(b), m, options=o,
+                       recycle=r1.info["recycle"], same_system=False)
+        assert np.asarray(r2.converged).all()
+        assert led.calls.get("recycle_repair", 0) == 0
+        assert sum(len(root.find("recycle_repair")) for root in tr.roots) == 0
+
+    def test_sketched_scheme_defers_repair_to_adoption_boundary(self):
+        """The sketched scheme's drift gate never fires mid-solve; the one
+        exact re-derivation happens at the packaging boundary."""
+        cfg = Config("gcrodr", p=1, ortho="sketched")
+        a, b, m = make_problem(cfg)
+        o = cfg.options(verify="cheap", tol=1e-8).replace(trace="summary")
+        tr = Tracer(level="summary")
+        with install(tr), ledger.install():
+            r1 = solve(a, b, m, options=o)
+        repairs = [s for root in tr.roots for s in root.find("recycle_repair")]
+        kinds = [s.attrs.get("kind") for s in repairs]
+        assert "drift" not in kinds, "drift-gated repair fired on a healthy run"
+        assert kinds.count("adoption_boundary") == 1
+        assert np.asarray(r1.converged).all()
+
+    def test_drift_probe_exact_when_sketch_is_square(self):
+        """For n <= 32 the probe's sketch is an isometry, so the estimate
+        equals the true drift to rounding — the gate decision is exact."""
+        rng = make_rng(23)
+        n, k = 24, 4
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        bad = q.copy()
+        bad[:, -1] = 0.7 * bad[:, 0] + 0.3 * bad[:, -1]
+        with ledger.install():
+            clean = sketch_drift_probe(q)
+            dirty = sketch_drift_probe(bad)
+        assert clean < 1e-12
+        assert abs(dirty - sketch_drift(bad)) < 1e-12
+        assert dirty > 0.1

@@ -2,7 +2,7 @@
 what is left of the deleted plan compiler.
 
 ``src/repro/plan/`` is a residue of two names the frozen benchmark tracer
-resolves (ROADMAP item 1a removes it); the tests here hold it to that and
+resolves (ROADMAP item 2a removes it); the tests here hold it to that and
 check that the option which selected the compiler is gone.
 """
 

@@ -145,12 +145,25 @@ class TestHpddmArgs:
     def test_render_roundtrip(self):
         opt = Options(krylov_method="gcrodr", recycle=10, gmres_restart=40,
                       recycle_same_system=True, variant="flexible")
-        opt2 = parse_hpddm_args(opt.hpddm_args())
-        assert opt2.krylov_method == opt.krylov_method
-        assert opt2.recycle == opt.recycle
-        assert opt2.gmres_restart == opt.gmres_restart
-        assert opt2.recycle_same_system == opt.recycle_same_system
-        assert opt2.variant == opt.variant
+        assert parse_hpddm_args(opt.hpddm_args()) == opt
+        # every option away from its default, and a tol `:g` would round
+        every = Options(
+            krylov_method="bgcrodr", gmres_restart=40, recycle=7,
+            recycle_strategy="B", recycle_same_system=True,
+            variant="flexible", tol=1.2345678e-9, max_it=777,
+            orthogonalization="sketched", qr="cholqr_rr",
+            deflation_tol=3.5e-13, recycle_target="largest",
+            block_reduction=True, verify="cheap", trace="summary",
+            service_pmax=8, service_flush="explicit",
+            service_cache_entries=5, service_mode="async",
+            service_shards=3, service_deadline=0.125,
+            service_queue_depth=9, sequence_adopt=False,
+            sequence_warm_start=True)
+        default = Options()
+        assert all(getattr(every, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(Options) if f.name != "extra")
+        assert parse_hpddm_args(every.hpddm_args()) == every
+        assert parse_hpddm_args(default.hpddm_args()) == default
 
     def test_defaults_mapping(self):
         opt = parse_hpddm_args([], defaults={"tol": 1e-4})
