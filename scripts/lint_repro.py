@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Eight rule families, each guarding an invariant the test suite and the
+Nine rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -64,6 +64,14 @@ trace/bench gates rely on:
     reads still doubles the lattice its tests and docs describe.  Checked
     over the whole tree, so only on a run without explicit paths.
 
+``option-setters``
+    a field of ``Options`` that no module under ``src/``, ``benchmarks/``,
+    ``examples/`` or ``scripts/`` (outside ``util/options.py``) sets: as a
+    keyword argument, a string dict key, or an ``-hpddm_<name>`` flag in a
+    string.  An option only its tests set is a branch no user takes.  The
+    fields that stand anyway, each with its reason, are listed in
+    ``UNSET_OPTIONS_ALLOWED``.  Whole-tree, like ``option-census``.
+
 False positives go in ``scripts/lint_allowlist.txt`` as
 ``<relpath>:<rule>`` (one per line, ``#`` comments allowed); a
 ``# lint: allow(<rule>)`` comment on the offending line also works.
@@ -76,6 +84,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -120,6 +129,19 @@ RESTART_HOME = os.path.join("src", "repro", "krylov", "restart.py")
 SRC_DIR = os.path.join("src", "repro") + os.sep
 SUPERLU_HOME = os.path.join("src", "repro", "direct", "solver.py")
 OPTIONS_HOME = os.path.join("src", "repro", "util", "options.py")
+#: where a module that sets an ``Options`` field counts (tests do not)
+SETTER_DIRS = ("src", "benchmarks", "examples", "scripts")
+#: this script names fields as data; it sets none
+SETTER_SELF = os.path.join("scripts", "lint_repro.py")
+HPDDM_FLAG = re.compile(r"-hpddm_(\w+)")
+#: fields ``option-setters`` lets stand although nothing outside tests/
+#: sets them, with the reason
+UNSET_OPTIONS_ALLOWED = {
+    "extra": "the parser's catch-all for unknown flags, filled in "
+             "util/options.py itself",
+    "sequence_warm_start": "docs/TRANSIENT.md measures a win for it; "
+                           "ROADMAP.md item 12 decides whether it stays",
+}
 
 
 def _dotted(node: ast.AST) -> str:
@@ -319,36 +341,70 @@ def lint_file(path: str) -> list[tuple[str, int, str]]:
     return visitor.findings
 
 
+def _options_fields(root: str) -> dict[str, tuple[int, str]]:
+    """``{field: (lineno, source line)}`` of the ``Options`` dataclass."""
+    path = os.path.join(root, OPTIONS_HOME)
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    return {stmt.target.id: (stmt.lineno, lines[stmt.lineno - 1])
+            for cls in ast.parse(source, filename=path).body
+            if isinstance(cls, ast.ClassDef) and cls.name == "Options"
+            for stmt in cls.body if isinstance(stmt, ast.AnnAssign)}
+
+
+def _trees(root: str, dirs, skip: tuple[str, ...]):
+    """Parsed modules under each of ``dirs`` in ``root``, less ``skip``."""
+    for top in dirs:
+        for dirpath, _, names in os.walk(os.path.join(root, top)):
+            for name in sorted(names):
+                path = os.path.join(dirpath, name)
+                if not name.endswith(".py") \
+                        or os.path.relpath(path, root) in skip:
+                    continue
+                with open(path, encoding="utf-8") as fh:
+                    yield ast.parse(fh.read(), filename=path)
+
+
 def option_census(root: str = ROOT) -> list[tuple[str, int, str]]:
     """``Options`` fields nothing under ``src/repro/`` reads as an attribute."""
-    home = os.path.join(root, OPTIONS_HOME)
-    read: set[str] = set()
-    fields: dict[str, int] = {}
-    for dirpath, _, names in os.walk(os.path.join(root, SRC_DIR)):
-        for name in names:
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, name)
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-            tree = ast.parse(source, filename=path)
-            if path != home:
-                read.update(node.attr for node in ast.walk(tree)
-                            if isinstance(node, ast.Attribute))
-                continue
-            lines = source.splitlines()
-            fields = {stmt.target.id: stmt.lineno
-                      for cls in tree.body
-                      if isinstance(cls, ast.ClassDef)
-                      and cls.name == "Options"
-                      for stmt in cls.body
-                      if isinstance(stmt, ast.AnnAssign)
-                      and "lint: allow(option-census)"
-                      not in lines[stmt.lineno - 1]}
+    read = {node.attr
+            for tree in _trees(root, (SRC_DIR,), (OPTIONS_HOME,))
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return [("option-census", lineno,
              f"Options.{name} is read nowhere under src/repro/ — delete "
              f"the option or the code that should have read it")
-            for name, lineno in fields.items() if name not in read]
+            for name, (lineno, line) in _options_fields(root).items()
+            if name not in read and "lint: allow(option-census)" not in line]
+
+
+def _set_names(tree: ast.AST) -> set[str]:
+    """What a module sets by name: keyword arguments, string dict keys and
+    the ``<name>`` of every ``-hpddm_<name>`` flag in a string."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            out.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            out.update(k.value for k in node.keys
+                       if isinstance(k, ast.Constant)
+                       and isinstance(k.value, str))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(HPDDM_FLAG.findall(node.value))
+    return out
+
+
+def option_setters(root: str = ROOT) -> list[tuple[str, int, str]]:
+    """``Options`` fields no module outside tests/ and util/options.py sets."""
+    set_ = set().union(*(_set_names(tree) for tree in _trees(
+        root, SETTER_DIRS, (OPTIONS_HOME, SETTER_SELF))))
+    return [("option-setters", lineno,
+             f"Options.{name} is set by no module under "
+             f"{', '.join(d + '/' for d in SETTER_DIRS)} — only tests take "
+             f"this branch: delete the option, or list it with its reason "
+             f"in UNSET_OPTIONS_ALLOWED")
+            for name, (lineno, _) in _options_fields(root).items()
+            if name not in set_ and name not in UNSET_OPTIONS_ALLOWED]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rel}:{lineno}: [{rule}] {msg}")
             total += 1
     if not ns.paths:
-        for rule, lineno, msg in option_census():
+        for rule, lineno, msg in option_census() + option_setters():
             print(f"{OPTIONS_HOME}:{lineno}: [{rule}] {msg}")
             total += 1
     if total:

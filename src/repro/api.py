@@ -18,9 +18,7 @@ from typing import Any
 import numpy as np
 
 from .krylov.base import SolveResult, as_operator
-from .krylov.bcg import bcg
 from .krylov.bgmres import bgmres
-from .krylov.cg import cg
 from .krylov.gcrodr import gcrodr
 from .krylov.gmres import gmres
 from .krylov.gmresdr import gmresdr
@@ -206,10 +204,6 @@ def _dispatch(a, b, m, *, options: Options, x0, recycle,
         return gmres(a, b, m, options=options, x0=x0)
     if method == "bgmres":
         return bgmres(a, b, m, options=options, x0=x0)
-    if method == "cg":
-        return cg(a, b, m, options=options, x0=x0)
-    if method == "bcg":
-        return bcg(a, b, m, options=options, x0=x0)
     if method == "gmresdr":
         return gmresdr(a, b, m, options=options, x0=x0)
     if method == "lgmres":

@@ -2,7 +2,6 @@
 
 from .base import (ConvergenceHistory, FunctionPreconditioner, Operator,
                    Preconditioner, SolveResult, as_operator, as_preconditioner)
-from .bcg import bcg
 from .bgmres import bgmres
 from .cg import cg
 from .chebyshev import ChebyshevSmoother
@@ -17,7 +16,6 @@ __all__ = [
     "gmres",
     "gmresdr",
     "bgmres",
-    "bcg",
     "gcrodr",
     "pgcrodr",
     "PseudoBlockRecycle",

@@ -1,6 +1,6 @@
 """(Pseudo-block) Preconditioned Conjugate Gradient.
 
-Used both as a standalone solver for SPD systems and — with a fixed, small
+Callable directly for SPD systems, and used — with a fixed, small
 iteration count — as the *variable* smoother inside the multigrid
 preconditioner of the paper's elasticity experiment (``-mg_levels_ksp_type
 cg -mg_levels_ksp_max_it 4`` makes the multigrid cycles nonlinear, forcing
@@ -42,7 +42,7 @@ def cg(a, b, m=None, *, options: Options | None = None,
     tolerance (converged columns are frozen).  ``options.max_it`` doubles
     as the fixed smoother length when ``options.tol`` is unreachable.
     """
-    options = options or Options(krylov_method="cg")
+    options = options or Options()
     a = as_operator(a)
     prec = as_preconditioner(m)
     identity_m = isinstance(prec, IdentityPreconditioner)

@@ -4,7 +4,10 @@ One cycle performs up to ``max_steps`` block-Arnoldi iterations with the
 (possibly preconditioned) operator, optionally projecting every candidate
 block against a fixed orthonormal basis ``C_k`` first — that projection is
 the ``(I - C_k C_k^H) A`` operator of the paper's Fig. 1 line 26, and its
-coefficients accumulate into ``E_k = C_k^H A Z_{m-k}``.
+coefficients accumulate into ``E_k = C_k^H A Z_{m-k}``.  Each step (Fig. 1
+lines 25–27) is one ``step`` call of the scheme's engine
+(:func:`repro.la.orthogonalization.make_arnoldi_engine`), whatever the
+scheme.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..la.blockqr import BlockHessenbergQR
-from ..la.orthogonalization import (LOW_SYNC_SCHEMES, conj_gram,
-                                    make_arnoldi_engine, project_out,
-                                    qr_factorization, slab_matmul)
+from ..la.orthogonalization import (make_arnoldi_engine, project_out,
+                                    qr_factorization)
 from ..trace import tracer as trace
 from ..util import ledger
-from ..util.misc import column_norms, default_rng
+from ..util.misc import default_rng
 from .base import ConvergenceHistory
 from .basis import BasisArena
 
@@ -105,7 +107,6 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
                         max_steps: int,
                         ck: np.ndarray | None = None,
                         ortho: str = "cgs",
-                        qr_scheme: str = "cholqr",
                         deflation_tol: float = 1e-12,
                         targets: np.ndarray | None = None,
                         history: ConvergenceHistory | None = None,
@@ -146,27 +147,11 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
     led = ledger.current()
     tr = trace.current()
 
-    # Low-synchronization schemes run through the fused Arnoldi engine: the
-    # C_k projection, all basis projections and the normalizer Gram travel
-    # in at most two stacked reductions per step (one for ``sketched``).
-    engine = None
-    if ortho in LOW_SYNC_SCHEMES:
-        engine = make_arnoldi_engine(ortho, tol=deflation_tol,
-                                     max_cols=(max_steps + 1) * p + k)
-        if k:
-            # The stacked projector treats [C_k | V] as one orthonormal
-            # basis, so v1 must be C_k-orthogonal when the engine starts.
-            # The caller's residual only satisfies C^H r = 0 up to the
-            # previous cycle's least-squares roundoff, and that cross term
-            # compounds across cycles and same-system solves; one fused
-            # projection per cycle caps the seed at rounding level.  The
-            # removed component is O(drift), so no renormalization is
-            # needed (and v1 @ s1 = r is preserved to the same order).
-            e0 = conj_gram(np.asarray(ck), v1)
-            v1 = v1 - slab_matmul(ck, e0)
-            led.flop(ledger.Kernel.BLAS3, 4.0 * n * k * p)
-            led.reduction(nbytes=k * p * v1.itemsize)
-        engine.begin(v1, ck)
+    # the engine's begin projects v1 against C_k when its stacked projector
+    # needs a C_k-orthogonal seed
+    engine = make_arnoldi_engine(ortho, tol=deflation_tol,
+                                 max_cols=(max_steps + 1) * p + k)
+    v1 = engine.begin(v1, ck)
 
     steps = max_steps
     if iteration_budget is not None:
@@ -185,20 +170,10 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
                 arena.zslab[:, j * p:(j + 1) * p] = zj
             w = op_apply(zj)
             with tr.span("ortho", scheme=ortho):
-                if engine is not None:
-                    arena.slot()[:] = w
-                    q, h, s, rank, e_col = engine.step(arena.stacked(), p, k=k)
-                    if k:
-                        state.e_cols.append(e_col)
-                else:
-                    if k:
-                        w, e_col = project_out(ck, w, scheme="cgs")
-                        state.e_cols.append(e_col)
-                    scale = float(np.max(column_norms(w), initial=0.0))
-                    w2, h = project_out(arena.v(), w, scheme=ortho)
-                    q, s, rank = qr_factorization(
-                        w2, qr_scheme, tol=deflation_tol, scale=scale
-                        if qr_scheme in ("cholqr", "cholqr_rr") else None)
+                arena.slot()[:] = w
+                q, h, s, rank, e_col = engine.step(arena.stacked(), p, k=k)
+                if k:
+                    state.e_cols.append(e_col)
             h_col = np.concatenate([h, s], axis=0)
             res = hqr.add_column(h_col)
             state.steps = j + 1

@@ -11,10 +11,10 @@ Two eigenproblems appear in GCRO-DR (paper Fig. 1):
   ``G_m = Q R``; ``T`` is never formed.
 
 Both return an orthonormal basis of the invariant subspace of the ``k``
-smallest (by default) values in magnitude, read off one reordered Schur
-form (:func:`repro.la.dense.invariant_subspace`) and real for real
-arithmetic.  ``tests/fixtures/reference_deflation.py`` holds the Gram +
-QZ + eigenvector-splitting formulation as the oracle.
+harmonic Ritz values smallest in magnitude (the paper's choice), read off
+one reordered Schur form (:func:`repro.la.dense.invariant_subspace`) and
+real for real arithmetic.  ``tests/fixtures/reference_deflation.py`` holds
+the Gram + QZ + eigenvector-splitting formulation as the oracle.
 """
 
 from __future__ import annotations
@@ -33,17 +33,17 @@ __all__ = ["harmonic_ritz_vectors", "generalized_ritz_vectors",
 
 def harmonic_ritz_vectors(hbar: np.ndarray, r_factor: np.ndarray,
                           h_last: np.ndarray, p: int, k: int, *,
-                          dtype: np.dtype, target: str = "smallest") -> np.ndarray:
+                          dtype: np.dtype) -> np.ndarray:
     """Deflation basis for the first GCRO-DR cycle (paper line 16 / eq. 2)."""
     if np.all(np.isfinite(hbar)):
         h = hessenberg_harmonic_lhs(hbar, r_factor, h_last, p)
     else:                       # non-finite: the extraction rejects it
         h = np.full_like(hbar[: hbar.shape[1]], np.nan)
-    return invariant_subspace(h, k, target=target).astype(dtype, copy=False)
+    return invariant_subspace(h, k).astype(dtype, copy=False)
 
 
 def generalized_ritz_vectors(gm: np.ndarray, w_hat: np.ndarray, k: int, *,
-                             dtype: np.dtype, target: str = "smallest") -> np.ndarray:
+                             dtype: np.dtype) -> np.ndarray:
     """Deflation basis for the restart updates (paper line 33 / eq. 3).
 
     ``w_hat`` is the *right factor* of eq. (3), ``W = G_m^H w_hat``, as the
@@ -63,13 +63,11 @@ def generalized_ritz_vectors(gm: np.ndarray, w_hat: np.ndarray, k: int, *,
         led.flop(Kernel.BLAS3, 2.0 * rows * cols**2 + 1.0 * cols**3)
     else:                       # non-finite: the extraction rejects it
         b = np.full((cols, cols), np.nan, dtype=gm.dtype)
-    return invariant_subspace(b, k, target=target,
-                              reciprocal=True).astype(dtype, copy=False)
+    return invariant_subspace(b, k, reciprocal=True).astype(dtype, copy=False)
 
 
 def sketched_harmonic_ritz_vectors(hbar: np.ndarray, t0: np.ndarray, k: int, *,
-                                   dtype: np.dtype,
-                                   target: str = "smallest") -> np.ndarray:
+                                   dtype: np.dtype) -> np.ndarray:
     """Harmonic-Ritz vectors of the *sketched* least-squares problem.
 
     The sketched Arnoldi basis is only sketch-orthonormal, so the problem
@@ -89,13 +87,12 @@ def sketched_harmonic_ritz_vectors(hbar: np.ndarray, t0: np.ndarray, k: int, *,
     g[:w0] = t0 @ hbar[:w0]
     de = np.eye(*hbar.shape, dtype=hbar.dtype)
     de[:w0, :w0] = t0
-    return generalized_ritz_vectors(g, de, k, dtype=dtype, target=target)
+    return generalized_ritz_vectors(g, de, k, dtype=dtype)
 
 
 def sketched_generalized_ritz_vectors(gm: np.ndarray, gcv: np.ndarray,
                                       w_hat: np.ndarray, k: int, *,
-                                      dtype: np.dtype,
-                                      target: str = "smallest") -> np.ndarray:
+                                      dtype: np.dtype) -> np.ndarray:
     """Restart-update Ritz vectors under the sketch inner product.
 
     ``gcv = (S [C_k | V])^H (S [C_k | V]) = L^H L`` is the sketch Gram of the
@@ -107,5 +104,4 @@ def sketched_generalized_ritz_vectors(gm: np.ndarray, gcv: np.ndarray,
     ``benchmarks/e2e/tracing.py`` wraps it by name.
     """
     lfac = np.linalg.cholesky(gcv).conj().T
-    return generalized_ritz_vectors(lfac @ gm, lfac @ w_hat, k, dtype=dtype,
-                                    target=target)
+    return generalized_ritz_vectors(lfac @ gm, lfac @ w_hat, k, dtype=dtype)

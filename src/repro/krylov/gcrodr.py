@@ -303,7 +303,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                 pk = harmonic_ritz_vectors(
                     hbar, state.hqr.triangular(),
                     state.hqr.last_subdiagonal_block(),
-                    p, k, dtype=dtype, target=options.recycle_target)
+                    p, k, dtype=dtype)
             if pk.shape[1]:
                 with tr.span("recycle_update", kind="harvest"):
                     qf, s = _harvest(hbar, pk)
@@ -393,8 +393,7 @@ def _restart_extract(options: Options, u_k: np.ndarray, dk: np.ndarray,
     gm[kc:, kc:] = hbar
     w_hat = _strategy_w(options.recycle_strategy, gm, cv, u_tilde)
     with trace.current().span("eig", kind="generalized_ritz"):
-        pk = generalized_ritz_vectors(gm, w_hat, options.recycle, dtype=dtype,
-                                      target=options.recycle_target)
+        pk = generalized_ritz_vectors(gm, w_hat, options.recycle, dtype=dtype)
     return (u_tilde, *_harvest(gm, pk)) if pk.shape[1] else None
 
 

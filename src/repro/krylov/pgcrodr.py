@@ -403,7 +403,7 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                         pk = harmonic_ritz_vectors(
                             hbar, cyc.ls.triangular(l),
                             cyc.ls.last_subdiagonal_block(l),
-                            1, k, dtype=dtype, target=options.recycle_target)
+                            1, k, dtype=dtype)
                     if pk.shape[1]:
                         qf, s = _harvest(hbar, pk)
                         col.c = v_l @ qf

@@ -100,7 +100,7 @@ class RestartLoop:
                 self.tr.span("cycle", index=self.cycles, **span):
             state = block_arnoldi_cycle(
                 self.op_apply, self.inner_m, v1, s1, max_steps=steps, ck=ck,
-                ortho=o.orthogonalization, qr_scheme=o.qr,
+                ortho=o.orthogonalization,
                 deflation_tol=o.deflation_tol, targets=self.targets,
                 history=self.history, identity_m=self.identity_m,
                 iteration_budget=self.budget, arena=arena)

@@ -553,7 +553,7 @@ def _harvest_family_pair(state, zstack, kr: int, dtype, op_apply,
     with tr.span("eig", kind="harmonic_ritz"):
         pk = harmonic_ritz_vectors(
             hbar, state.hqr.triangular(), state.hqr.last_subdiagonal_block(),
-            state.hqr.p, kr, dtype=dtype, target=options.recycle_target)
+            state.hqr.p, kr, dtype=dtype)
     if not pk.shape[1]:
         return None, None
     with tr.span("recycle_update", kind="harvest"):

@@ -1,8 +1,7 @@
 """Dense/tall-skinny linear algebra kernels."""
 
 from .blockqr import BlockHessenbergQR
-from .orthogonalization import (LOW_SYNC_SCHEMES, ORTHO_SCHEME_NAMES,
-                                QR_SCHEME_NAMES, SCALE_AWARE_QR, SCHEMES,
+from .orthogonalization import (LOW_SYNC_SCHEMES, ORTHO_SCHEME_NAMES, SCHEMES,
                                 OrthoScheme, PseudoBlockOrthogonalizer,
                                 apply_sketch, arnoldi_orthogonalize, cholqr,
                                 cholqr2, cholqr_rr, classical_gram_schmidt_qr,
@@ -33,7 +32,5 @@ __all__ = [
     "OrthoScheme",
     "SCHEMES",
     "ORTHO_SCHEME_NAMES",
-    "QR_SCHEME_NAMES",
     "LOW_SYNC_SCHEMES",
-    "SCALE_AWARE_QR",
 ]

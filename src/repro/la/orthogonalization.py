@@ -29,6 +29,7 @@ through every layer automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,9 +64,7 @@ __all__ = [
     "OrthoScheme",
     "SCHEMES",
     "ORTHO_SCHEME_NAMES",
-    "QR_SCHEME_NAMES",
     "LOW_SYNC_SCHEMES",
-    "SCALE_AWARE_QR",
 ]
 
 
@@ -84,8 +83,6 @@ class OrthoScheme:
     """
 
     name: str
-    is_ortho: bool                      # valid for Options.orthogonalization
-    is_qr: bool                         # valid for Options.qr
     arnoldi_reductions: str = "-"       # reductions per Arnoldi step
     loo_bound: str = "-"                # loss of orthogonality, informal
     orth_tol: float = 1.0e-6            # verifier drift ceiling
@@ -94,50 +91,37 @@ class OrthoScheme:
     description: str = ""
 
 
-#: Single source of truth for every scheme name the options layer accepts.
-#: Order matters only for error-message stability (legacy names first).
+#: Single source of truth for every scheme name ``Options.orthogonalization``
+#: accepts.  Order matters only for error-message stability.
 SCHEMES: dict[str, OrthoScheme] = {s.name: s for s in (
-    OrthoScheme("cgs", True, True, "2", "O(eps * kappa^2)", 1.0e-6,
+    OrthoScheme("cgs", "2", "O(eps * kappa^2)", 1.0e-6,
                 description="classical Gram-Schmidt, one fused Gram per step"),
-    OrthoScheme("mgs", True, True, "j*p + 2", "O(eps * kappa)", 1.0e-6,
+    OrthoScheme("mgs", "j*p + 2", "O(eps * kappa)", 1.0e-6,
                 description="modified Gram-Schmidt, sequential reductions"),
-    # imgs keeps the default ceiling: its basis is two-pass quality, but the
-    # legacy cycle path projects C_k with a *single* pass, so the combined
-    # [C_k V] drift the verifier sees is still O(eps * kappa)-ish.
-    OrthoScheme("imgs", True, False, "3", "O(eps)", 1.0e-6,
+    # imgs keeps the default ceiling: its basis is two-pass quality, but its
+    # step projects C_k with a *single* pass, so the combined [C_k V] drift
+    # the verifier sees is still O(eps * kappa)-ish.
+    OrthoScheme("imgs", "3", "O(eps)", 1.0e-6,
                 description="iterated (two-pass) classical Gram-Schmidt"),
-    OrthoScheme("cgs2_1r", True, True, "2", "O(eps)", 1.0e-8,
+    OrthoScheme("cgs2_1r", "2", "O(eps)", 1.0e-8,
                 description="CGS2 with one delayed reorthogonalization pass; "
                             "Gram blocks fused into one stacked GEMM, norm "
                             "by Pythagorean downdate: <=2 reductions/step"),
-    OrthoScheme("cholqr2", True, True, "2", "O(eps * kappa)", 1.0e-4,
+    OrthoScheme("cholqr2", "2", "O(eps * kappa)", 1.0e-4,
                 exact_basis=False,
                 description="single-pass projection + CholQR2 intra-block "
                             "normalizer: <=2 reductions/step"),
-    OrthoScheme("sketched", True, True, "1", "eps_s/(1 - eps_s) in sketch "
+    OrthoScheme("sketched", "1", "eps_s/(1 - eps_s) in sketch "
                 "space (exact when s = n)", 64.0, residual_gap_rtol=10.0,
                 exact_basis=False,
                 description="seeded SRHT sketch applied locally, sketch-space "
                             "QR, one small reduction per step"),
-    OrthoScheme("cholqr", False, True, "-", "O(eps * kappa^2)", 1.0e-6,
-                description="Cholesky QR with shifted / rank-revealing "
-                            "fallbacks (intra-block only)"),
-    OrthoScheme("cholqr_rr", False, True, "-", "O(eps)", 1.0e-6,
-                description="rank-revealing CholQR (intra-block only)"),
-    OrthoScheme("tsqr", False, True, "-", "O(eps)", 1.0e-6,
-                description="tall-skinny QR reduction tree (intra-block only)"),
-    OrthoScheme("householder", False, True, "-", "O(eps)", 1.0e-6,
-                description="Householder QR (intra-block only)"),
 )}
 
-ORTHO_SCHEME_NAMES: tuple[str, ...] = tuple(
-    s.name for s in SCHEMES.values() if s.is_ortho)
-QR_SCHEME_NAMES: tuple[str, ...] = tuple(
-    s.name for s in SCHEMES.values() if s.is_qr)
-#: Arnoldi schemes routed through the stateful low-sync engine.
+ORTHO_SCHEME_NAMES: tuple[str, ...] = tuple(SCHEMES)
+#: Schemes whose step fuses every projection and the normalizer Gram into
+#: at most two stacked reductions (one for ``sketched``).
 LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2", "sketched")
-#: QR schemes that accept an absolute ``scale`` for breakdown detection.
-SCALE_AWARE_QR: tuple[str, ...] = ("cholqr", "cholqr_rr", "sketched")
 
 
 #: Rows per panel of a real slab product: a panel of 256 rows x <= 420
@@ -519,7 +503,6 @@ _QR_DISPATCH = {
     "cgs2_1r": lambda x, tol: cholqr2(x) + (x.shape[1],),
     "sketched": lambda x, tol: sketched_qr(x, tol=tol),
 }
-assert set(QR_SCHEME_NAMES) <= set(_QR_DISPATCH), "registry out of sync"
 
 
 def qr_factorization(x: np.ndarray, scheme: str = "cholqr", *,
@@ -530,7 +513,8 @@ def qr_factorization(x: np.ndarray, scheme: str = "cholqr", *,
     Returns ``(Q, R, rank)``; non-rank-revealing schemes report full rank.
     CholQR falls back to the shifted variant, then to rank-revealing, when
     the plain Gram Cholesky breaks down.  ``scale`` is forwarded to the
-    schemes in :data:`SCALE_AWARE_QR` as the absolute reference magnitude.
+    rank-revealing schemes (``cholqr`` through its last fallback,
+    ``cholqr_rr``, ``sketched``) as the absolute reference magnitude.
     """
     x = as_block(x)
     if scheme not in _QR_DISPATCH:
@@ -675,51 +659,49 @@ def project_out(basis: np.ndarray, w: np.ndarray, *,
 
 
 def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
-                          scheme: str = "cgs",
-                          qr_scheme: str = "cholqr",
-                          tol: float = 1e-12,
+                          scheme: str = "cgs", tol: float = 1e-12,
+                          ck: np.ndarray | None = None,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One (block) Arnoldi orthogonalization step.
+    """One (block) Arnoldi orthogonalization step, standalone.
 
     Orthogonalizes the candidate block ``w`` (n x p) against the stacked
-    orthonormal basis ``basis_blocks`` (n x jp) and normalizes the remainder.
+    orthonormal basis ``basis_blocks`` (n x jp) — after the optional fixed
+    orthonormal block ``ck`` (GCRO-DR's ``C_k``) — and normalizes the
+    remainder.  This is :func:`make_arnoldi_engine`'s ``begin`` on
+    ``basis_blocks`` followed by one ``step``: the first step
+    ``block_arnoldi_cycle`` takes from the same block, bit for bit.
 
-    Returns ``(q, h, s, rank)`` where ``h`` (jp x p) holds the projection
-    coefficients, ``s`` (p x p) the normalization factor (the new diagonal
-    Hessenberg block ``h_{j+1,j}``), and ``rank`` the numerical rank of the
-    remainder (``< p`` signals an exact block breakdown).  Rank is judged
-    against the magnitude of ``w`` *before* projection, so a candidate that
-    lies entirely inside the basis is reported as rank 0.
-
-    The low-synchronization schemes (:data:`LOW_SYNC_SCHEMES`) carry their
-    own fused intra-block normalizer, so ``qr_scheme`` is ignored for them;
-    a one-shot ``sketched`` call sketches the basis too (in the stateful
-    engine used by the solvers that cost is amortized across the cycle).
+    Returns ``(q, h, s, rank)`` where ``h`` holds the projection
+    coefficients (``[C_k | basis]^H``-shaped: ``(k + jp) x p``), ``s``
+    (p x p) the normalization factor (the new diagonal Hessenberg block
+    ``h_{j+1,j}``), and ``rank`` the numerical rank of the remainder
+    (``< p`` signals a block breakdown).  Rank is judged against the
+    magnitude of ``w`` before the basis projection.  The low-synchronization
+    schemes report a candidate lying inside the basis as rank 0; the
+    project-then-CholQR step of ``cgs`` / ``mgs`` / ``imgs`` does not (its
+    plain CholQR factors a rounding-level remainder as full rank).  A
+    one-shot ``sketched`` call sketches the basis too (in a cycle that cost
+    is amortized across the steps).
     """
-    if scheme in LOW_SYNC_SCHEMES:
-        engine = make_arnoldi_engine(scheme, tol=tol,
-                                     max_cols=basis_blocks.shape[1] + w.shape[1])
-        engine.begin(basis_blocks.astype(w.dtype, copy=False))
-        q, h, s, rank, _ = engine.step(
-            np.concatenate([basis_blocks, w], axis=1), w.shape[1])
-        return q, h, s, rank
-    scale = float(np.max(column_norms(w), initial=0.0))
-    w2, h = project_out(basis_blocks, w, scheme=scheme)
-    q, s, rank = qr_factorization(
-        w2, qr_scheme, tol=tol,
-        scale=scale if qr_scheme in SCALE_AWARE_QR else None)
-    return q, h, s, rank
+    p = w.shape[1]
+    k = ck.shape[1] if ck is not None else 0
+    engine = make_arnoldi_engine(scheme, tol=tol,
+                                 max_cols=k + basis_blocks.shape[1] + p)
+    v = engine.begin(basis_blocks.astype(w.dtype, copy=False), ck)
+    q, h, s, rank, e_col = engine.step(
+        np.concatenate(([ck] if k else []) + [v, w], axis=1), p, k=k)
+    return q, h if e_col is None else np.concatenate([e_col, h]), s, rank
 
 
 # ---------------------------------------------------------------------------
-# Low-synchronization block Arnoldi engines (tentpole).
+# Block Arnoldi engines: one per scheme, one instance per Arnoldi cycle.
 #
-# One engine instance lives for one Arnoldi cycle.  ``step`` orthogonalizes
-# the candidate block against the whole basis *and* the optional recycled
-# space C_k with at most two fused reductions (one for ``sketched``),
-# returning the same (q, h, s, rank, e_col) contract the legacy inline
-# sequence produces.  The recycled-space projection is folded into the same
-# stacked projector, so C_k costs no extra reduction.
+# ``step`` orthogonalizes the candidate block against the whole basis *and*
+# the optional recycled space C_k and normalizes it, returning
+# (q, h, s, rank, e_col).  The low-synchronization engines fold C_k into one
+# stacked projector with at most two fused reductions (one for
+# ``sketched``); the cgs / mgs / imgs engine projects C_k, then V, then
+# runs CholQR.
 # ---------------------------------------------------------------------------
 
 
@@ -747,8 +729,61 @@ class _EngineBase:
         self.max_cols = max_cols
         self.seed = seed
 
-    def begin(self, v1: np.ndarray, ck: np.ndarray | None = None) -> None:
-        """Start a cycle from the first basis block (stateful schemes)."""
+    def begin(self, v1: np.ndarray, ck: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Start a cycle from the first basis block; returns the block the
+        cycle commits as ``V_0``.
+
+        The stacked projector treats ``[C_k | V]`` as one orthonormal basis,
+        so ``v1`` must be ``C_k``-orthogonal when the engine starts.  The
+        caller's residual only satisfies ``C^H r = 0`` up to the previous
+        cycle's least-squares roundoff, and that cross term compounds across
+        cycles and same-system solves; one fused projection per cycle caps
+        the seed at rounding level.  The removed component is O(drift), so
+        no renormalization is needed (and ``v1 @ s1 = r`` is preserved to
+        the same order).
+        """
+        k = ck.shape[1] if ck is not None else 0
+        if not k:
+            return v1
+        n, p = v1.shape
+        e0 = conj_gram(np.asarray(ck), v1)
+        v1 = v1 - slab_matmul(ck, e0)
+        led = ledger.current()
+        led.flop(Kernel.BLAS3, 4.0 * n * k * p)
+        led.reduction(nbytes=k * p * v1.itemsize)
+        return v1
+
+
+class _CholqrEngine(_EngineBase):
+    """Project-then-CholQR: the step of ``cgs`` / ``mgs`` / ``imgs``.
+
+    One CGS pass against ``C_k`` (its coefficients are ``E_k``'s column),
+    the scheme's :func:`project_out` against ``V``, then
+    :func:`qr_factorization`'s CholQR with its shifted and rank-revealing
+    fallbacks.  The breakdown scale is the candidate's largest column norm
+    between the two projections.  ``begin`` leaves ``v1`` as it is.
+    """
+
+    def __init__(self, scheme: str, **kw):
+        super().__init__(**kw)
+        self.scheme = scheme
+
+    def begin(self, v1, ck=None):
+        return v1
+
+    def step(self, stacked, p, *, k=0):
+        cols = stacked.shape[1] - p
+        # a contiguous candidate: the same operand, to the ulp, as the
+        # operator's fresh output
+        w = np.ascontiguousarray(stacked[:, cols:])
+        e_col = None
+        if k:
+            w, e_col = project_out(stacked[:, :k], w, scheme="cgs")
+        scale = float(np.max(column_norms(w), initial=0.0))
+        w2, h = project_out(stacked[:, k:cols], w, scheme=self.scheme)
+        q, s, rank = qr_factorization(w2, "cholqr", tol=self.tol, scale=scale)
+        return q, h, s, rank, e_col
 
 
 class _Cgs21rEngine(_EngineBase):
@@ -859,6 +894,7 @@ class _SketchedEngine(_EngineBase):
         self.s = 0
 
     def begin(self, v1, ck=None):
+        v1 = super().begin(v1, ck)
         n, cols = v1.shape
         self.s = sketch_size(n, self.max_cols)
         k = ck.shape[1] if ck is not None and ck.size else 0
@@ -875,6 +911,7 @@ class _SketchedEngine(_EngineBase):
         self._qs.seed(qs)
         if cols:
             led.flop(Kernel.QR, 4.0 * self.s * cols**2)
+        return v1
 
     def step(self, stacked, p, *, k=0):
         led = ledger.current()
@@ -929,20 +966,22 @@ class _SketchedEngine(_EngineBase):
 
 
 _ENGINES = {"cgs2_1r": _Cgs21rEngine, "cholqr2": _Cholqr2Engine,
-            "sketched": _SketchedEngine}
+            "sketched": _SketchedEngine,
+            **{s: partial(_CholqrEngine, s) for s in ("cgs", "mgs", "imgs")}}
 
 
 def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12,
                         max_cols: int = 0, seed: int = 0) -> _EngineBase:
-    """Engine factory for the low-synchronization Arnoldi schemes.
+    """The block Arnoldi engine of any :data:`ORTHO_SCHEME_NAMES` entry.
 
     ``max_cols`` bounds the total basis width of the cycle (used to size
-    the sketch).  Legacy schemes (cgs/imgs/mgs) keep the inline
-    project-then-QR sequence in the callers and are not built here.
+    the sketch); ``tol`` is the relative rank tolerance of the breakdown
+    test.  ``cgs`` / ``mgs`` / ``imgs`` share the project-then-CholQR
+    engine, each low-synchronization scheme has its own.
     """
     if scheme not in _ENGINES:
-        raise ValueError(f"unknown low-synchronization scheme {scheme!r}; "
-                         f"expected one of {LOW_SYNC_SCHEMES}")
+        raise ValueError(f"unknown orthogonalization scheme {scheme!r}; "
+                         f"expected one of {ORTHO_SCHEME_NAMES}")
     return _ENGINES[scheme](tol=tol, max_cols=max_cols, seed=seed)
 
 

@@ -21,18 +21,17 @@ class OptionError(ValueError):
     """Raised when an option value is out of its validity domain."""
 
 
-def _scheme_names() -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _scheme_names() -> tuple[str, ...]:
     # Single source of truth: the scheme registry in la/orthogonalization
     # (deferred import: util must stay importable before la).
-    from ..la.orthogonalization import ORTHO_SCHEME_NAMES, QR_SCHEME_NAMES
-    return ORTHO_SCHEME_NAMES, QR_SCHEME_NAMES
+    from ..la.orthogonalization import ORTHO_SCHEME_NAMES
+    return ORTHO_SCHEME_NAMES
 
 
-_KRYLOV_METHODS = ("gmres", "bgmres", "cg", "bcg", "gcrodr", "bgcrodr",
-                   "gmresdr", "lgmres")
+_KRYLOV_METHODS = ("gmres", "bgmres", "gcrodr", "bgcrodr", "gmresdr",
+                   "lgmres")
 _VARIANTS = ("left", "right", "flexible")
 _STRATEGIES = ("A", "B")
-_TARGETS = ("smallest", "largest", "smallest_real", "largest_real")
 _VERIFY_LEVELS = ("off", "cheap", "full")
 _FLUSH_POLICIES = ("batch_full", "queue_drained", "explicit")
 _SERVICE_MODES = ("sync", "async")
@@ -56,9 +55,8 @@ class Options:
     ----------
     krylov_method:
         ``"gmres"`` (pseudo-block when ``p > 1``), ``"bgmres"`` (true block),
-        ``"cg"``/``"bcg"``, ``"gcrodr"``/``"bgcrodr"`` (recycling),
-        ``"gmresdr"`` (deflated restarting) or ``"lgmres"`` (Loose GMRES
-        baseline).
+        ``"gcrodr"``/``"bgcrodr"`` (recycling), ``"gmresdr"`` (deflated
+        restarting) or ``"lgmres"`` (Loose GMRES baseline).
     gmres_restart:
         maximum Krylov subspace dimension ``m`` before restarting.
     recycle:
@@ -80,11 +78,12 @@ class Options:
     max_it:
         global cap on iterations (inner iterations for restarted methods).
     orthogonalization:
-        Gram-Schmidt scheme used inside the Arnoldi process.
-    qr:
-        algorithm for the distributed QR of the residual block (paper
-        lines 11 and 24): CholQR by default, rank-revealing CholQR
-        (``"cholqr_rr"``) additionally detects block breakdowns.
+        scheme of the Arnoldi step (paper Fig. 1 lines 25–27): the
+        projection against ``C_k`` and the basis and the normalization of
+        the remainder, one engine per scheme.  ``cgs`` / ``mgs`` / ``imgs``
+        normalize with CholQR (shifted and rank-revealing fallbacks); the
+        residual-block QR of lines 11 and 24 is always rank-revealing
+        CholQR.
     deflation_tol:
         relative rank tolerance used by rank-revealing CholQR (and, with
         ``block_reduction``, for deciding which residual directions to
@@ -96,8 +95,6 @@ class Options:
         paper cites this as the Robbé-Sadkane / Agullo-Giraud-Jing line of
         work it deliberately does not enable; implemented here as the
         restart-level variant for the ablation study).
-    recycle_target:
-        which end of the (harmonic) Ritz spectrum to retain.
     verify:
         runtime invariant-checking level (``-hpddm_verify``): ``"off"``
         (default, zero overhead), ``"cheap"`` (recycled-basis
@@ -187,9 +184,7 @@ class Options:
     tol: float = 1.0e-8
     max_it: int = 2000
     orthogonalization: str = "cgs"
-    qr: str = "cholqr"
     deflation_tol: float = 1.0e-12
-    recycle_target: str = "smallest"
     block_reduction: bool = False
     verify: str = "off"
     trace: str = "off"
@@ -216,20 +211,14 @@ class Options:
             )
         if self.variant not in _VARIANTS:
             raise OptionError(f"unknown variant {self.variant!r}; expected one of {_VARIANTS}")
-        ortho_names, qr_names = _scheme_names()
+        ortho_names = _scheme_names()
         if self.orthogonalization not in ortho_names:
             raise OptionError(
                 f"unknown orthogonalization {self.orthogonalization!r}; expected one of {ortho_names}"
             )
-        if self.qr not in qr_names:
-            raise OptionError(f"unknown qr {self.qr!r}; expected one of {qr_names}")
         if self.recycle_strategy not in _STRATEGIES:
             raise OptionError(
                 f"unknown recycle_strategy {self.recycle_strategy!r}; expected one of {_STRATEGIES}"
-            )
-        if self.recycle_target not in _TARGETS:
-            raise OptionError(
-                f"unknown recycle_target {self.recycle_target!r}; expected one of {_TARGETS}"
             )
         if self.verify not in _VERIFY_LEVELS:
             raise OptionError(
@@ -280,7 +269,7 @@ class Options:
     @property
     def is_block(self) -> bool:
         """True for *true* block methods (block Arnoldi, p-wide blocks)."""
-        return self.krylov_method in ("bgmres", "bcg", "bgcrodr")
+        return self.krylov_method in ("bgmres", "bgcrodr")
 
     @property
     def is_recycling(self) -> bool:

@@ -422,7 +422,7 @@ def _apply_scheme_tolerances(chk: InvariantChecker, options) -> InvariantChecker
     """
     from ..la.orthogonalization import SCHEMES  # deferred: keep verify light
     info = SCHEMES.get(getattr(options, "orthogonalization", ""))
-    if info is not None and info.is_ortho:
+    if info is not None:
         chk.orth_tol = info.orth_tol
         if info.residual_gap_rtol is not None:
             chk.residual_gap_rtol = info.residual_gap_rtol

@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.la.blockqr import BlockHessenbergQR
-from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, make_arnoldi_engine,
-                                        project_out, qr_factorization)
+from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, project_out,
+                                        qr_factorization)
 from repro.trace import tracer as trace
 from repro.util import ledger
 from repro.util.misc import column_norms
+
+from fixtures.unseeded_engines import make_arnoldi_engine
 
 
 @dataclass

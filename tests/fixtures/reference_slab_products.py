@@ -26,7 +26,6 @@ def slab_matmul(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 #: every module that binds a kernel by name, and the names it binds
 BOUND = {
     "repro.la.orthogonalization": ("conj_gram", "slab_matmul"),
-    "repro.krylov.cycle": ("conj_gram", "slab_matmul"),
     "repro.krylov.restart": ("slab_matmul",),
     "repro.krylov.gcrodr": ("slab_matmul",),
 }

@@ -329,6 +329,36 @@ def test_lint_option_census_names_the_unread_field(lint, tmp_path):
     assert lint.option_census() == []       # the repository itself is clean
 
 
+def test_lint_option_setters_names_the_unset_field(lint, tmp_path):
+    util = tmp_path / "src" / "repro" / "util"
+    util.mkdir(parents=True)
+    (util / "options.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass\nclass Options:\n"
+        "    tol: float = 1e-8\n"
+        "    restart: int = 30\n"
+        "    variant: str = 'right'\n"
+        "    qr: str = 'cholqr'\n"
+        "    extra: dict = field(default_factory=dict)\n\n\n"
+        "def parse():\n    return Options(qr='tsqr')\n")  # its own module
+    (tmp_path / "src" / "repro" / "solver.py").write_text(
+        "def run(options_cls):\n    return options_cls(tol=1e-6)\n")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench.py").write_text(
+        "CONFIG = {'restart': 40}\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "ARGS = '-hpddm_variant flexible'.split()\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_qr.py").write_text("KW = dict(qr='householder')\n")
+    findings = lint.option_setters(str(tmp_path))
+    assert [(rule, line) for rule, line, _ in findings] \
+        == [("option-setters", 9)]
+    assert "Options.qr" in findings[0][2]
+    assert lint.option_setters() == []      # the repository itself is clean
+
+
 # -- blocked triangular sweep: gated on counts, tracked exactly ----------
 def test_sweep_counts_are_gated_and_tracked_as_exact():
     import copy

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.krylov.cycle as cycle_mod
+import repro.la.orthogonalization as ortho_mod
 from repro import Options, solve
 from repro.la.orthogonalization import project_out
 from repro.verify import InvariantChecker, InvariantViolation, activate
@@ -110,8 +110,9 @@ class TestMutationSmoke:
         """Leak a component of the basis back into the orthogonalized block.
 
         Emulates a buggy block orthogonalization (the classic CGS failure
-        mode): ``verify=full`` must catch it via the basis-orthonormality /
-        Arnoldi-relation checks inside the block Arnoldi cycle.
+        mode) in the step of the default ``cgs`` engine: ``verify=full`` must
+        catch it via the basis-orthonormality / Arnoldi-relation checks
+        inside the block Arnoldi cycle.
         """
         def leaky_project_out(basis, w, scheme="cgs"):
             w2, h = project_out(basis, w, scheme=scheme)
@@ -119,7 +120,7 @@ class TestMutationSmoke:
                 w2 = w2 + 1e-3 * basis[:, :1]
             return w2, h
 
-        monkeypatch.setattr(cycle_mod, "project_out", leaky_project_out)
+        monkeypatch.setattr(ortho_mod, "project_out", leaky_project_out)
         with pytest.raises(InvariantViolation):
             self._solve("bgmres", p=3, verify="full")
         with pytest.raises(InvariantViolation):
@@ -134,7 +135,7 @@ class TestMutationSmoke:
                 w2 = w2 + 1e-3 * basis[:, :1]
             return w2, h
 
-        monkeypatch.setattr(cycle_mod, "project_out", leaky_project_out)
+        monkeypatch.setattr(ortho_mod, "project_out", leaky_project_out)
         res = self._solve("bgmres", p=3, verify="off")
         assert "verify" not in res.info  # no checker, no report
 

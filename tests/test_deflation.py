@@ -29,7 +29,10 @@ from fixtures.reference_deflation import (make_pencil, randn,
                                           select_real_subspace)
 
 DTYPES = [np.float64, np.complex128]
+#: what ``invariant_subspace`` selects by; the Ritz extractions of the
+#: solvers always keep the smallest harmonic Ritz values (the paper's choice)
 TARGETS = ["smallest", "largest", "smallest_real", "largest_real"]
+RITZ_TARGETS = TARGETS[:1]
 
 
 def sin_angle(p, q):
@@ -50,7 +53,7 @@ def straddles(vals, k):
 
 
 @pytest.mark.parametrize("k", [1, 4, 10])
-@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("target", RITZ_TARGETS)
 @pytest.mark.parametrize("strategy", ["A", "B"])
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "c128"])
 def test_generalized_matches_oracle(dtype, strategy, target, k):
@@ -58,7 +61,7 @@ def test_generalized_matches_oracle(dtype, strategy, target, k):
     for seed in range(8):
         rng = make_rng(seed, k, strategy == "A", TARGETS.index(target))
         gm, w_hat = make_pencil(rng, dtype, strategy)
-        pk = generalized_ritz_vectors(gm, w_hat, k, dtype=dtype, target=target)
+        pk = generalized_ritz_vectors(gm, w_hat, k, dtype=dtype)
         assert pk.shape == (gm.shape[1], k)
         assert pk.dtype == dtype                      # real stays real
         assert np.linalg.norm(pk.conj().T @ pk - np.eye(k)) <= 1e-13
@@ -72,7 +75,7 @@ def test_generalized_matches_oracle(dtype, strategy, target, k):
     assert checked >= 2
 
 
-@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("target", RITZ_TARGETS)
 def test_straddling_pair_contributes_one_real_direction(target):
     """k-th value half of a conjugate pair: the k-1 whole values' space,
     plus one direction inside the pair's plane — and still k real columns."""
@@ -85,8 +88,7 @@ def test_straddling_pair_contributes_one_real_direction(target):
             if not straddles(vals, k):
                 continue
             found += 1
-            pk = generalized_ritz_vectors(gm, w_hat, k, dtype=np.float64,
-                                          target=target)
+            pk = generalized_ritz_vectors(gm, w_hat, k, dtype=np.float64)
             assert pk.shape[1] == k and pk.dtype == np.float64
             assert np.linalg.norm(pk.T @ pk - np.eye(k)) <= 1e-13
             outer = reference_generalized_ritz_vectors(

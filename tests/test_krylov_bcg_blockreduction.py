@@ -1,95 +1,13 @@
-"""Tests for Block CG and BGMRES block-size reduction."""
+"""Tests for BGMRES block-size reduction."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from repro import Options, solve
-from repro.krylov.bcg import bcg
+from repro import Options
 from repro.krylov.bgmres import bgmres
-from repro.krylov.cg import cg
-from repro.precond.simple import JacobiPreconditioner
 from repro.util import ledger
 
-from conftest import laplacian_1d, laplacian_2d, relative_residuals
-
-
-class TestBlockCG:
-    def test_spd_convergence(self, rng):
-        a = laplacian_2d(18)
-        b = rng.standard_normal((a.shape[0], 5))
-        res = bcg(a, b, options=Options(krylov_method="bcg", tol=1e-9,
-                                        max_it=2000))
-        assert res.converged.all()
-        assert np.all(relative_residuals(a, res.x, b) < 1e-8)
-
-    def test_block_beats_pseudo_block(self, rng):
-        """Shared Krylov space: fewer iterations than fused single CG."""
-        a = laplacian_2d(20)
-        b = rng.standard_normal((a.shape[0], 6))
-        o = Options(krylov_method="bcg", tol=1e-9, max_it=3000)
-        rb = bcg(a, b, options=o)
-        rc = cg(a, b, options=o.replace(krylov_method="cg"))
-        assert rb.converged.all()
-        assert rb.iterations < rc.iterations
-
-    def test_single_rhs_matches_cg(self, rng):
-        a = laplacian_1d(200, shift=0.2)
-        b = rng.standard_normal(200)
-        o = Options(krylov_method="bcg", tol=1e-10, max_it=1000)
-        rb = bcg(a, b, options=o)
-        rc = cg(a, b, options=o.replace(krylov_method="cg"))
-        assert abs(rb.iterations - rc.iterations) <= 1
-        assert np.allclose(rb.x, rc.x, atol=1e-7)
-
-    def test_colinear_rhs_breakdown_handled(self, rng):
-        a = laplacian_1d(150, shift=0.3)
-        v = rng.standard_normal(150)
-        b = np.column_stack([v, 3.0 * v])
-        res = bcg(a, b, options=Options(krylov_method="bcg", tol=1e-9,
-                                        max_it=2000))
-        assert res.converged.all()
-        assert res.breakdown
-
-    def test_preconditioned(self, rng):
-        a = laplacian_2d(14)
-        b = rng.standard_normal((a.shape[0], 3))
-        m = JacobiPreconditioner(a)
-        res = bcg(a, b, m, options=Options(krylov_method="bcg", tol=1e-9,
-                                           max_it=2000))
-        assert res.converged.all()
-
-    def test_variable_preconditioner_rejected(self):
-        from repro.krylov.base import FunctionPreconditioner
-        a = laplacian_1d(30, shift=1.0)
-        m = FunctionPreconditioner(lambda x: x, is_variable=True)
-        with pytest.raises(ValueError, match="fixed"):
-            bcg(a, np.ones((30, 2)), m)
-
-    def test_exact_solution(self, rng):
-        a = laplacian_1d(40, shift=0.5)
-        b = rng.standard_normal((40, 2))
-        res = bcg(a, b, options=Options(krylov_method="bcg", tol=1e-11,
-                                        max_it=100))
-        x_ref = spla.spsolve(a.tocsc(), b)
-        assert np.allclose(res.x, x_ref, atol=1e-6)
-
-    def test_api_dispatch(self, rng):
-        a = laplacian_1d(60, shift=0.5)
-        res = solve(a, rng.standard_normal((60, 2)),
-                    options=Options(krylov_method="bcg", tol=1e-9))
-        assert res.method == "bcg"
-        assert res.converged.all()
-
-    def test_two_reductions_per_iteration(self, rng):
-        a = laplacian_1d(200, shift=0.2)
-        b = rng.standard_normal((200, 4))
-        with ledger.install() as led:
-            res = bcg(a, b, options=Options(krylov_method="bcg", tol=1e-9,
-                                            max_it=1000))
-        # two gram reductions + one norm per iteration (plus the initial one)
-        assert led.reductions <= 3 * res.iterations + 3
+from conftest import laplacian_1d, relative_residuals
 
 
 class TestBlockSizeReduction:

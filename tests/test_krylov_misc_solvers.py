@@ -93,8 +93,7 @@ class TestCg:
         a = laplacian_2d(16)
         n = a.shape[0]
         b = rng.standard_normal((n, 3))
-        res = cg(a, b, options=Options(krylov_method="cg", tol=1e-10,
-                                       max_it=2000))
+        res = cg(a, b, options=Options(tol=1e-10, max_it=2000))
         assert res.converged.all()
         assert np.all(relative_residuals(a, res.x, b) < 1e-9)
 
@@ -103,9 +102,8 @@ class TestCg:
         d = a.diagonal()
         m = FunctionPreconditioner(lambda x: x / d[:, None])
         b = rng.standard_normal(a.shape[0])
-        r0 = cg(a, b, options=Options(krylov_method="cg", tol=1e-9, max_it=3000))
-        r1 = cg(a, b, m, options=Options(krylov_method="cg", tol=1e-9,
-                                         max_it=3000))
+        r0 = cg(a, b, options=Options(tol=1e-9, max_it=3000))
+        r1 = cg(a, b, m, options=Options(tol=1e-9, max_it=3000))
         assert r1.converged.all()
         assert r1.iterations <= r0.iterations + 2
 
@@ -113,7 +111,7 @@ class TestCg:
         n = 30
         a = laplacian_1d(n, shift=0.5)
         b = rng.standard_normal(n)
-        res = cg(a, b, options=Options(krylov_method="cg", tol=1e-12,
+        res = cg(a, b, options=Options(tol=1e-12,
                                        max_it=n + 5))
         assert res.converged.all()
         x_ref = spla.spsolve(a.tocsc(), b)
@@ -123,8 +121,7 @@ class TestCg:
         # unreachable tolerance + small max_it = fixed smoother sweeps
         a = laplacian_2d(10)
         b = rng.standard_normal(a.shape[0])
-        res = cg(a, b, options=Options(krylov_method="cg", tol=1e-300,
-                                       max_it=4))
+        res = cg(a, b, options=Options(tol=1e-300, max_it=4))
         assert res.iterations == 4
         assert not res.converged.all()
 
@@ -132,8 +129,7 @@ class TestCg:
         a = laplacian_1d(80, shift=1.0)
         b = rng.standard_normal((80, 2))
         b[:, 1] *= 1e-8  # second column converges almost immediately
-        res = cg(a, b, options=Options(krylov_method="cg", tol=1e-6,
-                                       max_it=500))
+        res = cg(a, b, options=Options(tol=1e-6, max_it=500))
         assert res.converged.all()
         its = res.iterations_per_rhs(1e-6)
         assert its[1] <= its[0]
@@ -181,7 +177,7 @@ class TestChebyshev:
 
 class TestApiDispatch:
     @pytest.mark.parametrize("method,needs_recycle", [
-        ("gmres", False), ("bgmres", False), ("cg", False),
+        ("gmres", False), ("bgmres", False), ("gmresdr", True),
         ("lgmres", False), ("gcrodr", True), ("bgcrodr", True),
     ])
     def test_all_methods_dispatch(self, rng, method, needs_recycle):
@@ -198,7 +194,7 @@ class TestApiDispatch:
     def test_unimplemented_methods_raise(self):
         # a method without a driver is rejected when the options are built,
         # not after validation by the dispatch
-        for method in ("richardson", "none"):
+        for method in ("richardson", "none", "cg", "bcg"):
             with pytest.raises(OptionError, match="unknown krylov_method"):
                 Options(krylov_method=method)
 

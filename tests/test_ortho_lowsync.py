@@ -19,11 +19,11 @@ from repro import Options, solve
 from repro.distla.distqr import distributed_cholqr2
 from repro.distla.distvec import DistributedBlockVector
 from repro.krylov.basis import BasisArena
+from repro.krylov.cycle import block_arnoldi_cycle
 from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, ORTHO_SCHEME_NAMES,
-                                        QR_SCHEME_NAMES, SCHEMES,
-                                        PseudoBlockOrthogonalizer,
-                                        householder_qr, make_arnoldi_engine,
-                                        project_out)
+                                        SCHEMES, PseudoBlockOrthogonalizer,
+                                        arnoldi_orthogonalize, householder_qr,
+                                        make_arnoldi_engine, project_out)
 from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
 from repro.util.ledger import CostLedger
@@ -57,11 +57,10 @@ def _run_engine(scheme, *, n, p, steps, k=0, seed=0, ill=False):
     led = CostLedger()
     counts = []
     arena = BasisArena(n, p, k, steps, v1.dtype)
-    arena.bind(v1, ck, max_steps=steps)
     with ledger.install(led):
         eng = make_arnoldi_engine(scheme, tol=1e-12,
                                   max_cols=(steps + 1) * p + k, seed=seed)
-        eng.begin(v1, ck)
+        arena.bind(eng.begin(v1, ck), ck, max_steps=steps)
         for j in range(steps):
             w = _complex(rng, n, p)
             if ill:
@@ -242,12 +241,11 @@ class TestRegistryIsSingleSource:
     def test_registry_names_cover_options(self):
         assert set(LOW_SYNC_SCHEMES) <= set(ORTHO_SCHEME_NAMES)
         assert {"cgs", "mgs", "imgs"} <= set(ORTHO_SCHEME_NAMES)
-        assert {"cholqr", "cholqr2", "tsqr",
-                "householder"} <= set(QR_SCHEME_NAMES)
+        assert tuple(SCHEMES) == ORTHO_SCHEME_NAMES
         for name, info in SCHEMES.items():
             assert info.name == name
             assert info.orth_tol > 0
-            assert info.is_ortho or info.is_qr
+            make_arnoldi_engine(name)          # every scheme has an engine
 
     def test_options_reject_unknown_scheme(self):
         with pytest.raises(Exception):
@@ -262,7 +260,7 @@ class TestRegistryIsSingleSource:
 class TestMutationSmokePerScheme:
     """A corrupted engine must still trip the (scheme-scaled) checker."""
 
-    @pytest.mark.parametrize("scheme", LOW_SYNC_SCHEMES)
+    @pytest.mark.parametrize("scheme", sorted(ORTHO_SCHEME_NAMES))
     def test_leaky_engine_detected(self, scheme, monkeypatch):
         real_make = cycle_mod.make_arnoldi_engine
 
@@ -285,6 +283,49 @@ class TestMutationSmokePerScheme:
         a, b, m = make_problem(cfg)
         with pytest.raises(InvariantViolation):
             solve(a, b, m, options=cfg.options(verify="full"))
+
+
+class TestOneArnoldiStep:
+    """``arnoldi_orthogonalize`` is the cycle's step, bit for bit."""
+
+    @pytest.mark.parametrize("with_ck", [False, True], ids=["nock", "ck"])
+    @pytest.mark.parametrize("scheme", sorted(ORTHO_SCHEME_NAMES))
+    def test_standalone_step_is_the_cycles_first_step(self, scheme, with_ck,
+                                                       monkeypatch):
+        n, p, k = 200, 3, 4 if with_ck else 0
+        rng = make_rng(13, p, k)
+        a = np.diag(np.linspace(1.0, 10.0, n)) + np.diag(np.ones(n - 1), 1)
+        ck = householder_qr(rng.standard_normal((n, k)))[0] if k else None
+        v1, s1 = householder_qr(rng.standard_normal((n, p)))
+        steps, candidates = [], []
+        real_make = cycle_mod.make_arnoldi_engine
+
+        def spy_make(*args, **kw):
+            eng = real_make(*args, **kw)
+            real_step = eng.step
+
+            def step(stacked, p, *, k=0):
+                steps.append(real_step(stacked, p, k=k))
+                return steps[-1]
+
+            eng.step = step
+            return eng
+
+        def op(z):
+            candidates.append(a @ z)
+            return candidates[-1]
+
+        monkeypatch.setattr(cycle_mod, "make_arnoldi_engine", spy_make)
+        block_arnoldi_cycle(op, None, v1.copy(), s1.copy(), max_steps=1,
+                            ck=ck, ortho=scheme, identity_m=True)
+        q, h, s, rank, e_col = steps[0]
+        q2, h2, s2, rank2 = arnoldi_orthogonalize(
+            v1.copy(), candidates[0], scheme=scheme, ck=ck)
+        assert rank2 == rank == p
+        assert np.array_equal(q2, q)
+        assert np.array_equal(h2, h if e_col is None
+                              else np.concatenate([e_col, h]))
+        assert np.array_equal(s2, s)
 
 
 class TestRecycleSequencesAllSchemes:

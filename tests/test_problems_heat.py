@@ -51,11 +51,11 @@ class TestImplicitHeat:
 
     def test_custom_solver_options(self):
         heat = ImplicitHeat(nx=10, dt=1e-2,
-                            solver_options=Options(krylov_method="cg",
+                            solver_options=Options(krylov_method="lgmres",
                                                    tol=1e-10, max_it=2000))
         res = heat.step()
         assert res.converged.all()
-        assert res.method == "cg"
+        assert res.method == "lgmres"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
