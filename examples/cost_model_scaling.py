@@ -7,7 +7,7 @@ CholQR keeps every distributed tall-skinny QR at a single reduction.  This
 example makes those counts visible:
 
 1. solve one system with GMRES(30) and with GCRO-DR(30,10) on a
-   row-distributed operator, with the cost ledger recording every
+   row-partitioned operator, with the cost ledger recording every
    reduction, halo message, and flop;
 2. print the measured per-cycle reduction counts next to the paper's
    formulas;
@@ -23,8 +23,7 @@ import sys
 import numpy as np
 import scipy.sparse as sp
 
-from repro import Options, Solver, install_ledger
-from repro.distla.distcsr import DistributedCSR
+from repro import Options, Solver, as_operator, install_ledger
 from repro.perfmodel.estimate import modeled_time
 from repro.perfmodel.machine import CURIE
 
@@ -36,12 +35,13 @@ def run(n: int = 800) -> dict:
     # cycles, easy enough that plain GMRES(30) still converges
     a = sp.diags([-np.ones(n - 1), 2.05 * np.ones(n), -np.ones(n - 1)],
                  [-1, 0, 1]).tocsr()
-    dist = DistributedCSR(a, nranks=8)
+    nranks = 8
+    dist = as_operator(a, nranks=nranks)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
 
     print(f"1-D Laplacian, {n} unknowns, distributed over "
-          f"{dist.grid.nranks} virtual ranks\n")
+          f"{nranks} virtual ranks\n")
 
     events = {}
     for label, opts in [

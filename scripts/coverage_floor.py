@@ -40,10 +40,6 @@ FLOORS = {
     # and its re-pivot fallback must stay exercised
     os.path.join("src", "repro", "direct"): 97.0,
     os.path.join("src", "repro", "trace"): 85.0,
-    # the simulated-MPI substrate has one execution path (its rank-by-rank
-    # twin is a test oracle): measured at 100 %, floored a few lines below
-    os.path.join("src", "repro", "distla"): 98.0,
-    os.path.join("src", "repro", "simmpi"): 98.0,
 }
 
 TARGETS = {os.path.join(ROOT, rel) + ("" if rel.endswith(".py") else os.sep):

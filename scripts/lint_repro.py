@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Nine rule families, each guarding an invariant the test suite and the
+Eight rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -17,12 +17,6 @@ trace/bench gates rely on:
     :class:`CostLedger`), ``benchmarks/`` and ``scripts/``.  Wall clock
     in library code breaks determinism and makes trace replay
     meaningless, since every exported span time is *modeled*.
-
-``distla-ledger``
-    functions in ``src/repro/distla/`` that perform array math
-    (``@``, ``np.dot``, ``np.einsum``, ``scipy`` spmv, ...) without any
-    ledger charge in the same function.  Distributed-array ops are the
-    costs the paper counts; silent ones undermine every gate downstream.
 
 ``plan-residue``
     a module under ``src/repro/plan/`` that binds anything but the two
@@ -102,14 +96,6 @@ CLOCK_CALLS = {
     ("time", "perf_counter_ns"), ("time", "monotonic_ns"),
     ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
 }
-#: ledger-charging attribute names that mark a distla op as accounted
-CHARGE_ATTRS = {"flop", "reduction", "p2p", "event", "charge", "merge"}
-#: simmpi collectives that charge the ledger internally
-CHARGING_COLLECTIVES = {"allreduce_sum", "allgather_rows", "dot_columns",
-                        "norm_columns"}
-#: array-math markers in distla code
-MATH_CALLS = {"dot", "einsum", "matmul", "vdot", "tensordot"}
-
 SCANNED_DIRS = ("src", "tests", "benchmarks")
 CLOCK_EXEMPT = (os.path.join("src", "repro", "util", "ledger.py"),)
 CLOCK_EXEMPT_DIRS = ("benchmarks" + os.sep, "scripts" + os.sep)
@@ -160,7 +146,6 @@ class _Visitor(ast.NodeVisitor):
         self.rel = rel
         self.lines = source_lines
         self.findings: list[tuple[str, int, str]] = []
-        self.in_distla = os.path.join("src", "repro", "distla") in rel
         self.in_plan = rel.startswith(PLAN_DIR)
         self.in_einsum_dirs = rel.startswith(EINSUM_DIRS)
         self.in_restart_scope = rel.startswith(KRYLOV_DIR) \
@@ -278,40 +263,6 @@ class _Visitor(ast.NodeVisitor):
         if self.rel in CLOCK_EXEMPT:
             return True
         return any(self.rel.startswith(d) for d in CLOCK_EXEMPT_DIRS)
-
-    # -- distla-ledger -------------------------------------------------
-    def _function_math_nodes(self, fn: ast.AST) -> list[ast.AST]:
-        out = []
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
-                out.append(sub)
-            elif isinstance(sub, ast.Call):
-                tail = _dotted(sub.func).rsplit(".", 1)[-1]
-                if tail in MATH_CALLS:
-                    out.append(sub)
-        return out
-
-    def _function_charges(self, fn: ast.AST) -> bool:
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.Call):
-                name = _dotted(sub.func)
-                tail = name.rsplit(".", 1)[-1]
-                if tail in CHARGE_ATTRS or tail in CHARGING_COLLECTIVES \
-                        or name.endswith("ledger.current"):
-                    return True
-        return False
-
-    def _visit_function(self, node) -> None:
-        if self.in_distla:
-            math_nodes = self._function_math_nodes(node)
-            if math_nodes and not self._function_charges(node):
-                self._flag("distla-ledger", math_nodes[0],
-                           f"function {node.name!r} does array math but "
-                           f"never charges the cost ledger")
-        self.generic_visit(node)
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
 
 
 def _load_allowlist() -> set[tuple[str, str]]:

@@ -56,8 +56,8 @@ def solve(a, b, m=None, *, options: Options | None = None,
     — it breaks the shift invariance the shared basis relies on.
 
     With ``options.verify != "off"`` one :class:`~repro.verify.InvariantChecker`
-    is activated around the whole solve (so solver hooks and distributed-QR
-    hooks feed a single report, returned in ``result.info["verify"]``), and
+    is activated around the whole solve (so every solver hook feeds a
+    single report, returned in ``result.info["verify"]``), and
     the reported final residual is cross-checked against ``||B - A X||``.
 
     >>> import scipy.sparse as sp, numpy as np

@@ -8,7 +8,8 @@ kernels that touch distributed data are:
 
 * ``Operator.matmat`` — sparse matrix x dense block (SpMM), whose MPI
   pattern is the halo exchange of SpMV with ``p``-times-larger buffers
-  (paper section V-B2);
+  (paper section V-B2), charged when the operator is row-partitioned
+  (``as_operator(a, nranks=P)``);
 * inner products, which are global reductions, accounted by the
   orthogonalization kernels.
 
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..util import ledger
-from ..util.ledger import Kernel
+from ..util.ledger import CostTable, Kernel
 from ..util.misc import as_block, column_norms, identity_tag, result_dtype
 
 __all__ = [
@@ -51,16 +52,23 @@ __all__ = [
 
 
 class Operator:
-    """Minimal linear-operator protocol: ``shape``, ``dtype``, ``matmat``."""
+    """Minimal linear-operator protocol: ``shape``, ``dtype``, ``matmat``.
+
+    ``halo`` is the point-to-point traffic of one apply on a row-partitioned
+    run (a :class:`~repro.util.ledger.CostTable` of messages and ghost
+    entries per column, see :func:`as_operator`); ``None`` charges none.
+    """
 
     def __init__(self, shape: tuple[int, int], dtype, matmat: Callable[[np.ndarray], np.ndarray],
                  *, nnz: int | None = None, tag: Any = None,
-                 diag: np.ndarray | None = None):
+                 diag: np.ndarray | None = None,
+                 halo: CostTable | None = None):
         self.shape = shape
         self.dtype = np.dtype(dtype)
         self._matmat = matmat
         self.nnz = nnz
         self._diag = diag
+        self.halo = halo
         # identity tag used for same-system detection in sequences;
         # monotonic (never reused after GC), unlike a bare id()
         self.tag = tag if tag is not None else identity_tag(matmat)
@@ -78,6 +86,8 @@ class Operator:
         if self.nnz is not None:
             kern = Kernel.SPMV if x.shape[1] == 1 else Kernel.SPMM
             led.flop(kern, 2.0 * self.nnz * x.shape[1])
+        if self.halo is not None:
+            self.halo.charge(led, itemsize=x.itemsize, p=x.shape[1])
         led.event("operator_apply", x.shape[1])
         y = self._matmat(x)
         return as_block(np.asarray(y))
@@ -86,8 +96,39 @@ class Operator:
         return self.matmat(x)
 
 
-def as_operator(a: Any) -> Operator:
-    """Wrap a scipy sparse matrix, ndarray, Operator-like or callable."""
+def _sparse_halo(a: sp.csr_matrix, nranks: int) -> CostTable:
+    """Halo of one SpMM of ``a`` row-partitioned by the balanced contiguous
+    split ``np.linspace(0, n, nranks + 1)``: every rank receives each
+    distinct off-rank column its rows touch, one message per owning
+    neighbour (PETSc ``MatMPIAIJ``)."""
+    n = a.shape[0]
+    offsets = np.linspace(0, n, nranks + 1).astype(np.int64)
+    owner = np.repeat(np.arange(nranks), np.diff(offsets))
+    rank = np.repeat(owner, np.diff(a.indptr))
+    cols = a.indices.astype(np.int64)
+    ghost = rank != owner[cols]
+    rank, cols = rank[ghost], cols[ghost]
+    return CostTable(p2p_messages=np.unique(rank * nranks + owner[cols]).size,
+                     p2p_items=np.unique(rank * n + cols).size)
+
+
+def as_operator(a: Any, *, nranks: int = 1) -> Operator:
+    """Wrap a scipy sparse matrix, ndarray, Operator-like or callable.
+
+    ``nranks > 1`` row-partitions a sparse or dense matrix over that many
+    virtual ranks (balanced contiguous split): every apply then also
+    charges the halo exchange a distributed SpMM pays — message count
+    independent of the block width, bytes ``p`` times larger (paper
+    section V-B2).
+    """
+    if nranks != 1:
+        if not (sp.issparse(a) or isinstance(a, np.ndarray)) \
+                or a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("only a square sparse or dense matrix can be "
+                             "row-partitioned")
+        if not 1 <= nranks <= a.shape[0]:
+            raise ValueError(f"nranks must be in [1, {a.shape[0]}], "
+                             f"got {nranks}")
     if isinstance(a, Operator):
         return a
     if sp.issparse(a):
@@ -95,15 +136,20 @@ def as_operator(a: Any) -> Operator:
         # so repeated solves with the same matrix are detected as unchanged
         tag = identity_tag(a)
         a = a.tocsr()
+        halo = _sparse_halo(a, nranks) if nranks != 1 else None
         return Operator(a.shape, a.dtype, lambda x, _a=a: _a @ x, nnz=a.nnz,
-                        tag=tag, diag=np.asarray(a.diagonal()))
+                        tag=tag, diag=np.asarray(a.diagonal()), halo=halo)
     if isinstance(a, np.ndarray):
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense operator must be a square 2-D array")
+        # every rank receives every row it does not own, from each peer
+        halo = CostTable(p2p_messages=nranks * (nranks - 1),
+                         p2p_items=(nranks - 1) * len(a)) \
+            if nranks != 1 else None
         return Operator(a.shape, a.dtype, lambda x, _a=a: _a @ x,
                         nnz=a.shape[0] * a.shape[1], tag=identity_tag(a),
-                        diag=np.diagonal(a).copy())
-    # duck-typed: objects exposing shape/dtype/matmat (e.g. DistributedCSR)
+                        diag=np.diagonal(a).copy(), halo=halo)
+    # duck-typed: objects exposing shape/dtype/matmat
     if hasattr(a, "matmat") and hasattr(a, "shape"):
         dtype = getattr(a, "dtype", np.float64)
         nnz = getattr(a, "nnz", None)
@@ -113,8 +159,8 @@ def as_operator(a: Any) -> Operator:
                 diag = np.asarray(a.diagonal())
             except (TypeError, ValueError):
                 diag = None
-        # honour the object's own tag (e.g. DistributedCSR's construction
-        # counter) so same-system detection survives the wrapping
+        # honour the object's own tag so same-system detection survives
+        # the wrapping
         tag = getattr(a, "tag", None)
         return Operator(tuple(a.shape), dtype, a.matmat, nnz=nnz,
                         tag=tag if tag is not None else identity_tag(a),

@@ -31,10 +31,9 @@ def bgmres(a, b, m=None, *, options: Options | None = None,
            x0: np.ndarray | None = None) -> SolveResult:
     """Solve ``A X = B`` with Block GMRES(m) (BGMRES).
 
-    Accepts the same arguments as :func:`repro.krylov.gmres.gmres`; the
-    ``qr`` option selects the distributed QR used on the residual block
-    (CholQR by default; ``"cholqr_rr"`` is always used at restarts for
-    breakdown detection).
+    Accepts the same arguments as :func:`repro.krylov.gmres.gmres`.  The
+    residual block is always factored by the rank-revealing
+    ``"cholqr_rr"``, which detects block breakdown at every restart.
     """
     options = options or Options()
     st = RestartedSolve(a, b, m, options, x0, context="bgmres")

@@ -92,16 +92,11 @@ class Fingerprint:
 def operator_fingerprint(a: Any) -> Fingerprint:
     """Fingerprint a sparse matrix, dense array, or operator-like object.
 
-    Accepts everything :func:`repro.as_operator` accepts.  Distributed
-    operators (:class:`repro.distla.DistributedCSR`) are fingerprinted
-    through their global CSR matrix when they expose one, so a service
-    can coalesce requests against value-equal distributed operators too.
+    Accepts everything :func:`repro.as_operator` accepts.  Sparse and dense
+    matrices are fingerprinted by value; anything else (an
+    :class:`~repro.krylov.base.Operator`, row-partitioned or not, or a
+    duck-typed operator) by its identity tag.
     """
-    # unwrap distributed operators that carry their assembled global matrix
-    inner = getattr(a, "a", None)
-    if inner is not None and sp.issparse(inner) and not sp.issparse(a) \
-            and not isinstance(a, np.ndarray):
-        a = inner
     if sp.issparse(a):
         if a.format not in ("csr", "csc"):
             a = a.tocsr()
@@ -120,8 +115,8 @@ def operator_fingerprint(a: Any) -> Fingerprint:
             structure="dense",
             values=_digest(a),
         )
-    # Operator / DistributedCSR without a global matrix / duck-typed: fall
-    # back to the GC-safe identity tag (a fresh tag per distinct object).
+    # Operator / duck-typed: fall back to the GC-safe identity tag (a fresh
+    # tag per distinct object).
     tag = getattr(a, "tag", None)
     if tag is None:
         tag = identity_tag(a)

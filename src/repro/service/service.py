@@ -185,13 +185,12 @@ def _family_recycle_kind(digest: str, fpm: Fingerprint | None) -> str:
 
 
 def _as_matrix(a: Any) -> sp.spmatrix:
+    """The explicit matrix a built-in preconditioner spec is set up on: a
+    sparse matrix as is, a dense one as CSR; any operator is refused."""
     if sp.issparse(a):
         return a
     if isinstance(a, np.ndarray):
         return sp.csr_matrix(a)
-    inner = getattr(a, "a", None)
-    if inner is not None and sp.issparse(inner):
-        return inner
     raise TypeError(
         "built-in preconditioner specs ('lu', 'schwarz', 'amg') need an "
         f"explicit sparse/dense operator, got {type(a).__name__}; pass a "

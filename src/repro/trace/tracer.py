@@ -182,9 +182,9 @@ class Tracer:
     ----------
     level:
         ``"summary"`` records solver-phase spans; ``"full"`` additionally
-        opens per-primitive spans in the simulated-MPI substrate
-        (:meth:`detail_span` sites).  ``"off"`` is not a valid tracer
-        level — *absence* of a tracer is how tracing is turned off.
+        opens :meth:`detail_span` sites (no library module has one, so it
+        records what ``"summary"`` records).  ``"off"`` is not a valid
+        tracer level — *absence* of a tracer is how tracing is turned off.
     """
 
     enabled = True
@@ -219,8 +219,7 @@ class Tracer:
     def detail_span(self, name: str, **attrs: Any):
         """A span that only materializes at the ``"full"`` level.
 
-        Hot distributed primitives (collectives, SpMM, fused Grams) call
-        this so the ``"summary"`` level stays cheap.
+        For a hot primitive, so the ``"summary"`` level stays cheap.
         """
         if self.level != "full":
             return _NULL_SPAN

@@ -1,12 +1,12 @@
-"""Cost ledger: the accounting backbone of the simulated-MPI substrate.
+"""Cost ledger: the accounting backbone of the simulated MPI run.
 
 The scalability arguments of the paper are *counting* arguments — e.g. a
 GCRO-DR cycle costs ``2(m-k)`` global reductions where a GMRES cycle costs
-``m`` (section III-D).  Every distributed primitive in :mod:`repro.simmpi`,
-:mod:`repro.distla` and every kernel in the solvers reports to the ledger,
-so benchmarks can verify those counts exactly and the performance model in
-:mod:`repro.perfmodel` can convert them into modeled wall-clock times for a
-target machine.
+``m`` (section III-D).  Every kernel in the solvers reports to the ledger
+(global reductions, flops, and the halo exchange of a row-partitioned
+operator), so benchmarks can verify those counts exactly and the
+performance model in :mod:`repro.perfmodel` can convert them into modeled
+wall-clock times for a target machine.
 
 A ledger is installed with a context manager and consulted through the
 module-level :func:`current` accessor; a process-wide null ledger swallows
@@ -280,14 +280,15 @@ def _fill(counters: "list[Counter]", key: str, value, lo: int,
 class CostTable:
     """Precomputed aggregate cost of one distributed primitive.
 
-    The simulated-MPI substrate runs each primitive as a single vectorized
-    operation on the global array, so the ledger is not charged
-    event-by-event from inside per-rank loops.  Instead, the owning object
-    (e.g. :class:`repro.distla.DistributedCSR`) sums its per-rank costs
-    once at construction into a ``CostTable`` and replays them in O(1) per
-    apply.  ``*_items`` fields count payload *elements per column*; the
-    byte volume is ``items * itemsize * p`` at charge time (message counts
-    do not scale with the block width ``p`` — paper §V-B2).
+    The primitive runs as a single vectorized operation on the global
+    array, so the ledger is not charged event-by-event from inside per-rank
+    loops.  Instead, the owning object (the halo of a row-partitioned
+    :class:`repro.krylov.base.Operator`, the event counts of the Schwarz
+    preconditioner's fused batch) sums its per-rank costs once at
+    construction into a ``CostTable`` and replays them in O(1) per apply.
+    ``*_items`` fields count payload *elements per column*; the byte volume
+    is ``items * itemsize * p`` at charge time (message counts do not scale
+    with the block width ``p`` — paper §V-B2).
 
     Charging from a table is bit-identical to the per-rank charges it
     summarizes: message/byte/flop totals are integer-valued and exactly

@@ -101,16 +101,17 @@ class Options:
         orthonormality and reported-vs-true residual gaps — small-matrix
         work only), or ``"full"`` (additionally re-applies the operator to
         verify the Arnoldi relation ``A Z = V H̄``, Krylov-basis
-        orthonormality, the recycled map ``A U = C`` — including after the
-        same-system skip — and distributed QR factorizations).  Violations
-        raise :class:`repro.verify.InvariantViolation`.  Verification work
-        is never charged to the cost ledger.
+        orthonormality and the recycled map ``A U = C``, including after
+        the same-system skip).  Violations raise
+        :class:`repro.verify.InvariantViolation`.  Verification work is
+        never charged to the cost ledger.
     trace:
         span tracing level (``-hpddm_trace``): ``"off"`` (default, the
         null tracer — zero overhead, byte-identical ledger counts and
         ``info``), ``"summary"`` (solver-phase spans; per-solve summary in
-        ``info["trace"]``), or ``"full"`` (additionally per-primitive
-        spans inside the simulated-MPI substrate).  An ambient tracer
+        ``info["trace"]``), or ``"full"`` (additionally the
+        :meth:`~repro.trace.Tracer.detail_span` sites, of which the library
+        has none: it records what ``"summary"`` records).  An ambient tracer
         installed via :func:`repro.trace.install` takes precedence.  See
         ``docs/OBSERVABILITY.md``.
     service_pmax:

@@ -13,9 +13,7 @@ Soodhalter & Szyld; Thomas, Baker & Gaudreault):
   including after the same-system skip of Fig. 1 lines 3-7, where the
   solver *assumes* they still hold;
 * agreement of the Hessenberg-tail (reported) residual with the explicitly
-  recomputed one at restarts and at convergence;
-* conservation of the cost ledger between an optimized path and its
-  oracle.
+  recomputed one at restarts and at convergence.
 
 Solvers call the checker at checkpoint hooks, gated by the Options level
 (``-hpddm_verify {off,cheap,full}``, default off):
@@ -24,8 +22,8 @@ Solvers call the checker at checkpoint hooks, gated by the Options level
 * ``cheap`` — only checks that cost small (non-``n``-sized) work: recycled
   basis orthonormality, reported-vs-true residual gaps;
 * ``full``  — additionally re-applies the operator and re-forms Gram
-  matrices to verify the Arnoldi relation, basis orthonormality, the
-  ``A U = C`` map, and every distributed QR factorization.
+  matrices to verify the Arnoldi relation, basis orthonormality and the
+  ``A U = C`` map.
 
 Verification work never pollutes cost accounting: each check runs under a
 throwaway :class:`~repro.util.ledger.CostLedger`, so enabling ``verify``
@@ -131,8 +129,6 @@ class InvariantChecker:
     #: factor by which the true residual may exceed the target when the
     #: reported one claims convergence (false-convergence detector)
     false_convergence_factor: float = 100.0
-    #: relative ``||Q R - X||`` and ``||Q^H Q - I||`` ceiling for QR checks
-    qr_tol: float = 1.0e-8
 
     def __init__(self, level: str = "full", *, context: str = "",
                  raise_on_violation: bool = True):
@@ -211,27 +207,6 @@ class InvariantChecker:
             drift = float(np.linalg.norm(resid)) / ref
         self._record("arnoldi_residual", drift, self.arnoldi_tol, what)
 
-    def check_qr(self, x: np.ndarray, q: np.ndarray, r: np.ndarray, *,
-                 rank: int | None = None, what: str = "distributed QR"
-                 ) -> None:
-        """Verify ``Q^H Q = I`` (on the leading ``rank`` columns) and
-        ``Q R ~= X`` for a tall-skinny QR factorization."""
-        if not self.wants_full or x.size == 0:
-            return
-        with self._scratch_ledger():
-            k = q.shape[1] if rank is None else int(rank)
-            if k:
-                qk = q[:, :k]
-                g = qk.conj().T @ qk
-                orth = np.linalg.norm(g - np.eye(k, dtype=g.dtype))
-                orth /= max(np.sqrt(k), 1.0)
-            else:
-                orth = 0.0
-            xref = max(float(np.linalg.norm(x)), _TINY)
-            recon = float(np.linalg.norm(q @ r - x)) / xref
-        self._record("qr_orthonormality", orth, self.qr_tol, what)
-        self._record("qr_reconstruction", recon, self.qr_tol * 100, what)
-
     # ------------------------------------------------------------------
     # recycled-space identities (cheap: C^H C; full: + A U = C)
     # ------------------------------------------------------------------
@@ -300,16 +275,6 @@ class InvariantChecker:
                                 what=what)
 
     # ------------------------------------------------------------------
-    # ledger conservation (an optimized path against its oracle)
-    # ------------------------------------------------------------------
-    def check_ledger_conservation(self, fast: CostLedger,
-                                  oracle: CostLedger, *,
-                                  what: str = "paths") -> None:
-        """Both runs of one workload must charge bit-identical ledgers."""
-        drift = 0.0 if fast.counts() == oracle.counts() else 1.0
-        self._record("ledger_conservation", drift, 0.5, what)
-
-    # ------------------------------------------------------------------
     def report(self) -> dict[str, Any]:
         """Summary of every drift observed (max per invariant name)."""
         return {
@@ -334,9 +299,6 @@ class NullChecker:
     def check_arnoldi(self, *a: Any, **k: Any) -> None:
         pass
 
-    def check_qr(self, *a: Any, **k: Any) -> None:
-        pass
-
     def check_recycle(self, *a: Any, **k: Any) -> None:
         pass
 
@@ -344,9 +306,6 @@ class NullChecker:
         pass
 
     def check_final_residual(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def check_ledger_conservation(self, *a: Any, **k: Any) -> None:
         pass
 
     def report(self) -> dict[str, Any]:
@@ -368,8 +327,8 @@ def current() -> "InvariantChecker | NullChecker":
 def activate(checker: InvariantChecker) -> Iterator[InvariantChecker]:
     """Install ``checker`` as the ambient checker for a region.
 
-    Distributed primitives (e.g. :mod:`repro.distla.distqr`) consult the
-    ambient checker; solvers receive theirs through :func:`checker_for`.
+    :func:`repro.api.solve` installs one per solve; solvers receive it
+    through :func:`checker_for`.
     """
     _STACK.append(checker)
     try:

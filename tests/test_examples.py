@@ -96,11 +96,12 @@ def test_cost_model_scaling_runs(capsys):
     out = capsys.readouterr().out
     assert "reductions" in out
     assert "modeled time" in out
-    # the counts the substrate charges at n = 300 over 8 virtual ranks:
-    # reductions, halo messages / bytes and total flops, exactly
+    # the counts a row-partitioned operator charges at n = 300 over 8
+    # virtual ranks: reductions, halo messages / bytes, total flops and
+    # operator-apply columns, exactly (each product is charged once)
     counts = {label: (led.reductions, led.p2p_messages, led.p2p_bytes,
-                      led.total_flops())
+                      led.total_flops(), led.calls["operator_apply"])
               for label, (_, led) in events.items()}
-    assert counts == {"GMRES(30)": (176, 1232, 9856, 1886921.0),
+    assert counts == {"GMRES(30)": (176, 1232, 9856, 1728873.0, 88),
                       "GCRO-DR(30,10)": (236, 1204, 9632,
-                                         6884650.666666667)}
+                                         6730194.666666667, 86)}

@@ -1,14 +1,16 @@
-"""The simulated-MPI substrate against its rank-by-rank oracle.
+"""Fused kernels against their rank-by-rank (or subdomain-by-subdomain)
+oracles.
 
-Every distributed primitive of ``distla`` / ``simmpi`` runs as one global
-kernel plus the ledger charge a rank-partitioned run would make.  For every
-primitive, and for full solves over a ``DistributedCSR``, the CostLedger
+A row-partitioned operator (``as_operator(a, nranks=P)``) runs its SpMM as
+one global product plus the halo charge a rank-partitioned run would make.
+For the product, and for full solves over such an operator, the CostLedger
 counts (reductions, reduction bytes, p2p messages, p2p bytes, flops by
 kernel and named call counts) must be bit-identical to the rank-by-rank
 execution of ``tests/fixtures/per_rank_substrate.py``, and the numerics
-must agree to rounding.  The Schwarz preconditioner's fused batch is held
-to the per-subdomain loop of ``tests/fixtures/schwarz_loop.py`` the same
-way.
+must agree to rounding.  The ``la`` tall-skinny QRs must charge the
+reductions of the fixture's per-rank QRs, and the Schwarz preconditioner's
+fused batch is held to the per-subdomain loop of
+``tests/fixtures/schwarz_loop.py`` the same way.
 """
 
 import gc
@@ -24,22 +26,23 @@ from fixtures import per_rank_substrate as oracle
 from fixtures.schwarz_loop import looped
 
 from repro import Options, parse_hpddm_args, solve
-from repro.distla.distcsr import DistributedCSR
-from repro.distla.distqr import (distributed_cgs_qr, distributed_cholqr,
-                                 distributed_cholqr2, distributed_tsqr)
-from repro.distla.distvec import DistributedBlockVector
 from repro.krylov.base import as_operator
+from repro.la import orthogonalization as la
 from repro.precond.amg import SmoothedAggregationAMG
 from repro.precond.schwarz import SchwarzPreconditioner
 from repro.precond.simple import JacobiPreconditioner
-from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
 from repro.util.ledger import CostTable, Kernel
 from repro.util.misc import identity_tag, next_tag
 
-#: every primitive is held to its oracle at each rank count, real and complex
-SWEEP = [(nranks, dtype) for nranks in (1, 3, 16, 64)
+#: the product is held to its oracle at each rank count and block width,
+#: real and complex
+SWEEP = [(nranks, p, dtype) for nranks in (1, 3, 16, 64) for p in (1, 3)
          for dtype in (np.float64, np.complex128)]
+
+#: the ``la`` tall-skinny QRs, by the name of their per-rank twin
+LA_QR = {"cholqr": la.cholqr, "cholqr2": la.cholqr2, "tsqr": la.tsqr,
+         "cgs": la.classical_gram_schmidt_qr}
 
 
 def ledger_state(led):
@@ -69,101 +72,33 @@ def block(rng, n, p, dtype):
 class TestPrimitiveEquivalence:
     def test_matmat(self, rng):
         a = laplacian_2d(12)
-        for (nranks, dtype), p in zip(SWEEP * 2, [1] * 8 + [3] * 8):
+        for nranks, p, dtype in SWEEP:
             x = block(rng, a.shape[0], p, dtype)
-            dcsr = DistributedCSR(a, nranks=nranks)
-            y_or, c_or = counted(lambda: oracle.matmat(dcsr, x))
-            y, c = counted(lambda: dcsr.matmat(x))
+            op = as_operator(a, nranks=nranks)
+            y_or, c_or = counted(lambda: oracle.matmat(a, nranks, x))
+            y, c = counted(lambda: op.matmat(x))
             assert c == c_or, (nranks, dtype, p)
             np.testing.assert_allclose(y, y_or, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(y, a @ x, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("op", ["dot", "col_dots", "gram_against",
-                                    "norms", "axpy", "scale", "combine",
-                                    "copy"])
-    def test_vector_ops(self, rng, op):
-        n, p = 192, 4
-        for nranks, dtype in SWEEP:
-            grid = VirtualGrid(n, nranks)
-            x, y, z = (block(rng, n, p, dtype) for _ in range(3))
-            coeffs = block(rng, p, 2, dtype)
-
-            def build_and_run(cls):
-                dx, dy, dz = (cls.from_global(grid, v) for v in (x, y, z))
-                return {
-                    "dot": lambda: dx.dot(dy),
-                    "col_dots": lambda: dx.col_dots(dy),
-                    "gram_against": lambda: dx.gram_against([dy, dz]),
-                    "norms": dx.norms,
-                    "axpy": lambda: dx.axpy(0.7, dy).to_global(),
-                    "scale": lambda: dx.scale(-1.3).to_global(),
-                    "combine": lambda: dx.combine(coeffs).to_global(),
-                    "copy": lambda: dx.copy().to_global(),
-                }[op]()
-
-            r_or, c_or = counted(
-                lambda: build_and_run(oracle.PerRankBlockVector))
-            r, c = counted(lambda: build_and_run(DistributedBlockVector))
-            assert c == c_or, (nranks, dtype)
-            np.testing.assert_allclose(r, r_or, rtol=1e-13, atol=1e-13)
-
-    def test_inplace_ops_match_out_of_place(self, rng):
-        n, p = 96, 3
-        for nranks, dtype in SWEEP:
-            grid = VirtualGrid(n, nranks)
-            x, y = block(rng, n, p, dtype), block(rng, n, p, dtype)
-            for cls in (DistributedBlockVector, oracle.PerRankBlockVector):
-                dx = cls.from_global(grid, x)
-                dy = cls.from_global(grid, y)
-
-                def run():
-                    assert dx.axpy_(0.5, dy) is dx  # mutates, returns self
-                    first = dx.to_global()
-                    assert dx.scale_(2.0) is dx
-                    return first, dx.to_global()
-
-                (first, second), c = counted(run)
-                assert c == (0, 0, 0, 0, {}, {})   # communication-free
-                np.testing.assert_allclose(first, x + 0.5 * y,
-                                           rtol=1e-14, atol=1e-14)
-                np.testing.assert_allclose(second, 2.0 * (x + 0.5 * y),
-                                           rtol=1e-14, atol=1e-14)
-
-    def test_fused_vector_has_contiguous_backing(self, rng):
-        # one storage however the vector is built: a contiguous copy whose
-        # per-rank locals are views of it
-        grid = VirtualGrid(40, 4)
-        x = rng.standard_normal((40, 2))
-        for dx in (DistributedBlockVector.from_global(grid, x),
-                   DistributedBlockVector(
-                       grid, [x[grid.rows(r)] for r in range(4)])):
-            assert dx.global_data.flags.c_contiguous
-            assert not np.shares_memory(dx.global_data, x)
-            np.testing.assert_array_equal(dx.global_data, x)
-            dx.locals[1][:] = 0.0
-            assert np.all(dx.global_data[grid.rows(1)] == 0.0)
-
-    @pytest.mark.parametrize("qr", [distributed_cholqr, distributed_cholqr2,
-                                    distributed_cgs_qr, distributed_tsqr])
-    def test_distributed_qr(self, rng, qr):
-        n, p = 320, 4                   # >= p rows on each of 64 ranks
-        reference = getattr(oracle, qr.__name__)
-        for nranks, dtype in SWEEP:
-            grid = VirtualGrid(n, nranks)
+    @pytest.mark.parametrize("name", sorted(LA_QR))
+    def test_la_qr_charges_the_per_rank_reductions(self, rng, name):
+        # reductions and their bytes are the communication a partitioned
+        # run pays; the flop charges are each kernel's own
+        n, p = 320, 4
+        for nranks, dtype in [(8, np.float64), (8, np.complex128),
+                              (64, np.float64)]:
             x = block(rng, n, p, dtype)
-
-            def run(cls, fn):
-                q, r = fn(cls.from_global(grid, x))
-                return q.to_global(), r
-
-            (q_or, r_or), c_or = counted(
-                lambda: run(oracle.PerRankBlockVector, reference))
-            (q, r), c = counted(lambda: run(DistributedBlockVector, qr))
-            assert c == c_or, (nranks, dtype)
-            np.testing.assert_allclose(r, r_or, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(q, q_or, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(q.conj().T @ q, np.eye(p),
-                                       atol=1e-10)
+            with ledger.install() as led:
+                q, r = LA_QR[name](x)
+            with ledger.install() as led_or:
+                q_or, r_or = getattr(oracle, name)(x, nranks)
+            assert ((led.reductions, led.reduction_bytes)
+                    == (led_or.reductions, led_or.reduction_bytes)), nranks
+            for qq, rr in ((q, r), (q_or, r_or)):
+                np.testing.assert_allclose(qq @ rr, x, atol=1e-12)
+                np.testing.assert_allclose(qq.conj().T @ qq, np.eye(p),
+                                           atol=1e-10)
 
     @pytest.mark.parametrize("variant", ["asm", "ras", "oras"])
     def test_schwarz_apply(self, rng, variant):
@@ -255,7 +190,8 @@ class TestPrimitiveEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# full solves over a DistributedCSR: identical ledgers, matching solutions
+# full solves over a partitioned operator: identical ledgers, matching
+# solutions
 # ---------------------------------------------------------------------------
 
 def make_preconditioner(kind, a):
@@ -281,8 +217,7 @@ class TestSolveEquivalence:
         results = []
         opts = Options(krylov_method=method, gmres_restart=20, tol=1e-8,
                        **extra)
-        for op in (oracle.per_rank(DistributedCSR(a, nranks=4)),
-                   DistributedCSR(a, nranks=4)):
+        for op in (oracle.per_rank(a, 4), as_operator(a, nranks=4)):
             with ledger.install() as led:
                 res = solve(op, b, m, options=opts)
             assert res.converged.all()
@@ -311,9 +246,6 @@ def test_execmode_is_gone():
     opts = parse_hpddm_args(["-hpddm_exec_mode", "per_rank"])
     assert opts.extra == {"exec_mode": "per_rank"}
     assert "-hpddm_exec_mode" not in opts.hpddm_args()
-    with pytest.raises(TypeError, match="mode"):
-        DistributedBlockVector.from_global(VirtualGrid(4, 2), np.ones(4),
-                                           mode="fused")
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +277,11 @@ class TestIdentityTags:
         key = (1, 2, 3)  # tuples cannot be weak-referenced
         assert identity_tag(key) != identity_tag(key)
 
-    def test_distcsr_and_operator_share_tag(self):
+    def test_partitioned_operator_shares_the_matrix_tag(self):
         a = laplacian_1d(20)
-        dcsr = DistributedCSR(a, nranks=2)
-        assert as_operator(dcsr).tag == dcsr.tag
-        other = DistributedCSR(a, nranks=2)
-        assert other.tag != dcsr.tag
+        op = as_operator(a, nranks=2)
+        assert op.tag == as_operator(a).tag
+        assert as_operator(laplacian_1d(20), nranks=2).tag != op.tag
 
     def test_sparse_same_object_same_tag(self):
         a = laplacian_1d(10)
@@ -360,23 +291,86 @@ class TestIdentityTags:
 class TestSingleRankShortCircuit:
     def test_no_split_no_halo(self, rng):
         a = laplacian_2d(10)
-        # no per-rank matrix is stored at any rank count: the plans and
-        # their cost table are the whole distribution
+        # no per-rank matrix is stored at any rank count: the halo's cost
+        # table is the whole distribution
         for nranks in (1, 8):
-            dcsr = DistributedCSR(a, nranks=nranks)
-            held = [name for name, value in vars(dcsr).items()
-                    if sp.issparse(value) or isinstance(value, list)
-                    and any(sp.issparse(v) for v in value)]
-            assert held == ["global_matrix"]
-        dcsr = DistributedCSR(a, nranks=1)
-        assert len(dcsr.plans) == 1 and dcsr.plans[0].n_ghost == 0
-        assert dcsr.cost.p2p_messages == 0
+            op = as_operator(a, nranks=nranks)
+            assert not [name for name, value in vars(op).items()
+                        if sp.issparse(value)]
+        op = as_operator(a, nranks=1)
+        assert op.halo is None
         x = rng.standard_normal((a.shape[0], 2))
-        for matmat in (dcsr.matmat, oracle.per_rank(dcsr).matmat):
+        for matmat in (op.matmat, oracle.per_rank(a, 1).matmat):
             with ledger.install() as led:
                 y = matmat(x)
             np.testing.assert_allclose(y, a @ x, rtol=1e-13)
             assert led.p2p_messages == 0 and led.p2p_bytes == 0
+
+
+class TestPartitionedOperator:
+    def test_counts_are_the_plain_operator_plus_p2p(self, rng):
+        # one flop charge and one operator_apply per product, as for the
+        # plain CSR: only the halo is added
+        a = laplacian_1d(800)
+        x = rng.standard_normal((800, 2))
+        plain = counted(lambda: as_operator(a).matmat(x))[1]
+        for nranks in (1, 8):
+            c = counted(lambda: as_operator(a, nranks=nranks).matmat(x))[1]
+            assert c[:2] + c[4:] == plain[:2] + plain[4:], nranks
+            assert (c[2] > 0) == (nranks > 1) and plain[2:4] == (0, 0)
+
+    def test_halo_pattern_1d(self):
+        # 1-D Laplacian split into contiguous chunks: each interior rank
+        # needs exactly one ghost value from each side
+        halo = as_operator(laplacian_1d(40), nranks=4).halo
+        assert (halo.p2p_messages, halo.p2p_items) == (6, 6)
+        with ledger.install() as led:
+            as_operator(laplacian_1d(30), nranks=3).matmat(np.ones((30, 2)))
+        assert (led.p2p_messages, led.p2p_bytes) == (4, 4 * 8 * 2)
+
+    def test_spmm_bytes_scale_with_block_width(self, rng):
+        a = laplacian_2d(10)
+        op = as_operator(a, nranks=4)
+        traffic = {}
+        for p in (1, 4):
+            with ledger.install() as led:
+                op.matmat(rng.standard_normal((a.shape[0], p)))
+            traffic[p] = (led.p2p_messages, led.p2p_bytes)
+        # message COUNT identical, byte volume p times larger (paper V-B2)
+        assert traffic[1][0] == traffic[4][0]
+        assert traffic[4][1] == 4 * traffic[1][1]
+
+    def test_dense_matrix(self, rng):
+        # a dense row is a full pattern: every rank receives every row it
+        # does not own, one message from each peer
+        a = rng.standard_normal((40, 40))
+        x = rng.standard_normal((40, 3))
+        for nranks in (1, 3, 40):
+            y, c = counted(lambda: as_operator(a, nranks=nranks).matmat(x))
+            y_or, c_or = counted(lambda: oracle.matmat(a, nranks, x))
+            assert c == c_or, nranks
+            np.testing.assert_allclose(y, y_or, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("nranks", [0, -2])
+    def test_rejects_fewer_than_one_rank(self, nranks):
+        for a in (laplacian_1d(10), np.eye(10)):
+            with pytest.raises(ValueError, match="nranks"):
+                as_operator(a, nranks=nranks)
+
+    def test_rejects_more_ranks_than_rows(self):
+        for a in (laplacian_1d(10), np.eye(10)):
+            assert as_operator(a, nranks=10).halo.p2p_messages > 0
+            with pytest.raises(ValueError, match="nranks"):
+                as_operator(a, nranks=11)
+
+    def test_rejects_what_it_cannot_partition(self):
+        with pytest.raises(ValueError, match="square"):
+            as_operator(sp.random(4, 6, density=0.5, random_state=0),
+                        nranks=2)
+        with pytest.raises(ValueError, match="square"):
+            as_operator(as_operator(laplacian_1d(10)), nranks=2)
+        op = as_operator(laplacian_1d(10))
+        assert as_operator(op) is op
 
 
 class TestCostTable:
@@ -403,10 +397,11 @@ class TestCostTable:
     def test_matches_per_rank_message_structure(self):
         # the precomputed table must reproduce the per-rank halo exchange
         a = laplacian_1d(64)
-        dcsr = DistributedCSR(a, nranks=8)
+        halo = as_operator(a, nranks=8).halo
         # 1-D chain: interior ranks have 2 neighbours, end ranks 1
-        assert dcsr.cost.p2p_messages == 2 * 8 - 2
-        assert dcsr.cost.p2p_items == sum(p.n_ghost for p in dcsr.plans)
+        assert halo.p2p_messages == 2 * 8 - 2
+        assert halo.p2p_items == sum(
+            ghost.size for _, ghost, *_ in oracle.split_blocks(a, 8))
 
 
 class TestNullLedgerTimer:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import Options, Solver, install_ledger, solve
-from repro.distla.distcsr import DistributedCSR
+from repro import Options, Solver, as_operator, install_ledger, solve
 from repro.precond.amg import SmoothedAggregationAMG
 from repro.precond.schwarz import SchwarzPreconditioner
 from repro.precond.simple import JacobiPreconditioner, SSORPreconditioner
@@ -116,8 +115,9 @@ class TestMaxwellEndToEnd:
 
 class TestDistributedIntegration:
     def test_distributed_operator_through_full_stack(self, poisson, rng):
-        """DistributedCSR + Schwarz + GCRO-DR, with ledger accounting."""
-        dist = DistributedCSR(poisson.a, nranks=4)
+        """Partitioned operator + Schwarz + GCRO-DR, with ledger
+        accounting."""
+        dist = as_operator(poisson.a, nranks=4)
         m = SchwarzPreconditioner(poisson.a, nparts=4, overlap=1)
         b = rng.standard_normal(poisson.n)
         with install_ledger() as led:
@@ -134,7 +134,7 @@ class TestDistributedIntegration:
         b = rng.standard_normal(poisson.n)
         opts = Options(tol=1e-10, max_it=4000)
         x_serial = solve(poisson.a, b, options=opts).x
-        x_dist = solve(DistributedCSR(poisson.a, nranks=3), b,
+        x_dist = solve(as_operator(poisson.a, nranks=3), b,
                        options=opts).x
         assert np.allclose(x_serial, x_dist, atol=1e-6)
 
@@ -143,7 +143,7 @@ class TestLedgerDrivenModeling:
     def test_whole_solve_modelable(self, poisson, rng):
         from repro.perfmodel.estimate import modeled_time
         b = rng.standard_normal(poisson.n)
-        dist = DistributedCSR(poisson.a, nranks=4)
+        dist = as_operator(poisson.a, nranks=4)
         with install_ledger() as led:
             res = solve(dist, b, options=Options(tol=1e-8, max_it=4000))
         assert res.converged.all()

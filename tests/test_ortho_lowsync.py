@@ -16,22 +16,18 @@ from hypothesis import strategies as st
 
 import repro.krylov.cycle as cycle_mod
 from repro import Options, solve
-from repro.distla.distqr import distributed_cholqr2
-from repro.distla.distvec import DistributedBlockVector
 from repro.krylov.basis import BasisArena
 from repro.krylov.cycle import block_arnoldi_cycle
 from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, ORTHO_SCHEME_NAMES,
                                         SCHEMES, PseudoBlockOrthogonalizer,
                                         arnoldi_orthogonalize, householder_qr,
                                         make_arnoldi_engine, project_out)
-from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
 from repro.util.ledger import CostLedger
 from repro.verify import InvariantChecker, InvariantViolation, activate
 from repro.verify.checker import checker_for
 
 from conftest import make_rng
-from fixtures import per_rank_substrate as oracle
 from matrix import Config, make_problem
 
 
@@ -161,50 +157,6 @@ class TestLossOfOrthogonality:
         loo2 = np.linalg.norm(q2.conj().T @ q2 - np.eye(q2.shape[1]))
         assert loo2 < 1e-12
         assert max(counts2) <= 2
-
-
-class TestDistributedPrimitives:
-    """The substrate and its rank-by-rank oracle
-    (``tests/fixtures/per_rank_substrate.py``): same values, bit-identical
-    ledgers."""
-
-    def test_gram_against_one_reduction_and_conserved(self):
-        n, nranks, p = 120, 4, 2
-        rng = make_rng(5, p)
-        xs = _complex(rng, n, p)
-        bs = [_complex(rng, n, p) for _ in range(3)]
-        grid = VirtualGrid(n, nranks)
-        results, ledgers = [], []
-        for cls in (oracle.PerRankBlockVector, DistributedBlockVector):
-            led = CostLedger()
-            with ledger.install(led):
-                x = cls.from_global(grid, xs)
-                basis = [cls.from_global(grid, b) for b in bs]
-                results.append(x.gram_against(basis))
-            ledgers.append(led.counts())
-        np.testing.assert_allclose(results[1], results[0], rtol=1e-13)
-        assert ledgers[1] == ledgers[0]
-        assert ledgers[1][0] == 1  # ONE reduction for the whole stack
-        expect = np.concatenate([b.conj().T @ xs for b in bs], axis=0)
-        np.testing.assert_allclose(results[1], expect, rtol=1e-13)
-
-    def test_distributed_cholqr2_two_reductions(self):
-        n, nranks, p = 96, 4, 6
-        rng = make_rng(9, p)
-        xs = _complex(rng, n, p)
-        grid = VirtualGrid(n, nranks)
-        ledgers = []
-        for cls, qr in ((oracle.PerRankBlockVector, oracle.distributed_cholqr2),
-                        (DistributedBlockVector, distributed_cholqr2)):
-            led = CostLedger()
-            with ledger.install(led):
-                q, r = qr(cls.from_global(grid, xs))
-            ledgers.append(led.counts())
-            qg = q.to_global()
-            assert np.linalg.norm(qg.conj().T @ qg - np.eye(p)) < 1e-13
-            assert np.linalg.norm(qg @ r - xs) / np.linalg.norm(xs) < 1e-13
-            assert led.counts()[0] == 2
-        assert ledgers[1] == ledgers[0]
 
 
 class TestCheckerSchemeScaling:

@@ -159,8 +159,8 @@ def test_lint_holds_the_plan_package_to_its_residue():
     # tests and benchmarks may resolve the residue; other names are free
     assert _lint_plan_source("import repro.plan\n",
                              ("benchmarks", "e2e", "x.py")) == []
-    assert _lint_plan_source("from .halo import HaloPlan, build_halo_plans\n",
-                             ("src", "repro", "simmpi", "x.py")) == []
+    assert _lint_plan_source("from .base import Operator, as_operator\n",
+                             ("src", "repro", "krylov", "x.py")) == []
 
 
 def test_lint_plan_tree_is_clean():

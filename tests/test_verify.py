@@ -5,9 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro import Options, solve
-from repro.distla.distqr import distributed_cholqr, distributed_tsqr
-from repro.distla.distvec import DistributedBlockVector
-from repro.simmpi.grid import VirtualGrid
 from repro.util import ledger
 from repro.util.options import parse_hpddm_args
 from repro.verify import (NULL_CHECKER, InvariantChecker, InvariantViolation,
@@ -150,15 +147,6 @@ class TestCheckerCore:
         assert rep["violations"] and rep["level"] == "full"
         assert rep["max_drift"]["orthonormality"] > 1e-6
 
-    def test_ledger_conservation(self):
-        a, b = ledger.CostLedger(), ledger.CostLedger()
-        a.reduction(); b.reduction()
-        chk = InvariantChecker("full")
-        chk.check_ledger_conservation(a, b)
-        b.flop("spmv", 1.0)
-        with pytest.raises(InvariantViolation):
-            chk.check_ledger_conservation(a, b)
-
     def test_checks_do_not_pollute_ledger(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((40, 6)))
         with ledger.install() as led:
@@ -236,17 +224,6 @@ class TestSolveIntegration:
                                             verify=level))
             counts.append(led.counts())
         assert counts[0] == counts[1]
-
-    def test_distqr_reports_to_ambient_checker(self, rng):
-        grid = VirtualGrid(40, 4)
-        x = DistributedBlockVector.from_global(grid, rng.standard_normal((40, 3)))
-        chk = InvariantChecker("full")
-        with activate(chk):
-            distributed_cholqr(x)
-            distributed_tsqr(x)
-        assert chk.n_checks >= 4
-        assert chk.drifts["qr_orthonormality"] < 1e-10
-        assert chk.drifts["qr_reconstruction"] < 1e-10
 
     def test_check_final_residual_detects_wrong_solution(self, rng):
         a, b = self._problem(p=1)
