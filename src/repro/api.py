@@ -13,6 +13,7 @@ Two levels of convenience:
 from __future__ import annotations
 
 from contextlib import ExitStack
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -71,43 +72,24 @@ def solve(a, b, m=None, *, options: Options | None = None,
     problem = invalid_input(np.shape(a)[0], b, x0)
     if problem is not None:
         raise ValueError(problem)
-    if shifts is not None:
-        if m is not None:
-            raise OptionError(
-                "preconditioning breaks the shift invariance family solves "
-                "rely on; solve shifted families unpreconditioned (or fold "
-                "the preconditioner into the operator before shifting)")
-        return _solve_family(a, b, options=options, shifts=shifts,
-                             mass=mass, x0=x0, recycle=recycle)
-    if mass is not None:
+    if shifts is not None and m is not None:
+        raise OptionError(
+            "preconditioning breaks the shift invariance family solves "
+            "rely on; solve shifted families unpreconditioned (or fold "
+            "the preconditioner into the operator before shifting)")
+    if shifts is None and mass is not None:
         raise OptionError("mass is only meaningful together with shifts")
+    run = partial(_solve_checked, a, b, m, options=options, x0=x0,
+                  recycle=recycle, same_system=same_system, shifts=shifts,
+                  mass=mass)
     tracer = trace.tracer_for(options)
-    if not tracer.enabled:
-        # trace=off default: no spans, no extra info keys, no extra ledger —
-        # counts() and info stay byte-identical to the untraced behavior
-        return _solve_checked(a, b, m, options=options, x0=x0,
-                              recycle=recycle, same_system=same_system)
-    return _solve_traced(
-        tracer, options,
-        lambda: _solve_checked(a, b, m, options=options, x0=x0,
-                               recycle=recycle, same_system=same_system))
+    # trace=off default: no spans, no extra info keys, no extra ledger —
+    # counts() and info stay byte-identical to the untraced behavior
+    return _solve_traced(tracer, options, run, shifts) if tracer.enabled \
+        else run()
 
 
-def _solve_family(a, b, *, options: Options, shifts, mass, x0,
-                  recycle) -> ShiftedFamilyResult:
-    """Family dispatch: trace + verify wrapping for shifted solves."""
-    tracer = trace.tracer_for(options)
-    if not tracer.enabled:
-        return _solve_family_checked(a, b, options=options, shifts=shifts,
-                                     mass=mass, x0=x0, recycle=recycle)
-    return _solve_traced(
-        tracer, options,
-        lambda: _solve_family_checked(a, b, options=options, shifts=shifts,
-                                      mass=mass, x0=x0, recycle=recycle),
-        shifts=len(list(shifts)))
-
-
-def _solve_traced(tracer, options: Options, run, **span_attrs):
+def _solve_traced(tracer, options: Options, run, shifts):
     """Run ``run()`` under a root ``solve`` span and attach ``info["trace"]``.
 
     The one trace prologue/epilogue of plain and family solves.  What an
@@ -120,6 +102,7 @@ def _solve_traced(tracer, options: Options, run, **span_attrs):
             # trace carries counts even when the caller installed none
             stack.enter_context(ledger.install())
         stack.enter_context(trace.install(tracer))
+        span_attrs = {} if shifts is None else {"shifts": len(list(shifts))}
         with tracer.span("solve", method=options.krylov_method,
                          variant=options.variant, **span_attrs) as root:
             res = run()
@@ -141,64 +124,55 @@ def _solve_traced(tracer, options: Options, run, **span_attrs):
     return res
 
 
-def _solve_family_checked(a, b, *, options: Options, shifts, mass, x0,
-                          recycle) -> ShiftedFamilyResult:
-    rec = recycle if isinstance(recycle, RecycledSubspace) else None
+def _solve_checked(a, b, m, *, options: Options,
+                   **kw) -> SolveResult | ShiftedFamilyResult:
+    """The verify-wrapped dispatch body shared by both trace paths and by
+    plain and family solves; ``kw`` are :func:`_dispatch`'s."""
     if options.verify == "off":
-        return solve_shifted_family(a, b, shifts, mass=mass,
-                                    options=options, x0=x0, recycle=rec)
-    chk = verify.InvariantChecker(options.verify, context="shifted")
+        return _dispatch(a, b, m, options=options, **kw)
+    chk = verify.InvariantChecker(
+        options.verify,
+        context=options.krylov_method if kw["shifts"] is None else "shifted")
     with verify.activate(chk):
-        res = solve_shifted_family(a, b, shifts, mass=mass,
-                                   options=options, x0=x0, recycle=rec)
-        if mass is None:
-            # with a mass matrix the engine solves the M^{-1}-transformed
-            # system, so its reported residual is the transformed one — a
-            # gap against ||b - (A + sigma M) x|| is expected, not a
-            # defect (the left-preconditioning rule, same as _solve_checked)
-            b_blk = as_block(np.asarray(b))
-            for i, (sres, sigma) in enumerate(zip(res.results, res.shifts)):
-                if not sres.history.records:
-                    continue
-                b_col = b_blk[:, [0]] if b_blk.shape[1] == 1 \
-                    else b_blk[:, [i]]
-                chk.check_final_residual(
-                    shifted_matrix(a, sigma), as_block(np.asarray(sres.x)),
-                    b_col, sres.history.records[-1], options.tol,
-                    converged=sres.converged,
-                    what=f"final residual (shift {i})")
+        res = _dispatch(a, b, m, options=options, **kw)
+        for op, sres, b_col, what in _true_residuals(a, b, m, res, options,
+                                                     kw["mass"]):
+            chk.check_final_residual(
+                op, as_block(np.asarray(sres.x)), b_col,
+                sres.history.records[-1], options.tol,
+                converged=sres.converged, what=what)
     res.info["verify"] = chk.report()
     return res
 
 
-def _solve_checked(a, b, m, *, options: Options, x0, recycle,
-                   same_system) -> SolveResult:
-    """The verify-wrapped dispatch body shared by both trace paths."""
-    if options.verify != "off":
-        chk = verify.InvariantChecker(options.verify,
-                                      context=options.krylov_method)
-        with verify.activate(chk):
-            res = _dispatch(a, b, m, options=options, x0=x0,
-                            recycle=recycle, same_system=same_system)
-            # reported-vs-true residual at convergence.  Skipped under left
-            # preconditioning: the solver's residual is the *preconditioned*
-            # one, so a gap against ||B - A X|| is expected, not a defect.
-            if not (options.variant == "left" and m is not None):
-                reported = res.history.records[-1] if res.history.records \
-                    else None
-                if reported is not None:
-                    chk.check_final_residual(
-                        a, as_block(np.asarray(res.x)), as_block(np.asarray(b)),
-                        reported, options.tol, converged=res.converged,
-                        what="final residual")
-        res.info["verify"] = chk.report()
-        return res
-    return _dispatch(a, b, m, options=options, x0=x0,
-                     recycle=recycle, same_system=same_system)
+def _true_residuals(a, b, m, res, options: Options, mass):
+    """``(operator, result, b, label)`` of each reported-vs-true residual
+    check: one for a plain solve, one per shift for a family.
+
+    Skipped where the solver's residual is a transformed one, so a gap
+    against ``||B - A X||`` is expected, not a defect: under left
+    preconditioning, and for a family with a mass matrix (the engine
+    solves the ``M^{-1}``-transformed system).
+    """
+    b_blk = as_block(np.asarray(b))
+    if not isinstance(res, ShiftedFamilyResult):
+        if res.history.records and not (options.variant == "left"
+                                        and m is not None):
+            yield a, res, b_blk, "final residual"
+    elif mass is None:
+        for i, (sres, sigma) in enumerate(zip(res.results, res.shifts)):
+            if sres.history.records:
+                b_col = b_blk[:, [0 if b_blk.shape[1] == 1 else i]]
+                yield (shifted_matrix(a, sigma), sres, b_col,
+                       f"final residual (shift {i})")
 
 
-def _dispatch(a, b, m, *, options: Options, x0, recycle,
-              same_system) -> SolveResult:
+def _dispatch(a, b, m, *, options: Options, x0, recycle, same_system,
+              shifts, mass) -> SolveResult | ShiftedFamilyResult:
+    if shifts is not None:
+        rec = recycle if isinstance(recycle, RecycledSubspace) else None
+        return solve_shifted_family(a, b, shifts, mass=mass, options=options,
+                                    x0=x0, recycle=rec)
     method = options.krylov_method
     if method == "gmres":
         return gmres(a, b, m, options=options, x0=x0)
@@ -208,19 +182,14 @@ def _dispatch(a, b, m, *, options: Options, x0, recycle,
         return gmresdr(a, b, m, options=options, x0=x0)
     if method == "lgmres":
         return lgmres(a, b, m, options=options, x0=x0)
-    if method == "gcrodr":
+    if method == "gcrodr" and as_block(np.asarray(b)).shape[1] > 1:
         # pseudo-block fusion for multiple RHSs: independent recurrences
         # with batched kernels (paper section V-B1); "bgcrodr" selects the
         # true block method instead.
-        p = as_block(np.asarray(b)).shape[1]
-        if p > 1:
-            rec = recycle if isinstance(recycle, PseudoBlockRecycle) else None
-            return pgcrodr(a, b, m, options=options, x0=x0,
-                           recycle=rec, same_system=same_system)
-        rec = recycle if isinstance(recycle, RecycledSubspace) else None
-        return gcrodr(a, b, m, options=options, x0=x0,
-                      recycle=rec, same_system=same_system)
-    if method == "bgcrodr":
+        rec = recycle if isinstance(recycle, PseudoBlockRecycle) else None
+        return pgcrodr(a, b, m, options=options, x0=x0,
+                       recycle=rec, same_system=same_system)
+    if method in ("gcrodr", "bgcrodr"):
         rec = recycle if isinstance(recycle, RecycledSubspace) else None
         return gcrodr(a, b, m, options=options, x0=x0,
                       recycle=rec, same_system=same_system)

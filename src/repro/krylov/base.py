@@ -113,7 +113,8 @@ def _sparse_halo(a: sp.csr_matrix, nranks: int) -> CostTable:
 
 
 def as_operator(a: Any, *, nranks: int = 1) -> Operator:
-    """Wrap a scipy sparse matrix, ndarray, Operator-like or callable.
+    """Wrap a scipy sparse matrix or ndarray; an :class:`Operator` passes
+    through.
 
     ``nranks > 1`` row-partitions a sparse or dense matrix over that many
     virtual ranks (balanced contiguous split): every apply then also
@@ -149,22 +150,6 @@ def as_operator(a: Any, *, nranks: int = 1) -> Operator:
         return Operator(a.shape, a.dtype, lambda x, _a=a: _a @ x,
                         nnz=a.shape[0] * a.shape[1], tag=identity_tag(a),
                         diag=np.diagonal(a).copy(), halo=halo)
-    # duck-typed: objects exposing shape/dtype/matmat
-    if hasattr(a, "matmat") and hasattr(a, "shape"):
-        dtype = getattr(a, "dtype", np.float64)
-        nnz = getattr(a, "nnz", None)
-        diag = None
-        if hasattr(a, "diagonal"):
-            try:
-                diag = np.asarray(a.diagonal())
-            except (TypeError, ValueError):
-                diag = None
-        # honour the object's own tag so same-system detection survives
-        # the wrapping
-        tag = getattr(a, "tag", None)
-        return Operator(tuple(a.shape), dtype, a.matmat, nnz=nnz,
-                        tag=tag if tag is not None else identity_tag(a),
-                        diag=diag)
     if callable(a):
         raise ValueError("bare callables need an explicit Operator(shape, dtype, fn) wrapper")
     raise TypeError(f"cannot interpret {type(a).__name__} as a linear operator")

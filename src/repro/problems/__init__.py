@@ -1,8 +1,8 @@
-"""PDE problem generators: Poisson, elasticity, heat, Maxwell, partitioning."""
+"""PDE problem generators: Poisson, elasticity, Maxwell, transient
+sequences (heat, Maxwell ramp), partitioning."""
 
 from .elasticity import (PAPER_INCLUSIONS, ElasticityProblem, Inclusion,
                          elasticity_3d, rigid_body_modes)
-from .heat import ImplicitHeat
 from .maxwell import (MaxwellProblem, antenna_ring_rhs, assemble_maxwell,
                       chamber_phantom, decompose_maxwell, maxwell_chamber)
 from .partition import OverlappingDecomposition, decompose
@@ -21,7 +21,6 @@ __all__ = [
     "Inclusion",
     "PAPER_INCLUSIONS",
     "rigid_body_modes",
-    "ImplicitHeat",
     "TetMesh",
     "box_tet_mesh",
     "cylinder_mask",

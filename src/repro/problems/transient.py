@@ -13,9 +13,10 @@ Two concrete sequences:
 
 :class:`HeatSequence`
     backward-Euler / Crank-Nicolson stepping of ``du/dt - Delta u = f``
-    (the algebra of :class:`repro.problems.heat.ImplicitHeat`) under an
-    adaptive-``dt`` schedule ``dt_e = dt0 * growth**e`` that changes the
-    operator fingerprint every ``epoch_length`` steps.
+    (the paper's eq. 4) under an adaptive-``dt`` schedule
+    ``dt_e = dt0 * growth**e`` that changes the operator fingerprint every
+    ``epoch_length`` steps; ``growth=1.0`` is the fixed-operator sequence
+    the same-system fast path (section III-B) is for.
 
 :class:`MaxwellRampSequence`
     a lossless (``sigma = 0``) time-harmonic Maxwell frequency ramp
@@ -81,7 +82,7 @@ class HeatSequence:
         fingerprint) changes every ``K`` steps.
     growth:
         per-epoch ``dt`` growth factor (> 0; 1.0 degenerates to the
-        fixed-operator sequence of :class:`~repro.problems.heat.ImplicitHeat`).
+        fixed-operator sequence of implicit heat stepping).
     theta:
         implicitness: 1.0 = backward Euler, 0.5 = Crank-Nicolson.
     source:

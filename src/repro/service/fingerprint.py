@@ -94,8 +94,8 @@ def operator_fingerprint(a: Any) -> Fingerprint:
 
     Accepts everything :func:`repro.as_operator` accepts.  Sparse and dense
     matrices are fingerprinted by value; anything else (an
-    :class:`~repro.krylov.base.Operator`, row-partitioned or not, or a
-    duck-typed operator) by its identity tag.
+    :class:`~repro.krylov.base.Operator`, row-partitioned or not) by its
+    identity tag.
     """
     if sp.issparse(a):
         if a.format not in ("csr", "csc"):
@@ -115,8 +115,8 @@ def operator_fingerprint(a: Any) -> Fingerprint:
             structure="dense",
             values=_digest(a),
         )
-    # Operator / duck-typed: fall back to the GC-safe identity tag (a fresh
-    # tag per distinct object).
+    # Operator (or anything else): fall back to the GC-safe identity tag (a
+    # fresh tag per distinct object).
     tag = getattr(a, "tag", None)
     if tag is None:
         tag = identity_tag(a)

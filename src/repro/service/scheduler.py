@@ -185,16 +185,6 @@ class AsyncSolveService(SolveService):
         return None
 
     # -- submission ------------------------------------------------------
-    def _make_async(self, a: Any, b: np.ndarray, *, options, x0,
-                    deadline, priority, tenant, **extra) -> AsyncRequest:
-        opts = options or self.options
-        rel = opts.service_deadline if deadline is None else deadline
-        return self._make_request(
-            a, b, options=opts, x0=x0, cls=AsyncRequest, arrival=self.now,
-            # 0 = no deadline; negative = already expired (rejected below)
-            deadline=self.now + rel if rel != 0 else math.inf,
-            priority=priority, tenant=tenant, **extra)
-
     def _refuse_invalid(self, req: AsyncRequest, problem: str) -> None:
         """Refused like any other admission failure: an open-loop replay
         keeps going and counts the request under ``invalid_input``."""
@@ -223,38 +213,26 @@ class AsyncSolveService(SolveService):
                options: Options | None = None,
                x0: np.ndarray | None = None,
                deadline: float | None = None, priority: int = 0,
-               tenant: str = "default", fingerprint=None) -> AsyncRequest:
+               tenant: str = "default", fingerprint=None,
+               shifts=None, mass: Any = None) -> AsyncRequest:
         """Queue one request at the current simulated time.
 
         ``deadline`` is *relative* to now (``None`` uses
         ``options.service_deadline``; 0 means none).  The returned handle
         either joins a shard queue or comes back with
         :attr:`AsyncRequest.rejected` set — check it before calling
-        :meth:`result`.  ``fingerprint`` as in
-        :meth:`~repro.service.service.SolveService.submit`.
+        :meth:`result`.  ``fingerprint``, ``shifts`` and ``mass`` as in
+        :meth:`~repro.service.service.SolveService.submit`: a family's
+        union of shifts is one dispatch on the owning shard.
         """
-        return self._enqueue(self._make_async(
-            a, b, options=options, x0=x0, deadline=deadline,
-            priority=priority, tenant=tenant, fingerprint=fingerprint))
-
-    def submit_family(self, a: Any, b: np.ndarray, shifts, *,
-                      mass: Any = None, options: Options | None = None,
-                      x0: np.ndarray | None = None,
-                      deadline: float | None = None, priority: int = 0,
-                      tenant: str = "default") -> AsyncRequest:
-        """Queue a shifted-family request under the async scheduler.
-
-        Coalescing, admission, deadlines and cost attribution behave as
-        for :meth:`submit`; the family's union of shifts is one dispatch
-        on the owning shard (see
-        :meth:`~repro.service.service.SolveService.submit_family`).
-        """
-        sig = tuple(np.ravel(np.asarray(list(shifts))).tolist())
-        if not sig:
-            raise ValueError("a family request needs at least one shift")
-        return self._enqueue(self._make_async(
-            a, b, options=options, x0=x0, deadline=deadline,
-            priority=priority, tenant=tenant, shifts=sig, mass=mass))
+        opts = options or self.options
+        rel = opts.service_deadline if deadline is None else deadline
+        return self._enqueue(self._make_request(
+            a, b, options=opts, x0=x0, fingerprint=fingerprint,
+            shifts=shifts, mass=mass, cls=AsyncRequest, arrival=self.now,
+            # 0 = no deadline; negative = already expired (rejected below)
+            deadline=self.now + rel if rel != 0 else math.inf,
+            priority=priority, tenant=tenant))
 
     # -- scheduling core -------------------------------------------------
     def _push(self, key: tuple, req: AsyncRequest) -> None:

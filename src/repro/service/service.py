@@ -38,11 +38,12 @@ import scipy.sparse as sp
 from ..krylov.base import ConvergenceHistory, Preconditioner, SolveResult
 from ..krylov.pgcrodr import PseudoBlockRecycle
 from ..krylov.recycling import RecycledSubspace
+from ..krylov.shifted import ShiftedFamilyResult
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import CostLedger
 from ..util.misc import as_block, invalid_input
-from ..util.options import Options
+from ..util.options import OptionError, Options
 from .cache import SetupCache
 from .fingerprint import Fingerprint, operator_fingerprint
 
@@ -56,7 +57,7 @@ class SolveRequest:
     """One queued solve.  ``result`` is filled when its batch is solved.
 
     A *family* request (``shifts`` non-empty) asks for every system
-    ``(A + sigma_i M) x = b`` of a shifted family at once; its ``width``
+    ``(A + sigma_i M) x = b_i`` of a shifted family at once; its ``width``
     is the number of shifts and its ``result`` is a
     :class:`~repro.krylov.shifted.ShiftedFamilyResult` restricted to its
     own shifts.
@@ -114,7 +115,8 @@ class _RequestGroup:
 
         A family group is never split: its members share one right-hand
         side and one Arnoldi basis, so the whole group is one dispatch
-        regardless of ``p_max`` (the union of shifts is the block width).
+        regardless of ``p_max`` (the union of its ``(shift, b column)``
+        pairs is the block width).
         """
         heap = self.heap
         chunk = [heapq.heappop(heap)[1]]
@@ -179,11 +181,6 @@ def _rhs_digest(b: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _family_recycle_kind(digest: str, fpm: Fingerprint | None) -> str:
-    tag = fpm.short() if fpm is not None else "none"
-    return f"family_recycle:{digest}:{tag}"
-
-
 def _as_matrix(a: Any) -> sp.spmatrix:
     """The explicit matrix a built-in preconditioner spec is set up on: a
     sparse matrix as is, a dense one as CSR; any operator is refused."""
@@ -195,6 +192,19 @@ def _as_matrix(a: Any) -> sp.spmatrix:
         "built-in preconditioner specs ('lu', 'schwarz', 'amg') need an "
         f"explicit sparse/dense operator, got {type(a).__name__}; pass a "
         "Preconditioner instance or a callable builder instead")
+
+
+def _column_problem(b: np.ndarray, x0: np.ndarray | None, k: int,
+                    width: int) -> str | None:
+    """Why ``b`` / ``x0`` have the wrong column count for a request of
+    ``width`` columns and ``k`` shifts (0: a plain request), or ``None``.
+    Caught at the door: at dispatch it would fail the whole batch."""
+    if k and b.ndim == 2 and b.shape[1] not in (1, k):
+        return f"b has {b.shape[1]} columns; a {k}-shift family takes 1 or {k}"
+    if x0 is None or (k and x0.ndim == 1):
+        return None
+    got = 1 if x0.ndim == 1 else x0.shape[1]
+    return None if got == width else f"x0 has {got} columns; expected {width}"
 
 
 class SolveService:
@@ -257,20 +267,29 @@ class SolveService:
 
     # -- submission ------------------------------------------------------
     def _make_request(self, a: Any, b: np.ndarray, *, options, x0,
-                      shifts=(), mass=None, cls=SolveRequest,
+                      shifts=None, mass=None, cls=SolveRequest,
                       fingerprint: Fingerprint | None = None,
                       **extra) -> SolveRequest:
+        sig = ()
+        if shifts is not None:
+            sig = tuple(np.ravel(np.asarray(list(shifts))).tolist())
+            if not sig:
+                raise ValueError("a family request needs at least one shift")
+        elif mass is not None:
+            raise OptionError("mass is only meaningful together with shifts")
         opts = options or self.options
         fp = operator_fingerprint(a) if fingerprint is None else fingerprint
         b_arr = np.asarray(b)
-        sig = tuple(np.ravel(np.asarray(list(shifts))).tolist()) \
-            if len(shifts) else ()
+        if x0 is not None:
+            x0 = np.asarray(x0)
         width = len(sig) if sig else as_block(b_arr).shape[1]
         req = cls(index=self._next_index, a=a, fingerprint=fp, b=b_arr,
                   width=width, options=opts, x0=x0,
                   squeeze=b_arr.ndim == 1 and not sig,
                   shifts=sig, mass=mass, **extra)
         problem = invalid_input(np.shape(a)[0], b_arr, x0)
+        if problem is None and (sig or x0 is not None):
+            problem = _column_problem(b_arr, x0, len(sig), width)
         if problem is not None:
             self._refuse_invalid(req, problem)
         self._next_index += 1
@@ -318,46 +337,24 @@ class SolveService:
 
     def submit(self, a: Any, b: np.ndarray, *, options: Options | None = None,
                x0: np.ndarray | None = None,
-               fingerprint: Fingerprint | None = None) -> SolveRequest:
+               fingerprint: Fingerprint | None = None,
+               shifts=None, mass: Any = None) -> SolveRequest:
         """Queue one solve request; returns a handle to poll for results.
 
         Under the ``"batch_full"`` flush policy a group is dispatched as
         soon as it reaches ``service_pmax`` columns; otherwise requests
         wait for :meth:`flush`.  ``fingerprint``: for a caller that has just
         hashed ``a`` (:class:`SequenceDriver`), sparing the second pass.
+
+        ``shifts=[sigma_1, ...]`` (and an optional mass matrix ``mass``)
+        asks for the family ``(A + sigma_i M) x = b_i`` instead, as
+        ``api.solve(a, b, shifts=, mass=)`` does; family requests sharing
+        ``A``, ``M``, the value of ``b`` and the options coalesce into one
+        dispatch (:func:`_family_block`).
         """
         return self._enqueue(self._make_request(
-            a, b, options=options, x0=x0, fingerprint=fingerprint))
-
-    def submit_family(self, a: Any, b: np.ndarray, shifts, *,
-                      mass: Any = None, options: Options | None = None,
-                      x0: np.ndarray | None = None) -> SolveRequest:
-        """Queue a shifted-family request ``(A + sigma_i M) x = b``.
-
-        Requests that share the operator, mass matrix, right-hand side
-        *value* and options coalesce into a single family: their shift
-        unions are solved on one shared block-Arnoldi basis by
-        ``api.solve(..., shifts=...)`` and each request receives the
-        slice belonging to its own shifts.
-        """
-        sig = tuple(np.ravel(np.asarray(list(shifts))).tolist())
-        if not sig:
-            raise ValueError("a family request needs at least one shift")
-        return self._enqueue(self._make_request(
-            a, b, options=options, x0=x0, shifts=sig, mass=mass))
-
-    def solve(self, a: Any, b: np.ndarray, *, options: Options | None = None,
-              x0: np.ndarray | None = None) -> SolveResult:
-        """Synchronous convenience: submit and solve immediately.
-
-        The request still flows through the cache (so it benefits from —
-        and populates — cached setup) but is never held back waiting for
-        batch-mates.
-        """
-        req = self.submit(a, b, options=options, x0=x0)
-        if not req.done:
-            self._dispatch_group(self._request_key(req))
-        return req.result
+            a, b, options=options, x0=x0, fingerprint=fingerprint,
+            shifts=shifts, mass=mass))
 
     def result(self, req: SolveRequest) -> SolveResult:
         """The request's result, flushing its group if still queued.
@@ -442,25 +439,43 @@ class SolveService:
 
     # -- the batch solve -------------------------------------------------
     def _solve_batch(self, key: tuple, chunk: list[SolveRequest]) -> None:
+        """Solve one chunk as one block and slice the result back out.
+
+        A plain chunk's block is its requests' ``b`` side by side; a family
+        chunk's is the union of its ``(shift, b column)`` pairs
+        (:func:`_family_block`).  The kinds differ only in the set-up
+        (preconditioner or mass factorization), the recycle kind and the
+        result type.
+        """
         from .. import api  # deferred: repro.api has no import-time cycle here
 
-        if chunk and chunk[0].shifts:
-            return self._solve_family_batch(key, chunk)
-        fp, okey = key
-        opts = chunk[0].options
-        digest = _okey_digest(opts, okey)
+        first = chunk[0]
+        fp, opts = first.fingerprint, first.options
+        digest = _okey_digest(opts, key[-1])
         batch_id = self._next_batch
         self._next_batch += 1
-
-        blocks = [as_block(r.b) for r in chunk]
-        bmat = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
-        p = bmat.shape[1]
-        x0 = None
-        if any(r.x0 is not None for r in chunk):
-            cols = [as_block(r.x0) if r.x0 is not None
-                    else np.zeros((bmat.shape[0], r.width), dtype=bmat.dtype)
-                    for r in chunk]
-            x0 = np.hstack(cols) if len(cols) > 1 else cols[0]
+        family = bool(first.shifts)
+        if family:
+            bmat, x0, shifts, columns = _family_block(chunk)
+            p = len(shifts)
+            fpm = key[2]  # one recycle pair per (options, fp(M))
+            rkind = f"family_recycle:{digest}:" + (
+                fpm.short() if fpm is not None else "none")
+            family_flag = {"family": True}  # on the span, info and record
+        else:
+            blocks = [as_block(r.b) for r in chunk]
+            bmat = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
+            p = bmat.shape[1]
+            x0 = None
+            if any(r.x0 is not None for r in chunk):
+                cols = [as_block(r.x0) if r.x0 is not None
+                        else np.zeros((bmat.shape[0], r.width),
+                                      dtype=bmat.dtype)
+                        for r in chunk]
+                x0 = np.hstack(cols) if len(cols) > 1 else cols[0]
+            shifts = columns = None
+            rkind = _recycle_kind(digest)
+            family_flag = {}
 
         ambient = ledger.current()
         batch_led = CostLedger()
@@ -472,14 +487,20 @@ class SolveService:
         # and are excluded from this span's exclusive cost — see
         # Span.exclusive)
         with tr.span("service.batch", batch=batch_id, width=p,
-                     requests=len(chunk)):
+                     requests=len(chunk), **family_flag):
             with ledger.install(batch_led):
-                m, setup_hit = self._resolve_preconditioner(chunk[0].a, fp)
+                m = mass = setup_hit = None
+                if not family:
+                    m, setup_hit = self._resolve_preconditioner(first.a, fp)
+                elif first.mass is not None:  # one factorization per fp(M)
+                    from ..direct.solver import SparseLU
+                    mass, setup_hit = self.cache.get_or_build(
+                        key[2], "mass_lu",
+                        lambda: SparseLU(_as_matrix(first.mass)))
                 recycle = same_system = None
                 adopted = False
                 if recycling:
-                    recycle, found = self._cached_recycle(
-                        fp, _recycle_kind(digest), p)
+                    recycle, found = self._cached_recycle(fp, rkind, p)
                     # the cache key is the *value* fingerprint, so a hit
                     # means the operator is numerically unchanged: take the
                     # paper's same-system fast path (section III-B)
@@ -491,21 +512,27 @@ class SolveService:
                     # adoption-boundary repair runs instead of being
                     # trusted against the wrong operator (False, not None:
                     # the solver would guess by identity tag, which a
-                    # matrix mutated in place keeps).
-                    if found and not recycle.matches_fingerprint(fp):
+                    # matrix mutated in place keeps).  A family takes its
+                    # cached space as is (the unprojected engine).
+                    if family:
+                        same_system = found
+                    elif found and not recycle.matches_fingerprint(fp):
                         adopted, same_system = True, False
                     elif found and not fp.opaque:
                         same_system = True
-                res = api.solve(chunk[0].a, bmat, m, options=opts, x0=x0,
-                                recycle=recycle, same_system=same_system)
+                res = api.solve(first.a, bmat, m, options=opts, x0=x0,
+                                recycle=recycle, same_system=same_system,
+                                shifts=shifts, mass=mass)
                 new_space = res.info.get("recycle")
                 if recycling and new_space is not None:
                     new_space.fingerprint = fp
-                    self.cache.put(fp, _recycle_kind(digest), new_space)
+                    self.cache.put(fp, rkind, new_space)
             ambient.merge(batch_led)
         tr.metrics.histogram("service_batch_occupancy").observe(p)
         tr.metrics.counter("service_requests_total").inc(len(chunk))
         tr.metrics.counter("service_batches_total").inc()
+        if family:
+            tr.metrics.counter("service_family_batches_total").inc()
         if setup_hit is not None:
             tr.metrics.counter("service_setup_cache_total").inc(
                 outcome="hit" if setup_hit else "miss")
@@ -513,52 +540,67 @@ class SolveService:
             tr.metrics.counter("service_recycle_cache_total").inc(
                 outcome="hit" if same_system else "miss")
 
-        self._scatter(chunk, res, batch_led, batch_id=batch_id, p=p,
-                      setup_hit=setup_hit,
-                      recycle_hit=bool(same_system) if recycling else None,
-                      recycle_adopted=adopted if recycling else None)
+        label = fp.short()  # one operator per batch
+        service = {
+            "batch": batch_id,
+            "batch_width": p,
+            "coalesced_requests": len(chunk),
+            "fingerprint": label,
+            "setup_cache_hit": setup_hit,
+            "recycle_cache_hit": bool(same_system) if recycling else None,
+            "recycle_adopted": adopted if recycling else None,
+            "cache": self.cache.stats(),
+            **family_flag,
+        }
+        self._scatter(chunk, columns, res, batch_led, service)
         self.batches.append({
             "batch": batch_id,
-            "fingerprint": fp.short(),
+            "fingerprint": label,
             "okey_digest": digest,
             "requests": len(chunk),
             "request_indices": [r.index for r in chunk],
             "width": p,
+            **family_flag,
             "method": res.method,
             "iterations": res.iterations,
             "setup_cache_hit": setup_hit,
             "ledger": batch_led,
         })
 
-    def _scatter(self, chunk: list[SolveRequest], res: SolveResult,
-                 batch_led: CostLedger, *, batch_id: int, p: int,
-                 setup_hit: bool | None, recycle_hit: bool | None,
-                 recycle_adopted: bool | None = None) -> None:
+    def _scatter(self, chunk: list[SolveRequest], columns: list | None,
+                 res: SolveResult | ShiftedFamilyResult,
+                 batch_led: CostLedger, service: dict[str, Any]) -> None:
         """Slice the block result and the ledger back onto each request.
 
-        Everything the batch's requests share — the shares, the column
-        arrays, the fingerprint label, the carried ``info`` keys, the
-        cache statistics — is computed once; a width-1 request takes its
-        share as its cost ledger.
+        ``columns[i]`` lists the batch columns of family request
+        ``chunk[i]``; ``None`` means a plain chunk, whose requests' widths
+        sit side by side and are sliced without fancy indexing.  What the
+        requests share (``service``, the column arrays) is computed once.
+        A column several family requests asked for is attributed to each
+        of them; the batch ledger in ``self.batches`` stays the conserved
+        total.
         """
-        shares = batch_led.split(p)
+        shares = batch_led.split(service["batch_width"])
+        if columns is not None:
+            for req, idx in zip(chunk, columns):
+                req.result = ShiftedFamilyResult(
+                    shifts=req.shifts, results=[res.results[i] for i in idx],
+                    iterations=res.iterations, restarts=res.restarts,
+                    method=res.method, breakdown=res.breakdown,
+                    info={**res.info, "service": {
+                        **service, "shift_indices": idx,
+                        "cost": _merged(shares[i] for i in idx)}})
+            return
         x = as_block(np.asarray(res.x))
         records = res.history.records
         rhs_norms = np.asarray(res.history.rhs_norms)
         converged = np.atleast_1d(res.converged)
-        label = chunk[0].fingerprint.short()  # one operator per batch
         carried = {k: res.info[k] for k in ("verify", "same_system", "k",
                                             "variant") if k in res.info}
-        cache_stats = self.cache.stats()
         j0 = 0
         for req in chunk:
             j1 = j0 + req.width
-            if req.width == 1:
-                cost = shares[j0]
-            else:
-                cost = CostLedger()
-                for share in shares[j0:j1]:
-                    cost.merge(share)
+            cost = shares[j0] if req.width == 1 else _merged(shares[j0:j1])
             xcol = x[:, j0:j1]
             req.result = SolveResult(
                 x=xcol[:, 0] if req.squeeze else xcol,
@@ -570,145 +612,56 @@ class SolveService:
                 method=res.method,
                 restarts=res.restarts,
                 breakdown=res.breakdown,
-                info={
-                    "service": {
-                        "batch": batch_id,
-                        "batch_width": p,
-                        "columns": (j0, j1),
-                        "coalesced_requests": len(chunk),
-                        "fingerprint": label,
-                        "setup_cache_hit": setup_hit,
-                        "recycle_cache_hit": recycle_hit,
-                        "recycle_adopted": recycle_adopted,
-                        "cache": cache_stats,
-                        "cost": cost,
-                    },
-                    **carried,
-                },
+                info={"service": {**service, "columns": (j0, j1),
+                                  "cost": cost},
+                      **carried},
             )
             j0 = j1
 
-    # -- the family batch solve ------------------------------------------
-    def _solve_family_batch(self, key: tuple,
-                            chunk: list[SolveRequest]) -> None:
-        """One dispatch for a coalesced shifted family.
 
-        The union of the chunk's shifts is solved on a single shared
-        block-Arnoldi basis through ``api.solve(..., shifts=...)``; the
-        mass factorization (when present) and the recycle space are the
-        group's one setup-cache entry, keyed on the family fingerprint
-        ``(fp(A), fp(M), rhs-digest, options)``.
-        """
-        from .. import api
+def _merged(shares) -> CostLedger:
+    """One ledger holding the sum of ``shares``."""
+    cost = CostLedger()
+    for share in shares:
+        cost.merge(share)
+    return cost
 
-        _, fp, fpm, _bdigest, okey = key
-        opts = chunk[0].options
-        digest = _okey_digest(opts, okey)
-        batch_id = self._next_batch
-        self._next_batch += 1
 
-        union: list = []
-        for req in chunk:
-            for s in req.shifts:
-                if s not in union:
-                    union.append(s)
-        k = len(union)
+def _family_block(chunk: list[SolveRequest]
+                  ) -> tuple[np.ndarray, np.ndarray | None, list, list]:
+    """``(b, x0, shifts, columns)`` of a family chunk's union block.
 
-        ambient = ledger.current()
-        batch_led = CostLedger()
-        recycling = opts.is_recycling
-        rkind = _family_recycle_kind(digest, fpm)
-        tr = trace.current()
-        with tr.span("service.batch", batch=batch_id, width=k,
-                     requests=len(chunk), family=True):
-            with ledger.install(batch_led):
-                mass_op = setup_hit = None
-                if chunk[0].mass is not None:
-                    from ..direct.solver import SparseLU
-                    mass = chunk[0].mass
-                    mass_op, setup_hit = self.cache.get_or_build(
-                        fpm, "mass_lu", lambda: SparseLU(_as_matrix(mass)))
-                recycle = recycle_hit = None
-                if recycling:
-                    recycle = self.cache.get(fp, rkind)
-                    recycle_hit = recycle is not None
-                fam = api.solve(chunk[0].a, chunk[0].b, options=opts,
-                                x0=chunk[0].x0, shifts=union, mass=mass_op,
-                                recycle=recycle)
-                new_space = fam.info.get("recycle")
-                if recycling and new_space is not None:
-                    new_space.fingerprint = fp
-                    self.cache.put(fp, rkind, new_space)
-            ambient.merge(batch_led)
-        tr.metrics.histogram("service_batch_occupancy").observe(k)
-        tr.metrics.counter("service_requests_total").inc(len(chunk))
-        tr.metrics.counter("service_batches_total").inc()
-        tr.metrics.counter("service_family_batches_total").inc()
-        if setup_hit is not None:
-            tr.metrics.counter("service_setup_cache_total").inc(
-                outcome="hit" if setup_hit else "miss")
-        if recycling:
-            tr.metrics.counter("service_recycle_cache_total").inc(
-                outcome="hit" if recycle_hit else "miss")
-
-        self._scatter_family(chunk, union, fam, batch_led,
-                             batch_id=batch_id, setup_hit=setup_hit,
-                             recycle_hit=recycle_hit)
-        self.batches.append({
-            "batch": batch_id,
-            "fingerprint": fp.short(),
-            "okey_digest": digest,
-            "requests": len(chunk),
-            "request_indices": [r.index for r in chunk],
-            "width": k,
-            "family": True,
-            "shifts": k,
-            "method": fam.method,
-            "iterations": fam.iterations,
-            "setup_cache_hit": setup_hit,
-            "ledger": batch_led,
-        })
-
-    def _scatter_family(self, chunk, union: list, fam, batch_led: CostLedger,
-                        *, batch_id: int, setup_hit, recycle_hit) -> None:
-        """Slice the family result and ledger back onto each request.
-
-        A shift requested by several callers is attributed to each of
-        them (its column share appears in every requester's cost), so
-        per-request costs over-count shared columns; the batch ledger in
-        ``self.batches`` remains the conserved total.
-        """
-        from ..krylov.shifted import ShiftedFamilyResult
-
-        k = len(union)
-        shares = batch_led.split(k)
-        pos = {s: i for i, s in enumerate(union)}
-        label = chunk[0].fingerprint.short()  # one operator per family
-        cache_stats = self.cache.stats()
-        for req in chunk:
-            idx = [pos[s] for s in req.shifts]
-            cost = CostLedger()
-            for i in idx:
-                cost.merge(shares[i])
-            info = dict(fam.info)
-            info["service"] = {
-                "batch": batch_id,
-                "family": True,
-                "batch_width": k,
-                "shift_indices": idx,
-                "coalesced_requests": len(chunk),
-                "fingerprint": label,
-                "setup_cache_hit": setup_hit,
-                "recycle_cache_hit": recycle_hit,
-                "cache": cache_stats,
-                "cost": cost,
-            }
-            req.result = ShiftedFamilyResult(
-                shifts=tuple(req.shifts),
-                results=[fam.results[i] for i in idx],
-                iterations=fam.iterations,
-                restarts=fam.restarts,
-                method=fam.method,
-                breakdown=fam.breakdown,
-                info=info,
-            )
+    A request asks for one column per shift: the pair ``(sigma_i, j)``,
+    ``j`` being its ``b`` column for that shift (0 for a single column,
+    ``i`` otherwise).  Equal pairs are one column, in the order they first
+    appear; ``columns[r]`` lists request ``r``'s.  The chunk shares one
+    ``b`` (its value is in the coalescing key); a vector goes as is.  A
+    column starts from the ``x0`` column of the first request that asked
+    for it, or from zero; ``x0`` is ``None`` if no request sent one.
+    """
+    pos: dict[tuple, int] = {}  # (sigma, j) -> union column, in order
+    seeds: list = []  # per union column: (x0 of its first requester, i)
+    columns: list[list[int]] = []
+    for req in chunk:
+        single = req.b.ndim == 1 or req.b.shape[1] == 1
+        idx = []
+        for i, sigma in enumerate(req.shifts):
+            pair = (sigma, 0 if single else i)
+            if pair not in pos:
+                pos[pair] = len(seeds)
+                seeds.append((req.x0, i))
+            idx.append(pos[pair])
+        columns.append(idx)
+    shifts = [sigma for sigma, _ in pos]
+    b = chunk[0].b
+    if b.ndim == 2:
+        b = b[:, [j for _, j in pos]]
+    x0 = None
+    given = [r.x0 for r in chunk if r.x0 is not None]
+    if given:
+        x0 = np.zeros((b.shape[0], len(shifts)),
+                      dtype=np.result_type(b, *given))
+        for c, (seed, i) in enumerate(seeds):
+            if seed is not None:
+                x0[:, c] = seed if seed.ndim == 1 else seed[:, i]
+    return b, x0, shifts, columns

@@ -166,7 +166,7 @@ def build_operators(cfg: TrafficConfig) -> list[sp.csr_matrix]:
 def base_operator(cfg: TrafficConfig) -> sp.csr_matrix:
     """The unshifted 2-D Laplacian every population member is a shift of.
 
-    Family requests submit this base with ``shifts=[...]`` — the member
+    Family requests are ``submit(base, b, shifts=[...])`` — the member
     operators of :func:`build_operators` are exactly
     ``base + 0.05 (i+1) I``, so a family answers several population
     members from one shared basis.
@@ -210,14 +210,21 @@ def _latency_summary(latencies: list[float]) -> dict[str, float]:
     }
 
 
+def _submit(svc: SolveService, cfg: TrafficConfig, ar: Arrival,
+            base: sp.csr_matrix, ops: list[sp.csr_matrix], **kwargs):
+    """Submit one arrival: a family on the base operator, or a plain
+    request on its population member."""
+    if ar.shifts:
+        return svc.submit(base, _rhs(cfg, ar), shifts=list(ar.shifts),
+                          **kwargs)
+    return svc.submit(ops[ar.op], _rhs(cfg, ar), **kwargs)
+
+
 def _submit_async(svc: AsyncSolveService, cfg: TrafficConfig, ar: Arrival,
                   base: sp.csr_matrix, ops: list[sp.csr_matrix]):
-    kwargs = {"deadline": ar.deadline if ar.deadline > 0 else None,
-              "priority": ar.priority, "tenant": ar.tenant}
-    if ar.shifts:
-        return svc.submit_family(base, _rhs(cfg, ar), list(ar.shifts),
-                                 **kwargs)
-    return svc.submit(ops[ar.op], _rhs(cfg, ar), **kwargs)
+    return _submit(svc, cfg, ar, base, ops,
+                   deadline=ar.deadline if ar.deadline > 0 else None,
+                   priority=ar.priority, tenant=ar.tenant)
 
 
 def _run_async(cfg: TrafficConfig, arrivals: list[Arrival],
@@ -255,10 +262,7 @@ def _run_sync(cfg: TrafficConfig, arrivals: list[Arrival],
     reqs = []
     arrival_time = {}
     for ar in arrivals:
-        if ar.shifts:
-            req = svc.submit_family(base, _rhs(cfg, ar), list(ar.shifts))
-        else:
-            req = svc.submit(ops[ar.op], _rhs(cfg, ar))
+        req = _submit(svc, cfg, ar, base, ops)
         arrival_time[req.index] = ar.time
         reqs.append(req)
     svc.flush()

@@ -208,6 +208,22 @@ class TestBaseHelpers:
         rel = relative_residual_norms(r, b)
         assert np.isfinite(rel).all()
 
+    def test_as_operator_refuses_an_object_with_shape_and_matmat(self):
+        """Only matrices and :class:`Operator` are operators: an object
+        that merely exposes ``shape`` / ``matmat`` is not wrapped."""
+        a = laplacian_1d(6)
+
+        class MatmatOnly:
+            shape, dtype = a.shape, a.dtype
+
+            def matmat(self, x):
+                return a @ x
+
+        with pytest.raises(TypeError, match="MatmatOnly"):
+            as_operator(MatmatOnly())
+        with pytest.raises(ValueError, match="bare callables"):
+            as_operator(lambda x: x)
+
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(8, 60), steps=st.integers(1, 6),

@@ -1,67 +1,88 @@
-"""Tests for the implicit-heat driver and variable-coefficient Poisson."""
+"""Tests for implicit heat stepping and variable-coefficient Poisson."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro import Options
-from repro.problems.heat import ImplicitHeat
+from repro import Options, Solver
 from repro.problems.poisson import poisson_2d, poisson_2d_variable
+from repro.problems.transient import HeatSequence
+
+#: GCRO-DR(30,10) with the same-system fast path: the paper's configuration
+#: for a fixed-operator sequence (section III-B, eq. 4)
+HEAT_OPTIONS = Options(krylov_method="gcrodr", gmres_restart=30, recycle=10,
+                       tol=1e-8, max_it=20000, recycle_same_system=True)
+
+
+def step_heat(n_steps, *, nx, dt, u0=None, options=HEAT_OPTIONS, **kw):
+    """Step the fixed-operator heat equation (``HeatSequence`` with
+    ``growth=1.0``) through one :class:`Solver`; returns the sequence,
+    the final field and every step's result."""
+    seq = HeatSequence(nx=nx, n_steps=n_steps, dt0=dt, growth=1.0,
+                       epoch_length=n_steps, **kw)
+    solver = Solver(options=options)
+    u = seq.u0() if u0 is None else u0
+    results = []
+    for step in seq.steps():
+        res = solver.solve(seq.operator(step), seq.rhs(step, u))
+        assert res.converged.all()
+        u = res.x
+        results.append(res)
+    return seq, u, results
 
 
 class TestImplicitHeat:
-    def test_stepping_solves_the_implicit_system(self, rng):
-        heat = ImplicitHeat(nx=16, dt=1e-2)
-        u0 = heat.u.copy()
-        res = heat.step()
-        assert res.converged.all()
-        assert heat.t == pytest.approx(1e-2)
-        assert not np.allclose(heat.u, u0)
+    """du/dt - Delta u = f, one implicit step per linear solve."""
+
+    def test_stepping_solves_the_implicit_system(self):
+        seq, u, (res,) = step_heat(1, nx=16, dt=1e-2)
+        assert seq.steps()[0].t == pytest.approx(1e-2)
+        assert not np.allclose(u, seq.u0())
 
     def test_matches_direct_solve(self):
-        heat = ImplicitHeat(nx=12, dt=5e-3)
-        f = heat.source(heat.problem.points, heat.dt)
-        expect = spla.spsolve(heat.lhs.tocsc(), f)   # u0 = 0
-        heat.step()
-        assert np.allclose(heat.u, expect, atol=1e-6)
+        dt = 5e-3
+        seq, u, _ = step_heat(1, nx=12, dt=dt)
+        prob = seq.problem
+        f = seq.source(prob.points, dt)
+        lhs = sp.eye(prob.n) / dt + prob.a              # u0 = 0
+        assert np.allclose(u, spla.spsolve(lhs.tocsc(), f), atol=1e-6)
 
     def test_unforced_diffusion_decays(self, rng):
-        heat = ImplicitHeat(nx=14, dt=1e-2,
+        u0 = rng.standard_normal(14 * 14)
+        _, u, _ = step_heat(5, nx=14, dt=1e-2, u0=u0,
                             source=lambda pts, t: np.zeros(len(pts)))
-        heat.u = rng.standard_normal(heat.problem.n)
-        e0 = heat.energy()
-        heat.run(5)
-        assert heat.energy() < e0
+        assert np.linalg.norm(u) < np.linalg.norm(u0)
 
     def test_recycling_reduces_iterations_over_steps(self):
         """The paper's eq.-(4) motivation, end to end."""
-        heat = ImplicitHeat(nx=40, dt=50.0)  # large dt => stiff solves
-        heat.run(4)
-        its = heat.iterations_per_step
-        assert len(its) == 4
+        _, _, results = step_heat(4, nx=40, dt=50.0)  # large dt: stiff
+        its = [r.iterations for r in results]
         # recycled steps are cheaper than the first
         assert min(its[1:]) < its[0]
         # and the same-system fast path was engaged
-        assert heat.results[1].info["same_system"]
+        assert results[1].info["same_system"]
 
     def test_crank_nicolson(self, rng):
-        heat = ImplicitHeat(nx=10, dt=1e-2, theta=0.5)
-        res = heat.step()
-        assert res.converged.all()
+        dt = 1e-2
+        u0 = rng.standard_normal(10 * 10)
+        seq, u, _ = step_heat(1, nx=10, dt=dt, u0=u0, theta=0.5)
+        prob = seq.problem
+        eye = sp.eye(prob.n)
+        rhs = (eye / dt - 0.5 * prob.a) @ u0 + seq.source(prob.points, dt)
+        want = spla.spsolve((eye / dt + 0.5 * prob.a).tocsc(), rhs)
+        assert np.allclose(u, want, atol=1e-6)
 
     def test_custom_solver_options(self):
-        heat = ImplicitHeat(nx=10, dt=1e-2,
-                            solver_options=Options(krylov_method="lgmres",
-                                                   tol=1e-10, max_it=2000))
-        res = heat.step()
-        assert res.converged.all()
+        opts = Options(krylov_method="lgmres", tol=1e-10, max_it=2000)
+        _, _, (res,) = step_heat(1, nx=10, dt=1e-2, options=opts)
         assert res.method == "lgmres"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ImplicitHeat(nx=8, dt=-1.0)
+            HeatSequence(nx=8, dt0=-1.0)
         with pytest.raises(ValueError):
-            ImplicitHeat(nx=8, theta=0.0)
+            HeatSequence(nx=8, theta=0.0)
 
 
 class TestVariableCoefficientPoisson:

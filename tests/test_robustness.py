@@ -214,7 +214,7 @@ class TestDoorValidation:
             with pytest.raises(ValueError, match=match):
                 svc.submit(a, b, x0=x0)
         with pytest.raises(ValueError, match="b column 0"):
-            svc.submit_family(a, np.full(40, np.inf), [0.1, 0.2])
+            svc.submit(a, np.full(40, np.inf), shifts=[0.1, 0.2])
         assert svc.pending == 0
         req = svc.submit(a, good)
         assert req.index == 0       # a refused submit takes no request index
@@ -228,7 +228,8 @@ class TestDoorValidation:
         with trace_install(tr):
             svc = AsyncSolveService(options=Options(service_mode="async"))
             refused = [svc.submit(a, b, x0=x0) for b, x0, _ in bad]
-            refused.append(svc.submit_family(a, np.full(40, np.nan), [0.1]))
+            refused.append(svc.submit(a, np.full(40, np.nan),
+                                      shifts=[0.1]))
             ok = svc.submit(a, good)
             svc.drain()
         assert [r.rejected for r in refused] == ["invalid_input"] * 6

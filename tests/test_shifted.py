@@ -13,7 +13,10 @@ Covers the contract of :mod:`repro.krylov.shifted` end-to-end:
 * mutation test: a per-shift extra reduction smuggled into the
   least-squares core trips :func:`repro.trace.gate.check_shifted_shape`;
 * the service front ends coalesce families keyed on
-  ``(fp(A), fp(M), rhs-digest)`` into one dispatch.
+  ``(fp(A), fp(M), rhs-digest)`` into one dispatch, whose columns are the
+  union of the requests' ``(shift, b column)`` pairs: every request is
+  answered for its own systems (true residuals), whatever it shares a
+  dispatch with.
 """
 
 from __future__ import annotations
@@ -271,8 +274,8 @@ class TestFamilyService:
     def test_shift_sets_coalesce_to_one_dispatch(self):
         a, b = family_problem()
         svc = SolveService(options=shared_opts())
-        r1 = svc.submit_family(a, b, SHIFTS8[:4])
-        r2 = svc.submit_family(a, b, SHIFTS8[2:7])
+        r1 = svc.submit(a, b, shifts=SHIFTS8[:4])
+        r2 = svc.submit(a, b, shifts=SHIFTS8[2:7])
         svc.flush()
         assert len(svc.batches) == 1
         rec = svc.batches[0]
@@ -288,8 +291,9 @@ class TestFamilyService:
         a, b = family_problem()
         rng = make_rng(3)
         svc = SolveService(options=shared_opts())
-        svc.submit_family(a, b, SHIFTS8[:2])
-        svc.submit_family(a, rng.standard_normal(a.shape[0]), SHIFTS8[:2])
+        svc.submit(a, b, shifts=SHIFTS8[:2])
+        svc.submit(a, rng.standard_normal(a.shape[0]),
+                   shifts=SHIFTS8[:2])
         svc.flush()
         assert len(svc.batches) == 2
 
@@ -298,10 +302,10 @@ class TestFamilyService:
         rng = make_rng(21)
         mass = sp.diags(1.0 + rng.random(a.shape[0])).tocsr()
         svc = SolveService(options=shared_opts())
-        f1 = svc.submit_family(a, b, SHIFTS8[:3], mass=mass)
+        f1 = svc.submit(a, b, shifts=SHIFTS8[:3], mass=mass)
         svc.flush()
-        f2 = svc.submit_family(a, rng.standard_normal(a.shape[0]),
-                               SHIFTS8[:3], mass=mass)
+        f2 = svc.submit(a, rng.standard_normal(a.shape[0]),
+                        shifts=SHIFTS8[:3], mass=mass)
         svc.flush()
         assert f1.result.info["service"]["setup_cache_hit"] is False
         assert f2.result.info["service"]["setup_cache_hit"] is True
@@ -311,10 +315,10 @@ class TestFamilyService:
         a, b = family_problem()
         rng = make_rng(23)
         svc = SolveService(options=recycled_opts())
-        f1 = svc.submit_family(a, b, SHIFTS8[:4])
+        f1 = svc.submit(a, b, shifts=SHIFTS8[:4])
         svc.flush()
-        f2 = svc.submit_family(a, rng.standard_normal(a.shape[0]),
-                               SHIFTS8[:4])
+        f2 = svc.submit(a, rng.standard_normal(a.shape[0]),
+                        shifts=SHIFTS8[:4])
         svc.flush()
         assert f1.result.info["service"]["recycle_cache_hit"] is False
         assert f2.result.info["service"]["recycle_cache_hit"] is True
@@ -324,8 +328,8 @@ class TestFamilyService:
         a, b = family_problem()
         opts = shared_opts(service_mode="async", service_shards=2)
         svc = AsyncSolveService(options=opts)
-        req = svc.submit_family(a, b, SHIFTS8[:4], deadline=60.0,
-                                tenant="sweep")
+        req = svc.submit(a, b, shifts=SHIFTS8[:4], deadline=60.0,
+                         tenant="sweep")
         assert req.rejected is None
         svc.drain()
         fam = req.result
@@ -338,16 +342,115 @@ class TestFamilyService:
         a, b = family_problem()
         svc = SolveService(options=shared_opts())
         with pytest.raises(ValueError, match="at least one shift"):
-            svc.submit_family(a, b, [])
+            svc.submit(a, b, shifts=[])
 
     def test_scatter_cost_covers_own_shifts(self):
         a, b = family_problem()
         svc = SolveService(options=shared_opts())
-        r1 = svc.submit_family(a, b, SHIFTS8[:4])
-        r2 = svc.submit_family(a, b, SHIFTS8[4:8])
+        r1 = svc.submit(a, b, shifts=SHIFTS8[:4])
+        r2 = svc.submit(a, b, shifts=SHIFTS8[4:8])
         svc.flush()
         batch = svc.batches[0]["ledger"].counts()
         c1 = r1.result.info["service"]["cost"].counts()
         c2 = r2.result.info["service"]["cost"].counts()
         # disjoint shift sets: per-request shares conserve the batch
         assert c1[0] + c2[0] == batch[0]
+
+
+# ---------------------------------------------------------------------------
+# a coalesced family is a block of (shift, b column) pairs: every request
+# gets the answer to its own systems, whoever it is batched with
+# ---------------------------------------------------------------------------
+N_TRI = 100
+
+
+def tridiag(n: int = N_TRI) -> sp.csr_matrix:
+    off = -np.ones(n - 1)
+    return sp.diags([off, 4.0 * np.ones(n), off], [-1, 0, 1]).tocsr()
+
+
+def explicit_service(cls):
+    return cls(options=Options(krylov_method="bgmres",
+                               service_flush="explicit"))
+
+
+def true_residuals(a, req, b) -> list[float]:
+    """``||b_i - (A + sigma_i I) x_i|| / ||b_i||`` of each shift of a
+    solved family request, against the request's own columns."""
+    b_blk = b.reshape(a.shape[0], -1)
+    out = []
+    for i, (sigma, sres) in enumerate(zip(req.shifts, req.result.results)):
+        b_i = b_blk[:, 0 if b_blk.shape[1] == 1 else i]
+        x_i = np.ravel(sres.x)
+        out.append(float(np.linalg.norm(b_i - a @ x_i - sigma * x_i)
+                         / np.linalg.norm(b_i)))
+    return out
+
+
+@pytest.mark.parametrize("cls", [SolveService, AsyncSolveService],
+                         ids=["sync", "async"])
+class TestFamilyColumns:
+    def _solve(self, cls, a, b, *requests):
+        svc = explicit_service(cls)
+        reqs = [svc.submit(a, b, shifts=shifts, **kw)
+                for shifts, kw in requests]
+        svc.flush()
+        assert len(svc.batches) == 1  # the requests did share one dispatch
+        tol = Options().tol
+        for req in reqs:
+            assert max(true_residuals(a, req, b)) <= 10 * tol
+        return svc, reqs
+
+    def test_one_request_x0_does_not_break_the_batch(self, cls):
+        a = tridiag()
+        self._solve(cls, a, np.ones(N_TRI),
+                    ([0.1, 0.2], {"x0": np.zeros((N_TRI, 2))}),
+                    ([0.3], {}))
+
+    def test_block_rhs_under_two_shift_sets(self, cls):
+        a = tridiag()
+        b = np.random.default_rng(0).standard_normal((N_TRI, 2))
+        svc, _ = self._solve(cls, a, b, ([0.1, 0.2], {}), ([0.3, 0.4], {}))
+        assert svc.batches[0]["width"] == 4
+
+    def test_same_shifts_on_swapped_columns_are_distinct(self, cls):
+        a = tridiag()
+        b = np.random.default_rng(0).standard_normal((N_TRI, 2))
+        svc, (r1, r2) = self._solve(cls, a, b, ([0.1, 0.2], {}),
+                                    ([0.2, 0.1], {}))
+        assert svc.batches[0]["width"] == 4
+        assert r1.result.info["service"]["shift_indices"] == [0, 1]
+        assert r2.result.info["service"]["shift_indices"] == [2, 3]
+
+    def test_x0_seeds_only_the_columns_of_its_request(self, cls):
+        a, b = tridiag(), np.ones(N_TRI)
+        _, (seeded, unseeded) = self._solve(
+            cls, a, b, ([0.1], {"x0": 5.0 * np.ones(N_TRI)}), ([0.3], {}))
+        # relative residual of a zero start
+        assert unseeded.result.results[0].history.records[0][0] == 1.0
+        assert seeded.result.results[0].history.records[0][0] > 1.0
+
+    def test_repeated_pairs_share_one_column(self, cls):
+        a = tridiag()
+        b = np.random.default_rng(1).standard_normal((N_TRI, 2))
+        svc, (r1, r2) = self._solve(cls, a, b, ([0.1, 0.2], {}),
+                                    ([0.1, 0.3], {}))
+        assert svc.batches[0]["width"] == 3
+        assert r2.result.info["service"]["shift_indices"] == [0, 2]
+
+    def test_mismatched_column_counts_are_refused_at_submit(self, cls):
+        a, b = tridiag(), np.ones((N_TRI, 2))
+        svc = explicit_service(cls)
+        good = svc.submit(a, np.ones(N_TRI), shifts=[0.1])
+        bad = [dict(b=b, shifts=[0.1, 0.2, 0.3]),
+               dict(b=np.ones(N_TRI), shifts=[0.1, 0.2],
+                    x0=np.zeros((N_TRI, 3))),
+               dict(b=b, x0=np.zeros(N_TRI))]
+        for kw in bad:
+            if cls is SolveService:
+                with pytest.raises(ValueError, match="columns"):
+                    svc.submit(a, **kw)
+            else:
+                assert svc.submit(a, **kw).rejected == "invalid_input"
+        svc.flush()
+        assert good.result.converged.all()

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from repro.problems.heat import ImplicitHeat
+from repro.api import Solver
 from repro.problems.transient import HeatSequence, MaxwellRampSequence
 from repro.service.cache import SetupCache
 from repro.service.fingerprint import operator_fingerprint
@@ -56,17 +56,24 @@ def drive(seq, *, service_cls=SolveService, tenants=1, **opt_over):
 
 # -- problem algebra ---------------------------------------------------
 def test_heat_sequence_matches_implicit_heat():
-    """growth=1.0 degenerates to the fixed-operator ImplicitHeat driver."""
+    """growth=1.0 degenerates to fixed-operator implicit heat stepping:
+    one operator value for every step, and a Solver stepping it
+    iteratively lands on the direct solution."""
     nx, dt, n_steps = 7, 1e-3, 5
     seq = HeatSequence(nx=nx, n_steps=n_steps, dt0=dt, epoch_length=2,
                        growth=1.0)
-    heat = ImplicitHeat(nx=nx, dt=dt)
-    u = seq.u0()
-    for step in seq.steps():
+    steps = seq.steps()
+    assert all(s.dt == dt for s in steps)
+    assert len({operator_fingerprint(seq.operator(s)) for s in steps}) == 1
+    solver = Solver(options=Options(
+        krylov_method="gcrodr", gmres_restart=30, recycle=10, tol=1e-8,
+        max_it=20000, recycle_same_system=True))
+    u = v = seq.u0()
+    for step in steps:
         u = spla.spsolve(seq.operator(step).tocsc(), seq.rhs(step, u))
-    heat.run(n_steps)
-    # ImplicitHeat steps iteratively at tol 1e-8; the reference is direct
-    assert np.linalg.norm(u - heat.u) <= 1e-8
+        v = solver.solve(seq.operator(step), seq.rhs(step, v)).x
+    # the solver steps iteratively at tol 1e-8; the reference is direct
+    assert np.linalg.norm(u - v) <= 1e-8
 
 
 def test_heat_sequence_epoch_schedule():
