@@ -4,12 +4,15 @@ Every Arnoldi cycle — block or pseudo-block — keeps its basis in one preallo
 step is a pointer bump, and the stacked basis the orthogonalization kernels
 project against is a zero-copy slice, never an ``np.concatenate``.
 
-Bitwise parity caveat: NumPy dispatches BLAS ``syrk`` for a self-product
-``x.conj().T @ x`` only when ``x`` is one contiguous array, so every
-self-Gram site materializes ``np.ascontiguousarray`` of its p-column block
-first.  Plain GEMMs (``A.conj().T @ B``, ``A @ C``) are bit-identical on
-strided views — except products with fewer than four output entries,
-which ``la.orthogonalization._thin_contig`` copies (<= 3 columns).
+The block slabs are column-major (Fortran order): a prefix of columns is
+then one contiguous block of memory, so every committed-prefix view
+(``basis()``, ``stacked()``, ``v()``, ``z()``) and the ``slot()`` is an
+F-contiguous array handed to BLAS as it is — no copy, no leading-dimension
+stride — and ``la.orthogonalization.conj_gram`` / ``slab_matmul`` are one
+GEMM over it.  Bitwise parity with the list-of-blocks oracle
+(``tests/fixtures/legacy_cycle.py``) holds when the oracle stacks its
+blocks column-major too: BLAS results depend on operand layout in the
+last bits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ __all__ = [
 
 
 class BasisArena:
-    """C-order slab ``[C_k | V_0 | V_1 | ... | slot]`` plus the paired Z slab.
+    """F-order slab ``[C_k | V_0 | V_1 | ... | slot]`` plus the paired Z slab.
 
     Allocated once per solve for the widest cycle it will run and re-bound
     (:meth:`bind`) at the start of every cycle; ``cols`` counts the
@@ -38,9 +41,9 @@ class BasisArena:
     def __init__(self, n: int, p: int, k: int, max_steps: int,
                  dtype: np.dtype, *, identity_m: bool = True) -> None:
         self.slab = np.zeros((n, k + (max_steps + 2) * p), dtype=dtype,
-                             order="C")
+                             order="F")
         self.zslab = None if identity_m else \
-            np.zeros((n, max_steps * p), dtype=dtype, order="C")
+            np.zeros((n, max_steps * p), dtype=dtype, order="F")
         self.p = p
         self.k = 0
         self.cols = 0

@@ -206,8 +206,10 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
     # Lines 1-9: adopt a recycled space from the previous solve, if any.
     # ------------------------------------------------------------------
     if recycle is not None and recycle.k > 0:
-        u_k = np.asarray(recycle.u, dtype=dtype).copy()
-        c_k = np.asarray(recycle.c, dtype=dtype).copy()
+        # column-major copies, like the basis slab: a product over the pair
+        # then reads one contiguous block (krylov/basis.py)
+        u_k = np.array(recycle.u, dtype=dtype, order="F")
+        c_k = np.array(recycle.c, dtype=dtype, order="F")
         if same_system is None:
             same_system = options.recycle_same_system \
                 or recycle.matches_operator(st.a.tag)
@@ -246,8 +248,9 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     u_k = np.zeros((n, 0), dtype=dtype)
                     c_k = np.zeros((n, 0), dtype=dtype)
                 else:
-                    c_k = np.ascontiguousarray(q[:, :rank])
+                    c_k = q[:, :rank]
                     u_k = _project_solve(u_k[:, piv[:rank]], rfac[:rank, :rank])
+            u_k = np.asfortranarray(u_k)
         if u_k.shape[1]:
             # the recycled identities must hold here whether they were just
             # re-established (lines 3-7) or assumed unchanged (the

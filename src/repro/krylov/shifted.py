@@ -51,6 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..la.blockqr import BlockHessenbergQR
+from ..la.orthogonalization import slab_matmul
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -332,7 +333,8 @@ def _family_update(op_apply, x, b2, sig, s1, hbar, zstack, steps: int, dtype,
             # per-shift whitened LS: F = L^H T_sigma, rhs = L^H rho, dense QR
             led.flop(Kernel.BLAS3, nshifts * 2.0 * dim * dim * (zdim + 1))
             led.flop(Kernel.QR, nshifts * 4.0 * dim * zdim ** 2)
-            x += u_k @ np.column_stack(ams) + zstack @ np.column_stack(ys)
+            x += slab_matmul(u_k, np.column_stack(ams)) \
+                + slab_matmul(zstack, np.column_stack(ys))
             led.flop(Kernel.BLAS3, 2.0 * n * zdim * nshifts)
         else:
             ys = []
@@ -348,7 +350,7 @@ def _family_update(op_apply, x, b2, sig, s1, hbar, zstack, steps: int, dtype,
             led.flop(Kernel.QR, nshifts * steps * 16.0 * kblk ** 3)
             # per-shift triangular solve
             led.flop(Kernel.BLAS2, nshifts * 1.0 * cols ** 2)
-            x += zstack @ np.column_stack(ys)
+            x += slab_matmul(zstack, np.column_stack(ys))
             led.flop(Kernel.BLAS3, 2.0 * n * cols * nshifts)
     # explicit restart residuals: ONE stacked operator application (charged
     # by the operator itself) covers every shift; the sigma_i x_i correction
@@ -561,8 +563,8 @@ def _harvest_family_pair(state, zstack, kr: int, dtype, op_apply,
         vstack = state.v_stack()
         if qf.shape[0] != vstack.shape[1]:
             return None, None
-        c_k = vstack @ qf
-        u_k = zstack @ s
+        c_k = slab_matmul(vstack, qf)
+        u_k = slab_matmul(zstack, s)
         led.flop(Kernel.BLAS3, 4.0 * vstack.shape[0] * vstack.shape[1]
                  * qf.shape[1])
         u_k, c_k = _exact_pair(u_k, c_k, op_apply)

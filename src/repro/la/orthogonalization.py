@@ -41,7 +41,6 @@ from ..util.misc import as_block, column_norms
 __all__ = [
     "conj_gram",
     "slab_matmul",
-    "SLAB_PANEL",
     "cholqr",
     "shifted_cholqr",
     "cholqr2",
@@ -124,68 +123,35 @@ ORTHO_SCHEME_NAMES: tuple[str, ...] = tuple(SCHEMES)
 LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2", "sketched")
 
 
-#: Rows per panel of a real slab product: a panel of 256 rows x <= 420
-#: columns x 8 B is at most 860 KB and stays in a 2 MiB L2 while its GEMM
-#: runs (see docs/ORTHOGONALIZATION.md, "Row panels").
-SLAB_PANEL = 256
-
-
-def _panelled(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether a product over the tall ``x`` runs in row panels: real
-    operands at least two panels tall.  Anything else is one GEMM."""
-    return (x.shape[0] >= 2 * SLAB_PANEL
-            and not (np.iscomplexobj(x) or np.iscomplexobj(y)))
-
-
-def _panels(x: np.ndarray) -> np.ndarray:
-    """``(rows / SLAB_PANEL, SLAB_PANEL, cols)`` view of a whole-panel slab
-    (splitting the row axis never copies a strided view)."""
-    return x.reshape(-1, SLAB_PANEL, x.shape[1])
-
-
 def conj_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Uncharged ``x^H y`` that never materializes ``conj(x)``: ``x`` is the
     tall operand (a basis slab), so a complex product conjugates the skinny
-    ``y`` and the small result instead.
-
-    A real product over two or more row panels sums one GEMM per
-    :data:`SLAB_PANEL`-row panel (one batched ``np.matmul``) plus the
-    remainder panel — each rank's partial before its allreduce.  Self-Grams
-    (``y is x``: BLAS ``syrk``) stay one product."""
+    ``y`` and the small result instead.  One BLAS call; over a column-major
+    slab view ``x.T`` is C-contiguous and the GEMM reads it as it lies
+    (a self-Gram, ``y is x``, is BLAS ``syrk``)."""
     if np.iscomplexobj(x):
         return (x.T @ y.conj()).conj()
-    if y is x or not _panelled(x, y):
-        return x.T @ y
-    m = x.shape[0] - x.shape[0] % SLAB_PANEL
-    g = np.matmul(_panels(x[:m]).transpose(0, 2, 1), _panels(y[:m])).sum(axis=0)
-    if m < x.shape[0]:
-        g += x[m:].T @ y[m:]
-    return g
+    return x.T @ y
 
 
 def slab_matmul(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Uncharged ``x @ c`` for a tall slab ``x`` and a small ``c``: row
-    panels under the rule of :func:`conj_gram`, one GEMM otherwise."""
-    if not _panelled(x, c):
-        return x @ c
-    n = x.shape[0]
-    m = n - n % SLAB_PANEL
-    out = np.empty((n, c.shape[1]), dtype=np.result_type(x, c))
-    np.matmul(_panels(x[:m]), c, out=_panels(out[:m]))
-    if m < n:
-        out[m:] = x[m:] @ c
-    return out
+    """Uncharged ``x @ c`` for a tall slab ``x`` and a small ``c``, spelled
+    ``(c.T @ x.T).T``: one GEMM whose result comes back column-major, with
+    the tall dimension as BLAS's leading one — over a column-major slab
+    the plain ``x @ c`` is up to three times slower (see
+    docs/ORTHOGONALIZATION.md, "Column-major slab")."""
+    return (c.T @ x.T).T
 
 
 def _right_solve(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Uncharged whitening ``x r^{-1}`` (``r`` upper triangular): a right-side
-    ``trsm`` on one F-ordered copy, returned C-contiguous — the left-side
-    solve on the ``p x n`` transpose is the slow way round.  The copy is
-    forced: an ``(n, 1)`` block is C- *and* F-contiguous, so ``overwrite_b``
-    would otherwise write into the caller's array."""
+    ``trsm`` on one F-ordered copy, returned as it is — column-major, the
+    basis slab's layout — since the left-side solve on the ``p x n``
+    transpose is the slow way round.  The copy is forced: an ``(n, 1)``
+    block is C- *and* F-contiguous, so ``overwrite_b`` would otherwise
+    write into the caller's array."""
     trsm, = sla.get_blas_funcs(("trsm",), (r, x))
-    return np.ascontiguousarray(
-        trsm(1.0, r, np.array(x, order="F"), side=1, overwrite_b=1))
+    return trsm(1.0, r, np.array(x, order="F"), side=1, overwrite_b=1)
 
 
 def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -537,19 +503,6 @@ def qr_factorization(x: np.ndarray, scheme: str = "cholqr", *,
     return _QR_DISPATCH[scheme](x, tol)
 
 
-def _thin_contig(x: np.ndarray, p: int) -> np.ndarray:
-    """``x``, or a contiguous copy of it when ``x^H b`` (``b`` of width
-    ``p``) is too thin for a stride-independent BLAS kernel.
-
-    Products with fewer than four output entries dispatch to dot / GEMV
-    kernels whose accumulation order depends on the operand stride, so a
-    strided slab view would differ in the last ulp from a fresh contiguous
-    block.  Anything wider packs its operands and is bit-identical on
-    strided views (validated): the zero-copy view is kept.
-    """
-    return np.ascontiguousarray(x) if x.shape[1] * p < 4 else x
-
-
 def _stacked_gram(stacked: np.ndarray, p: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``[basis | w]^H w`` as ONE stacked GEMM / ONE fused reduction.
@@ -566,7 +519,7 @@ def _stacked_gram(stacked: np.ndarray, p: int
     led = ledger.current()
     led.flop(Kernel.BLAS3, 2.0 * n * cols * p)
     led.reduction(nbytes=cols * p * stacked.itemsize)
-    g = conj_gram(_thin_contig(stacked, p), _thin_contig(stacked[:, k:], 1))
+    g = conj_gram(stacked, stacked[:, k:])
     return g[:k], g[k:]
 
 
@@ -592,8 +545,7 @@ def project_out_fused(stacked: np.ndarray, p: int
     k = stacked.shape[1] - p
     basis, w = stacked[:, :k], stacked[:, k:]
     if k == 0:
-        wc = np.ascontiguousarray(w)
-        g = _gram(wc, wc)
+        g = _gram(w, w)
         scale = float(np.sqrt(max(np.max(np.diag(g).real, initial=0.0), 0.0)))
         return w, np.zeros((0, p), dtype=w.dtype), g, scale
     led = ledger.current()
@@ -610,8 +562,7 @@ def project_out_fused(stacked: np.ndarray, p: int
     # means w was (numerically) inside the basis — recompute honestly.
     d, d1 = np.diag(wgram).real, np.diag(wg1).real
     if np.any(d < 0.25 * d1) or np.any(d < 0.0):
-        w2c = np.ascontiguousarray(w)
-        wgram = _gram(w2c, w2c)
+        wgram = _gram(w, w)
     scale = float(np.sqrt(max(np.max(np.diag(wg0).real, initial=0.0), 0.0)))
     return w, c1 + c2, wgram, scale
 
@@ -628,11 +579,10 @@ def project_out(basis: np.ndarray, w: np.ndarray, *,
     w = as_block(w)
     if basis.size == 0:
         return w.copy(), np.zeros((0, w.shape[1]), dtype=w.dtype)
-    basis = _thin_contig(basis, w.shape[1])
     if scheme == "cgs2_1r":
-        w2, coeffs, _, _ = project_out_fused(
-            np.concatenate([basis, w], axis=1), w.shape[1])
-        return np.ascontiguousarray(w2), coeffs
+        w2, coeffs, _, _ = project_out_fused(np.asfortranarray(
+            np.concatenate([basis, w], axis=1)), w.shape[1])
+        return w2.copy(order="F"), coeffs
     if scheme in ("cgs", "imgs"):
         coeffs = _gram(basis, w)
         w2 = w - slab_matmul(basis, coeffs)
@@ -645,7 +595,9 @@ def project_out(basis: np.ndarray, w: np.ndarray, *,
         return w2, coeffs
     if scheme == "mgs":
         led = ledger.current()
-        w2 = np.array(w, copy=True)
+        # a C-order copy whatever w's layout: a GEMV's bits depend on it,
+        # and a slab slot must give the bits of the operator's C output
+        w2 = np.array(w, order="C")
         k = basis.shape[1]
         coeffs = np.zeros((k, w.shape[1]), dtype=np.promote_types(basis.dtype, w.dtype))
         for i in range(k):
@@ -688,8 +640,8 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
     engine = make_arnoldi_engine(scheme, tol=tol,
                                  max_cols=k + basis_blocks.shape[1] + p)
     v = engine.begin(basis_blocks.astype(w.dtype, copy=False), ck)
-    q, h, s, rank, e_col = engine.step(
-        np.concatenate(([ck] if k else []) + [v, w], axis=1), p, k=k)
+    q, h, s, rank, e_col = engine.step(np.asfortranarray(
+        np.concatenate(([ck] if k else []) + [v, w], axis=1)), p, k=k)
     return q, h if e_col is None else np.concatenate([e_col, h]), s, rank
 
 
@@ -774,9 +726,7 @@ class _CholqrEngine(_EngineBase):
 
     def step(self, stacked, p, *, k=0):
         cols = stacked.shape[1] - p
-        # a contiguous candidate: the same operand, to the ulp, as the
-        # operator's fresh output
-        w = np.ascontiguousarray(stacked[:, cols:])
+        w = stacked[:, cols:]           # the slot: project_out never writes w
         e_col = None
         if k:
             w, e_col = project_out(stacked[:, :k], w, scheme="cgs")
@@ -808,8 +758,7 @@ class _Cgs21rEngine(_EngineBase):
             q, r = _chol_normalize(w2, wgram, shift=False)
             rank = p
         except np.linalg.LinAlgError:
-            q, r, rank = cholqr_rr(np.ascontiguousarray(w2), tol=self.tol,
-                                   scale=scale)
+            q, r, rank = cholqr_rr(w2, tol=self.tol, scale=scale)
         return q, h, r, rank, e_col
 
 
@@ -828,7 +777,7 @@ class _Cholqr2Engine(_EngineBase):
         cols = stacked.shape[1] - p
         proj, w = stacked[:, :cols], stacked[:, cols:]
         if cols == 0:
-            q, r, rank = cholqr_rr(np.ascontiguousarray(w), tol=self.tol)
+            q, r, rank = cholqr_rr(w, tol=self.tol)
             return q, np.zeros((0, p), dtype=w.dtype), r, rank, None
         c1, wg0 = _stacked_gram(stacked, p)
         led = ledger.current()
@@ -851,16 +800,16 @@ class _Cholqr2Engine(_EngineBase):
             q, r2 = cholqr(q1)                     # reduction 2: the "2"
             q, r, rank = q, r2 @ r1, p
         except np.linalg.LinAlgError:
-            q, r, rank = cholqr_rr(np.ascontiguousarray(w), tol=self.tol,
-                                   scale=scale)
+            q, r, rank = cholqr_rr(w, tol=self.tol, scale=scale)
         return q, h, r, rank, e_col
 
 
 class SketchArena:
-    """Preallocated ``s x max_cols`` slab for the sketched basis Q_s."""
+    """Preallocated ``s x max_cols`` column-major slab for the sketched
+    basis Q_s (the layout of ``krylov.basis.BasisArena``)."""
 
     def __init__(self, s: int, max_cols: int, dtype: np.dtype) -> None:
-        self.slab = np.zeros((s, max_cols), dtype=dtype, order="C")
+        self.slab = np.zeros((s, max_cols), dtype=dtype, order="F")
         self.cols = 0
 
     def seed(self, qs: np.ndarray) -> None:
@@ -916,9 +865,9 @@ class _SketchedEngine(_EngineBase):
     def step(self, stacked, p, *, k=0):
         led = ledger.current()
         n, cols = stacked.shape
-        ck = _thin_contig(stacked[:, :k], p)
+        ck = stacked[:, :k]
         basis = stacked[:, k:cols - p]
-        w = np.ascontiguousarray(stacked[:, cols - p:])
+        w = stacked[:, cols - p:]
         # ONE fused reduction: the sketched candidate stacked with the
         # exact recycled-space Gram C_k^H w (both are global row sums).
         led.reduction(nbytes=(self.s + k) * p * w.itemsize)
@@ -932,7 +881,7 @@ class _SketchedEngine(_EngineBase):
             sw = sw - slab_matmul(self._sck, e_col)
         qs = self._qs.view()
         w0 = self._t0.shape[0]
-        c = conj_gram(_thin_contig(qs, p), sw)           # local, cols x p
+        c = conj_gram(qs, sw)                            # local, cols x p
         y = c.copy()
         if w0:
             y[:w0] = sla.solve_triangular(self._t0, c[:w0])

@@ -8,8 +8,13 @@ kept only as the reference the zero-copy cycle must match *bitwise* —
 ``V``, ``Z``, ``E_k``, the Hessenberg-QR state and ``CostLedger.counts()``
 (see ``tests/test_basis_arena.py``).  The low-synchronization engines take
 the stacked ``[C_k | V | W]`` operand; here they get a freshly concatenated
-contiguous copy each step, which is exactly what the arena's strided views
-replace.
+copy each step, which is exactly what the arena's zero-copy views replace.
+Every stacked operand (and the ``C_k`` the ``cgs`` / ``mgs`` / ``imgs``
+step projects against) is made column-major, the arena's layout: BLAS
+results depend on operand layout in the last bits, and the oracle's bits
+must be the arena's.  The seed projection against ``C_k`` uses the
+library's ``slab_matmul`` for the same reason: it is the product the
+engines' ``begin`` spells.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from repro.la.blockqr import BlockHessenbergQR
 from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, project_out,
-                                        qr_factorization)
+                                        qr_factorization, slab_matmul)
 from repro.trace import tracer as trace
 from repro.util import ledger
 from repro.util.misc import column_norms
@@ -66,7 +71,7 @@ def legacy_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *, max_steps,
     if ortho in LOW_SYNC_SCHEMES:
         if k:
             e0 = np.asarray(ck).conj().T @ v1
-            v1 = v1 - ck @ e0
+            v1 = v1 - slab_matmul(ck, e0)
             led.flop(ledger.Kernel.BLAS3, 4.0 * v1.shape[0] * k * p)
             led.reduction(nbytes=k * p * v1.itemsize)
         engine = make_arnoldi_engine(ortho, tol=deflation_tol,
@@ -86,17 +91,19 @@ def legacy_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *, max_steps,
             w = op_apply(zj)
             with tr.span("ortho", scheme=ortho):
                 if engine is not None:
-                    stacked = np.concatenate(
-                        ([ck] if k else []) + state.v_blocks + [w], axis=1)
+                    stacked = np.asfortranarray(np.concatenate(
+                        ([ck] if k else []) + state.v_blocks + [w], axis=1))
                     q, h, s, rank, e_col = engine.step(stacked, p, k=k)
                     if k:
                         state.e_cols.append(e_col)
                 else:
                     if k:
-                        w, e_col = project_out(ck, w, scheme="cgs")
+                        w, e_col = project_out(np.asfortranarray(ck), w,
+                                               scheme="cgs")
                         state.e_cols.append(e_col)
                     scale = float(np.max(column_norms(w), initial=0.0))
-                    basis = np.concatenate(state.v_blocks, axis=1)
+                    basis = np.asfortranarray(
+                        np.concatenate(state.v_blocks, axis=1))
                     w2, h = project_out(basis, w, scheme=ortho)
                     if qr_scheme in ("cholqr", "cholqr_rr"):
                         q, s, rank = qr_factorization(w2, qr_scheme,

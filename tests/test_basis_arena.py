@@ -102,7 +102,7 @@ def test_arena_cycle_matches_legacy_oracle(scheme, problem, precond, with_ck):
 
 @pytest.mark.parametrize("scheme", sorted(ORTHO_SCHEME_NAMES))
 def test_single_column_cycle_matches_legacy_oracle(scheme):
-    """p == 1 is the GEMV dispatch regime, where strided views need care."""
+    """p == 1 is the GEMV dispatch regime, whose bits depend on layout."""
     a = _laplace()
     v1, s1, ck = _start(a, 1, 3, seed=5)
     outs = []

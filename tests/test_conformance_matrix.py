@@ -60,10 +60,14 @@ def test_counts_are_the_pinned_ones(cfg):
 
 def test_pseudo_block_iterates_are_the_pinned_bits():
     """sha1 of ``x`` and of the history of every ``gmres`` / ``gcrodr`` cell
-    equal ``tests/data/pseudo_block_sha1.json``: the pseudo-block cycle's
-    least-squares state moved into one bundle without moving a bit.  The
-    digests hold for one BLAS build; regenerate them (``python
-    tests/matrix.py --sha1``) from an unchanged solver on a new one."""
+    equal ``tests/data/pseudo_block_sha1.json``.  The ``gmres`` cells and
+    the ``gcrodr`` cells with ``p > 1`` run the pseudo-block cycle, whose
+    least-squares state moved into one bundle without moving a bit; the
+    14 ``gcrodr-*-p1-*`` cells run the block cycle (one system is a block
+    of width one), and were re-pinned when its basis slab went
+    column-major.  The digests hold for one BLAS build; regenerate them
+    (``python tests/matrix.py --sha1``) from an unchanged solver on a new
+    one."""
     pinned = json.loads(SHA1_FILE.read_text())
     configs = pseudo_block_configs()
     assert set(pinned) == {c.id() for c in configs}

@@ -8,13 +8,14 @@ solver configurations — are run once on seed 0 and held to the values
 recorded at the commit that introduced this file (PR 19's parent and PR 19
 agree on all of them).
 
-Sizes are ``benchmarks/e2e/selftest.py``'s, plus one copy above the row-panel
-threshold of the slab kernels (``la.orthogonalization.SLAB_PANEL``: real
-slabs of 512 rows or more sum per-panel products, anything smaller is one
-GEMM): the 48 x 48 Laplacian, n = 2 304, nine panels — its counts are the
-same under both formulations.  The heat grid differs too: at
-``nx = 12`` (n = 144) the AMG hierarchy is one level, i.e. an exact solve,
-every step converges in one iteration, and the only data-dependent count —
+Sizes are ``benchmarks/e2e/selftest.py``'s, plus one Laplace copy tall
+enough that its basis slab no longer fits a core's L2: the 48 x 48
+Laplacian, n = 2 304 (id suffix ``_panelled``, kept from when slabs of 512
+rows or more ran in 256-row panels; the column-major slab is one GEMM at
+every height, and these counts are the same under both).  The heat grid
+differs too: at ``nx = 12`` (n = 144) the AMG hierarchy is one level, i.e.
+an exact solve, every step converges in one iteration, and the only
+data-dependent count —
 the ``cgs2_1r`` cancellation guard's honest re-norm — is then decided by
 rounding noise (72 reductions at the parent, 74 with the BLAS projector,
 same 8 iterations).  ``nx = 24`` has a real hierarchy and real iterations.
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.la.orthogonalization import SLAB_PANEL
 from repro.util import ledger
 from repro.util.ledger import CostLedger, Kernel
 
@@ -45,9 +45,8 @@ PINNED = [
 
 
 def _id(wl) -> str:
-    """The workload's name; a Laplace copy above the threshold says so."""
-    above = getattr(wl, "grid", 0) ** 2 >= 2 * SLAB_PANEL
-    return wl.name + ("_panelled" if above else "")
+    """The workload's name; the tall Laplace copy keeps its old suffix."""
+    return wl.name + ("_panelled" if getattr(wl, "grid", 0) >= 48 else "")
 
 
 @pytest.mark.parametrize("wl,iterations,reductions", PINNED,
