@@ -35,6 +35,9 @@ FLOORS = {
     # the one restart loop: every solver runs through it, so the module is
     # held to the package's floor on its own
     os.path.join("src", "repro", "krylov", "restart.py"): 90.0,
+    # the recycled pair's lifecycle: every recycling driver (block,
+    # per-column, shifted family) runs through it
+    os.path.join("src", "repro", "krylov", "recycling.py"): 90.0,
     os.path.join("src", "repro", "service"): 88.0,
     # SparseLU's measured branch (symmetric / unsymmetric pattern)
     # and its re-pivot fallback must stay exercised

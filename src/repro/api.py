@@ -24,8 +24,8 @@ from .krylov.gcrodr import gcrodr
 from .krylov.gmres import gmres
 from .krylov.gmresdr import gmresdr
 from .krylov.lgmres import lgmres
-from .krylov.pgcrodr import PseudoBlockRecycle, pgcrodr
-from .krylov.recycling import RecycledSubspace
+from .krylov.pgcrodr import pgcrodr
+from .krylov.recycling import PseudoBlockRecycle, RecycledSubspace
 from .krylov.shifted import (ShiftedFamilyResult, shifted_matrix,
                              solve_shifted_family)
 from .service.cache import SetupCache

@@ -6,11 +6,11 @@ from .bgmres import bgmres
 from .cg import cg
 from .chebyshev import ChebyshevSmoother
 from .gcrodr import gcrodr
-from .pgcrodr import PseudoBlockRecycle, pgcrodr
+from .pgcrodr import pgcrodr
 from .gmres import gmres
 from .gmresdr import gmresdr
 from .lgmres import lgmres
-from .recycling import RecycledSubspace
+from .recycling import PseudoBlockRecycle, RecycledSubspace
 
 __all__ = [
     "gmres",

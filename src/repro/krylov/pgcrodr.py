@@ -8,6 +8,9 @@ process all columns at once.  Fig. 8's alternatives 3, 5 and 6 are this
 method; :func:`repro.krylov.gmres.gmres` runs the same cycle
 (:class:`_PseudoBlockCycle`) with no column carrying a pair — k = 0.
 
+Each column's pair is adopted, harvested, updated and repaired by
+:mod:`repro.krylov.recycling`, as the block driver's is.
+
 Cycles run in lockstep: all active columns restart together after
 ``m - k`` inner steps (or ``m`` during the initial harvest cycle), and
 converged columns are frozen.  This is the natural fused organization —
@@ -19,7 +22,6 @@ the entire point of pseudo-blocking (fewer, fatter messages).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..la.blockqr import HessenbergQRBundle, column_index
 from ..la.orthogonalization import (make_pseudo_block_orthogonalizer,
@@ -27,41 +29,13 @@ from ..la.orthogonalization import (make_pseudo_block_orthogonalizer,
 from ..util.ledger import Kernel
 from ..util.misc import column_norms
 from ..util.options import Options
+from . import recycling
 from .base import SolveResult
 from .basis import AugmentedTensorArena
-from .deflation import harmonic_ritz_vectors
-from .gcrodr import (_exact_pair, _harvest, _project_solve,
-                     _restart_extract, _tidy_pair)
-from .recycling import RecycledSubspace
+from .recycling import PseudoBlockRecycle, RecycledSubspace
 from .restart import RestartedSolve
 
-__all__ = ["pgcrodr", "PseudoBlockRecycle"]
-
-
-class PseudoBlockRecycle:
-    """Per-column recycled pairs for a pseudo-block sequence.
-
-    ``fingerprint`` is the optional value-level operator identity stamped
-    by cache-backed callers (see
-    :class:`repro.krylov.recycling.RecycledSubspace`).
-    """
-
-    def __init__(self, spaces: list[RecycledSubspace | None], op_tag=None,
-                 fingerprint=None):
-        self.spaces = spaces
-        self.op_tag = op_tag
-        self.fingerprint = fingerprint
-
-    @property
-    def p(self) -> int:
-        return len(self.spaces)
-
-    def matches_operator(self, tag) -> bool:
-        return self.op_tag is not None and self.op_tag == tag
-
-    def matches_fingerprint(self, fingerprint) -> bool:
-        """Value-level match (stricter than ``matches_operator``)."""
-        return self.fingerprint is not None and self.fingerprint == fingerprint
+__all__ = ["pgcrodr"]
 
 
 class _Column:
@@ -311,16 +285,15 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
 
     cyc = _PseudoBlockCycle(st)
     cols = cyc.cols
-    # per column: False once the drift gate deferred the repair (_tidy_pair)
+    # per column: False once the drift gate deferred the repair
     pair_exact = [True] * p
 
-    def _tidy_column(col: _Column, what: str) -> None:
-        """Repair column ``col``'s freshly mixed pair and check it."""
-        l = col.l
-        col.u, col.c, pair_exact[l] = _tidy_pair(
-            col.u, col.c, op_apply, options.orthogonalization)
+    def _repair_column(col: _Column, pair, what: str) -> None:
+        """Give column ``col`` its freshly mixed pair, repaired and checked."""
+        col.u, col.c, pair_exact[col.l] = recycling.repair(
+            *pair, op_apply, options.orthogonalization)
         chk.check_recycle(col.u, col.c, op_apply=op_apply,
-                          what=f"{what} recycle space (column {l})")
+                          what=f"{what} recycle space (column {col.l})")
 
     # ---- adopt incoming recycled spaces ---------------------------------
     if recycle is not None and recycle.p == p:
@@ -332,33 +305,16 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                 continue
             col.u = np.asarray(space.u, dtype=dtype).copy()
             col.c = np.asarray(space.c, dtype=dtype).copy()
-        if not same_system:
-            for col in cols:
-                if col.u is None:
-                    continue
-                au = op_apply(col.u)
-                q, rfac, piv = sla.qr(au, mode="economic", pivoting=True)
-                led.reduction(nbytes=col.k ** 2 * au.itemsize)
-                d = np.abs(np.diagonal(rfac))
-                rank = int(np.count_nonzero(
-                    d > options.deflation_tol * max(d[0], 1e-300))) if d.size else 0
-                if rank == 0:
-                    col.u = col.c = None
-                else:
-                    col.c = np.ascontiguousarray(q[:, :rank])
-                    col.u = _project_solve(col.u[:, piv[:rank]],
-                                           rfac[:rank, :rank])
-        if not chk.is_off:
-            # same story as gcrodr: whether the pairs were re-established
-            # (different operator) or assumed intact (same-system skip),
-            # each column's identities must hold before we project with them
-            for l, col in enumerate(cols):
-                if col.u is None:
-                    continue
-                chk.check_recycle(
-                    col.u, col.c, op_apply=op_apply,
-                    what=f"adopted recycle space (column {l})"
-                    + (" (same-system skip)" if same_system else ""))
+            if not same_system:
+                # lines 3-7, one column at a time
+                u, c = recycling.adopt(col.u, op_apply, options.deflation_tol)
+                col.u, col.c = (u, np.ascontiguousarray(c)) if c.shape[1] \
+                    else (None, None)
+            # re-established or assumed intact (same-system skip), the
+            # pair's identities must hold before we project with it
+            chk.check_recycle(col.u, col.c, op_apply=op_apply,
+                              what=f"adopted recycle space (column {col.l})"
+                              + (" (same-system skip)" if same_system else ""))
         # fused init projection: X += U_l C_l^H r_l per column
         led.reduction(nbytes=p * 8)
         for l, col in enumerate(cols):
@@ -399,40 +355,29 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                     continue
                 with tr.span("recycle_update", kind="harvest", column=l):
                     hbar = cyc.ls.hessenberg(l)
-                    with tr.span("eig", kind="harmonic_ritz"):
-                        pk = harmonic_ritz_vectors(
-                            hbar, cyc.ls.triangular(l),
-                            cyc.ls.last_subdiagonal_block(l),
-                            1, k, dtype=dtype)
+                    pk = recycling.harmonic_basis(
+                        hbar, cyc.ls.triangular(l),
+                        cyc.ls.last_subdiagonal_block(l), 1, k, dtype)
                     if pk.shape[1]:
-                        qf, s = _harvest(hbar, pk)
-                        col.c = v_l @ qf
-                        col.u = z_l @ s
-                        _tidy_column(col, "harvested")
+                        _repair_column(col, recycling.harvest(
+                            hbar, pk, v_l, z_l, np.matmul), "harvested")
             elif not same_system and col.u is not None:
                 with tr.span("recycle_update", column=l,
                              strategy=options.recycle_strategy):
-                    led.event("recycle_update")
-                    kc = col.k
-                    cv = np.concatenate([col.c, v_l], axis=1)
-                    found = _restart_extract(
+                    pair = recycling.update(
                         options, col.u, np.linalg.norm(col.u, axis=0),
-                        col.ek(), cyc.ls.hessenberg(l), cv)
-                    if found is not None:
-                        u_tilde, qf, s = found
-                        col.c = cv @ qf
-                        col.u = u_tilde @ s[:kc] + z_l @ s[kc:]
-                        _tidy_column(col, "updated")
+                        col.ek(), cyc.ls.hessenberg(l),
+                        np.concatenate([col.c, v_l], axis=1), z_l, np.matmul)
+                    if pair is not None:
+                        _repair_column(col, pair, "updated")
         if harvesting and any(col.u is not None for col in cols):
             have_recycle = True
 
     for l, col in enumerate(cols):
         if col.u is not None and col.u.shape[1] and not pair_exact[l]:
             # adoption boundary: packaged spaces must be exactly orthonormal
-            with tr.span("recycle_repair", kind="adoption_boundary",
-                         column=l):
-                led.event("recycle_repair")
-                col.u, col.c = _exact_pair(col.u, col.c, op_apply)
+            col.u, col.c = recycling.exact_repair(
+                col.u, col.c, op_apply, kind="adoption_boundary", column=l)
             chk.check_recycle(col.u, col.c, op_apply=op_apply,
                               what=f"packaged recycle space (column {l})")
 

@@ -1,10 +1,16 @@
-"""Persistent storage of recycled Krylov subspaces between solves.
+"""The recycled pair ``(U_k, C_k)``: its store between solves and its life.
 
-The paper allocates persistent memory for the recycled vectors ``U_k`` and
-``C_k`` between cycles "using a singleton class" (section III-D).  The
-Python equivalent is an explicit, picklable holder object that the caller
-threads through a sequence of solves (or lets :class:`repro.api.Solver` or
-the service's ``SetupCache`` manage).
+The paper keeps the pair between solves "using a singleton class" (section
+III-D); here a picklable holder — :class:`RecycledSubspace`, or one per
+column in a :class:`PseudoBlockRecycle` — is threaded through a sequence by
+the caller, :class:`repro.api.Solver` or the service's ``SetupCache``.
+Within a solve the pair goes through the steps of Fig. 1, one function
+each, which the block driver ``gcrodr`` calls on its ``n x p`` block,
+``pgcrodr`` once per column and the shifted family on its shared basis:
+:func:`adopt` (lines 3-7), :func:`harmonic_basis` + :func:`harvest`
+(16-20), :func:`update` (31-38), :func:`repair` after either and
+:func:`exact_repair` at the adoption boundary.  The drivers keep their
+loops, spans, checks and the lines 8-9 projection.
 """
 
 from __future__ import annotations
@@ -13,25 +19,42 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+import scipy.linalg as sla
 
-__all__ = ["RecycledSubspace"]
+from ..la.orthogonalization import (LOW_SYNC_SCHEMES, SCHEMES, _gram,
+                                    apply_sketch, householder_qr,
+                                    sketch_size)
+from ..trace import tracer as trace
+from ..util import ledger
+from ..util.ledger import Kernel
+from ..util.options import Options
+from .deflation import generalized_ritz_vectors, harmonic_ritz_vectors
+
+__all__ = ["RecycledSubspace", "PseudoBlockRecycle", "adopt",
+           "harmonic_basis", "harvest", "update", "repair", "exact_repair"]
+
+
+class _Stamped:
+    """``op_tag`` identifies the operator the pair's invariants hold for;
+    ``fingerprint`` (stamped by :class:`repro.service.SolveService` or a
+    cache-backed :class:`repro.api.Solver`) also pins its *values*, so an
+    operator mutated in place never takes the same-system fast path."""
+
+    def matches_operator(self, tag: Any) -> bool:
+        return self.op_tag is not None and self.op_tag == tag
+
+    def matches_fingerprint(self, fingerprint: Any) -> bool:
+        """Value-level match (stricter than ``matches_operator``)."""
+        return self.fingerprint is not None and self.fingerprint == fingerprint
 
 
 @dataclass
-class RecycledSubspace:
+class RecycledSubspace(_Stamped):
     """The pair ``(U_k, C_k)`` with ``A U_k = C_k`` and ``C_k^H C_k = I``.
 
-    ``op_tag`` identifies the operator the invariants currently hold for —
-    when the next solve presents a different operator, GCRO-DR must
-    re-orthonormalize (``[Q,R] = qr(A U_k)``, paper lines 4-6) unless the
-    caller promises the operator is unchanged
-    (``-hpddm_recycle_same_system``).
-
-    ``fingerprint`` (when stamped by :class:`repro.service.SolveService`
-    or a cache-backed :class:`repro.api.Solver`) additionally pins the
-    operator's *values*: unlike ``op_tag``, it distinguishes an operator
-    whose entries were mutated in place, so cached spaces are never
-    adopted under the fast path against numerically different systems.
+    On a different operator the next solve re-orthonormalizes
+    (``[Q,R] = qr(A U_k)``, paper lines 4-6) unless the caller promises
+    the operator is unchanged (``-hpddm_recycle_same_system``).
     """
 
     u: np.ndarray
@@ -44,13 +67,202 @@ class RecycledSubspace:
     def k(self) -> int:
         return 0 if self.u is None else self.u.shape[1]
 
-    def matches_operator(self, tag: Any) -> bool:
-        return self.op_tag is not None and self.op_tag == tag
-
-    def matches_fingerprint(self, fingerprint: Any) -> bool:
-        """Value-level match (stricter than ``matches_operator``)."""
-        return self.fingerprint is not None and self.fingerprint == fingerprint
-
     def copy(self) -> "RecycledSubspace":
         return RecycledSubspace(self.u.copy(), self.c.copy(), self.op_tag,
                                 dict(self.meta), self.fingerprint)
+
+
+@dataclass(eq=False)
+class PseudoBlockRecycle(_Stamped):
+    """Per-column recycled pairs of a pseudo-block sequence (or ``None``)."""
+
+    spaces: list[RecycledSubspace | None]
+    op_tag: Any = None
+    fingerprint: Any = None
+
+    @property
+    def p(self) -> int:
+        return len(self.spaces)
+
+
+# ---------------------------------------------------------------------------
+# the steps of Fig. 1
+# ---------------------------------------------------------------------------
+
+def adopt(u_k: np.ndarray, op_apply, tol: float
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Lines 3-7: ``(U_k P R^-1, Q)`` from one pivoted Householder QR
+    ``A U_k P = Q R`` — one reduction (charged here; the flops are the
+    caller's), whatever the scheme.  Under a new operator the space may be
+    arbitrarily ill-conditioned, so directions with ``|r_ii| <= tol |r_11|``
+    are trimmed (all of them: a 0-wide pair)."""
+    au = op_apply(u_k)
+    q, rfac, piv = sla.qr(au, mode="economic", pivoting=True)
+    ledger.current().reduction(nbytes=u_k.shape[1] ** 2 * au.itemsize)
+    d = np.abs(np.diagonal(rfac))
+    rank = int(np.count_nonzero(d > tol * max(d[0], 1e-300))) if d.size else 0
+    return _project_solve(u_k[:, piv[:rank]], rfac[:rank, :rank]), q[:, :rank]
+
+
+def harmonic_basis(hbar: np.ndarray, r: np.ndarray, h_last: np.ndarray,
+                   p: int, k: int, dtype) -> np.ndarray:
+    """Lines 16-17: the harmonic Ritz basis ``P_k`` of a cycle's Hessenberg
+    ``hbar`` (eq. (2); ``r`` its triangular factor), in an ``eig`` span."""
+    with trace.current().span("eig", kind="harmonic_ritz"):
+        return harmonic_ritz_vectors(hbar, r, h_last, p, k, dtype=dtype)
+
+
+def harvest(hbar: np.ndarray, pk: np.ndarray, v: np.ndarray, z: np.ndarray,
+            product) -> tuple[np.ndarray, np.ndarray]:
+    """Lines 18-20: ``(U_k, C_k) = (Z s, V qf)`` from ``P_k`` (see
+    :func:`_harvest`).  ``product`` forms the two tall products; their
+    flops are the caller's to charge."""
+    qf, s = _harvest(hbar, pk)
+    return product(z, s), product(v, qf)
+
+
+def update(options: Options, u_k: np.ndarray, dk: np.ndarray, ek: np.ndarray,
+           hbar: np.ndarray, cv: np.ndarray, z: np.ndarray,
+           product) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lines 31-38 (a ``recycle_update`` event): scale ``u_k`` by its column
+    norms ``dk`` (one k-float reduction, charged here), extract eq. (3)'s
+    deflation basis from ``G_m`` under ``options.recycle_strategy`` and
+    return ``(U~ s[:k] + Z s[k:], [C_k V] qf)`` formed with ``product``
+    (flops: the caller's), or ``None`` when the extraction kept nothing."""
+    ledger.current().event("recycle_update")
+    kc, dtype = u_k.shape[1], u_k.dtype
+    ledger.current().reduction(nbytes=kc * 8)
+    dk_safe = np.where(dk > 0, dk, 1.0)
+    u_tilde = u_k / dk_safe
+    gm = np.zeros((kc + hbar.shape[0], kc + hbar.shape[1]), dtype=dtype)
+    gm[:kc, :kc] = np.diag((1.0 / dk_safe).astype(dtype))
+    gm[:kc, kc:] = ek
+    gm[kc:, kc:] = hbar
+    w_hat = _strategy_w(options.recycle_strategy, gm, cv, u_tilde)
+    with trace.current().span("eig", kind="generalized_ritz"):
+        pk = generalized_ritz_vectors(gm, w_hat, options.recycle, dtype=dtype)
+    if not pk.shape[1]:
+        return None
+    qf, s = _harvest(gm, pk)
+    return product(u_tilde, s[:kc]) + product(z, s[kc:]), product(cv, qf)
+
+
+def repair(u_k: np.ndarray, c_k: np.ndarray, op_apply, scheme: str
+           ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Scheme-dependent recycled-pair repair after a harvest or update.
+
+    Inexact-basis schemes are *drift-gated*: a one-reduction sketch probe
+    estimates ``||C^H C - I||/sqrt(k)`` and the operator re-derivation
+    (:func:`exact_repair`, kind ``drift``) runs only above the scheme's
+    registry ceiling.  ``cgs2_1r`` keeps an exact basis but a tighter
+    ceiling than restart-compounded drift allows (the update mixes
+    ``[C V]`` and amplifies incoming error), so one QR of ``C_k`` resets
+    it and keeps ``A U_k = C_k``: ``C = Q2 R  =>  A (U R^-1) = Q2``.  The
+    exact single/two-pass schemes are left alone: their looser ceiling
+    absorbs the drift.
+
+    Returns ``(u, c, exact)``; ``exact=False`` (the gate skipped the
+    repair) means the caller owes one :func:`exact_repair` at the solve's
+    adoption boundary before packaging the space.
+    """
+    info = SCHEMES[scheme]
+    if c_k.shape[1] == 0:
+        return u_k, c_k, True
+    if not info.exact_basis:
+        if sketch_drift_probe(c_k) <= info.orth_tol:
+            return u_k, c_k, False
+        return (*exact_repair(u_k, c_k, op_apply, kind="drift"), True)
+    if scheme in LOW_SYNC_SCHEMES:
+        q2, rfac = householder_qr(c_k)
+        return _project_solve(u_k, rfac), q2, True
+    return u_k, c_k, True
+
+
+def exact_repair(u_k: np.ndarray, c_k: np.ndarray, op_apply, **span
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_exact_pair` in a ``recycle_repair`` span (attributes ``span``)
+    with its event: the drift gate's repair, or the deferred one at the
+    adoption boundary, where a packaged space must be exactly orthonormal."""
+    with trace.current().span("recycle_repair", **span):
+        ledger.current().event("recycle_repair")
+        return _exact_pair(u_k, c_k, op_apply)
+
+
+# ---------------------------------------------------------------------------
+# small-space and drift helpers
+# ---------------------------------------------------------------------------
+
+def _exact_pair(u_k: np.ndarray, c_k: np.ndarray, op_apply
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Re-establish ``A U_k = C_k`` and ``C_k^H C_k = I`` exactly.
+
+    A pair assembled from an inexact basis inherits its drift, and the
+    next update's small-space solve compounds it.  Re-deriving the pair
+    from the operator (one ``A U_k`` on k columns plus a Householder QR,
+    the recipe of lines 3-7) resets both invariants to rounding level.
+    """
+    if c_k.shape[1] == 0:
+        return u_k, c_k
+    au = op_apply(u_k)
+    q2, r2 = householder_qr(au)      # charges its own flop + reduction
+    return _project_solve(u_k, r2), q2
+
+
+def _harvest(small: np.ndarray, pk: np.ndarray, *, rtol: float = 1e-12
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Lines 18-20 / 35-37 in the small space, stably: the pivoted QR of
+    ``small @ P_k`` (``small`` is ``\\bar H_m`` or ``G_m``) with dependent
+    directions trimmed, so the pair stays well conditioned for nearly
+    degenerate Ritz vectors.  Returns ``(qf, s)`` with ``small @ s = qf``
+    (to rounding): ``C = [C V] qf``, ``U = [U~ Z] s``."""
+    prod = small @ pk
+    qf, rf, piv = sla.qr(prod, mode="economic", pivoting=True)
+    ledger.current().flop(Kernel.QR, 4.0 * prod.shape[0] * prod.shape[1] ** 2)
+    d = np.abs(np.diagonal(rf))
+    if d.size == 0 or d[0] == 0.0:
+        return prod[:, :0], pk[:, :0]
+    rank = int(np.count_nonzero(d > rtol * d[0]))
+    return qf[:, :rank], _project_solve(pk[:, piv[:rank]], rf[:rank, :rank])
+
+
+def _project_solve(pk: np.ndarray, rf: np.ndarray) -> np.ndarray:
+    """``P_k R^{-1}`` with a least-squares fallback for singular ``R``."""
+    diag = np.abs(np.diagonal(rf))
+    if rf.size == 0:
+        return pk
+    if diag.min() < 1e-14 * max(diag.max(), 1e-300):
+        return np.linalg.lstsq(rf.T, pk.T, rcond=None)[0].T
+    return sla.solve_triangular(rf.T, pk.T, lower=True).T
+
+
+def _strategy_w(strategy: str, gm: np.ndarray, cv: np.ndarray,
+                u_tilde: np.ndarray) -> np.ndarray:
+    """Right factor ``w_hat`` of line 33's ``W = G_m^H w_hat``.  Strategy
+    ``B`` is eq. (3b), ``w_hat = [I; 0]``: no communication (section III-C,
+    artifact note G).  Strategy ``A`` is eq. (3a): its first ``k`` columns
+    are ``[C_k V]^H U_tilde`` (``cv`` the augmented basis), two products
+    fused into **one** global reduction."""
+    w_hat = np.eye(*gm.shape, dtype=gm.dtype)
+    if strategy != "B":
+        w_hat[:, :u_tilde.shape[1]] = _gram(cv, u_tilde)   # ONE reduction
+    return w_hat
+
+
+def sketch_drift(sc: np.ndarray) -> float:
+    """Scaled orthonormality drift ``||sc^H sc - I|| / sqrt(k)`` (local)."""
+    k = sc.shape[1]
+    if k == 0:
+        return 0.0
+    g = sc.conj().T @ sc
+    return float(np.linalg.norm(g - np.eye(k, dtype=g.dtype)) / np.sqrt(k))
+
+
+def sketch_drift_probe(c_k: np.ndarray, *, seed: int = 0) -> float:
+    """One-reduction sketch-space estimate of the drift of a *full* basis
+    (the reduction assembles the ``s x k`` sketch): :func:`repair`'s gate."""
+    n, k = c_k.shape
+    if k == 0:
+        return 0.0
+    s = sketch_size(n, max(k, 1))
+    ledger.current().reduction(nbytes=s * k * c_k.itemsize)
+    return sketch_drift(apply_sketch(c_k, s, seed=seed))

@@ -12,7 +12,9 @@ in a loop, ``gcrodr`` the same loop with a pair, a harvest and an update;
 ``gmres`` / ``pgcrodr`` run :mod:`repro.krylov.pgcrodr`'s pseudo-block
 cycle on this state; ``gmresdr`` is ``gcrodr`` on one system with nothing
 carried in or out; ``lgmres`` keeps its single-RHS inner loop and uses the
-state only; the shifted family engine uses the loop.
+state only; the shifted family engine uses the loop.  What happens to the
+recycled pair (adoption, harvest, update, repair) is not the loop's: it is
+:mod:`repro.krylov.recycling`'s, whichever driver carries the pair.
 """
 
 from __future__ import annotations

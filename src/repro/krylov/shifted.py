@@ -60,8 +60,7 @@ from ..util.options import Options
 from .base import (ConvergenceHistory, SolveResult, as_operator,
                    residual_targets)
 from .basis import BasisArena
-from .deflation import harmonic_ritz_vectors
-from .gcrodr import _exact_pair, _harvest
+from . import recycling
 from .recycling import RecycledSubspace
 from .restart import RestartLoop
 
@@ -462,8 +461,8 @@ def solve_shifted_family(a, b, shifts, *, mass=None,
                 # cycle; it is reused across every shift and every later
                 # cycle without per-shift projection (Burke's unprojected
                 # recycled shifted method).
-                u_k, c_k = _harvest_family_pair(
-                    state, zstack, kr_target, dtype, op_apply, options)
+                u_k, c_k = _harvest_family_pair(state, hbar, zstack,
+                                                kr_target, dtype, op_apply)
         loop.converged = rn <= targets
         for i in range(k):
             for tail in tails[i]:
@@ -537,35 +536,22 @@ def _initial_x(x0, n: int, k: int, dtype) -> np.ndarray:
     return x0a.copy()
 
 
-def _harvest_family_pair(state, zstack, kr: int, dtype, op_apply,
-                         options: Options
+def _harvest_family_pair(state, hbar, zstack, kr: int, dtype, op_apply
                          ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Harvest ``(U_k, C_k)`` with ``A U = C`` from a base-operator cycle.
-
-    Harmonic Ritz vectors of the *unshifted* Hessenberg — by shift
-    invariance they deflate every member of the family.  Costs one
-    operator application on k columns plus one Householder QR reduction,
-    paid once per family.
-    """
+    """``(U_k, C_k)`` with ``A U = C`` from a base-operator cycle, or
+    ``(None, None)``: harmonic Ritz vectors of the *unshifted* Hessenberg
+    deflate every member of the family (shift invariance).  One ``A U_k``
+    on k columns and one Householder QR reduction, once per family."""
     if state.breakdown or state.steps * state.hqr.p <= kr:
         return None, None
-    led = ledger.current()
-    tr = trace.current()
-    hbar = state.hqr.hessenberg()
-    with tr.span("eig", kind="harmonic_ritz"):
-        pk = harmonic_ritz_vectors(
-            hbar, state.hqr.triangular(), state.hqr.last_subdiagonal_block(),
-            state.hqr.p, kr, dtype=dtype)
+    pk = recycling.harmonic_basis(
+        hbar, state.hqr.triangular(), state.hqr.last_subdiagonal_block(),
+        state.hqr.p, kr, dtype)
     if not pk.shape[1]:
         return None, None
-    with tr.span("recycle_update", kind="harvest"):
-        qf, s = _harvest(hbar, pk)
-        vstack = state.v_stack()
-        if qf.shape[0] != vstack.shape[1]:
-            return None, None
-        c_k = slab_matmul(vstack, qf)
-        u_k = slab_matmul(zstack, s)
-        led.flop(Kernel.BLAS3, 4.0 * vstack.shape[0] * vstack.shape[1]
-                 * qf.shape[1])
-        u_k, c_k = _exact_pair(u_k, c_k, op_apply)
-    return u_k, c_k
+    with trace.current().span("recycle_update", kind="harvest"):
+        u_k, c_k = recycling.harvest(hbar, pk, state.v_stack(), zstack,
+                                     slab_matmul)
+        ledger.current().flop(Kernel.BLAS3, 4.0 * zstack.shape[0]
+                              * hbar.shape[0] * c_k.shape[1])
+        return recycling._exact_pair(u_k, c_k, op_apply)

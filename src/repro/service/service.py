@@ -36,8 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..krylov.base import ConvergenceHistory, Preconditioner, SolveResult
-from ..krylov.pgcrodr import PseudoBlockRecycle
-from ..krylov.recycling import RecycledSubspace
+from ..krylov.recycling import PseudoBlockRecycle, RecycledSubspace
 from ..krylov.shifted import ShiftedFamilyResult
 from ..trace import tracer as trace
 from ..util import ledger

@@ -7,7 +7,10 @@ import scipy.sparse.linalg as spla
 
 from repro import Options, RecycledSubspace, Solver, solve
 from repro.krylov.base import FunctionPreconditioner
-from repro.krylov.gcrodr import gcrodr, sketch_drift, sketch_drift_probe
+from repro.krylov import recycling
+from repro.krylov.gcrodr import gcrodr
+from repro.krylov.recycling import sketch_drift, sketch_drift_probe
+from repro.la.orthogonalization import ORTHO_SCHEME_NAMES
 from repro.krylov.gmres import gmres
 from repro.trace import Tracer, install
 from repro.util import ledger
@@ -194,6 +197,40 @@ class TestSequencesVaryingSystem:
         # invariant must hold for the *new* operator
         au = a2 @ rec2.u
         assert np.linalg.norm(au - rec2.c) / np.linalg.norm(au) < 1e-7
+
+    @pytest.mark.parametrize("method,p", [("bgcrodr", 3), ("gcrodr", 1)])
+    def test_adoption_is_one_algorithm(self, method, p):
+        """Lines 3-7 are one pivoted Householder QR — one reduction — under
+        every scheme, so a changed-operator solve charges 5 reductions
+        before its first ``cycle`` span opens whichever scheme runs it: the
+        adoption QR, the lines 8-9 Gram and residual norm, the cycle's
+        ``C_k^H R`` and its seed QR (line 11).  (The three low-sync schemes
+        used to adopt through CholQR2 in the block driver: 6 there.)"""
+
+        class FirstCycle(Tracer):
+            at = None
+
+            def span(self, name, **attrs):
+                if name == "cycle" and self.at is None:
+                    self.at = ledger.current().reductions
+                return super().span(name, **attrs)
+
+        a = laplacian_2d(30)
+        a2 = (a + 0.05 * sp.eye(a.shape[0])).tocsr()
+        b = make_rng(41).standard_normal((a.shape[0], p))
+        before = {}
+        for scheme in ORTHO_SCHEME_NAMES:
+            o = _opts(krylov_method=method, gmres_restart=20, recycle=5,
+                      orthogonalization=scheme)
+            space = solve(a, b, options=o).info["recycle"]
+            tr = FirstCycle(level="summary")
+            with install(tr), ledger.install():
+                res = solve(a2, b, options=o, recycle=space,
+                            same_system=False)
+            assert res.method.endswith(method) and res.converged.all()
+            before[scheme] = tr.at
+        assert len(before) == 6
+        assert set(before.values()) == {5}, before
 
     def test_degenerate_recycled_space_survives(self, rng):
         """A rank-deficient U must be trimmed, not crash the solve."""
@@ -403,17 +440,13 @@ class TestKZeroIsGmres:
 
     @staticmethod
     def _pair(monkeypatch, recycler, plain, p, **kw):
-        from importlib import import_module
-
         from repro.util.ledger import CostLedger
 
         def no_harvest(hbar, *args, dtype, **kwargs):
             return np.zeros((hbar.shape[1], 0), dtype=dtype)
 
-        # (the package attribute ``repro.krylov.gcrodr`` is the function)
-        for name in ("gcrodr", "pgcrodr"):
-            monkeypatch.setattr(import_module(f"repro.krylov.{name}"),
-                                "harmonic_ritz_vectors", no_harvest)
+        # the one harvest both forms call
+        monkeypatch.setattr(recycling, "harmonic_ritz_vectors", no_harvest)
         a = convection_diffusion_1d(400)
         b = np.random.default_rng(11).standard_normal((400, p))
         m = sp.diags(1.0 / a.diagonal()).tocsr()
@@ -460,7 +493,8 @@ class TestKZeroIsGmres:
 
 
 class TestPairRepair:
-    """``_tidy_pair``: which schemes repair the recycled pair, and when."""
+    """``recycling.repair``: which schemes repair the recycled pair, and
+    when."""
 
     def test_exact_scheme_repair_path_unchanged(self):
         """cgs2_1r (exact basis) never routes through the drift-gated repair."""
