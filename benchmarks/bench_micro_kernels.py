@@ -52,7 +52,7 @@ if __name__ == "__main__":
         sys.path.insert(0, str(_src))
 # the reference formulations the new kernels are timed against are the
 # test oracles (tests/fixtures/reference_{deflation,pb_projector,amg,
-# hessenberg}.py, tests/fixtures/rowlevel_trisolve.py)
+# hessenberg}.py, tests/fixtures/{rowlevel_trisolve,mgs_projection}.py)
 _tests = Path(__file__).resolve().parent.parent / "tests"
 if str(_tests) not in sys.path:
     sys.path.insert(0, str(_tests))
@@ -159,15 +159,18 @@ def bench_orthogonalization(cfg: dict) -> dict:
 
     Builds a ``cfg["ortho_blocks"]``-block, width-``p`` orthonormal basis
     (the 40-block p=8 configuration of the headline claim) with each engine
-    and with column-wise MGS, measuring wall time, ledger-counted
+    and with column-wise MGS (the oracle ``tests/fixtures/mgs_projection.py``),
+    measuring wall time, ledger-counted
     reductions per step, and the final loss of orthogonality
     ``|I - Q^H Q|_F``.  CGS2-1r must deliver MGS-quality orthogonality at
     <= 2 reductions per step — the gate in :func:`check_gate`; the wall
     ratio over MGS is recorded (``speedup_over_mgs``), not gated here.
     """
+    from fixtures.mgs_projection import mgs_project_out
+
     from repro.krylov.basis import BasisArena
     from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, householder_qr,
-                                            make_arnoldi_engine, project_out)
+                                            make_arnoldi_engine)
     from repro.util import ledger as ledger_mod
     from repro.util.ledger import CostLedger
 
@@ -185,7 +188,7 @@ def bench_orthogonalization(cfg: dict) -> dict:
                 q_mat = v1
                 for w in ws:
                     before = led.counts()[0]
-                    w2, _ = project_out(q_mat, w, scheme="mgs")
+                    w2, _ = mgs_project_out(q_mat, w)
                     q, _ = householder_qr(w2)
                     per_step.append(led.counts()[0] - before)
                     q_mat = np.concatenate([q_mat, q], axis=1)
@@ -284,14 +287,11 @@ def bench_pb_projector(cfg: dict) -> dict:
     w = rng.standard_normal((n, p))
     repeats = max(cfg["repeats"], 25)    # sub-millisecond calls
     out = {"problem": {"n": n, "p": p, "depth": depth}, "cores": {}}
-    for name, kwargs in (("_pb_step_cgs2_1r", {}),
-                         ("_pb_step_cgs", {"iterated": False})):
+    for name in ("_pb_step_cgs2_1r", "_pb_step_cgs"):
         blas, einsum = getattr(ortho, name), getattr(ref, name)
-        gap = float(np.linalg.norm(blas(new, w, **kwargs)[0]
-                                   - einsum(old, w, **kwargs)[0]))
+        gap = float(np.linalg.norm(blas(new, w)[0] - einsum(old, w)[0]))
         seconds, seconds_reference = _time_pair(
-            lambda: blas(new, w, **kwargs), lambda: einsum(old, w, **kwargs),
-            repeats)
+            lambda: blas(new, w), lambda: einsum(old, w), repeats)
         row = {"seconds": seconds, "seconds_reference": seconds_reference,
                "remainder_gap": gap}
         row["speedup_over_reference"] = (row["seconds_reference"]

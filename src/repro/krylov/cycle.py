@@ -58,7 +58,9 @@ def complete_block(q: np.ndarray, rank: int, *, against: list[np.ndarray] | None
             # only q's own leading columns — already orthonormal; skip the
             # redundant stack-and-re-QR
             basis = q[:, :rank]
-        fill, _ = project_out(basis, fill, scheme="imgs")
+        # two CGS passes leave the fill orthogonal to working precision
+        fill, _ = project_out(basis, fill)
+        fill, _ = project_out(basis, fill)
     qf, _, rk = qr_factorization(fill, "cholqr_rr")
     out = np.array(q, copy=True)
     out[:, rank:rank + rk] = qf[:, :rk]

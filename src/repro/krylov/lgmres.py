@@ -41,8 +41,8 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
     if options.variant == "flexible":
         raise ValueError("LGMRES does not support flexible preconditioning "
                          "(matching PETSc's implementation)")
-    if options.orthogonalization not in ("cgs", "imgs"):
-        raise ValueError("LGMRES orthogonalizes with cgs or imgs only, got "
+    if options.orthogonalization != "cgs":
+        raise ValueError("LGMRES orthogonalizes with cgs only, got "
                          f"{options.orthogonalization!r}")
     l_aug = options.recycle if augment is None else int(augment)
     st = RestartedSolve(
@@ -85,11 +85,6 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
             led.reduction(nbytes=(j + 1) * w.itemsize)
             led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n)
             w = w - basis.T @ dots
-            if options.orthogonalization == "imgs":
-                d2 = basis.conj() @ w
-                led.reduction(nbytes=(j + 1) * w.itemsize)
-                w = w - basis.T @ d2
-                dots = dots + d2
             nrm = float(np.linalg.norm(w))
             led.reduction()
             hcol = np.concatenate([dots, [nrm]]).reshape(-1, 1).astype(dtype)

@@ -168,8 +168,8 @@ class _PseudoBlockCycle:
                 w = st.op_apply(zj)
                 # fused orthogonalization against each column's own basis:
                 # the whole bundle advances with the active scheme's
-                # reduction count (cgs 2, imgs 3, mgs j+2, cgs2_1r 2,
-                # sketched 1 per step)
+                # reduction count (cgs 2, cgs2_1r 2, cholqr2 2, sketched 1
+                # per step)
                 with tr.span("ortho", scheme=options.orthogonalization):
                     if self.fold_ck:
                         w, adots, nrm = orth.step(self.arena.stacked(j), w,

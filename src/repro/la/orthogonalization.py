@@ -7,7 +7,8 @@ These are the communication-critical kernels of the paper (section III-D):
   Classical Gram-Schmidt and ``k`` (sequential!) reductions with Modified
   Gram-Schmidt;
 * Arnoldi orthogonalization against an existing basis costs one reduction
-  per *batch* of dot products (CGS), or one per basis vector (MGS);
+  per *batch* of dot products (CGS), or one per basis vector (MGS — kept
+  as the count oracle ``tests/fixtures/mgs_projection.py``, not a scheme);
 * the low-synchronization schemes (``cgs2_1r``, ``cholqr2``, ``sketched``)
   cap the count at <= 2 reductions per Arnoldi step at *every* basis depth
   by fusing all Gram blocks of a pass into one stacked GEMM whose result
@@ -29,7 +30,6 @@ through every layer automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -95,13 +95,6 @@ class OrthoScheme:
 SCHEMES: dict[str, OrthoScheme] = {s.name: s for s in (
     OrthoScheme("cgs", "2", "O(eps * kappa^2)", 1.0e-6,
                 description="classical Gram-Schmidt, one fused Gram per step"),
-    OrthoScheme("mgs", "j*p + 2", "O(eps * kappa)", 1.0e-6,
-                description="modified Gram-Schmidt, sequential reductions"),
-    # imgs keeps the default ceiling: its basis is two-pass quality, but its
-    # step projects C_k with a *single* pass, so the combined [C_k V] drift
-    # the verifier sees is still O(eps * kappa)-ish.
-    OrthoScheme("imgs", "3", "O(eps)", 1.0e-6,
-                description="iterated (two-pass) classical Gram-Schmidt"),
     OrthoScheme("cgs2_1r", "2", "O(eps)", 1.0e-8,
                 description="CGS2 with one delayed reorthogonalization pass; "
                             "Gram blocks fused into one stacked GEMM, norm "
@@ -216,10 +209,9 @@ def cholqr2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The first pass uses the shifted Gram so the factorization cannot break
     down; the second (the "2") restores orthogonality to machine precision.
-    This is also the intra-block normalizer of the ``cholqr2`` and
-    ``cgs2_1r`` Arnoldi schemes — for a single block the delayed
-    reorthogonalization pass of (B)CGS2-1r *is* the second Cholesky pass,
-    so both scheme names dispatch here for standalone QR.
+    This is also the intra-block normalizer of the ``cholqr2`` Arnoldi
+    scheme — for a single block the delayed reorthogonalization pass of
+    (B)CGS2-1r *is* the second Cholesky pass.
     """
     return shifted_cholqr(x, refine=True)
 
@@ -458,49 +450,31 @@ def modified_gram_schmidt_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-_QR_DISPATCH = {
-    "cholqr": lambda x, tol: cholqr(x) + (x.shape[1],),
-    "cgs": lambda x, tol: classical_gram_schmidt_qr(x) + (x.shape[1],),
-    "mgs": lambda x, tol: modified_gram_schmidt_qr(x) + (x.shape[1],),
-    "cholqr_rr": lambda x, tol: cholqr_rr(x, tol=tol),
-    "tsqr": lambda x, tol: tsqr(x) + (x.shape[1],),
-    "householder": lambda x, tol: householder_qr(x) + (x.shape[1],),
-    "cholqr2": lambda x, tol: cholqr2(x) + (x.shape[1],),
-    "cgs2_1r": lambda x, tol: cholqr2(x) + (x.shape[1],),
-    "sketched": lambda x, tol: sketched_qr(x, tol=tol),
-}
-
-
 def qr_factorization(x: np.ndarray, scheme: str = "cholqr", *,
                      tol: float = 1e-12, scale: float | None = None
                      ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dispatch a 'distributed' QR by scheme name.
+    """The block QR the solvers call: ``"cholqr"`` or ``"cholqr_rr"``.
 
-    Returns ``(Q, R, rank)``; non-rank-revealing schemes report full rank.
-    CholQR falls back to the shifted variant, then to rank-revealing, when
-    the plain Gram Cholesky breaks down.  ``scale`` is forwarded to the
-    rank-revealing schemes (``cholqr`` through its last fallback,
-    ``cholqr_rr``, ``sketched``) as the absolute reference magnitude.
+    Returns ``(Q, R, rank)``.  ``"cholqr"`` reports full rank, falling back
+    to the shifted variant, then to rank-revealing, when the plain Gram
+    Cholesky breaks down; ``"cholqr_rr"`` is :func:`cholqr_rr`.  ``scale``
+    is forwarded to the rank-revealing kernel as the absolute reference
+    magnitude.
     """
     x = as_block(x)
-    if scheme not in _QR_DISPATCH:
-        raise ValueError(f"unknown QR scheme {scheme!r}; "
-                         f"expected one of {sorted(_QR_DISPATCH)}")
     if scheme == "cholqr_rr":
         return cholqr_rr(x, tol=tol, scale=scale)
-    if scheme == "sketched":
-        return sketched_qr(x, tol=tol, scale=scale)
-    if scheme == "cholqr":
+    if scheme != "cholqr":
+        raise ValueError(f"unknown QR scheme {scheme!r}; "
+                         "expected 'cholqr' or 'cholqr_rr'")
+    try:
+        q, r = cholqr(x)
+    except np.linalg.LinAlgError:
         try:
-            q, r = cholqr(x)
-            return q, r, x.shape[1]
+            q, r = shifted_cholqr(x)
         except np.linalg.LinAlgError:
-            try:
-                q, r = shifted_cholqr(x)
-                return q, r, x.shape[1]
-            except np.linalg.LinAlgError:
-                return cholqr_rr(x, tol=tol, scale=scale)
-    return _QR_DISPATCH[scheme](x, tol)
+            return cholqr_rr(x, tol=tol, scale=scale)
+    return q, r, x.shape[1]
 
 
 def _stacked_gram(stacked: np.ndarray, p: int
@@ -538,7 +512,7 @@ def project_out_fused(stacked: np.ndarray, p: int
     network again.  Returns ``(w2, coeffs, wgram, scale)``, ``w2`` being the
     trailing-columns view.
 
-    Compared to the legacy ``imgs`` + separate QR-Gram sequence (3
+    Compared to two CGS passes followed by a separate QR Gram (3
     reductions, 5 full-length GEMM sweeps) this is 2 reductions and 4
     sweeps — the hoisted double-Gram of the refine path.
     """
@@ -567,47 +541,21 @@ def project_out_fused(stacked: np.ndarray, p: int
     return w, c1 + c2, wgram, scale
 
 
-def project_out(basis: np.ndarray, w: np.ndarray, *,
-                scheme: str = "cgs") -> tuple[np.ndarray, np.ndarray]:
+def project_out(basis: np.ndarray, w: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonalize the block ``w`` against the orthonormal ``basis``.
 
     Returns ``(w_perp, coeffs)`` with ``w_perp = w - basis @ coeffs``.
     This is the ``(I - C_k C_k^H)`` application of the paper (line 26):
-    CGS does it in one reduction, MGS in ``k`` sequential reductions,
-    CGS2-1r in two fused reductions (both passes as stacked GEMMs).
+    one classical Gram-Schmidt pass, one reduction.
     """
     w = as_block(w)
     if basis.size == 0:
         return w.copy(), np.zeros((0, w.shape[1]), dtype=w.dtype)
-    if scheme == "cgs2_1r":
-        w2, coeffs, _, _ = project_out_fused(np.asfortranarray(
-            np.concatenate([basis, w], axis=1)), w.shape[1])
-        return w2.copy(order="F"), coeffs
-    if scheme in ("cgs", "imgs"):
-        coeffs = _gram(basis, w)
-        w2 = w - slab_matmul(basis, coeffs)
-        ledger.current().flop(Kernel.BLAS3, 2.0 * basis.shape[0] * basis.shape[1] * w.shape[1])
-        if scheme == "imgs":  # iterated: one re-orthogonalization pass
-            c2 = _gram(basis, w2)
-            w2 = w2 - slab_matmul(basis, c2)
-            coeffs = coeffs + c2
-            ledger.current().flop(Kernel.BLAS3, 2.0 * basis.shape[0] * basis.shape[1] * w.shape[1])
-        return w2, coeffs
-    if scheme == "mgs":
-        led = ledger.current()
-        # a C-order copy whatever w's layout: a GEMV's bits depend on it,
-        # and a slab slot must give the bits of the operator's C output
-        w2 = np.array(w, order="C")
-        k = basis.shape[1]
-        coeffs = np.zeros((k, w.shape[1]), dtype=np.promote_types(basis.dtype, w.dtype))
-        for i in range(k):
-            c = basis[:, i:i + 1].conj().T @ w2
-            led.reduction(nbytes=w.shape[1] * w.itemsize)
-            led.flop(Kernel.BLAS2, 4.0 * basis.shape[0] * w.shape[1])
-            w2 -= basis[:, i:i + 1] @ c
-            coeffs[i] = c[0]
-        return w2, coeffs
-    raise ValueError(f"unknown orthogonalization scheme {scheme!r}")
+    coeffs = _gram(basis, w)
+    w2 = w - slab_matmul(basis, coeffs)
+    ledger.current().flop(Kernel.BLAS3, 2.0 * basis.shape[0] * basis.shape[1] * w.shape[1])
+    return w2, coeffs
 
 
 def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
@@ -630,10 +578,10 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
     (``< p`` signals a block breakdown).  Rank is judged against the
     magnitude of ``w`` before the basis projection.  The low-synchronization
     schemes report a candidate lying inside the basis as rank 0; the
-    project-then-CholQR step of ``cgs`` / ``mgs`` / ``imgs`` does not (its
-    plain CholQR factors a rounding-level remainder as full rank).  A
-    one-shot ``sketched`` call sketches the basis too (in a cycle that cost
-    is amortized across the steps).
+    project-then-CholQR step of ``cgs`` does not (its plain CholQR factors
+    a rounding-level remainder as full rank).  A one-shot ``sketched`` call
+    sketches the basis too (in a cycle that cost is amortized across the
+    steps).
     """
     p = w.shape[1]
     k = ck.shape[1] if ck is not None else 0
@@ -652,8 +600,7 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
 # the optional recycled space C_k and normalizes it, returning
 # (q, h, s, rank, e_col).  The low-synchronization engines fold C_k into one
 # stacked projector with at most two fused reductions (one for
-# ``sketched``); the cgs / mgs / imgs engine projects C_k, then V, then
-# runs CholQR.
+# ``sketched``); the cgs engine projects C_k, then V, then runs CholQR.
 # ---------------------------------------------------------------------------
 
 
@@ -708,18 +655,14 @@ class _EngineBase:
 
 
 class _CholqrEngine(_EngineBase):
-    """Project-then-CholQR: the step of ``cgs`` / ``mgs`` / ``imgs``.
+    """Project-then-CholQR: the step of ``cgs``.
 
-    One CGS pass against ``C_k`` (its coefficients are ``E_k``'s column),
-    the scheme's :func:`project_out` against ``V``, then
-    :func:`qr_factorization`'s CholQR with its shifted and rank-revealing
-    fallbacks.  The breakdown scale is the candidate's largest column norm
-    between the two projections.  ``begin`` leaves ``v1`` as it is.
+    One :func:`project_out` against ``C_k`` (its coefficients are ``E_k``'s
+    column), one against ``V``, then :func:`qr_factorization`'s CholQR with
+    its shifted and rank-revealing fallbacks.  The breakdown scale is the
+    candidate's largest column norm between the two projections.  ``begin``
+    leaves ``v1`` as it is.
     """
-
-    def __init__(self, scheme: str, **kw):
-        super().__init__(**kw)
-        self.scheme = scheme
 
     def begin(self, v1, ck=None):
         return v1
@@ -729,9 +672,9 @@ class _CholqrEngine(_EngineBase):
         w = stacked[:, cols:]           # the slot: project_out never writes w
         e_col = None
         if k:
-            w, e_col = project_out(stacked[:, :k], w, scheme="cgs")
+            w, e_col = project_out(stacked[:, :k], w)
         scale = float(np.max(column_norms(w), initial=0.0))
-        w2, h = project_out(stacked[:, k:cols], w, scheme=self.scheme)
+        w2, h = project_out(stacked[:, k:cols], w)
         q, s, rank = qr_factorization(w2, "cholqr", tol=self.tol, scale=scale)
         return q, h, s, rank, e_col
 
@@ -914,9 +857,8 @@ class _SketchedEngine(_EngineBase):
         return q, y, rfac, rank, e_col
 
 
-_ENGINES = {"cgs2_1r": _Cgs21rEngine, "cholqr2": _Cholqr2Engine,
-            "sketched": _SketchedEngine,
-            **{s: partial(_CholqrEngine, s) for s in ("cgs", "mgs", "imgs")}}
+_ENGINES = {"cgs": _CholqrEngine, "cgs2_1r": _Cgs21rEngine,
+            "cholqr2": _Cholqr2Engine, "sketched": _SketchedEngine}
 
 
 def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12,
@@ -925,8 +867,8 @@ def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12,
 
     ``max_cols`` bounds the total basis width of the cycle (used to size
     the sketch); ``tol`` is the relative rank tolerance of the breakdown
-    test.  ``cgs`` / ``mgs`` / ``imgs`` share the project-then-CholQR
-    engine, each low-synchronization scheme has its own.
+    test.  ``cgs`` is the project-then-CholQR engine, each
+    low-synchronization scheme has its own.
     """
     if scheme not in _ENGINES:
         raise ValueError(f"unknown orthogonalization scheme {scheme!r}; "
@@ -972,26 +914,11 @@ def _pb_sq(xt: np.ndarray) -> np.ndarray:
     return np.einsum("pn,pn->p", xt.conj(), xt).real
 
 
-def _pb_step_mgs(basis: np.ndarray, w: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w2 = np.ascontiguousarray(w.T)
-    dots = np.zeros((w.shape[1], basis.shape[0]), dtype=w.dtype)
-    for i in range(basis.shape[0]):
-        c = _pb_dots(basis[i:i + 1], w2)
-        w2 = w2 - c * basis[i].T
-        dots[:, i] = c[:, 0]
-    return w2.T, dots.T, column_norms(w2.T)
-
-
-def _pb_step_cgs(basis: np.ndarray, w: np.ndarray, *, iterated: bool
+def _pb_step_cgs(basis: np.ndarray, w: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     wt = np.ascontiguousarray(w.T)
     dots = _pb_dots(basis, wt)
     w2 = _pb_update(basis, wt, dots)
-    if iterated:
-        d2 = _pb_dots(basis, w2)
-        w2 = _pb_update(basis, w2, d2)
-        dots = dots + d2
     return w2.T, dots.T, column_norms(w2.T)
 
 
@@ -1061,12 +988,11 @@ class PseudoBlockOrthogonalizer:
     (payload bytes scale with ``p``; message counts do not, paper §V-B2).
 
     Per step: ``cgs`` 2 reductions (dots + norms, the legacy sequence),
-    ``imgs`` 3, ``mgs`` ``j+2`` (the O(j) oracle), ``cgs2_1r`` 2 (both
-    passes fused with the column norms, final norm by Pythagorean
-    downdate), ``cholqr2`` 2 (for width-1 recurrences the intra-block
-    normalizer degenerates to an exact renormalization, i.e. single-pass
-    CGS + exact norms), ``sketched`` 1 (the sketched candidate; the
-    projection and normalization are sketch-space local work).
+    ``cgs2_1r`` 2 (both passes fused with the column norms, final norm by
+    Pythagorean downdate), ``cholqr2`` 2 (for width-1 recurrences the
+    intra-block normalizer degenerates to an exact renormalization, i.e.
+    single-pass CGS + exact norms), ``sketched`` 1 (the sketched candidate;
+    the projection and normalization are sketch-space local work).
     """
 
     def __init__(self, scheme: str, *, n: int, p: int, dtype,
@@ -1134,12 +1060,7 @@ class PseudoBlockOrthogonalizer:
         """
         led = ledger.current()
         n, p, itemsize = self.n, self.p, self.dtype.itemsize
-        if self.scheme == "mgs":
-            w2, dots, nrm = _pb_step_mgs(basis, w)
-            led.reduction(nbytes=p * itemsize, count=j + 1)
-            led.flop(Kernel.BLAS2, 4.0 * n * p * (j + 1))
-            led.reduction(nbytes=p * 8)
-        elif self.scheme == "cgs2_1r":
+        if self.scheme == "cgs2_1r":
             # two fused passes: dots stacked with the column masses, the
             # final norm by Pythagorean downdate; the cancellation guard's
             # honest recompute (rare: near-breakdown only) costs one extra
@@ -1159,10 +1080,9 @@ class PseudoBlockOrthogonalizer:
             led.reduction(nbytes=self.s * p * itemsize)
             led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p)
         else:
-            passes = 2 if self.scheme == "imgs" else 1
-            w2, dots, nrm = _pb_step_cgs(basis, w, iterated=passes == 2)
-            led.reduction(nbytes=(j + 1) * p * itemsize, count=passes)
-            led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p * passes)
+            w2, dots, nrm = _pb_step_cgs(basis, w)
+            led.reduction(nbytes=(j + 1) * p * itemsize)
+            led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p)
             led.reduction(nbytes=p * 8)
         return w2, dots, nrm
 

@@ -54,8 +54,8 @@ class Span:
     ``cost`` is the :meth:`CostLedger.diff` of the span's window — the
     events of the span *including* its children.  :meth:`exclusive`
     subtracts the children's windows, which is the quantity that sums to
-    the root window over the whole tree (integer adds below 2^53, so the
-    conservation is exact in floating point).
+    the root window over the whole tree: exactly on the integer counters,
+    to rounding on flops (some charges are fractional, e.g. ``p**3 / 3``).
     """
 
     __slots__ = ("name", "index", "attrs", "parent", "children", "cost",
@@ -240,9 +240,9 @@ class Tracer:
         that closed before it — joins its name's row.  The window is then
         handed to the parent: an open parent will subtract it when it
         closes; a parent that closed first already reported it as its own,
-        so it comes off the parent's row now.  Either way the rows equal
-        what walking the tree with :meth:`Span.exclusive` would give
-        (integer-valued adds below 2^53, so order does not matter).
+        so it comes off the parent's row now.  Either way the rows are what
+        walking the tree with :meth:`Span.exclusive` gives: exactly on counts
+        and bytes, to 1e-12 relative on fractional flops (``p**3 / 3``).
         """
         cost = span.cost
         flops = cost.total_flops()

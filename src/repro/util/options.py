@@ -80,10 +80,10 @@ class Options:
     orthogonalization:
         scheme of the Arnoldi step (paper Fig. 1 lines 25–27): the
         projection against ``C_k`` and the basis and the normalization of
-        the remainder, one engine per scheme.  ``cgs`` / ``mgs`` / ``imgs``
-        normalize with CholQR (shifted and rank-revealing fallbacks); the
-        residual-block QR of lines 11 and 24 is always rank-revealing
-        CholQR.
+        the remainder, one engine per scheme: ``cgs`` (CholQR with shifted
+        and rank-revealing fallbacks), ``cgs2_1r``, ``cholqr2``,
+        ``sketched``.  The residual-block QR of lines 11 and 24 is always
+        rank-revealing CholQR.
     deflation_tol:
         relative rank tolerance used by rank-revealing CholQR (and, with
         ``block_reduction``, for deciding which residual directions to

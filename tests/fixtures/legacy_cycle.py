@@ -9,12 +9,11 @@ kept only as the reference the zero-copy cycle must match *bitwise* —
 (see ``tests/test_basis_arena.py``).  The low-synchronization engines take
 the stacked ``[C_k | V | W]`` operand; here they get a freshly concatenated
 copy each step, which is exactly what the arena's zero-copy views replace.
-Every stacked operand (and the ``C_k`` the ``cgs`` / ``mgs`` / ``imgs``
-step projects against) is made column-major, the arena's layout: BLAS
-results depend on operand layout in the last bits, and the oracle's bits
-must be the arena's.  The seed projection against ``C_k`` uses the
-library's ``slab_matmul`` for the same reason: it is the product the
-engines' ``begin`` spells.
+Every stacked operand (and the ``C_k`` the ``cgs`` step projects against)
+is made column-major, the arena's layout: BLAS results depend on operand
+layout in the last bits, and the oracle's bits must be the arena's.  The
+seed projection against ``C_k`` uses the library's ``slab_matmul`` for the
+same reason: it is the product the engines' ``begin`` spells.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ class LegacyCycleState:
 
 
 def legacy_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *, max_steps,
-                               ck=None, ortho="cgs", qr_scheme="cholqr",
-                               deflation_tol=1e-12, targets=None,
+                               ck=None, ortho="cgs", deflation_tol=1e-12,
+                               targets=None,
                                identity_m=False) -> LegacyCycleState:
     dtype = v1.dtype
     p = v1.shape[1]
@@ -98,20 +97,15 @@ def legacy_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *, max_steps,
                         state.e_cols.append(e_col)
                 else:
                     if k:
-                        w, e_col = project_out(np.asfortranarray(ck), w,
-                                               scheme="cgs")
+                        w, e_col = project_out(np.asfortranarray(ck), w)
                         state.e_cols.append(e_col)
                     scale = float(np.max(column_norms(w), initial=0.0))
                     basis = np.asfortranarray(
                         np.concatenate(state.v_blocks, axis=1))
-                    w2, h = project_out(basis, w, scheme=ortho)
-                    if qr_scheme in ("cholqr", "cholqr_rr"):
-                        q, s, rank = qr_factorization(w2, qr_scheme,
-                                                      tol=deflation_tol,
-                                                      scale=scale)
-                    else:
-                        q, s, rank = qr_factorization(w2, qr_scheme,
-                                                      tol=deflation_tol)
+                    w2, h = project_out(basis, w)
+                    q, s, rank = qr_factorization(w2, "cholqr",
+                                                  tol=deflation_tol,
+                                                  scale=scale)
             h_col = np.concatenate([h, s], axis=0)
             res = hqr.add_column(h_col)
             state.steps = j + 1

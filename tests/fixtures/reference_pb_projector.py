@@ -17,23 +17,9 @@ import scipy.linalg as sla
 from repro.util.misc import column_norms
 
 
-def _pb_step_mgs(basis, w):
-    w2 = np.array(w, copy=True)
-    dots = np.zeros((basis.shape[0], w.shape[1]), dtype=w.dtype)
-    for i in range(basis.shape[0]):
-        c = np.einsum("np,np->p", basis[i].conj(), w2)
-        w2 = w2 - basis[i] * c
-        dots[i] = c
-    return w2, dots, column_norms(w2)
-
-
-def _pb_step_cgs(basis, w, *, iterated):
+def _pb_step_cgs(basis, w):
     dots = np.einsum("inp,np->ip", basis.conj(), w)
     w2 = w - np.einsum("inp,ip->np", basis, dots)
-    if iterated:
-        d2 = np.einsum("inp,np->ip", basis.conj(), w2)
-        w2 = w2 - np.einsum("inp,ip->np", basis, d2)
-        dots = dots + d2
     return w2, dots, column_norms(w2)
 
 
@@ -67,6 +53,5 @@ def _pb_step_sketched(qs, t0, basis, w, sw):
     return w2, y, nrm, rs
 
 
-CORES = {"_pb_step_mgs": _pb_step_mgs, "_pb_step_cgs": _pb_step_cgs,
-         "_pb_step_cgs2_1r": _pb_step_cgs2_1r,
+CORES = {"_pb_step_cgs": _pb_step_cgs, "_pb_step_cgs2_1r": _pb_step_cgs2_1r,
          "_pb_step_sketched": _pb_step_sketched}

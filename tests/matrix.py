@@ -172,7 +172,7 @@ def conformance_matrix(full: bool = False) -> list[Config]:
     # scheme, default axes elsewhere
     for method in SOLVERS:
         p = 3 if SOLVERS[method]["block"] else 1
-        for scheme in ("mgs", "imgs", "cgs2_1r", "cholqr2", "sketched"):
+        for scheme in ("cgs2_1r", "cholqr2", "sketched"):
             add(Config(method, p=p, ortho=scheme))
     # shifted-family axis: both engines, plus a complex-shift spot check
     for method in ("bgmres", "bgcrodr"):

@@ -118,8 +118,8 @@ class TestMutationSmoke:
         catch it via the basis-orthonormality / Arnoldi-relation checks
         inside the block Arnoldi cycle.
         """
-        def leaky_project_out(basis, w, scheme="cgs"):
-            w2, h = project_out(basis, w, scheme=scheme)
+        def leaky_project_out(basis, w):
+            w2, h = project_out(basis, w)
             if basis.shape[1] >= 2:  # corrupt once the basis is nontrivial
                 w2 = w2 + 1e-3 * basis[:, :1]
             return w2, h
@@ -133,8 +133,8 @@ class TestMutationSmoke:
     def test_mutation_unnoticed_without_verify(self, monkeypatch):
         """The same defect sails through silently at verify=off — which is
         exactly why the checker exists."""
-        def leaky_project_out(basis, w, scheme="cgs"):
-            w2, h = project_out(basis, w, scheme=scheme)
+        def leaky_project_out(basis, w):
+            w2, h = project_out(basis, w)
             if basis.shape[1] >= 2:
                 w2 = w2 + 1e-3 * basis[:, :1]
             return w2, h

@@ -229,7 +229,7 @@ class TestSequencesVaryingSystem:
                             same_system=False)
             assert res.method.endswith(method) and res.converged.all()
             before[scheme] = tr.at
-        assert len(before) == 6
+        assert len(before) == 4
         assert set(before.values()) == {5}, before
 
     def test_degenerate_recycled_space_survives(self, rng):
@@ -477,7 +477,7 @@ class TestKZeroIsGmres:
         self._assert_same(self._pair(monkeypatch, gcrodr, bgmres, 2,
                                      variant=variant))
 
-    @pytest.mark.parametrize("ortho", ["cgs", "cgs2_1r", "mgs"])
+    @pytest.mark.parametrize("ortho", ["cgs", "cgs2_1r", "cholqr2"])
     def test_pseudo_block_gcrodr_is_gmres(self, monkeypatch, ortho):
         from repro.krylov.pgcrodr import pgcrodr
         self._assert_same(self._pair(monkeypatch, pgcrodr, gmres, 3,

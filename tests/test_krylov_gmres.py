@@ -141,13 +141,14 @@ class TestNumerics:
         assert res.converged.all()
         assert np.all(relative_residuals(a, res.x, b) < 1e-9)
 
-    def test_imgs_on_tough_matrix(self, rng):
+    def test_cgs2_1r_on_tough_matrix(self, rng):
         # reorthogonalization should not be worse than CGS
         a = laplacian_2d(16)
         b = rng.standard_normal(a.shape[0])
         r1 = gmres(a, b, options=Options(tol=1e-8, orthogonalization="cgs",
                                          max_it=4000))
-        r2 = gmres(a, b, options=Options(tol=1e-8, orthogonalization="imgs",
+        r2 = gmres(a, b, options=Options(tol=1e-8,
+                                         orthogonalization="cgs2_1r",
                                          max_it=4000))
         assert r2.converged.all()
         assert r2.iterations <= r1.iterations + 5

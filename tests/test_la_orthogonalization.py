@@ -10,9 +10,11 @@ from repro.la.orthogonalization import (LOW_SYNC_SCHEMES,
                                         classical_gram_schmidt_qr, cholqr,
                                         cholqr_rr, householder_qr,
                                         modified_gram_schmidt_qr, project_out,
-                                        qr_factorization, shifted_cholqr, tsqr)
+                                        qr_factorization, shifted_cholqr,
+                                        sketched_qr, tsqr)
 from repro.util import ledger
 from conftest import make_rng
+from fixtures.mgs_projection import mgs_project_out
 
 
 def _random_block(rng, n, p, complex_=False, cond=None):
@@ -98,8 +100,32 @@ class TestRankRevealing:
         assert rank == 2
 
 
+class TestSketchedQR:
+    """``sketched_qr``: one small reduction; exact when the sketch is the
+    whole space (s = n), and the exact rank-revealing fallback on a
+    deficient block."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_full_sketch_is_an_exact_qr(self, rng, complex_):
+        x = _random_block(rng, 64, 5, complex_=complex_)
+        with ledger.install() as led:
+            q, r, rank = sketched_qr(x, s=64)
+        assert rank == 5 and led.reductions == 1
+        _check_qr(x, q, r)
+
+    def test_rank_deficient_falls_back_to_cholqr_rr(self, rng):
+        x = _random_block(rng, 200, 4)
+        x[:, 3] = x[:, 0] - x[:, 1]
+        with ledger.install() as led:
+            # tol above the sqrt(eps) floor of the fallback's Gram
+            q, r, rank = sketched_qr(x, tol=1e-6)
+        assert rank == 3 and led.reductions == 2
+        assert np.allclose(q @ r, x, atol=1e-8) and np.allclose(q[:, 3], 0)
+
+
 class TestReductionCounting:
-    """Section III-D of the paper: CholQR/TSQR = 1 reduction, CGS = p."""
+    """Section III-D of the paper: CholQR/TSQR = 1 reduction, CGS = p;
+    projecting against a k-column basis: CGS 1 reduction, MGS k."""
 
     def test_cholqr_single_reduction(self, rng):
         x = _random_block(rng, 100, 8)
@@ -133,23 +159,42 @@ class TestReductionCounting:
         basis, _ = np.linalg.qr(_random_block(rng, 100, 10))
         w = _random_block(rng, 100, 4)
         with ledger.install() as led:
-            project_out(basis, w, scheme="cgs")
+            project_out(basis, w)
         assert led.reductions == 1
 
     def test_project_out_mgs_k_reductions(self, rng):
+        """The MGS oracle: one sequential reduction per basis column."""
         basis, _ = np.linalg.qr(_random_block(rng, 100, 10))
         w = _random_block(rng, 100, 4)
         with ledger.install() as led:
-            project_out(basis, w, scheme="mgs")
+            w2, coeffs = mgs_project_out(basis, w)
         assert led.reductions == 10
+        assert led.reduction_bytes == 10 * 4 * w.itemsize
+        # the same projection CGS makes, one column at a time
+        w_cgs, c_cgs = project_out(basis, w)
+        assert np.allclose(w2, w_cgs, atol=1e-12)
+        assert np.allclose(coeffs, c_cgs, atol=1e-12)
+
+
+def _two_cgs_passes(basis, w):
+    """Iterated CGS as ``complete_block`` spells it: two projections."""
+    w1, c1 = project_out(basis, w)
+    w2, c2 = project_out(basis, w1)
+    return w2, c1 + c2
+
+
+#: the projections of a block against an orthonormal basis: one CGS pass
+#: (``project_out``), two passes, and the MGS oracle
+PROJECTIONS = {"cgs": project_out, "imgs": _two_cgs_passes,
+               "mgs": mgs_project_out}
 
 
 class TestProjectOut:
-    @pytest.mark.parametrize("scheme", ["cgs", "imgs", "mgs"])
+    @pytest.mark.parametrize("scheme", list(PROJECTIONS))
     def test_result_is_orthogonal_to_basis(self, rng, scheme):
         basis, _ = np.linalg.qr(_random_block(rng, 200, 12))
         w = _random_block(rng, 200, 3)
-        w2, coeffs = project_out(basis, w, scheme=scheme)
+        w2, coeffs = PROJECTIONS[scheme](basis, w)
         assert np.linalg.norm(basis.conj().T @ w2) < 1e-10
         assert np.allclose(basis @ coeffs + w2, w, atol=1e-10)
 
@@ -160,8 +205,9 @@ class TestProjectOut:
         assert coeffs.shape == (0, 2)
 
     def test_unknown_scheme_raises(self, rng):
-        with pytest.raises(ValueError):
-            project_out(np.eye(4), np.ones((4, 1)), scheme="banana")
+        """``project_out`` is the one CGS pass: it takes no scheme."""
+        with pytest.raises(TypeError, match="scheme"):
+            project_out(np.eye(4), np.ones((4, 1)), scheme="mgs")
 
 
 class TestArnoldiStep:
@@ -186,7 +232,7 @@ class TestArnoldiStep:
         for scheme in LOW_SYNC_SCHEMES:
             assert self._inside_basis_rank(rng, scheme) == 0, scheme
 
-    @pytest.mark.parametrize("scheme", ["cgs", "mgs", "imgs"])
+    @pytest.mark.parametrize("scheme", ["cgs"])
     @pytest.mark.xfail(strict=True, reason="the project-then-CholQR step "
                        "factors a rounding-level remainder as full rank "
                        "(ROADMAP.md item 11)")
@@ -197,8 +243,11 @@ class TestArnoldiStep:
 
 class TestDispatch:
     def test_unknown_scheme(self, rng):
-        with pytest.raises(ValueError):
-            qr_factorization(np.ones((4, 2)), "banana")
+        """Only the two QRs a solver calls are dispatched by name."""
+        for scheme in ("banana", "tsqr", "householder", "cgs", "mgs",
+                       "cgs2_1r", "sketched"):
+            with pytest.raises(ValueError, match="'cholqr' or 'cholqr_rr'"):
+                qr_factorization(np.ones((4, 2)), scheme)
 
     def test_cholqr_fallback_on_dependent_columns(self, rng):
         x = _random_block(rng, 60, 3)
@@ -233,8 +282,8 @@ def test_property_projection_idempotent(n, k, p, seed):
     k = min(k, n - p)
     basis, _ = np.linalg.qr(rng.standard_normal((n, k)))
     w = rng.standard_normal((n, p))
-    w1, _ = project_out(basis, w, scheme="imgs")
-    w2, c2 = project_out(basis, w1, scheme="cgs")
+    w1, _ = _two_cgs_passes(basis, w)
+    w2, c2 = project_out(basis, w1)
     # projecting twice changes nothing
     assert np.linalg.norm(w2 - w1) <= 1e-10 * max(np.linalg.norm(w), 1.0)
     assert np.linalg.norm(c2) <= 1e-10 * max(np.linalg.norm(w), 1.0)
@@ -286,13 +335,16 @@ def test_property_cholqr_rr_near_dependence_threshold(n, eps, seed, complex_):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(5, 100), seed=st.integers(0, 2**31 - 1),
        complex_=st.booleans(),
-       scheme=st.sampled_from(["cholqr", "cholqr_rr", "tsqr", "householder",
-                               "cgs", "mgs"]))
+       scheme=st.sampled_from(["cholqr", "cholqr_rr", "shifted_cholqr",
+                               "tsqr", "householder", "cgs", "mgs"]))
 def test_property_p1_single_column_all_schemes(n, seed, complex_, scheme):
-    """The degenerate p=1 block: every scheme reduces to normalization."""
+    """The degenerate p=1 block: every QR reduces to normalization."""
     rng = make_rng(seed)
     x = _random_block(rng, n, 1, complex_=complex_)
-    q, r, rank = qr_factorization(x, scheme)
+    if scheme in ("cholqr", "cholqr_rr"):
+        q, r, rank = qr_factorization(x, scheme)
+    else:
+        (q, r), rank = QR_FUNS[scheme](x), 1
     assert rank == 1 and r.shape == (1, 1)
     nrm = np.linalg.norm(x)
     assert abs(abs(r[0, 0]) - nrm) <= 1e-10 * nrm
@@ -311,6 +363,6 @@ def test_property_project_out_empty_and_complex(n, p, seed, complex_):
     assert np.array_equal(w0, w) and c0.shape == (0, p)
     k = min(4, n - p)
     basis, _ = np.linalg.qr(_random_block(rng, n, k, complex_=complex_))
-    w2, _ = project_out(basis, w, scheme="imgs")
+    w2, _ = _two_cgs_passes(basis, w)
     assert np.linalg.norm(basis.conj().T @ w2) <= \
         1e-10 * max(np.linalg.norm(w), 1.0)

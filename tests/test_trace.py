@@ -187,6 +187,31 @@ class TestStreamingSummary:
         assert sum(r["reductions"] for r in rows) == outer.cost.reductions
         assert sum(r["flops"] for r in rows) == outer.cost.total_flops()
 
+    def test_fractional_flops_fold_to_rounding(self, rng):
+        """A ``bgcrodr`` + ``cgs2_1r`` solve charges fractional flops (the
+        normalizer's ``p**3 / 3``, the extraction's ``4 c**3 / 3``), which
+        the rows fold in another order than the tree walk adds them: counts
+        and bytes must still be equal, flops within the 1e-12 relative
+        bound ``check_conservation`` uses."""
+        a = laplacian_2d(20)
+        tr = Tracer()
+        with install(tr), ledger.install():
+            res = api.solve(a, rng.standard_normal((a.shape[0], 3)),
+                            options=Options(krylov_method="bgcrodr",
+                                            gmres_restart=12, recycle=4,
+                                            orthogonalization="cgs2_1r"))
+        assert res.converged.all() and res.restarts > 0
+        got, walk = tr.summary()["by_name"], reference_summary(tr)["by_name"]
+        assert got.keys() == walk.keys()
+        for name, want in walk.items():
+            row = got[name]
+            assert [row[k] for k in ("count", "reductions", "reduction_bytes")] \
+                == [want[k] for k in ("count", "reductions", "reduction_bytes")]
+            assert abs(row["flops"] - want["flops"]) \
+                <= 1e-12 * max(abs(want["flops"]), 1.0), name
+        # the case this test is for: some row's flops are not integers
+        assert any(r["flops"] % 1.0 for r in walk.values())
+
     def test_nested_private_ledgers(self, rng):
         """service.batch and setup.lu wrap spans recorded against their
         own private ledgers: windows that must not be subtracted twice."""

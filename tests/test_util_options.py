@@ -26,6 +26,15 @@ class TestOptionsValidation:
         with pytest.raises(OptionError, match="orthogonalization"):
             Options(orthogonalization="qr")
 
+    def test_removed_ortho_schemes_refused(self):
+        """``mgs`` / ``imgs`` are no schemes: refused at construction and
+        on the command line, naming the four there are."""
+        valid = r"\('cgs', 'cgs2_1r', 'cholqr2', 'sketched'\)"
+        with pytest.raises(OptionError, match=valid):
+            Options(orthogonalization="mgs")
+        with pytest.raises(OptionError, match=valid):
+            parse_hpddm_args(["-hpddm_orthogonalization", "imgs"])
+
     def test_unknown_qr_rejected(self):
         # the step's normalizer is fixed: ``qr`` is no field at all
         with pytest.raises(TypeError, match="qr"):
