@@ -52,7 +52,8 @@ if __name__ == "__main__":
         sys.path.insert(0, str(_src))
 # the reference formulations the new kernels are timed against are the
 # test oracles (tests/fixtures/reference_{deflation,pb_projector,amg,
-# hessenberg}.py, tests/fixtures/{rowlevel_trisolve,mgs_projection}.py)
+# hessenberg}.py, tests/fixtures/{rowlevel_trisolve,mgs_projection,
+# sketched_engine}.py)
 _tests = Path(__file__).resolve().parent.parent / "tests"
 if str(_tests) not in sys.path:
     sys.path.insert(0, str(_tests))
@@ -158,15 +159,18 @@ def bench_orthogonalization(cfg: dict) -> dict:
     """Low-synchronization block Arnoldi engines vs the MGS oracle.
 
     Builds a ``cfg["ortho_blocks"]``-block, width-``p`` orthonormal basis
-    (the 40-block p=8 configuration of the headline claim) with each engine
-    and with column-wise MGS (the oracle ``tests/fixtures/mgs_projection.py``),
-    measuring wall time, ledger-counted
+    (the 40-block p=8 configuration of the headline claim) with each
+    low-synchronization engine, with the one-reduction sketched engine
+    (``tests/fixtures/sketched_engine.py``) and with column-wise MGS (the
+    oracle ``tests/fixtures/mgs_projection.py``), measuring wall time,
+    ledger-counted
     reductions per step, and the final loss of orthogonality
     ``|I - Q^H Q|_F``.  CGS2-1r must deliver MGS-quality orthogonality at
     <= 2 reductions per step — the gate in :func:`check_gate`; the wall
     ratio over MGS is recorded (``speedup_over_mgs``), not gated here.
     """
     from fixtures.mgs_projection import mgs_project_out
+    from fixtures.sketched_engine import SketchedEngine
 
     from repro.krylov.basis import BasisArena
     from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, householder_qr,
@@ -194,7 +198,8 @@ def bench_orthogonalization(cfg: dict) -> dict:
                     q_mat = np.concatenate([q_mat, q], axis=1)
                 qfull = q_mat
             else:
-                eng = make_arnoldi_engine(scheme, max_cols=(blocks + 1) * p)
+                eng = SketchedEngine(max_cols=(blocks + 1) * p) \
+                    if scheme == "sketched" else make_arnoldi_engine(scheme)
                 eng.begin(v1)
                 arena = BasisArena(n, p, 0, blocks, v1.dtype)
                 arena.bind(v1, None, max_steps=blocks)
@@ -211,7 +216,7 @@ def bench_orthogonalization(cfg: dict) -> dict:
         return per_step, loo
 
     out = {}
-    for scheme in ("mgs",) + tuple(LOW_SYNC_SCHEMES):
+    for scheme in ("mgs",) + LOW_SYNC_SCHEMES + ("sketched",):
         per_step, loo = build(scheme)
         seconds = _time(lambda: build(scheme), cfg["repeats"])
         out[scheme] = {

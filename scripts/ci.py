@@ -28,8 +28,8 @@ macro-gates      ``bench_transient --quick --check`` twice: the     yes
 e2e-selftest     ``benchmarks/e2e/run.py --selftest`` — the          yes
                  end-to-end benchmark checks itself (~5 s): its
                  contract file, answer checks, tracer neutrality
-trace-gate       ``repro.trace.gate.run_gate()`` — reduction shapes   yes
-                 from exported spans
+trace-gate       ``tests/trace_gate.py::run_gate()`` — reduction     yes
+                 shapes from exported spans
 determinism      byte-identical chrome traces and ledger counts       yes
                  across repeated solves, order-stable
                  ``CostLedger.split``
@@ -50,10 +50,11 @@ written next to the repo root after every run, pass or fail
 
 ``--changed-since <ref>`` maps the paths touched since a git ref to the
 minimal stage set via :func:`stages_for_paths`: a pure-docs diff runs
-lint only, a tests-only diff runs lint + tier1, a bench-only diff adds
-the bench-gate stages (``benchmarks/e2e/`` and ``BENCHMARK.json``: the
-e2e self-check), and anything under ``src/`` (or any path the map does
-not recognize) runs the full ``--fast`` set.
+lint only, a tests-only diff runs lint + tier1 (plus trace-gate when it
+touches the gate or its engine fixture, ``TRACE_GATE_PATHS``), a
+bench-only diff adds the bench-gate stages (``benchmarks/e2e/`` and
+``BENCHMARK.json``: the e2e self-check), and anything under ``src/`` (or
+any path the map does not recognize) runs the full ``--fast`` set.
 
     PYTHONPATH=src python scripts/ci.py            # everything
     PYTHONPATH=src python scripts/ci.py --fast     # skip slow + coverage
@@ -80,6 +81,8 @@ FAST_STAGES = ("lint", "tier1", "perf-gates", "traffic", "macro-gates",
                "e2e-selftest", "trace-gate", "determinism")
 ALL_STAGES = ("lint", "tier1", "slow", "coverage", "perf-gates", "traffic",
               "macro-gates", "e2e-selftest", "trace-gate", "determinism")
+#: the test files the ``trace-gate`` stage runs, beyond ``tier1``'s reach
+TRACE_GATE_PATHS = ("tests/trace_gate.py", "tests/fixtures/sketched_engine.py")
 #: stages retried once on failure (shell out to bench subprocesses)
 BENCH_GATE_STAGES = ("perf-gates", "macro-gates")
 
@@ -97,6 +100,8 @@ def stages_for_paths(paths: list[str]) -> set[str]:
         if (p.startswith("docs/") or p.startswith(".github/")
                 or p.endswith(".md") or p.endswith(".rst")):
             needed.add("lint")
+        elif p in TRACE_GATE_PATHS:
+            needed |= {"lint", "tier1", "trace-gate"}
         elif p.startswith("tests/"):
             needed |= {"lint", "tier1"}
         elif p.startswith("benchmarks/e2e/") or p == "BENCHMARK.json":
@@ -332,7 +337,10 @@ def _modeled_seconds(led) -> float:
 
 
 def stage_trace_gate() -> dict:
-    from repro.trace.gate import GateError, run_gate
+    tests = os.path.join(ROOT, "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
+    from trace_gate import GateError, run_gate
     from repro.util import ledger
     outer = ledger.CostLedger()
     try:

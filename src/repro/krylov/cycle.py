@@ -151,8 +151,7 @@ def block_arnoldi_cycle(op_apply, inner_m, v1: np.ndarray, s1: np.ndarray, *,
 
     # the engine's begin projects v1 against C_k when its stacked projector
     # needs a C_k-orthogonal seed
-    engine = make_arnoldi_engine(ortho, tol=deflation_tol,
-                                 max_cols=(max_steps + 1) * p + k)
+    engine = make_arnoldi_engine(ortho, tol=deflation_tol)
     v1 = engine.begin(v1, ck)
 
     steps = max_steps

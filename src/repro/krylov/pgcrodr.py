@@ -101,8 +101,7 @@ class _PseudoBlockCycle:
         # the C cross terms get two-pass quality and the separate projection
         # reduction disappears — 2 reductions/step with recycling, like the
         # block engine.  The other schemes keep the single-pass C loop
-        # (their orth_tol covers it; sketched *must*, since its sketch basis
-        # tracks only V).
+        # (their orth_tol covers it).
         carried = [col for col in cols if col.c is not None]
         self.fold_ck = options.orthogonalization == "cgs2_1r" and bool(carried)
         kmax = max(col.k for col in carried) if self.fold_ck else 0
@@ -147,9 +146,7 @@ class _PseudoBlockCycle:
             led.flop(Kernel.BLAS3, 4.0 * n * kmax * p)
             led.reduction(nbytes=p * kmax * v.itemsize)
         self.orth = make_pseudo_block_orthogonalizer(
-            options.orthogonalization, n=n, p=p, dtype=dtype,
-            max_cols=steps + 1)
-        self.orth.begin(v[:1])
+            options.orthogonalization, n=n, p=p, dtype=dtype)
 
     def arnoldi(self) -> None:
         """Advance every active column in lockstep, up to ``steps`` steps."""
@@ -168,8 +165,7 @@ class _PseudoBlockCycle:
                 w = st.op_apply(zj)
                 # fused orthogonalization against each column's own basis:
                 # the whole bundle advances with the active scheme's
-                # reduction count (cgs 2, cgs2_1r 2, cholqr2 2, sketched 1
-                # per step)
+                # reduction count (2 per step for every scheme)
                 with tr.span("ortho", scheme=options.orthogonalization):
                     if self.fold_ck:
                         w, adots, nrm = orth.step(self.arena.stacked(j), w,
@@ -194,7 +190,6 @@ class _PseudoBlockCycle:
                                 nbytes=p * options.recycle * w.itemsize)
                         w, dots, nrm = orth.step(v[: j + 1], w, j)
 
-                appended = np.zeros(p, dtype=bool)
                 # history: converged/frozen columns keep their last value
                 new_res = history.records[-1] * np.where(
                     history.rhs_norms > 0, history.rhs_norms, 1.0)
@@ -224,11 +219,9 @@ class _PseudoBlockCycle:
                     res = self.ls.add_column(live, hcol)
                     new_res[at] = res
                     v[j + 1][:, grow] = w[:, grow] / nrm[grow]
-                    appended[grow] = True
                     for l, r_l, lk in zip(live, res.tolist(), lucky):
                         cols[l].steps = j + 1
                         cols[l].active = not (lk or r_l <= targets[l])
-                orth.commit(appended)
             history.append(new_res)
             st.total_it += 1
             j = self.j = j + 1

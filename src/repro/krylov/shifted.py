@@ -19,7 +19,7 @@ frequency / regularization / time-step sweep.  Two engines live here:
   reduction per cycle regardless of the number of shifts.
 
 Both compose with the existing low-synchronization orthogonalization
-schemes (cgs2_1r / cholqr2 / sketched), so the per-step reduction budget
+schemes (cgs2_1r / cholqr2), so the per-step reduction budget
 is **unchanged by the number of shifts**: a cycle pays
 
 ====================  =========================================

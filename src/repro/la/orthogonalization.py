@@ -9,11 +9,10 @@ These are the communication-critical kernels of the paper (section III-D):
 * Arnoldi orthogonalization against an existing basis costs one reduction
   per *batch* of dot products (CGS), or one per basis vector (MGS — kept
   as the count oracle ``tests/fixtures/mgs_projection.py``, not a scheme);
-* the low-synchronization schemes (``cgs2_1r``, ``cholqr2``, ``sketched``)
-  cap the count at <= 2 reductions per Arnoldi step at *every* basis depth
-  by fusing all Gram blocks of a pass into one stacked GEMM whose result
-  travels in a single reduction (Thomas/Baker/Gaudreault low-sync block
-  Gram-Schmidt; Burke/Guettel/Soodhalter sketched GMRES).
+* the low-synchronization schemes (``cgs2_1r``, ``cholqr2``) cap the count
+  at <= 2 reductions per Arnoldi step at *every* basis depth by fusing all
+  Gram blocks of a pass into one stacked GEMM whose result travels in a
+  single reduction (Thomas/Baker/Gaudreault low-sync block Gram-Schmidt).
 
 Every kernel reports its (virtual) reduction count to the active
 :class:`repro.util.ledger.CostLedger`, which is how the benchmarks verify
@@ -56,7 +55,6 @@ __all__ = [
     "apply_sketch",
     "sketch_size",
     "make_arnoldi_engine",
-    "SketchArena",
     "PseudoBlockOrthogonalizer",
     "make_pseudo_block_orthogonalizer",
     "pseudo_block_tensor",
@@ -77,7 +75,7 @@ class OrthoScheme:
     verifier uses for the scheme (see ``verify/checker.py``), and
     ``exact_basis`` records whether the scheme keeps the Krylov basis
     orthonormal to machine precision (two-pass schemes) or only to a
-    bounded loss (single-pass / sketched) — recycled spaces harvested
+    bounded loss (single-pass) — recycled spaces harvested
     under inexact schemes get re-orthonormalized explicitly.
     """
 
@@ -85,7 +83,6 @@ class OrthoScheme:
     arnoldi_reductions: str = "-"       # reductions per Arnoldi step
     loo_bound: str = "-"                # loss of orthogonality, informal
     orth_tol: float = 1.0e-6            # verifier drift ceiling
-    residual_gap_rtol: float | None = None  # verifier override (None = keep)
     exact_basis: bool = True
     description: str = ""
 
@@ -103,17 +100,12 @@ SCHEMES: dict[str, OrthoScheme] = {s.name: s for s in (
                 exact_basis=False,
                 description="single-pass projection + CholQR2 intra-block "
                             "normalizer: <=2 reductions/step"),
-    OrthoScheme("sketched", "1", "eps_s/(1 - eps_s) in sketch "
-                "space (exact when s = n)", 64.0, residual_gap_rtol=10.0,
-                exact_basis=False,
-                description="seeded SRHT sketch applied locally, sketch-space "
-                            "QR, one small reduction per step"),
 )}
 
 ORTHO_SCHEME_NAMES: tuple[str, ...] = tuple(SCHEMES)
 #: Schemes whose step fuses every projection and the normalizer Gram into
-#: at most two stacked reductions (one for ``sketched``).
-LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2", "sketched")
+#: at most two stacked reductions.
+LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2")
 
 
 def conj_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -579,14 +571,11 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
     magnitude of ``w`` before the basis projection.  The low-synchronization
     schemes report a candidate lying inside the basis as rank 0; the
     project-then-CholQR step of ``cgs`` does not (its plain CholQR factors
-    a rounding-level remainder as full rank).  A one-shot ``sketched`` call
-    sketches the basis too (in a cycle that cost is amortized across the
-    steps).
+    a rounding-level remainder as full rank).
     """
     p = w.shape[1]
     k = ck.shape[1] if ck is not None else 0
-    engine = make_arnoldi_engine(scheme, tol=tol,
-                                 max_cols=k + basis_blocks.shape[1] + p)
+    engine = make_arnoldi_engine(scheme, tol=tol)
     v = engine.begin(basis_blocks.astype(w.dtype, copy=False), ck)
     q, h, s, rank, e_col = engine.step(np.asfortranarray(
         np.concatenate(([ck] if k else []) + [v, w], axis=1)), p, k=k)
@@ -599,8 +588,8 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
 # ``step`` orthogonalizes the candidate block against the whole basis *and*
 # the optional recycled space C_k and normalizes it, returning
 # (q, h, s, rank, e_col).  The low-synchronization engines fold C_k into one
-# stacked projector with at most two fused reductions (one for
-# ``sketched``); the cgs engine projects C_k, then V, then runs CholQR.
+# stacked projector with at most two fused reductions; the cgs engine
+# projects C_k, then V, then runs CholQR.
 # ---------------------------------------------------------------------------
 
 
@@ -623,10 +612,8 @@ class _EngineBase:
     array for the caller to commit.
     """
 
-    def __init__(self, *, tol: float, max_cols: int, seed: int = 0):
+    def __init__(self, *, tol: float):
         self.tol = tol
-        self.max_cols = max_cols
-        self.seed = seed
 
     def begin(self, v1: np.ndarray, ck: np.ndarray | None = None
               ) -> np.ndarray:
@@ -747,133 +734,21 @@ class _Cholqr2Engine(_EngineBase):
         return q, h, r, rank, e_col
 
 
-class SketchArena:
-    """Preallocated ``s x max_cols`` column-major slab for the sketched
-    basis Q_s (the layout of ``krylov.basis.BasisArena``)."""
-
-    def __init__(self, s: int, max_cols: int, dtype: np.dtype) -> None:
-        self.slab = np.zeros((s, max_cols), dtype=dtype, order="F")
-        self.cols = 0
-
-    def seed(self, qs: np.ndarray) -> None:
-        self.slab[:, :qs.shape[1]] = qs
-        self.cols = qs.shape[1]
-
-    def view(self) -> np.ndarray:
-        return self.slab[:, :self.cols]
-
-    def append(self, qn: np.ndarray) -> None:
-        self.slab[:, self.cols:self.cols + qn.shape[1]] = qn
-        self.cols += qn.shape[1]
-
-
-class _SketchedEngine(_EngineBase):
-    """Sketch-space Arnoldi orthogonalization: ONE reduction per step.
-
-    The engine keeps the sketched basis with *orthonormal* columns (the
-    first block is whitened locally; every appended block is sketch-
-    orthonormal by construction), so the sketch-space least-squares
-    projection and the normalization are local small-matrix work.  The
-    produced basis is sketch-orthonormal only; the Arnoldi relation
-    ``w = C e + V h + q s`` holds exactly by construction.
-    """
-
-    def __init__(self, *, tol, max_cols, seed=0):
-        super().__init__(tol=tol, max_cols=max_cols, seed=seed)
-        self._qs: SketchArena | None = None  # s x cols, orthonormal
-        self._t0: np.ndarray | None = None   # leading-block whitener
-        self._sck: np.ndarray | None = None  # sketched C_k
-        self.s = 0
-
-    def begin(self, v1, ck=None):
-        v1 = super().begin(v1, ck)
-        n, cols = v1.shape
-        self.s = sketch_size(n, self.max_cols)
-        k = ck.shape[1] if ck is not None and ck.size else 0
-        led = ledger.current()
-        led.reduction(nbytes=self.s * (cols + k) * v1.dtype.itemsize)
-        if k:
-            self._sck = apply_sketch(ck, self.s, seed=self.seed)
-        # whiten the sketched starting basis into the sketch arena
-        sv = apply_sketch(v1, self.s, seed=self.seed) if cols \
-            else np.zeros((self.s, 0), dtype=v1.dtype)
-        qs, self._t0 = np.linalg.qr(sv)
-        self._qs = SketchArena(self.s, max(self.max_cols, qs.shape[1]),
-                               qs.dtype)
-        self._qs.seed(qs)
-        if cols:
-            led.flop(Kernel.QR, 4.0 * self.s * cols**2)
-        return v1
-
-    def step(self, stacked, p, *, k=0):
-        led = ledger.current()
-        n, cols = stacked.shape
-        ck = stacked[:, :k]
-        basis = stacked[:, k:cols - p]
-        w = stacked[:, cols - p:]
-        # ONE fused reduction: the sketched candidate stacked with the
-        # exact recycled-space Gram C_k^H w (both are global row sums).
-        led.reduction(nbytes=(self.s + k) * p * w.itemsize)
-        sw = apply_sketch(w, self.s, seed=self.seed)
-        scale_s = float(np.max(column_norms(sw), initial=0.0))
-        e_col = None
-        if k:
-            e_col = conj_gram(ck, w)
-            led.flop(Kernel.BLAS3, 4.0 * n * k * p)
-            w = w - slab_matmul(ck, e_col)
-            sw = sw - slab_matmul(self._sck, e_col)
-        qs = self._qs.view()
-        w0 = self._t0.shape[0]
-        c = conj_gram(qs, sw)                            # local, cols x p
-        y = c.copy()
-        if w0:
-            y[:w0] = sla.solve_triangular(self._t0, c[:w0])
-        if basis.shape[1] != qs.shape[1]:
-            raise ValueError(
-                f"sketched engine state holds {qs.shape[1]} basis "
-                f"columns but step received {basis.shape[1]}; the engine "
-                "must see every appended block (begin + successive steps)")
-        w2 = w - slab_matmul(basis, y)
-        led.flop(Kernel.BLAS3, 2.0 * n * basis.shape[1] * p)
-        rs = sw - slab_matmul(qs, c)                     # sketch residual
-        qn, rfac = np.linalg.qr(rs)
-        led.flop(Kernel.QR, 4.0 * self.s * p**2)
-        d = np.abs(np.diag(rfac))
-        ref = max(scale_s, np.finfo(float).tiny)
-        rank = int(np.count_nonzero(d > self.tol * ref))
-        if rank < p:
-            # breakdown: hand the remainder to the exact rank-revealing
-            # path (its zero-column contract is what the cycle expects);
-            # the cycle terminates here, so the sketch state stays valid.
-            led.reduction(nbytes=p * 8)
-            scale = float(np.max(column_norms(w), initial=0.0))
-            q, r, rank = cholqr_rr(w2, tol=self.tol, scale=scale)
-            # the sketch-space verdict stands even if the exact factor
-            # keeps all p columns: nothing was appended to the sketch basis
-            return q, y, r, min(rank, p - 1), e_col
-        q = _right_solve(w2, rfac)
-        led.flop(Kernel.BLAS3, 1.0 * n * p**2)
-        self._qs.append(qn)
-        return q, y, rfac, rank, e_col
-
-
 _ENGINES = {"cgs": _CholqrEngine, "cgs2_1r": _Cgs21rEngine,
-            "cholqr2": _Cholqr2Engine, "sketched": _SketchedEngine}
+            "cholqr2": _Cholqr2Engine}
 
 
-def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12,
-                        max_cols: int = 0, seed: int = 0) -> _EngineBase:
+def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12) -> _EngineBase:
     """The block Arnoldi engine of any :data:`ORTHO_SCHEME_NAMES` entry.
 
-    ``max_cols`` bounds the total basis width of the cycle (used to size
-    the sketch); ``tol`` is the relative rank tolerance of the breakdown
-    test.  ``cgs`` is the project-then-CholQR engine, each
-    low-synchronization scheme has its own.
+    ``tol`` is the relative rank tolerance of the breakdown test.  ``cgs``
+    is the project-then-CholQR engine, each low-synchronization scheme has
+    its own.
     """
     if scheme not in _ENGINES:
         raise ValueError(f"unknown orthogonalization scheme {scheme!r}; "
                          f"expected one of {ORTHO_SCHEME_NAMES}")
-    return _ENGINES[scheme](tol=tol, max_cols=max_cols, seed=seed)
+    return _ENGINES[scheme](tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -942,42 +817,6 @@ def _pb_step_cgs2_1r(basis: np.ndarray, w: np.ndarray
     return w2, (d1 + d2).T, nrm, nbad
 
 
-def _pb_step_sketched(qs: np.ndarray, t0: np.ndarray, basis: np.ndarray,
-                      w: np.ndarray, sw: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
-    """Sketch-space projection and residual; ``sw`` is the pre-sketched
-    candidate.  Returns ``(w2, y, nrm, rs)`` with ``rs`` the sketch
-    residual the caller stages for :meth:`commit`."""
-    swt = np.ascontiguousarray(sw.T)
-    c = _pb_dots(qs, swt)                                # local, (p, j1)
-    y = c.copy()
-    m = min(t0.shape[0], qs.shape[0])
-    for l in range(w.shape[1]):                          # whiten leading block
-        t = t0[:m, :m, l]
-        # a singular whitener marks a dead bundle column (zero initial
-        # vector, e.g. an already-converged pseudo-block column): its
-        # sketch coefficients are zero, so skip the solve
-        if m and np.all(np.abs(np.diag(t)) > 0):
-            y[l, :m] = sla.solve_triangular(t, c[l, :m])
-    w2 = _pb_update(basis, np.ascontiguousarray(w.T), y)
-    rs = _pb_update(qs, swt, c)
-    return w2.T, y.T, np.sqrt(_pb_sq(rs)), rs.T
-
-
-def _pb_begin_sketched(sv: np.ndarray, max_cols: int, dtype: np.dtype
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column QR of the pre-sketched ``(s, w0, p)`` initial basis."""
-    s, w0, p = sv.shape
-    qs = pseudo_block_tensor(max_cols, s, p, dtype)
-    t0 = np.zeros((w0, w0, p), dtype=dtype)
-    for l in range(p):
-        q, t = np.linalg.qr(sv[:, :, l])
-        qs[:w0, :, l] = q.T
-        t0[:, :, l] = t
-    return qs, t0
-
-
 class PseudoBlockOrthogonalizer:
     """Fused per-column Arnoldi orthogonalization for the pseudo-block
     solvers (gmres / pgcrodr).
@@ -986,77 +825,30 @@ class PseudoBlockOrthogonalizer:
     column ``l``'s Krylov basis; all ``p`` recurrences advance together, so
     every scheme charges its reductions once per step for the whole bundle
     (payload bytes scale with ``p``; message counts do not, paper §V-B2).
+    The orthogonalizer keeps no state between steps.
 
     Per step: ``cgs`` 2 reductions (dots + norms, the legacy sequence),
     ``cgs2_1r`` 2 (both passes fused with the column norms, final norm by
     Pythagorean downdate), ``cholqr2`` 2 (for width-1 recurrences the
     intra-block normalizer degenerates to an exact renormalization, i.e.
-    single-pass CGS + exact norms), ``sketched`` 1 (the sketched candidate;
-    the projection and normalization are sketch-space local work).
+    single-pass CGS + exact norms).
     """
 
-    def __init__(self, scheme: str, *, n: int, p: int, dtype,
-                 max_cols: int, seed: int = 0):
+    def __init__(self, scheme: str, *, n: int, p: int, dtype):
         if scheme not in ORTHO_SCHEME_NAMES:
             raise ValueError(f"unknown orthogonalization scheme {scheme!r}; "
                              f"expected one of {ORTHO_SCHEME_NAMES}")
         self.scheme = scheme
         self.n, self.p = n, p
         self.dtype = np.dtype(dtype)
-        self.seed = seed
-        self.s = sketch_size(n, max_cols) if scheme == "sketched" else 0
-        self._qs: np.ndarray | None = None   # (max_cols, s, p) sketch basis
-        self._t0: np.ndarray | None = None   # (w0, w0, p) leading whiteners
-        self._cols = 0
-        self._max_cols = max_cols
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
-
-    # -- sketch state ------------------------------------------------------
-
-    def begin(self, v0: np.ndarray) -> None:
-        """Start a cycle from the ``(w0, n, p)`` initial basis tensor.
-
-        For ``sketched`` this sketches the initial columns (one reduction)
-        and whitens them per column so later steps are one reduction each;
-        for every other scheme it is free.
-        """
-        if self.scheme != "sketched":
-            return
-        w0, n, p = v0.shape
-        sv = apply_sketch(v0.transpose(1, 0, 2).reshape(n, w0 * p), self.s,
-                          seed=self.seed).reshape(self.s, w0, p)
-        self._qs, self._t0 = _pb_begin_sketched(sv, self._max_cols,
-                                                self.dtype)
-        led = ledger.current()
-        led.reduction(nbytes=self.s * w0 * self.p * self.dtype.itemsize)
-        led.flop(Kernel.QR, 4.0 * self.s * w0**2 * self.p)
-        self._cols = w0
-        self._pending = None
-
-    def commit(self, mask: np.ndarray) -> None:
-        """Append the step's new basis column for the columns in ``mask``
-        (the ones actually normalized; frozen columns append zero)."""
-        if self.scheme != "sketched" or self._pending is None:
-            return
-        rs, nrm = self._pending
-        col = np.zeros((self.s, self.p), dtype=self.dtype)
-        use = mask & (nrm > 0)
-        if np.any(use):
-            col[:, use] = rs[:, use] / nrm[use]
-        self._qs[self._cols] = col
-        self._cols += 1
-        self._pending = None
-
-    # -- the per-step kernel ----------------------------------------------
 
     def step(self, basis: np.ndarray, w: np.ndarray, j: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orthogonalize ``w`` (n x p) against ``basis`` ((j+1, n, p)).
 
         Returns ``(w2, dots, nrm)``: the remainder, the ``(j+1) x p``
-        projection coefficients and the per-column normalization factors
-        (for ``sketched`` these are sketch-space norms).  The caller
-        normalizes / freezes columns and then calls :meth:`commit`.
+        projection coefficients and the per-column normalization factors.
+        The caller normalizes / freezes columns.
         """
         led = ledger.current()
         n, p, itemsize = self.n, self.p, self.dtype.itemsize
@@ -1071,14 +863,6 @@ class PseudoBlockOrthogonalizer:
                      (4.0 * (j + 1) * n * p + 2.0 * n * p) * 2)
             if nbad:
                 led.reduction(nbytes=nbad * 8)
-        elif self.scheme == "sketched":
-            # ONE reduction: the sketched candidate
-            w2, dots, nrm, rs = _pb_step_sketched(
-                self._qs[:j + 1], self._t0, basis, w,
-                apply_sketch(w, self.s, seed=self.seed))
-            self._pending = (rs, nrm)
-            led.reduction(nbytes=self.s * p * itemsize)
-            led.flop(Kernel.BLAS3, 4.0 * (j + 1) * n * p)
         else:
             w2, dots, nrm = _pb_step_cgs(basis, w)
             led.reduction(nbytes=(j + 1) * p * itemsize)
@@ -1087,10 +871,8 @@ class PseudoBlockOrthogonalizer:
         return w2, dots, nrm
 
 
-def make_pseudo_block_orthogonalizer(scheme: str, *, n: int, p: int, dtype,
-                                     max_cols: int, seed: int = 0
+def make_pseudo_block_orthogonalizer(scheme: str, *, n: int, p: int, dtype
                                      ) -> PseudoBlockOrthogonalizer:
     """The one constructor the pseudo-block solvers call (a module global of
     each caller, so a tracer can rebind it and time the returned ``step``)."""
-    return PseudoBlockOrthogonalizer(scheme, n=n, p=p, dtype=dtype,
-                                     max_cols=max_cols, seed=seed)
+    return PseudoBlockOrthogonalizer(scheme, n=n, p=p, dtype=dtype)

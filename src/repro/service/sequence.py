@@ -24,7 +24,8 @@ share (``info["service"]["cost"]``) and its modeled duration at the
 driver's rank count; shares merge bit-for-bit back to the batch ledgers
 (the ``ledger_verified`` check of ``bench_transient``).
 
-Trace shape (checked by :func:`repro.trace.gate.check_sequence_shape`)::
+Trace shape (checked by ``check_sequence_shape`` in the test suite's
+``tests/trace_gate.py``)::
 
     sequence.run
       sequence.wave (wave=w)

@@ -7,7 +7,6 @@ clock — every exported "time" is modeled from ledger counts.
 
 from .export import (chrome_trace, chrome_trace_json, counts_signature,
                      modeled_span_seconds)
-from .gate import GateError, run_gate
 from .metrics import NULL_METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import (TRACE_LEVELS, NullTracer, Span, Tracer, current, install,
                      tracer_for)
@@ -15,8 +14,6 @@ from .tracer import (TRACE_LEVELS, NullTracer, Span, Tracer, current, install,
 __all__ = [
     "Counter",
     "Gauge",
-    "GateError",
-    "run_gate",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",

@@ -81,9 +81,9 @@ class Options:
         scheme of the Arnoldi step (paper Fig. 1 lines 25–27): the
         projection against ``C_k`` and the basis and the normalization of
         the remainder, one engine per scheme: ``cgs`` (CholQR with shifted
-        and rank-revealing fallbacks), ``cgs2_1r``, ``cholqr2``,
-        ``sketched``.  The residual-block QR of lines 11 and 24 is always
-        rank-revealing CholQR.
+        and rank-revealing fallbacks), ``cgs2_1r``, ``cholqr2``.  The
+        residual-block QR of lines 11 and 24 is always rank-revealing
+        CholQR.
     deflation_tol:
         relative rank tolerance used by rank-revealing CholQR (and, with
         ``block_reduction``, for deciding which residual directions to

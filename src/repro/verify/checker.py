@@ -367,10 +367,8 @@ def _apply_scheme_tolerances(chk: InvariantChecker, options) -> InvariantChecker
     loss-of-orthogonality bound from the registry
     (:data:`repro.la.orthogonalization.SCHEMES`): two-pass schemes are held
     to a *tighter* ceiling than the default (so regressions are not masked),
-    single-pass and sketched schemes to the looser one their analysis
-    guarantees (so ``verify=full`` does not false-positive by design).
-    Sketch-space schemes report sketched residual estimates, so their
-    residual-gap tolerance widens as well.
+    single-pass schemes to the looser one their analysis guarantees (so
+    ``verify=full`` does not false-positive by design).
 
     Recycled-space orthonormality follows the same scheme ceiling for
     inexact-basis schemes: their repair of ``C_k`` is *drift-gated* — the
@@ -383,8 +381,6 @@ def _apply_scheme_tolerances(chk: InvariantChecker, options) -> InvariantChecker
     info = SCHEMES.get(getattr(options, "orthogonalization", ""))
     if info is not None:
         chk.orth_tol = info.orth_tol
-        if info.residual_gap_rtol is not None:
-            chk.residual_gap_rtol = info.residual_gap_rtol
         if not info.exact_basis:
             chk.recycle_orth_tol = max(chk.recycle_orth_tol, info.orth_tol)
     return chk

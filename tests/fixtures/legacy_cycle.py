@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.la.blockqr import BlockHessenbergQR
-from repro.la.orthogonalization import (LOW_SYNC_SCHEMES, project_out,
+from repro.la.orthogonalization import (LOW_SYNC_SCHEMES,
+                                        make_arnoldi_engine, project_out,
                                         qr_factorization, slab_matmul)
 from repro.trace import tracer as trace
 from repro.util import ledger
 from repro.util.misc import column_norms
-
-from fixtures.unseeded_engines import make_arnoldi_engine
 
 
 @dataclass
@@ -73,9 +72,9 @@ def legacy_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *, max_steps,
             v1 = v1 - slab_matmul(ck, e0)
             led.flop(ledger.Kernel.BLAS3, 4.0 * v1.shape[0] * k * p)
             led.reduction(nbytes=k * p * v1.itemsize)
-        engine = make_arnoldi_engine(ortho, tol=deflation_tol,
-                                     max_cols=(max_steps + 1) * p + k)
-        engine.begin(v1, ck)
+        # the seed is projected above, as the cycle did before the
+        # engines' ``begin`` took that over, so ``begin`` is not called
+        engine = make_arnoldi_engine(ortho, tol=deflation_tol)
 
     hqr = BlockHessenbergQR(max_steps, p, np.asarray(s1, dtype=dtype),
                             dtype=dtype)

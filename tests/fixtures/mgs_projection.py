@@ -4,7 +4,7 @@ CGS projects a block against a ``k``-column basis with one reduction (all
 ``k`` dot products travel together); MGS needs the updated remainder
 before each next dot product, so it pays ``k`` sequential reductions.  No
 solver orthogonalizes this way — the Arnoldi schemes are ``cgs``,
-``cgs2_1r``, ``cholqr2`` and ``sketched`` — so MGS lives here, as the
+``cgs2_1r`` and ``cholqr2`` — so MGS lives here, as the
 reference the paper's count argument and the ``ortho`` section of
 ``benchmarks/bench_micro_kernels.py`` (loss of orthogonality and wall time
 of ``cgs2_1r`` against MGS) measure against.  This is the arithmetic and

@@ -12,7 +12,6 @@ results to rounding; kept only as the reference for
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.util.misc import column_norms
 
@@ -39,19 +38,4 @@ def _pb_step_cgs2_1r(basis, w):
     return w2, dots, nrm, nbad
 
 
-def _pb_step_sketched(qs, t0, basis, w, sw):
-    c = np.einsum("isp,sp->ip", qs.conj(), sw)
-    y = c.copy()
-    m = min(t0.shape[0], qs.shape[0])
-    for l in range(w.shape[1]):
-        t = t0[:m, :m, l]
-        if m and np.all(np.abs(np.diag(t)) > 0):
-            y[:m, l] = sla.solve_triangular(t, c[:m, l])
-    w2 = w - np.einsum("inp,ip->np", basis, y)
-    rs = sw - np.einsum("isp,ip->sp", qs, c)
-    nrm = np.sqrt(np.einsum("sp,sp->p", rs.conj(), rs).real)
-    return w2, y, nrm, rs
-
-
-CORES = {"_pb_step_cgs": _pb_step_cgs, "_pb_step_cgs2_1r": _pb_step_cgs2_1r,
-         "_pb_step_sketched": _pb_step_sketched}
+CORES = {"_pb_step_cgs": _pb_step_cgs, "_pb_step_cgs2_1r": _pb_step_cgs2_1r}

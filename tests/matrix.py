@@ -126,7 +126,7 @@ def conformance_matrix(full: bool = False) -> list[Config]:
         # (bgmres/bgcrodr), the pseudo-block per-column path (gcrodr p = 3)
         # and the p = 1 block GCRO-DR path that GMRES-DR runs — cover all
         # three
-        for scheme in ("cgs2_1r", "cholqr2", "sketched"):
+        for scheme in ("cgs2_1r", "cholqr2"):
             add(Config("bgmres", p=3, ortho=scheme))
             add(Config("gcrodr", p=3, ortho=scheme))
             add(Config("gmresdr", p=1, ortho=scheme))
@@ -172,7 +172,7 @@ def conformance_matrix(full: bool = False) -> list[Config]:
     # scheme, default axes elsewhere
     for method in SOLVERS:
         p = 3 if SOLVERS[method]["block"] else 1
-        for scheme in ("cgs2_1r", "cholqr2", "sketched"):
+        for scheme in ("cgs2_1r", "cholqr2"):
             add(Config(method, p=p, ortho=scheme))
     # shifted-family axis: both engines, plus a complex-shift spot check
     for method in ("bgmres", "bgcrodr"):
@@ -403,7 +403,7 @@ def _assert_sequence_conforms(cfg: Config, *, tol: float) -> Outcome:
     """
     import scipy.sparse.linalg as spla
 
-    from repro.trace.gate import GateError, check_sequence_shape
+    from trace_gate import GateError, check_sequence_shape
 
     seq, handle, records, tr = _run_sequence(cfg, tol=tol)
     out = Outcome(cfg, records)
@@ -490,15 +490,8 @@ def counts_of(cfg: Config, *, digests: bool = False) -> dict:
             out = {"iterations": int(hist.sum()),
                    "converged": [bool(handle.all_converged)]}
         else:
-            # several restarts per solve (restart 8, k = 2, tol 1e-10),
-            # except where the pinned parent is not healthy there: the
-            # pseudo-block sketched recurrence (pseudo-block GCRO-DR) loses
-            # its residual estimate after a few restarts — pinned at
-            # restart 20, one cycle, as the conformance test runs it.
-            sick = cfg.ortho == "sketched" and cfg.method == "gcrodr" \
-                and cfg.p > 1
-            res = _solve_config(cfg, tol=1e-10, restart=20 if sick else 8,
-                                verify="full")
+            # several restarts per solve (restart 8, k = 2, tol 1e-10)
+            res = _solve_config(cfg, tol=1e-10, restart=8, verify="full")
             parts = list(res.results) if cfg.shifts else [res]
             x = np.asarray(res.x)
             hist = np.concatenate([r.history.matrix() for r in parts], axis=1)

@@ -130,6 +130,13 @@ def test_docs_only_diff_maps_to_lint(ci):
 def test_tests_only_diff_maps_to_lint_tier1(ci):
     assert ci.stages_for_paths(["tests/test_transient.py"]) \
         == {"lint", "tier1"}
+    # the gate and its engine fixture also run in the trace-gate stage
+    for gate_file in ("tests/trace_gate.py",
+                      "tests/fixtures/sketched_engine.py"):
+        assert ci.stages_for_paths([gate_file]) \
+            == {"lint", "tier1", "trace-gate"}
+        assert ci.stages_for_paths(["tests/test_trace.py", gate_file]) \
+            == {"lint", "tier1", "trace-gate"}
 
 
 def test_bench_diff_maps_to_bench_gates(ci):

@@ -245,7 +245,7 @@ class TestDispatch:
     def test_unknown_scheme(self, rng):
         """Only the two QRs a solver calls are dispatched by name."""
         for scheme in ("banana", "tsqr", "householder", "cgs", "mgs",
-                       "cgs2_1r", "sketched"):
+                       "cgs2_1r", "cholqr2"):
             with pytest.raises(ValueError, match="'cholqr' or 'cholqr_rr'"):
                 qr_factorization(np.ones((4, 2)), scheme)
 

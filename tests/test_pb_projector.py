@@ -40,8 +40,7 @@ def _run(scheme, n, p, depth, complex_, frozen, seed, *, reference):
     zero and stay zero, as a converged pseudo-block column does."""
     dtype = np.complex128 if complex_ else np.float64
     rng = make_rng(seed, n, p)
-    orth = PseudoBlockOrthogonalizer(scheme, n=n, p=p, dtype=dtype,
-                                     max_cols=depth + 1)
+    orth = PseudoBlockOrthogonalizer(scheme, n=n, p=p, dtype=dtype)
     v = pseudo_block_tensor(depth + 1, n, p, dtype)
     v0 = _block(rng, n, p, complex_)
     v0[:, frozen] = 0.0
@@ -55,7 +54,6 @@ def _run(scheme, n, p, depth, complex_, frozen, seed, *, reference):
     led = CostLedger()
     try:
         with ledger.install(led):
-            orth.begin(v[:1])
             for j in range(depth):
                 w = _block(rng, n, p, complex_)
                 w[:, frozen] = 0.0
@@ -63,7 +61,6 @@ def _run(scheme, n, p, depth, complex_, frozen, seed, *, reference):
                 out.append((np.array(w2), np.array(dots), np.array(nrm)))
                 ok = live & (nrm > 0)
                 v[j + 1][:, ok] = w2[:, ok] / nrm[ok]
-                orth.commit(ok)
     finally:
         for name, core in saved.items():
             setattr(ortho, name, core)
@@ -114,7 +111,7 @@ def test_tensor_layout_is_what_blas_needs():
 
 
 @pytest.mark.parametrize("method,p", [("gmres", 3), ("gcrodr", 3)])
-@pytest.mark.parametrize("scheme", ["cgs", "cgs2_1r", "sketched"])
+@pytest.mark.parametrize("scheme", ["cgs", "cgs2_1r"])
 def test_every_pseudo_block_solver_hands_the_cores_a_blas_layout(
         monkeypatch, method, p, scheme):
     """gmres and pgcrodr (folded ``[C | V]`` prefix included): the basis
@@ -124,9 +121,6 @@ def test_every_pseudo_block_solver_hands_the_cores_a_blas_layout(
 
     def step(self, basis, w, j):
         seen.append((basis.shape, basis.strides, basis.itemsize))
-        if self.scheme == "sketched":
-            qs = self._qs[: j + 1]
-            seen.append((qs.shape, qs.strides, qs.itemsize))
         return real_step(self, basis, w, j)
 
     monkeypatch.setattr(PseudoBlockOrthogonalizer, "step", step)
@@ -137,8 +131,7 @@ def test_every_pseudo_block_solver_hands_the_cores_a_blas_layout(
     res = solve(a, b, options=Options(
         krylov_method=method, gmres_restart=12, recycle=4,
         orthogonalization=scheme, tol=1e-8, max_it=600))
-    # (sketched pgcrodr stalls on this system, at the parent commit too)
-    assert np.all(res.converged) or scheme == "sketched"
+    assert np.all(res.converged)
     assert len(seen) > 12                     # restarted at least once
     for shape, strides, itemsize in seen:
         assert shape[2] == p

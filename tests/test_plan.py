@@ -14,7 +14,6 @@ import pytest
 from repro import Options
 from repro.krylov.basis import AugmentedTensorArena, BasisArena
 from repro.krylov.cycle import complete_block
-from repro.la.orthogonalization import SketchArena
 from repro.util.options import parse_hpddm_args
 
 
@@ -51,14 +50,6 @@ def test_augmented_tensor_arena_is_contiguous_prefix():
     assert st.transpose(0, 2, 1).flags["C_CONTIGUOUS"]
     assert st[:, :, 1].strides[1] == st.itemsize
     assert np.all(st[:2] == 1.0) and np.all(st[2] == 2.0)
-
-
-def test_sketch_arena_append():
-    arena = SketchArena(6, 4, np.float64)
-    arena.seed(np.ones((6, 2)))
-    arena.append(2.0 * np.ones((6, 1)))
-    assert arena.view().shape == (6, 3)
-    assert np.all(arena.view()[:, 2] == 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,7 @@ _option_fields = st.fixed_dictionaries({}, optional={
     "variant": st.sampled_from(["left", "right", "flexible"]),
     "tol": st.floats(1e-14, 1e-2),
     "max_it": st.integers(1, 5000),
-    "orthogonalization": st.sampled_from(["cgs", "cgs2_1r", "cholqr2",
-                                          "sketched"]),
+    "orthogonalization": st.sampled_from(["cgs", "cgs2_1r", "cholqr2"]),
     "deflation_tol": st.floats(1e-16, 1e-6),
     "verify": st.sampled_from(["off", "cheap", "full"]),
     "trace": st.sampled_from(["off", "summary", "full"]),

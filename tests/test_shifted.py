@@ -11,7 +11,7 @@ Covers the contract of :mod:`repro.krylov.shifted` end-to-end:
 * recycling across families: a pair harvested from one family
   accelerates the next, across shifts, without per-shift projection;
 * mutation test: a per-shift extra reduction smuggled into the
-  least-squares core trips :func:`repro.trace.gate.check_shifted_shape`;
+  least-squares core trips :func:`trace_gate.check_shifted_shape`;
 * the service front ends coalesce families keyed on
   ``(fp(A), fp(M), rhs-digest)`` into one dispatch, whose columns are the
   union of the requests' ``(shift, b column)`` pairs: every request is
@@ -32,11 +32,11 @@ from repro.krylov.shifted import (ShiftedFamilyResult, shifted_matrix,
                                   solve_shifted_family)
 from repro.service import SolveService
 from repro.service.scheduler import AsyncSolveService
-from repro.trace.gate import GateError, check_shifted_shape
 from repro.trace.tracer import Tracer, install as install_tracer
 from repro.util import ledger
 from repro.util.ledger import CostLedger
 from repro.util.options import OptionError
+from trace_gate import GateError, check_shifted_shape
 
 from conftest import laplacian_2d, make_rng, relative_residuals
 

@@ -199,7 +199,7 @@ def test_solve_operands_are_column_major(problem, method, monkeypatch):
 
 
 @pytest.mark.parametrize("with_ck", [False, True], ids=["nock", "ck"])
-@pytest.mark.parametrize("scheme", ["cgs", "cgs2_1r", "cholqr2", "sketched"])
+@pytest.mark.parametrize("scheme", ["cgs", "cgs2_1r", "cholqr2"])
 def test_block_step_charges_the_fixture_counts(scheme, with_ck):
     """48 x 48 Laplacian (n = 2 304), p = 4: the first steps of the arena
     cycle charge what the list-of-blocks oracle charges, with its bits."""

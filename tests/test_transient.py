@@ -27,11 +27,11 @@ from repro.service.sequence import SequenceDriver
 from repro.service.service import SolveService
 from repro.service.shard import ShardedSetupCache
 from repro.trace.export import counts_signature
-from repro.trace.gate import GateError, check_sequence_shape
 from repro.trace.tracer import Tracer, install
 from repro.util import ledger
 from repro.util.ledger import CostLedger
 from repro.util.options import Options, parse_hpddm_args
+from trace_gate import GateError, check_sequence_shape
 
 
 def seq_options(**over) -> Options:

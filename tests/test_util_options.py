@@ -27,13 +27,14 @@ class TestOptionsValidation:
             Options(orthogonalization="qr")
 
     def test_removed_ortho_schemes_refused(self):
-        """``mgs`` / ``imgs`` are no schemes: refused at construction and
-        on the command line, naming the four there are."""
-        valid = r"\('cgs', 'cgs2_1r', 'cholqr2', 'sketched'\)"
-        with pytest.raises(OptionError, match=valid):
-            Options(orthogonalization="mgs")
-        with pytest.raises(OptionError, match=valid):
-            parse_hpddm_args(["-hpddm_orthogonalization", "imgs"])
+        """``mgs`` / ``imgs`` / ``sketched`` are no schemes: refused at
+        construction and on the command line, naming the three there are."""
+        valid = r"\('cgs', 'cgs2_1r', 'cholqr2'\)"
+        for scheme in ("mgs", "imgs", "sketched"):
+            with pytest.raises(OptionError, match=valid):
+                Options(orthogonalization=scheme)
+            with pytest.raises(OptionError, match=valid):
+                parse_hpddm_args(["-hpddm_orthogonalization", scheme])
 
     def test_unknown_qr_rejected(self):
         # the step's normalizer is fixed: ``qr`` is no field at all
@@ -161,7 +162,7 @@ class TestHpddmArgs:
             krylov_method="bgcrodr", gmres_restart=40, recycle=7,
             recycle_strategy="B", recycle_same_system=True,
             variant="flexible", tol=1.2345678e-9, max_it=777,
-            orthogonalization="sketched", deflation_tol=3.5e-13,
+            orthogonalization="cholqr2", deflation_tol=3.5e-13,
             block_reduction=True, verify="cheap", trace="summary",
             service_pmax=8, service_flush="explicit",
             service_cache_entries=5, service_mode="async",

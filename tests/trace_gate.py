@@ -1,5 +1,9 @@
 """Trace-based reduction-shape gate (the CI ``trace-gate`` stage).
 
+``scripts/ci.py --stage trace-gate`` runs :func:`run_gate`; the test suite
+imports the checks.  It lives under ``tests/`` beside the engine fixture
+its GMRES(m) check runs on.
+
 The paper's central scalability claim is a *shape* statement about
 communication: GMRES(m) pays one global reduction per Arnoldi step (``m``
 per cycle with a one-reduction scheme), while GCRO-DR(m, k) on the
@@ -11,16 +15,20 @@ engines, or the tracer's cost attribution trips it.
 
 Checks (all from span trees produced by real solves):
 
-* GMRES + ``sketched``: every full cycle has exactly ``m`` ``arnoldi_step``
-  spans and their reductions sum to exactly ``m`` (one per step).
+* GMRES(m) on the one-reduction sketched engine
+  (``tests/fixtures/sketched_engine.py``, block GMRES at p = 1): every full
+  cycle has exactly ``m`` ``arnoldi_step`` spans and their reductions sum
+  to exactly ``m`` (one per step).
 * GCRO-DR + ``cgs2_1r`` + ``same_system``: every full cycle has ``m - k``
   steps summing to exactly ``2 (m - k)`` reductions, the per-cycle count
   never varies across cycles, and no ``recycle_update`` span appears.
 * ``cgs2_1r`` low-synchronization bound: **every** ``arnoldi_step`` span
   carries at most 2 reductions, recycling included.
-* GCRO-DR + ``sketched`` on a different system (harvest and updates
-  running): every ``arnoldi_step`` span carries at most 1 reduction, at
-  two restart lengths.
+* GCRO-DR on the sketched engine, on a different system (harvest and
+  updates running): every ``arnoldi_step`` span carries at most 1
+  reduction, at two restart lengths.  The solves run under the label
+  ``cholqr2``, the inexact-basis scheme, so the recycled pair keeps its
+  drift-gated repair.
 * Conservation: the per-span exclusive costs sum bit-for-bit to the root
   span's ledger window (checked via :func:`counts_signature`, so flops,
   p2p and event counts are included — not just reductions).
@@ -37,11 +45,13 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from ..util import ledger
-from ..util.ledger import CostLedger
-from ..util.options import Options
-from .export import counts_signature
-from .tracer import Span, Tracer, install
+from fixtures import sketched_engine
+from repro import api
+from repro.trace.export import counts_signature
+from repro.trace.tracer import Span, Tracer, install
+from repro.util import ledger
+from repro.util.ledger import CostLedger
+from repro.util.options import Options
 
 __all__ = ["GateError", "check_conservation", "check_gcrodr_shape",
            "check_gmres_shape", "check_sequence_shape",
@@ -342,19 +352,17 @@ def run_gate(m: int = 10, k: int = 4) -> dict[str, Any]:
 
     Raises :class:`GateError` on the first violated invariant.
     """
-    from .. import api   # late import: api imports this package
-
     a, b_cols = _gate_problem()
     report: dict[str, Any] = {"m": m, "k": k}
 
-    # --- GMRES(m) with a one-reduction scheme: m reductions/cycle ---
-    opts = Options(krylov_method="gmres", gmres_restart=m,
-                   orthogonalization="sketched", tol=1e-12, max_it=60,
-                   trace="summary")
+    # --- GMRES(m) on the one-reduction engine: m reductions/cycle ---
+    opts = Options(krylov_method="bgmres", gmres_restart=m, tol=1e-12,
+                   max_it=60, trace="summary")
     tr = Tracer(level="summary")
     led = CostLedger()
-    with install(tr), ledger.install(led):
-        res = api.solve(a, b_cols[:, 0], options=opts)
+    with sketched_engine.install(max_cols=m + 1), install(tr), \
+            ledger.install(led):
+        res = api.solve(a, b_cols[:, :1], options=opts)
     ledger.current().merge(led)   # gate cost shows up in outer ledgers
     root = tr.roots[-1]
     report["gmres"] = check_gmres_shape(root, m)
@@ -380,17 +388,19 @@ def run_gate(m: int = 10, k: int = 4) -> dict[str, Any]:
     check_conservation(seed_root)
     check_conservation(root)
 
-    # --- GCRO-DR(m, k) + sketched, different system: 1/step ---------
+    # --- GCRO-DR(m, k) on the sketched engine, different system: 1/step
     # Harvest and updates run for real (same_system=False), at two
-    # restart lengths.
+    # restart lengths; cholqr2 is the label whose inexact basis keeps the
+    # pair's repair drift-gated.
     sk_report: dict[str, Any] = {}
     for m_s in (m, 2 * m):
         opts = Options(krylov_method="gcrodr", gmres_restart=m_s,
-                       recycle=k, orthogonalization="sketched", tol=1e-10,
+                       recycle=k, orthogonalization="cholqr2", tol=1e-10,
                        max_it=150, trace="summary")
         tr = Tracer(level="summary")
         led = CostLedger()
-        with install(tr), ledger.install(led):
+        with sketched_engine.install(max_cols=m_s + 1), install(tr), \
+                ledger.install(led):
             first = api.solve(a, b_cols[:, 1], options=opts)
             res = api.solve(a, b_cols[:, 2], options=opts,
                             recycle=first.info["recycle"],
@@ -434,9 +444,9 @@ def run_gate(m: int = 10, k: int = 4) -> dict[str, Any]:
     # zero recycle-harvest work; the epoch boundary must adopt+repair.
     # (No conservation check here — service batches run on private
     # ledgers, which check_conservation explicitly excludes.)
-    from ..problems.transient import HeatSequence
-    from ..service.sequence import SequenceDriver
-    from ..service.service import SolveService
+    from repro.problems.transient import HeatSequence
+    from repro.service.sequence import SequenceDriver
+    from repro.service.service import SolveService
     seq_opts = Options(krylov_method="gcrodr", gmres_restart=m,
                        recycle=k, orthogonalization="cgs2_1r",
                        tol=1e-10, max_it=2000,
