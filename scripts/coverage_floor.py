@@ -43,6 +43,9 @@ FLOORS = {
     # and its re-pivot fallback must stay exercised
     os.path.join("src", "repro", "direct"): 97.0,
     os.path.join("src", "repro", "trace"): 85.0,
+    # the runtime invariant checker: held at its measure (195 of 201
+    # statements, 97.0 %) when the recycled pair's repair became one rule
+    os.path.join("src", "repro", "verify"): 97.0,
     # the Arnoldi schemes and the QR kernels: held at its measure before
     # mgs / imgs left it (93.4 %)
     os.path.join("src", "repro", "la", "orthogonalization.py"): 93.4,

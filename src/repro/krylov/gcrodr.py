@@ -21,6 +21,10 @@ paper:
   built from the incrementally computed QR of the block Hessenberg;
 * **strategies A / B**: eq. (3a) (one extra fused reduction) or eq. (3b)
   (communication-free) right-hand side for the generalized eigenproblem;
+* **one repair**: after every harvest and update a low-synchronization
+  scheme re-orthonormalizes ``C_k`` by QR and keeps ``A U_k = C_k``
+  through ``U_k R^-1``; the pair is re-derived from the operator only
+  when the operator changes (lines 3-7);
 * **same-system fast path**: for sequences with an unchanged operator,
   skip the re-orthonormalization of ``U_k`` (lines 3-7) and the recycle
   update at restarts (lines 31-38).
@@ -89,8 +93,6 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
 
     u_k: np.ndarray | None = None
     c_k: np.ndarray | None = None
-    # False once the drift gate deferred the pair's repair
-    pair_exact = True
 
     # ------------------------------------------------------------------
     # Lines 1-9: adopt a recycled space from the previous solve, if any.
@@ -168,8 +170,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                                                  slab_matmul)
                     led.flop(Kernel.BLAS3,
                              4.0 * n * hbar.shape[0] * c_k.shape[1])
-                    u_k, c_k, pair_exact = recycling.repair(
-                        u_k, c_k, op_apply, options.orthogonalization)
+                    u_k, c_k = recycling.repair(u_k, c_k,
+                                                options.orthogonalization)
                 chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                   what="harvested recycle space")
         else:
@@ -183,22 +185,14 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     u_k, c_k = pair
                     led.flop(Kernel.BLAS3,
                              4.0 * n * cv.shape[1] * c_k.shape[1])
-                    u_k, c_k, pair_exact = recycling.repair(
-                        u_k, c_k, op_apply, options.orthogonalization)
+                    u_k, c_k = recycling.repair(u_k, c_k,
+                                                options.orthogonalization)
                     chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                       what="updated recycle space")
 
     # package the (possibly updated) recycled space for the next solve
     out_recycle = None
     if u_k is not None and u_k.shape[1]:
-        if not pair_exact:
-            # adoption boundary: consumers of a packaged RecycledSubspace
-            # (the next solve's adoption fast path, the setup cache) expect
-            # an exactly orthonormal pair — run the deferred repair once
-            u_k, c_k = recycling.exact_repair(u_k, c_k, op_apply,
-                                              kind="adoption_boundary")
-            chk.check_recycle(u_k, c_k, op_apply=op_apply,
-                              what="packaged recycle space")
         out_recycle = RecycledSubspace(u_k, c_k, op_tag=st.a.tag,
                                        meta={"variant": options.variant,
                                              "k": u_k.shape[1]})

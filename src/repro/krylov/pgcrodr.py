@@ -278,13 +278,10 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
 
     cyc = _PseudoBlockCycle(st)
     cols = cyc.cols
-    # per column: False once the drift gate deferred the repair
-    pair_exact = [True] * p
 
     def _repair_column(col: _Column, pair, what: str) -> None:
         """Give column ``col`` its freshly mixed pair, repaired and checked."""
-        col.u, col.c, pair_exact[col.l] = recycling.repair(
-            *pair, op_apply, options.orthogonalization)
+        col.u, col.c = recycling.repair(*pair, options.orthogonalization)
         chk.check_recycle(col.u, col.c, op_apply=op_apply,
                           what=f"{what} recycle space (column {col.l})")
 
@@ -365,14 +362,6 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
                         _repair_column(col, pair, "updated")
         if harvesting and any(col.u is not None for col in cols):
             have_recycle = True
-
-    for l, col in enumerate(cols):
-        if col.u is not None and col.u.shape[1] and not pair_exact[l]:
-            # adoption boundary: packaged spaces must be exactly orthonormal
-            col.u, col.c = recycling.exact_repair(
-                col.u, col.c, op_apply, kind="adoption_boundary", column=l)
-            chk.check_recycle(col.u, col.c, op_apply=op_apply,
-                              what=f"packaged recycle space (column {l})")
 
     spaces = [RecycledSubspace(col.u, col.c, op_tag=st.a.tag)
               if col.u is not None else None for col in cols]

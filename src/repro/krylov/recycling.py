@@ -8,9 +8,8 @@ Within a solve the pair goes through the steps of Fig. 1, one function
 each, which the block driver ``gcrodr`` calls on its ``n x p`` block,
 ``pgcrodr`` once per column and the shifted family on its shared basis:
 :func:`adopt` (lines 3-7), :func:`harmonic_basis` + :func:`harvest`
-(16-20), :func:`update` (31-38), :func:`repair` after either and
-:func:`exact_repair` at the adoption boundary.  The drivers keep their
-loops, spans, checks and the lines 8-9 projection.
+(16-20), :func:`update` (31-38) and :func:`repair` after either.  The
+drivers keep their loops, spans, checks and the lines 8-9 projection.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ from typing import Any
 import numpy as np
 import scipy.linalg as sla
 
-from ..la.orthogonalization import (LOW_SYNC_SCHEMES, SCHEMES, _gram,
-                                    apply_sketch, householder_qr,
-                                    sketch_size)
+from ..la.orthogonalization import LOW_SYNC_SCHEMES, _gram, householder_qr
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -31,7 +28,7 @@ from ..util.options import Options
 from .deflation import generalized_ritz_vectors, harmonic_ritz_vectors
 
 __all__ = ["RecycledSubspace", "PseudoBlockRecycle", "adopt",
-           "harmonic_basis", "harvest", "update", "repair", "exact_repair"]
+           "harmonic_basis", "harvest", "update", "repair"]
 
 
 class _Stamped:
@@ -147,60 +144,35 @@ def update(options: Options, u_k: np.ndarray, dk: np.ndarray, ek: np.ndarray,
     return product(u_tilde, s[:kc]) + product(z, s[kc:]), product(cv, qf)
 
 
-def repair(u_k: np.ndarray, c_k: np.ndarray, op_apply, scheme: str
-           ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scheme-dependent recycled-pair repair after a harvest or update.
+def repair(u_k: np.ndarray, c_k: np.ndarray, scheme: str
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The recycled pair after a harvest or update, by scheme.
 
-    Inexact-basis schemes are *drift-gated*: a one-reduction sketch probe
-    estimates ``||C^H C - I||/sqrt(k)`` and the operator re-derivation
-    (:func:`exact_repair`, kind ``drift``) runs only above the scheme's
-    registry ceiling.  ``cgs2_1r`` keeps an exact basis but a tighter
-    ceiling than restart-compounded drift allows (the update mixes
-    ``[C V]`` and amplifies incoming error), so one QR of ``C_k`` resets
-    it and keeps ``A U_k = C_k``: ``C = Q2 R  =>  A (U R^-1) = Q2``.  The
-    exact single/two-pass schemes are left alone: their looser ceiling
-    absorbs the drift.
-
-    Returns ``(u, c, exact)``; ``exact=False`` (the gate skipped the
-    repair) means the caller owes one :func:`exact_repair` at the solve's
-    adoption boundary before packaging the space.
+    A low-synchronization scheme (``cgs2_1r``, ``cholqr2``)
+    re-orthonormalizes ``C_k`` with one Householder QR and keeps the map:
+    ``C = Q R  =>  A (U R^-1) = Q``.  ``A U_k = C_k`` holds to rounding
+    whatever the basis's loss of orthogonality (it is the Arnoldi
+    relation's), but ``C_k^H C_k`` would inherit that loss and the next
+    update's mix of ``[C V]`` would compound it; the QR resets it.
+    ``cgs`` leaves the pair alone, saving that reduction; its pairs stay
+    within the checker's default ceiling.
     """
-    info = SCHEMES[scheme]
-    if c_k.shape[1] == 0:
-        return u_k, c_k, True
-    if not info.exact_basis:
-        if sketch_drift_probe(c_k) <= info.orth_tol:
-            return u_k, c_k, False
-        return (*exact_repair(u_k, c_k, op_apply, kind="drift"), True)
-    if scheme in LOW_SYNC_SCHEMES:
-        q2, rfac = householder_qr(c_k)
-        return _project_solve(u_k, rfac), q2, True
-    return u_k, c_k, True
-
-
-def exact_repair(u_k: np.ndarray, c_k: np.ndarray, op_apply, **span
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_exact_pair` in a ``recycle_repair`` span (attributes ``span``)
-    with its event: the drift gate's repair, or the deferred one at the
-    adoption boundary, where a packaged space must be exactly orthonormal."""
-    with trace.current().span("recycle_repair", **span):
-        ledger.current().event("recycle_repair")
-        return _exact_pair(u_k, c_k, op_apply)
+    if c_k.shape[1] == 0 or scheme not in LOW_SYNC_SCHEMES:
+        return u_k, c_k
+    q2, rfac = householder_qr(c_k)
+    return _project_solve(u_k, rfac), q2
 
 
 # ---------------------------------------------------------------------------
-# small-space and drift helpers
+# small-space helpers
 # ---------------------------------------------------------------------------
 
 def _exact_pair(u_k: np.ndarray, c_k: np.ndarray, op_apply
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re-establish ``A U_k = C_k`` and ``C_k^H C_k = I`` exactly.
-
-    A pair assembled from an inexact basis inherits its drift, and the
-    next update's small-space solve compounds it.  Re-deriving the pair
-    from the operator (one ``A U_k`` on k columns plus a Householder QR,
-    the recipe of lines 3-7) resets both invariants to rounding level.
-    """
+    """Re-derive the pair from the operator: one ``A U_k`` on k columns
+    plus a Householder QR, the recipe of lines 3-7, which resets
+    ``A U_k = C_k`` and ``C_k^H C_k = I`` to rounding.  The shifted family
+    finishes its harvest with it (``krylov/shifted.py``)."""
     if c_k.shape[1] == 0:
         return u_k, c_k
     au = op_apply(u_k)
@@ -247,22 +219,3 @@ def _strategy_w(strategy: str, gm: np.ndarray, cv: np.ndarray,
         w_hat[:, :u_tilde.shape[1]] = _gram(cv, u_tilde)   # ONE reduction
     return w_hat
 
-
-def sketch_drift(sc: np.ndarray) -> float:
-    """Scaled orthonormality drift ``||sc^H sc - I|| / sqrt(k)`` (local)."""
-    k = sc.shape[1]
-    if k == 0:
-        return 0.0
-    g = sc.conj().T @ sc
-    return float(np.linalg.norm(g - np.eye(k, dtype=g.dtype)) / np.sqrt(k))
-
-
-def sketch_drift_probe(c_k: np.ndarray, *, seed: int = 0) -> float:
-    """One-reduction sketch-space estimate of the drift of a *full* basis
-    (the reduction assembles the ``s x k`` sketch): :func:`repair`'s gate."""
-    n, k = c_k.shape
-    if k == 0:
-        return 0.0
-    s = sketch_size(n, max(k, 1))
-    ledger.current().reduction(nbytes=s * k * c_k.itemsize)
-    return sketch_drift(apply_sketch(c_k, s, seed=seed))

@@ -72,18 +72,13 @@ class OrthoScheme:
     ``arnoldi_reductions`` / ``loo_bound`` are the human-readable figures
     quoted in docs/ORTHOGONALIZATION.md and the benchmark report;
     ``orth_tol`` is the basis-orthonormality drift ceiling the runtime
-    verifier uses for the scheme (see ``verify/checker.py``), and
-    ``exact_basis`` records whether the scheme keeps the Krylov basis
-    orthonormal to machine precision (two-pass schemes) or only to a
-    bounded loss (single-pass) — recycled spaces harvested
-    under inexact schemes get re-orthonormalized explicitly.
+    verifier uses for the scheme (see ``verify/checker.py``).
     """
 
     name: str
     arnoldi_reductions: str = "-"       # reductions per Arnoldi step
     loo_bound: str = "-"                # loss of orthogonality, informal
     orth_tol: float = 1.0e-6            # verifier drift ceiling
-    exact_basis: bool = True
     description: str = ""
 
 
@@ -97,14 +92,15 @@ SCHEMES: dict[str, OrthoScheme] = {s.name: s for s in (
                             "Gram blocks fused into one stacked GEMM, norm "
                             "by Pythagorean downdate: <=2 reductions/step"),
     OrthoScheme("cholqr2", "2", "O(eps * kappa)", 1.0e-4,
-                exact_basis=False,
                 description="single-pass projection + CholQR2 intra-block "
                             "normalizer: <=2 reductions/step"),
 )}
 
 ORTHO_SCHEME_NAMES: tuple[str, ...] = tuple(SCHEMES)
 #: Schemes whose step fuses every projection and the normalizer Gram into
-#: at most two stacked reductions.
+#: at most two stacked reductions; their recycled ``C_k`` is
+#: re-orthonormalized after every harvest and update
+#: (``krylov/recycling.py::repair``).
 LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2")
 
 

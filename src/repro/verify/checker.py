@@ -361,26 +361,18 @@ def checker_for(options, *, context: str = ""
 
 
 def _apply_scheme_tolerances(chk: InvariantChecker, options) -> InvariantChecker:
-    """Scale drift tolerances to the active orthogonalization scheme.
+    """Scale the basis-orthonormality ceiling to the active scheme.
 
-    The ceiling for basis-orthonormality drift is the scheme's theoretical
-    loss-of-orthogonality bound from the registry
-    (:data:`repro.la.orthogonalization.SCHEMES`): two-pass schemes are held
-    to a *tighter* ceiling than the default (so regressions are not masked),
-    single-pass schemes to the looser one their analysis guarantees (so
-    ``verify=full`` does not false-positive by design).
-
-    Recycled-space orthonormality follows the same scheme ceiling for
-    inexact-basis schemes: their repair of ``C_k`` is *drift-gated* — the
-    expensive full-space re-derivation is deferred while a sketch-space
-    probe stays below ``info.orth_tol``, so mid-solve ``C_k^H C_k`` may
-    legitimately carry that much drift (packaged spaces are still repaired
-    to rounding at the adoption boundary).
+    The ceiling is the scheme's theoretical loss-of-orthogonality bound
+    from the registry (:data:`repro.la.orthogonalization.SCHEMES`):
+    two-pass schemes are held to a *tighter* ceiling than the default (so
+    regressions are not masked), single-pass schemes to the looser one
+    their analysis guarantees (so ``verify=full`` does not false-positive
+    by design).  The recycled pair keeps the default ceiling under every
+    scheme: it is exactly orthonormal mid-solve (``recycling.repair``).
     """
     from ..la.orthogonalization import SCHEMES  # deferred: keep verify light
     info = SCHEMES.get(getattr(options, "orthogonalization", ""))
     if info is not None:
         chk.orth_tol = info.orth_tol
-        if not info.exact_basis:
-            chk.recycle_orth_tol = max(chk.recycle_orth_tol, info.orth_tol)
     return chk

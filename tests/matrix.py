@@ -449,8 +449,10 @@ COUNTS_FILE = Path(__file__).parent / "data" / "solver_counts.json"
 #: sha1 of ``x`` and of the history of every ``gmres`` / ``gcrodr`` cell,
 #: recorded while each column of a pseudo-block cycle still owned its own
 #: ``BlockHessenbergQR`` (the single-column ``gcrodr`` cells, which run the
-#: block cycle, since its basis slab went column-major); regenerate with
-#: ``python tests/matrix.py --sha1``
+#: block cycle, since its basis slab went column-major; the history of
+#: ``gcrodr-right-fused-f64-p3-A-cholqr2``, since its recycled pair is
+#: repaired by a QR of ``C_k`` instead of a gated ``qr(A U_k)``); regenerate
+#: with ``python tests/matrix.py --sha1``
 SHA1_FILE = Path(__file__).parent / "data" / "pseudo_block_sha1.json"
 
 

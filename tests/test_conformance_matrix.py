@@ -65,7 +65,8 @@ def test_pseudo_block_iterates_are_the_pinned_bits():
     least-squares state moved into one bundle without moving a bit; the
     14 ``gcrodr-*-p1-*`` cells run the block cycle (one system is a block
     of width one), and were re-pinned when its basis slab went
-    column-major.  The digests hold for one BLAS build; regenerate them
+    column-major.  The ``cholqr2`` cell's history was re-pinned when its
+    recycled pair's repair became one QR of ``C_k``.  The digests hold for one BLAS build; regenerate them
     (``python tests/matrix.py --sha1``) from an unchanged solver on a new
     one."""
     pinned = json.loads(SHA1_FILE.read_text())

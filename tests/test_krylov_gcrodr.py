@@ -9,7 +9,6 @@ from repro import Options, RecycledSubspace, Solver, solve
 from repro.krylov.base import FunctionPreconditioner
 from repro.krylov import recycling
 from repro.krylov.gcrodr import gcrodr
-from repro.krylov.recycling import sketch_drift, sketch_drift_probe
 from repro.la.orthogonalization import ORTHO_SCHEME_NAMES
 from repro.krylov.gmres import gmres
 from repro.trace import Tracer, install
@@ -493,56 +492,47 @@ class TestKZeroIsGmres:
 
 
 class TestPairRepair:
-    """``recycling.repair``: which schemes repair the recycled pair, and
-    when."""
+    """``recycling.repair``: one rule for every scheme.  After each harvest
+    and update a low-synchronization scheme re-orthonormalizes ``C_k`` by
+    QR (one reduction) and keeps the map; ``cgs`` leaves the pair alone."""
 
-    def test_exact_scheme_repair_path_unchanged(self):
-        """cgs2_1r (exact basis) never routes through the drift-gated repair."""
-        cfg = Config("gcrodr", p=3, ortho="cgs2_1r")
-        a, b, m = make_problem(cfg)
-        o = cfg.options(verify="full", tol=1e-8).replace(trace="summary")
+    @staticmethod
+    def _sequence(method, scheme):
+        """Two solves on the 30 x 30 Laplacian (n = 900), the second on a
+        changed operator so the adopted pair is updated at every restart."""
+        a = laplacian_2d(30)
+        a2 = (a + 0.05 * sp.eye(a.shape[0])).tocsr()
+        rng = make_rng(29)
+        b1, b2 = rng.standard_normal((2, 900, 2))
+        o = _opts(krylov_method=method, gmres_restart=20, recycle=5,
+                  orthogonalization=scheme, verify="full", trace="summary")
         tr = Tracer(level="summary")
         with install(tr), ledger.install() as led:
-            r1 = solve(a, b, m, options=o)
-            r2 = solve(a, np.negative(b), m, options=o,
-                       recycle=r1.info["recycle"], same_system=False)
+            r1 = solve(a, b1, options=o)
+            r2 = solve(a2, b2, options=o, recycle=r1.info["recycle"])
+        assert np.asarray(r1.converged).all()
         assert np.asarray(r2.converged).all()
+        spans = [s for root in tr.roots for s in root.find("recycle_update")]
+        reds = {(s.attrs.get("kind", "update"), s.cost.reductions)
+                for s in spans}
+        return a2, r2.info["recycle"], led, tr, reds
+
+    @pytest.mark.parametrize("method", ["gcrodr", "bgcrodr"])
+    @pytest.mark.parametrize("scheme", ["cgs", "cgs2_1r", "cholqr2"])
+    def test_exact_scheme_repair_path_unchanged(self, method, scheme):
+        a2, space, led, tr, reds = self._sequence(method, scheme)
+        assert {kind for kind, _ in reds} == {"harvest", "update"}
         assert led.calls.get("recycle_repair", 0) == 0
         assert sum(len(root.find("recycle_repair")) for root in tr.roots) == 0
-
-    def test_inexact_scheme_defers_repair_to_adoption_boundary(self):
-        """cholqr2, the inexact-basis scheme: while the drift probe stays
-        under the scheme's ceiling the gate never fires mid-solve, and the
-        one exact re-derivation happens at the packaging boundary.  The
-        probe reads the true drift only on a square sketch (n <= 32, see
-        ``test_drift_probe_exact_when_sketch_is_square``); above that its
-        SRHT distortion alone (0.3-0.4) exceeds the 1e-4 ceiling and every
-        harvest repairs on the spot, so the system here has n = 32."""
-        a = laplacian_1d(32, shift=0.3)
-        b = make_rng(3).standard_normal((32, 1))
-        o = Options(krylov_method="gcrodr", gmres_restart=8, recycle=3,
-                    orthogonalization="cholqr2", tol=1e-8, verify="cheap",
-                    trace="summary")
-        tr = Tracer(level="summary")
-        with install(tr), ledger.install():
-            r1 = solve(a, b, options=o)
-        repairs = [s for root in tr.roots for s in root.find("recycle_repair")]
-        kinds = [s.attrs.get("kind") for s in repairs]
-        assert "drift" not in kinds, "drift-gated repair fired on a healthy run"
-        assert kinds.count("adoption_boundary") == 1
-        assert np.asarray(r1.converged).all()
-
-    def test_drift_probe_exact_when_sketch_is_square(self):
-        """For n <= 32 the probe's sketch is an isometry, so the estimate
-        equals the true drift to rounding — the gate decision is exact."""
-        rng = make_rng(23)
-        n, k = 24, 4
-        q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-        bad = q.copy()
-        bad[:, -1] = 0.7 * bad[:, 0] + 0.3 * bad[:, -1]
-        with ledger.install():
-            clean = sketch_drift_probe(q)
-            dirty = sketch_drift_probe(bad)
-        assert clean < 1e-12
-        assert abs(dirty - sketch_drift(bad)) < 1e-12
-        assert dirty > 0.1
+        # the repair is the scheme's only trace in the pair's spans: one
+        # QR reduction per low-sync harvest or update, none under cgs
+        _, _, _, _, ref = self._sequence(method, "cgs2_1r")
+        lag = 1 if scheme == "cgs" else 0
+        assert reds == {(kind, r - lag) for kind, r in ref}
+        pairs = space.spaces if method == "gcrodr" else [space]
+        for pair in pairs:
+            c = pair.c
+            au = a2 @ pair.u
+            assert np.linalg.norm(au - c) / np.linalg.norm(c) <= 1e-12
+            assert np.linalg.norm(c.conj().T @ c - np.eye(c.shape[1])) \
+                <= 1e-12

@@ -641,11 +641,11 @@ class TestTraceGate:
         assert report["gcrodr"]["full_cycles"] >= 1
         assert report["cgs2_1r_bound"]["max_reductions_per_step"] <= 2
         # different-system GCRO-DR on the sketched engine: one reduction
-        # per step, plus the harvest, the adoption's QR and the drift-gated
-        # repairs of the cholqr2 label
+        # per step, plus the harvest, the adoption's QR and the one-QR
+        # repair of C_k after each harvest and update (cholqr2 label)
         assert report["sketched_gcrodr"] == {
-            "m=10": {"iterations": 27, "reductions": 142},
-            "m=20": {"iterations": 26, "reductions": 100}}
+            "m=10": {"iterations": 27, "reductions": 133},
+            "m=20": {"iterations": 26, "reductions": 95}}
 
     def _fake_cycle(self, tr, led, nsteps, reds_per_step, name="cycle",
                     **attrs):

@@ -487,7 +487,7 @@ def test_shape_rejects_unrepaired_adoption():
 def test_shape_rejects_trusted_adoption():
     def build(tr):
         with tr.span("service.batch", batch=0):
-            with tr.span("recycle_repair", kind="adoption_boundary"):
+            with tr.span("recycle_update"):
                 pass
             with tr.span("cycle", kind="gcrodr", same_system=True):
                 pass
@@ -501,7 +501,7 @@ def test_shape_accepts_well_formed_tree():
         with tr.span("service.batch", batch=0):
             with tr.span("setup.lu"):
                 pass
-            with tr.span("recycle_repair", kind="adoption_boundary"):
+            with tr.span("recycle_update"):
                 pass
         with tr.span("service.batch", batch=1):
             with tr.span("cycle", kind="gcrodr", same_system=True):

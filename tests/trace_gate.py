@@ -27,8 +27,8 @@ Checks (all from span trees produced by real solves):
 * GCRO-DR on the sketched engine, on a different system (harvest and
   updates running): every ``arnoldi_step`` span carries at most 1
   reduction, at two restart lengths.  The solves run under the label
-  ``cholqr2``, the inexact-basis scheme, so the recycled pair keeps its
-  drift-gated repair.
+  ``cholqr2``, so the recycled pair takes the low-synchronization repair
+  (one QR of ``C_k`` after each harvest and update).
 * Conservation: the per-span exclusive costs sum bit-for-bit to the root
   span's ledger window (checked via :func:`counts_signature`, so flops,
   p2p and event counts are included — not just reductions).
@@ -237,9 +237,8 @@ def check_sequence_shape(root: Span) -> dict[str, Any]:
     * an **adoption-boundary** step (``adopted=True``: the epoch changed
       and the recycle space was carried over via
       ``SetupCache.adopt_from``) must be *repaired, never trusted*: its
-      batch must run at least one ``recycle_update`` or
-      ``recycle_repair`` span, and none of its recycled cycles may claim
-      ``same_system=True``.
+      batch must run at least one ``recycle_update`` span, and none of
+      its recycled cycles may claim ``same_system=True``.
     """
     runs = root.find("sequence.run")
     if not runs:
@@ -259,7 +258,6 @@ def check_sequence_shape(root: Span) -> dict[str, Any]:
                 f"{leaf.attrs.get('batch')!r} with no service.batch span")
         setups = [s for s in batch.walk() if s.name.startswith("setup.")]
         updates = batch.find("recycle_update")
-        repairs = batch.find("recycle_repair")
         recycled_cycles = [c for c in batch.find("cycle")
                            if c.attrs.get("kind") == "gcrodr"]
         if not leaf.attrs.get("fp_changed"):
@@ -285,11 +283,10 @@ def check_sequence_shape(root: Span) -> dict[str, Any]:
                         f"{cyc.attrs.get('same_system')!r}")
         elif leaf.attrs.get("adopted"):
             adoptions += 1
-            if not updates and not repairs:
+            if not updates:
                 raise GateError(
-                    f"adoption-boundary {tag} ran neither recycle_update "
-                    f"nor recycle_repair; adopted spaces must be "
-                    f"repaired, never trusted")
+                    f"adoption-boundary {tag} ran no recycle_update; "
+                    f"adopted spaces must be repaired, never trusted")
             for cyc in recycled_cycles:
                 if cyc.attrs.get("same_system"):
                     raise GateError(
@@ -390,8 +387,8 @@ def run_gate(m: int = 10, k: int = 4) -> dict[str, Any]:
 
     # --- GCRO-DR(m, k) on the sketched engine, different system: 1/step
     # Harvest and updates run for real (same_system=False), at two
-    # restart lengths; cholqr2 is the label whose inexact basis keeps the
-    # pair's repair drift-gated.
+    # restart lengths; under the cholqr2 label each harvest and update
+    # ends in the low-synchronization repair, one QR of C_k.
     sk_report: dict[str, Any] = {}
     for m_s in (m, 2 * m):
         opts = Options(krylov_method="gcrodr", gmres_restart=m_s,
