@@ -43,6 +43,9 @@ FLOORS = {
     # and its re-pivot fallback must stay exercised
     os.path.join("src", "repro", "direct"): 97.0,
     os.path.join("src", "repro", "trace"): 85.0,
+    # the Schwarz, AMG and simple preconditioners: held at their measure
+    # (429 of 444 statements, 96.6 %) rounded down to half a percent
+    os.path.join("src", "repro", "precond"): 96.5,
     # the runtime invariant checker: held at its measure (195 of 201
     # statements, 97.0 %) when the recycled pair's repair became one rule
     os.path.join("src", "repro", "verify"): 97.0,

@@ -12,6 +12,11 @@ The numeric phase is SuperLU (:func:`scipy.sparse.linalg.splu`), the
 stand-in for PARDISO's; its factors are *extracted* and every solve runs
 through our own blocked sweep (:mod:`repro.direct.triangular`), so
 multi-RHS measurements benchmark this library's code, not SuperLU's.
+The extracted level-ordered factors are the only copy of each factor: the
+``SuperLU`` object is released when ``_superlu`` returns.  It used to stay
+alive as long as the solver did, with its supernodal storage and cached CSC
+``L`` / ``U``, because ``perm_r`` / ``perm_c`` were kept as SuperLU's own
+arrays — views whose ``.base`` is that object; they are owned copies now.
 
 SuperLU is asked to order by what it measures.  A matrix whose stored
 pattern equals its transpose's (every Schwarz subdomain matrix) has its
@@ -114,7 +119,8 @@ class SparseLU:
                     f"SuperLU cannot factor the {self.n} x {self.n} "
                     f"matrix: {exc}") from exc
         l_mat, u_mat = sp.csr_matrix(lu.L), sp.csr_matrix(lu.U)
-        self.perm_r, self.perm_c = lu.perm_r, lu.perm_c   # Pr[perm_r[i], i] = 1
+        # Pr[perm_r[i], i] = 1; copied, so no view keeps ``lu`` alive
+        self.perm_r, self.perm_c = lu.perm_r.copy(), lu.perm_c.copy()
         # standard LU flop estimate: 2 sum_j nnz(L(:,j)) * nnz(U(j,:))
         l_cols = np.diff(sp.csc_matrix(lu.L).indptr)
         u_rows = np.diff(u_mat.indptr)

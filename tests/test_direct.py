@@ -25,6 +25,7 @@ from fixtures.reference_sweep import (ReferenceTriangularFactor,
                                       reference_concat,
                                       reference_invert_blocks)
 from fixtures.rowlevel_trisolve import RowLevelTriangularSolve, levels_by_row
+from fixtures.retained_bytes import array_bytes, traced_bytes
 
 
 def _random_sparse(rng, n, density=0.05, complex_=False):
@@ -624,6 +625,15 @@ class TestSparseLU:
         x = lu.solve(b)
         assert np.allclose(a @ x, b, atol=1e-8)
         assert x.shape == (90,)
+
+    def test_holds_each_factor_once(self):
+        # the extracted level-ordered factors are the only copy: no view
+        # keeps the SuperLU object (its supernodal storage and cached CSC
+        # ``L`` / ``U``) alive once the factorization returns
+        a = (laplacian_2d(90) + 0.4j * sp.eye(90 * 90)).tocsc()
+        lu, held = traced_bytes(lambda: SparseLU(a))
+        assert lu.perm_r.base is None and lu.perm_c.base is None
+        assert held <= 1.1 * array_bytes(lu)
 
     def test_has_no_engine_or_ordering_knob(self):
         # one factorization engine: SuperLU, ordered by the pattern

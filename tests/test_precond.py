@@ -15,6 +15,7 @@ from repro.problems.partition import (band_partition, decompose, grow_overlap,
                                       recursive_coordinate_bisection)
 
 from conftest import laplacian_1d, laplacian_2d, relative_residuals
+from fixtures.retained_bytes import array_bytes, traced_bytes
 
 
 class TestAggregation:
@@ -246,6 +247,22 @@ class TestSchwarz:
         block = m.apply(x)
         cols = np.column_stack([m.apply(x[:, j:j + 1])[:, 0] for j in range(3)])
         assert np.allclose(block, cols, atol=1e-12)
+
+    def test_oras_holds_each_factor_once(self):
+        # the Maxwell ORAS set-up (impedance local matrices) holds what its
+        # arrays account for: no subdomain's SuperLU object stays alive
+        from repro.problems.maxwell import decompose_maxwell, maxwell_chamber
+
+        def build():
+            prob = maxwell_chamber(6)
+            dec = decompose_maxwell(prob, 8, overlap=2, impedance=True)
+            return SchwarzPreconditioner(
+                prob.a, variant="oras", decomposition=dec.decomposition,
+                local_matrices=dec.local_matrices)
+
+        m, held = traced_bytes(build)
+        assert len(m.solvers) == 8
+        assert held <= 1.1 * array_bytes(m)
 
     def test_local_matrix_size_checked(self):
         a = laplacian_2d(8)

@@ -15,6 +15,9 @@ Covers the contract of :mod:`repro.service`:
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -31,6 +34,7 @@ from repro.util.options import OptionError, parse_hpddm_args
 
 from conftest import laplacian_2d, make_rng, relative_residuals
 from fixtures.reference_split import reference_split
+from fixtures.retained_bytes import array_bytes
 
 
 def poisson(nx: int = 14) -> sp.csr_matrix:
@@ -163,6 +167,27 @@ class TestSetupCache:
         assert cache.get(fp, "precond") == 1
         cache.invalidate()
         assert len(cache) == 0
+
+    def test_lu_entry_holds_its_factors_once(self):
+        # what dropping a cached ``lu`` entry frees is what the arrays of its
+        # SparseLU account for: the SuperLU object did not outlive set-up
+        a = (laplacian_2d(90) + 0.4j * sp.eye(90 * 90)).tocsr()
+        fp = operator_fingerprint(a)
+        svc = SolveService(options=Options(krylov_method="gmres"),
+                           preconditioner="lu")
+        tracemalloc.start()
+        try:
+            svc.submit(a, np.cos(np.arange(a.shape[0])))
+            svc.flush()
+            expected = array_bytes(svc.cache.get(fp, "lu"))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            svc.cache.invalidate(fp, kind="lu")
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * expected <= freed <= 1.1 * expected
 
 
 # ---------------------------------------------------------------------------
