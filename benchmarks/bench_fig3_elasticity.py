@@ -62,9 +62,9 @@ def fig3_data():
         lin[label] = runs
     data["linear"] = lin
 
-    # --- 3a/3b pairing: variable CG(4)-smoothed AMG, flexible -------------
+    # --- 3a/3b pairing: variable CG(4)-smoothed AMG, so right runs flexible
     flex = Options(krylov_method="gmres", gmres_restart=30, tol=TOL,
-                   variant="flexible", max_it=4000)
+                   max_it=4000)
     var = {}
     for label, opts in [("FGMRES(30)", flex),
                         ("FGCRO-DR(30,10)",

@@ -131,10 +131,12 @@ def _report_target(target: str, floor: float) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("pytest_args", nargs="*",
-                    help="extra args forwarded to pytest (default: tests)")
-    ns = ap.parse_args(argv)
+    # every argument but -h goes to pytest in order, flags included
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                 usage="%(prog)s [pytest args] "
+                                       "(default: tests)",
+                                 allow_abbrev=False)
+    _, pytest_args = ap.parse_known_args(argv)
 
     src = os.path.join(ROOT, "src")
     if src not in sys.path:
@@ -144,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.settrace(_tracer)
     threading.settrace(_tracer)
     try:
-        rc = pytest.main(["-x"] + (ns.pytest_args or [os.path.join(ROOT, "tests")]))
+        rc = pytest.main(["-x"] + (pytest_args or [os.path.join(ROOT, "tests")]))
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -17,11 +17,11 @@ Preconditioning sides are normalized here once and for all:
 
 * ``left``  — the solver runs on ``z -> M(A z)`` and the *preconditioned*
   residual; mirrors PETSc's left preconditioning.
-* ``right`` and ``flexible`` — implemented uniformly via the flexible
-  machinery (store ``Z = M(V)``); for a constant preconditioner the two are
-  algebraically identical, and the flexible storage is what HPDDM uses when
-  ``-hpddm_variant flexible`` is requested (cf. the paper's closing note:
+* ``right`` — implemented via the flexible machinery (store ``Z = M(V)``):
+  for a constant preconditioner it is algebraically right preconditioning,
+  for a variable one it is FGMRES / FGCRO-DR (cf. the paper's closing note:
   FGCRO-DR "leads to less operations at a cost of additional storage").
+  The method label gains its ``f`` prefix when ``M`` is variable.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ class Preconditioner:
 
     ``is_variable`` declares a nonlinear/nondeterministic preconditioner
     (e.g. a Krylov smoother inside multigrid, section III-C of the paper);
-    solvers reject ``variant != 'flexible'`` for variable preconditioners,
-    exactly like HPDDM, because left/right preconditioned recurrences are
-    invalid when ``M`` changes between applications.
+    solvers reject ``variant='left'`` for variable preconditioners, because
+    the left preconditioned recurrence is invalid when ``M`` changes between
+    applications; ``right`` stores ``Z = M(V)`` and stays valid.
     """
 
     is_variable: bool = False
@@ -212,13 +212,13 @@ def as_preconditioner(m: Any) -> Preconditioner:
 def setup_preconditioning(a: Operator, m: Any, options):
     """Normalize the preconditioning side into ``(op_apply, inner_m, left_m)``:
     what the method iterates with (``A``, or ``M∘A`` under left
-    preconditioning), what the Arnoldi loop applies (``M`` under right /
-    flexible, else the identity) and ``M`` when it transforms the RHS (left).
+    preconditioning), what the Arnoldi loop applies (``M`` under right, else
+    the identity) and ``M`` when it transforms the RHS (left).
     """
     prec = as_preconditioner(m)
-    if prec.is_variable and options.variant != "flexible":
+    if prec.is_variable and options.variant == "left":
         raise ValueError(
-            "variable (nonlinear) preconditioners require variant='flexible' "
+            "variable (nonlinear) preconditioners require variant='right' "
             "(FGMRES / FGCRO-DR) — cf. paper section III-C")
     if isinstance(prec, IdentityPreconditioner):
         return a.matmat, prec, None

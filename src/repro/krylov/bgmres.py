@@ -49,6 +49,4 @@ def bgmres(a, b, m=None, *, options: Options | None = None,
             break
         st.restart_residual(f"BGMRES restart {st.cycles}",
                             gap=not state.breakdown)
-    return st.result(
-        "fbgmres" if options.variant == "flexible" else "bgmres",
-        {"restart": restart, "block_size": st.p})
+    return st.result("bgmres", {"restart": restart, "block_size": st.p})

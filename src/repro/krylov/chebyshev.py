@@ -117,8 +117,8 @@ class ChebyshevSmoother(Preconditioner):
     """Chebyshev polynomial preconditioner ``M^{-1} ~ p(A)``.
 
     ``is_variable`` is False: applying a fixed polynomial of ``A`` is a
-    linear operation, so right-preconditioned (non-flexible) outer Krylov
-    methods remain valid.
+    linear operation, so left-preconditioned outer Krylov methods remain
+    valid too.
     """
 
     is_variable = False

@@ -14,9 +14,10 @@ paper:
 * **block extension**: everything operates on ``n x p`` blocks, so
   BGCRO-DR falls out of the same code (the recycled space is k *vectors*
   regardless of ``p``);
-* **flexible variant** (FGCRO-DR): basis blocks ``Z_j = M(V_j)`` are
-  stored, and ``U_k`` is assembled from ``Z`` so it lives in solution
-  space — valid under variable preconditioning (Carvalho et al.);
+* **flexible by construction** (FGCRO-DR): under right preconditioning
+  the blocks ``Z_j = M(V_j)`` are stored, and ``U_k`` is assembled from
+  ``Z`` so it lives in solution space — valid under variable
+  preconditioning (Carvalho et al.);
 * **eq. (2)**: the harmonic-Ritz left-hand side of the first cycle is
   built from the incrementally computed QR of the block Hessenberg;
 * **strategies A / B**: eq. (3a) (one extra fused reduction) or eq. (3b)
@@ -194,13 +195,9 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
     out_recycle = None
     if u_k is not None and u_k.shape[1]:
         out_recycle = RecycledSubspace(u_k, c_k, op_tag=st.a.tag,
-                                       meta={"variant": options.variant,
-                                             "k": u_k.shape[1]})
+                                       meta={"k": u_k.shape[1]})
 
-    name = "gcrodr" if p == 1 else "bgcrodr"
-    if options.variant == "flexible":
-        name = "f" + name
-    return st.result(name, {
+    return st.result("gcrodr" if p == 1 else "bgcrodr", {
         "restart": m_restart, "k": k, "block_size": p,
         "recycle": out_recycle, "strategy": options.recycle_strategy,
         "same_system": bool(same_system)})

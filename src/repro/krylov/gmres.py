@@ -19,7 +19,7 @@ recycled pair and nothing is harvested.
 Preconditioning sides follow HPDDM semantics:
 
 * ``variant="left"``: run on ``z -> M(A z)`` and the preconditioned residual;
-* ``variant="right"`` / ``"flexible"``: store ``Z_j = M(V_j)`` and update the
+* ``variant="right"``: store ``Z_j = M(V_j)`` and update the
   iterate from ``Z`` (for a constant ``M`` this is algebraically right
   preconditioning; for a variable ``M`` it is FGMRES).
 """
@@ -66,6 +66,4 @@ def gmres(a, b, m=None, *, options: Options | None = None,
             cyc.arnoldi()
         cyc.update(("GMRES basis", "GMRES Arnoldi relation"))
         st.restart_residual(f"GMRES restart {st.cycles}")
-    return st.result(
-        "fgmres" if options.variant == "flexible" else "gmres",
-        {"restart": restart})
+    return st.result("gmres", {"restart": restart})

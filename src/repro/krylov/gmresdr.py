@@ -22,7 +22,7 @@ import numpy as np
 
 from ..util.misc import as_block
 from ..util.options import Options
-from .base import SolveResult
+from .base import SolveResult, as_preconditioner
 from .gcrodr import gcrodr
 
 __all__ = ["gmresdr"]
@@ -38,8 +38,8 @@ def gmresdr(a, b, m=None, *, options: Options | None = None,
     options = options or Options(krylov_method="gcrodr", recycle=10)
     if not 0 < options.recycle < options.gmres_restart:
         raise ValueError("GMRES-DR requires 0 < k < m")
-    if options.variant == "flexible":
-        raise ValueError("GMRES-DR cannot handle variable preconditioning "
+    if as_preconditioner(m).is_variable:
+        raise ValueError("GMRES-DR cannot handle a variable preconditioner "
                          "(paper section II-C) — use FGCRO-DR")
     if as_block(b).shape[1] != 1:
         raise ValueError("GMRES-DR handles a single right-hand side")

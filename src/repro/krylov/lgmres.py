@@ -10,7 +10,7 @@ iterations on the elasticity sequence (269 vs 173).
 Single right-hand side only, mirroring the PETSc implementation
 (``-ksp_type lgmres -ksp_lgmres_augment l``); flexible preconditioning is
 likewise unsupported in PETSc ("unfortunately, the flexible variant of
-LGMRES is not in PETSc"), so only left/right variants are allowed here.
+LGMRES is not in PETSc"), so a variable preconditioner is refused.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..la.blockqr import BlockHessenbergQR
 from ..util.ledger import Kernel
 from ..util.misc import column_norms
 from ..util.options import Options
-from .base import SolveResult
+from .base import SolveResult, as_preconditioner
 from .restart import RestartedSolve
 
 __all__ = ["lgmres"]
@@ -38,8 +38,8 @@ def lgmres(a, b, m=None, *, options: Options | None = None,
     option objects, as in the paper's elasticity experiment.
     """
     options = options or Options(krylov_method="lgmres")
-    if options.variant == "flexible":
-        raise ValueError("LGMRES does not support flexible preconditioning "
+    if as_preconditioner(m).is_variable:
+        raise ValueError("LGMRES does not support a variable preconditioner "
                          "(matching PETSc's implementation)")
     if options.orthogonalization != "cgs":
         raise ValueError("LGMRES orthogonalizes with cgs only, got "

@@ -365,10 +365,7 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
 
     spaces = [RecycledSubspace(col.u, col.c, op_tag=st.a.tag)
               if col.u is not None else None for col in cols]
-    name = "pgcrodr" if p > 1 else "gcrodr"
-    if options.variant == "flexible":
-        name = "f" + name
-    return st.result(name, {
+    return st.result("pgcrodr" if p > 1 else "gcrodr", {
         "restart": m_restart, "k": k, "block_size": p,
         "recycle": PseudoBlockRecycle(spaces, op_tag=st.a.tag),
         "strategy": options.recycle_strategy,

@@ -213,7 +213,11 @@ class RestartedSolve(RestartLoop):
         return state
 
     def result(self, method: str, info: dict) -> SolveResult:
-        """Pack the solve; ``info`` gains the variant and the verify report."""
+        """Pack the solve; ``info`` gains the variant and the verify report.
+        ``method`` gains the ``f`` prefix (FGMRES, FGCRO-DR) when the Arnoldi
+        loop applies a variable preconditioner."""
+        if self.inner_m.is_variable:
+            method = "f" + method
         info = {"variant": self.options.variant, **info}
         if not self.chk.is_off:
             info["verify"] = self.chk.report()

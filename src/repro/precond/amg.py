@@ -10,7 +10,8 @@ Implements the pieces the paper's experiments exercise:
 * pluggable smoothers: Chebyshev (PETSc's default — keeps the cycle
   linear), or a fixed number of GMRES / CG iterations
   (``-mg_levels_ksp_type gmres/cg``) which makes the preconditioner
-  *variable* and forces flexible outer Krylov methods (section III-C).
+  *variable*: the outer method must run right-preconditioned, which stores
+  ``Z = M(V)`` (FGMRES / FGCRO-DR, section III-C).
 
 The V-cycle is standard SA: smoothed prolongation
 ``P = (I - omega D^{-1} A) T`` and Galerkin coarse operators, with a

@@ -30,7 +30,7 @@ def _scheme_names() -> tuple[str, ...]:
 
 _KRYLOV_METHODS = ("gmres", "bgmres", "gcrodr", "bgcrodr", "gmresdr",
                    "lgmres")
-_VARIANTS = ("left", "right", "flexible")
+_VARIANTS = ("left", "right")
 _STRATEGIES = ("A", "B")
 _VERIFY_LEVELS = ("off", "cheap", "full")
 _FLUSH_POLICIES = ("batch_full", "queue_drained", "explicit")
@@ -70,11 +70,12 @@ class Options:
         unchanged operator, skip re-orthonormalizing ``U_k`` (paper lines 3-7)
         and skip updating the recycled space at restarts (lines 31-38).
     variant:
-        preconditioning side: ``"left"``, ``"right"`` or ``"flexible"``
-        (FGMRES / FGCRO-DR; stores the preconditioned Krylov basis).
+        preconditioning side: ``"left"`` or ``"right"``.  ``"right"``
+        stores the preconditioned Krylov basis ``Z = M(V)``, so it accepts a
+        variable preconditioner (FGMRES / FGCRO-DR).
     tol:
         relative convergence tolerance on the (unpreconditioned for
-        right/flexible, preconditioned for left) residual of *every* column.
+        right, preconditioned for left) residual of *every* column.
     max_it:
         global cap on iterations (inner iterations for restarted methods).
     orthogonalization:
@@ -211,7 +212,10 @@ class Options:
                 f"unknown krylov_method {self.krylov_method!r}; expected one of {_KRYLOV_METHODS}"
             )
         if self.variant not in _VARIANTS:
-            raise OptionError(f"unknown variant {self.variant!r}; expected one of {_VARIANTS}")
+            raise OptionError(
+                f"unknown variant {self.variant!r}; expected one of "
+                f"{_VARIANTS}: 'right' stores Z = M(V) and accepts a "
+                "variable preconditioner")
         ortho_names = _scheme_names()
         if self.orthogonalization not in ortho_names:
             raise OptionError(
@@ -275,10 +279,6 @@ class Options:
     @property
     def is_recycling(self) -> bool:
         return self.krylov_method in ("gcrodr", "bgcrodr")
-
-    @property
-    def is_flexible(self) -> bool:
-        return self.variant == "flexible"
 
     # -- conveniences ------------------------------------------------------
     def replace(self, **kwargs: Any) -> "Options":

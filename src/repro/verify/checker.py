@@ -1,8 +1,8 @@
 """Runtime numerical invariant checker for the Krylov solver stack.
 
 The solvers of this library share one uniform implementation across
-right/left/flexible preconditioning and across pseudo-block/block/recycling
-organizations.  That uniformity rests on a handful of *algebraic contracts*
+left/right (constant or variable) preconditioning and across
+pseudo-block/block/recycling organizations.  That uniformity rests on a handful of *algebraic contracts*
 that finite-precision block orthogonalization degrades silently (Parks,
 Soodhalter & Szyld; Thomas, Baker & Gaudreault):
 

@@ -35,7 +35,7 @@ SOLVERS = {
     "gmresdr": {"recycles": True, "block": False},
 }
 
-VARIANTS = ("left", "right", "flexible")
+VARIANTS = ("left", "right")
 DTYPES = (np.float64, np.complex128)
 BLOCK_SIZES = (1, 3)
 STRATEGIES = ("A", "B")
@@ -100,8 +100,8 @@ def conformance_matrix(full: bool = False) -> list[Config]:
     """Enumerate the matrix; ``full=False`` yields the fast tier-1 subset.
 
     The full matrix is the cross product restricted to valid combinations
-    (GMRES-DR rejects flexible preconditioning and p > 1; strategy only
-    matters for recyclers), deduplicated by config id.
+    (GMRES-DR rejects p > 1; strategy only matters for recyclers),
+    deduplicated by config id.
     """
     configs: list[Config] = []
     seen: set[str] = set()
@@ -118,8 +118,6 @@ def conformance_matrix(full: bool = False) -> list[Config]:
             p = 3 if SOLVERS[method]["block"] else 1
             add(Config(method, variant="right", p=p))
             add(Config(method, variant="left", p=1))
-            if method != "gmresdr":
-                add(Config(method, variant="flexible", p=p))
         add(Config("gcrodr", p=3, strategy="B"))
         add(Config("bgmres", p=3, dtype=np.complex128))
         # low-synchronization orthogonalization engine: the block engine
@@ -149,8 +147,6 @@ def conformance_matrix(full: bool = False) -> list[Config]:
 
     for method, caps in SOLVERS.items():
         for variant in VARIANTS:
-            if variant == "flexible" and method == "gmresdr":
-                continue
             for dtype in DTYPES:
                 for p in BLOCK_SIZES:
                     if p > 1 and not caps["block"]:
@@ -193,7 +189,7 @@ def make_problem(cfg: Config, n: int = 120):
     Nonsymmetric real (convection-diffusion) or complex (shifted Laplacian)
     tridiagonal operator; the preconditioner is a Jacobi-like scaled inverse
     diagonal — constant, hence valid for every variant, and made *variable*
-    (iteration-dependent) by the caller for flexible-only tests.
+    (iteration-dependent) by the caller for variable-preconditioner tests.
     """
     rng = make_rng(cfg.seed, cfg.p, 0 if cfg.dtype is np.float64 else 1)
     if cfg.dtype is np.complex128:

@@ -230,6 +230,25 @@ def test_successful_stage_has_no_reason(ci, monkeypatch):
 
 
 # -- wall clock of the traffic stage: reported, recorded, never gated ----
+def test_coverage_floor_forwards_pytest_flags(monkeypatch):
+    """``coverage_floor.py [pytest args]`` hands flags and paths to pytest
+    in order; the suite itself is not run."""
+    import sys
+    import threading
+
+    cov = _load_script(ROOT / "scripts" / "coverage_floor.py",
+                       "repro_coverage_floor")
+    seen = []
+    monkeypatch.setattr(pytest, "main", lambda args: seen.append(args) or 5)
+    # keep a coverage run of this very suite tracing through the call
+    monkeypatch.setattr(sys, "settrace", lambda fn: None)
+    monkeypatch.setattr(threading, "settrace", lambda fn: None)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = str(ROOT / "tests" / "test_util_options.py")
+    assert cov.main(["-q", "-p", "no:cacheprovider", path]) == 5
+    assert seen == [["-x", "-q", "-p", "no:cacheprovider", path]]
+
+
 def test_traffic_stage_reads_the_wall_line_the_bench_prints(ci):
     bench = _load_script(ROOT / "benchmarks" / "bench_traffic.py",
                          "repro_bench_traffic")
@@ -355,7 +374,7 @@ def test_lint_option_setters_names_the_unset_field(lint, tmp_path):
         "CONFIG = {'restart': 40}\n")
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "demo.py").write_text(
-        "ARGS = '-hpddm_variant flexible'.split()\n")
+        "ARGS = '-hpddm_variant left'.split()\n")
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_qr.py").write_text("KW = dict(qr='householder')\n")

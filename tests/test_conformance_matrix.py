@@ -1,6 +1,6 @@
 """Property-based solver conformance matrix.
 
-Sweeps solver x {left,right,flexible} x dtype x block size x recycle
+Sweeps solver x {left,right} x dtype x block size x recycle
 strategy through the shared oracles in :mod:`tests.matrix`, with
 the runtime invariant checker at ``full`` level so every configuration also
 re-verifies its own Arnoldi/recycle/residual algebra.  The quick subset
@@ -36,7 +36,7 @@ def test_matrix_is_large_enough():
     # the acceptance floor for the swept cross product
     assert len(FULL) >= 48
     assert {c.method for c in FULL} == set(SOLVERS)
-    assert {c.variant for c in FULL} == {"left", "right", "flexible"}
+    assert {c.variant for c in FULL} == {"left", "right"}
     assert {c.dtype for c in FULL} == {np.float64, np.complex128}
     assert {c.strategy for c in FULL} >= {"A", "B"}
 
@@ -85,15 +85,13 @@ def test_conformance_full(cfg):
 
 @settings(max_examples=10, deadline=None)
 @given(method=st.sampled_from(sorted(SOLVERS)),
-       variant=st.sampled_from(["left", "right", "flexible"]),
+       variant=st.sampled_from(["left", "right"]),
        p=st.integers(1, 4), complex_=st.booleans(),
        strategy=st.sampled_from(["A", "B"]),
        seed=st.integers(0, 2**31 - 1))
 def test_property_random_config_conforms(method, variant, p, complex_,
                                          strategy, seed):
     """Any valid cell of the (extended) matrix satisfies the oracles."""
-    if method == "gmresdr" and variant == "flexible":
-        variant = "right"
     if not SOLVERS[method]["block"]:
         p = 1
     cfg = Config(method, variant=variant,

@@ -63,7 +63,7 @@ class TestSolverPreconditionerMatrix:
 class TestElasticityEndToEnd:
     def test_sequence_with_recycling_and_amg(self, rng):
         opts = Options(krylov_method="gcrodr", gmres_restart=30, recycle=8,
-                       tol=1e-8, variant="flexible", max_it=3000)
+                       tol=1e-8, max_it=3000)
         s = Solver(options=opts)
         for inc in PAPER_INCLUSIONS[:2]:
             prob = elasticity_3d(5, inclusion=inc)

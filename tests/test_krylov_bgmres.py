@@ -103,7 +103,7 @@ class TestBreakdown:
 
 
 class TestBlockPreconditioning:
-    @pytest.mark.parametrize("variant", ["left", "right", "flexible"])
+    @pytest.mark.parametrize("variant", ["left", "right"])
     def test_variants(self, rng, variant):
         a = convection_diffusion_1d(200)
         ilu = spla.spilu(a.tocsc(), drop_tol=1e-3)
@@ -113,12 +113,6 @@ class TestBlockPreconditioning:
         res = bgmres(a, b, m, options=_opts(variant=variant, tol=1e-9))
         assert res.converged.all()
         assert np.all(relative_residuals(a, res.x, b) < 1e-8)
-
-    def test_variable_needs_flexible(self):
-        a = laplacian_1d(30, shift=1.0)
-        m = FunctionPreconditioner(lambda x: x, is_variable=True)
-        with pytest.raises(ValueError, match="flexible"):
-            bgmres(a, np.ones((30, 2)), m, options=_opts(variant="right"))
 
 
 class TestBlockCommunication:

@@ -330,15 +330,9 @@ class TestFlexibleGcrodr:
         a = laplacian_1d(300)
         m = self._variable_prec(a)
         res = gcrodr(a, rng.standard_normal(300), m,
-                     options=_opts(variant="flexible", max_it=4000))
+                     options=_opts(max_it=4000))
         assert res.converged.all()
         assert res.method == "fgcrodr"
-
-    def test_variable_prec_rejected_without_flexible(self):
-        a = laplacian_1d(50, shift=1.0)
-        m = FunctionPreconditioner(lambda x: x, is_variable=True)
-        with pytest.raises(ValueError, match="flexible"):
-            gcrodr(a, np.ones(50), m, options=_opts(variant="right"))
 
     def test_flexible_recycling_sequence(self, rng):
         a = laplacian_1d(400)
@@ -347,23 +341,12 @@ class TestFlexibleGcrodr:
         its = []
         for _ in range(3):
             res = gcrodr(a, rng.standard_normal(400), m,
-                         options=_opts(variant="flexible", max_it=5000),
+                         options=_opts(max_it=5000),
                          recycle=rec, same_system=rec is not None)
             rec = res.info["recycle"]
             its.append(res.iterations)
             assert res.converged.all()
         assert its[1] <= its[0]
-
-    def test_right_equals_flexible_for_constant_prec(self, rng):
-        """For constant M, right preconditioning == flexible storage."""
-        a = convection_diffusion_1d(150)
-        dinv = 1.0 / a.diagonal()
-        m = FunctionPreconditioner(lambda x: dinv[:, None] * x)
-        b = rng.standard_normal(150)
-        r1 = gcrodr(a, b, m, options=_opts(variant="right"))
-        r2 = gcrodr(a, b, m, options=_opts(variant="flexible"))
-        assert r1.iterations == r2.iterations
-        assert np.allclose(r1.x, r2.x, atol=1e-8)
 
 
 class TestReductionAccounting:
@@ -470,7 +453,7 @@ class TestKZeroIsGmres:
         assert led_r.reductions == led_g.reductions
         assert dict(led_r.flops) == dict(led_g.flops)
 
-    @pytest.mark.parametrize("variant", ["right", "left", "flexible"])
+    @pytest.mark.parametrize("variant", ["right", "left"])
     def test_block_gcrodr_is_bgmres(self, monkeypatch, variant):
         from repro.krylov.bgmres import bgmres
         self._assert_same(self._pair(monkeypatch, gcrodr, bgmres, 2,

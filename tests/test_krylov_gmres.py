@@ -99,7 +99,7 @@ class TestPreconditioning:
             return np.column_stack([ilu.solve(x[:, j]) for j in range(x.shape[1])])
         return a, FunctionPreconditioner(apply)
 
-    @pytest.mark.parametrize("variant", ["left", "right", "flexible"])
+    @pytest.mark.parametrize("variant", ["left", "right"])
     def test_variants_converge(self, rng, ilu_prec, variant):
         a, m = ilu_prec
         b = rng.standard_normal((250, 3))
@@ -114,12 +114,6 @@ class TestPreconditioning:
         prec = gmres(a, b, m, options=Options(tol=1e-8, variant="right"))
         assert prec.iterations < plain.iterations
 
-    def test_variable_preconditioner_requires_flexible(self):
-        a = laplacian_1d(30, shift=1.0)
-        m = FunctionPreconditioner(lambda x: x, is_variable=True)
-        with pytest.raises(ValueError, match="flexible"):
-            gmres(a, np.ones(30), m, options=Options(variant="right"))
-
     def test_variable_preconditioner_flexible_ok(self, rng):
         a = laplacian_1d(80, shift=0.5)
         calls = [0]
@@ -128,9 +122,9 @@ class TestPreconditioning:
             return x / (2.5 + 0.1 * np.sin(calls[0]))
         m = FunctionPreconditioner(varjac, is_variable=True)
         b = rng.standard_normal(80)
-        res = gmres(a, b, m, options=Options(variant="flexible", tol=1e-9,
-                                             max_it=500))
+        res = gmres(a, b, m, options=Options(tol=1e-9, max_it=500))
         assert res.converged.all()
+        assert res.method == "fgmres"
 
 
 class TestNumerics:

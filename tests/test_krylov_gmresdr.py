@@ -122,11 +122,6 @@ class TestConvergence:
 
 
 class TestGuards:
-    def test_flexible_rejected(self):
-        a = laplacian_1d(30)
-        with pytest.raises(ValueError, match="variable"):
-            gmresdr(a, np.ones(30), options=_opts(variant="flexible"))
-
     def test_multiple_rhs_rejected(self, rng):
         a = laplacian_1d(30)
         with pytest.raises(ValueError, match="single"):

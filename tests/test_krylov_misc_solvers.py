@@ -55,12 +55,6 @@ class TestLgmres:
             lgmres(a, rng.standard_normal((50, 2)),
                    options=Options(krylov_method="lgmres"))
 
-    def test_flexible_rejected(self):
-        a = laplacian_1d(30)
-        with pytest.raises(ValueError, match="flexible"):
-            lgmres(a, np.ones(30), options=Options(krylov_method="lgmres",
-                                                   variant="flexible"))
-
     @pytest.mark.parametrize("scheme", ["cgs2_1r", "cholqr2"])
     def test_unsupported_orthogonalization_rejected(self, scheme):
         a = laplacian_1d(30)

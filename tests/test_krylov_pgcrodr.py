@@ -162,8 +162,8 @@ def _variable_jacobi(a):
     """Jacobi sweep whose damping changes on every application.
 
     A genuinely nonlinear/variable preconditioner (cf. paper section
-    III-C): the flexible variants must store Z and keep their algebra
-    exact, while left/right recurrences become invalid.
+    III-C): right preconditioning stores Z and keeps its algebra exact
+    (the flexible methods), while the left recurrence becomes invalid.
     """
     dinv = 1.0 / a.diagonal()
     state = {"count": 0}
@@ -179,20 +179,11 @@ def _variable_jacobi(a):
 class TestFlexiblePreconditioning:
     """FGCRO-DR: variable preconditioner + recycling + same-system skip."""
 
-    def test_variable_preconditioner_requires_flexible(self, rng):
-        a = laplacian_1d(100, shift=0.3)
-        m, _ = _variable_jacobi(a)
-        for variant in ("left", "right"):
-            with pytest.raises(ValueError, match="flexible"):
-                pgcrodr(a, rng.standard_normal((100, 2)), m,
-                        options=_opts(variant=variant))
-
     def test_flexible_variable_preconditioner_converges(self, rng):
         a = laplacian_1d(300, shift=0.2)
         b = rng.standard_normal((300, 3))
         m, state = _variable_jacobi(a)
-        res = pgcrodr(a, b, m, options=_opts(variant="flexible",
-                                             verify="full"))
+        res = pgcrodr(a, b, m, options=_opts(verify="full"))
         assert state["count"] > 0          # M really was applied...
         assert res.method == "fpgcrodr"    # ...and the flexible path ran
         assert res.converged.all()
@@ -206,7 +197,7 @@ class TestFlexiblePreconditioning:
         a = laplacian_1d(300, shift=0.1)
         m, _ = _variable_jacobi(a)
         res = pgcrodr(a, rng.standard_normal((300, 2)), m,
-                      options=_opts(variant="flexible", verify="full"))
+                      options=_opts(verify="full"))
         for space in res.info["recycle"].spaces:
             assert space is not None and space.k > 0
             c = space.c
@@ -220,7 +211,7 @@ class TestFlexiblePreconditioning:
         Fig. 1 lines 3-7 / 31-38 still charges zero recycle updates."""
         a = laplacian_1d(300, shift=0.1)
         m, _ = _variable_jacobi(a)
-        o = _opts(variant="flexible", verify="full")
+        o = _opts(verify="full")
         r1 = pgcrodr(a, rng.standard_normal((300, 2)), m, options=o)
         m2, _ = _variable_jacobi(a)   # fresh state: M sequence differs
         with ledger.install() as led:
@@ -238,7 +229,7 @@ class TestFlexiblePreconditioning:
         """Solver() threading works for the flexible pseudo-block path."""
         a = laplacian_1d(400)
         m, _ = _variable_jacobi(a)
-        s = Solver(m=m, options=_opts(variant="flexible"))
+        s = Solver(m=m, options=_opts())
         r1 = s.solve(a, rng.standard_normal((400, 2)))
         r2 = s.solve(a, rng.standard_normal((400, 2)))
         assert isinstance(s.recycled, PseudoBlockRecycle)

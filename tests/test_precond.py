@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import Options, solve
+from repro import FunctionPreconditioner, Options, solve
 from repro.precond.aggregation import (greedy_aggregation, strength_graph,
                                        tentative_prolongator)
 from repro.precond.amg import SmoothedAggregationAMG
@@ -118,9 +118,7 @@ class TestAMG:
         m = SmoothedAggregationAMG(a, smoother=smoother,
                                    smoother_iterations=3)
         b = rng.standard_normal(a.shape[0])
-        variant = "flexible" if m.is_variable else "right"
-        res = solve(a, b, m, options=Options(tol=1e-8, variant=variant,
-                                             max_it=150))
+        res = solve(a, b, m, options=Options(tol=1e-8, max_it=150))
         assert res.converged.all()
 
     def test_unknown_smoother(self):
@@ -355,3 +353,45 @@ class TestTwoLevelSchwarz:
         cols = np.column_stack([m.apply(x[:, j:j + 1])[:, 0]
                                 for j in range(3)])
         assert np.allclose(block, cols, atol=1e-12)
+
+
+#: (krylov_method, p) -> the label a variable right-preconditioned solve
+#: reports; ``None``: the method refuses a variable preconditioner outright
+_VARIABLE_LABELS = {
+    ("gmres", 1): "fgmres", ("bgmres", 3): "fbgmres",
+    ("gcrodr", 1): "fgcrodr", ("gcrodr", 3): "fpgcrodr",
+    ("bgcrodr", 3): "fbgcrodr", ("gmresdr", 1): None, ("lgmres", 1): None,
+}
+
+
+class TestVariablePreconditioning:
+    """A variable ``M`` (paper section III-C) decides by the variant alone:
+    ``left`` refuses it on every method; ``right`` stores ``Z = M(V)`` and
+    runs FGMRES / FGCRO-DR, labelled ``f``; GMRES-DR and LGMRES have no
+    flexible form and refuse it by name."""
+
+    @pytest.mark.parametrize("variant", ["left", "right"])
+    @pytest.mark.parametrize("method,p", sorted(_VARIABLE_LABELS))
+    def test_variant_decides(self, rng, method, p, variant):
+        a = laplacian_1d(120, shift=0.3)
+        dinv = 1.0 / a.diagonal()
+        calls = [0]
+
+        def jacobi(x):
+            calls[0] += 1
+            return (1.0 + 0.3 * np.sin(calls[0])) * dinv[:, None] * x
+
+        m = FunctionPreconditioner(jacobi, is_variable=True)
+        b = rng.standard_normal((120, p))
+        o = Options(krylov_method=method, gmres_restart=20, recycle=5,
+                    tol=1e-8, max_it=2000, variant=variant)
+        label = _VARIABLE_LABELS[method, p]
+        if variant == "left" or label is None:
+            with pytest.raises(ValueError, match="variable"):
+                solve(a, b, m, options=o)
+            assert calls[0] == 0
+            return
+        res = solve(a, b, m, options=o)
+        assert res.method == label
+        assert res.converged.all() and calls[0] > 0
+        assert np.all(relative_residuals(a, res.x, b) < 1e-7)

@@ -209,7 +209,7 @@ _option_fields = st.fixed_dictionaries({}, optional={
     "recycle": st.integers(0, 12),
     "recycle_strategy": st.sampled_from(["A", "B"]),
     "recycle_same_system": st.booleans(),
-    "variant": st.sampled_from(["left", "right", "flexible"]),
+    "variant": st.sampled_from(["left", "right"]),
     "tol": st.floats(1e-14, 1e-2),
     "max_it": st.integers(1, 5000),
     "orthogonalization": st.sampled_from(["cgs", "cgs2_1r", "cholqr2"]),

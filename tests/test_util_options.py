@@ -36,6 +36,16 @@ class TestOptionsValidation:
             with pytest.raises(OptionError, match=valid):
                 parse_hpddm_args(["-hpddm_orthogonalization", scheme])
 
+    def test_flexible_variant_refused(self):
+        """``flexible`` is no variant: ``right`` stores ``Z = M(V)`` and
+        runs FGMRES / FGCRO-DR.  Refused at construction and on the command
+        line, naming the two variants there are."""
+        valid = r"\('left', 'right'\).*'right' stores Z"
+        with pytest.raises(OptionError, match=valid):
+            Options(variant="flexible")
+        with pytest.raises(OptionError, match=valid):
+            parse_hpddm_args("-hpddm_variant flexible".split())
+
     def test_unknown_qr_rejected(self):
         # the step's normalizer is fixed: ``qr`` is no field at all
         with pytest.raises(TypeError, match="qr"):
@@ -88,10 +98,6 @@ class TestOptionsProperties:
         assert Options(krylov_method="gcrodr", recycle=5).is_recycling
         assert not Options(krylov_method="bgmres").is_recycling
 
-    def test_is_flexible(self):
-        assert Options(variant="flexible").is_flexible
-        assert not Options(variant="right").is_flexible
-
     def test_replace_revalidates(self):
         opt = Options()
         with pytest.raises(OptionError):
@@ -127,12 +133,12 @@ class TestHpddmArgs:
         assert opt.gmres_restart == 30
         assert opt.recycle_same_system
 
-    def test_parse_flexible_strategy(self):
+    def test_parse_variant_strategy(self):
         args = ("-hpddm_krylov_method gcrodr -hpddm_recycle 10 "
                 "-hpddm_gmres_restart 30 -hpddm_tol 1.0e-8 "
-                "-hpddm_variant flexible -hpddm_recycle_strategy B").split()
+                "-hpddm_variant left -hpddm_recycle_strategy B").split()
         opt = parse_hpddm_args(args)
-        assert opt.variant == "flexible"
+        assert opt.variant == "left"
         assert opt.recycle_strategy == "B"
         assert opt.tol == 1.0e-8
 
@@ -155,13 +161,13 @@ class TestHpddmArgs:
 
     def test_render_roundtrip(self):
         opt = Options(krylov_method="gcrodr", recycle=10, gmres_restart=40,
-                      recycle_same_system=True, variant="flexible")
+                      recycle_same_system=True, variant="left")
         assert parse_hpddm_args(opt.hpddm_args()) == opt
         # every option away from its default, and a tol `:g` would round
         every = Options(
             krylov_method="bgcrodr", gmres_restart=40, recycle=7,
             recycle_strategy="B", recycle_same_system=True,
-            variant="flexible", tol=1.2345678e-9, max_it=777,
+            variant="left", tol=1.2345678e-9, max_it=777,
             orthogonalization="cholqr2", deflation_tol=3.5e-13,
             block_reduction=True, verify="cheap", trace="summary",
             service_pmax=8, service_flush="explicit",
