@@ -352,7 +352,8 @@ def stage_trace_gate() -> dict:
     shapes = report["reductions_per_cycle"]
     shifted = report["shifted"]["bgmres"]
     print(f"trace-gate: gmres {shapes['gmres']} reductions/cycle, "
-          f"gcrodr {shapes['gcrodr']} = 2(m-k); cgs2_1r <= 2/step; "
+          f"gcrodr {shapes['gcrodr']} = 2(m-k) under cgs2_1r and cgs; "
+          f"cgs2_1r <= 2/step; "
           f"shifted k=8 family at {shifted['headline_ratio']:.2f}x the "
           f"reductions of k=1; attribution conserved")
     return {"ok": True, "report": report,

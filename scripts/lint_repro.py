@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Eight rule families, each guarding an invariant the test suite and the
+Nine rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -65,6 +65,12 @@ trace/bench gates rely on:
     string.  An option only its tests set is a branch no user takes.  The
     fields that stand anyway, each with its reason, are listed in
     ``UNSET_OPTIONS_ALLOWED``.  Whole-tree, like ``option-census``.
+
+``unused-import``
+    a name a module under ``src/repro/`` imports and never uses: no
+    ``Name`` node, string annotation or ``__all__`` entry names it.  A dead
+    import is a dependency the module does not have, and it hides the
+    one a refactor left behind.
 
 False positives go in ``scripts/lint_allowlist.txt`` as
 ``<relpath>:<rule>`` (one per line, ``#`` comments allowed); a
@@ -242,7 +248,42 @@ class _Visitor(ast.NodeVisitor):
                                f"src/repro/plan/ binds {name!r} — the package "
                                f"is the benchmark's two names and goes with "
                                f"ROADMAP item 2a; new code belongs elsewhere")
+        if self.rel.startswith(SRC_DIR):
+            self._unused_imports(node)
         self.generic_visit(node)
+
+    # -- unused-import ----------------------------------------------------
+    def _unused_imports(self, module: ast.Module) -> None:
+        used: set[str] = set()
+        named: list[ast.AST] = []       # __all__ values and annotations
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+                    _dotted(t) == "__all__" for t in getattr(
+                        node, "targets", [getattr(node, "target", None)])):
+                named.append(node.value)
+            elif isinstance(node, ast.arg):
+                named.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                named.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                named.append(node.annotation)
+        for root in filter(None, named):
+            for node in ast.walk(root):
+                if isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        for node in ast.walk(module):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in used:
+                    self._flag("unused-import", node,
+                               f"{name!r} is imported and never used")
 
     # -- plan-residue (the import side) -----------------------------------
     def _visit_import(self, node: ast.Import | ast.ImportFrom) -> None:

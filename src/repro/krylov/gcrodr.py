@@ -22,8 +22,8 @@ paper:
   built from the incrementally computed QR of the block Hessenberg;
 * **strategies A / B**: eq. (3a) (one extra fused reduction) or eq. (3b)
   (communication-free) right-hand side for the generalized eigenproblem;
-* **one repair**: after every harvest and update a low-synchronization
-  scheme re-orthonormalizes ``C_k`` by QR and keeps ``A U_k = C_k``
+* **one repair**: after every harvest and update, under every scheme,
+  ``C_k`` is re-orthonormalized by QR, keeping ``A U_k = C_k``
   through ``U_k R^-1``; the pair is re-derived from the operator only
   when the operator changes (lines 3-7);
 * **same-system fast path**: for sequences with an unchanged operator,
@@ -171,8 +171,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                                                  slab_matmul)
                     led.flop(Kernel.BLAS3,
                              4.0 * n * hbar.shape[0] * c_k.shape[1])
-                    u_k, c_k = recycling.repair(u_k, c_k,
-                                                options.orthogonalization)
+                    u_k, c_k = recycling.repair(u_k, c_k)
                 chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                   what="harvested recycle space")
         else:
@@ -186,8 +185,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
                     u_k, c_k = pair
                     led.flop(Kernel.BLAS3,
                              4.0 * n * cv.shape[1] * c_k.shape[1])
-                    u_k, c_k = recycling.repair(u_k, c_k,
-                                                options.orthogonalization)
+                    u_k, c_k = recycling.repair(u_k, c_k)
                     chk.check_recycle(u_k, c_k, op_apply=op_apply,
                                       what="updated recycle space")
 

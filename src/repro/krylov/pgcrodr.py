@@ -68,10 +68,13 @@ class _PseudoBlockCycle:
     """The restart cycle of the fused per-column recurrences.
 
     One object per solve: :meth:`seed` is a cycle's prologue (residual
-    norms, seeds, each column's ``C_l^H r_l``, the orthogonalizer, the
-    cycle's one least-squares state ``ls``), :meth:`arnoldi` the lockstep
-    loop, :meth:`update` the per-column least squares.  A column that
-    carries a pair runs on ``(I - C_l C_l^H) A`` and its update gains
+    norms, seeds, each column's ``C_l^H r_l``, its ``C_l`` stacked ahead of
+    its basis with the seed projected ``C_l``-orthogonal, the
+    orthogonalizer, the cycle's one least-squares state ``ls``),
+    :meth:`arnoldi` the lockstep loop, :meth:`update` the per-column least
+    squares.  A column that carries a pair runs on ``(I - C_l C_l^H) A``,
+    projected against ``[C_l | V_l]`` in the scheme's one stacked step
+    under every scheme, and its update gains
     Fig. 1 line 28's ``U_l y_l`` term; a column without one runs plain
     GMRES — which is all ``gmres`` ever asks for (k = 0).  ``steps`` is the
     policy's: ``gmres`` passes ``min(m, n)``, ``pgcrodr`` ``m`` or ``m - k``
@@ -88,7 +91,6 @@ class _PseudoBlockCycle:
         self.arena: AugmentedTensorArena | None = None
         self.ls: HessenbergQRBundle | None = None
         self.steps = self.kmax = self.j = 0
-        self.fold_ck = False
 
     def seed(self, steps: int) -> None:
         st, cols = self.st, self.cols
@@ -96,18 +98,16 @@ class _PseudoBlockCycle:
         n, p, dtype = st.n, st.p, st.dtype
         beta = column_norms(st.r)
         led.reduction(nbytes=p * 8)
-        # cgs2_1r folds each column's C_l into both of its fused passes by
+        # every scheme folds each column's C_l into its projection by
         # stacking the (zero-padded) recycle blocks onto the basis tensor:
-        # the C cross terms get two-pass quality and the separate projection
-        # reduction disappears — 2 reductions/step with recycling, like the
-        # block engine.  The other schemes keep the single-pass C loop
-        # (their orth_tol covers it).
+        # no separate C projection reduction — 2 reductions/step with
+        # recycling, like the block engine (cgs2_1r's C cross terms also
+        # get two-pass quality)
         carried = [col for col in cols if col.c is not None]
-        self.fold_ck = options.orthogonalization == "cgs2_1r" and bool(carried)
-        kmax = max(col.k for col in carried) if self.fold_ck else 0
+        kmax = max((col.k for col in carried), default=0)
         # one tensor [C | V] per solve: the folded per-step projector is a
-        # contiguous prefix view, never a concatenate copy (kmax = 0 without
-        # folding), and a restart re-zeroes only what the previous cycle
+        # contiguous prefix view, never a concatenate copy (kmax = 0 with
+        # no pair), and a restart re-zeroes only what the previous cycle
         # wrote (frozen columns must read as zero)
         if self.arena is None or kmax != self.kmax \
                 or steps >= self.arena.v.shape[0]:
@@ -130,7 +130,7 @@ class _PseudoBlockCycle:
                 col.chr_prev = col.c.conj().T @ st.r[:, col.l]
         if any(col.chr_prev is not None for col in cols):
             led.reduction(nbytes=p * 8)   # fused C^H r across columns
-        if self.fold_ck:
+        if carried:
             for col in carried:
                 self.arena.ck[: col.k, :, col.l] = col.c.T
             # The folded projector treats [C_l V_l] as one orthonormal basis
@@ -167,28 +167,13 @@ class _PseudoBlockCycle:
                 # the whole bundle advances with the active scheme's
                 # reduction count (2 per step for every scheme)
                 with tr.span("ortho", scheme=options.orthogonalization):
-                    if self.fold_ck:
-                        w, adots, nrm = orth.step(self.arena.stacked(j), w,
-                                                  kmax + j)
-                        dots = adots[kmax:]
-                        for col in cols:
-                            if col.active and col.c is not None:
-                                col.e_cols.append(
-                                    adots[: col.k, col.l].reshape(-1, 1))
-                    else:
-                        # fused projection against each column's own C_l
-                        # (1 reduction), then the scheme engine on V
-                        any_ck = False
-                        for l, col in enumerate(cols):
-                            if col.active and col.c is not None:
-                                e_col = col.c.conj().T @ w[:, l]
-                                w[:, l] -= col.c @ e_col
-                                col.e_cols.append(e_col.reshape(-1, 1))
-                                any_ck = True
-                        if any_ck:
-                            st.led.reduction(
-                                nbytes=p * options.recycle * w.itemsize)
-                        w, dots, nrm = orth.step(v[: j + 1], w, j)
+                    w, dots, nrm = orth.step(self.arena.stacked(j), w,
+                                             kmax + j)
+                    for col in cols:
+                        if col.active and col.c is not None:
+                            col.e_cols.append(
+                                dots[: col.k, col.l].reshape(-1, 1))
+                    dots = dots[kmax:]
 
                 # history: converged/frozen columns keep their last value
                 new_res = history.records[-1] * np.where(
@@ -281,7 +266,7 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
 
     def _repair_column(col: _Column, pair, what: str) -> None:
         """Give column ``col`` its freshly mixed pair, repaired and checked."""
-        col.u, col.c = recycling.repair(*pair, options.orthogonalization)
+        col.u, col.c = recycling.repair(*pair)
         chk.check_recycle(col.u, col.c, op_apply=op_apply,
                           what=f"{what} recycle space (column {col.l})")
 

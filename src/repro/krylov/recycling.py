@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 import scipy.linalg as sla
 
-from ..la.orthogonalization import LOW_SYNC_SCHEMES, _gram, householder_qr
+from ..la.orthogonalization import _gram, householder_qr
 from ..trace import tracer as trace
 from ..util import ledger
 from ..util.ledger import Kernel
@@ -144,23 +144,22 @@ def update(options: Options, u_k: np.ndarray, dk: np.ndarray, ek: np.ndarray,
     return product(u_tilde, s[:kc]) + product(z, s[kc:]), product(cv, qf)
 
 
-def repair(u_k: np.ndarray, c_k: np.ndarray, scheme: str
+def repair(u_k: np.ndarray, c_k: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
-    """The recycled pair after a harvest or update, by scheme.
-
-    A low-synchronization scheme (``cgs2_1r``, ``cholqr2``)
-    re-orthonormalizes ``C_k`` with one Householder QR and keeps the map:
+    """The recycled pair after a harvest or update, under every scheme:
+    one Householder QR of ``C_k`` (one reduction) that keeps the map,
     ``C = Q R  =>  A (U R^-1) = Q``.  ``A U_k = C_k`` holds to rounding
     whatever the basis's loss of orthogonality (it is the Arnoldi
     relation's), but ``C_k^H C_k`` would inherit that loss and the next
-    update's mix of ``[C V]`` would compound it; the QR resets it.
-    ``cgs`` leaves the pair alone, saving that reduction; its pairs stay
-    within the checker's default ceiling.
+    update's mix of ``[C V]`` would compound it; on a rank-deficient block
+    the unrepaired pair diverges.  The QR resets it.  Both come back
+    column-major, the basis slab's layout.
     """
-    if c_k.shape[1] == 0 or scheme not in LOW_SYNC_SCHEMES:
+    if c_k.shape[1] == 0:
         return u_k, c_k
     q2, rfac = householder_qr(c_k)
-    return _project_solve(u_k, rfac), q2
+    return (np.asfortranarray(_project_solve(u_k, rfac)),
+            np.asfortranarray(q2))
 
 
 # ---------------------------------------------------------------------------

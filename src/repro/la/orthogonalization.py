@@ -98,9 +98,8 @@ SCHEMES: dict[str, OrthoScheme] = {s.name: s for s in (
 
 ORTHO_SCHEME_NAMES: tuple[str, ...] = tuple(SCHEMES)
 #: Schemes whose step fuses every projection and the normalizer Gram into
-#: at most two stacked reductions; their recycled ``C_k`` is
-#: re-orthonormalized after every harvest and update
-#: (``krylov/recycling.py::repair``).
+#: at most two stacked reductions, so their cycle seed must start
+#: ``C_k``-orthogonal (``_EngineBase.begin``).
 LOW_SYNC_SCHEMES: tuple[str, ...] = ("cgs2_1r", "cholqr2")
 
 
@@ -583,9 +582,9 @@ def arnoldi_orthogonalize(basis_blocks: np.ndarray, w: np.ndarray, *,
 #
 # ``step`` orthogonalizes the candidate block against the whole basis *and*
 # the optional recycled space C_k and normalizes it, returning
-# (q, h, s, rank, e_col).  The low-synchronization engines fold C_k into one
-# stacked projector with at most two fused reductions; the cgs engine
-# projects C_k, then V, then runs CholQR.
+# (q, h, s, rank, e_col).  Every engine folds C_k into one stacked projector
+# ``[C_k | V]``: the cgs engine projects once and runs CholQR, the
+# low-synchronization engines fuse their normalizer into <= 2 reductions.
 # ---------------------------------------------------------------------------
 
 
@@ -640,11 +639,12 @@ class _EngineBase:
 class _CholqrEngine(_EngineBase):
     """Project-then-CholQR: the step of ``cgs``.
 
-    One :func:`project_out` against ``C_k`` (its coefficients are ``E_k``'s
-    column), one against ``V``, then :func:`qr_factorization`'s CholQR with
-    its shifted and rank-revealing fallbacks.  The breakdown scale is the
-    candidate's largest column norm between the two projections.  ``begin``
-    leaves ``v1`` as it is.
+    One :func:`_stacked_gram` ``[C_k | V | W]^H W`` (one GEMM, one
+    reduction: ``E_k``'s column, the Hessenberg column and ``W^H W``,
+    whose diagonal is the breakdown scale, the candidate's pre-projection
+    norm), one update over ``[C_k | V]``, then :func:`qr_factorization`'s
+    CholQR with its shifted and rank-revealing fallbacks: 2 reductions per
+    step, recycled or not.  ``begin`` leaves ``v1`` as it is.
     """
 
     def begin(self, v1, ck=None):
@@ -652,14 +652,13 @@ class _CholqrEngine(_EngineBase):
 
     def step(self, stacked, p, *, k=0):
         cols = stacked.shape[1] - p
-        w = stacked[:, cols:]           # the slot: project_out never writes w
-        e_col = None
-        if k:
-            w, e_col = project_out(stacked[:, :k], w)
-        scale = float(np.max(column_norms(w), initial=0.0))
-        w2, h = project_out(stacked[:, k:cols], w)
-        q, s, rank = qr_factorization(w2, "cholqr", tol=self.tol, scale=scale)
-        return q, h, s, rank, e_col
+        proj, w = stacked[:, :cols], stacked[:, cols:]
+        c1, wg0 = _stacked_gram(stacked, p)
+        np.subtract(w, slab_matmul(proj, c1), out=w)
+        ledger.current().flop(Kernel.BLAS3, 2.0 * proj.shape[0] * cols * p)
+        scale = float(np.sqrt(np.max(np.diag(wg0).real, initial=0.0)))
+        q, s, rank = qr_factorization(w, "cholqr", tol=self.tol, scale=scale)
+        return q, c1[k:], s, rank, (c1[:k] if k else None)
 
 
 class _Cgs21rEngine(_EngineBase):
@@ -739,7 +738,8 @@ def make_arnoldi_engine(scheme: str, *, tol: float = 1e-12) -> _EngineBase:
 
     ``tol`` is the relative rank tolerance of the breakdown test.  ``cgs``
     is the project-then-CholQR engine, each low-synchronization scheme has
-    its own.
+    its own; every one projects against ``[C_k | V]`` in one stacked pass
+    and pays 2 reductions per step outside its breakdown fallbacks.
     """
     if scheme not in _ENGINES:
         raise ValueError(f"unknown orthogonalization scheme {scheme!r}; "

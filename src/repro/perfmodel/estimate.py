@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..util.ledger import CostLedger, Kernel
+from ..util.ledger import CostLedger
 from .machine import CURIE, MachineModel
 
 __all__ = ["TimeBreakdown", "modeled_time", "strong_scaling_projection"]

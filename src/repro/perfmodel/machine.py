@@ -19,7 +19,7 @@ scaling curves, not Curie's absolute seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,6 @@ sparse-LU coarse solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp

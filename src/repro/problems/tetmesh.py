@@ -15,7 +15,7 @@ The mesh knows everything edge elements need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

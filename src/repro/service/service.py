@@ -30,13 +30,13 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..krylov.base import ConvergenceHistory, Preconditioner, SolveResult
-from ..krylov.recycling import PseudoBlockRecycle, RecycledSubspace
+from ..krylov.recycling import PseudoBlockRecycle
 from ..krylov.shifted import ShiftedFamilyResult
 from ..trace import tracer as trace
 from ..util import ledger

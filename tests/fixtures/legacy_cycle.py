@@ -6,14 +6,15 @@ Python list of contiguous ``n x p`` blocks and every orthogonalization
 step re-materializes the stacked operand with ``np.concatenate``.  It is
 kept only as the reference the zero-copy cycle must match *bitwise* —
 ``V``, ``Z``, ``E_k``, the Hessenberg-QR state and ``CostLedger.counts()``
-(see ``tests/test_basis_arena.py``).  The low-synchronization engines take
-the stacked ``[C_k | V | W]`` operand; here they get a freshly concatenated
-copy each step, which is exactly what the arena's zero-copy views replace.
-Every stacked operand (and the ``C_k`` the ``cgs`` step projects against)
-is made column-major, the arena's layout: BLAS results depend on operand
-layout in the last bits, and the oracle's bits must be the arena's.  The
-seed projection against ``C_k`` uses the library's ``slab_matmul`` for the
-same reason: it is the product the engines' ``begin`` spells.
+(see ``tests/test_basis_arena.py``).  Every engine takes the stacked
+``[C_k | V | W]`` operand; here it gets a freshly concatenated copy each
+step, which is exactly what the arena's zero-copy views replace.  Every
+stacked operand is made column-major, the arena's layout: BLAS results
+depend on operand layout in the last bits, and the oracle's bits must be
+the arena's.  The seed projection against ``C_k`` (low-synchronization
+schemes only; the ``cgs`` engine's ``begin`` leaves the seed alone) uses
+the library's ``slab_matmul`` for the same reason: it is the product the
+engines' ``begin`` spells.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ import numpy as np
 
 from repro.la.blockqr import BlockHessenbergQR
 from repro.la.orthogonalization import (LOW_SYNC_SCHEMES,
-                                        make_arnoldi_engine, project_out,
-                                        qr_factorization, slab_matmul)
+                                        make_arnoldi_engine, slab_matmul)
 from repro.trace import tracer as trace
 from repro.util import ledger
-from repro.util.misc import column_norms
 
 
 @dataclass
@@ -64,17 +63,15 @@ def legacy_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *, max_steps,
     led = ledger.current()
     tr = trace.current()
 
-    engine = None
     e0 = None
-    if ortho in LOW_SYNC_SCHEMES:
-        if k:
-            e0 = np.asarray(ck).conj().T @ v1
-            v1 = v1 - slab_matmul(ck, e0)
-            led.flop(ledger.Kernel.BLAS3, 4.0 * v1.shape[0] * k * p)
-            led.reduction(nbytes=k * p * v1.itemsize)
-        # the seed is projected above, as the cycle did before the
-        # engines' ``begin`` took that over, so ``begin`` is not called
-        engine = make_arnoldi_engine(ortho, tol=deflation_tol)
+    if ortho in LOW_SYNC_SCHEMES and k:
+        e0 = np.asarray(ck).conj().T @ v1
+        v1 = v1 - slab_matmul(ck, e0)
+        led.flop(ledger.Kernel.BLAS3, 4.0 * v1.shape[0] * k * p)
+        led.reduction(nbytes=k * p * v1.itemsize)
+    # the seed is projected above, as the cycle did before the engines'
+    # ``begin`` took that over, so ``begin`` is not called
+    engine = make_arnoldi_engine(ortho, tol=deflation_tol)
 
     hqr = BlockHessenbergQR(max_steps, p, np.asarray(s1, dtype=dtype),
                             dtype=dtype)
@@ -88,23 +85,11 @@ def legacy_block_arnoldi_cycle(op_apply, inner_m, v1, s1, *, max_steps,
             state.z_blocks.append(zj)
             w = op_apply(zj)
             with tr.span("ortho", scheme=ortho):
-                if engine is not None:
-                    stacked = np.asfortranarray(np.concatenate(
-                        ([ck] if k else []) + state.v_blocks + [w], axis=1))
-                    q, h, s, rank, e_col = engine.step(stacked, p, k=k)
-                    if k:
-                        state.e_cols.append(e_col)
-                else:
-                    if k:
-                        w, e_col = project_out(np.asfortranarray(ck), w)
-                        state.e_cols.append(e_col)
-                    scale = float(np.max(column_norms(w), initial=0.0))
-                    basis = np.asfortranarray(
-                        np.concatenate(state.v_blocks, axis=1))
-                    w2, h = project_out(basis, w)
-                    q, s, rank = qr_factorization(w2, "cholqr",
-                                                  tol=deflation_tol,
-                                                  scale=scale)
+                stacked = np.asfortranarray(np.concatenate(
+                    ([ck] if k else []) + state.v_blocks + [w], axis=1))
+                q, h, s, rank, e_col = engine.step(stacked, p, k=k)
+                if k:
+                    state.e_cols.append(e_col)
             h_col = np.concatenate([h, s], axis=0)
             res = hqr.add_column(h_col)
             state.steps = j + 1

@@ -447,8 +447,10 @@ COUNTS_FILE = Path(__file__).parent / "data" / "solver_counts.json"
 #: ``BlockHessenbergQR`` (the single-column ``gcrodr`` cells, which run the
 #: block cycle, since its basis slab went column-major; the history of
 #: ``gcrodr-right-fused-f64-p3-A-cholqr2``, since its recycled pair is
-#: repaired by a QR of ``C_k`` instead of a gated ``qr(A U_k)``); regenerate
-#: with ``python tests/matrix.py --sha1``
+#: repaired by a QR of ``C_k`` instead of a gated ``qr(A U_k)``; every
+#: ``gcrodr`` cell, since each column's ``C_l`` is folded into the step's
+#: projection and its pair repaired under every scheme); regenerate with
+#: ``python tests/matrix.py --sha1``
 SHA1_FILE = Path(__file__).parent / "data" / "pseudo_block_sha1.json"
 
 

@@ -223,7 +223,7 @@ def test_block_cycle_step_allocation_independent_of_depth(ortho):
 
 
 def test_pgcrodr_folded_projector_allocation_independent_of_depth():
-    """cgs2_1r folds C_l into the basis tensor: a prefix view, no per-step
+    """pgcrodr folds C_l into the basis tensor: a prefix view, no per-step
     ``np.concatenate([ck_blocks, v[:j+1]])``."""
     n, p, m, k = 4096, 4, 40, 10
     a = laplacian_2d(64).tocsr()
@@ -242,4 +242,4 @@ def test_pgcrodr_folded_projector_allocation_independent_of_depth():
     # final residual; sample i covers the work between applies i-1 and i
     assert len(op.peaks) == 2 * m - k + 2
     folded = op.peaks[m + 2: 2 * m - k + 1]
-    _assert_flat(folded, n * p * 8, "pgcrodr fold_ck")
+    _assert_flat(folded, n * p * 8, "pgcrodr folded C_l")

@@ -9,7 +9,9 @@ without shelling out to any real stage.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -383,6 +385,30 @@ def test_lint_option_setters_names_the_unset_field(lint, tmp_path):
         == [("option-setters", 9)]
     assert "Options.qr" in findings[0][2]
     assert lint.option_setters() == []      # the repository itself is clean
+
+
+def test_lint_unused_import_names_the_dead_import(lint):
+    source = ("from __future__ import annotations\n"
+              "from typing import Any, Callable\n"
+              "import numpy as np\n"
+              "import scipy.sparse as sp\n"
+              "from .ledger import CostLedger, Kernel, Timer\n"
+              "__all__ = ['Timer']\n\n\n"
+              "def run(x: 'CostLedger') -> Any:\n"
+              "    return np.asarray(x)\n")
+
+    def rules(rel):
+        visitor = lint._Visitor(rel, source.splitlines())
+        visitor.visit(ast.parse(source))
+        return [(rule, line, msg) for rule, line, msg in visitor.findings]
+
+    findings = rules(os.path.join("src", "repro", "util", "fake.py"))
+    assert [(rule, line) for rule, line, _ in findings] == [
+        ("unused-import", 2), ("unused-import", 4), ("unused-import", 5)]
+    assert [msg.split()[0] for _, _, msg in findings] \
+        == ["'Callable'", "'sp'", "'Kernel'"]
+    # the rule reads src/repro/ only
+    assert rules(os.path.join("tests", "fake.py")) == []
 
 
 # -- blocked triangular sweep: gated on counts, tracked exactly ----------

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import repro.la.orthogonalization as ortho_mod
 from repro import Options, solve
-from repro.la.orthogonalization import project_out
+from repro.la.orthogonalization import slab_matmul
 from repro.verify import InvariantChecker, InvariantViolation, activate
 
 from matrix import (COUNTS_FILE, SHA1_FILE, SOLVERS, Config, assert_conforms,
@@ -101,6 +101,16 @@ def test_property_random_config_conforms(method, variant, p, complex_,
     assert out.ok, f"{cfg.id()} (seed {seed}): {out.failures}"
 
 
+def _leaky_slab_matmul(basis, c):
+    """``basis @ c`` minus ``1e-3 basis[:, :1]``: the step's update
+    ``w - basis @ c`` leaks a component of the basis back into the block
+    once the basis is nontrivial."""
+    out = slab_matmul(basis, c)
+    if basis.shape[1] >= 2:
+        out = out - 1e-3 * basis[:, :1]
+    return out
+
+
 class TestMutationSmoke:
     """Injected defects must trip the checker (checker-of-the-checker)."""
 
@@ -113,17 +123,12 @@ class TestMutationSmoke:
         """Leak a component of the basis back into the orthogonalized block.
 
         Emulates a buggy block orthogonalization (the classic CGS failure
-        mode) in the step of the default ``cgs`` engine: ``verify=full`` must
-        catch it via the basis-orthonormality / Arnoldi-relation checks
-        inside the block Arnoldi cycle.
+        mode) in the update ``w - [C_k | V] c`` of the default ``cgs``
+        engine's step: ``verify=full`` must catch it via the
+        basis-orthonormality / Arnoldi-relation checks inside the block
+        Arnoldi cycle.
         """
-        def leaky_project_out(basis, w):
-            w2, h = project_out(basis, w)
-            if basis.shape[1] >= 2:  # corrupt once the basis is nontrivial
-                w2 = w2 + 1e-3 * basis[:, :1]
-            return w2, h
-
-        monkeypatch.setattr(ortho_mod, "project_out", leaky_project_out)
+        monkeypatch.setattr(ortho_mod, "slab_matmul", _leaky_slab_matmul)
         with pytest.raises(InvariantViolation):
             self._solve("bgmres", p=3, verify="full")
         with pytest.raises(InvariantViolation):
@@ -132,13 +137,7 @@ class TestMutationSmoke:
     def test_mutation_unnoticed_without_verify(self, monkeypatch):
         """The same defect sails through silently at verify=off — which is
         exactly why the checker exists."""
-        def leaky_project_out(basis, w):
-            w2, h = project_out(basis, w)
-            if basis.shape[1] >= 2:
-                w2 = w2 + 1e-3 * basis[:, :1]
-            return w2, h
-
-        monkeypatch.setattr(ortho_mod, "project_out", leaky_project_out)
+        monkeypatch.setattr(ortho_mod, "slab_matmul", _leaky_slab_matmul)
         res = self._solve("bgmres", p=3, verify="off")
         assert "verify" not in res.info  # no checker, no report
 

@@ -5,8 +5,10 @@ change against its parent commit; a kernel change that shifts either one
 should fail here, in pytest, not in the pipeline's parent/change comparison.
 Tiny copies of the four workloads — the benchmark's own classes, hence its
 solver configurations — are run once on seed 0 and held to the values
-recorded at the commit that introduced this file (PR 19's parent and PR 19
-agree on all of them).
+recorded at the commit that introduced this file, except the two Laplace
+copies' reductions, re-recorded when the default ``cgs`` step folded
+``C_k`` into its one stacked Gram and its recycled pair took the one-QR
+repair (74 -> 75 and 328 -> 256, iterations unchanged).
 
 Sizes are ``benchmarks/e2e/selftest.py``'s, plus one Laplace copy tall
 enough that its basis slab no longer fits a core's L2: the 48 x 48
@@ -36,8 +38,8 @@ from workloads import (HeatEnsembleAmg, LaplaceBlockUnprec,  # noqa: E402
 
 #: (workload, iterations, reductions) on seed 0
 PINNED = [
-    (LaplaceBlockUnprec(grid=16, p=4), 36, 74),
-    (LaplaceBlockUnprec(grid=48, p=4), 116, 328),
+    (LaplaceBlockUnprec(grid=16, p=4), 36, 75),
+    (LaplaceBlockUnprec(grid=48, p=4), 116, 256),
     (MaxwellOrasBlock(n=4, n_antennas=4, block=2, nparts=2), 2, 13),
     (HeatEnsembleAmg(nx=24, n_steps=8, epoch_length=4), 61, 226),
     (TrafficAsync(n_requests=120), 12, 48),

@@ -103,5 +103,5 @@ def test_cost_model_scaling_runs(capsys):
                       led.total_flops(), led.calls["operator_apply"])
               for label, (_, led) in events.items()}
     assert counts == {"GMRES(30)": (176, 1232, 9856, 1728873.0, 88),
-                      "GCRO-DR(30,10)": (236, 1204, 9632,
-                                         6730194.666666667, 86)}
+                      "GCRO-DR(30,10)": (188, 1204, 9632,
+                                         7259394.666666667, 86)}

@@ -10,6 +10,7 @@ from repro.krylov.base import FunctionPreconditioner
 from repro.krylov import recycling
 from repro.krylov.gcrodr import gcrodr
 from repro.la.orthogonalization import ORTHO_SCHEME_NAMES
+from repro.problems.poisson import poisson_2d
 from repro.krylov.gmres import gmres
 from repro.trace import Tracer, install
 from repro.util import ledger
@@ -476,8 +477,9 @@ class TestKZeroIsGmres:
 
 class TestPairRepair:
     """``recycling.repair``: one rule for every scheme.  After each harvest
-    and update a low-synchronization scheme re-orthonormalizes ``C_k`` by
-    QR (one reduction) and keeps the map; ``cgs`` leaves the pair alone."""
+    and update ``C_k`` is re-orthonormalized by QR (one reduction) and the
+    map is kept — under ``cgs`` too, whose unrepaired pair diverged on a
+    rank-deficient block (``TestRankDeficientBlock``)."""
 
     @staticmethod
     def _sequence(method, scheme):
@@ -507,11 +509,12 @@ class TestPairRepair:
         assert {kind for kind, _ in reds} == {"harvest", "update"}
         assert led.calls.get("recycle_repair", 0) == 0
         assert sum(len(root.find("recycle_repair")) for root in tr.roots) == 0
-        # the repair is the scheme's only trace in the pair's spans: one
-        # QR reduction per low-sync harvest or update, none under cgs
+        # the pair's spans do not depend on the scheme: one QR reduction
+        # per harvest or update under every scheme, cgs included
         _, _, _, _, ref = self._sequence(method, "cgs2_1r")
-        lag = 1 if scheme == "cgs" else 0
-        assert reds == {(kind, r - lag) for kind, r in ref}
+        assert reds == ref
+        # every scheme's pair, cgs's too, comes back with C^H C = I and
+        # A U = C to rounding
         pairs = space.spaces if method == "gcrodr" else [space]
         for pair in pairs:
             c = pair.c
@@ -519,3 +522,33 @@ class TestPairRepair:
             assert np.linalg.norm(au - c) / np.linalg.norm(c) <= 1e-12
             assert np.linalg.norm(c.conj().T @ c - np.eye(c.shape[1])) \
                 <= 1e-12
+
+
+class TestRankDeficientBlock:
+    """Block GCRO-DR under the default ``cgs`` on a right-hand side block of
+    rank 1 or 3 (``poisson_2d(30)``, n = 900, p = 4, tol 1e-8).  Before
+    ``recycling.repair`` re-orthonormalized the ``cgs`` pair, the rank-1
+    block ran 2 000 iterations to a residual of 9.7e124 at (30, 5) and
+    raised ``LinAlgError`` at (20, 2) and (30, 10); the rank-3 block
+    stopped at an ``inf`` residual."""
+
+    @staticmethod
+    def _block(rank):
+        b = np.random.default_rng(0).standard_normal((900, 4))
+        if rank == 1:
+            return np.outer(b[:, 0], [1.0, 2.0, 3.0, 4.0])
+        return np.column_stack([b[:, 0], b[:, 1], b[:, 0] + b[:, 1],
+                                b[:, 2]])
+
+    @pytest.mark.parametrize("m,k", [(30, 5), (20, 2), (30, 10)],
+                             ids=["m30k5", "m20k2", "m30k10"])
+    @pytest.mark.parametrize("rank", [1, 3], ids=["rank1", "rank3"])
+    def test_true_residual(self, rank, m, k):
+        a = poisson_2d(30).a
+        b = self._block(rank)
+        res = solve(a, b, options=Options(krylov_method="bgcrodr",
+                                          gmres_restart=m, recycle=k,
+                                          tol=1e-8))
+        assert np.all(res.converged)
+        rel = np.linalg.norm(a @ res.x - b, axis=0) / np.linalg.norm(b, axis=0)
+        assert rel.max() <= 2e-8

@@ -19,9 +19,10 @@ Checks (all from span trees produced by real solves):
   (``tests/fixtures/sketched_engine.py``, block GMRES at p = 1): every full
   cycle has exactly ``m`` ``arnoldi_step`` spans and their reductions sum
   to exactly ``m`` (one per step).
-* GCRO-DR + ``cgs2_1r`` + ``same_system``: every full cycle has ``m - k``
-  steps summing to exactly ``2 (m - k)`` reductions, the per-cycle count
-  never varies across cycles, and no ``recycle_update`` span appears.
+* GCRO-DR + ``same_system``, under ``cgs2_1r`` and under the default
+  ``cgs``: every full cycle has ``m - k`` steps summing to exactly
+  ``2 (m - k)`` reductions, the per-cycle count never varies across
+  cycles, and no ``recycle_update`` span appears.
 * ``cgs2_1r`` low-synchronization bound: **every** ``arnoldi_step`` span
   carries at most 2 reductions, recycling included.
 * GCRO-DR on the sketched engine, on a different system (harvest and
@@ -97,10 +98,11 @@ def check_gmres_shape(root: Span, m: int) -> dict[str, Any]:
             "reductions_per_full_cycle": m}
 
 
-def check_gcrodr_shape(root: Span, m: int, k: int) -> dict[str, Any]:
-    """Same-system GCRO-DR cycles: ``m - k`` steps, ``2 (m - k)``
-    reductions, a per-cycle count that never varies, and zero
-    ``recycle_update`` spans."""
+def check_gcrodr_shape(root: Span, m: int, k: int, *, scheme: str
+                       ) -> dict[str, Any]:
+    """Same-system GCRO-DR cycles under ``scheme``: ``m - k`` steps,
+    ``2 (m - k)`` reductions, a per-cycle count that never varies, and
+    zero ``recycle_update`` spans."""
     updates = root.find("recycle_update")
     if updates:
         raise GateError(
@@ -118,7 +120,7 @@ def check_gcrodr_shape(root: Span, m: int, k: int) -> dict[str, Any]:
         if reds != 2 * len(steps):
             raise GateError(
                 f"gcrodr cycle {cyc.attrs.get('index')}: {len(steps)} steps "
-                f"but {reds} reductions (expected 2 per step with cgs2_1r)")
+                f"but {reds} reductions (expected 2 per step with {scheme})")
         if len(steps) == m - k:
             full += 1
             per_full_cycle.add(reds)
@@ -367,23 +369,27 @@ def run_gate(m: int = 10, k: int = 4) -> dict[str, Any]:
     check_conservation(root)
 
     # --- GCRO-DR(m, k) same-system fast path: 2(m-k)/cycle ----------
-    opts = Options(krylov_method="gcrodr", gmres_restart=m, recycle=k,
-                   orthogonalization="cgs2_1r", tol=1e-12, max_it=90,
-                   trace="summary")
-    tr = Tracer(level="summary")
-    led = CostLedger()
-    with install(tr), ledger.install(led):
-        first = api.solve(a, b_cols[:, 1], options=opts)
-        res = api.solve(a, b_cols[:, 2], options=opts,
-                        recycle=first.info["recycle"], same_system=True)
-    ledger.current().merge(led)
-    seed_root, root = tr.roots[-2], tr.roots[-1]
-    report["gcrodr"] = check_gcrodr_shape(root, m, k)
-    report["gcrodr"]["iterations"] = res.iterations
-    report["cgs2_1r_bound"] = check_step_reduction_bound(root)
-    check_step_reduction_bound(seed_root)
-    check_conservation(seed_root)
-    check_conservation(root)
+    # under cgs2_1r and under the default cgs, whose one stacked Gram
+    # folds C_k in as the low-synchronization engines do
+    for scheme, key in (("cgs2_1r", "gcrodr"), ("cgs", "gcrodr_cgs")):
+        opts = Options(krylov_method="gcrodr", gmres_restart=m, recycle=k,
+                       orthogonalization=scheme, tol=1e-12, max_it=90,
+                       trace="summary")
+        tr = Tracer(level="summary")
+        led = CostLedger()
+        with install(tr), ledger.install(led):
+            first = api.solve(a, b_cols[:, 1], options=opts)
+            res = api.solve(a, b_cols[:, 2], options=opts,
+                            recycle=first.info["recycle"], same_system=True)
+        ledger.current().merge(led)
+        seed_root, root = tr.roots[-2], tr.roots[-1]
+        report[key] = check_gcrodr_shape(root, m, k, scheme=scheme)
+        report[key]["iterations"] = res.iterations
+        if scheme == "cgs2_1r":
+            report["cgs2_1r_bound"] = check_step_reduction_bound(root)
+            check_step_reduction_bound(seed_root)
+        check_conservation(seed_root)
+        check_conservation(root)
 
     # --- GCRO-DR(m, k) on the sketched engine, different system: 1/step
     # Harvest and updates run for real (same_system=False), at two
