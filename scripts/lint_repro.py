@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific determinism lint — stdlib ``ast`` only, no new deps.
 
-Nine rule families, each guarding an invariant the test suite and the
+Ten rule families, each guarding an invariant the test suite and the
 trace/bench gates rely on:
 
 ``unseeded-random``
@@ -51,6 +51,14 @@ trace/bench gates rely on:
     for is decided there, from the symmetry of the input's pattern, and
     every factor is probed before it is accepted; a second call site is a
     second ordering policy with no probe.  No allow-list entry.
+
+``same-system``
+    an attribute read of ``.op_tag`` or ``.recycle_same_system`` anywhere
+    in ``src/repro/`` outside ``krylov/recycling.py``.  Whether a recycled
+    pair still holds for the operator (the same-system skip) is decided by
+    ``recycling.same_system`` from the pair's stamp; a module that reads
+    the stamp's tag or the flag itself has grown a second rule.  No
+    allow-list entry.
 
 ``option-census``
     a field of ``Options`` that no module under ``src/repro/`` (outside
@@ -121,6 +129,10 @@ RESTART_HOME = os.path.join("src", "repro", "krylov", "restart.py")
 SRC_DIR = os.path.join("src", "repro") + os.sep
 SUPERLU_HOME = os.path.join("src", "repro", "direct", "solver.py")
 OPTIONS_HOME = os.path.join("src", "repro", "util", "options.py")
+#: the one module that may read the recycled pair's identity stamp and the
+#: flag that asserts sameness: the same-system decision lives there
+SAME_SYSTEM_HOME = os.path.join("src", "repro", "krylov", "recycling.py")
+SAME_SYSTEM_ATTRS = ("op_tag", "recycle_same_system")
 #: where a module that sets an ``Options`` field counts (tests do not)
 SETTER_DIRS = ("src", "benchmarks", "examples", "scripts")
 #: this script names fields as data; it sets none
@@ -158,6 +170,8 @@ class _Visitor(ast.NodeVisitor):
             and rel != RESTART_HOME
         self.in_superlu_scope = rel.startswith(SRC_DIR) \
             and rel != SUPERLU_HOME
+        self.in_same_system_scope = rel.startswith(SRC_DIR) \
+            and rel != SAME_SYSTEM_HOME
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, msg: str) -> None:
@@ -205,6 +219,15 @@ class _Visitor(ast.NodeVisitor):
                            f"{name}() over a 3-D operand (or unreadable "
                            f"subscripts) — contract the basis tensor with "
                            f"batched np.matmul, einsum cannot reach BLAS")
+        self.generic_visit(node)
+
+    # -- same-system ----------------------------------------------------
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if self.in_same_system_scope and isinstance(node.ctx, ast.Load) \
+                and node.attr in SAME_SYSTEM_ATTRS:
+            self._flag("same-system", node,
+                       f".{node.attr} read outside krylov/recycling.py — "
+                       f"ask recycling.same_system whether the pair holds")
         self.generic_visit(node)
 
     # -- restart-loop ---------------------------------------------------

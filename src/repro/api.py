@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from functools import partial
-from typing import Any
 
 import numpy as np
 
+from .krylov import recycling
 from .krylov.base import SolveResult, as_operator
 from .krylov.bgmres import bgmres
 from .krylov.gcrodr import gcrodr
@@ -30,6 +30,7 @@ from .krylov.shifted import (ShiftedFamilyResult, shifted_matrix,
                              solve_shifted_family)
 from .service.cache import SetupCache
 from .service.fingerprint import operator_fingerprint
+from .service.service import recycle_kind
 from .util import ledger
 from .util.misc import as_block, invalid_input
 from .util.options import OptionError, Options
@@ -200,26 +201,28 @@ class Solver:
     """Stateful solver for sequences of linear systems.
 
     Keeps the recycled Krylov subspace alive between calls (the paper's
-    "persistent memory ... allocated using a singleton class") and resolves
-    the same-system fast path automatically:
+    "persistent memory ... allocated using a singleton class") and stamps
+    every new pair with the operator's value
+    :class:`~repro.service.fingerprint.Fingerprint`.  Whether the next
+    call takes the same-system fast path — skip the ``qr(A U_k)``
+    re-orthonormalization and freeze the recycled space at restarts
+    (``-hpddm_recycle_same_system``) — is
+    :func:`repro.krylov.recycling.same_system`'s decision: equal values
+    (the same matrix, or an equal copy) take it, changed values never do
+    (a matrix whose ``data`` was mutated in place keeps its identity tag
+    but not its fingerprint), and the flag only speaks where values cannot
+    be compared (an opaque :class:`~repro.krylov.base.Operator`).
 
-    * same operator object (equal ``tag``) *and* unchanged entries (equal
-      value :class:`~repro.service.fingerprint.Fingerprint`) as the
-      previous call — skip the ``qr(A U_k)`` re-orthonormalization and
-      freeze the recycled space at restarts
-      (``-hpddm_recycle_same_system``).  The fingerprint guard means
-      mutating a matrix's ``data`` in place between solves correctly
-      disables the fast path (an identity tag alone cannot see that);
-    * different operator — run the full variable-sequence update.
-
-    ``reset()`` drops the recycled subspace *and* both identity markers
-    (tag and fingerprint), so a reused Solver never silently adopts a
-    recycle space or the same-system fast path across a reset.
+    ``reset()`` drops the recycled subspace, so the next solve on this
+    instance starts a fresh sequence.
 
     With a shared ``setup_cache`` (a :class:`repro.service.SetupCache`),
     recycled subspaces are published under the operator's value
-    fingerprint, so repeat traffic against the same operator hits the
-    fast path even across *distinct* Solver instances.
+    fingerprint, and a Solver with no pair of its own takes the cached
+    one: repeat traffic against the same operator hits the fast path
+    across *distinct* Solver instances, and a pair the cache adopted from
+    a neighbouring operator (``SetupCache.adopt_from``) is taken and
+    re-derived, since its stamp names the neighbour.
 
     Example
     -------
@@ -239,64 +242,41 @@ class Solver:
         self.preconditioner = m
         self.setup_cache = setup_cache
         self.recycled: RecycledSubspace | PseudoBlockRecycle | None = None
-        self._last_tag: Any = None
-        self._last_fingerprint = None
         self.results: list[SolveResult] = []
-
-    def _cache_kind(self) -> str:
-        from .service.service import _key_state, _recycle_kind
-        return _recycle_kind(_key_state(self.options)[2])
 
     def solve(self, a, b, *, x0: np.ndarray | None = None,
               m=None, same_system: bool | None = None) -> SolveResult:
         """Solve the next system in the sequence."""
         op = as_operator(a)
         fp = operator_fingerprint(a)
-        if same_system is None:
-            if self.options.recycle_same_system:
-                same_system = True
-            elif self._last_tag is not None:
-                # identity alone is not enough: an in-place update of the
-                # matrix values keeps the tag but changes the fingerprint,
-                # and must re-establish A U = C, not skip it
-                same_system = (op.tag == self._last_tag
-                               and fp == self._last_fingerprint)
         if self.recycled is None and self.setup_cache is not None:
-            space = self.setup_cache.get(fp, self._cache_kind())
-            if space is not None:
-                self.recycled = space
-                if same_system is None and not fp.opaque \
-                        and space.matches_fingerprint(fp):
-                    # a value-fingerprint hit proves the operator equals the
-                    # one the cached space was built for — unless the space
-                    # was adopted from a neighboring operator
-                    # (``SetupCache.adopt_from``), whose foreign stamp forces
-                    # the adoption-boundary repair instead
-                    same_system = True
+            self.recycled = self.setup_cache.get(
+                fp, recycle_kind(self.options))
+        if same_system is None:
+            same_system = recycling.same_system(self.recycled, op.tag, fp,
+                                                options=self.options)
         prec = m if m is not None else self.preconditioner
         res = solve(op, b, prec, options=self.options, x0=x0,
                     recycle=self.recycled, same_system=same_system)
-        self._last_tag = op.tag
-        self._last_fingerprint = fp
         new_space = res.info.get("recycle")
         if new_space is not None:
+            new_space.fingerprint = fp
             self.recycled = new_space
             if self.setup_cache is not None:
-                new_space.fingerprint = fp
-                self.setup_cache.put(fp, self._cache_kind(), new_space)
+                self.setup_cache.put(fp, recycle_kind(self.options),
+                                     new_space)
         self.results.append(res)
         return res
 
     def reset(self) -> None:
-        """Drop the recycled subspace, history, and both identity markers.
+        """Drop the recycled subspace and the history.
 
-        After a reset the next solve can never be treated as same-system
-        (and never adopts this instance's previous recycle space), even
-        against the very same operator object.
+        After a reset the next solve has no pair, so it is never treated as
+        same-system and never adopts this instance's previous recycle
+        space, even against the very same operator object (it may still
+        take one from a shared ``setup_cache``).
         """
         self.recycled = None
-        self._last_tag = None
-        self._last_fingerprint = None
         self.results.clear()
 
     @property

@@ -39,6 +39,7 @@ from ..util.misc import as_block, column_norms, identity_tag, result_dtype
 __all__ = [
     "Operator",
     "as_operator",
+    "operator_tag",
     "Preconditioner",
     "IdentityPreconditioner",
     "FunctionPreconditioner",
@@ -153,6 +154,11 @@ def as_operator(a: Any, *, nranks: int = 1) -> Operator:
     if callable(a):
         raise ValueError("bare callables need an explicit Operator(shape, dtype, fn) wrapper")
     raise TypeError(f"cannot interpret {type(a).__name__} as a linear operator")
+
+
+def operator_tag(a: Any) -> Any:
+    """The identity tag ``as_operator(a)`` carries, without wrapping ``a``."""
+    return a.tag if isinstance(a, Operator) else identity_tag(a)
 
 
 class Preconditioner:

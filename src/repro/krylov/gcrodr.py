@@ -74,7 +74,7 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
         ``result.info["recycle"]``).
     same_system:
         overrides the same-operator detection.  Defaults to
-        ``options.recycle_same_system or recycle.matches_operator(A)``.
+        :func:`repro.krylov.recycling.same_system` on ``A``'s identity tag.
     """
     options = options or Options(krylov_method="gcrodr", recycle=10)
     k = options.recycle
@@ -104,8 +104,8 @@ def gcrodr(a, b, m=None, *, options: Options | None = None,
         u_k = np.array(recycle.u, dtype=dtype, order="F")
         c_k = np.array(recycle.c, dtype=dtype, order="F")
         if same_system is None:
-            same_system = options.recycle_same_system \
-                or recycle.matches_operator(st.a.tag)
+            same_system = recycling.same_system(recycle, st.a.tag,
+                                                options=options)
         if not same_system:
             # lines 3-7: re-orthonormalize against the *new* operator
             led.flop(Kernel.QR, 4.0 * n * u_k.shape[1] ** 2)

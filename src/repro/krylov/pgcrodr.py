@@ -273,8 +273,8 @@ def pgcrodr(a, b, m=None, *, options: Options | None = None,
     # ---- adopt incoming recycled spaces ---------------------------------
     if recycle is not None and recycle.p == p:
         if same_system is None:
-            same_system = options.recycle_same_system or \
-                recycle.matches_operator(st.a.tag)
+            same_system = recycling.same_system(recycle, st.a.tag,
+                                                options=options)
         for col, space in zip(cols, recycle.spaces):
             if space is None or space.k == 0:
                 continue

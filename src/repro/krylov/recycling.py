@@ -10,6 +10,8 @@ each, which the block driver ``gcrodr`` calls on its ``n x p`` block,
 :func:`adopt` (lines 3-7), :func:`harmonic_basis` + :func:`harvest`
 (16-20), :func:`update` (31-38) and :func:`repair` after either.  The
 drivers keep their loops, spans, checks and the lines 8-9 projection.
+Whether lines 3-7 and 31-38 are skipped for the next operator is
+:func:`same_system`'s answer, for the solvers and both front ends alike.
 """
 
 from __future__ import annotations
@@ -27,31 +29,19 @@ from ..util.ledger import Kernel
 from ..util.options import Options
 from .deflation import generalized_ritz_vectors, harmonic_ritz_vectors
 
-__all__ = ["RecycledSubspace", "PseudoBlockRecycle", "adopt",
+__all__ = ["RecycledSubspace", "PseudoBlockRecycle", "same_system", "adopt",
            "harmonic_basis", "harvest", "update", "repair"]
 
 
-class _Stamped:
-    """``op_tag`` identifies the operator the pair's invariants hold for;
-    ``fingerprint`` (stamped by :class:`repro.service.SolveService` or a
-    cache-backed :class:`repro.api.Solver`) also pins its *values*, so an
-    operator mutated in place never takes the same-system fast path."""
-
-    def matches_operator(self, tag: Any) -> bool:
-        return self.op_tag is not None and self.op_tag == tag
-
-    def matches_fingerprint(self, fingerprint: Any) -> bool:
-        """Value-level match (stricter than ``matches_operator``)."""
-        return self.fingerprint is not None and self.fingerprint == fingerprint
-
-
 @dataclass
-class RecycledSubspace(_Stamped):
+class RecycledSubspace:
     """The pair ``(U_k, C_k)`` with ``A U_k = C_k`` and ``C_k^H C_k = I``.
 
-    On a different operator the next solve re-orthonormalizes
-    (``[Q,R] = qr(A U_k)``, paper lines 4-6) unless the caller promises
-    the operator is unchanged (``-hpddm_recycle_same_system``).
+    Its stamp names the operator the pair holds for: ``op_tag`` the
+    operator's identity tag (set by the solver), ``fingerprint`` its
+    values (set by :class:`repro.api.Solver` and the service).  On any
+    other operator the next solve re-orthonormalizes (``[Q,R] = qr(A U_k)``,
+    paper lines 4-6); :func:`same_system` decides which.
     """
 
     u: np.ndarray
@@ -70,8 +60,9 @@ class RecycledSubspace(_Stamped):
 
 
 @dataclass(eq=False)
-class PseudoBlockRecycle(_Stamped):
-    """Per-column recycled pairs of a pseudo-block sequence (or ``None``)."""
+class PseudoBlockRecycle:
+    """Per-column recycled pairs of a pseudo-block sequence (or ``None``),
+    under one stamp (see :class:`RecycledSubspace`)."""
 
     spaces: list[RecycledSubspace | None]
     op_tag: Any = None
@@ -80,6 +71,32 @@ class PseudoBlockRecycle(_Stamped):
     @property
     def p(self) -> int:
         return len(self.spaces)
+
+
+def same_system(space: RecycledSubspace | PseudoBlockRecycle | None,
+                tag: Any, fingerprint: Any = None, *,
+                options: Options) -> bool:
+    """Whether ``space``'s pair still holds for the operator with identity
+    ``tag`` and value ``fingerprint``: the paper's same-system skip of
+    lines 3-7 and 31-38, decided here for every solver and front end.
+
+    In order: no pair is never the same; two known fingerprints that
+    differ never are, flag or not (the operator changed, or the pair was
+    adopted from a neighbour); ``options.recycle_same_system`` asserts
+    sameness where values cannot be compared; equal value fingerprints
+    prove it; otherwise the identity tags must match.
+    """
+    if space is None:
+        return False
+    stamp = space.fingerprint
+    if fingerprint is not None and stamp is not None and stamp != fingerprint:
+        return False
+    if options.recycle_same_system:
+        return True
+    if fingerprint is not None and stamp == fingerprint \
+            and not fingerprint.opaque:
+        return True
+    return space.op_tag is not None and space.op_tag == tag
 
 
 # ---------------------------------------------------------------------------

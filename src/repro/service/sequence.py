@@ -17,7 +17,8 @@ Per step the driver exercises the full reuse ladder:
 * epoch boundary (``dt`` / frequency change) → recycle carry-over via
   :meth:`SetupCache.adopt_from` — the adopted space keeps its foreign
   fingerprint stamp and is *repaired* at the adoption boundary, never
-  trusted (``options.sequence_adopt``).
+  trusted, whatever ``options.recycle_same_system`` says
+  (``options.sequence_adopt``; :func:`repro.krylov.recycling.same_system`).
 
 Cost attribution is per step: each record carries the request's ledger
 share (``info["service"]["cost"]``) and its modeled duration at the
@@ -102,18 +103,6 @@ class SequenceDriver:
             tenant: str | None = None) -> SequenceHandle:
         """Register one sequence; ``options.sequence_*`` tune its reuse."""
         opts = options or self.service.options
-        if opts.recycle_same_system and opts.sequence_adopt:
-            # recycle_same_system forces the fast path unconditionally —
-            # an adopted (foreign-fingerprint) pair would be *trusted*
-            # against the wrong operator instead of repaired.  The service
-            # already takes the fast path automatically on true
-            # fingerprint hits, so the flag buys nothing here.
-            raise ValueError(
-                "recycle_same_system cannot be combined with "
-                "sequence_adopt: an adopted recycle space would be "
-                "trusted across the epoch boundary instead of repaired "
-                "(the service auto-detects unchanged operators by value "
-                "fingerprint, so the flag is unnecessary)")
         handle = SequenceHandle(
             sequence, opts, tenant or f"seq{len(self.handles)}")
         if len({h.tenant for h in self.handles + [handle]}) \

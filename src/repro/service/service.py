@@ -35,7 +35,9 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from ..krylov.base import ConvergenceHistory, Preconditioner, SolveResult
+from ..krylov import recycling
+from ..krylov.base import (ConvergenceHistory, Preconditioner, SolveResult,
+                           operator_tag)
 from ..krylov.recycling import PseudoBlockRecycle
 from ..krylov.shifted import ShiftedFamilyResult
 from ..trace import tracer as trace
@@ -46,7 +48,8 @@ from ..util.options import OptionError, Options
 from .cache import SetupCache
 from .fingerprint import Fingerprint, operator_fingerprint
 
-__all__ = ["SolveRequest", "SolveService", "options_key", "options_digest"]
+__all__ = ["SolveRequest", "SolveService", "options_key", "options_digest",
+           "recycle_kind"]
 
 _PRECOND_SPECS = ("lu", "schwarz", "amg")
 
@@ -167,8 +170,10 @@ def _okey_digest(options: Options, okey: tuple) -> str:
     return digest if key is okey else options_digest(okey)
 
 
-def _recycle_kind(digest: str) -> str:
-    return f"recycle:{digest}"
+def recycle_kind(options: Options) -> str:
+    """The setup-cache kind a recycled pair solved under ``options`` is
+    kept as, by the service and a cache-backed :class:`repro.api.Solver`."""
+    return f"recycle:{_key_state(options)[2]}"
 
 
 def _rhs_digest(b: np.ndarray) -> str:
@@ -473,12 +478,12 @@ class SolveService:
                         for r in chunk]
                 x0 = np.hstack(cols) if len(cols) > 1 else cols[0]
             shifts = columns = None
-            rkind = _recycle_kind(digest)
+            rkind = recycle_kind(opts)
             family_flag = {}
 
         ambient = ledger.current()
         batch_led = CostLedger()
-        recycling = opts.is_recycling
+        recycles = opts.is_recycling
         tr = trace.current()
         # the span opens against the *ambient* ledger before the private
         # batch ledger is installed, so its window sees exactly the merged
@@ -496,34 +501,21 @@ class SolveService:
                     mass, setup_hit = self.cache.get_or_build(
                         key[2], "mass_lu",
                         lambda: SparseLU(_as_matrix(first.mass)))
-                recycle = same_system = None
-                adopted = False
-                if recycling:
+                recycle = None
+                same_system = adopted = False
+                if recycles:
+                    # a family's unprojected engine takes its cached pair as
+                    # is; a plain batch asks the pair's stamp, and a pair it
+                    # finds but cannot trust was adopted from a neighbour
                     recycle, found = self._cached_recycle(fp, rkind, p)
-                    # the cache key is the *value* fingerprint, so a hit
-                    # means the operator is numerically unchanged: take the
-                    # paper's same-system fast path (section III-B)
-                    # automatically — except for opaque operators, where
-                    # equality only means object identity and in-place
-                    # mutation is undetectable, and except for *adopted*
-                    # spaces (``SetupCache.adopt_from``), which keep the
-                    # previous operator's fingerprint stamp so the
-                    # adoption-boundary repair runs instead of being
-                    # trusted against the wrong operator (False, not None:
-                    # the solver would guess by identity tag, which a
-                    # matrix mutated in place keeps).  A family takes its
-                    # cached space as is (the unprojected engine).
-                    if family:
-                        same_system = found
-                    elif found and not recycle.matches_fingerprint(fp):
-                        adopted, same_system = True, False
-                    elif found and not fp.opaque:
-                        same_system = True
+                    same_system = found if family else recycling.same_system(
+                        recycle, operator_tag(first.a), fp, options=opts)
+                    adopted = found and not same_system
                 res = api.solve(first.a, bmat, m, options=opts, x0=x0,
                                 recycle=recycle, same_system=same_system,
                                 shifts=shifts, mass=mass)
                 new_space = res.info.get("recycle")
-                if recycling and new_space is not None:
+                if recycles and new_space is not None:
                     new_space.fingerprint = fp
                     self.cache.put(fp, rkind, new_space)
             ambient.merge(batch_led)
@@ -535,7 +527,7 @@ class SolveService:
         if setup_hit is not None:
             tr.metrics.counter("service_setup_cache_total").inc(
                 outcome="hit" if setup_hit else "miss")
-        if recycling:
+        if recycles:
             tr.metrics.counter("service_recycle_cache_total").inc(
                 outcome="hit" if same_system else "miss")
 
@@ -546,8 +538,8 @@ class SolveService:
             "coalesced_requests": len(chunk),
             "fingerprint": label,
             "setup_cache_hit": setup_hit,
-            "recycle_cache_hit": bool(same_system) if recycling else None,
-            "recycle_adopted": adopted if recycling else None,
+            "recycle_cache_hit": same_system if recycles else None,
+            "recycle_adopted": adopted if recycles else None,
             "cache": self.cache.stats(),
             **family_flag,
         }

@@ -66,9 +66,11 @@ class Options:
         right-hand side (one extra global reduction), ``"B"`` uses eq. (3b)
         (communication-free).
     recycle_same_system:
-        enable the non-variable fast path: when solving a sequence with an
-        unchanged operator, skip re-orthonormalizing ``U_k`` (paper lines 3-7)
-        and skip updating the recycled space at restarts (lines 31-38).
+        assert the non-variable fast path (skip re-orthonormalizing ``U_k``,
+        paper lines 3-7, and the restart updates, lines 31-38) where values
+        cannot be compared: a changed value fingerprint re-derives the pair
+        anyway, and an equal one takes the fast path without the flag
+        (:func:`repro.krylov.recycling.same_system`).
     variant:
         preconditioning side: ``"left"`` or ``"right"``.  ``"right"``
         stores the preconditioned Krylov basis ``Z = M(V)``, so it accepts a

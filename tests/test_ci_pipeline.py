@@ -411,6 +411,38 @@ def test_lint_unused_import_names_the_dead_import(lint):
     assert rules(os.path.join("tests", "fake.py")) == []
 
 
+def _same_system_findings(lint, source, *parts):
+    visitor = lint._Visitor(os.path.join(*parts), source.splitlines())
+    visitor.visit(ast.parse(source))
+    return [(rule, line) for rule, line, _ in visitor.findings
+            if rule == "same-system"]
+
+
+def test_lint_same_system_flags_a_second_decision(lint):
+    source = ("def fast(options, space, tag):\n"
+              "    if options.recycle_same_system:\n"
+              "        return True\n"
+              "    return space.op_tag == tag\n"
+              "def stamp(space, tag):\n"
+              "    space.op_tag = tag\n")        # a write is no decision
+    assert _same_system_findings(
+        lint, source, "src", "repro", "api.py") \
+        == [("same-system", 2), ("same-system", 4)]
+    # the rule's home, and code outside the library, may read both
+    assert _same_system_findings(
+        lint, source, "src", "repro", "krylov", "recycling.py") == []
+    assert _same_system_findings(lint, source, "tests", "test_x.py") == []
+
+
+def test_lint_same_system_tree_is_clean(lint):
+    src = ROOT / "src" / "repro"
+    findings = [(str(path.relative_to(ROOT)), line)
+                for path in sorted(src.rglob("*.py"))
+                for rule, line, _ in lint.lint_file(str(path))
+                if rule == "same-system"]
+    assert findings == []
+
+
 # -- blocked triangular sweep: gated on counts, tracked exactly ----------
 def test_sweep_counts_are_gated_and_tracked_as_exact():
     import copy

@@ -162,6 +162,29 @@ class TestMutationSmoke:
             solve(a, b + 1.0, m, options=o_cheap, recycle=bad_c,
                   same_system=True)
 
+    def test_same_system_decision_mutation_detected(self, monkeypatch):
+        """A same-system decision that always answers "same" trusts the
+        pair across an operator change; the adoption check must catch it.
+        Unpatched, the second operator's fingerprint re-derives the pair."""
+        import scipy.sparse as sp
+
+        from repro import Solver
+        from repro.krylov import recycling
+
+        cfg = Config("gcrodr", p=1)
+        a, b, m = make_problem(cfg)
+        a2 = (a + sp.diags(np.linspace(0.0, 2.0, a.shape[0]))).tocsr()
+        o = cfg.options(verify="full")
+        s = Solver(m, options=o)
+        s.solve(a, b)
+        assert not s.solve(a2, b).info["same_system"]
+        monkeypatch.setattr(recycling, "same_system",
+                            lambda *args, **kwargs: True)
+        s = Solver(m, options=o)
+        s.solve(a, b)
+        with pytest.raises(InvariantViolation):
+            s.solve(a2, b)
+
     def test_false_convergence_mutation_detected(self):
         """A solver lying about its final residual must be caught by the
         api-level reported-vs-true check."""

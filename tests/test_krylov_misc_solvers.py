@@ -6,12 +6,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import Options, Solver, solve
-from repro.krylov.base import FunctionPreconditioner
+from repro.krylov import recycling
+from repro.krylov.base import FunctionPreconditioner, as_operator
 from repro.krylov.cg import cg
 from repro.krylov.chebyshev import ChebyshevSmoother, estimate_lambda_max
 from repro.krylov.gcrodr import gcrodr
 from repro.krylov.lgmres import lgmres
-from repro.krylov.recycling import RecycledSubspace
+from repro.krylov.recycling import PseudoBlockRecycle, RecycledSubspace
+from repro.service.fingerprint import operator_fingerprint
 from repro.util.options import OptionError
 
 from conftest import (convection_diffusion_1d, laplacian_1d, laplacian_2d,
@@ -229,9 +231,38 @@ class TestRecycledSubspace:
         assert not np.allclose(s.u, 0)
         assert c.op_tag == "x"
 
-    def test_matches_operator(self):
-        s = RecycledSubspace(np.ones((4, 1)), np.ones((4, 1)), op_tag=42)
-        assert s.matches_operator(42)
-        assert not s.matches_operator(43)
-        s2 = RecycledSubspace(np.ones((4, 1)), np.ones((4, 1)))
-        assert not s2.matches_operator(None)
+    def test_same_system_rule(self):
+        """``recycling.same_system``: the pair's stamp ``(op_tag,
+        fingerprint)`` against the operator's ``(tag, fingerprint)``."""
+        a = laplacian_1d(4)
+        fa, fb = operator_fingerprint(a), operator_fingerprint(2.0 * a)
+        fo = operator_fingerprint(as_operator(a))        # opaque
+        assert fo.opaque and not fa.opaque
+        table = [  # (stamp, operator, flag, same?)
+            (None, (1, fa), True, False),            # no pair
+            ((1, fa), (1, fa), False, True),         # equal values
+            ((1, fa), (2, fa), False, True),         # an equal copy
+            ((1, fa), (1, fb), False, False),        # values changed...
+            ((1, fa), (1, fb), True, False),         # ...beat the flag
+            ((7, fo), (7, fo), False, True),         # opaque: tags decide
+            ((7, fo), (8, fo), False, False),
+            ((7, fo), (8, fo), True, True),          # unless flagged
+            ((1, None), (1, fa), False, True),       # unstamped values
+            ((1, fa), (1, None), False, True),       # unknown values
+            ((1, fa), (2, None), False, False),
+            ((1, fa), (2, None), True, True),
+            ((None, None), (None, None), False, False),  # no tag at all
+        ]
+        for stamp, (tag, fp), flag, want in table:
+            space = None if stamp is None else RecycledSubspace(
+                np.ones((4, 1)), np.ones((4, 1)), op_tag=stamp[0],
+                fingerprint=stamp[1])
+            got = recycling.same_system(
+                space, tag, fp,
+                options=Options(recycle_same_system=flag))
+            assert got is want, (stamp, tag, fp, flag)
+        # one stamp for the per-column pairs of a pseudo-block sequence
+        pb = PseudoBlockRecycle([None], op_tag=1, fingerprint=fa)
+        assert recycling.same_system(pb, 2, fa, options=Options())
+        assert not recycling.same_system(pb, 1, fb, options=Options(
+            recycle_same_system=True))

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Options, Solver, solve
+from repro.problems.poisson import poisson_2d
 from repro.service import (SetupCache, SolveService, operator_fingerprint,
                            options_digest, options_key)
 from repro.service.fingerprint import Fingerprint
@@ -543,8 +544,7 @@ class TestSolverReset:
         s.solve(a, rng.standard_normal(a.shape[0]))
         assert s.recycled is not None
         s.reset()
-        assert s.recycled is None and s._last_tag is None \
-            and s._last_fingerprint is None
+        assert s.recycled is None
         # next solve against the *same operator object* is a fresh sequence:
         # no same-system fast path, no adopted recycle space
         res = s.solve(a, rng.standard_normal(a.shape[0]))
@@ -562,6 +562,36 @@ class TestSolverReset:
         r3 = s.solve(a, rng.standard_normal(a.shape[0]))
         assert r3.info["same_system"] is not True
         assert r3.converged.all()
+
+    @staticmethod
+    def _second_solve(a2, **over):
+        """Iterations and same-system answer of a Solver's second solve,
+        on ``a2`` after the 30 x 30 Poisson matrix."""
+        a = poisson_2d(30).a
+        rng = make_rng(0)
+        b1, b2 = (rng.standard_normal(a.shape[0]) for _ in range(2))
+        s = Solver(options=Options(krylov_method="gcrodr", gmres_restart=30,
+                                   recycle=10, **over))
+        s.solve(a, b1)
+        res = s.solve(a if a2 is None else a2(a), b2)
+        assert res.converged.all()
+        return res.iterations, res.info["same_system"]
+
+    def test_equal_copy_takes_the_same_system_path(self):
+        """Equal values are the same system, whatever object holds them."""
+        same = self._second_solve(None)
+        assert same[1] is True
+        assert self._second_solve(lambda a: a.copy()) == same
+
+    def test_flag_never_trusts_a_changed_operator(self):
+        """``recycle_same_system`` does not beat a fingerprint that changed:
+        the pair is re-derived, as in the unflagged run."""
+        def shifted(a):
+            return (a + sp.diags(np.linspace(0.0, 2.0, a.shape[0]))).tocsr()
+
+        flagged = self._second_solve(shifted, recycle_same_system=True)
+        assert flagged[1] is False
+        assert flagged == self._second_solve(shifted)
 
     def test_shared_cache_gives_cross_instance_fast_path(self):
         a = poisson()

@@ -163,12 +163,27 @@ def test_sequence_driver_warm_start_converges_to_same_field():
         < 1e-6 * max(np.linalg.norm(fields[False]), 1.0)
 
 
-def test_driver_rejects_recycle_same_system_with_adopt():
-    seq = HeatSequence(nx=5, n_steps=4, dt0=1e-3, epoch_length=2)
-    opts = seq_options(recycle_same_system=True, sequence_adopt=True)
-    driver = SequenceDriver(SolveService(options=opts))
-    with pytest.raises(ValueError, match="trusted across the epoch"):
-        driver.add(seq, options=opts)
+def test_recycle_same_system_with_adopt_repairs_the_adopted_pair():
+    """The flag does not trust an adopted pair: its foreign fingerprint
+    stamp re-derives it, so the flagged run is the unflagged one."""
+    def run(flag):
+        opts = seq_options(recycle_same_system=flag, sequence_adopt=True,
+                           trace="summary")
+        driver = SequenceDriver(SolveService(options=opts))
+        driver.add(HeatSequence(nx=7, n_steps=6, dt0=1e-3, epoch_length=3,
+                                growth=1.5), options=opts, tenant="t0")
+        tr = Tracer(level="summary")
+        with install(tr):
+            records = driver.run()
+        return records, check_sequence_shape(tr.roots[-1])
+
+    records, shape = run(True)
+    assert shape["adoptions"] == 1 and shape["fast_path_steps"] == 4
+    changed = [r for r in records if r["fp_changed"]]
+    assert len(changed) == 2 and changed[1]["recycle_adopted"]
+    assert not any(r["recycle_cache_hit"] for r in changed)
+    assert [r["iterations"] for r in records] \
+        == [r["iterations"] for r in run(False)[0]]
 
 
 def test_driver_rejects_duplicate_tenant():
